@@ -8,7 +8,7 @@ while uncoupled Reno subflows grab roughly two shares.
 """
 
 from bench_common import run_once, write_output
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.topology import LinkSpec, shared_bottleneck, chain_path
 from repro.sim.engine import Simulator
@@ -36,12 +36,12 @@ def run_contest(mptcp_cc: str) -> dict:
     tcp_path.forward.hops.append(shared_link)
 
     mptcp = MptcpConnection(
-        sim, mptcp_paths, make_scheduler("roundrobin"),
+        sim, mptcp_paths, build(SchedulerSpec.of("roundrobin")),
         config=ConnectionConfig(handshake_delays=False, congestion_control=mptcp_cc),
         name="mptcp",
     )
     tcp = MptcpConnection(
-        sim, [tcp_path], make_scheduler("minrtt"),
+        sim, [tcp_path], build(SchedulerSpec.of("minrtt")),
         config=ConnectionConfig(handshake_delays=False, congestion_control="reno"),
         name="tcp",
     )

@@ -14,7 +14,7 @@ second-scale bufferbloat.
 """
 
 from bench_common import run_once, write_output
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, make_path, wifi_config
 from repro.sim.engine import Simulator
@@ -30,7 +30,7 @@ def measure_rtt(config_factory, rate_mbps: float) -> float:
     sim = Simulator()
     path = make_path(sim, config_factory(rate_mbps))
     conn = MptcpConnection(
-        sim, [path], make_scheduler("minrtt"),
+        sim, [path], build(SchedulerSpec.of("minrtt")),
         config=ConnectionConfig(handshake_delays=False),
     )
     conn.write(int(rate_mbps * 1e6))  # ~8 seconds of saturation

@@ -14,7 +14,7 @@ Run:
 
 from repro.apps.bulk import run_bulk_download
 from repro.core.base import Scheduler
-from repro.core.registry import _FACTORIES  # registration hook
+from repro.core.registry import register_scheduler
 from repro.net.profiles import lte_config, wifi_config
 
 
@@ -57,7 +57,7 @@ class BacklogAwareScheduler(Scheduler):
 
 def main() -> None:
     # Register so run_bulk_download can construct it by name.
-    _FACTORIES["backlog"] = BacklogAwareScheduler
+    register_scheduler("backlog", BacklogAwareScheduler)
 
     paths = (wifi_config(0.3), lte_config(8.6))
     size = 2 * 1024 * 1024

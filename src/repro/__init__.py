@@ -34,7 +34,6 @@ from repro.core import (
     Scheduler,
     SchedulerSpec,
     build,
-    make_scheduler,
     registered_schedulers,
 )
 from repro.mptcp import ConnectionConfig, MptcpConnection, MptcpReceiver
@@ -46,6 +45,10 @@ from repro.service import (
     PoolBackendConfig,
 )
 from repro.sim import Simulator, TraceRecorder
+
+# The transport core imports no tool, so the package root imports the
+# sanitizer: REPRO_SANITIZE=1 must arm it for any ``import repro.*``.
+from repro.analysis import sanitize as _sanitize  # noqa: F401
 
 __version__ = "1.1.0"
 
@@ -65,7 +68,6 @@ __all__ = [
     "SchedulerSpec",
     "CcSpec",
     "build",
-    "make_scheduler",
     "SCHEDULER_NAMES",
     "registered_schedulers",
     # MPTCP connection

@@ -11,9 +11,10 @@ Four layers guard the simulator's invariants:
   :mod:`repro.analysis.rules8xx`, with SARIF output
   (:mod:`repro.analysis.sarif`) and a committed findings baseline
   (:mod:`repro.analysis.baseline`);
-* :mod:`repro.analysis.sanitize` -- runtime assertion hooks in the
-  protocol layers, enabled with ``REPRO_SANITIZE=1`` / ``--sanitize``
-  and compiled down to a single ``is None`` test when off;
+* :mod:`repro.analysis.sanitize` -- runtime invariant checks on the
+  state-audit points of the probe seam (:mod:`repro.sim.probe`),
+  enabled with ``REPRO_SANITIZE=1`` / ``--sanitize``; the protocol
+  layers pay a single ``is None`` test when off;
 * :mod:`repro.analysis.events` + :mod:`repro.analysis.check` -- a
   structured event log and a temporal property catalog over it,
   including the :mod:`repro.analysis.reference` differential oracles
@@ -21,10 +22,9 @@ Four layers guard the simulator's invariants:
 * :mod:`repro.analysis.races` -- an event-order race detector re-running
   scenarios under randomized same-timestamp tie-breaking.
 
-Only the sanitizer is imported eagerly: every protocol module imports
-``repro.analysis.sanitize`` and ``repro.analysis.events`` (which run
-this ``__init__``), so importing the heavier layers here would drag the
-scheduler and experiment registries into every hot-path import.
+Only the sanitizer is imported eagerly (the package root imports it so
+``REPRO_SANITIZE=1`` arms on ``import repro``); the heavier layers load
+on first use.
 """
 
 from __future__ import annotations

@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.analysis import events as _events
+from repro.analysis import fixtures as _fixtures  # noqa: F401 -- registers its schedulers
 from repro.analysis.events import (
     AckProcessed,
     Delivered,

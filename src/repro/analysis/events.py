@@ -8,10 +8,12 @@ temporal property checker (:mod:`repro.analysis.check`) and the reference
 oracles (:mod:`repro.analysis.reference`) consume these logs to verify
 the paper's semantics, not just endpoint metrics.
 
-The hook pattern mirrors :mod:`repro.analysis.sanitize`: protocol layers
-do ``if _events.LOG is not None: _events.LOG.emit(...)``, which costs one
-pointer test when logging is off.  Enable a fresh log with
-:func:`start` / :func:`stop`, or the :func:`recording` context manager::
+Recording is a subscriber on the probe seam (:mod:`repro.sim.probe`):
+the protocol layers report a point (``probe.segment_sent(self, segment)``)
+and the records are built *here*, so the transport holds no event
+construction and pays one ``is None`` test per point while nothing is
+armed.  Arm a fresh log with :func:`start` / :func:`stop`, or the
+:func:`recording` context manager::
 
     from repro.analysis import events
 
@@ -24,24 +26,22 @@ process-unique ``uid`` from :func:`next_uid`, so records from several
 simultaneous connections (or sequential connections reusing subflow ids,
 as the web workload does) never alias in one log.
 
-This module must stay dependency-free within the package: every protocol
-layer imports it, so it cannot import any of them back.
+Apart from the seam this module imports nothing from the package; the
+subjects of the probe points are read duck-typed.
 """
 
 from __future__ import annotations
 
-import itertools
 from collections import deque
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
-_UIDS = itertools.count(1)
+from repro.sim import probe as _probe
+from repro.sim.probe import next_uid  # noqa: F401 -- re-exported: events.next_uid is public
 
-
-def next_uid() -> int:
-    """Process-unique id for log subjects (subflows, receivers, ...)."""
-    return next(_UIDS)
+#: This module's role on the probe seam: one active log at a time.
+_ROLE = "events"
 
 
 # ----------------------------------------------------------------------
@@ -312,31 +312,173 @@ class EventLog:
         return f"EventLog(n={len(self._events)}, dropped={self.dropped}, kinds={kinds})"
 
 
-#: The active log, or ``None`` when event logging is off.  Protocol layers
-#: read this through the module (``events.LOG``) so :func:`start` /
-#: :func:`stop` take effect everywhere at once.
-LOG: Optional[EventLog] = None
+class _Tap(_probe.Probe):
+    """The seam subscriber feeding one :class:`EventLog`: each protocol
+    point becomes one typed record."""
+
+    def __init__(self, log: EventLog) -> None:
+        self.log = log
+        self.emit = log.emit
+
+    def segment_sent(self, subflow: Any, segment: Any) -> None:
+        self.emit(SegmentSent(
+            t=subflow.sim.now,
+            sf_uid=subflow.uid,
+            sf_id=subflow.sf_id,
+            seq=segment.seq,
+            dsn=segment.dsn,
+            payload=segment.payload,
+            retransmitted=segment.retransmitted,
+            cwnd=subflow.cwnd,
+            in_flight=subflow.flight,
+        ))
+
+    def ack_processed(self, subflow: Any, segment: Any) -> None:
+        self.emit(AckProcessed(
+            t=subflow.sim.now,
+            sf_uid=subflow.uid,
+            sf_id=subflow.sf_id,
+            seq=segment.seq,
+            rtt_sampled=not segment.retransmitted,
+            cwnd=subflow.cwnd,
+            in_recovery=subflow._in_recovery,
+            backoff=subflow._rto_backoff,
+        ))
+
+    def rto_fired(self, subflow: Any, backoff_before: float) -> None:
+        self.emit(RtoFired(
+            t=subflow.sim.now,
+            sf_uid=subflow.uid,
+            sf_id=subflow.sf_id,
+            backoff_before=backoff_before,
+            backoff_after=subflow._rto_backoff,
+            rto=subflow.rtt.rto,
+            outstanding=subflow.outstanding_segments,
+        ))
+
+    def fast_retransmit(self, subflow: Any, segment: Any) -> None:
+        self.emit(FastRetransmit(
+            t=subflow.sim.now,
+            sf_uid=subflow.uid,
+            sf_id=subflow.sf_id,
+            seq=segment.seq,
+            recovery_point=subflow._recovery_point,
+        ))
+
+    def idle_reset(self, subflow: Any, idle: float, old_cwnd: float) -> None:
+        self.emit(IdleReset(
+            t=subflow.sim.now,
+            sf_uid=subflow.uid,
+            sf_id=subflow.sf_id,
+            idle=idle,
+            rto=subflow.rtt.rto,
+            old_cwnd=old_cwnd,
+            new_cwnd=subflow.cwnd,
+            ssthresh=subflow.ssthresh,
+        ))
+
+    def delivered(self, receiver: Any, payload: int, delay: float) -> None:
+        self.emit(Delivered(
+            t=receiver.sim.now,
+            recv_uid=receiver.uid,
+            dsn=receiver.expected_dsn,
+            payload=payload,
+            delay=delay,
+        ))
+
+    def reinjection(
+        self, conn: Any, dsn: int, payload: int, from_sf: int, to_sf: int, cause: str
+    ) -> None:
+        self.emit(Reinjection(
+            t=conn.sim.now,
+            conn=conn.name,
+            dsn=dsn,
+            payload=payload,
+            from_sf=from_sf,
+            to_sf=to_sf,
+            cause=cause,
+        ))
+
+    def ecf_decision(
+        self, scheduler: Any, conn: Any, fastest: Any, second: Any,
+        inputs: Any, wait: bool, waiting_before: bool, forced: bool,
+    ) -> None:
+        self.emit(EcfDecision(
+            t=conn.sim.now,
+            sched_uid=scheduler.uid,
+            decision="wait" if wait else "slow",
+            fastest_uid=fastest.uid,
+            fastest_sf=fastest.sf_id,
+            second_uid=second.uid,
+            second_sf=second.sf_id,
+            k_segments=inputs.k_segments,
+            cwnd_f=inputs.cwnd_f,
+            cwnd_s=inputs.cwnd_s,
+            rtt_f=inputs.rtt_f,
+            rtt_s=inputs.rtt_s,
+            delta=inputs.delta,
+            beta=scheduler.beta,
+            use_second_inequality=scheduler.use_second_inequality,
+            waiting_before=waiting_before,
+            waiting_after=scheduler.waiting,
+            n_rounds=inputs.n_rounds,
+            threshold=inputs.threshold,
+            forced=forced,
+        ))
+
+    def minrtt_decision(
+        self, scheduler: Any, conn: Any, available: List[Any], choice: Any
+    ) -> None:
+        self.emit(MinRttDecision(
+            t=conn.sim.now,
+            sched_uid=scheduler.uid,
+            chosen_sf=None if choice is None else choice.sf_id,
+            available=tuple((sf.sf_id, sf.srtt_or_default()) for sf in available),
+        ))
+
+
+class _DispatchTap(_Tap):
+    """A tap that also brackets engine dispatch (``capture_dispatch``);
+    kept apart so an ordinary log leaves ``Simulator.run`` on its bare
+    loop."""
+
+    def event_begin(self, sim: Any, time: float, timer: Any) -> None:
+        self.emit(Dispatch(t=time, seq=timer.seq))
+
+
+def _arm(log: Optional[EventLog]) -> Optional[EventLog]:
+    """Make ``log`` the active one (``None``: none); returns the log it
+    displaced."""
+    tap: Optional[_Tap] = None
+    if log is not None:
+        tap = _DispatchTap(log) if log.capture_dispatch else _Tap(log)
+    previous = _probe.swap(_ROLE, tap)
+    return previous.log if isinstance(previous, _Tap) else None
 
 
 def start(
     capacity: Optional[int] = None, capture_dispatch: bool = False
 ) -> EventLog:
     """Install (and return) a fresh active log, replacing any current one."""
-    global LOG
-    LOG = EventLog(capacity=capacity, capture_dispatch=capture_dispatch)
-    return LOG
+    log = EventLog(capacity=capacity, capture_dispatch=capture_dispatch)
+    _arm(log)
+    return log
 
 
 def stop() -> Optional[EventLog]:
     """Deactivate logging; returns the log that was active, if any."""
-    global LOG
-    log, LOG = LOG, None
-    return log
+    return _arm(None)
+
+
+def current() -> Optional[EventLog]:
+    """The active log, or ``None`` when event logging is off."""
+    tap = _probe.armed(_ROLE)
+    return tap.log if isinstance(tap, _Tap) else None
 
 
 def active() -> bool:
     """True while an event log is installed."""
-    return LOG is not None
+    return _probe.armed(_ROLE) is not None
 
 
 @contextmanager
@@ -344,11 +486,9 @@ def recording(
     capacity: Optional[int] = None, capture_dispatch: bool = False
 ) -> Iterator[EventLog]:
     """Event-log a block of code; restores the previous log on exit."""
-    global LOG
-    previous = LOG
     log = EventLog(capacity=capacity, capture_dispatch=capture_dispatch)
-    LOG = log
+    previous = _arm(log)
     try:
         yield log
     finally:
-        LOG = previous
+        _arm(previous)

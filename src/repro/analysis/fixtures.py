@@ -3,9 +3,10 @@
 These exist to prove the checking layer in :mod:`repro.analysis.check`
 has teeth: ``python -m repro.cli check --scheduler ecf-nowait`` (or
 ``ecf-noineq2``) must exit non-zero, and a checker change that stops
-flagging them is itself a bug.  They are registered in the scheduler
-registry under fixture-only names but kept out of ``SCHEDULER_NAMES`` so
-no experiment sweep ever picks one up by accident.
+flagging them is itself a bug.  Importing this module (which
+:mod:`repro.analysis.check` does) registers them in the scheduler
+registry under fixture-only names; they stay out of ``SCHEDULER_NAMES``
+so no experiment sweep ever picks one up by accident.
 
 Both subclass the real :class:`~repro.core.ecf.EcfScheduler` and override
 only its pure :meth:`~repro.core.ecf.EcfScheduler._evaluate` step, so
@@ -17,6 +18,7 @@ differential oracle sees every (mis)decision.
 from __future__ import annotations
 
 from repro.core.ecf import EcfInputs, EcfScheduler
+from repro.core.registry import register_scheduler
 
 
 class NoWaitEcfScheduler(EcfScheduler):
@@ -77,6 +79,11 @@ class LateHalvingEcfScheduler(EcfScheduler):
         )
 
 
+_FIXTURES = (NoWaitEcfScheduler, NoSecondInequalityEcfScheduler, LateHalvingEcfScheduler)
+
 #: Registry names of all seeded-violation fixtures (never in
 #: ``SCHEDULER_NAMES``; surfaced by ``repro check --scheduler ...``).
-FIXTURE_SCHEDULERS = ("ecf-nowait", "ecf-noineq2", "ecf-invbeta")
+FIXTURE_SCHEDULERS = tuple(cls.name for cls in _FIXTURES)
+
+for _cls in _FIXTURES:
+    register_scheduler(_cls.name, _cls)

@@ -268,8 +268,6 @@ class _Linter(ast.NodeVisitor):
     def _check_registry_call(self, node: ast.Call) -> None:
         terminal = _terminal_name(node.func)
         registry_key = {
-            "make_scheduler": "scheduler",
-            "make_controller": "congestion_control",
             "build_controller": "congestion_control",
             "experiment_kind": "experiment",
         }.get(terminal or "")

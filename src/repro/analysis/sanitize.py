@@ -5,9 +5,9 @@ operation enforces: congestion windows never collapse below one segment,
 data sequence numbers only move forward, link queues conserve bytes, the
 event loop dispatches in non-decreasing time order.  An aggressive
 refactor can silently break any of them and every downstream figure with
-it.  This module is the guardrail: protocol layers call cheap hook
-points (``if CHECKS is not None: CHECKS.xxx(...)``) that are ``None`` --
-and therefore skipped in one pointer test -- unless sanitizing is on.
+it.  This module is the guardrail: :class:`Checks` subscribes to the
+state-audit points of the probe seam (:mod:`repro.sim.probe`), which the
+protocol layers skip in one ``is None`` test unless something is armed.
 
 Enable with ``REPRO_SANITIZE=1`` in the environment (read at import
 time, so ``REPRO_SANITIZE=1 pytest`` sanitizes the whole suite), the
@@ -24,19 +24,23 @@ catches the escaping error and snapshots a postmortem bundle -- the
 recent event tail, trace tails, and perf counters leading up to the
 violation -- before re-raising it.
 
-This module must stay dependency-free within the package: every protocol
-layer imports it, so it cannot import any of them back.
+Apart from the seam this module imports nothing from the package at
+run time; the audited objects are read duck-typed.
 """
 
 from __future__ import annotations
 
 import os
-from typing import TYPE_CHECKING, Any, Optional
+import weakref
+from typing import TYPE_CHECKING, Any
+
+from repro.sim import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
     from repro.mptcp.receiver import MptcpReceiver
     from repro.net.link import Link
+    from repro.sim.engine import Simulator, Timer
     from repro.tcp.subflow import Subflow
 
 #: Tolerance for float window arithmetic (cwnd is a float in segments).
@@ -44,6 +48,9 @@ _EPS = 1e-9
 
 #: Environment variable that turns the sanitizer on at import time.
 ENV_VAR = "REPRO_SANITIZE"
+
+#: This module's role on the probe seam.
+_ROLE = "sanitize"
 
 
 class SanitizerError(AssertionError):
@@ -54,31 +61,40 @@ def _fail(subject: Any, invariant: str, detail: str) -> None:
     raise SanitizerError(f"{subject!r}: {invariant}: {detail}")
 
 
-class Checks:
-    """The invariant checks, one method per hook point.
+class Checks(_probe.Probe):
+    """The invariant checks, one method per audit point of the seam.
 
     Instances are stateless except for per-object monotonicity floors,
-    which are tracked on the checked objects themselves (``_sz_*``
-    attributes) so one ``Checks`` instance can watch any number of
-    simultaneous simulations.
+    kept here keyed (weakly) by the checked object, so one ``Checks``
+    instance can watch any number of simultaneous simulations and a
+    world rebuilt by :mod:`repro.sim.snapshot` starts without a floor.
     """
+
+    #: Ahead of every recorder: a broken invariant raises before the
+    #: record of the same point is emitted.
+    order = 0
+
+    def __init__(self) -> None:
+        self._dsn_floor: "weakref.WeakKeyDictionary[MptcpReceiver, int]" = (
+            weakref.WeakKeyDictionary()
+        )
 
     # ------------------------------------------------------------------
     # sim.engine
     # ------------------------------------------------------------------
-    def event_dispatch(self, now: float, event_time: float) -> None:
+    def event_begin(self, sim: "Simulator", time: float, timer: "Timer") -> None:
         """Event times leaving the heap must never run backwards."""
-        if event_time < now:
+        if time < sim.now:
             _fail(
                 "Simulator",
                 "non-decreasing event dispatch",
-                f"popped event at t={event_time!r} while clock is at {now!r}",
+                f"popped event at t={time!r} while clock is at {sim.now!r}",
             )
 
     # ------------------------------------------------------------------
     # tcp.subflow / tcp.cc
     # ------------------------------------------------------------------
-    def cwnd(self, subflow: "Subflow") -> None:
+    def audit_cwnd(self, subflow: "Subflow") -> None:
         """Window sanity after any congestion-controller action."""
         if subflow.cwnd < 1.0 - _EPS:
             _fail(subflow, "cwnd >= 1 MSS", f"cwnd={subflow.cwnd!r}")
@@ -91,9 +107,9 @@ class Checks:
         if not subflow.ssthresh > 0.0:
             _fail(subflow, "ssthresh > 0", f"ssthresh={subflow.ssthresh!r}")
 
-    def subflow(self, subflow: "Subflow") -> None:
+    def audit_subflow(self, subflow: "Subflow") -> None:
         """Full sequence/flight bookkeeping audit (after ACK or RTO)."""
-        self.cwnd(subflow)
+        self.audit_cwnd(subflow)
         if not 0 <= subflow.una <= subflow.next_seq:
             _fail(
                 subflow,
@@ -121,7 +137,7 @@ class Checks:
     # ------------------------------------------------------------------
     # mptcp.connection
     # ------------------------------------------------------------------
-    def conn_una_advance(self, conn: "MptcpConnection", data_ack: int) -> None:
+    def audit_conn_una(self, conn: "MptcpConnection", data_ack: int) -> None:
         """DATA_ACKs only move the connection-level una forward."""
         if data_ack < conn.conn_una:
             _fail(
@@ -136,7 +152,7 @@ class Checks:
                 f"DATA_ACK {data_ack} > next_dsn {conn.next_dsn}",
             )
 
-    def connection(self, conn: "MptcpConnection") -> None:
+    def audit_connection(self, conn: "MptcpConnection") -> None:
         """Connection-level buffer accounting after a scheduling pass."""
         if conn.unassigned_bytes < 0:
             _fail(conn, "unassigned_bytes >= 0", f"{conn.unassigned_bytes}")
@@ -157,7 +173,7 @@ class Checks:
     # ------------------------------------------------------------------
     # mptcp.receiver
     # ------------------------------------------------------------------
-    def receiver(self, receiver: "MptcpReceiver") -> None:
+    def audit_receiver(self, receiver: "MptcpReceiver") -> None:
         """Reorder-buffer bounds and delivery accounting."""
         buffered = receiver._buffered
         byte_sum = sum(payload for payload, _ in buffered.values())
@@ -198,19 +214,19 @@ class Checks:
                 "delivered bytes equal the in-order DSN frontier",
                 f"delivered={receiver.delivered_bytes}, expected={receiver.expected_dsn}",
             )
-        floor = getattr(receiver, "_sz_dsn_floor", 0)
+        floor = self._dsn_floor.get(receiver, 0)
         if receiver.expected_dsn < floor:
             _fail(
                 receiver,
                 "expected DSN never decreases",
                 f"expected={receiver.expected_dsn} < previously {floor}",
             )
-        receiver._sz_dsn_floor = receiver.expected_dsn
+        self._dsn_floor[receiver] = receiver.expected_dsn
 
     # ------------------------------------------------------------------
     # net.link
     # ------------------------------------------------------------------
-    def link(self, link: "Link") -> None:
+    def audit_link(self, link: "Link") -> None:
         """Packet and byte conservation across the queue/transmitter."""
         queued = sum(packet.size for packet, _ in link._queue)
         if queued != link.queued_bytes:
@@ -244,28 +260,20 @@ class Checks:
             )
 
 
-#: The active hook object, or ``None`` when sanitizing is off.  Protocol
-#: layers read this through the module (``sanitize.CHECKS``) so
-#: :func:`enable` / :func:`disable` take effect everywhere at once.
-CHECKS: Optional[Checks] = None
-
-
 def enable() -> None:
     """Turn the sanitizer on (idempotent)."""
-    global CHECKS
-    if CHECKS is None:
-        CHECKS = Checks()
+    if _probe.armed(_ROLE) is None:
+        _probe.swap(_ROLE, Checks())
 
 
 def disable() -> None:
     """Turn the sanitizer off (idempotent)."""
-    global CHECKS
-    CHECKS = None
+    _probe.swap(_ROLE, None)
 
 
 def enabled() -> bool:
     """True while sanitizer checks are active."""
-    return CHECKS is not None
+    return _probe.armed(_ROLE) is not None
 
 
 if os.environ.get(ENV_VAR, "").strip() not in ("", "0"):

@@ -65,6 +65,7 @@ from repro.analysis.flow import (
     Violation,
     class_candidates,
 )
+from repro.sim.snapshot import state_fields_index  # noqa: F401 -- re-exported
 
 #: Schema version of the rendered ``state-model.json``.
 STATE_MODEL_VERSION = 1
@@ -441,36 +442,6 @@ def build_state_model(
 def render_state_model(document: Dict[str, Any]) -> str:
     """Canonical byte form: sorted keys, two-space indent, one newline."""
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
-
-
-def state_fields_index(document: Dict[str, Any]) -> Dict[str, Set[str]]:
-    """Per-class observed-field closure from a ``state-model.json`` doc.
-
-    Maps each qualified class name to the union of its own observed
-    field names and those of every (transitively resolvable) base in
-    the document.  This is the static side of the runtime snapshot
-    contract: :mod:`repro.sim.snapshot` refuses to capture any field
-    that does not appear here for the object's class.
-    """
-    classes = document.get("classes", {})
-    cache: Dict[str, Set[str]] = {}
-
-    def closure(qual: str, trail: Set[str]) -> Set[str]:
-        if qual in cache:
-            return cache[qual]
-        if qual in trail:
-            return set()
-        entry = classes.get(qual)
-        if entry is None:
-            return set()
-        trail = trail | {qual}
-        names = set(entry.get("fields", {}))
-        for base in entry.get("bases", []):
-            names |= closure(base, trail)
-        cache[qual] = names
-        return names
-
-    return {qual: closure(qual, set()) for qual in classes}
 
 
 # ----------------------------------------------------------------------

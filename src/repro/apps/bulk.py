@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import asdict, dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Tuple
 
-from repro.apps.http import HttpSession
+from repro.apps.http import GetResult, HttpSession
 from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.path import Path
@@ -112,15 +112,50 @@ class BulkDownloadResult:
         )
 
 
-def run_bulk(spec: BulkDownloadSpec) -> BulkDownloadResult:
-    """Download one object over a fresh MPTCP connection, per ``spec``.
+class _CompletionRecorder:
+    """Holds the finished GET.  A bound method of a ``STATE_FIELDS``
+    object, not a closure, so :mod:`repro.sim.snapshot` can rebind it."""
 
-    Raises
-    ------
-    RuntimeError
-        If the download does not finish within ``spec.timeout`` simulated
-        seconds (indicative of a dead path or a scheduler deadlock).
-    """
+    __slots__ = ("result",)
+
+    STATE_FIELDS = ("result",)
+
+    def __init__(self) -> None:
+        self.result: Optional[GetResult] = None
+
+    def on_complete(self, result: GetResult) -> None:
+        self.result = result
+
+
+@dataclass
+class BulkWorld:
+    """One built, not yet run, snapshottable bulk-download world."""
+
+    spec: BulkDownloadSpec
+    sim: Simulator
+    conn: MptcpConnection
+    session: HttpSession
+    recorder: _CompletionRecorder
+    rngs: RngRegistry
+
+    def roots(self) -> Dict[str, Any]:
+        """Named entry points for :func:`repro.sim.snapshot.capture`."""
+        # The registry is only consulted at build time, but keeping it a
+        # root means a restored world can mint *new* streams too.
+        return {
+            "conn": self.conn,
+            "session": self.session,
+            "recorder": self.recorder,
+            "rngs": self.rngs,
+        }
+
+    def run_to_completion(self) -> BulkDownloadResult:
+        self.sim.run(until=self.spec.timeout)
+        return finish(self.spec, self.conn, self.recorder)
+
+
+def build_world(spec: BulkDownloadSpec) -> BulkWorld:
+    """Construct the world of one download: paths, connection, pending GET."""
     sim = Simulator()
     rngs = RngRegistry(spec.seed)
     paths = [
@@ -132,21 +167,30 @@ def run_bulk(spec: BulkDownloadSpec) -> BulkDownloadResult:
         sim, paths, scheduler, config=spec.connection, name=f"wget-{spec.scheduler}"
     )
     session = HttpSession(sim, conn)
+    recorder = _CompletionRecorder()
+    session.get(spec.size, recorder.on_complete)
+    return BulkWorld(spec=spec, sim=sim, conn=conn,
+                     session=session, recorder=recorder, rngs=rngs)
 
-    done = {}
 
-    def _on_complete(result) -> None:
-        done["result"] = result
+def finish(
+    spec: BulkDownloadSpec, conn: MptcpConnection, recorder: _CompletionRecorder
+) -> BulkDownloadResult:
+    """Assemble the result of a world that has been run (original or
+    restored from a snapshot).
 
-    session.get(spec.size, _on_complete)
-    sim.run(until=spec.timeout)
-    if "result" not in done:
+    Raises
+    ------
+    RuntimeError
+        If the download did not finish within ``spec.timeout`` simulated
+        seconds (indicative of a dead path or a scheduler deadlock).
+    """
+    if recorder.result is None:
         raise RuntimeError(
             f"download of {spec.size} bytes with {spec.scheduler!r} did not "
             f"complete within {spec.timeout} s (delivered "
             f"{conn.delivered_bytes} bytes)"
         )
-    result = done["result"]
     payload_by_path: Dict[str, int] = {}
     for sf in conn.subflows:
         payload_by_path[sf.path.name] = (
@@ -155,11 +199,20 @@ def run_bulk(spec: BulkDownloadSpec) -> BulkDownloadResult:
     return BulkDownloadResult(
         scheduler=spec.scheduler,
         size=spec.size,
-        completion_time=result.completion_time,
+        completion_time=recorder.result.completion_time,
         payload_by_path=payload_by_path,
         ooo_delays_max=max(conn.receiver.ooo_delays, default=0.0),
         reinjections=conn.reinjections,
     )
+
+
+def run_bulk(spec: BulkDownloadSpec) -> BulkDownloadResult:
+    """Download one object over a fresh MPTCP connection, per ``spec``.
+
+    Raises :class:`RuntimeError` like :func:`finish` when the download
+    does not complete within ``spec.timeout``.
+    """
+    return build_world(spec).run_to_completion()
 
 
 def run_bulk_download(

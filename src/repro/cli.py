@@ -636,64 +636,6 @@ def cmd_trace_validate(args) -> int:
     return 0
 
 
-def cmd_bench(args) -> int:
-    import json
-    from pathlib import Path
-
-    from repro.perf.bench import (
-        WORKLOADS,
-        compare,
-        current_rev,
-        report_to_dict,
-        run_workload,
-    )
-
-    names = args.workload or list(WORKLOADS)
-    records = {}
-    print(f"{'workload':<14}{'events':>9}{'sim s':>9}{'wall s':>9}{'events/s':>13}")
-
-    def run_matrix() -> None:
-        for name in names:
-            record = run_workload(name, scale=args.scale, repeat=args.repeat)
-            records[name] = record
-            print(
-                f"{name:<14}{record.events:>9d}{record.sim_s:>9.1f}"
-                f"{record.wall_s:>9.3f}{record.events_per_wall_s:>13,.0f}"
-            )
-
-    if args.profile:
-        from repro.perf.profiler import profiling
-
-        with profiling() as prof:
-            run_matrix()
-        profile_path = Path(args.profile)
-        if profile_path.parent != Path("."):
-            profile_path.parent.mkdir(parents=True, exist_ok=True)
-        profile_path.write_text(prof.collapsed())
-        summary = prof.report()
-        print(
-            f"wrote {profile_path} "
-            f"({len(summary['components'])} components, "
-            f"{summary['runs']} run(s) profiled)"
-        )
-    else:
-        run_matrix()
-    rev = current_rev()
-    report = report_to_dict(records, rev, args.scale)
-    output = Path(args.output) if args.output else Path(f"BENCH_{rev}.json")
-    output.write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {output}")
-    if args.baseline:
-        baseline = json.loads(Path(args.baseline).read_text())
-        complaints = compare(report, baseline, tolerance=args.tolerance)
-        if complaints:
-            for complaint in complaints:
-                print(f"REGRESSION {complaint}", file=sys.stderr)
-            return 1
-        print(f"no regression vs {args.baseline} (tolerance {args.tolerance:.0%})")
-    return 0
-
-
 def cmd_wild(args) -> int:
     runs = run_wild_streaming(
         runs=args.runs, video_duration=args.video,
@@ -1252,42 +1194,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="only requeue; drain later via submit/retry",
     )
     cp.set_defaults(func=cmd_campaign_retry)
-
-    p = sub.add_parser(
-        "bench",
-        help="run the pinned perf workload matrix and write BENCH_<rev>.json",
-    )
-    p.add_argument(
-        "--scale", type=float, default=1.0,
-        help="workload size multiplier (CI smoke uses a small value)",
-    )
-    p.add_argument(
-        "--workload", nargs="+", default=None, metavar="NAME",
-        choices=["bulk", "dash_onoff", "web", "four_subflow"],
-        help="run a subset of the matrix (default: all four)",
-    )
-    p.add_argument(
-        "--output", default=None, metavar="FILE",
-        help="where to write the report (default: BENCH_<rev>.json)",
-    )
-    p.add_argument(
-        "--baseline", default=None, metavar="FILE",
-        help="compare events/sec against this earlier report",
-    )
-    p.add_argument(
-        "--tolerance", type=float, default=0.30,
-        help="allowed fractional events/sec drop vs baseline (default: 0.30)",
-    )
-    p.add_argument(
-        "--repeat", type=int, default=1, metavar="N",
-        help="run each workload N times, keep the fastest (default: 1)",
-    )
-    p.add_argument(
-        "--profile", default=None, metavar="FILE",
-        help="attribute wall time per simulator component and write "
-        "collapsed stacks to FILE (flamegraph.pl / speedscope format)",
-    )
-    p.set_defaults(func=cmd_bench)
 
     p = sub.add_parser(
         "metrics",

@@ -24,7 +24,7 @@ from repro.core.extras import (
     RedundantScheduler,
     RoundRobinScheduler,
 )
-from repro.core.registry import SCHEDULER_NAMES, make_scheduler, registered_schedulers
+from repro.core.registry import SCHEDULER_NAMES, register_scheduler, registered_schedulers
 from repro.core.spec import CcSpec, SchedulerSpec, build
 
 __all__ = [
@@ -39,7 +39,7 @@ __all__ = [
     "SchedulerSpec",
     "CcSpec",
     "build",
-    "make_scheduler",
     "SCHEDULER_NAMES",
+    "register_scheduler",
     "registered_schedulers",
 ]

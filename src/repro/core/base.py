@@ -20,9 +20,7 @@ from __future__ import annotations
 import math
 from typing import TYPE_CHECKING, List, Optional
 
-from repro.analysis import events as _events
-from repro.obs import flight as _flight
-from repro.perf import counters as _perf
+from repro.sim import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -41,13 +39,12 @@ class Scheduler:
 
     def __init__(self) -> None:
         self.conn: Optional["MptcpConnection"] = None
-        self.uid = _events.next_uid()
+        self.uid = _probe.next_uid()
         self.decisions = 0
         self.waits = 0
-        if _perf.COLLECTOR is not None:
-            _perf.COLLECTOR.adopt_scheduler(self)
-        if _flight.COLLECTOR is not None:
-            _flight.COLLECTOR.adopt_scheduler(self)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.adopt(self)
 
     def attach(self, conn: "MptcpConnection") -> None:
         """Bind this scheduler instance to its connection."""

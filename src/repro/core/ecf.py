@@ -29,8 +29,8 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Dict, Optional
 
-from repro.analysis import events as _events
 from repro.core.base import Scheduler
+from repro.sim import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -178,29 +178,11 @@ class EcfScheduler(Scheduler):
             # Hysteresis clears only when inequality 1 itself fails; a
             # send forced by inequality 2 leaves the waiting state latched.
             self.waiting = False
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.EcfDecision(
-                t=conn.sim.now,
-                sched_uid=self.uid,
-                decision="wait" if wait else "slow",
-                fastest_uid=fastest.uid,
-                fastest_sf=fastest.sf_id,
-                second_uid=second.uid,
-                second_sf=second.sf_id,
-                k_segments=inputs.k_segments,
-                cwnd_f=inputs.cwnd_f,
-                cwnd_s=inputs.cwnd_s,
-                rtt_f=inputs.rtt_f,
-                rtt_s=inputs.rtt_s,
-                delta=inputs.delta,
-                beta=self.beta,
-                use_second_inequality=self.use_second_inequality,
-                waiting_before=waiting_before,
-                waiting_after=self.waiting,
-                n_rounds=inputs.n_rounds,
-                threshold=inputs.threshold,
-                forced=forced is not None,
-            ))
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.ecf_decision(
+                self, conn, fastest, second, inputs, wait, waiting_before, forced is not None
+            )
         return wait
 
     def _decision_inputs(

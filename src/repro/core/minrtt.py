@@ -10,8 +10,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Optional
 
-from repro.analysis import events as _events
 from repro.core.base import Scheduler
+from repro.sim import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -31,13 +31,7 @@ class MinRttScheduler(Scheduler):
         choice = self.fastest(available)
         if choice is None:
             self.waits += 1
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.MinRttDecision(
-                t=conn.sim.now,
-                sched_uid=self.uid,
-                chosen_sf=None if choice is None else choice.sf_id,
-                available=tuple(
-                    (sf.sf_id, sf.srtt_or_default()) for sf in available
-                ),
-            ))
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.minrtt_decision(self, conn, available, choice)
         return choice

@@ -6,8 +6,7 @@ schedule), so the registry always returns a *new* instance.
 
 from __future__ import annotations
 
-import warnings
-from typing import Any, Callable, Dict, FrozenSet
+from typing import Callable, Dict, FrozenSet
 
 from repro.core.base import Scheduler
 from repro.core.blest import BlestScheduler
@@ -27,22 +26,6 @@ def _make_mpdash() -> Scheduler:
     return MpDashScheduler()
 
 
-def _make_fixture(name: str) -> Callable[..., Scheduler]:
-    # Imported lazily: the fixtures live in repro.analysis, which would
-    # otherwise cycle back into core at import time.
-    def factory(**params: Any) -> Scheduler:
-        from repro.analysis import fixtures
-
-        cls = {
-            "ecf-nowait": fixtures.NoWaitEcfScheduler,
-            "ecf-noineq2": fixtures.NoSecondInequalityEcfScheduler,
-            "ecf-invbeta": fixtures.LateHalvingEcfScheduler,
-        }[name]
-        return cls(**params)
-
-    return factory
-
-
 _FACTORIES: Dict[str, Callable[..., Scheduler]] = {
     "minrtt": MinRttScheduler,
     "default": MinRttScheduler,
@@ -53,12 +36,6 @@ _FACTORIES: Dict[str, Callable[..., Scheduler]] = {
     "redundant": RedundantScheduler,
     "primary": PrimaryOnlyScheduler,
     "mpdash": _make_mpdash,
-    # Seeded-violation fixtures for the checking layer (repro.analysis):
-    # constructible by name for `repro check --scheduler ...`, but kept
-    # out of SCHEDULER_NAMES so sweeps never enumerate them.
-    "ecf-nowait": _make_fixture("ecf-nowait"),
-    "ecf-noineq2": _make_fixture("ecf-noineq2"),
-    "ecf-invbeta": _make_fixture("ecf-invbeta"),
 }
 
 #: Canonical user-facing scheduler names.  ("mpdash" additionally needs an
@@ -73,33 +50,18 @@ SCHEDULER_NAMES = (
 def registered_schedulers() -> FrozenSet[str]:
     """Every name ``build(SchedulerSpec.of(name))`` resolves.
 
-    Includes the seeded-violation fixture names; ``SCHEDULER_NAMES`` is
-    the user-facing subset sweeps enumerate.
+    Includes names added with :func:`register_scheduler` (the
+    seeded-violation fixtures of the checking layer among them);
+    ``SCHEDULER_NAMES`` is the user-facing subset sweeps enumerate.
     """
     return frozenset(_FACTORIES)
 
 
-def make_scheduler(name: str, **params: Any) -> Scheduler:
-    """Build a new scheduler by name.
+def register_scheduler(name: str, factory: Callable[..., Scheduler]) -> None:
+    """Make ``build(SchedulerSpec.of(name, **params))`` call ``factory``.
 
-    .. deprecated:: 1.1
-        Construct from a spec instead:
-        ``build(SchedulerSpec.of(name, **params))``
-        (:mod:`repro.core.spec`).  Specs are plain values, so they
-        serialize into experiment specs and the campaign store; a bare
-        ``(name, **params)`` call site does not.
-
-    Raises
-    ------
-    ValueError
-        For an unknown scheduler name.
+    ``factory`` receives the spec's params as keyword arguments and must
+    return a fresh scheduler.  Registered names resolve by name but stay
+    out of ``SCHEDULER_NAMES``, so no sweep enumerates them.
     """
-    warnings.warn(
-        "make_scheduler(name, **params) is deprecated; use "
-        "build(SchedulerSpec.of(name, **params)) from repro.core.spec",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    from repro.core.spec import SchedulerSpec, build
-
-    return build(SchedulerSpec.of(name, **params))
+    _FACTORIES[name.lower()] = factory

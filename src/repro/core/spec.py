@@ -26,9 +26,6 @@ backend configs (:mod:`repro.service.backends`)        an execution backend
 
 Like every registry here, :func:`build` always returns a *fresh*
 instance: schedulers and controllers carry per-connection state.
-
-``make_scheduler(name, **params)`` remains as a thin deprecated shim
-over ``build(SchedulerSpec.of(name, **params))``.
 """
 
 from __future__ import annotations

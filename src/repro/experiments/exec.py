@@ -243,14 +243,12 @@ def _execute_payload(payload: Dict[str, Any], timeout_s: Optional[float]) -> Dic
         try:
             result = run_once()
         except BaseException as exc:
-            from repro.perf.bench import current_rev
-
             recorder.write_postmortem(
                 kind=payload["kind"],
                 spec=payload,
                 spec_hash=key,
                 seed=payload.get("seed"),
-                rev=current_rev(),
+                rev=obs_flight.current_rev(),
                 error=exc,
             )
             raise

@@ -296,15 +296,14 @@ def run_streaming(config: StreamingRunConfig) -> StreamingRunResult:
     session.observers.append(_record_gap)
 
     obs_trace: Optional[TraceRecorder] = None
-    if trace is None and _flight.COLLECTOR is not None:
+    recorder = _flight.current()
+    if trace is None and recorder is not None:
         # Flight recorder on but traces off: sample CWND/send-buffer into
         # a bounded side recorder for the postmortem bundle only.  The
         # recorder adopts itself into the flight window at construction;
         # it is never attached to the result, so the wire format (and the
         # cached digests) are untouched.
-        obs_trace = TraceRecorder(
-            max_samples_per_series=_flight.COLLECTOR.trace_tail
-        )
+        obs_trace = TraceRecorder(max_samples_per_series=recorder.trace_tail)
     for target in (trace, obs_trace):
         if target is None:
             continue

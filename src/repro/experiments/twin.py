@@ -29,110 +29,20 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.analysis import events as _events
-from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec
-from repro.apps.http import GetResult, HttpSession
+from repro.apps.bulk import (  # noqa: F401 -- build_world/finish are this module's API too
+    BulkDownloadResult,
+    BulkDownloadSpec,
+    build_world,
+    finish,
+)
 from repro.core.ecf import EcfScheduler
-from repro.core.spec import SchedulerSpec, build
 from repro.experiments.spec import canonical_json
-from repro.mptcp.connection import MptcpConnection
-from repro.net.profiles import make_path
-from repro.sim.engine import Simulator
-from repro.sim.rng import RngRegistry
 from repro.sim.snapshot import Snapshot, capture, fork
 
 #: Events per checkpoint in the recording pass.  Small enough that a
 #: forked future replays only a short shared prefix, large enough that
 #: checkpointing stays a fraction of the run.
 DEFAULT_CHECKPOINT_EVERY = 2_000
-
-
-class _CompletionRecorder:
-    """Snapshot-safe replacement for ``run_bulk``'s completion closure."""
-
-    STATE_FIELDS = ("result",)
-
-    def __init__(self) -> None:
-        self.result: Optional[GetResult] = None
-
-    def on_complete(self, result: GetResult) -> None:
-        self.result = result
-
-
-@dataclass
-class TwinWorld:
-    """One buildable, snapshottable bulk-download world."""
-
-    spec: BulkDownloadSpec
-    sim: Simulator
-    conn: MptcpConnection
-    session: HttpSession
-    recorder: _CompletionRecorder
-    rngs: RngRegistry
-
-    def roots(self) -> Dict[str, Any]:
-        # The registry is only consulted at build time, but keeping it a
-        # root means a restored world can mint *new* streams too.
-        return {
-            "conn": self.conn,
-            "session": self.session,
-            "recorder": self.recorder,
-            "rngs": self.rngs,
-        }
-
-    def run_to_completion(self) -> BulkDownloadResult:
-        self.sim.run(until=self.spec.timeout)
-        return finish(self.spec, self.conn, self.recorder)
-
-
-def build_world(spec: BulkDownloadSpec) -> TwinWorld:
-    """Construct the ``run_bulk`` world with a snapshottable recorder.
-
-    Mirrors :func:`repro.apps.bulk.run_bulk` construction order exactly
-    (same RNG stream names, same scheduler build, same connection name),
-    so the straight-line result -- and its golden digest -- is identical;
-    only the completion closure is replaced by a bound method the
-    snapshot protocol can rebind.
-    """
-    sim = Simulator()
-    rngs = RngRegistry(spec.seed)
-    paths = [
-        make_path(sim, pc, rngs.stream(f"loss.{i}.{pc.name}"))
-        for i, pc in enumerate(spec.path_configs)
-    ]
-    scheduler = build(SchedulerSpec.of(spec.scheduler, **spec.scheduler_params))
-    conn = MptcpConnection(
-        sim, paths, scheduler, config=spec.connection, name=f"wget-{spec.scheduler}"
-    )
-    session = HttpSession(sim, conn)
-    recorder = _CompletionRecorder()
-    session.get(spec.size, recorder.on_complete)
-    return TwinWorld(spec=spec, sim=sim, conn=conn,
-                     session=session, recorder=recorder, rngs=rngs)
-
-
-def finish(
-    spec: BulkDownloadSpec, conn: MptcpConnection, recorder: _CompletionRecorder
-) -> BulkDownloadResult:
-    """Assemble the :class:`BulkDownloadResult`, as ``run_bulk`` does."""
-    if recorder.result is None:
-        raise RuntimeError(
-            f"download of {spec.size} bytes with {spec.scheduler!r} did not "
-            f"complete within {spec.timeout} s (delivered "
-            f"{conn.delivered_bytes} bytes)"
-        )
-    payload_by_path: Dict[str, int] = {}
-    for sf in conn.subflows:
-        payload_by_path[sf.path.name] = (
-            payload_by_path.get(sf.path.name, 0) + sf.stats.payload_bytes_sent
-        )
-    return BulkDownloadResult(
-        scheduler=spec.scheduler,
-        size=spec.size,
-        completion_time=recorder.result.completion_time,
-        payload_by_path=payload_by_path,
-        ooo_delays_max=max(conn.receiver.ooo_delays, default=0.0),
-        reinjections=conn.reinjections,
-    )
 
 
 def result_digest(result: BulkDownloadResult) -> str:

@@ -30,12 +30,10 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from repro.analysis import events as _events
-from repro.analysis import sanitize as _sanitize
 from repro.net.packet import MSS, Packet
 from repro.net.path import Path
 from repro.mptcp.receiver import MptcpReceiver
-from repro.perf import profiler as _profiler
+from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 from repro.tcp.cc.base import CongestionController
 from repro.tcp.subflow import Subflow
@@ -255,6 +253,7 @@ class MptcpConnection:
         if self._sending:
             return
         self._sending = True
+        probe = _probe.ACTIVE
         try:
             self._service_rto_reinjections()
             while self.unassigned_bytes > 0:
@@ -262,12 +261,10 @@ class MptcpConnection:
                     if self.config.penalization_enabled and self.recv_window_limited():
                         self._opportunistic_retransmit()
                     break
-                if _profiler.PROFILER is None:
+                if probe is None:
                     subflow = self.scheduler.select(self)
                 else:
-                    subflow = _profiler.PROFILER.call(
-                        "scheduler.decision", self.scheduler.select, self
-                    )
+                    subflow = probe.timed("scheduler.decision", self.scheduler.select, self)
                 if subflow is None:
                     self.scheduler_waits += 1
                     break
@@ -291,8 +288,8 @@ class MptcpConnection:
                         self.duplicate_transmissions += 1
         finally:
             self._sending = False
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.connection(self)
+        if probe is not None:
+            probe.audit_connection(self)
 
     def _on_subflow_established(self) -> None:
         self.try_send()
@@ -301,12 +298,11 @@ class MptcpConnection:
     # Client side (runs at the receiver host)
     # ------------------------------------------------------------------
     def _client_on_data(self, packet: Packet) -> None:
-        if _profiler.PROFILER is None:
+        probe = _probe.ACTIVE
+        if probe is None:
             absorbed = self.receiver.on_data(packet)
         else:
-            absorbed = _profiler.PROFILER.call(
-                "receiver.reassembly", self.receiver.on_data, packet
-            )
+            absorbed = probe.timed("receiver.reassembly", self.receiver.on_data, packet)
         if not absorbed:
             # Dropped for lack of receive-buffer space: stay silent so the
             # subflow-level RTO retransmits the segment once the window
@@ -330,8 +326,9 @@ class MptcpConnection:
         self.try_send()
 
     def _advance_conn_una(self, data_ack: int) -> None:
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.conn_una_advance(self, data_ack)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_conn_una(self, data_ack)
         self.conn_una = data_ack
         while self._dsn_order and self._dsn_order[0] < data_ack:
             del self._outstanding_dsn[self._dsn_order.popleft()]
@@ -358,6 +355,7 @@ class MptcpConnection:
         self.try_send()
 
     def _service_rto_reinjections(self) -> None:
+        probe = _probe.ACTIVE
         while self._rto_reinject_queue:
             dsn, payload, owner_id = self._rto_reinject_queue[0]
             if dsn < self.conn_una:
@@ -368,27 +366,17 @@ class MptcpConnection:
             # the kernel), so path policy is preserved -- a primary-only
             # policy never spills onto the secondary, and a waiting ECF
             # defers the reinjection like any other segment.
-            if _profiler.PROFILER is None:
+            if probe is None:
                 target = self.scheduler.select(self)
             else:
-                target = _profiler.PROFILER.call(
-                    "scheduler.decision", self.scheduler.select, self
-                )
+                target = probe.timed("scheduler.decision", self.scheduler.select, self)
             if target is None or target.sf_id == owner_id or not target.can_send():
                 return
             self._rto_reinject_queue.popleft()
             self._rto_reinject_pending.discard(dsn)
             self.reinjections += 1
-            if _events.LOG is not None:
-                _events.LOG.emit(_events.Reinjection(
-                    t=self.sim.now,
-                    conn=self.name,
-                    dsn=dsn,
-                    payload=payload,
-                    from_sf=owner_id,
-                    to_sf=target.sf_id,
-                    cause="rto",
-                ))
+            if probe is not None:
+                probe.reinjection(self, dsn, payload, owner_id, target.sf_id, "rto")
             target.send_segment(dsn, payload)
 
     # ------------------------------------------------------------------
@@ -421,16 +409,9 @@ class MptcpConnection:
             return
         self._reinjected.add(self.conn_una)
         self.reinjections += 1
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.Reinjection(
-                t=self.sim.now,
-                conn=self.name,
-                dsn=self.conn_una,
-                payload=payload,
-                from_sf=owner_id,
-                to_sf=target.sf_id,
-                cause="opportunistic",
-            ))
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.reinjection(self, self.conn_una, payload, owner_id, target.sf_id, "opportunistic")
         target.send_segment(self.conn_una, payload)
         last = self._last_penalized.get(owner_id, -float("inf"))
         if self.sim.now - last >= owner.srtt_or_default():

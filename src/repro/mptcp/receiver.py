@@ -15,9 +15,8 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.analysis import events as _events
-from repro.analysis import sanitize as _sanitize
 from repro.net.packet import Packet
+from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 
 
@@ -65,7 +64,7 @@ class MptcpReceiver:
         if recv_buffer_bytes <= 0:
             raise ValueError(f"recv_buffer_bytes must be positive, got {recv_buffer_bytes!r}")
         self.sim = sim
-        self.uid = _events.next_uid()
+        self.uid = _probe.next_uid()
         self.recv_buffer_bytes = int(recv_buffer_bytes)
         self.on_deliver = on_deliver
         self.record_delays = record_delays
@@ -131,8 +130,9 @@ class MptcpReceiver:
             self._buffered_bytes += payload
             if self._buffered_bytes > self.max_buffered_bytes:
                 self.max_buffered_bytes = self._buffered_bytes
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.receiver(self)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_receiver(self)
         return absorbed
 
     def _drain_buffer(self) -> None:
@@ -143,14 +143,9 @@ class MptcpReceiver:
             self._deliver(payload, delay=now - arrived)
 
     def _deliver(self, payload: int, delay: float) -> None:
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.Delivered(
-                t=self.sim.now,
-                recv_uid=self.uid,
-                dsn=self.expected_dsn,
-                payload=payload,
-                delay=delay,
-            ))
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.delivered(self, payload, delay)
         self.expected_dsn += payload
         self.delivered_bytes += payload
         if self.record_delays:

@@ -235,8 +235,7 @@ def register_bandwidth_process(kind: str, factory: Callable[..., Any]) -> None:
 def make_bandwidth_process(spec: BandwidthSpec):
     """Instantiate the live process a :class:`BandwidthSpec` describes.
 
-    Like :func:`repro.core.registry.make_scheduler`, always returns a
-    fresh instance.
+    Like every ``build`` here, always returns a fresh instance.
     """
     try:
         factory = _BANDWIDTH_FACTORIES[spec.kind]

@@ -23,10 +23,8 @@ import random
 from collections import deque
 from typing import Callable, Deque, Optional
 
-from repro.analysis import sanitize as _sanitize
 from repro.net.packet import Packet
-from repro.obs import flight as _flight
-from repro.perf import counters as _perf
+from repro.sim import probe as _probe
 from repro.sim.engine import Simulator, Timer
 
 
@@ -179,10 +177,9 @@ class Link:
         # serialization loop.
         self._finish_cb = self._finish_transmission
         self._deliver_cb = self._deliver
-        if _perf.COLLECTOR is not None:
-            _perf.COLLECTOR.adopt_link(self)
-        if _flight.COLLECTOR is not None:
-            _flight.COLLECTOR.adopt_link(self)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.adopt(self)
 
     # ------------------------------------------------------------------
     # Sending
@@ -208,12 +205,11 @@ class Link:
                 return False
             self._queue.append((packet, on_delivery))
             self._queued_bytes += packet.size
-            if _sanitize.CHECKS is not None:
-                _sanitize.CHECKS.link(self)
-            return True
-        self._begin_transmission(packet, on_delivery)
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.link(self)
+        else:
+            self._begin_transmission(packet, on_delivery)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_link(self)
         return True
 
     def _begin_transmission(
@@ -244,8 +240,9 @@ class Link:
             self._begin_transmission(next_packet, next_cb)
         else:
             self._busy = False
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.link(self)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_link(self)
 
     def _deliver(self, packet: Packet, on_delivery: Callable[[Packet], None]) -> None:
         self._in_propagation -= 1

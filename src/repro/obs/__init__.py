@@ -8,8 +8,9 @@ Three pieces, each usable on its own:
   simulators, links, schedulers, and trace recorders, snapshotted into a
   **postmortem bundle** whenever a run dies (sanitizer assertion,
   temporal-property violation, timeout, or any worker exception).
-  Enabled with ``REPRO_OBS=1`` (or the CLI's ``--obs``); costs one
-  pointer test per hook point when off.
+  Enabled with ``REPRO_OBS=1`` (or the CLI's ``--obs``); a subscriber
+  on the probe seam (:mod:`repro.sim.probe`), so the transport pays one
+  ``is None`` test per point when nothing is armed.
 * :mod:`repro.obs.timeline` -- exporters that turn an event log and
   trace series into Chrome trace-event / Perfetto JSON (one track per
   subflow; ECF wait intervals as duration events; CWND as counter
@@ -19,11 +20,9 @@ Three pieces, each usable on its own:
   for :class:`~repro.experiments.exec.ExperimentExecutor`, so a 10k-cell
   sweep is diagnosable after the fact.
 
-This package sits above the protocol layers but below the executor; its
-import-time dependencies are only the leaf modules
-(:mod:`repro.analysis.events`, :mod:`repro.perf.counters`), so every
-protocol layer can hook into it without cycles.  See
-``docs/observability.md`` for the bundle format and workflows.
+This package sits above the protocol layers but below the executor: it
+subscribes to the probe seam and is never imported from the transport
+core.  See ``docs/observability.md`` for the bundle format and workflows.
 """
 
 # The `flight()` context manager itself is NOT re-exported here: binding

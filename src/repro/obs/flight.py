@@ -6,9 +6,9 @@ CLI's ``--obs``), every executor run keeps a bounded ring buffer of
 recent typed protocol events (reusing the record types of
 :mod:`repro.analysis.events`) and adopts, at construction time, the
 simulators, links, schedulers, and :class:`~repro.sim.trace.TraceRecorder`
-instances built while it is active -- the same one-pointer-test hook
-pattern as :mod:`repro.analysis.sanitize` and :mod:`repro.perf.counters`,
-so the hot path is untouched when observability is off.
+instances built while it is active.  Both halves are subscribers on the
+probe seam (:mod:`repro.sim.probe`), so the hot path is untouched when
+observability is off.
 
 When a run dies -- a :class:`~repro.analysis.sanitize.SanitizerError`, a
 :class:`~repro.analysis.check.CheckError`, a
@@ -22,22 +22,25 @@ and the run journal can point at them.  Export a bundle with::
 
     python -m repro.cli trace export .repro-obs/postmortem-<hash> -o out.json
 
-This module must stay dependency-free within the package apart from the
-leaf modules it aggregates (:mod:`repro.analysis.events`,
-:mod:`repro.perf.counters`): the engine, links, schedulers, and trace
-recorder all import it, so it cannot import any of them back.
+It sits above the transport core: it aggregates
+:mod:`repro.analysis.events` and :mod:`repro.perf.counters` and is never
+imported from below.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import subprocess
 from contextlib import contextmanager
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Union
 
 from repro.analysis import events as _events
 from repro.perf import counters as _perf
+from repro.sim import probe as _probe
+from repro.sim.engine import Simulator
+from repro.sim.trace import TraceRecorder
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -59,6 +62,9 @@ DEFAULT_TRACE_TAIL = 512
 
 #: Version of the postmortem bundle layout (``manifest.json``).
 BUNDLE_SCHEMA_VERSION = 1
+
+#: This module's role on the probe seam.
+_ROLE = "flight"
 
 
 def obs_enabled() -> bool:
@@ -82,10 +88,27 @@ def postmortem_dir_for(spec_hash: str, root: Optional[PathLike] = None) -> Path:
     return base / f"postmortem-{spec_hash[:12]}"
 
 
-class FlightRecorder:
+def current_rev() -> str:
+    """Short git revision of the working tree, or ``"unknown"`` (the
+    ``rev`` of a postmortem manifest)."""
+    try:
+        out = subprocess.run(
+            ["git", "rev-parse", "--short", "HEAD"],
+            capture_output=True,
+            text=True,
+            timeout=10,
+        )
+    except (OSError, subprocess.TimeoutExpired):
+        return "unknown"
+    rev = out.stdout.strip()
+    return rev if out.returncode == 0 and rev else "unknown"
+
+
+class FlightRecorder(_probe.Probe):
     """Bounded telemetry for one run, snapshot-able into a bundle.
 
-    Construction-time adoption (strong references are intentional -- a
+    Construction-time adoption through the seam's ``adopt`` point
+    (strong references are intentional -- a
     flight window brackets one run, so adopted objects die with it):
 
     * ``Simulator`` -> clock + event-loop counters in the manifest;
@@ -115,19 +138,14 @@ class FlightRecorder:
         self._traces: List[Any] = []
         self._perf = _perf.PerfCollector()
 
-    # -- adoption hooks (called from constructors) ----------------------
-    def adopt_sim(self, sim: Any) -> None:
-        self._sims.append(sim)
-        self._perf.adopt_sim(sim)
-
-    def adopt_link(self, link: Any) -> None:
-        self._perf.adopt_link(link)
-
-    def adopt_scheduler(self, scheduler: Any) -> None:
-        self._perf.adopt_scheduler(scheduler)
-
-    def adopt_trace(self, recorder: Any) -> None:
-        self._traces.append(recorder)
+    # -- the seam's construction point ----------------------------------
+    def adopt(self, obj: Any) -> None:
+        if isinstance(obj, TraceRecorder):
+            self._traces.append(obj)
+            return
+        if isinstance(obj, Simulator):
+            self._sims.append(obj)
+        self._perf.adopt(obj)
 
     # -- snapshots -------------------------------------------------------
     def sim_now(self) -> float:
@@ -221,10 +239,10 @@ class FlightRecorder:
         return bundle
 
 
-#: The active flight recorder, or ``None`` (the default: recording off).
-#: Constructors read this through the module (``flight.COLLECTOR``) so one
-#: pointer test decides whether anything is adopted.
-COLLECTOR: Optional[FlightRecorder] = None
+def current() -> Optional[FlightRecorder]:
+    """The recorder of the innermost open window, or ``None``."""
+    recorder = _probe.armed(_ROLE)
+    return recorder if isinstance(recorder, FlightRecorder) else None
 
 
 @contextmanager
@@ -233,18 +251,16 @@ def flight(
 ) -> Iterator[FlightRecorder]:
     """Open a flight-recording window; restores previous state on exit.
 
-    Installs a fresh :class:`FlightRecorder` as the adoption target and a
-    capacity-capped event log as the active
-    :data:`repro.analysis.events.LOG` (the ring buffer).  Windows nest;
-    the innermost wins, exactly like :func:`repro.perf.counters.collecting`.
+    Arms a fresh :class:`FlightRecorder` as the adoption target and a
+    capacity-capped :func:`repro.analysis.events.recording` log as the
+    ring buffer.  Windows nest; the innermost wins, exactly like
+    :func:`repro.perf.counters.collecting`.
     """
-    global COLLECTOR
-    previous = COLLECTOR
     recorder = FlightRecorder(capacity=capacity, trace_tail=trace_tail)
-    COLLECTOR = recorder
+    previous = _probe.swap(_ROLE, recorder)
     try:
         with _events.recording(capacity=capacity) as log:
             recorder.log = log
             yield recorder
     finally:
-        COLLECTOR = previous
+        _probe.swap(_ROLE, previous)

@@ -1,16 +1,12 @@
-"""Hot-path performance layer: deterministic counters and the bench matrix.
+"""Hot-path performance layer: deterministic counters and the sim-profiler.
 
 :mod:`repro.perf.counters` aggregates per-run event/packet/decision
 counters at zero hot-path cost; :mod:`repro.perf.profiler` attributes
 host wall time to simulation components (collapsed-stack/flamegraph
-output, registry histograms) behind the same pointer-test idiom; and
-:mod:`repro.perf.bench` runs the pinned workload matrix behind ``python
--m repro.cli bench`` and emits the machine-readable ``BENCH_<rev>.json``
-perf trajectory.
-
-Only the counter and profiler layers are imported eagerly -- the bench
-harness pulls in every workload module, and protocol layers importing
-``repro.perf`` must stay cycle-free.
+output, registry histograms).  Both are subscribers on the probe seam
+(:mod:`repro.sim.probe`): the transport core reports to the seam and
+never imports this package.  The benchmark that reads them lives in
+``bench/`` at the repo root (see ``bench/README.md``).
 """
 
 from repro.perf.counters import (
@@ -28,10 +24,6 @@ from repro.perf.profiler import (
     profiling,
 )
 
-# NOTE: the live ``COLLECTOR`` / ``PROFILER`` globals are deliberately
-# not re-exported -- a ``from repro.perf import COLLECTOR`` would freeze
-# the binding at import time.  Read them as ``counters.COLLECTOR`` /
-# ``profiler.PROFILER`` (hook sites do).
 
 __all__ = [
     "ENV_VAR",

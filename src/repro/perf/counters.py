@@ -9,12 +9,12 @@ the :class:`~repro.sim.engine.Simulator`, packet counters on
 *collection window* without adding any per-packet work:
 
 * a window is opened with :func:`collecting` (or implicitly by the
-  ``REPRO_PERF=1`` environment variable + :func:`measure`), which installs
-  a process-global :data:`COLLECTOR`;
-* ``Simulator``, ``Link``, and ``Scheduler`` constructors check the global
-  once at *construction* time and register themselves when a window is
-  open -- so when collection is off the hot path is untouched, and when it
-  is on the only added cost is one pointer test per object built;
+  ``REPRO_PERF=1`` environment variable + :func:`measure`), which arms a
+  :class:`PerfCollector` on the probe seam (:mod:`repro.sim.probe`);
+* ``Simulator``, ``Link``, and ``Scheduler`` constructors report
+  themselves to the seam's ``adopt`` point once, at *construction* time
+  -- so when nothing is armed the hot path is untouched, and collection
+  itself adds no per-packet work;
 * :meth:`PerfCollector.snapshot` sums the adopted objects' lifetime
   counters into a :class:`PerfSnapshot`.
 
@@ -23,9 +23,8 @@ run (same spec, same counts -- asserted in tests).  Wall-clock time is
 *not*: :func:`measure` reports it separately in the :class:`PerfRecord`
 so deterministic and noisy quantities never mix in one field.
 
-This module must stay dependency-free within the package (like
-:mod:`repro.analysis.sanitize`): the engine and link import it, so it
-cannot import any protocol layer back.
+It sits above the transport core (it imports the classes it adopts)
+and is never imported from below.
 """
 
 from __future__ import annotations
@@ -36,8 +35,16 @@ from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
+from repro.core.base import Scheduler
+from repro.net.link import Link
+from repro.sim import probe as _probe
+from repro.sim.engine import Simulator
+
 #: Environment variable that enables perf collection around executor runs.
 ENV_VAR = "REPRO_PERF"
+
+#: This module's role on the probe seam.
+_ROLE = "perf"
 
 
 def perf_enabled() -> bool:
@@ -110,8 +117,8 @@ class PerfRecord:
         }
 
 
-class PerfCollector:
-    """Adopts simulators, links, and schedulers built while it is active.
+class PerfCollector(_probe.Probe):
+    """Adopts simulators, links, and schedulers built while it is armed.
 
     Strong references are intentional: a collection window brackets one
     run, so adopted objects die with the window.
@@ -122,15 +129,14 @@ class PerfCollector:
         self._link_stats: List[Any] = []
         self._schedulers: List[Any] = []
 
-    # -- adoption hooks (called from constructors) ----------------------
-    def adopt_sim(self, sim: Any) -> None:
-        self._sims.append(sim)
-
-    def adopt_link(self, link: Any) -> None:
-        self._link_stats.append(link.stats)
-
-    def adopt_scheduler(self, scheduler: Any) -> None:
-        self._schedulers.append(scheduler)
+    # -- the seam's construction point ----------------------------------
+    def adopt(self, obj: Any) -> None:
+        if isinstance(obj, Simulator):
+            self._sims.append(obj)
+        elif isinstance(obj, Link):
+            self._link_stats.append(obj.stats)
+        elif isinstance(obj, Scheduler):
+            self._schedulers.append(obj)
 
     def adopted_counts(self) -> Dict[str, int]:
         """How many objects of each kind this collector adopted."""
@@ -178,8 +184,10 @@ class PerfCollector:
         )
 
 
-#: The active collector, or ``None`` (the default: collection off).
-COLLECTOR: Optional[PerfCollector] = None
+def current() -> Optional[PerfCollector]:
+    """The collector of the innermost open window, or ``None``."""
+    collector = _probe.armed(_ROLE)
+    return collector if isinstance(collector, PerfCollector) else None
 
 
 @contextmanager
@@ -190,13 +198,12 @@ def collecting() -> Iterator[PerfCollector]:
     window are not re-adopted by an inner one -- each object belongs to
     the window that was active when it was constructed.
     """
-    global COLLECTOR
-    previous = COLLECTOR
-    COLLECTOR = collector = PerfCollector()
+    collector = PerfCollector()
+    previous = _probe.swap(_ROLE, collector)
     try:
         yield collector
     finally:
-        COLLECTOR = previous
+        _probe.swap(_ROLE, previous)
 
 
 def measure(runner: Callable[..., Any], *args: Any) -> Tuple[Any, PerfRecord]:

@@ -7,13 +7,11 @@ subflow processing, receiver reassembly, scheduler decisions, congestion
 control updates, application callbacks) without perturbing the
 simulation in any way:
 
-* **Zero-cost when off.**  Every hook site reads the module-global
-  :data:`PROFILER` and tests it against ``None`` -- the same
-  construction-time/pointer-test idiom the perf counters
-  (:data:`repro.perf.counters.COLLECTOR`), the sanitizer, and the flight
-  recorder use.  With the profiler off, the engine keeps its hooks-off
-  fast path; the six golden digests are pinned by
-  ``tests/test_perf.py`` and must not move.
+* **Zero-cost when off.**  The profiler is a subscriber on the probe
+  seam (:mod:`repro.sim.probe`), like the perf counters, the sanitizer
+  and the flight recorder: every hook site tests one slot against
+  ``None``.  With nothing armed the engine keeps its bare loop; the six
+  golden digests are pinned by ``tests/test_perf.py`` and must not move.
 * **Byte-identity safe when on.**  The profiler only *reads* the host
   clock around dispatches; it never touches simulated time, event order,
   or protocol state, so results (and digests) are identical with it on
@@ -21,13 +19,13 @@ simulation in any way:
   wall-second figures are host-dependent.
 
 Attribution model: the engine brackets every dispatched callback with
-:meth:`SimProfiler.begin_event` / :meth:`SimProfiler.end_event`; the
-callback's owner class decides the component (``repro.net.link`` ->
-``link.delivery`` and so on).  Finer-grained hot spots that are *calls
-inside* an event -- scheduler decisions, cc updates, receiver
-reassembly -- are timed at their call sites via
-:meth:`SimProfiler.call`, which nests them under the enclosing
-component so the collapsed-stack output reads like a flamegraph::
+the seam's ``event_begin`` / ``event_end`` points; the callback's owner
+class decides the component (``repro.net.link`` -> ``link.delivery``
+and so on).  Finer-grained hot spots that are *calls inside* an event --
+scheduler decisions, cc updates, receiver reassembly -- are timed at
+their call sites via the ``timed`` point, which nests them under the
+enclosing component so the collapsed-stack output reads like a
+flamegraph::
 
     engine;link.delivery 41230
     engine;link.delivery;mptcp.receiver.reassembly 8120
@@ -37,9 +35,9 @@ component so the collapsed-stack output reads like a flamegraph::
 FlameGraph renderer).  :meth:`SimProfiler.publish` folds the same data
 into the :mod:`repro.obs.metrics` registry histograms.
 
-Enable with ``REPRO_PROFILE=1`` (honored by the CLI), the
-:func:`profiling` context manager, or ``python -m repro.cli bench
---profile out.txt``.
+Enable with the :func:`profiling` context manager;
+:func:`profile_enabled` reads ``REPRO_PROFILE`` for callers that want an
+environment switch.
 """
 
 from __future__ import annotations
@@ -48,6 +46,9 @@ import os
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+
+from repro.sim import probe as _probe
+from repro.sim.engine import Simulator
 
 #: Environment toggle (mirrors ``REPRO_PERF`` / ``REPRO_OBS``).
 ENV_VAR = "REPRO_PROFILE"
@@ -71,13 +72,16 @@ _COMPONENT_BY_MODULE: Tuple[Tuple[str, str], ...] = (
 
 _T = TypeVar("_T")
 
+#: This module's role on the probe seam.
+_ROLE = "profile"
+
 
 def profile_enabled() -> bool:
     """True when ``REPRO_PROFILE`` requests profiling."""
     return os.environ.get(ENV_VAR, "").strip() not in ("", "0", "false", "no")
 
 
-class SimProfiler:
+class SimProfiler(_probe.Probe):
     """Accumulates wall time per component and per nested hot-spot.
 
     One instance is meant to span any number of runs (a whole bench
@@ -101,12 +105,15 @@ class SimProfiler:
         self._runs: int = 0
         self._run_wall: float = 0.0
         self._sims_adopted: int = 0
+        # (host t0, event wall so far) per run() on the stack.
+        self._open_runs: List[Tuple[float, float]] = []
 
     # -- adoption (construction-time, engine __init__) ------------------
-    def adopt_sim(self, sim: Any) -> None:
+    def adopt(self, obj: Any) -> None:
         """Note a simulator built while profiling (count only; the
         engine's ``run()`` does the actual bracketing)."""
-        self._sims_adopted += 1
+        if isinstance(obj, Simulator):
+            self._sims_adopted += 1
 
     # -- engine dispatch bracketing -------------------------------------
     def classify(self, callback: Callable[..., Any]) -> str:
@@ -129,12 +136,12 @@ class SimProfiler:
         self._classify_cache[key] = component
         return component
 
-    def begin_event(self, callback: Callable[..., Any]) -> None:
-        self._current = self.classify(callback)
+    def event_begin(self, sim: Any, event_time: float, timer: Any) -> None:
+        self._current = self.classify(timer.callback)
         # Host-side attribution of host wall time; never simulated state.
         self._event_t0 = time.perf_counter()  # repro: noqa[RPR101]
 
-    def end_event(self) -> None:
+    def event_end(self, sim: Any) -> None:
         dt = time.perf_counter() - self._event_t0  # repro: noqa[RPR101]
         component = self._current
         self._current = ""
@@ -161,10 +168,9 @@ class SimProfiler:
         pslot[1] += dt
 
     # -- nested hot-spot hooks ------------------------------------------
-    def call(self, name: str, fn: Callable[..., _T], *args: Any) -> _T:
+    def timed(self, name: str, fn: Callable[..., _T], *args: Any) -> _T:
         """Time ``fn(*args)`` as hot-spot ``name`` nested under the
-        component currently dispatching (call sites guard with
-        ``PROFILER is not None``, so this never runs when off)."""
+        component currently dispatching."""
         t0 = time.perf_counter()  # repro: noqa[RPR101]
         try:
             return fn(*args)
@@ -181,14 +187,14 @@ class SimProfiler:
             slot[1] += dt
 
     # -- run bracketing --------------------------------------------------
-    def run_started(self) -> Tuple[float, float]:
-        return (
+    def run_begin(self, sim: Any) -> None:
+        self._open_runs.append((
             time.perf_counter(),  # repro: noqa[RPR101]
             self._event_wall,
-        )
+        ))
 
-    def run_finished(self, token: Tuple[float, float]) -> None:
-        t0, event_wall_before = token
+    def run_end(self, sim: Any) -> None:
+        t0, event_wall_before = self._open_runs.pop()
         total = time.perf_counter() - t0  # repro: noqa[RPR101]
         inside_events = self._event_wall - event_wall_before
         overhead = max(0.0, total - inside_events)
@@ -277,32 +283,29 @@ class SimProfiler:
             histogram.merge_counts(bucket_counts, total_wall, component=name)
 
 
-#: The live profiler, or ``None`` (the overwhelmingly common case).
-#: Hook sites read this through the module (``_profiler.PROFILER``) so
-#: rebinding is visible everywhere; one global load + ``is None`` test
-#: is the entire cost when off.
-PROFILER: Optional[SimProfiler] = None
+def current() -> Optional[SimProfiler]:
+    """The profiler of the innermost :func:`profiling` window, or ``None``."""
+    profiler = _probe.armed(_ROLE)
+    return profiler if isinstance(profiler, SimProfiler) else None
 
 
 @contextmanager
 def profiling() -> Iterator[SimProfiler]:
-    """Install a fresh :class:`SimProfiler` for the body; restores the
-    previous global on exit (nesting replaces, it does not stack)."""
-    global PROFILER
-    previous = PROFILER
+    """Arm a fresh :class:`SimProfiler` for the body; restores the
+    previous one on exit (nesting replaces, it does not stack)."""
     profiler = SimProfiler()
-    PROFILER = profiler
+    previous = _probe.swap(_ROLE, profiler)
     try:
         yield profiler
     finally:
-        PROFILER = previous
+        _probe.swap(_ROLE, previous)
 
 
 __all__ = [
     "BUCKET_BOUNDS",
     "ENV_VAR",
-    "PROFILER",
     "SimProfiler",
+    "current",
     "profile_enabled",
     "profiling",
 ]

@@ -24,11 +24,7 @@ import heapq
 from contextlib import contextmanager
 from typing import Any, Callable, Iterator, Optional, Tuple
 
-from repro.analysis import events as _events
-from repro.analysis import sanitize as _sanitize
-from repro.obs import flight as _flight
-from repro.perf import counters as _perf
-from repro.perf import profiler as _profiler
+from repro.sim import probe as _probe
 
 _heappush = heapq.heappush
 _heappop = heapq.heappop
@@ -203,12 +199,9 @@ class Simulator:
         self._timers_cancelled: int = 0
         self._stale_pops: int = 0
         self._compactions: int = 0
-        if _perf.COLLECTOR is not None:
-            _perf.COLLECTOR.adopt_sim(self)
-        if _flight.COLLECTOR is not None:
-            _flight.COLLECTOR.adopt_sim(self)
-        if _profiler.PROFILER is not None:
-            _profiler.PROFILER.adopt_sim(self)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.adopt(self)
 
     # ------------------------------------------------------------------
     # Scheduling
@@ -304,27 +297,24 @@ class Simulator:
         executed = 0
         heap = self._heap
         pop = _heappop
-        # Bound once per run() call: a branch on a local is free in the
-        # hot loop, and toggling the sanitizer or event log mid-run is not
-        # supported.
-        checks = _sanitize.CHECKS
-        log = _events.LOG
-        if log is not None and not log.capture_dispatch:
-            log = None
-        profiler = _profiler.PROFILER
+        # Bound once per run() call: arming or disarming a tool mid-run
+        # is not supported.  Only a probe that brackets dispatch needs the
+        # second loop; adopt-only and protocol-point subscribers do not.
+        probe = _probe.ACTIVE
+        if probe is not None and not probe.brackets_dispatch:
+            probe = None
         # Normalized stop conditions: one float compare and one int
         # compare per event instead of two None tests.  Counting up by one
         # from zero makes ``executed == budget`` equivalent to the
         # ``executed >= max_events`` it replaces.
         limit = float("inf") if until is None else until
         budget = -1 if max_events is None else max_events
-        run_token: Optional[Tuple[float, float]] = None
-        if profiler is not None:
-            run_token = profiler.run_started()
+        if probe is not None:
+            probe.run_begin(self)
         try:
-            if checks is None and log is None and profiler is None:
-                # Fast path: the common (hooks-off) per-packet loop.  Kept
-                # branch-identical to the instrumented loop below -- any
+            if probe is None:
+                # Bare loop: the common per-packet path.  Kept
+                # branch-identical to the probed loop below -- any
                 # semantic edit must be applied to both.
                 while heap:
                     entry = heap[0]
@@ -355,26 +345,19 @@ class Simulator:
                     if time > limit or executed == budget:
                         break
                     pop(heap)
-                    if checks is not None:
-                        checks.event_dispatch(self.now, time)
-                    if log is not None:
-                        log.emit(_events.Dispatch(t=time, seq=timer.seq))
+                    probe.event_begin(self, time, timer)
                     self.now = time
                     timer.cancelled = True  # consumed; cancel() after firing is a no-op
-                    if profiler is not None:
-                        profiler.begin_event(timer.callback)
-                        try:
-                            timer.callback(*timer.args)
-                        finally:
-                            profiler.end_event()
-                    else:
+                    try:
                         timer.callback(*timer.args)
+                    finally:
+                        probe.event_end(self)
                     executed += 1
         finally:
             self._running = False
             self._events_processed += executed
-            if profiler is not None and run_token is not None:
-                profiler.run_finished(run_token)
+            if probe is not None:
+                probe.run_end(self)
         if until is not None and self.now < until:
             # Fast-forward only when nothing is pending at or before
             # ``until``: a budget-stopped run must not leave events in the

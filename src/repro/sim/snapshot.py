@@ -55,12 +55,6 @@ from repro.sim.engine import Simulator
 
 __all__ = ["Snapshot", "SnapshotError", "capture", "restore", "fork"]
 
-#: Attribute prefix the sanitizer uses for its scratch state (for example
-#: ``MptcpReceiver._sz_dsn_floor``).  Scratch is not simulation state: it
-#: is skipped at capture and simply absent on restored instances (every
-#: sanitizer read defaults it).
-_SANITIZER_PREFIX = "_sz_"
-
 _PRIMITIVES = (type(None), bool, int, float, str, bytes)
 
 
@@ -106,6 +100,36 @@ _MODEL_INDEX: Optional[Dict[str, Set[str]]] = None
 _MODEL_LOADED = False
 
 
+def state_fields_index(document: Dict[str, Any]) -> Dict[str, Set[str]]:
+    """Per-class observed-field closure from a ``state-model.json`` doc.
+
+    Maps each qualified class name to the union of its own observed
+    field names and those of every (transitively resolvable) base in
+    the document.  This is the static side of the runtime snapshot
+    contract: :func:`capture` refuses any field that does not appear
+    here for the object's class.
+    """
+    classes = document.get("classes", {})
+    cache: Dict[str, Set[str]] = {}
+
+    def closure(qual: str, trail: Set[str]) -> Set[str]:
+        if qual in cache:
+            return cache[qual]
+        if qual in trail:
+            return set()
+        entry = classes.get(qual)
+        if entry is None:
+            return set()
+        trail = trail | {qual}
+        names = set(entry.get("fields", {}))
+        for base in entry.get("bases", []):
+            names |= closure(base, trail)
+        cache[qual] = names
+        return names
+
+    return {qual: closure(qual, set()) for qual in classes}
+
+
 def _model_index() -> Optional[Dict[str, Set[str]]]:
     """Field closure per class from the committed ``state-model.json``.
 
@@ -120,10 +144,7 @@ def _model_index() -> Optional[Dict[str, Set[str]]]:
     for parent in Path(__file__).resolve().parents:
         candidate = parent / "state-model.json"
         if candidate.is_file():
-            from repro.analysis.state import state_fields_index
-
-            document = json.loads(candidate.read_text())
-            _MODEL_INDEX = state_fields_index(document)
+            _MODEL_INDEX = state_fields_index(json.loads(candidate.read_text()))
             break
     return _MODEL_INDEX
 
@@ -242,10 +263,7 @@ class _Capture:
         self.nodes.append(node)
         declared = set(fields)
         present = _instance_attrs(obj)
-        extra = sorted(
-            name for name in present
-            if name not in declared and not name.startswith(_SANITIZER_PREFIX)
-        )
+        extra = sorted(name for name in present if name not in declared)
         if extra:
             raise SnapshotError(
                 f"{qual} carries attribute(s) outside its snapshot contract: "

@@ -13,7 +13,7 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
 
-from repro.obs import flight as _flight
+from repro.sim import probe as _probe
 
 Sample = Tuple[float, float]
 
@@ -46,8 +46,9 @@ class TraceRecorder:
         self.enabled = enabled
         self.max_samples_per_series = max_samples_per_series
         self._series: Dict[str, _Bucket] = {}
-        if _flight.COLLECTOR is not None:
-            _flight.COLLECTOR.adopt_trace(self)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.adopt(self)
 
     def _bucket(self, series: str) -> _Bucket:
         bucket = self._series.get(series)

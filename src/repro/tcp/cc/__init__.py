@@ -54,11 +54,6 @@ def build_controller(name: str, **params) -> CongestionController:
     return cls(**params)
 
 
-def make_controller(name: str) -> CongestionController:
-    """Instantiate a controller by name ("reno", "coupled"/"lia", "olia")."""
-    return build_controller(name)
-
-
 __all__ = [
     "CONTROLLER_NAMES",
     "CongestionController",
@@ -67,6 +62,5 @@ __all__ = [
     "OliaController",
     "CubicController",
     "build_controller",
-    "make_controller",
     "registered_controllers",
 ]

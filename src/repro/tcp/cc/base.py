@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List
 
-from repro.analysis import sanitize as _sanitize
+from repro.sim import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tcp.subflow import Subflow
@@ -58,22 +58,25 @@ class CongestionController:
             else:
                 subflow.cwnd += self.ca_increase(subflow)
         subflow.cwnd = min(subflow.cwnd, subflow.max_cwnd)
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.cwnd(subflow)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_cwnd(subflow)
 
     def on_loss(self, subflow: "Subflow") -> None:
         """Fast-retransmit decrease: halve, per RFC 5681/6356."""
         subflow.ssthresh = max(subflow.flight / 2.0, 2.0)
         subflow.cwnd = max(subflow.ssthresh, MIN_CWND)
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.cwnd(subflow)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_cwnd(subflow)
 
     def on_rto(self, subflow: "Subflow") -> None:
         """Timeout: collapse to one segment and re-enter slow start."""
         subflow.ssthresh = max(subflow.flight / 2.0, 2.0)
         subflow.cwnd = MIN_CWND
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.cwnd(subflow)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_cwnd(subflow)
 
     # ------------------------------------------------------------------
     # Policy hook

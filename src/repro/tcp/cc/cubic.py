@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Dict
 
-from repro.analysis import sanitize as _sanitize
+from repro.sim import probe as _probe
 from repro.tcp.cc.base import CongestionController, MIN_CWND
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -99,8 +99,9 @@ class CubicController(CongestionController):
         state.epoch_start = -1.0
         subflow.ssthresh = max(subflow.cwnd * BETA_CUBIC, 2.0)
         subflow.cwnd = max(subflow.cwnd * BETA_CUBIC, MIN_CWND)
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.cwnd(subflow)
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.audit_cwnd(subflow)
 
     def on_rto(self, subflow: "Subflow") -> None:
         state = self._state_for(subflow)

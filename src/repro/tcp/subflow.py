@@ -25,11 +25,9 @@ from __future__ import annotations
 from collections import deque
 from typing import TYPE_CHECKING, Callable, Deque, Dict, Optional
 
-from repro.analysis import events as _events
-from repro.analysis import sanitize as _sanitize
 from repro.net.packet import ACK_SIZE, HEADER_SIZE, MSS, Packet
 from repro.net.path import Path
-from repro.perf import profiler as _profiler
+from repro.sim import probe as _probe
 from repro.sim.engine import Simulator, Timer
 from repro.tcp.rtt import RttEstimator
 
@@ -196,7 +194,7 @@ class Subflow:
         self.path = path
         self.cc = cc
         self.sf_id = sf_id
-        self.uid = _events.next_uid()
+        self.uid = _probe.next_uid()
         self.mss = int(mss)
         self.initial_window = float(initial_window)
         self.idle_reset_enabled = idle_reset_enabled
@@ -315,17 +313,9 @@ class Subflow:
                 self.ssthresh = max(self.ssthresh, 0.75 * self.cwnd)
             self.cwnd = self.initial_window
             self.stats.idle_resets += 1
-            if _events.LOG is not None:
-                _events.LOG.emit(_events.IdleReset(
-                    t=self.sim.now,
-                    sf_uid=self.uid,
-                    sf_id=self.sf_id,
-                    idle=idle,
-                    rto=self.rtt.rto,
-                    old_cwnd=old_cwnd,
-                    new_cwnd=self.cwnd,
-                    ssthresh=self.ssthresh,
-                ))
+            probe = _probe.ACTIVE
+            if probe is not None:
+                probe.idle_reset(self, idle, old_cwnd)
 
     def _transmit(self, segment: Segment, retransmission: bool) -> None:
         now = self.sim.now
@@ -354,18 +344,9 @@ class Subflow:
         )
         if self.receiver_callback is None:
             raise RuntimeError("subflow.receiver_callback not wired")
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.SegmentSent(
-                t=now,
-                sf_uid=self.uid,
-                sf_id=self.sf_id,
-                seq=segment.seq,
-                dsn=segment.dsn,
-                payload=segment.payload,
-                retransmitted=segment.retransmitted,
-                cwnd=self.cwnd,
-                in_flight=self._in_flight,
-            ))
+        probe = _probe.ACTIVE
+        if probe is not None:
+            probe.segment_sent(self, segment)
         self.path.forward.send(packet, self.receiver_callback)
         self._arm_rto()
 
@@ -387,6 +368,7 @@ class Subflow:
             self.on_ack_processed(self, packet, newly_acked)
 
     def _absorb_ack(self, segment: Segment) -> None:
+        probe = _probe.ACTIVE
         now = self.sim.now
         segment.acked = True
         if segment.in_flight:
@@ -406,26 +388,16 @@ class Subflow:
         if self._in_recovery and self.una > self._recovery_point:
             self._in_recovery = False
         if not self._in_recovery:
-            if _profiler.PROFILER is None:
+            if probe is None:
                 self.cc.on_ack(self, 1)
             else:
-                _profiler.PROFILER.call("cc.update", self.cc.on_ack, self, 1)
+                probe.timed("cc.update", self.cc.on_ack, self, 1)
         self._detect_losses()
         self._service_retransmissions()
         self._arm_rto()
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.subflow(self)
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.AckProcessed(
-                t=now,
-                sf_uid=self.uid,
-                sf_id=self.sf_id,
-                seq=segment.seq,
-                rtt_sampled=not segment.retransmitted,
-                cwnd=self.cwnd,
-                in_recovery=self._in_recovery,
-                backoff=self._rto_backoff,
-            ))
+        if probe is not None:
+            probe.audit_subflow(self)
+            probe.ack_processed(self, segment)
 
     def _advance_una(self) -> None:
         while self.una < self.next_seq:
@@ -465,18 +437,12 @@ class Subflow:
             self._recovery_point = self.next_seq - 1
             self.stats.fast_retransmits += 1
             self.stats.bytes_since_loss = 0
-            if _profiler.PROFILER is None:
+            probe = _probe.ACTIVE
+            if probe is None:
                 self.cc.on_loss(self)
             else:
-                _profiler.PROFILER.call("cc.update", self.cc.on_loss, self)
-            if _events.LOG is not None:
-                _events.LOG.emit(_events.FastRetransmit(
-                    t=self.sim.now,
-                    sf_uid=self.uid,
-                    sf_id=self.sf_id,
-                    seq=segment.seq,
-                    recovery_point=self._recovery_point,
-                ))
+                probe.timed("cc.update", self.cc.on_loss, self)
+                probe.fast_retransmit(self, segment)
 
     def _service_retransmissions(self) -> None:
         while self._retx_queue and self.has_window_space():
@@ -513,20 +479,12 @@ class Subflow:
         self.stats.bytes_since_loss = 0
         backoff_before = self._rto_backoff
         self._rto_backoff = min(MAX_BACKOFF, self._rto_backoff * 2.0)
-        if _events.LOG is not None:
-            _events.LOG.emit(_events.RtoFired(
-                t=self.sim.now,
-                sf_uid=self.uid,
-                sf_id=self.sf_id,
-                backoff_before=backoff_before,
-                backoff_after=self._rto_backoff,
-                rto=self.rtt.rto,
-                outstanding=len(self._outstanding),
-            ))
-        if _profiler.PROFILER is None:
+        probe = _probe.ACTIVE
+        if probe is None:
             self.cc.on_rto(self)
         else:
-            _profiler.PROFILER.call("cc.update", self.cc.on_rto, self)
+            probe.rto_fired(self, backoff_before)
+            probe.timed("cc.update", self.cc.on_rto, self)
         self._in_recovery = True
         self._recovery_point = self.next_seq - 1
         # Everything unacked goes back to the retransmission queue in
@@ -543,8 +501,8 @@ class Subflow:
             self._retx_queue.append(segment)
         self._service_retransmissions()
         self._arm_rto()
-        if _sanitize.CHECKS is not None:
-            _sanitize.CHECKS.subflow(self)
+        if probe is not None:
+            probe.audit_subflow(self)
         if self.on_rto is not None:
             self.on_rto(self)
 

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.link import Link
 from repro.net.path import Path
@@ -43,7 +43,7 @@ def build_connection(
         for i, (rate, delay) in enumerate(path_specs)
     ]
     config = ConnectionConfig(handshake_delays=handshake_delays, **config_kwargs)
-    scheduler = make_scheduler(scheduler_name)
+    scheduler = build(SchedulerSpec.of(scheduler_name))
     return MptcpConnection(sim, paths, scheduler, config=config)
 
 

@@ -135,8 +135,8 @@ class TestLintRules:
         assert codes_of(good) == []
 
     def test_rpr501_unknown_kind_in_call(self):
-        assert codes_of("s = make_scheduler('warpdrive')\n") == ["RPR501"]
-        assert codes_of("s = make_scheduler('ecf')\n") == []
+        assert codes_of("s = SchedulerSpec.of('warpdrive')\n") == ["RPR501"]
+        assert codes_of("s = SchedulerSpec.of('ecf')\n") == []
 
     def test_rpr501_unknown_kind_in_spec_default(self):
         bad = (
@@ -163,7 +163,7 @@ class TestLintRules:
         ) == []
 
     def test_rpr501_case_insensitive(self):
-        assert codes_of("s = make_scheduler('ECF')\n") == []
+        assert codes_of("s = SchedulerSpec.of('ECF')\n") == []
 
     def test_rpr701_cross_package_private_name(self):
         bad = "from repro.core.registry import _FACTORIES\n"
@@ -180,7 +180,7 @@ class TestLintRules:
         ) == []
 
     def test_rpr701_public_import_is_fine(self):
-        source = "from repro.core.registry import make_scheduler\n"
+        source = "from repro.core.registry import registered_schedulers\n"
         assert lint_source(
             source, path="src/repro/experiments/exec.py", registries=TEST_REGISTRIES
         ) == []
@@ -301,7 +301,7 @@ class TestSanitizer:
         subflow = conn.subflows[0]
         subflow.cwnd = 0.1
         with pytest.raises(SanitizerError, match="cwnd >= 1 MSS"):
-            sanitize.CHECKS.cwnd(subflow)
+            Checks().audit_cwnd(subflow)
 
     def test_ssthresh_zero_detected(self, sanitized):
         sim = Simulator()
@@ -309,7 +309,7 @@ class TestSanitizer:
         subflow = conn.subflows[0]
         subflow.ssthresh = 0.0
         with pytest.raises(SanitizerError, match="ssthresh > 0"):
-            sanitize.CHECKS.cwnd(subflow)
+            Checks().audit_cwnd(subflow)
 
     def test_corruption_caught_mid_simulation(self, sanitized):
         sim = Simulator()
@@ -341,7 +341,7 @@ class TestSanitizer:
         was_on = sanitize.enabled()
         sanitize.disable()
         try:
-            assert sanitize.CHECKS is None
+            assert not sanitize.enabled()
             sim = Simulator()
             conn = build_connection(sim)
             conn.subflows[0].cwnd = 0.1  # corrupt; nothing should notice
@@ -351,8 +351,10 @@ class TestSanitizer:
                 sanitize.enable()
 
     def test_error_is_assertion_error(self):
+        sim = Simulator()
+        sim.run(until=2.0)
         with pytest.raises(AssertionError):
-            Checks().event_dispatch(now=2.0, event_time=1.0)
+            Checks().event_begin(sim, 1.0, None)
 
 
 class TestRngRegistryFork:

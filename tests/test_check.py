@@ -16,7 +16,8 @@ from repro.analysis.reference import EcfReference, replay_ecf, replay_minrtt
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.cli import main as cli_main
 from repro.core.ecf import EcfScheduler
-from repro.core.registry import SCHEDULER_NAMES, make_scheduler
+from repro.core.registry import SCHEDULER_NAMES
+from repro.core.spec import SchedulerSpec, build
 from repro.net.profiles import lte_config, wifi_config
 from repro.sim.engine import SimulationError, Simulator, forced_tie_break
 from tests.conftest import build_connection
@@ -84,34 +85,29 @@ class TestEventLog:
         assert data["rtt_s"] == 0.1
 
     def test_start_stop_active(self):
-        previous = events.stop()  # detach whatever the suite left active
-        try:
+        with events.recording():  # restores whatever the suite left active
+            events.stop()
             assert not events.active()
+            assert events.current() is None
             log = events.start()
             assert events.active()
-            assert events.LOG is log
+            assert events.current() is log
             assert events.stop() is log
             assert not events.active()
-        finally:
-            events.LOG = previous
 
     def test_recording_restores_previous_log(self):
-        outer = events.EventLog()
-        previous, events.LOG = events.LOG, outer
-        try:
+        with events.recording() as outer:
             with events.recording() as inner:
-                assert events.LOG is inner
+                assert events.current() is inner
                 assert inner is not outer
-            assert events.LOG is outer
-        finally:
-            events.LOG = previous
+            assert events.current() is outer
 
     def test_recording_restores_on_exception(self):
-        previous = events.LOG
+        previous = events.current()
         with pytest.raises(RuntimeError):
             with events.recording():
                 raise RuntimeError("boom")
-        assert events.LOG is previous
+        assert events.current() is previous
 
 
 class TestInstrumentation:
@@ -140,11 +136,10 @@ class TestInstrumentation:
         )
 
     def test_no_log_no_records(self):
-        previous = events.stop()
-        try:
-            run_bulk(bulk_spec("ecf"))  # must not blow up with LOG=None
-        finally:
-            events.LOG = previous
+        with events.recording() as shadowed:
+            events.stop()
+            run_bulk(bulk_spec("ecf"))  # must not blow up with no log armed
+        assert len(shadowed) == 0
 
     def test_uids_disambiguate_subflows(self, sim):
         with events.recording() as log:
@@ -389,7 +384,7 @@ class TestFixturesAndOracle:
     def test_fixture_names_registered_but_not_advertised(self):
         for name in FIXTURE_SCHEDULERS:
             assert name not in SCHEDULER_NAMES
-            scheduler = make_scheduler(name)
+            scheduler = build(SchedulerSpec.of(name))
             assert isinstance(scheduler, EcfScheduler)
 
     def test_nowait_fixture_diverges_from_reference(self, sim):

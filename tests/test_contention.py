@@ -7,7 +7,7 @@ relies on.
 
 
 from repro.apps.http import HttpSession
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, make_path, wifi_config
 from repro.sim.engine import Simulator
@@ -22,7 +22,7 @@ def shared_link_connections(sim, count, rate_mbps=5.0):
     conns = []
     for index in range(count):
         conns.append(MptcpConnection(
-            sim, paths, make_scheduler("minrtt"),
+            sim, paths, build(SchedulerSpec.of("minrtt")),
             config=ConnectionConfig(handshake_delays=False),
             name=f"c{index}",
         ))
@@ -93,7 +93,7 @@ class TestTestbedProfilesShared:
         paths = [make_path(sim, wifi_config(1.0)), make_path(sim, lte_config(10.0))]
         conns = [
             MptcpConnection(
-                sim, paths, make_scheduler("ecf"),
+                sim, paths, build(SchedulerSpec.of("ecf")),
                 config=ConnectionConfig(handshake_delays=False),
             )
             for _ in range(6)

@@ -5,15 +5,15 @@ import pytest
 
 from repro.apps.dash.abr import AbrInputs, HarmonicThroughputAbr, make_abr
 from repro.apps.dash.media import VideoManifest
-from repro.core import RedundantScheduler, make_scheduler
-from repro.tcp.cc import CubicController, make_controller
+from repro.core import CcSpec, RedundantScheduler, SchedulerSpec, build
+from repro.tcp.cc import CubicController
 from repro.tcp.cc.cubic import BETA_CUBIC
 from tests.conftest import build_connection, drain
 
 
 class TestCubic:
     def test_factory_knows_cubic(self):
-        assert isinstance(make_controller("cubic"), CubicController)
+        assert isinstance(build(CcSpec.of("cubic")), CubicController)
 
     def single_path(self, sim):
         conn = build_connection(
@@ -66,7 +66,7 @@ class TestCubic:
 
 class TestRedundantScheduler:
     def test_registry_knows_redundant(self):
-        assert isinstance(make_scheduler("redundant"), RedundantScheduler)
+        assert isinstance(build(SchedulerSpec.of("redundant")), RedundantScheduler)
 
     def test_duplicates_are_sent_on_other_subflows(self, sim):
         # Symmetric paths: the twin subflow almost always has window
@@ -93,7 +93,6 @@ class TestRedundantScheduler:
         """Copies on the clean path mask losses on the lossy one: typical
         (median) in-order delivery stays prompt despite 5% loss."""
         import random as _random
-        from repro.core.registry import make_scheduler as mk
         from repro.metrics.stats import percentile
         from repro.mptcp.connection import ConnectionConfig, MptcpConnection
         from repro.net.link import Link
@@ -106,7 +105,7 @@ class TestRedundantScheduler:
         clean = Path("clean", Link(local_sim, 10e6, 0.012, 300_000),
                      Link(local_sim, 10e6, 0.012, 300_000))
         conn = MptcpConnection(
-            local_sim, [lossy, clean], mk("redundant"),
+            local_sim, [lossy, clean], build(SchedulerSpec.of("redundant")),
             config=ConnectionConfig(handshake_delays=False),
         )
         conn.write(400_000)

@@ -13,7 +13,7 @@ import pytest
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.path import Path
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from tests.conftest import build_connection, drain
 
@@ -112,7 +112,7 @@ class TestJitter:
         reverse = Link(sim, 10e6, 0.02, 300_000)
         path = Path("jittery", forward, reverse)
         conn = MptcpConnection(
-            sim, [path], make_scheduler("minrtt"),
+            sim, [path], build(SchedulerSpec.of("minrtt")),
             config=ConnectionConfig(handshake_delays=False),
         )
         conn.write(2_000_000)

@@ -195,7 +195,7 @@ class TestIncrementalCache:
 
     def test_cache_invalidated_by_registry_change(self, tmp_path):
         src = tmp_path / "mod.py"
-        src.write_text("s = make_scheduler('ecf')\n")
+        src.write_text("s = SchedulerSpec.of('ecf')\n")
         cache = tmp_path / "cache.json"
         first = run_lint(
             [src], registries={"scheduler": {"ecf"}}, cache_path=cache

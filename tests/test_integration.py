@@ -11,7 +11,7 @@ import pytest
 from repro.apps.bulk import run_bulk_download
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.net.profiles import lte_config, make_path, wifi_config
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.sim.engine import Simulator
 
@@ -21,7 +21,7 @@ def timed_transfer(scheduler, path_configs, nbytes, cc="coupled"):
     sim = Simulator()
     paths = [make_path(sim, pc) for pc in path_configs]
     conn = MptcpConnection(
-        sim, paths, make_scheduler(scheduler),
+        sim, paths, build(SchedulerSpec.of(scheduler)),
         config=ConnectionConfig(handshake_delays=False, congestion_control=cc),
     )
     conn.write(nbytes)

@@ -4,7 +4,7 @@ import pytest
 
 from repro.apps.dash.media import PAPER_REPRESENTATIONS
 from repro.apps.dash.mpdash import MpDashPathManager, MpDashScheduler
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from tests.conftest import build_connection
 
@@ -19,7 +19,7 @@ def warmed(sim):
 
 class TestScheduler:
     def test_registry_builds_mpdash(self):
-        assert isinstance(make_scheduler("mpdash"), MpDashScheduler)
+        assert isinstance(build(SchedulerSpec.of("mpdash")), MpDashScheduler)
 
     def test_cellular_inactive_restricts_to_primary(self, sim):
         conn = warmed(sim)

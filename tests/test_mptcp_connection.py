@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import MptcpConnection
 from tests.conftest import build_connection, build_path, drain
 
@@ -10,7 +10,7 @@ from tests.conftest import build_connection, build_path, drain
 class TestBasics:
     def test_requires_at_least_one_path(self, sim):
         with pytest.raises(ValueError):
-            MptcpConnection(sim, [], make_scheduler("minrtt"))
+            MptcpConnection(sim, [], build(SchedulerSpec.of("minrtt")))
 
     def test_write_validates_size(self, sim):
         conn = build_connection(sim)
@@ -43,7 +43,7 @@ class TestBasics:
         assert conn.receiver.expected_dsn == total
 
     def test_scheduler_attached_once(self, sim):
-        scheduler = make_scheduler("minrtt")
+        scheduler = build(SchedulerSpec.of("minrtt"))
         paths = [build_path(sim)]
         MptcpConnection(sim, paths, scheduler)
         with pytest.raises(RuntimeError):

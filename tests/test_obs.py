@@ -149,16 +149,21 @@ class TestEventLogBounding:
 
 class TestFlightRecorder:
     def test_window_installs_and_restores(self):
-        assert flight.COLLECTOR is None
+        assert flight.current() is None
         with flight.flight(capacity=64) as recorder:
-            assert flight.COLLECTOR is recorder
-            assert events.LOG is recorder.log
+            assert flight.current() is recorder
+            assert events.current() is recorder.log
             assert recorder.log.capacity == 64
             with flight.flight(capacity=8) as inner:
-                assert flight.COLLECTOR is inner
-            assert flight.COLLECTOR is recorder
-        assert flight.COLLECTOR is None
-        assert events.LOG is None
+                assert flight.current() is inner
+            assert flight.current() is recorder
+        assert flight.current() is None
+        assert events.current() is None
+
+    def test_current_rev_is_short_string(self):
+        rev = flight.current_rev()
+        assert isinstance(rev, str) and rev
+        assert "/" not in rev and "\n" not in rev
 
     def test_validation(self):
         with pytest.raises(ValueError):

@@ -1,5 +1,5 @@
-"""Tests for the perf layer: counters, bench matrix, executor integration,
-and the byte-identity guarantee over the hot-path optimizations."""
+"""Tests for the perf layer: counters, executor integration, and the
+byte-identity guarantee over the hot-path optimizations."""
 
 import hashlib
 import json
@@ -11,15 +11,6 @@ from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.experiments.spec import attach_perf, canonical_json
 from repro.net.profiles import lte_config, wifi_config
 from repro.perf import counters as perf
-from repro.perf.bench import (
-    BENCH_SCHEMA_VERSION,
-    WORKLOADS,
-    compare,
-    current_rev,
-    report_to_dict,
-    run_bench,
-    run_workload,
-)
 from repro.sim.engine import Simulator
 from repro.workloads.web import WebBrowsingSpec, cnn_like_page, run_web
 
@@ -33,7 +24,7 @@ SMALL_BULK = BulkDownloadSpec(
 
 class TestCollector:
     def test_no_collection_by_default(self):
-        assert perf.COLLECTOR is None
+        assert perf.current() is None
         sim = Simulator()
         sim.schedule(1.0, lambda: None)
         sim.run()  # nothing to assert beyond "untouched hot path works"
@@ -62,8 +53,8 @@ class TestCollector:
                 sim = Simulator()
                 sim.schedule(1.0, lambda: None)
                 sim.run()
-            assert perf.COLLECTOR is outer
-        assert perf.COLLECTOR is None
+            assert perf.current() is outer
+        assert perf.current() is None
         assert inner.snapshot().events_dispatched == 1
         assert outer.snapshot().events_dispatched == 0
 
@@ -151,65 +142,6 @@ class TestExecutorIntegration:
         monkeypatch.delenv(perf.ENV_VAR, raising=False)
         [result] = run_specs([SMALL_BULK], cache_dir=tmp_path)
         assert result.perf is None
-
-
-class TestBench:
-    def test_matrix_runs_all_workloads(self):
-        records = run_bench(scale=0.02)
-        assert set(records) == set(WORKLOADS)
-        for name, record in records.items():
-            assert record.events > 0, name
-            assert record.sim_s > 0, name
-            assert record.wall_s > 0, name
-
-    def test_report_schema(self):
-        record = run_workload("bulk", scale=0.02)
-        report = report_to_dict({"bulk": record}, rev="abc1234", scale=0.02)
-        assert report["schema_version"] == BENCH_SCHEMA_VERSION
-        assert report["rev"] == "abc1234"
-        entry = report["workloads"]["bulk"]
-        assert set(entry) == {"wall_s", "sim_s", "events", "events_per_wall_s", "counters"}
-        json.dumps(report)
-
-    def test_unknown_workload_rejected(self):
-        with pytest.raises(ValueError):
-            run_workload("nope", scale=1.0)
-        with pytest.raises(ValueError):
-            run_workload("bulk", scale=0.0)
-        with pytest.raises(ValueError):
-            run_workload("bulk", scale=0.02, repeat=0)
-
-    def test_repeat_keeps_deterministic_counters(self):
-        once = run_workload("bulk", scale=0.02)
-        best = run_workload("bulk", scale=0.02, repeat=3)
-        assert best.events == once.events
-        assert best.counters == once.counters
-
-    def test_current_rev_is_short_string(self):
-        rev = current_rev()
-        assert isinstance(rev, str) and rev
-        assert "/" not in rev and "\n" not in rev
-
-
-class TestCompare:
-    BASE = {"workloads": {"bulk": {"events_per_wall_s": 100_000.0}}}
-
-    def test_no_complaint_within_tolerance(self):
-        report = {"workloads": {"bulk": {"events_per_wall_s": 80_000.0}}}
-        assert compare(report, self.BASE, tolerance=0.30) == []
-
-    def test_detects_regression(self):
-        report = {"workloads": {"bulk": {"events_per_wall_s": 60_000.0}}}
-        complaints = compare(report, self.BASE, tolerance=0.30)
-        assert len(complaints) == 1 and "bulk" in complaints[0]
-
-    def test_new_workloads_not_compared(self):
-        report = {"workloads": {"brand_new": {"events_per_wall_s": 1.0}}}
-        assert compare(report, self.BASE) == []
-
-    def test_tolerance_validated(self):
-        with pytest.raises(ValueError):
-            compare(self.BASE, self.BASE, tolerance=1.5)
 
 
 class TestByteIdentity:

@@ -10,7 +10,8 @@ from repro.core import (
     PrimaryOnlyScheduler,
     RoundRobinScheduler,
     SCHEDULER_NAMES,
-    make_scheduler,
+    SchedulerSpec,
+    build,
 )
 from tests.conftest import build_connection, drain
 
@@ -32,21 +33,21 @@ def fill_window(subflow):
 class TestRegistry:
     @pytest.mark.parametrize("name", SCHEDULER_NAMES)
     def test_all_names_construct(self, name):
-        scheduler = make_scheduler(name)
+        scheduler = build(SchedulerSpec.of(name))
         assert scheduler.name in (name, "minrtt")
 
     def test_default_alias(self):
-        assert isinstance(make_scheduler("default"), MinRttScheduler)
+        assert isinstance(build(SchedulerSpec.of("default")), MinRttScheduler)
 
     def test_unknown_raises(self):
         with pytest.raises(ValueError):
-            make_scheduler("nope")
+            build(SchedulerSpec.of("nope"))
 
     def test_params_forwarded(self):
-        assert make_scheduler("ecf", beta=0.5).beta == 0.5
+        assert build(SchedulerSpec.of("ecf", beta=0.5)).beta == 0.5
 
     def test_instances_are_fresh(self):
-        assert make_scheduler("ecf") is not make_scheduler("ecf")
+        assert build(SchedulerSpec.of("ecf")) is not build(SchedulerSpec.of("ecf"))
 
 
 class TestSchedulerContract:

@@ -12,10 +12,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.apps.bulk import BulkDownloadSpec
+from repro.analysis import sanitize
+from repro.apps.bulk import BulkDownloadSpec, build_world, finish
 from repro.apps.http import HttpSession
 from repro.core.spec import SchedulerSpec, build
-from repro.experiments.twin import build_world
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, wifi_config
 from repro.net.topology import LinkSpec, chain_path
@@ -160,8 +160,6 @@ class TestRoundTrip:
 
         twin = restore(snap)
         twin["sim"].run(until=world.spec.timeout)
-        from repro.experiments.twin import finish
-
         replayed = finish(world.spec, twin["conn"], twin["recorder"])
         assert replayed.to_dict() == original.to_dict()
 
@@ -273,18 +271,25 @@ class TestRefusals:
         with pytest.raises(SnapshotError, match="outside its snapshot contract"):
             capture(sim, {"thing": Partial()})
 
-    def test_sanitizer_scratch_is_skipped_not_refused(self):
-        class Holder:
-            STATE_FIELDS = ("a",)
-
-            def __init__(self):
-                self.a = 1
-                self._sz_scratch = object()
-
-        sim = Simulator()
-        snap = capture(sim, {"thing": Holder()})
-        node = snap.nodes[snap.roots["thing"]["id"]]
-        assert node["fields"] == {"a": 1}
+    def test_sanitizer_keeps_its_state_off_the_captured_world(self):
+        """With the sanitizer armed (as under REPRO_SANITIZE=1) its DSN
+        floor lives in the subscriber, so a mid-run world still captures
+        -- nothing extra sits on the receiver -- and both the original
+        and the restored future pass the DSN-monotonicity check."""
+        was_on = sanitize.enabled()
+        sanitize.enable()
+        try:
+            world = _midrun_world("ecf", events=600)
+            assert world.conn.receiver.expected_dsn > 0  # a floor was recorded
+            snap = capture(world.sim, world.roots())
+            original = world.run_to_completion()
+            twin = restore(snap)
+            twin["sim"].run(until=world.spec.timeout)
+            replayed = finish(world.spec, twin["conn"], twin["recorder"])
+        finally:
+            if not was_on:
+                sanitize.disable()
+        assert replayed.to_dict() == original.to_dict()
 
     def test_lambda_in_state_is_refused(self):
         class Holder:

@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.tcp.cc import CoupledController, OliaController, RenoController, make_controller
+from repro.core.spec import CcSpec, build
+from repro.tcp.cc import CoupledController, OliaController, RenoController
 from repro.tcp.cc.base import MIN_CWND
 from tests.conftest import build_connection
 
@@ -14,17 +15,17 @@ def two_subflow_conn(sim, cc_name="reno"):
 
 class TestFactory:
     def test_known_names(self):
-        assert isinstance(make_controller("reno"), RenoController)
-        assert isinstance(make_controller("coupled"), CoupledController)
-        assert isinstance(make_controller("lia"), CoupledController)
-        assert isinstance(make_controller("olia"), OliaController)
+        assert isinstance(build(CcSpec.of("reno")), RenoController)
+        assert isinstance(build(CcSpec.of("coupled")), CoupledController)
+        assert isinstance(build(CcSpec.of("lia")), CoupledController)
+        assert isinstance(build(CcSpec.of("olia")), OliaController)
 
     def test_case_insensitive(self):
-        assert isinstance(make_controller("RENO"), RenoController)
+        assert isinstance(build(CcSpec.of("RENO")), RenoController)
 
     def test_unknown_name_raises(self):
         with pytest.raises(ValueError):
-            make_controller("bbr")
+            build(CcSpec.of("bbr"))
 
 
 class TestSlowStartAndDecrease:

@@ -122,13 +122,13 @@ class TestLossRecovery:
         from repro.net.link import Link
         from repro.net.path import Path
         from repro.mptcp.connection import ConnectionConfig, MptcpConnection
-        from repro.core.registry import make_scheduler
+        from repro.core.spec import SchedulerSpec, build
 
         forward = Link(sim, 10e6, 0.01, 100_000, loss_rate=0.2, rng=_random.Random(3))
         reverse = Link(sim, 10e6, 0.01, 100_000)
         path = Path("lossy", forward, reverse)
         conn = MptcpConnection(
-            sim, [path], make_scheduler("minrtt"),
+            sim, [path], build(SchedulerSpec.of("minrtt")),
             config=ConnectionConfig(handshake_delays=False),
         )
         conn.write(300_000)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.core.registry import make_scheduler
+from repro.core.spec import SchedulerSpec, build
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.metrics.export import (
     load_streaming_results_json,
@@ -71,7 +71,7 @@ class TestChainPath:
             [LinkSpec(10.0, 0.005), LinkSpec(5.0, 0.01), LinkSpec(8.0, 0.005)],
         )
         conn = MptcpConnection(
-            sim, [path], make_scheduler("minrtt"),
+            sim, [path], build(SchedulerSpec.of("minrtt")),
             config=ConnectionConfig(handshake_delays=False),
         )
         conn.write(1_000_000)
@@ -84,7 +84,7 @@ class TestChainPath:
             [LinkSpec(50.0, 0.005), LinkSpec(2.0, 0.01)],
         )
         conn = MptcpConnection(
-            sim, [path], make_scheduler("minrtt"),
+            sim, [path], build(SchedulerSpec.of("minrtt")),
             config=ConnectionConfig(handshake_delays=False),
         )
         conn.write(2_000_000)
@@ -103,7 +103,7 @@ class TestSharedBottleneck:
             bottleneck=LinkSpec(5.0, 0.01, name="bn"),
         )
         conn = MptcpConnection(
-            sim, paths, make_scheduler("minrtt"),
+            sim, paths, build(SchedulerSpec.of("minrtt")),
             config=ConnectionConfig(handshake_delays=False),
         )
         conn.write(3_000_000)
@@ -124,7 +124,7 @@ class TestSharedBottleneck:
             bottleneck=LinkSpec(4.0, 0.01, name="bn"),
         )
         conn = MptcpConnection(
-            sim, paths, make_scheduler("roundrobin"),
+            sim, paths, build(SchedulerSpec.of("roundrobin")),
             config=ConnectionConfig(handshake_delays=False, congestion_control="coupled"),
         )
         conn.write(2_000_000)
