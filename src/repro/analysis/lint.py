@@ -193,7 +193,6 @@ def _registries() -> Dict[str, Set[str]]:
     from repro.core.registry import registered_schedulers
     from repro.experiments.spec import registered_experiment_kinds
     from repro.net.bandwidth import registered_bandwidth_kinds
-    from repro.service.backends import registered_backend_kinds
     from repro.tcp.cc import registered_controllers
 
     return {
@@ -201,7 +200,6 @@ def _registries() -> Dict[str, Set[str]]:
         "congestion_control": set(registered_controllers()),
         "bandwidth": set(registered_bandwidth_kinds()),
         "experiment": set(registered_experiment_kinds()),
-        "backend": set(registered_backend_kinds()),
     }
 
 

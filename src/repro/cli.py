@@ -219,8 +219,7 @@ def _executor_from_args(args):
         )
     return ExperimentExecutor(
         jobs=args.jobs,
-        cache_dir=args.cache_dir,
-        use_cache=not args.no_cache,
+        cache_dir=None if args.no_cache else args.cache_dir,
         progress=sys.stderr.isatty(),
     )
 

@@ -11,9 +11,9 @@ described by a small frozen spec dataclass and realized through a single
 
 The spec is a plain value -- JSON-serializable, hashable, comparable --
 so it can ride inside experiment specs, cross a process-pool boundary,
-key the result cache, and be stored in the campaign database
-(:mod:`repro.service.store`), none of which a live scheduler object can
-do.  :func:`build` dispatches on the spec type:
+key the result cache, and be stored in the campaign database, none of
+which a live scheduler object can do.  :func:`build` dispatches on the
+spec type:
 
 =====================================================  ====================
 spec                                                   built object
@@ -21,7 +21,6 @@ spec                                                   built object
 :class:`SchedulerSpec`                                 :class:`~repro.core.base.Scheduler`
 :class:`CcSpec`                                        :class:`~repro.tcp.cc.CongestionController`
 :class:`~repro.net.bandwidth.BandwidthSpec`            a bandwidth process
-backend configs (:mod:`repro.service.backends`)        an execution backend
 =====================================================  ====================
 
 Like every registry here, :func:`build` always returns a *fresh*
@@ -122,8 +121,7 @@ def build(config: Any) -> Any:
     """The single config-first entry point: a frozen spec in, a live object out.
 
     Dispatches on the spec type -- :class:`SchedulerSpec`,
-    :class:`CcSpec`, :class:`~repro.net.bandwidth.BandwidthSpec`, or any
-    registered backend config from :mod:`repro.service.backends`.
+    :class:`CcSpec`, or :class:`~repro.net.bandwidth.BandwidthSpec`.
     Always returns a fresh instance.
 
     Raises
@@ -143,12 +141,7 @@ def build(config: Any) -> Any:
 
     if isinstance(config, BandwidthSpec):
         return make_bandwidth_process(config)
-    from repro.service import backends as _backends
-
-    kind = getattr(config, "kind", None)
-    if isinstance(kind, str) and kind in _backends.registered_backend_kinds():
-        return _backends.build(config)
     raise TypeError(
         f"cannot build a {type(config).__name__}; expected SchedulerSpec, "
-        f"CcSpec, BandwidthSpec, or a registered backend config"
+        f"CcSpec, or BandwidthSpec"
     )

@@ -14,10 +14,7 @@
 """
 
 from repro.experiments.ideal import ideal_average_bitrate, ideal_fast_fraction
-from repro.experiments.exec import (
-    ExperimentExecutor,
-    run_specs,
-)
+from repro.experiments.exec import ExperimentExecutor
 from repro.experiments.runner import (
     StreamingRunConfig,
     StreamingRunResult,
@@ -36,7 +33,6 @@ __all__ = [
     "ideal_average_bitrate",
     "ideal_fast_fraction",
     "ExperimentExecutor",
-    "run_specs",
     "run_spec",
     "spec_hash",
     "StreamingRunConfig",

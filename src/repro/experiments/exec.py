@@ -17,11 +17,16 @@ process pool and memoizes finished runs on disk:
   the missing cells; a warm cache executes nothing.
 * **Timeout + retry**: a per-run wall-clock ``timeout_s`` (enforced via
   ``SIGALRM`` on POSIX) converts a wedged simulation into a
-  :class:`RunTimeoutError`, and the executor retries it up to
-  ``retries`` times before failing the batch -- one stuck run cannot
-  stall a campaign forever.
+  :class:`RunTimeoutError`, and the executor retries it -- like a run
+  whose pool worker died -- up to ``retries`` times before failing the
+  batch: one stuck run cannot stall a campaign forever.
 * **Progress**: pass ``progress=True`` for a stderr ticker with ETA, or
   a callable receiving :class:`ProgressEvent` for custom reporting.
+
+This is the one engine.  Ad-hoc sweeps use it as is (no cache needed,
+fail-fast with the original exception); a campaign
+(:mod:`repro.service.runner`) is durable state over it and drives it
+directly, keep-going, through ``on_job``.
 
 Example
 -------
@@ -45,11 +50,13 @@ import signal
 import sys
 import threading
 import time
+from collections import deque
 from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
 
 from repro.analysis import check
 from repro.experiments.spec import (
@@ -67,6 +74,10 @@ from repro.obs.journal import RunJournal
 from repro.perf import counters as perf_counters
 
 PathLike = Union[str, "os.PathLike[str]"]
+#: What one attempt came back with: the result dict, or what it raised.
+_Attempt = Union[Dict[str, Any], BaseException]
+#: ``settle(index, attempt, wall_s, attempts)`` -> must the job run again?
+_Settle = Callable[[int, _Attempt, float, int], bool]
 
 
 class RunTimeoutError(RuntimeError):
@@ -117,6 +128,14 @@ class JobOutcome:
     #: boundary.  ``None`` on cache hits (the cache strips perf) and
     #: failures.  The telemetry registry sums these per campaign.
     perf: Optional[Dict[str, Any]] = None
+
+    def journal_fields(self) -> Dict[str, Any]:
+        """This outcome as the journal's ``job`` record: no batch index,
+        no perf record, ``error``/``postmortem`` only on a failure."""
+        names = ["spec_hash", "kind", "status", "wall_s", "attempts"]
+        if self.status == "failed":
+            names += ["error", "postmortem"]
+        return {name: getattr(self, name) for name in names}
 
 
 @dataclass(frozen=True)
@@ -261,8 +280,8 @@ class ResultCache:
     Entries live at ``<root>/<hash[:2]>/<hash>.json`` holding the spec
     alongside the result (the file is self-describing and greppable).
     Writes are atomic (temp file + ``os.replace``), so a killed campaign
-    never leaves a truncated entry behind; unreadable or version-skewed
-    entries read as misses.
+    never leaves a truncated entry behind; unreadable, version-skewed
+    or incomplete entries read as misses.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -282,6 +301,8 @@ class ResultCache:
             return None
         if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
             return None
+        if "kind" not in payload or "result" not in payload:
+            return None  # a half-written entry is no entry
         return payload
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
@@ -305,9 +326,7 @@ class ExperimentExecutor:
     jobs: worker processes; ``1`` executes inline in this process (the
         reference serial path -- results are identical either way).
     cache_dir: directory for the content-addressed result cache;
-        ``None`` disables caching.
-    use_cache: set ``False`` to bypass a configured cache (fresh runs,
-        nothing read or written).
+        ``None`` runs without one (nothing read or written).
     timeout_s: per-run wall-clock budget; ``None`` means unbounded.
     retries: extra attempts for a run that times out (or whose worker
         died) before the batch fails.
@@ -320,7 +339,9 @@ class ExperimentExecutor:
     keep_going: with ``True``, a permanently failed spec no longer
         aborts the batch: its slot in the results list holds a
         :class:`FailedRun` and the remaining specs keep running.  The
-        default (``False``) preserves the original fail-fast contract.
+        default (``False``) is fail-fast: a non-retryable error
+        propagates as raised, exhausted retries raise
+        :class:`ExperimentError`.
     on_job: callable receiving a :class:`JobOutcome` for every spec that
         reaches a terminal state (cached / executed / failed), in
         completion order.  This is the hook the campaign runner uses to
@@ -331,7 +352,6 @@ class ExperimentExecutor:
         self,
         jobs: int = 1,
         cache_dir: Optional[PathLike] = None,
-        use_cache: bool = True,
         timeout_s: Optional[float] = None,
         retries: int = 1,
         progress: Union[bool, Callable[[ProgressEvent], None], None] = None,
@@ -344,9 +364,7 @@ class ExperimentExecutor:
         if retries < 0:
             raise ValueError(f"retries must be >= 0, got {retries!r}")
         self.jobs = int(jobs)
-        self.cache = (
-            ResultCache(cache_dir) if (cache_dir is not None and use_cache) else None
-        )
+        self.cache = None if cache_dir is None else ResultCache(cache_dir)
         self.timeout_s = timeout_s
         self.retries = int(retries)
         if progress is True:
@@ -383,38 +401,15 @@ class ExperimentExecutor:
         """
         specs = list(specs)
         total = len(specs)
+        hashes = [spec_hash(spec) for spec in specs]
         results: List[Any] = [None] * total
+        stats, journal = self.stats, self.journal
         # Wall clock is correct here: this measures the *host's* sweep
         # progress for ETA display, not anything inside a simulation.
         started = time.monotonic()  # repro: noqa[RPR101]
         done = 0
-
-        def report() -> None:
-            if self._progress is None:
-                return
-            elapsed = time.monotonic() - started  # repro: noqa[RPR101]
-            remaining = total - done
-            eta: Optional[float] = None
-            if remaining == 0:
-                eta = 0.0
-            elif self.stats.executed > 0:
-                eta = elapsed / max(done, 1) * remaining
-            self._progress(
-                ProgressEvent(
-                    done=done,
-                    total=total,
-                    executed=self.stats.executed,
-                    cached=self.stats.cached,
-                    elapsed_s=elapsed,
-                    eta_s=eta,
-                    failed=self.stats.failed,
-                    retried=self.stats.retried,
-                )
-            )
-
-        hashes = [spec_hash(spec) for spec in specs]
-        if self.journal is not None:
-            self.journal.batch_start(
+        if journal is not None:
+            journal.batch_start(
                 total=total,
                 jobs=self.jobs,
                 cache=None if self.cache is None else str(self.cache.root),
@@ -422,102 +417,28 @@ class ExperimentExecutor:
                 retries=self.retries,
             )
 
-        def journal_job(**fields: Any) -> None:
-            if self.journal is not None:
-                self.journal.job(**fields)
-
-        def emit(outcome: JobOutcome) -> None:
-            if self.on_job is not None:
-                self.on_job(outcome)
-
-        pending: List[int] = []
-        for index, spec in enumerate(specs):
-            entry = self.cache.get(hashes[index]) if self.cache else None
-            if entry is not None and entry.get("kind") == spec.kind:
-                results[index] = result_from_dict(spec.kind, entry["result"])
-                self.stats.cached += 1
-                done += 1
-                journal_job(
-                    spec_hash=hashes[index],
-                    kind=spec.kind,
-                    status="cached",
-                    wall_s=0.0,
-                    attempts=0,
-                )
-                emit(
-                    JobOutcome(
-                        index=index,
-                        spec_hash=hashes[index],
-                        kind=spec.kind,
-                        status="cached",
-                        wall_s=0.0,
-                        attempts=0,
-                    )
-                )
-                report()
-            else:
-                pending.append(index)
-
-        def finalize(
-            index: int, result_dict: Dict[str, Any], wall_s: float, attempts: int
+        def record(
+            index: int,
+            status: str,
+            wall_s: float = 0.0,
+            attempts: int = 0,
+            exc: Optional[BaseException] = None,
+            perf: Optional[Dict[str, Any]] = None,
         ) -> None:
+            """A job reached a terminal state: build its outcome once and
+            feed stats, journal, ``on_job`` and progress from it."""
             nonlocal done
-            spec = specs[index]
-            results[index] = result_from_dict(spec.kind, result_dict)
-            if self.cache is not None:
-                # The perf record carries wall-clock time from *this* run;
-                # caching it would make the entry non-deterministic (and
-                # replay a stale measurement on every later hit).
-                cached_result = {
-                    key: value for key, value in result_dict.items() if key != "perf"
-                }
-                self.cache.put(
-                    hashes[index],
-                    {
-                        "schema_version": SCHEMA_VERSION,
-                        "kind": spec.kind,
-                        "spec": spec.to_dict(),
-                        "result": cached_result,
-                    },
-                )
-            self.stats.executed += 1
-            done += 1
-            journal_job(
-                spec_hash=hashes[index],
-                kind=spec.kind,
-                status="executed",
-                wall_s=round(wall_s, 6),
-                attempts=attempts,
-            )
-            perf = result_dict.get("perf")
-            emit(
-                JobOutcome(
-                    index=index,
-                    spec_hash=hashes[index],
-                    kind=spec.kind,
-                    status="executed",
-                    wall_s=round(wall_s, 6),
-                    attempts=attempts,
-                    perf=perf if isinstance(perf, dict) else None,
-                )
-            )
-            report()
-
-        def fail(index: int, exc: BaseException, wall_s: float, attempts: int) -> None:
-            # Accounting for a permanently failed job; the caller raises
-            # (fail-fast) or moves on (keep_going).
-            nonlocal done
-            self.stats.failed += 1
+            error: Optional[Dict[str, str]] = None
             postmortem: Optional[str] = None
-            if obs_flight.obs_enabled():
-                # The worker writes the bundle at a path derived from the
-                # spec hash alone, so the parent can re-derive it here
-                # without anything crossing the pool boundary.
-                bundle = obs_flight.postmortem_dir_for(hashes[index])
-                if bundle.exists():
-                    postmortem = str(bundle)
-            error = {"type": type(exc).__name__, "message": str(exc)}
-            if self.keep_going:
+            if exc is not None:
+                error = {"type": type(exc).__name__, "message": str(exc)}
+                if obs_flight.obs_enabled():
+                    # The worker writes the bundle at a path derived from the
+                    # spec hash alone, so the parent can re-derive it here
+                    # without anything crossing the pool boundary.
+                    bundle = obs_flight.postmortem_dir_for(hashes[index])
+                    if bundle.exists():
+                        postmortem = str(bundle)
                 results[index] = FailedRun(
                     spec_hash=hashes[index],
                     kind=specs[index].kind,
@@ -525,192 +446,191 @@ class ExperimentExecutor:
                     error_message=error["message"],
                     postmortem=postmortem,
                 )
-                done += 1
-            journal_job(
+            outcome = JobOutcome(
+                index=index,
                 spec_hash=hashes[index],
                 kind=specs[index].kind,
-                status="failed",
+                status=status,
                 wall_s=round(wall_s, 6),
                 attempts=attempts,
                 error=error,
                 postmortem=postmortem,
+                perf=perf,
             )
-            emit(
-                JobOutcome(
-                    index=index,
-                    spec_hash=hashes[index],
-                    kind=specs[index].kind,
-                    status="failed",
-                    wall_s=round(wall_s, 6),
-                    attempts=attempts,
-                    error=error,
-                    postmortem=postmortem,
+            # A status is also the name of the counter it bumps.
+            setattr(stats, status, getattr(stats, status) + 1)
+            if exc is None or self.keep_going:
+                done += 1  # under fail-fast the failed job aborts the batch
+            if journal is not None:
+                journal.job(**outcome.journal_fields())
+            if self.on_job is not None:
+                self.on_job(outcome)
+            if self._progress is not None:
+                elapsed = time.monotonic() - started  # repro: noqa[RPR101]
+                eta: Optional[float] = None
+                if done == total:
+                    eta = 0.0
+                elif stats.executed > 0:
+                    eta = elapsed / max(done, 1) * (total - done)
+                self._progress(
+                    ProgressEvent(
+                        done=done,
+                        total=total,
+                        executed=stats.executed,
+                        cached=stats.cached,
+                        elapsed_s=elapsed,
+                        eta_s=eta,
+                        failed=stats.failed,
+                        retried=stats.retried,
+                    )
                 )
-            )
-            report()
 
+        def settle(index: int, attempt: _Attempt, wall_s: float, attempts: int) -> bool:
+            """Decide what one finished attempt (its result dict, or the
+            exception it raised) means for the job.  Returns ``True`` when
+            the job must run again; raises under fail-fast.
+
+            ``wall_s`` brackets all attempts inline and submit-to-completion
+            (queue wait included) on the pool.
+            """
+            spec = specs[index]
+            if not isinstance(attempt, BaseException):
+                results[index] = result_from_dict(spec.kind, attempt)
+                perf = attempt.get("perf")
+                if self.cache is not None:
+                    # The perf record carries wall-clock time from *this* run;
+                    # caching it would make the entry non-deterministic (and
+                    # replay a stale measurement on every later hit).
+                    self.cache.put(
+                        hashes[index],
+                        {
+                            "schema_version": SCHEMA_VERSION,
+                            "kind": spec.kind,
+                            "spec": spec.to_dict(),
+                            "result": {k: v for k, v in attempt.items() if k != "perf"},
+                        },
+                    )
+                record(
+                    index, "executed", wall_s, attempts,
+                    perf=perf if isinstance(perf, dict) else None,
+                )
+                return False
+            # A timeout or a dead worker may be the host's fault, so the run
+            # gets another try; anything else (CheckError, sanitizer
+            # assertions, crashes) is the run's own verdict and permanent.
+            retryable = isinstance(attempt, (RunTimeoutError, BrokenProcessPool))
+            if retryable and attempts <= self.retries:
+                stats.retried += 1
+                if journal is not None:
+                    journal.retry(
+                        spec_hash=hashes[index], attempt=attempts, error=str(attempt)
+                    )
+                return True
+            record(index, "failed", wall_s, attempts, exc=attempt)
+            if self.keep_going:
+                return False
+            if retryable:
+                raise ExperimentError(
+                    f"{spec.kind} run failed after {attempts} attempts: {attempt}"
+                ) from attempt
+            raise attempt  # the original exception, unwrapped
+
+        pending: List[int] = []
+        for index, spec in enumerate(specs):
+            entry = self.cache.get(hashes[index]) if self.cache else None
+            if entry is not None and entry["kind"] == spec.kind:
+                results[index] = result_from_dict(spec.kind, entry["result"])
+                record(index, "cached")
+            else:
+                pending.append(index)
+        payloads = {index: spec_to_dict(specs[index]) for index in pending}
         try:
-            if pending:
-                payloads = {index: spec_to_dict(specs[index]) for index in pending}
-                if self.jobs == 1 or len(pending) == 1:
-                    for index in pending:
-                        outcome = self._run_with_retry_inline(
-                            index, hashes[index], payloads[index], fail
-                        )
-                        if outcome is not None:
-                            finalize(index, *outcome)
-                else:
-                    self._run_on_pool(pending, hashes, payloads, finalize, fail)
+            if self.jobs == 1 or len(pending) <= 1:
+                self._run_inline(pending, payloads, settle)
+            else:
+                self._run_on_pool(pending, payloads, settle)
         finally:
-            if self.journal is not None:
-                self.journal.batch_end(
+            if journal is not None:
+                journal.batch_end(
                     done=done,
-                    executed=self.stats.executed,
-                    cached=self.stats.cached,
-                    failed=self.stats.failed,
-                    retried=self.stats.retried,
+                    executed=stats.executed,
+                    cached=stats.cached,
+                    failed=stats.failed,
+                    retried=stats.retried,
                     elapsed_s=round(time.monotonic() - started, 6),  # repro: noqa[RPR101]
                 )
         return results
 
-    def submit_one(self, spec: Any) -> Any:
-        """Convenience: run a single spec through cache + retry logic."""
-        return self.run([spec])[0]
-
-    # -- execution paths -------------------------------------------------
-    def _run_with_retry_inline(
-        self,
-        index: int,
-        key: str,
-        payload: Dict[str, Any],
-        fail: Callable[[int, BaseException, float, int], None],
-    ) -> Optional[Tuple[Dict[str, Any], float, int]]:
-        """Returns ``(result_dict, wall_s, attempts)`` or raises.
-
-        ``wall_s`` brackets all attempts of this job, timed parent-side.
-        Under ``keep_going`` a permanent failure returns ``None`` instead
-        of raising (``fail`` has already recorded it).
-        """
-        start = time.monotonic()  # repro: noqa[RPR101]
-        for attempt in range(self.retries + 1):
-            try:
-                result = _execute_payload(payload, self.timeout_s)
-            except RunTimeoutError as exc:
+    # -- the two dispatchers: run it / submit it, then ``settle`` ---------
+    def _run_inline(
+        self, pending: List[int], payloads: Dict[int, Dict[str, Any]], settle: _Settle
+    ) -> None:
+        for index in pending:
+            start = time.monotonic()  # repro: noqa[RPR101]
+            attempts = 0
+            again = True
+            while again:
+                attempts += 1
+                attempt: _Attempt
+                try:
+                    attempt = _execute_payload(payloads[index], self.timeout_s)
+                except Exception as exc:
+                    attempt = exc
                 wall = time.monotonic() - start  # repro: noqa[RPR101]
-                if attempt == self.retries:
-                    fail(index, exc, wall, attempt + 1)
-                    if self.keep_going:
-                        return None
-                    raise ExperimentError(
-                        f"{payload['kind']} run failed after "
-                        f"{self.retries + 1} attempts: {exc}"
-                    ) from exc
-                self.stats.retried += 1
-                if self.journal is not None:
-                    self.journal.retry(
-                        spec_hash=key, attempt=attempt + 1, error=str(exc)
-                    )
-            except Exception as exc:
-                # Non-timeout failures (CheckError, sanitizer assertions,
-                # crashes) are permanent: journal them, then propagate the
-                # original exception unwrapped, as before.
-                fail(index, exc, time.monotonic() - start, attempt + 1)  # repro: noqa[RPR101]
-                if self.keep_going:
-                    return None
-                raise
-            else:
-                wall = time.monotonic() - start  # repro: noqa[RPR101]
-                return result, wall, attempt + 1
-        raise AssertionError("unreachable")  # pragma: no cover
+                again = settle(index, attempt, wall, attempts)
 
     def _run_on_pool(
-        self,
-        pending: List[int],
-        hashes: List[str],
-        payloads: Dict[int, Dict[str, Any]],
-        finalize: Callable[[int, Dict[str, Any], float, int], None],
-        fail: Callable[[int, BaseException, float, int], None],
+        self, pending: List[int], payloads: Dict[int, Dict[str, Any]], settle: _Settle
     ) -> None:
-        attempts = {index: 0 for index in pending}
+        """Keep a bounded window of jobs in flight on a process pool.
+
+        The window (two per worker: one running, one queued behind it)
+        bounds what a dying worker takes down with it: the pool breaks
+        every outstanding future, and nothing tells the victim from the
+        culprit.  Each of them is charged the attempt, the pool is
+        rebuilt, and the suspects rerun one at a time -- so a second
+        death names its culprit -- before the queue resumes.
+        """
+        queue: Deque[int] = deque(pending)
+        suspects: Deque[int] = deque()
+        attempts = dict.fromkeys(pending, 0)
         submitted_at: Dict[int, float] = {}
-        workers = min(self.jobs, len(pending))
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        while queue or suspects:
+            source = suspects or queue
+            workers = 1 if suspects else min(self.jobs, len(queue))
+            window = 1 if suspects else 2 * workers
             futures: Dict[Any, int] = {}
-
-            def submit(index: int) -> None:
-                # Per-job wall time on the pool spans submit-to-completion
-                # (queue wait included) -- the parent cannot see inside the
-                # worker, and for sweep triage the end-to-end figure is the
-                # one that matters.
-                submitted_at[index] = time.monotonic()  # repro: noqa[RPR101]
-                futures[
-                    pool.submit(_execute_payload, payloads[index], self.timeout_s)
-                ] = index
-
-            for index in pending:
-                submit(index)
-            while futures:
-                completed, _ = wait(futures, return_when=FIRST_COMPLETED)
-                for future in completed:
-                    index = futures.pop(future)
-                    attempts[index] += 1
-                    wall = time.monotonic() - submitted_at[index]  # repro: noqa[RPR101]
-                    try:
-                        result_dict = future.result()
-                    except RunTimeoutError as exc:
-                        if attempts[index] > self.retries:
-                            if self.keep_going:
-                                fail(index, exc, wall, attempts[index])
-                                continue
+            broken = False
+            with ProcessPoolExecutor(max_workers=workers) as pool:
+                while futures or (source and not broken):
+                    while source and len(futures) < window and not broken:
+                        index = source.popleft()
+                        submitted_at[index] = time.monotonic()  # repro: noqa[RPR101]
+                        call = (_execute_payload, payloads[index], self.timeout_s)
+                        try:
+                            futures[pool.submit(*call)] = index
+                        except BrokenProcessPool:  # a worker died since the last wait()
+                            source.appendleft(index)
+                            broken = True
+                    completed, _ = wait(futures, return_when=FIRST_COMPLETED)
+                    for future in completed:
+                        index = futures.pop(future)
+                        attempts[index] += 1
+                        wall = time.monotonic() - submitted_at[index]  # repro: noqa[RPR101]
+                        attempt: _Attempt
+                        try:
+                            attempt = future.result()
+                        except Exception as exc:
+                            attempt = exc
+                        try:
+                            again = settle(index, attempt, wall, attempts[index])
+                        except BaseException:
                             for other in futures:
                                 other.cancel()
-                            fail(index, exc, wall, attempts[index])
-                            raise ExperimentError(
-                                f"{payloads[index]['kind']} run failed after "
-                                f"{attempts[index]} attempts: {exc}"
-                            ) from exc
-                        self.stats.retried += 1
-                        if self.journal is not None:
-                            self.journal.retry(
-                                spec_hash=hashes[index],
-                                attempt=attempts[index],
-                                error=str(exc),
-                            )
-                        submit(index)
-                    except Exception as exc:
-                        if self.keep_going:
-                            fail(index, exc, wall, attempts[index])
-                            continue
-                        for other in futures:
-                            other.cancel()
-                        fail(index, exc, wall, attempts[index])
-                        raise
-                    else:
-                        finalize(index, result_dict, wall, attempts[index])
-
-
-def run_specs(
-    specs: Sequence[Any],
-    jobs: int = 1,
-    cache_dir: Optional[PathLike] = None,
-    use_cache: bool = True,
-    timeout_s: Optional[float] = None,
-    retries: int = 1,
-    progress: Union[bool, Callable[[ProgressEvent], None], None] = None,
-    journal: Union[None, RunJournal, PathLike] = None,
-    keep_going: bool = False,
-    on_job: Optional[Callable[[JobOutcome], None]] = None,
-) -> List[Any]:
-    """One-shot convenience wrapper around :class:`ExperimentExecutor`."""
-    with ExperimentExecutor(
-        jobs=jobs,
-        cache_dir=cache_dir,
-        use_cache=use_cache,
-        timeout_s=timeout_s,
-        retries=retries,
-        progress=progress,
-        journal=journal,
-        keep_going=keep_going,
-        on_job=on_job,
-    ) as executor:
-        return executor.run(specs)
+                            raise
+                        if isinstance(attempt, BrokenProcessPool):
+                            broken = True
+                            if again:
+                                suspects.append(index)
+                        elif again:
+                            source.appendleft(index)

@@ -6,26 +6,23 @@ from a per-process pool into a campaign service:
 * :mod:`repro.service.store` -- a SQLite-backed store of campaigns and
   jobs (keyed by spec hash, moving pending -> running -> done/failed,
   with journal and postmortem indexes);
-* :mod:`repro.service.backends` -- execution backends built config-first
-  from frozen ``*BackendConfig`` dataclasses through ``build()``;
+* :mod:`repro.service.backends` -- the frozen ``*BackendConfig`` value
+  stored with a campaign (inline or pool, timeout, retries);
 * :mod:`repro.service.runner` -- the submit / drain / requeue / fetch
-  loop, also usable as an executor drop-in for the grid sweeps;
+  loop, which drives the executor directly and is also usable as an
+  executor drop-in for the grid sweeps;
 * :mod:`repro.service.daemon` -- the long-lived ``campaign serve``
   daemon: a drain loop plus an OpenMetrics/JSON scrape endpoint fed by
   the :mod:`repro.obs.metrics` registry.
 
-See ``docs/api.md`` for the config-first idiom and
+See ``docs/architecture.md`` ("Campaign service") and
 ``repro.cli campaign`` for the command-line surface.
 """
 
 from repro.service.backends import (
-    ExecutorBackend,
     InlineBackendConfig,
     PoolBackendConfig,
     backend_config_from_dict,
-    build,
-    register_backend,
-    registered_backend_kinds,
 )
 from repro.service.daemon import (
     CampaignDaemon,
@@ -47,9 +44,5 @@ __all__ = [
     "TransitionError",
     "InlineBackendConfig",
     "PoolBackendConfig",
-    "ExecutorBackend",
-    "register_backend",
-    "registered_backend_kinds",
     "backend_config_from_dict",
-    "build",
 ]

@@ -1,56 +1,49 @@
-"""Execution backends, config-first: frozen configs in, live backends out.
+"""Backend configs: the frozen value stored with a campaign.
 
-A *backend* is the thing that actually executes a batch of specs.  It is
-described by a small frozen config dataclass (a plain value that
-serializes into the campaign store) and realized through :func:`build`,
-mirroring the :class:`~repro.net.bandwidth.BandwidthSpec` registry
-idiom::
-
-    from repro.service.backends import PoolBackendConfig, build
-
-    backend = build(PoolBackendConfig(jobs=4, timeout_s=120.0))
-    results = backend.run(specs, cache_dir=".repro-cache")
-
-Two backends ship today -- ``inline`` (serial, in this process: the
-reference path and the debugger-friendly one) and ``pool`` (the process
-pool that :class:`~repro.experiments.exec.ExperimentExecutor` always
-had).  Both drive the same executor underneath, so cache, timeout,
-retry, journal, and ``on_job`` behavior are identical; the config just
-pins where the work runs.  Downstream forks register their own kinds
-(a cluster submitter, say) with :func:`register_backend` and campaigns
-stored with that kind rebuild through the same :func:`build` call.
+A campaign records *where its work runs* as a small frozen dataclass --
+``inline`` (serial, in the draining process: the reference path and the
+debugger-friendly one) or ``pool`` (``jobs`` worker processes) -- plus
+the per-run ``timeout_s`` and ``retries``.  It serializes into the
+campaign store as ``{"kind": "inline" | "pool", ...}`` and comes back
+through :func:`backend_config_from_dict`, so a resumed campaign drains
+the way it was submitted.  Nothing is built from a config:
+:class:`~repro.service.runner.CampaignRunner` reads its three numbers
+and constructs the one engine,
+:class:`~repro.experiments.exec.ExperimentExecutor`, itself.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any, Callable, ClassVar, Dict, FrozenSet, List, Mapping, Optional, Sequence
+from dataclasses import asdict, dataclass, fields
+from typing import Any, ClassVar, Dict, Mapping, Optional, Union
 
-from repro.experiments.exec import ExperimentExecutor, JobOutcome
+
+class _StoredConfig:
+    """The stored dict form both configs share: ``{"kind": ..., **fields}``."""
+
+    kind: ClassVar[str]
+
+    def to_dict(self) -> Dict[str, Any]:
+        return {"kind": self.kind, **asdict(self)}
+
+    @classmethod
+    def from_dict(cls, data: Mapping[str, Any]) -> Any:
+        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
 
 
 @dataclass(frozen=True)
-class InlineBackendConfig:
+class InlineBackendConfig(_StoredConfig):
     """Serial execution in the submitting process (the reference path)."""
 
     kind: ClassVar[str] = "inline"
+    jobs: ClassVar[int] = 1
 
     timeout_s: Optional[float] = None
     retries: int = 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, "timeout_s": self.timeout_s, "retries": self.retries}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "InlineBackendConfig":
-        return cls(
-            timeout_s=data.get("timeout_s"),
-            retries=int(data.get("retries", 1)),
-        )
-
 
 @dataclass(frozen=True)
-class PoolBackendConfig:
+class PoolBackendConfig(_StoredConfig):
     """Process-pool fan-out across ``jobs`` workers."""
 
     kind: ClassVar[str] = "pool"
@@ -59,123 +52,19 @@ class PoolBackendConfig:
     timeout_s: Optional[float] = None
     retries: int = 1
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "jobs": self.jobs,
-            "timeout_s": self.timeout_s,
-            "retries": self.retries,
-        }
 
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "PoolBackendConfig":
-        return cls(
-            jobs=int(data.get("jobs", 2)),
-            timeout_s=data.get("timeout_s"),
-            retries=int(data.get("retries", 1)),
-        )
+BackendConfig = Union[InlineBackendConfig, PoolBackendConfig]
+_CONFIGS = {config.kind: config for config in (InlineBackendConfig, PoolBackendConfig)}
 
 
-class ExecutorBackend:
-    """Backend over :class:`~repro.experiments.exec.ExperimentExecutor`.
-
-    ``jobs=1`` is the inline backend; ``jobs>1`` the pool.  The batch
-    knobs that belong to the *campaign* rather than the backend (cache
-    location, journal, keep-going, the per-job callback) arrive per
-    ``run`` call.
-    """
-
-    def __init__(self, jobs: int, timeout_s: Optional[float], retries: int) -> None:
-        self.jobs = int(jobs)
-        self.timeout_s = timeout_s
-        self.retries = int(retries)
-
-    def run(
-        self,
-        specs: Sequence[Any],
-        cache_dir: Optional[str] = None,
-        journal: Any = None,
-        progress: Any = None,
-        keep_going: bool = False,
-        on_job: Optional[Callable[[JobOutcome], None]] = None,
-    ) -> List[Any]:
-        with ExperimentExecutor(
-            jobs=self.jobs,
-            cache_dir=cache_dir,
-            timeout_s=self.timeout_s,
-            retries=self.retries,
-            progress=progress,
-            journal=journal,
-            keep_going=keep_going,
-            on_job=on_job,
-        ) as executor:
-            return executor.run(specs)
-
-
-_BackendFactory = Callable[[Any], Any]
-_ConfigParser = Callable[[Mapping[str, Any]], Any]
-
-_BACKENDS: Dict[str, _BackendFactory] = {}
-_CONFIG_PARSERS: Dict[str, _ConfigParser] = {}
-
-
-def register_backend(
-    kind: str, from_dict: _ConfigParser, factory: _BackendFactory
-) -> None:
-    """Register (or replace) a backend kind.
-
-    ``from_dict`` rebuilds the frozen config from its stored form;
-    ``factory`` turns a config into a live backend.
-    """
-    _CONFIG_PARSERS[kind] = from_dict
-    _BACKENDS[kind] = factory
-
-
-def registered_backend_kinds() -> FrozenSet[str]:
-    """Every kind :func:`build` can realize."""
-    return frozenset(_BACKENDS)
-
-
-def backend_config_from_dict(data: Mapping[str, Any]) -> Any:
+def backend_config_from_dict(data: Mapping[str, Any]) -> BackendConfig:
     """Rebuild a frozen backend config from its stored dict form."""
     kind = data.get("kind")
-    if kind not in _CONFIG_PARSERS:
+    if kind not in _CONFIGS:
         raise ValueError(
-            f"unknown backend kind {kind!r}; "
-            f"registered: {sorted(_CONFIG_PARSERS)}"
+            f"unknown backend kind {kind!r}; known: {sorted(_CONFIGS)}"
         )
-    return _CONFIG_PARSERS[kind](data)
+    return _CONFIGS[kind].from_dict(data)
 
 
-def build(config: Any) -> Any:
-    """The config-first entry point: a frozen backend config in, a live
-    backend out.  Always returns a fresh instance."""
-    kind = getattr(config, "kind", None)
-    if not isinstance(kind, str) or kind not in _BACKENDS:
-        raise TypeError(
-            f"cannot build a backend from {type(config).__name__}; "
-            f"registered kinds: {sorted(_BACKENDS)}"
-        )
-    return _BACKENDS[kind](config)
-
-
-register_backend(
-    "inline",
-    InlineBackendConfig.from_dict,
-    lambda config: ExecutorBackend(1, config.timeout_s, config.retries),
-)
-register_backend(
-    "pool",
-    PoolBackendConfig.from_dict,
-    lambda config: ExecutorBackend(config.jobs, config.timeout_s, config.retries),
-)
-
-__all__ = [
-    "InlineBackendConfig",
-    "PoolBackendConfig",
-    "ExecutorBackend",
-    "register_backend",
-    "registered_backend_kinds",
-    "backend_config_from_dict",
-    "build",
-]
+__all__ = ["InlineBackendConfig", "PoolBackendConfig", "backend_config_from_dict"]

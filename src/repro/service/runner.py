@@ -1,10 +1,11 @@
 """The campaign runner: submit, drain, requeue, fetch.
 
-:class:`CampaignRunner` ties the three service pieces together -- the
-SQLite :class:`~repro.service.store.CampaignStore`, a backend built from
-a frozen config (:mod:`repro.service.backends`), and the executor's
-cache/journal machinery -- into the submit/run/rerun loop every sweep
-needs::
+:class:`CampaignRunner` is durable state over the one engine: jobs live
+in the SQLite :class:`~repro.service.store.CampaignStore`, a drain claims
+the pending ones and runs them through an
+:class:`~repro.experiments.exec.ExperimentExecutor` it constructs from
+the campaign's stored config (:mod:`repro.service.backends`), and the
+executor's per-job outcomes move the store's state machine::
 
     from repro.service import CampaignRunner, CampaignStore, PoolBackendConfig
 
@@ -35,10 +36,14 @@ from __future__ import annotations
 import os
 from typing import Any, Callable, Dict, List, Optional, Sequence, Union
 
-from repro.experiments.exec import FailedRun, JobOutcome, ResultCache
+from repro.experiments.exec import ExperimentExecutor, FailedRun, JobOutcome, ResultCache
 from repro.experiments.spec import result_from_dict, spec_from_dict, spec_hash
 from repro.obs.journal import RunJournal
-from repro.service import backends as _backends
+from repro.service.backends import (
+    BackendConfig,
+    InlineBackendConfig,
+    backend_config_from_dict,
+)
 from repro.service.store import DONE, PENDING, CampaignStore
 
 PathLike = Union[str, "os.PathLike[str]"]
@@ -49,16 +54,16 @@ class CampaignError(RuntimeError):
 
 
 class CampaignRunner:
-    """Drive one named campaign through a configured backend.
+    """Drive one named campaign through the executor.
 
     Parameters
     ----------
     store: the campaign store (shared by any number of campaigns).
     name: campaign name; reopening an existing name resumes it.
     backend: a frozen backend config (``InlineBackendConfig`` /
-        ``PoolBackendConfig`` / any registered kind).  Omitted, the
-        campaign's stored config is used (resuming), falling back to
-        inline for a brand-new campaign.
+        ``PoolBackendConfig``): the executor's ``jobs``, ``timeout_s``
+        and ``retries``.  Omitted, the campaign's stored config is used
+        (resuming), falling back to inline for a brand-new campaign.
     cache_dir: the content-addressed result cache -- required, because
         campaign results live in the cache (the store only keeps paths).
     journal: optional journal path; records are additionally indexed
@@ -82,7 +87,7 @@ class CampaignRunner:
         self,
         store: CampaignStore,
         name: str,
-        backend: Optional[Any] = None,
+        backend: Optional[BackendConfig] = None,
         cache_dir: Optional[PathLike] = None,
         journal: Optional[PathLike] = None,
         max_attempts: int = 3,
@@ -99,6 +104,7 @@ class CampaignRunner:
         self.store = store
         self.name = name
         self.cache_dir = str(cache_dir)
+        self.cache = ResultCache(self.cache_dir)
         self.journal_path = None if journal is None else str(journal)
         self.max_attempts = int(max_attempts)
         self.progress = progress
@@ -109,9 +115,9 @@ class CampaignRunner:
         existing = store.campaign(name)
         if backend is None:
             if existing is not None:
-                backend = _backends.backend_config_from_dict(existing.backend)
+                backend = backend_config_from_dict(existing.backend)
             else:
-                backend = _backends.InlineBackendConfig()
+                backend = InlineBackendConfig()
         self.backend_config = backend
         self.campaign_id = store.ensure_campaign(
             name, backend.to_dict(), cache_dir=self.cache_dir
@@ -125,7 +131,7 @@ class CampaignRunner:
     def drain(
         self, limit: Optional[int] = None, reset_orphans: bool = True
     ) -> Dict[str, int]:
-        """Run pending jobs through the backend until none remain.
+        """Run pending jobs through the executor until none remain.
 
         Orphaned ``running`` jobs (a previous drain died) are reset
         first -- pass ``reset_orphans=False`` when several drainers
@@ -153,8 +159,6 @@ class CampaignRunner:
         if claimed:
             specs = [spec_from_dict(job.spec) for job in claimed]
 
-            cache = ResultCache(self.cache_dir)
-
             def on_job(outcome: JobOutcome) -> None:
                 if outcome.status == "failed":
                     self.store.mark_failed(
@@ -169,7 +173,7 @@ class CampaignRunner:
                     self.store.mark_done(
                         self.campaign_id,
                         outcome.spec_hash,
-                        result_path=str(cache.path_for(outcome.spec_hash)),
+                        result_path=str(self.cache.path_for(outcome.spec_hash)),
                         wall_s=outcome.wall_s,
                     )
                 if self.on_outcome is not None:
@@ -187,15 +191,16 @@ class CampaignRunner:
                     observer=observe,
                     **self.journal_kwargs,
                 )
-            backend = _backends.build(self.backend_config)
-            backend.run(
-                specs,
+            ExperimentExecutor(
+                jobs=self.backend_config.jobs,
                 cache_dir=self.cache_dir,
-                journal=journal,
+                timeout_s=self.backend_config.timeout_s,
+                retries=self.backend_config.retries,
                 progress=self.progress,
+                journal=journal,
                 keep_going=True,
                 on_job=on_job,
-            )
+            ).run(specs)
         return self.status()
 
     def requeue(self) -> int:
@@ -221,7 +226,6 @@ class CampaignRunner:
             wanted = [
                 (job.spec_hash, job.kind) for job in self.store.jobs(self.campaign_id)
             ]
-        cache = ResultCache(self.cache_dir)
         results: List[Any] = []
         for key, kind in wanted:
             job = self.store.job(self.campaign_id, key)
@@ -231,11 +235,11 @@ class CampaignRunner:
                     f"job {key[:12]} ({kind}) is {state}, not done; "
                     "drain (and maybe requeue) the campaign first"
                 )
-            entry = cache.get(key)
-            if entry is None:
+            entry = self.cache.get(key)
+            if entry is None or entry["kind"] != kind:
                 raise CampaignError(
                     f"job {key[:12]} is done but its cache entry is gone "
-                    f"(expected at {cache.path_for(key)})"
+                    f"(expected a {kind} result at {self.cache.path_for(key)})"
                 )
             results.append(result_from_dict(kind, entry["result"]))
         return results

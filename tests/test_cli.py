@@ -60,6 +60,24 @@ class TestCommands:
         ]) == 0
         assert "ideal bit rate" in capsys.readouterr().out
 
+    def test_no_cache_bypasses_configured_dir(self, tmp_path, capsys, monkeypatch):
+        from repro.experiments.exec import ResultCache
+
+        argv = [
+            "streaming", "--scheduler", "ecf", "--video", "10",
+            "--cache-dir", str(tmp_path),
+        ]
+        assert main(argv) == 0
+        assert len(ResultCache(tmp_path)) == 1
+        warm = capsys.readouterr().out
+        # --no-cache: fresh runs, nothing read or written.
+        touched = []
+        monkeypatch.setattr(ResultCache, "get", lambda self, key: touched.append(key))
+        monkeypatch.setattr(ResultCache, "put", lambda self, key, _: touched.append(key))
+        assert main(argv + ["--no-cache"]) == 0
+        assert touched == []
+        assert capsys.readouterr().out == warm
+
     def test_web_runs(self, capsys):
         assert main(["web", "--scheduler", "minrtt", "--wifi", "5", "--lte", "5"]) == 0
         assert "page load" in capsys.readouterr().out

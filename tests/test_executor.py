@@ -7,6 +7,8 @@ and (property-based) lossless spec round trips.
 
 import dataclasses
 import json
+import os
+import signal
 import time
 
 import pytest
@@ -17,13 +19,14 @@ from repro.apps.bulk import BulkDownloadSpec
 from repro.experiments.exec import (
     ExperimentError,
     ExperimentExecutor,
+    FailedRun,
     ResultCache,
     RunTimeoutError,
-    run_specs,
 )
 from repro.experiments.grid import streaming_grid, wget_matrix
 from repro.experiments.runner import StreamingRunConfig, StreamingSpec
 from repro.experiments.spec import (
+    SCHEMA_VERSION,
     canonical_json,
     register_experiment,
     run_spec,
@@ -92,21 +95,22 @@ class TestCacheBehavior:
         resumed.run(specs)
         assert resumed.stats.cached == 2 and resumed.stats.executed == 2
 
-    def test_no_cache_bypasses_configured_dir(self, tmp_path):
-        specs = bulk_specs(2)
-        ExperimentExecutor(cache_dir=tmp_path).run(specs)
-        fresh = ExperimentExecutor(cache_dir=tmp_path, use_cache=False)
-        fresh.run(specs)
-        assert fresh.stats.executed == 2 and fresh.stats.cached == 0
-
     def test_corrupt_entry_reads_as_miss(self, tmp_path):
         spec = bulk_specs(1)[0]
-        ExperimentExecutor(cache_dir=tmp_path).run([spec])
         cache = ResultCache(tmp_path)
-        cache.path_for(spec_hash(spec)).write_text("{ truncated")
-        again = ExperimentExecutor(cache_dir=tmp_path)
-        again.run([spec])
-        assert again.stats.executed == 1
+        half_written = json.dumps({"schema_version": SCHEMA_VERSION})
+        wrong_kind = json.dumps(
+            {"schema_version": SCHEMA_VERSION, "kind": "streaming", "result": {}}
+        )
+        for text in ("{ truncated", half_written, wrong_kind):
+            ExperimentExecutor(cache_dir=tmp_path).run([spec])
+            cache.path_for(spec_hash(spec)).write_text(text)
+            assert text is wrong_kind or cache.get(spec_hash(spec)) is None
+            again = ExperimentExecutor(cache_dir=tmp_path)
+            again.run([spec])
+            assert again.stats.executed == 1, text
+            # ...and the rerun healed the entry.
+            assert cache.get(spec_hash(spec))["kind"] == "bulk_download"
 
     def test_cache_entry_is_self_describing(self, tmp_path):
         spec = bulk_specs(1)[0]
@@ -120,8 +124,8 @@ class TestCacheBehavior:
 class TestParallelDeterminism:
     def test_jobs1_vs_jobsN_byte_identical(self):
         specs = bulk_specs(5)
-        serial = run_specs(specs, jobs=1)
-        parallel = run_specs(specs, jobs=3)
+        serial = ExperimentExecutor(jobs=1).run(specs)
+        parallel = ExperimentExecutor(jobs=3).run(specs)
         for a, b in zip(serial, parallel):
             assert canonical_json(a.to_dict()) == canonical_json(b.to_dict())
 
@@ -150,7 +154,7 @@ class TestParallelDeterminism:
             )
             for w in (0.3, 8.6, 1.1)
         ]
-        results = run_specs(specs, jobs=3)
+        results = ExperimentExecutor(jobs=3).run(specs)
         for spec, result in zip(specs, results):
             assert result.size == spec.size
             assert result.scheduler == spec.scheduler
@@ -243,6 +247,59 @@ class TestTimeoutAndRetry:
 
     def test_run_timeout_error_is_a_runtime_error(self):
         assert issubclass(RunTimeoutError, RuntimeError)
+
+
+@dataclasses.dataclass(frozen=True)
+class PoisonSpec:
+    """Test-only spec whose run SIGKILLs the process it runs in."""
+
+    kind = "test_poison"
+
+    def to_dict(self):
+        return {}
+
+    @classmethod
+    def from_dict(cls, data):
+        return cls()
+
+
+def _run_poison(spec: PoisonSpec):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+
+register_experiment("test_poison", PoisonSpec.from_dict, _run_poison, SlowResult.from_dict)
+
+
+class TestWorkerDeath:
+    """A killed pool worker breaks every outstanding future; only the
+    job that keeps killing its worker may end up failed."""
+
+    @staticmethod
+    def _batch():
+        specs = bulk_specs(7, size=16 * 1024)
+        specs.insert(3, PoisonSpec())
+        return specs
+
+    def test_only_the_poison_job_fails(self):
+        outcomes = []
+        executor = ExperimentExecutor(
+            jobs=2, retries=1, keep_going=True, on_job=outcomes.append
+        )
+        results = executor.run(self._batch())
+        failed = [r for r in results if isinstance(r, FailedRun)]
+        assert [(f.kind, f.error_type) for f in failed] == [
+            ("test_poison", "BrokenProcessPool")
+        ]
+        assert results.index(failed[0]) == 3
+        assert executor.stats.executed == 7 and executor.stats.failed == 1
+        assert sorted(o.index for o in outcomes) == list(range(8))
+        (poison,) = [o for o in outcomes if o.status == "failed"]
+        assert poison.attempts == 2  # charged against retries=1
+        assert 1 <= executor.stats.retried <= 5  # the poison job + its window
+
+    def test_fail_fast_raises_experiment_error(self):
+        with pytest.raises(ExperimentError):
+            ExperimentExecutor(jobs=2, retries=1).run(self._batch())
 
 
 path_config_st = st.builds(
@@ -399,3 +456,108 @@ class TestWildAndMatrixThroughExecutor:
         warm = ExperimentExecutor(cache_dir=tmp_path)
         wget_matrix(("minrtt", "ecf"), (64 * 1024,), (1.0,), (2.0, 8.0), executor=warm)
         assert warm.stats.executed == 0 and warm.stats.cached == 4
+
+
+# ----------------------------------------------------------------------
+# The pipeline parity table: one spec -> one outcome, whatever the path
+# ----------------------------------------------------------------------
+
+#: case -> (executor knobs, statuses of [innocent bulk job, the case's job],
+#: attempts, retried).  The second job is what the case is about.
+PIPELINE_CASES = {
+    "executed": ({}, ["executed", "executed"], [1, 1], 0),
+    "cached": ({}, ["cached", "cached"], [0, 0], 0),
+    "timeout_then_success": (
+        {"timeout_s": 0.5, "retries": 1}, ["executed", "executed"], [1, 2], 1,
+    ),
+    "timeout_exhausted": (
+        {"timeout_s": 0.5, "retries": 0}, ["executed", "failed"], [1, 1], 0,
+    ),
+    "error": ({"retries": 1}, ["executed", "failed"], [1, 1], 0),
+}
+
+
+def _pipeline_specs(case, tmp_path):
+    from tests.test_service import FlakySpec
+
+    innocent, other = bulk_specs(2, size=16 * 1024)
+    if case.startswith("timeout"):
+        other = SlowSpec(marker=str(tmp_path / "marker"))
+    elif case == "error":
+        other = FlakySpec(marker=str(tmp_path / "marker"), succeed_after=99)
+    return [innocent, other]
+
+
+@pytest.mark.parametrize("keep_going", [False, True])
+@pytest.mark.parametrize("case", sorted(PIPELINE_CASES))
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pipeline_parity(jobs, case, keep_going, tmp_path):
+    from repro.obs.journal import read_journal
+
+    knobs, statuses, attempts, retried = PIPELINE_CASES[case]
+    specs = _pipeline_specs(case, tmp_path)
+    hashes = [spec_hash(spec) for spec in specs]
+    cache_dir = tmp_path / "cache"
+    if case == "cached":
+        ExperimentExecutor(cache_dir=cache_dir).run(specs)
+    outcomes, ticks = [], []
+    executor = ExperimentExecutor(
+        jobs=jobs,
+        cache_dir=cache_dir,
+        progress=ticks.append,
+        journal=tmp_path / "journal.jsonl",
+        keep_going=keep_going,
+        on_job=outcomes.append,
+        **knobs,
+    )
+    fails = "failed" in statuses
+    if fails and not keep_going:
+        with pytest.raises(RuntimeError) as raised:
+            executor.run(specs)
+        # An exhausted timeout is wrapped; anything else propagates as is.
+        wanted = ExperimentError if case == "timeout_exhausted" else RuntimeError
+        assert type(raised.value) is wanted
+        # Fail-fast may stop before the innocent job resolves.
+        assert len(outcomes) <= len(specs)
+        assert [o.status for o in outcomes if o.index == 1] == ["failed"]
+    else:
+        results = executor.run(specs)
+        assert sorted(o.index for o in outcomes) == [0, 1]
+        by_index = {o.index: o for o in outcomes}
+        assert [by_index[i].status for i in (0, 1)] == statuses
+        assert [by_index[i].attempts for i in (0, 1)] == attempts
+        if fails:
+            failed = results[1]
+            assert isinstance(failed, FailedRun)
+            assert failed.spec_hash == hashes[1] and failed.kind == specs[1].kind
+            assert by_index[1].error == {
+                "type": failed.error_type, "message": failed.error_message,
+            }
+        else:
+            assert not any(isinstance(r, FailedRun) for r in results)
+        assert ticks[-1].done == ticks[-1].total == len(specs)
+
+    # The journal's job records are the outcomes, field for field;
+    # error/postmortem appear on failures only.
+    records = [r for r in read_journal(tmp_path / "journal.jsonl") if r["record"] == "job"]
+    assert len(records) == len(outcomes)
+    for record, outcome in zip(records, outcomes):
+        assert outcome.spec_hash == hashes[outcome.index]
+        assert outcome.kind == specs[outcome.index].kind
+        names = ["spec_hash", "kind", "status", "wall_s", "attempts"]
+        if outcome.status == "failed":
+            names += ["error", "postmortem"]
+            timed_out = case.startswith("timeout")
+            assert outcome.error["type"] == ("RunTimeoutError" if timed_out else "RuntimeError")
+        body = {k: v for k, v in record.items() if k not in ("record", "seq", "wall")}
+        assert body == {name: getattr(outcome, name) for name in names}
+
+    # One tick per outcome; the last tick's totals are the stats.
+    assert len(ticks) == len(outcomes)
+    tally = {status: sum(o.status == status for o in outcomes) for status in
+             ("executed", "cached", "failed")}
+    last = ticks[-1]
+    assert (last.executed, last.cached, last.failed) == tuple(tally.values())
+    assert last.retried == executor.stats.retried == retried
+    # Under fail-fast the failed job aborts the batch instead of counting as done.
+    assert last.done == len(outcomes) - (0 if keep_going else tally["failed"])

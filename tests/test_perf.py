@@ -115,32 +115,32 @@ class TestAttachPerf:
 
 class TestExecutorIntegration:
     def test_repro_perf_attaches_record(self, monkeypatch, tmp_path):
-        from repro.experiments.exec import run_specs
+        from repro.experiments.exec import ExperimentExecutor
 
         monkeypatch.setenv(perf.ENV_VAR, "1")
-        [result] = run_specs([SMALL_BULK], cache_dir=tmp_path)
+        [result] = ExperimentExecutor(cache_dir=tmp_path).run([SMALL_BULK])
         assert result.perf is not None
         assert result.perf["events"] > 0
         assert result.perf["counters"]["packets_delivered"] > 0
 
     def test_cache_entries_stay_perf_free(self, monkeypatch, tmp_path):
-        from repro.experiments.exec import run_specs
+        from repro.experiments.exec import ExperimentExecutor
 
         monkeypatch.setenv(perf.ENV_VAR, "1")
-        [first] = run_specs([SMALL_BULK], cache_dir=tmp_path)
+        [first] = ExperimentExecutor(cache_dir=tmp_path).run([SMALL_BULK])
         assert first.perf is not None
         # The hit must rebuild from a deterministic (perf-free) entry.
-        [second] = run_specs([SMALL_BULK], cache_dir=tmp_path)
+        [second] = ExperimentExecutor(cache_dir=tmp_path).run([SMALL_BULK])
         assert second.perf is None
         assert canonical_json(second.to_dict()) == canonical_json(
             run_bulk(SMALL_BULK).to_dict()
         )
 
     def test_disabled_by_default(self, monkeypatch, tmp_path):
-        from repro.experiments.exec import run_specs
+        from repro.experiments.exec import ExperimentExecutor
 
         monkeypatch.delenv(perf.ENV_VAR, raising=False)
-        [result] = run_specs([SMALL_BULK], cache_dir=tmp_path)
+        [result] = ExperimentExecutor(cache_dir=tmp_path).run([SMALL_BULK])
         assert result.perf is None
 
 

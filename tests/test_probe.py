@@ -3,7 +3,8 @@
 Three guarantees the refactor rests on:
 
 * **layering** -- nothing under ``repro.sim|net|tcp|mptcp|core`` imports
-  ``repro.analysis|obs|perf`` (or the package root) at any scope;
+  ``repro.analysis|obs|perf|experiments|service`` (or the package root)
+  at any scope;
 * **composition** -- any subset of the five tools armed together leaves
   results byte-identical, the event log record-identical, and the
   sanitizer ahead of every recorder;
@@ -32,7 +33,9 @@ from repro.sim import probe
 from repro.sim.engine import Simulator, Timer
 
 CORE = ("repro.sim", "repro.net", "repro.tcp", "repro.mptcp", "repro.core")
-ABOVE = ("repro.analysis", "repro.obs", "repro.perf")
+ABOVE = (
+    "repro.analysis", "repro.obs", "repro.perf", "repro.experiments", "repro.service",
+)
 
 
 def _under(module, packages):

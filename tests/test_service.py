@@ -1,7 +1,7 @@
 """Tests for the campaign service (repro.service).
 
 Covers the store's state machine and durability, backend-config round
-trips through the registry, and the runner's submit/drain/requeue/fetch
+trips through the store, and the runner's submit/drain/requeue/fetch
 loop -- including the acceptance path: a campaign killed mid-drain
 resumes from SQLite without re-simulating finished jobs (proved by
 "cached" journal records).
@@ -13,7 +13,9 @@ from pathlib import Path
 
 import pytest
 
+import repro
 from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec
+from repro.experiments.exec import ResultCache
 from repro.experiments.grid import wget_matrix
 from repro.experiments.spec import register_experiment, spec_hash
 from repro.net.profiles import lte_config, wifi_config
@@ -25,11 +27,7 @@ from repro.service import (
     PoolBackendConfig,
     TransitionError,
     backend_config_from_dict,
-    build,
-    register_backend,
-    registered_backend_kinds,
 )
-from repro.service.backends import ExecutorBackend
 
 
 def bulk_specs(n=3, size=64 * 1024):
@@ -221,33 +219,12 @@ class TestBackendConfigs:
             stored = store.campaign("sweep").backend
             assert backend_config_from_dict(stored) == config
 
-    def test_build_realizes_fresh_instances(self):
-        config = PoolBackendConfig(jobs=4)
-        a, b = build(config), build(config)
-        assert isinstance(a, ExecutorBackend)
-        assert a is not b
-        assert a.jobs == 4
-        assert build(InlineBackendConfig()).jobs == 1
-
     def test_build_rejects_unknown_configs(self):
+        # A backend config is a stored value, not a construction spec.
         with pytest.raises(TypeError):
-            build(object())
+            repro.build(PoolBackendConfig())
         with pytest.raises(ValueError):
             backend_config_from_dict({"kind": "warp-cluster"})
-
-    def test_register_backend_extends_the_registry(self):
-        @dataclasses.dataclass(frozen=True)
-        class NullConfig:
-            kind = "test_null"
-
-            def to_dict(self):
-                return {"kind": self.kind}
-
-        marker = object()
-        register_backend("test_null", lambda data: NullConfig(), lambda c: marker)
-        assert "test_null" in registered_backend_kinds()
-        assert build(NullConfig()) is marker
-        assert backend_config_from_dict({"kind": "test_null"}) == NullConfig()
 
 
 class TestCampaignRunner:
@@ -313,6 +290,42 @@ class TestCampaignRunner:
             assert counts["done"] == 3
             jobs = store.journal_records(runner.campaign_id, record="job")
             assert [r["status"] for r in jobs] == ["cached"] * 3
+
+    def test_cli_redrain_against_a_fresh_store_is_all_cache_hits(self, tmp_path, capsys):
+        """The CI ``campaign`` job's journal assertion, runnable locally."""
+        from repro.cli import main
+        from repro.obs.journal import read_journal
+
+        def submit(db):
+            return main([
+                "campaign", "submit", "ci-grid", "--db", str(tmp_path / db),
+                "--cache-dir", str(tmp_path / "cache"),
+                "--sweep", "grid", "--scheduler", "ecf", "--video", "10",
+                "--wifi-grid", "0.7", "8.6", "--lte-grid", "0.7", "8.6",
+            ])
+
+        assert submit("first.db") == 0
+        assert submit("resume.db") == 0
+        assert "done=4 failed=0 pending=0 running=0" in capsys.readouterr().out
+        jobs = [
+            record
+            for record in read_journal(tmp_path / "resume.journal.jsonl")
+            if record["record"] == "job"
+        ]
+        assert [job["status"] for job in jobs] == ["cached"] * 4
+
+    def test_fetch_refuses_a_half_written_or_foreign_cache_entry(self, tmp_path):
+        (spec,) = bulk_specs(1)
+        with CampaignStore(tmp_path / "c.db") as store:
+            runner = CampaignRunner(store, "sweep", cache_dir=tmp_path / "cache")
+            runner.run([spec])
+            cache = ResultCache(tmp_path / "cache")
+            entry = cache.get(spec_hash(spec))
+            half_written = {"schema_version": entry["schema_version"]}
+            for broken in (half_written, {**entry, "kind": "streaming"}):
+                cache.put(spec_hash(spec), broken)
+                with pytest.raises(CampaignError):
+                    runner.fetch([spec])
 
     def test_failed_job_requeues_then_succeeds(self, tmp_path):
         spec = FlakySpec(marker=str(tmp_path / "marker"), succeed_after=2)
