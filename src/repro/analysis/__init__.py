@@ -8,9 +8,9 @@ Four layers guard the simulator's invariants:
   out-of-engine event-queue manipulation), fronting the whole-program
   engine in :mod:`repro.analysis.flow` (import graph, call graph,
   taint dataflow) whose RPR8xx rules live in
-  :mod:`repro.analysis.rules8xx`, with SARIF output
-  (:mod:`repro.analysis.sarif`) and a committed findings baseline
-  (:mod:`repro.analysis.baseline`);
+  :mod:`repro.analysis.rules8xx` and the state-model rules (RPR9xx) in
+  :mod:`repro.analysis.state`; one in-memory parse -> facts -> findings
+  pass per run, nothing kept on disk;
 * :mod:`repro.analysis.sanitize` -- runtime invariant checks on the
   state-audit points of the probe seam (:mod:`repro.sim.probe`),
   enabled with ``REPRO_SANITIZE=1`` / ``--sanitize``; the protocol

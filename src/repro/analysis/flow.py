@@ -17,30 +17,23 @@ built from one pass over the sources:
 
 The RPR8xx rule family (:mod:`repro.analysis.rules8xx`) consumes these
 to upgrade the syntactic rules to semantic ones.  The front end that
-ties parsing, caching, and reporting together is
+ties parsing, extraction, and reporting together is
 :func:`repro.analysis.lint.run_lint`.
 
-Incrementality: every module's facts are distilled into a
-:class:`ModuleSummary`, a plain-JSON value cached by file content hash
-(:class:`SummaryCache`).  A warm re-lint of an unchanged tree reads and
-hashes the files but parses **zero** of them -- the whole-program passes
-(graph building, taint propagation) run over cached summaries, which is
-cheap.  ``CacheStats.parsed`` is the counter tests assert on.
+Every module's facts are distilled into a :class:`ModuleSummary` by one
+walk over its AST (:func:`extract_module`); :class:`Project` holds the
+summaries of one run and the graphs and propagations over them.
+Nothing here touches the disk: the analysis is a function of the
+sources it is handed.
 """
 
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 import re
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
-
-#: Bump when the summary shape or the extraction logic changes: stale
-#: cache entries from an older analyzer must not survive an upgrade.
-CACHE_VERSION = 3
 
 #: Dotted call targets that read the wall clock (shared with the
 #: syntactic RPR101; kept here so both layers agree on the source set).
@@ -111,7 +104,7 @@ DIMENSION_SUFFIXES: Tuple[Tuple[str, str], ...] = (
 #: packages that must stay wall-clock- and ambient-RNG-free even
 #: transitively.  Files outside the repro package (fixtures, scripts
 #: linted explicitly) are always in scope.
-DEFAULT_TAINT_SCOPE: Tuple[str, ...] = (
+TAINT_SCOPE: Tuple[str, ...] = (
     "repro.sim",
     "repro.tcp",
     "repro.net",
@@ -139,20 +132,6 @@ class Violation:
 
     def format(self) -> str:
         return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message} ({self.fixit})"
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "path": self.path,
-            "line": self.line,
-            "col": self.col,
-            "code": self.code,
-            "message": self.message,
-            "fixit": self.fixit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "Violation":
-        return cls(**data)
 
 
 def dotted_name(node: ast.expr) -> Optional[str]:
@@ -285,15 +264,6 @@ class CallSite:
     col: int
     loop: Optional[int] = None  # index into ModuleSummary.loops, if inside one
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "caller": self.caller,
-            "callee": self.callee,
-            "line": self.line,
-            "col": self.col,
-            "loop": self.loop,
-        }
-
 
 @dataclass
 class UnorderedLoop:
@@ -305,15 +275,6 @@ class UnorderedLoop:
     col: int
     desc: str  # human description of the iterable
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "index": self.index,
-            "caller": self.caller,
-            "line": self.line,
-            "col": self.col,
-            "desc": self.desc,
-        }
-
 
 @dataclass
 class SpecMutation:
@@ -324,15 +285,6 @@ class SpecMutation:
     caller: str
     detail: str
     cls: Optional[str]  # spec class name if known; None = by-name candidate
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "col": self.col,
-            "caller": self.caller,
-            "detail": self.detail,
-            "cls": self.cls,
-        }
 
 
 @dataclass
@@ -355,19 +307,6 @@ class FieldAssign:
     alias: Optional[str] = None  # local variable the value aliases
     ann: List[str] = field(default_factory=list)  # annotation type names
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "name": self.name,
-            "method": self.method,
-            "line": self.line,
-            "col": self.col,
-            "kind": self.kind,
-            "target": self.target,
-            "shared": self.shared,
-            "alias": self.alias,
-            "ann": list(self.ann),
-        }
-
 
 @dataclass
 class ClassInfo:
@@ -387,40 +326,14 @@ class ClassInfo:
     rebind_line: int = 0
     fields: List[FieldAssign] = field(default_factory=list)
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "line": self.line,
-            "frozen_dataclass": self.frozen_dataclass,
-            "spec_like": self.spec_like,
-            "set_attrs": list(self.set_attrs),
-            "bases": list(self.bases),
-            "is_dataclass": self.is_dataclass,
-            "slots": list(self.slots) if self.slots is not None else None,
-            "slots_line": self.slots_line,
-            "declared_state": (
-                list(self.declared_state) if self.declared_state is not None else None
-            ),
-            "declared_line": self.declared_line,
-            "rebind": list(self.rebind) if self.rebind is not None else None,
-            "rebind_line": self.rebind_line,
-            "fields": [assign.to_dict() for assign in self.fields],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ClassInfo":
-        payload = dict(data)
-        payload["fields"] = [FieldAssign(**f) for f in payload.get("fields", [])]
-        return cls(**payload)
-
 
 @dataclass
 class ModuleSummary:
     """Everything the whole-program passes need from one module.
 
-    Plain-JSON serializable: this is the cache payload.  ``local``
-    holds the already-noqa-filtered per-module findings (syntactic
-    rules plus the intra-module RPR841 pass), so a cache hit skips the
-    per-module rules entirely.
+    ``units`` holds the module's RPR841 findings: dimensions are
+    inferred scope by scope during the extraction walk, so that rule
+    reports from here instead of from a whole-program pass.
     """
 
     module: str
@@ -432,45 +345,7 @@ class ModuleSummary:
     taints: Dict[str, List[Tuple[str, str]]] = field(default_factory=dict)
     loops: List[UnorderedLoop] = field(default_factory=list)
     spec_mutations: List[SpecMutation] = field(default_factory=list)
-    local: List[Violation] = field(default_factory=list)
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "module": self.module,
-            "path": self.path,
-            "functions": dict(self.functions),
-            "classes": {name: info.to_dict() for name, info in self.classes.items()},
-            "imports": dict(self.imports),
-            "calls": [site.to_dict() for site in self.calls],
-            "taints": {
-                qualname: [list(entry) for entry in entries]
-                for qualname, entries in self.taints.items()
-            },
-            "loops": [loop.to_dict() for loop in self.loops],
-            "spec_mutations": [mut.to_dict() for mut in self.spec_mutations],
-            "local": [violation.to_dict() for violation in self.local],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "ModuleSummary":
-        return cls(
-            module=data["module"],
-            path=data["path"],
-            functions=dict(data["functions"]),
-            classes={
-                name: ClassInfo.from_dict(info)
-                for name, info in data["classes"].items()
-            },
-            imports=dict(data["imports"]),
-            calls=[CallSite(**site) for site in data["calls"]],
-            taints={
-                qualname: [tuple(entry) for entry in entries]
-                for qualname, entries in data["taints"].items()
-            },
-            loops=[UnorderedLoop(**loop) for loop in data["loops"]],
-            spec_mutations=[SpecMutation(**mut) for mut in data["spec_mutations"]],
-            local=[Violation.from_dict(v) for v in data["local"]],
-        )
+    units: List[Violation] = field(default_factory=list)
 
 
 # ----------------------------------------------------------------------
@@ -1249,7 +1124,7 @@ class ModuleExtractor(ast.NodeVisitor):
         from repro.analysis.rules8xx import RULES_8XX
 
         summary, fixit = RULES_8XX["RPR841"]
-        self.summary.local.append(
+        self.summary.units.append(
             Violation(
                 path=self.summary.path,
                 line=getattr(node, "lineno", 1),
@@ -1278,13 +1153,8 @@ def extract_module(source: str, path: str, tree: Optional[ast.AST] = None) -> Mo
 class Project:
     """The program: summaries plus the graphs/propagations over them."""
 
-    def __init__(
-        self,
-        summaries: Sequence[ModuleSummary],
-        taint_scope: Sequence[str] = DEFAULT_TAINT_SCOPE,
-    ) -> None:
+    def __init__(self, summaries: Sequence[ModuleSummary]) -> None:
         self.summaries: List[ModuleSummary] = list(summaries)
-        self.taint_scope = tuple(taint_scope)
         self.by_module: Dict[str, ModuleSummary] = {
             summary.module: summary for summary in self.summaries
         }
@@ -1446,87 +1316,5 @@ class Project:
             return True  # explicitly linted external file (fixtures, scripts)
         return any(
             module == prefix or module.startswith(prefix + ".")
-            for prefix in self.taint_scope
+            for prefix in TAINT_SCOPE
         )
-
-
-# ----------------------------------------------------------------------
-# The incremental summary cache
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class CacheStats:
-    """How much work a lint run actually did."""
-
-    files: int = 0
-    parsed: int = 0
-    reused: int = 0
-
-
-class SummaryCache:
-    """Content-hash-keyed store of :class:`ModuleSummary` values.
-
-    The key is the file's SHA-256 plus a signature of the analyzer
-    itself (rule catalog + registry kinds), so editing a file, adding a
-    rule, or registering a new scheduler kind each invalidate exactly
-    what they must.  ``path=None`` gives an inert in-memory cache.
-    """
-
-    def __init__(self, path: Optional[Path], signature: str) -> None:
-        self.path = path
-        self.signature = signature
-        self._entries: Dict[str, Dict[str, Any]] = {}
-        self._dirty = False
-        if path is not None and path.exists():
-            try:
-                data = json.loads(path.read_text())
-            except (ValueError, OSError):
-                data = {}
-            if (
-                data.get("version") == CACHE_VERSION
-                and data.get("signature") == signature
-            ):
-                self._entries = data.get("files", {})
-
-    @staticmethod
-    def digest(source: str) -> str:
-        return hashlib.sha256(source.encode("utf-8")).hexdigest()
-
-    def lookup(self, path: str, sha: str) -> Optional[ModuleSummary]:
-        entry = self._entries.get(path)
-        if entry is None or entry.get("sha") != sha:
-            return None
-        try:
-            return ModuleSummary.from_dict(entry["summary"])
-        except (KeyError, TypeError):
-            return None
-
-    def store(self, path: str, sha: str, summary: ModuleSummary) -> None:
-        self._entries[path] = {"sha": sha, "summary": summary.to_dict()}
-        self._dirty = True
-
-    def save(self) -> None:
-        if self.path is None or not self._dirty:
-            return
-        document = {
-            "version": CACHE_VERSION,
-            "signature": self.signature,
-            "files": self._entries,
-        }
-        self.path.parent.mkdir(parents=True, exist_ok=True)
-        self.path.write_text(json.dumps(document, sort_keys=True))
-        self._dirty = False
-
-
-def analyzer_signature(rules: Iterable[str], registries: Dict[str, Set[str]]) -> str:
-    """Cache signature: rule catalog + registry kind sets + version."""
-    payload = json.dumps(
-        {
-            "version": CACHE_VERSION,
-            "rules": sorted(rules),
-            "registries": {key: sorted(value) for key, value in registries.items()},
-        },
-        sort_keys=True,
-    )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()[:16]

@@ -32,34 +32,34 @@ dataflow built by :mod:`repro.analysis.flow`.
 Each violation carries a fix-it hint.  A rule can be suppressed on one
 line with ``# repro: noqa[RPR101]`` (or all rules with
 ``# repro: noqa``); suppressions are deliberate, so say *why* in a
-neighbouring comment.  Accepted pre-existing findings live in a
-committed baseline (:mod:`repro.analysis.baseline`) instead.
+neighbouring comment.
 
-Use :func:`lint_paths` / :func:`lint_source` programmatically,
-:func:`run_lint` for the full pipeline (incremental cache, baseline,
-stats), or the CLI form which exits non-zero when any violation
+:func:`run_lint` is the whole analyzer, a function of the source tree:
+each file is read and parsed once, the syntactic linter and the flow
+extractor walk the same tree, the whole-program rules run over the
+resulting :class:`~repro.analysis.flow.Project`, and the sorted,
+noqa-filtered findings come back.  Nothing is read from or written to
+disk besides the sources.  :func:`lint_paths` returns just the
+findings, :func:`lint_source` runs the syntactic rules over one
+module's text, and the CLI form exits non-zero when any violation
 survives::
 
     python -m repro.cli lint            # lints the installed repro package
     python -m repro.cli lint src tests  # explicit files or directories
-    python -m repro.cli lint --sarif out.sarif --baseline lint-baseline.json
 """
 
 from __future__ import annotations
 
 import ast
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from repro.analysis import flow as _flow
 from repro.analysis.flow import (
-    CacheStats,
     ModuleSummary,
     Project,
-    SummaryCache,
     Violation,
-    analyzer_signature,
     apply_noqa,
     dotted_name as _dotted_name,
     extract_module,
@@ -506,16 +506,25 @@ def _field_registry(field_name: str) -> str:
     return "scheduler" if field_name == "scheduler" else "congestion_control"
 
 
-def _select_filter(
-    violations: List[Violation], select: Optional[Iterable[str]]
-) -> List[Violation]:
+def _selected(select: Optional[Iterable[str]]) -> Optional[Set[str]]:
+    """The rule codes ``select`` names (None = every rule)."""
     if select is None:
-        return violations
+        return None
     wanted = {code.upper() for code in select}
     unknown = wanted - set(RULES)
     if unknown:
         raise ValueError(f"unknown rule code(s): {sorted(unknown)}")
-    return [v for v in violations if v.code in wanted]
+    return wanted
+
+
+def _report(
+    violations: Iterable[Violation], wanted: Optional[Set[str]]
+) -> List[Violation]:
+    """Select-filtered findings in reporting order."""
+    return sorted(
+        (v for v in violations if wanted is None or v.code in wanted),
+        key=lambda v: (v.path, v.line, v.col, v.code),
+    )
 
 
 def lint_source(
@@ -531,30 +540,25 @@ def lint_source(
     whole library).  The whole-program RPR8xx rules need more than one
     module's text -- they run in :func:`run_lint` / :func:`lint_paths`.
     """
+    wanted = _selected(select)
     tree = ast.parse(source, filename=path)
     linter = _Linter(path, _registries() if registries is None else registries)
     linter.visit(tree)
-    violations = apply_noqa(linter.violations, source)
-    violations = _select_filter(violations, select)
-    return sorted(violations, key=lambda v: (v.path, v.line, v.col, v.code))
+    return _report(apply_noqa(linter.violations, source), wanted)
 
 
 def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     """Expand files/directories into a sorted list of ``.py`` files.
 
-    A ``.py`` path that no longer exists is skipped, not an error:
-    ``--changed`` feeds paths straight from ``git diff``, which happily
-    reports files that were deleted or renamed away.  Anything else
-    that does not exist is still a hard error (a typoed directory
-    silently linting nothing would be worse).
+    Anything that is neither a directory nor an existing ``.py`` file
+    is an error: a typoed path silently linting nothing would be worse.
     """
     files: Set[Path] = set()
     for path in paths:
         if path.is_dir():
             files.update(path.rglob("*.py"))
-        elif path.suffix == ".py":
-            if path.is_file():
-                files.add(path)
+        elif path.suffix == ".py" and path.is_file():
+            files.add(path)
         else:
             raise FileNotFoundError(f"not a python file or directory: {path}")
     return sorted(files)
@@ -562,98 +566,49 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
 
 @dataclass
 class LintRun:
-    """Everything one pipeline run produced.
+    """What one analysis produced: the findings and the program model."""
 
-    ``violations`` is what gates CI (noqa-, select-, and
-    baseline-filtered); ``all_violations`` is the pre-baseline view
-    ``--update-baseline`` snapshots; ``stats`` carries the cache
-    counters the incremental tests assert on.
-    """
-
-    violations: List[Violation] = field(default_factory=list)
-    all_violations: List[Violation] = field(default_factory=list)
-    suppressed: int = 0
-    stats: CacheStats = field(default_factory=CacheStats)
-    project: Optional[Project] = None
+    violations: List[Violation]
+    project: Project
 
 
 def run_lint(
     paths: Sequence,
     select: Optional[Iterable[str]] = None,
     registries: Optional[Dict[str, Set[str]]] = None,
-    cache_path: Optional[Path] = None,
-    baseline: Optional[Dict] = None,
-    only_paths: Optional[Set[str]] = None,
-    taint_scope: Sequence[str] = _flow.DEFAULT_TAINT_SCOPE,
 ) -> LintRun:
-    """The full pipeline: parse (or reuse), analyze, filter, report.
+    """Parse -> facts -> findings over every ``.py`` file under ``paths``.
 
-    Per file: read + hash, then either reuse the cached
-    :class:`~repro.analysis.flow.ModuleSummary` (which carries the
-    already-noqa'd per-module findings) or parse once and run both the
-    syntactic linter and the flow extractor over the same tree.  The
-    whole-program passes then run over all summaries -- cached or fresh
-    -- and their findings get noqa'd against the sources read for
-    hashing.  ``only_paths`` (``--changed``) restricts *reporting* to
-    those files while still analyzing the whole program, so an
-    interprocedural finding in a changed file still sees its unchanged
-    callees.
+    ``select`` restricts the reported rule codes; ``registries``
+    overrides the kind-name sets RPR501 resolves against.  A file that
+    does not parse raises :class:`SyntaxError`, an unknown code
+    :class:`ValueError`, a missing path :class:`FileNotFoundError`.
     """
+    wanted = _selected(select)
     if registries is None:
         registries = _registries()
-    signature = analyzer_signature(RULES, registries)
-    cache = SummaryCache(cache_path, signature)
-    stats = CacheStats()
     summaries: List[ModuleSummary] = []
     sources: Dict[str, str] = {}
+    found: List[Violation] = []
     for file_path in iter_python_files([Path(p) for p in paths]):
         key = str(file_path)
-        source = file_path.read_text()
-        sources[key] = source
-        sha = SummaryCache.digest(source)
-        stats.files += 1
-        summary = cache.lookup(key, sha)
-        if summary is None:
-            stats.parsed += 1
-            tree = ast.parse(source, filename=key)
-            linter = _Linter(key, registries)
-            linter.visit(tree)
-            summary = extract_module(source, key, tree=tree)
-            # Per-module findings (syntactic + RPR841 from the extractor)
-            # are noqa'd here and cached noqa'd: the noqa comment lives in
-            # the same file, so the content hash covers it.
-            summary.local = apply_noqa(summary.local + linter.violations, source)
-            cache.store(key, sha, summary)
-        else:
-            stats.reused += 1
-        summaries.append(summary)
-    cache.save()
+        sources[key] = source = file_path.read_text()
+        tree = ast.parse(source, filename=key)
+        linter = _Linter(key, registries)
+        linter.visit(tree)
+        found.extend(linter.violations)
+        summaries.append(extract_module(source, key, tree=tree))
+    project = Project(summaries)
+    found.extend(flow_violations(project))
+    found.extend(state_violations(project))
 
-    project = Project(summaries, taint_scope=taint_scope)
-    per_file: Dict[str, List[Violation]] = {}
-    for summary in summaries:
-        per_file.setdefault(summary.path, []).extend(summary.local)
-    for violation in flow_violations(project):
-        per_file.setdefault(violation.path, []).append(violation)
-    for violation in state_violations(project):
-        per_file.setdefault(violation.path, []).append(violation)
-    merged: List[Violation] = []
-    for path_key, violations in per_file.items():
-        merged.extend(apply_noqa(violations, sources.get(path_key, "")))
-    merged = _select_filter(merged, select)
-    if only_paths is not None:
-        resolved = {str(Path(p).resolve()) for p in only_paths}
-        merged = [v for v in merged if str(Path(v.path).resolve()) in resolved]
-    merged.sort(key=lambda v: (v.path, v.line, v.col, v.code))
-
-    run = LintRun(all_violations=merged, stats=stats, project=project)
-    if baseline is not None:
-        from repro.analysis.baseline import apply_baseline
-
-        run.violations, run.suppressed = apply_baseline(merged, baseline)
-    else:
-        run.violations = merged
-    return run
+    by_path: Dict[str, List[Violation]] = {}
+    for violation in found:
+        by_path.setdefault(violation.path, []).append(violation)
+    kept: List[Violation] = []
+    for path_key, violations in by_path.items():
+        kept.extend(apply_noqa(violations, sources[path_key]))
+    return LintRun(violations=_report(kept, wanted), project=project)
 
 
 def lint_paths(
@@ -661,8 +616,8 @@ def lint_paths(
 ) -> List[Violation]:
     """Lint files and/or directory trees; returns all violations.
 
-    Runs the full rule set -- syntactic and whole-program -- without a
-    cache or baseline.  :func:`run_lint` exposes both.
+    Runs the full rule set, syntactic and whole-program;
+    :func:`run_lint` also hands back the program model.
     """
     return run_lint(paths, select=select).violations
 

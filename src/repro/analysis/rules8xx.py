@@ -24,9 +24,9 @@ RPR841   no mixed-dimension arithmetic (seconds vs bytes vs packets,
 =======  ===========================================================
 
 RPR811-813 report at **call sites** inside the simulation-semantics
-packages (:data:`repro.analysis.flow.DEFAULT_TAINT_SCOPE`); the other
-rules apply everywhere.  All of them honour ``# repro: noqa[...]`` and
-the committed baseline exactly like the syntactic rules.
+packages (:data:`repro.analysis.flow.TAINT_SCOPE`); the other
+rules apply everywhere.  All of them honour ``# repro: noqa[...]``
+exactly like the syntactic rules.
 """
 
 from __future__ import annotations
@@ -202,23 +202,18 @@ def unordered_iteration_violations(project: Project) -> List[Violation]:
 
 
 def unit_violations(project: Project) -> List[Violation]:
-    """RPR841: collected during extraction; cached with the module."""
+    """RPR841: found module by module during extraction."""
     violations: List[Violation] = []
     for summary in project.summaries:
-        violations.extend(v for v in summary.local if v.code == "RPR841")
+        violations.extend(summary.units)
     return violations
 
 
 def flow_violations(project: Project) -> List[Violation]:
-    """Every RPR8xx finding for the program, unsorted and un-noqa'd.
-
-    RPR841 findings are **not** included: they are intra-module, so
-    they live in each summary's ``local`` list alongside the syntactic
-    rules (and get cached with the file).  The front end merges both
-    streams.
-    """
+    """Every RPR8xx finding for the program, unsorted and un-noqa'd."""
     violations: List[Violation] = []
     violations.extend(taint_violations(project))
     violations.extend(spec_mutation_violations(project))
     violations.extend(unordered_iteration_violations(project))
+    violations.extend(unit_violations(project))
     return violations

@@ -20,12 +20,11 @@ each field, and assembles the object-ownership graph rooted at
   named ``Simulator`` along those edges; this is the state a
   checkpoint must capture and a fork must deep-copy.
 
-:func:`build_state_model` renders the whole thing as a deterministic
-JSON document -- the committed ``state-model.json`` is the contract the
-checkpoint/fork refactor codes against, and a regen test asserts it
-byte-identical.  On top of the same model sit the RPR9xx rules
-(:data:`RULES_9XX`), routed through :func:`repro.analysis.lint.run_lint`
-like every other family:
+:func:`build_state_model` renders the whole thing as a deterministic,
+line-number-free JSON document (``python -m repro.cli state``), derived
+from the sources on demand.  On top of the same model sit the RPR9xx
+rules (:data:`RULES_9XX`), routed through
+:func:`repro.analysis.lint.run_lint` like every other family:
 
 =======  ===========================================================
 code     invariant
@@ -47,9 +46,8 @@ RPR915   no drift between a class's declared ``STATE_FIELDS``
          contract and the fields the analysis actually observes
 =======  ===========================================================
 
-All findings honour ``# repro: noqa[RPR91x]`` on the reported line and
-the committed baseline, exactly like the RPR1xx-9xx syntactic rules
-and the RPR8xx flow rules.
+All findings honour ``# repro: noqa[RPR91x]`` on the reported line,
+exactly like the RPR1xx-9xx syntactic rules and the RPR8xx flow rules.
 """
 
 from __future__ import annotations
@@ -65,9 +63,8 @@ from repro.analysis.flow import (
     Violation,
     class_candidates,
 )
-from repro.sim.snapshot import state_fields_index  # noqa: F401 -- re-exported
 
-#: Schema version of the rendered ``state-model.json``.
+#: Schema version of the rendered state-model document.
 STATE_MODEL_VERSION = 1
 
 #: Packages whose classes carry simulation state.  Telemetry
@@ -383,20 +380,20 @@ class StateModel:
 
 
 # ----------------------------------------------------------------------
-# The committed artifact
+# The rendered document
 # ----------------------------------------------------------------------
 
 
 def build_state_model(
     project: Project, scope: Sequence[str] = STATE_SCOPE
 ) -> Dict[str, Any]:
-    """The ``state-model.json`` document: deterministic, line-free.
+    """The state-model document: deterministic, line-free.
 
     Only repro classes inside the state scope are included, so the
     document depends on the package sources alone -- not on which extra
     paths (tests, fixtures) happened to be analyzed alongside them.
     Line numbers are deliberately omitted: editing a docstring above a
-    class must not churn the committed contract.
+    class must not change the document.
     """
     model = StateModel(project, scope=scope)
     classes: Dict[str, Any] = {}

@@ -10,9 +10,10 @@ server-side per-packet scheduler.
 This module implements that policy so the two approaches can be compared
 inside the same stack:
 
-* :class:`MpDashScheduler` prefers the preferred (primary, typically WiFi)
-  interface, and admits the cellular interfaces only while they are
-  *activated*;
+* :class:`~repro.core.extras.MpDashScheduler` (a plain scheduler, so it
+  lives in ``repro.core``) prefers the preferred (primary, typically
+  WiFi) interface, and admits the cellular interfaces only while they
+  are *activated*;
 * :class:`MpDashPathManager` is the cross-layer half: the DASH player
   tells it each chunk's bitrate and deadline (the chunk duration), it
   estimates the preferred path's current rate from CWND/SRTT, and
@@ -22,56 +23,18 @@ inside the same stack:
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Optional
+from typing import TYPE_CHECKING
 
-from repro.core.base import Scheduler
+from repro.core.extras import MpDashScheduler
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.apps.dash.media import Representation
     from repro.apps.dash.player import DashPlayer
     from repro.mptcp.connection import MptcpConnection
-    from repro.tcp.subflow import Subflow
 
 #: Safety margin on the required rate before cellular is activated
 #: (MP-DASH activates early enough to make the deadline, not exactly).
 DEFAULT_MARGIN = 1.2
-
-
-class MpDashScheduler(Scheduler):
-    """Preferred-path-first scheduler with a cellular activation gate.
-
-    Subflow 0 (the primary interface) is always admissible; the other
-    subflows carry data only while ``cellular_active`` is set by the path
-    manager.  Within the admissible set, lowest-RTT-first applies.
-    """
-
-    name = "mpdash"
-
-    __slots__ = ("cellular_active", "activations", "deactivations")
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.cellular_active = True  # safe default before any requirement
-        self.activations = 0
-        self.deactivations = 0
-
-    def set_cellular(self, active: bool) -> None:
-        if active and not self.cellular_active:
-            self.activations += 1
-        if not active and self.cellular_active:
-            self.deactivations += 1
-        self.cellular_active = active
-
-    def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
-        admissible = [
-            sf for sf in conn.subflows
-            if sf.can_send() and (sf.sf_id == 0 or self.cellular_active)
-        ]
-        choice = self.fastest(admissible)
-        if choice is None:
-            self.waits += 1
-        return choice
 
 
 class MpDashPathManager:

@@ -366,106 +366,34 @@ def cmd_report(args) -> int:
     return 0
 
 
-def _changed_files() -> set:
-    """Paths touched vs HEAD (staged, unstaged, and untracked)."""
-    import subprocess
+def _analyze(command: str, paths, select=None):
+    """``run_lint`` for the CLI: outside input that cannot be analyzed
+    becomes one ``<command>: ...`` line on stderr and ``None``."""
+    from repro.analysis.lint import default_lint_root, run_lint
 
-    changed = set()
-    for cmd in (
-        ["git", "diff", "--name-only", "HEAD"],
-        ["git", "ls-files", "--others", "--exclude-standard"],
-    ):
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode == 0:
-            changed.update(line for line in proc.stdout.splitlines() if line)
-    return changed
+    try:
+        return run_lint(paths or [default_lint_root()], select=select)
+    except SyntaxError as err:
+        message = f"{err.filename}:{err.lineno}:{err.offset}: syntax error"
+    except (OSError, ValueError) as err:
+        message = str(err)
+    print(f"{command}: {message}", file=sys.stderr)
+    return None
 
 
 def cmd_lint(args) -> int:
-    from repro.analysis.baseline import (
-        DEFAULT_BASELINE_NAME,
-        load_baseline,
-        make_baseline,
-        save_baseline,
-    )
-    from repro.analysis.lint import RULES, default_lint_root, run_lint
-
     if args.list_rules:
+        from repro.analysis.lint import RULES
+
         for code, (summary, fixit) in sorted(RULES.items()):
             print(f"{code}  {summary}\n        fix: {fixit}")
         return 0
-    paths = args.paths or [default_lint_root()]
-
-    only_paths = None
-    if args.changed:
-        # git diff reports deleted/renamed-away paths too; a vanished
-        # file cannot carry findings, so drop it rather than raise.
-        only_paths = {
-            p for p in _changed_files() if p.endswith(".py") and Path(p).is_file()
-        }
-        if not only_paths:
-            print("lint: no changed python files", file=sys.stderr)
-            return 0
-
-    baseline_path = args.baseline
-    baseline = None
-    if baseline_path is not None and not args.update_baseline:
-        baseline = load_baseline(baseline_path)
-
-    cache_path = None if args.no_cache else Path(args.cache)
-    run = run_lint(
-        paths,
-        select=args.select,
-        cache_path=cache_path,
-        baseline=baseline,
-        only_paths=only_paths,
-    )
-
-    if args.update_baseline:
-        target = baseline_path or DEFAULT_BASELINE_NAME
-        # Re-snapshotting must not erase curated reasons: carry over the
-        # reason of every fingerprint that survives into the new baseline.
-        reasons = {}
-        if Path(target).is_file():
-            try:
-                previous = load_baseline(target)
-            except (ValueError, OSError):
-                previous = {}
-            reasons = {
-                key: entry["reason"]
-                for key, entry in previous.get("findings", {}).items()
-                if entry.get("reason")
-            }
-        save_baseline(make_baseline(run.all_violations, reasons), target)
-        print(
-            f"lint: wrote {len(run.all_violations)} finding(s) to {target}",
-            file=sys.stderr,
-        )
-        return 0
-
-    if args.sarif is not None:
-        import json as _json
-
-        from repro.analysis.sarif import to_sarif
-
-        document = _json.dumps(
-            to_sarif(run.violations, RULES), indent=2, sort_keys=True
-        )
-        if args.sarif == "-":
-            print(document)
-        else:
-            Path(args.sarif).write_text(document + "\n")
-
+    run = _analyze("lint", args.paths, select=args.select)
+    if run is None:
+        return 2
     for violation in run.violations:
         print(violation.format())
-    stats = run.stats
-    summary = (
-        f"lint: {stats.files} file(s), {stats.parsed} parsed, "
-        f"{stats.reused} cached"
-    )
-    if run.suppressed:
-        summary += f", {run.suppressed} baselined"
-    print(summary, file=sys.stderr)
+    print(f"lint: {len(run.project.summaries)} file(s)", file=sys.stderr)
     if run.violations:
         print(f"{len(run.violations)} violation(s)", file=sys.stderr)
         return 1
@@ -473,25 +401,12 @@ def cmd_lint(args) -> int:
 
 
 def cmd_state(args) -> int:
-    from repro.analysis.lint import default_lint_root, run_lint
     from repro.analysis.state import build_state_model, render_state_model
 
-    paths = args.paths or [default_lint_root()]
-    cache_path = None if args.no_cache else Path(args.cache)
-    run = run_lint(paths, cache_path=cache_path)
+    run = _analyze("state", args.paths)
+    if run is None:
+        return 2
     document = render_state_model(build_state_model(run.project))
-    if args.check is not None:
-        committed = Path(args.check)
-        current = committed.read_text() if committed.is_file() else None
-        if current != document:
-            print(
-                f"state: {args.check} is stale; regenerate with "
-                f"'python -m repro.cli state -o {args.check}'",
-                file=sys.stderr,
-            )
-            return 1
-        print(f"state: {args.check} is up to date", file=sys.stderr)
-        return 0
     if args.output is None or args.output == "-":
         print(document, end="")
     else:
@@ -1254,33 +1169,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--list-rules", action="store_true", help="print the rule catalog and exit"
     )
-    p.add_argument(
-        "--sarif", metavar="FILE", default=None,
-        help="write findings as SARIF 2.1.0 to FILE ('-' for stdout)",
-    )
-    p.add_argument(
-        "--baseline", metavar="FILE", default=None,
-        help="suppress findings recorded in this baseline file; anything "
-        "new still fails",
-    )
-    p.add_argument(
-        "--update-baseline", action="store_true",
-        help="snapshot the current findings into the baseline "
-        "(--baseline path, or lint-baseline.json) and exit 0",
-    )
-    p.add_argument(
-        "--changed", action="store_true",
-        help="report findings only for files changed vs HEAD (the whole "
-        "program is still analyzed, so cross-file findings stay accurate)",
-    )
-    p.add_argument(
-        "--cache", metavar="FILE", default=".repro-lint-cache.json",
-        help="incremental per-file summary cache (default: %(default)s)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="parse every file fresh; do not read or write the cache",
-    )
     p.set_defaults(func=cmd_lint)
 
     p = sub.add_parser(
@@ -1295,18 +1183,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "-o", "--output", default=None, metavar="FILE",
         help="write the state-model JSON to FILE (default: stdout)",
-    )
-    p.add_argument(
-        "--check", default=None, metavar="FILE",
-        help="compare against a committed state model; exit 1 on drift",
-    )
-    p.add_argument(
-        "--cache", metavar="FILE", default=".repro-lint-cache.json",
-        help="incremental per-file summary cache (default: %(default)s)",
-    )
-    p.add_argument(
-        "--no-cache", action="store_true",
-        help="parse every file fresh; do not read or write the cache",
     )
     p.set_defaults(func=cmd_state)
 

@@ -12,6 +12,8 @@ Provided schedulers (Section 5.1 of the paper):
 * ``daps`` -- DAPS (Kuhn et al., ICC 2014).
 * ``roundrobin`` -- cycles over available subflows (extra baseline).
 * ``primary`` -- single-path TCP on the primary interface (extra baseline).
+* ``mpdash`` -- MP-DASH's preferred-path-first scheduler (Section 7's
+  contrast; driven by :class:`repro.apps.dash.mpdash.MpDashPathManager`).
 """
 
 from repro.core.base import Scheduler
@@ -20,6 +22,7 @@ from repro.core.ecf import EcfScheduler
 from repro.core.blest import BlestScheduler
 from repro.core.daps import DapsScheduler
 from repro.core.extras import (
+    MpDashScheduler,
     PrimaryOnlyScheduler,
     RedundantScheduler,
     RoundRobinScheduler,
@@ -36,6 +39,7 @@ __all__ = [
     "RoundRobinScheduler",
     "RedundantScheduler",
     "PrimaryOnlyScheduler",
+    "MpDashScheduler",
     "SchedulerSpec",
     "CcSpec",
     "build",

@@ -5,7 +5,10 @@ cost of ignoring RTT entirely, ``redundant`` trades goodput for latency by
 duplicating segments across paths (the policy the upstream MPTCP tree
 later shipped under the same name), and ``primary`` turns the connection
 into plain single-path TCP on the primary interface (what a non-MPTCP
-client would get).
+client would get).  ``mpdash`` is the scheduler half of MP-DASH (Han et
+al., CoNEXT 2016), the deadline-aware approach the paper's Section 7
+contrasts ECF with; its cross-layer half is
+:class:`repro.apps.dash.mpdash.MpDashPathManager`.
 """
 
 from __future__ import annotations
@@ -96,3 +99,40 @@ class PrimaryOnlyScheduler(Scheduler):
             return primary
         self.waits += 1
         return None
+
+
+class MpDashScheduler(Scheduler):
+    """Preferred-path-first scheduler with a cellular activation gate.
+
+    Subflow 0 (the primary interface) is always admissible; the other
+    subflows carry data only while ``cellular_active`` is set by the path
+    manager.  Within the admissible set, lowest-RTT-first applies.
+    """
+
+    name = "mpdash"
+
+    __slots__ = ("cellular_active", "activations", "deactivations")
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.cellular_active = True  # safe default before any requirement
+        self.activations = 0
+        self.deactivations = 0
+
+    def set_cellular(self, active: bool) -> None:
+        if active and not self.cellular_active:
+            self.activations += 1
+        if not active and self.cellular_active:
+            self.deactivations += 1
+        self.cellular_active = active
+
+    def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
+        self.decisions += 1
+        admissible = [
+            sf for sf in conn.subflows
+            if sf.can_send() and (sf.sf_id == 0 or self.cellular_active)
+        ]
+        choice = self.fastest(admissible)
+        if choice is None:
+            self.waits += 1
+        return choice

@@ -13,17 +13,12 @@ from repro.core.blest import BlestScheduler
 from repro.core.daps import DapsScheduler
 from repro.core.ecf import EcfScheduler
 from repro.core.extras import (
+    MpDashScheduler,
     PrimaryOnlyScheduler,
     RedundantScheduler,
     RoundRobinScheduler,
 )
 from repro.core.minrtt import MinRttScheduler
-
-def _make_mpdash() -> Scheduler:
-    # Imported lazily: apps.dash depends on core, not the reverse.
-    from repro.apps.dash.mpdash import MpDashScheduler
-
-    return MpDashScheduler()
 
 
 _FACTORIES: Dict[str, Callable[..., Scheduler]] = {
@@ -35,7 +30,7 @@ _FACTORIES: Dict[str, Callable[..., Scheduler]] = {
     "roundrobin": RoundRobinScheduler,
     "redundant": RedundantScheduler,
     "primary": PrimaryOnlyScheduler,
-    "mpdash": _make_mpdash,
+    "mpdash": MpDashScheduler,
 }
 
 #: Canonical user-facing scheduler names.  ("mpdash" additionally needs an

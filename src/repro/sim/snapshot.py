@@ -1,9 +1,10 @@
 """Runtime checkpoint/fork of a live simulation.
 
 This is the runtime half of the ROADMAP's counterfactual-twin item; the
-static half is ``state-model.json`` (PR 8).  :func:`capture` walks the
-object graph from the :class:`~repro.sim.engine.Simulator` and any extra
-roots, deep-copying exactly the ``STATE_FIELDS`` every class declares:
+static half is the state model :mod:`repro.analysis.state` derives from
+the sources.  :func:`capture` walks the object graph from the
+:class:`~repro.sim.engine.Simulator` and any extra roots, deep-copying
+exactly the ``STATE_FIELDS`` every class declares:
 
 * the engine heap, including live :class:`~repro.sim.engine.Timer`\\ s --
   their callbacks are encoded as *(owner, method-name)* pairs and rebound
@@ -18,10 +19,9 @@ The walk is *refusing* by construction, in both directions:
 
 * an object whose class declares no ``STATE_FIELDS`` (and is not a
   dataclass) cannot be captured;
-* an instance attribute outside the declared contract is an error, and
-  every captured field must also appear in the committed
-  ``state-model.json`` for the class -- the static contract gates the
-  runtime one;
+* an instance attribute outside the declared contract is an error
+  (lint rule RPR915 holds the same declaration against the attributes
+  the source assigns, in both directions, on every lint run);
 * opaque callables (lambdas, closures) are rejected with a pointer at
   the offending field, because no registry can rebind them.
 
@@ -44,11 +44,9 @@ import dataclasses
 import functools
 import hashlib
 import importlib
-import json
 import random
 import types
 from collections import deque
-from pathlib import Path
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
@@ -90,63 +88,6 @@ class Snapshot:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Snapshot({len(self.nodes)} objects, roots={sorted(self.roots)})"
-
-
-# ----------------------------------------------------------------------
-# The static contract gate
-# ----------------------------------------------------------------------
-
-_MODEL_INDEX: Optional[Dict[str, Set[str]]] = None
-_MODEL_LOADED = False
-
-
-def state_fields_index(document: Dict[str, Any]) -> Dict[str, Set[str]]:
-    """Per-class observed-field closure from a ``state-model.json`` doc.
-
-    Maps each qualified class name to the union of its own observed
-    field names and those of every (transitively resolvable) base in
-    the document.  This is the static side of the runtime snapshot
-    contract: :func:`capture` refuses any field that does not appear
-    here for the object's class.
-    """
-    classes = document.get("classes", {})
-    cache: Dict[str, Set[str]] = {}
-
-    def closure(qual: str, trail: Set[str]) -> Set[str]:
-        if qual in cache:
-            return cache[qual]
-        if qual in trail:
-            return set()
-        entry = classes.get(qual)
-        if entry is None:
-            return set()
-        trail = trail | {qual}
-        names = set(entry.get("fields", {}))
-        for base in entry.get("bases", []):
-            names |= closure(base, trail)
-        cache[qual] = names
-        return names
-
-    return {qual: closure(qual, set()) for qual in classes}
-
-
-def _model_index() -> Optional[Dict[str, Set[str]]]:
-    """Field closure per class from the committed ``state-model.json``.
-
-    Located by walking up from this package (the repo root keeps the
-    file next to ``src/``); ``None`` when no committed model is found,
-    in which case the static gate is skipped.
-    """
-    global _MODEL_INDEX, _MODEL_LOADED
-    if _MODEL_LOADED:
-        return _MODEL_INDEX
-    _MODEL_LOADED = True
-    for parent in Path(__file__).resolve().parents:
-        candidate = parent / "state-model.json"
-        if candidate.is_file():
-            _MODEL_INDEX = state_fields_index(json.loads(candidate.read_text()))
-            break
-    return _MODEL_INDEX
 
 
 def _qualname(cls: type) -> str:
@@ -191,7 +132,6 @@ class _Capture:
     def __init__(self) -> None:
         self.nodes: List[Dict[str, Any]] = []
         self.memo: Dict[int, int] = {}
-        self.model = _model_index()
 
     def encode(self, value: Any, where: str) -> Any:
         if isinstance(value, _PRIMITIVES):
@@ -269,16 +209,9 @@ class _Capture:
                 f"{qual} carries attribute(s) outside its snapshot contract: "
                 f"{', '.join(extra)} (declare them in STATE_FIELDS)"
             )
-        allowed = None if self.model is None else self.model.get(qual)
         for name in fields:
             if name not in present:
                 continue  # declared, currently unset (slot never filled)
-            if allowed is not None and name not in allowed:
-                raise SnapshotError(
-                    f"{qual}.{name} is not in state-model.json -- regenerate "
-                    "the model (python -m repro.cli state -o state-model.json) "
-                    "before snapshotting"
-                )
             node["fields"][name] = self.encode(
                 getattr(obj, name), f"{qual}.{name}"
             )

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import functools
+
 import pytest
 
 from repro.core.spec import SchedulerSpec, build
@@ -15,6 +17,37 @@ from repro.sim.engine import Simulator
 @pytest.fixture
 def sim() -> Simulator:
     return Simulator()
+
+
+@functools.lru_cache(maxsize=None)
+def package_analysis():
+    """The analyzer run over the installed package, once per session."""
+    from repro.analysis.lint import default_lint_root, run_lint
+
+    return run_lint([default_lint_root()])
+
+
+@functools.lru_cache(maxsize=None)
+def package_state_model():
+    """The state-model document, built in memory from the sources.
+
+    A plain cached function (not only a fixture) because
+    ``test_snapshot`` parametrizes over it at collection time.
+    """
+    from repro.analysis.state import build_state_model
+
+    return build_state_model(package_analysis().project)
+
+
+@pytest.fixture(scope="session")
+def tree_run():
+    """One analysis of the real package, shared by every model assertion."""
+    return package_analysis()
+
+
+@pytest.fixture(scope="session")
+def state_model():
+    return package_state_model()
 
 
 def build_path(

@@ -247,13 +247,8 @@ class TestLintCli:
         assert "RPR101" in out
 
     def test_cli_zero_on_package(self):
-        # Mirrors the CI gate: clean modulo the curated baseline (which
-        # carries the two triaged RPR914 fork-unsafety acceptances).
-        assert cli_main([
-            "lint",
-            "--baseline", str(REPO_ROOT / "lint-baseline.json"),
-            str(REPO_ROOT / "src" / "repro"),
-        ]) == 0
+        # Mirrors the CI gate: the package lints clean.
+        assert cli_main(["lint", str(REPO_ROOT / "src" / "repro")]) == 0
 
     def test_cli_list_rules(self, capsys):
         assert cli_main(["lint", "--list-rules"]) == 0
@@ -264,6 +259,43 @@ class TestLintCli:
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
             lint_paths([str(REPO_ROOT / "does-not-exist")])
+
+    def test_rule_catalog_is_pinned(self):
+        # The analyzer may lose machinery, never a check: adding or
+        # dropping a rule has to edit this list on purpose.
+        assert set(RULES) == {
+            "RPR101", "RPR102", "RPR103", "RPR201", "RPR301", "RPR401",
+            "RPR402", "RPR501", "RPR601", "RPR701", "RPR811", "RPR812",
+            "RPR813", "RPR821", "RPR831", "RPR841", "RPR901", "RPR911",
+            "RPR912", "RPR913", "RPR914", "RPR915",
+        }
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["lint", "{tmp}/broken.py"], "lint: {tmp}/broken.py:1:7: syntax error"),
+            (["state", "{tmp}/broken.py"], "state: {tmp}/broken.py:1:7: syntax error"),
+            (["lint", "--select", "RPR000"], "lint: unknown rule code(s): ['RPR000']"),
+            (["lint", "{tmp}/nope"], "lint: not a python file or directory: {tmp}/nope"),
+            (["state", "{tmp}/nope"], "state: not a python file or directory: {tmp}/nope"),
+        ],
+        ids=["lint-syntax", "state-syntax", "unknown-rule", "lint-missing", "state-missing"],
+    )
+    def test_bad_outside_input_is_one_stderr_line_and_exit_2(
+        self, tmp_path, capsys, argv, message
+    ):
+        (tmp_path / "broken.py").write_text("def f(:\n    pass\n")
+        assert cli_main([arg.replace("{tmp}", str(tmp_path)) for arg in argv]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == message.replace("{tmp}", str(tmp_path)) + "\n"
+
+    def test_lint_and_state_keep_nothing_on_disk(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.chdir(tmp_path)
+        assert cli_main(["lint"]) == 0
+        assert cli_main(["state"]) == 0
+        capsys.readouterr()
+        assert list(tmp_path.iterdir()) == []
 
 
 @pytest.fixture

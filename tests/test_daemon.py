@@ -2,6 +2,10 @@
 executor -> store -> registry telemetry plumbing it rides on."""
 
 import json
+import re
+import subprocess
+import sys
+import time
 import urllib.request
 
 import pytest
@@ -416,3 +420,80 @@ class TestMetricsValidateCli:
         bad = tmp_path / "bad.txt"
         bad.write_text("# TYPE x counter\nx_total 1\n")  # no EOF
         assert cli.main(["metrics", "validate", str(bad)]) == 1
+
+
+class TestServeSubprocess:
+    """The CI ``telemetry`` job's ground-truth assertion, runnable locally."""
+
+    GRID = ["--sweep", "grid", "--scheduler", "ecf", "--video", "10",
+            "--wifi-grid", "0.7", "8.6", "--lte-grid", "0.7", "8.6"]
+    JOBS = 4
+
+    @staticmethod
+    def serve(db, cache):
+        """Start ``campaign serve`` in its own process; (proc, endpoint)."""
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "campaign", "serve", "ci-tele",
+             "--db", str(db), "--cache-dir", str(cache),
+             "--port", "0", "--poll-interval", "0.2"],
+            stdout=subprocess.PIPE, text=True,
+        )
+        banner = proc.stdout.readline()
+        match = re.search(r"on (http://\S+)", banner)
+        if match is None:
+            proc.kill()
+            proc.wait(timeout=30)
+            pytest.fail(f"no endpoint in serve banner {banner!r}")
+        return proc, match.group(1)
+
+    @staticmethod
+    def wait_for(condition, timeout_s=120.0):
+        deadline = time.monotonic() + timeout_s
+        while time.monotonic() < deadline:
+            if condition():
+                return
+            time.sleep(0.05)
+        pytest.fail("timed out waiting for the campaign daemon")
+
+    def test_scraped_gauges_equal_store_truth_after_sigkill_and_resume(
+        self, tmp_path, capsys
+    ):
+        from repro import cli
+
+        db, cache = tmp_path / "tele.db", tmp_path / "cache"
+        assert cli.main(["campaign", "submit", "ci-tele", "--no-run",
+                         "--db", str(db), "--cache-dir", str(cache), *self.GRID]) == 0
+
+        def done():
+            with CampaignStore(db) as store:
+                return store.counts(store.campaign("ci-tele").id)["done"]
+
+        # SIGKILL, not SIGTERM: the resumed daemon's telemetry must match
+        # the store even after an unclean predecessor death mid-drain.
+        first, _ = self.serve(db, cache)
+        try:
+            self.wait_for(lambda: done() >= 1 or first.poll() is not None)
+        finally:
+            first.kill()
+            first.wait(timeout=30)
+
+        second, endpoint = self.serve(db, cache)
+        try:
+            self.wait_for(lambda: fetch_status(endpoint)["remaining"] == 0)
+            scrape = fetch_metrics(endpoint)
+            served = fetch_status(endpoint)["counts"]
+        finally:
+            second.terminate()
+            second.wait(timeout=30)
+
+        capsys.readouterr()
+        assert cli.main(["campaign", "status", "ci-tele", "--db", str(db), "--json"]) == 0
+        truth = json.loads(capsys.readouterr().out)["counts"]
+        assert truth["done"] == self.JOBS and truth["failed"] == 0, truth
+        assert served == truth
+        assert validate_openmetrics(scrape) == []
+        scraped = dict(re.findall(
+            r'^repro_campaign_jobs\{campaign="ci-tele",status="(\w+)"\} (\S+)$',
+            scrape, flags=re.M,
+        ))
+        assert {status: float(value) for status, value in scraped.items()} == truth

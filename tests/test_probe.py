@@ -3,8 +3,8 @@
 Three guarantees the refactor rests on:
 
 * **layering** -- nothing under ``repro.sim|net|tcp|mptcp|core`` imports
-  ``repro.analysis|obs|perf|experiments|service`` (or the package root)
-  at any scope;
+  ``repro.analysis|obs|perf|experiments|service|apps`` (or the package
+  root) at any scope;
 * **composition** -- any subset of the five tools armed together leaves
   results byte-identical, the event log record-identical, and the
   sanitizer ahead of every recorder;
@@ -21,7 +21,6 @@ import pytest
 
 from repro.analysis import events, sanitize
 from repro.analysis.flow import Project, extract_module
-from repro.analysis.lint import default_lint_root, run_lint
 from repro.analysis.sanitize import SanitizerError
 from repro.apps.bulk import BulkDownloadSpec, build_world, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
@@ -35,6 +34,7 @@ from repro.sim.engine import Simulator, Timer
 CORE = ("repro.sim", "repro.net", "repro.tcp", "repro.mptcp", "repro.core")
 ABOVE = (
     "repro.analysis", "repro.obs", "repro.perf", "repro.experiments", "repro.service",
+    "repro.apps",
 )
 
 
@@ -58,8 +58,8 @@ def upward_imports(project):
 
 
 class TestLayering:
-    def test_core_imports_nothing_from_above(self):
-        project = run_lint([default_lint_root()]).project
+    def test_core_imports_nothing_from_above(self, tree_run):
+        project = tree_run.project
         assert any(_under(m, CORE) for m in project.by_module)
         assert upward_imports(project) == []
 
