@@ -9,7 +9,7 @@ out-of-order delay tail.
 from bench_common import run_once, write_output
 from repro.metrics.stats import percentile
 from repro.net.profiles import lte_config, wifi_config
-from repro.workloads.web import run_web_browsing
+from repro.workloads.web import WebBrowsingSpec, run_web
 
 CONFIGS = {
     "5.0-5.0": (wifi_config(5.0), lte_config(5.0)),
@@ -23,7 +23,9 @@ def test_fig20_21_web_browsing(benchmark):
     def compute():
         return {
             label: {
-                name: run_web_browsing(name, paths, seed=4)
+                name: run_web(
+                    WebBrowsingSpec(scheduler=name, path_configs=paths, seed=4)
+                )
                 for name in SCHEDULERS
             }
             for label, paths in CONFIGS.items()

@@ -7,11 +7,14 @@ advantage grows with the RTT asymmetry (16% on average in the paper).
 """
 
 from bench_common import run_once, write_output
-from repro.experiments.wild import run_wild_streaming
+from repro.experiments.wild import WildStreamingSpec, run_wild
 
 
 def test_fig22_wild_streaming(benchmark):
-    runs = run_once(benchmark, lambda: run_wild_streaming(runs=9, video_duration=60.0))
+    runs = run_once(
+        benchmark,
+        lambda: run_wild(WildStreamingSpec(runs=9, video_duration=60.0)).runs,
+    )
 
     lines = ["run  wifi_rtt_ms  lte_rtt_ms  default_Mbps  ecf_Mbps"]
     default_total = ecf_total = 0.0

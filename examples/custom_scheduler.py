@@ -12,7 +12,7 @@ Run:
     python examples/custom_scheduler.py
 """
 
-from repro.apps.bulk import run_bulk_download
+from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.core.base import Scheduler
 from repro.core.registry import register_scheduler
 from repro.net.profiles import lte_config, wifi_config
@@ -56,7 +56,7 @@ class BacklogAwareScheduler(Scheduler):
 
 
 def main() -> None:
-    # Register so run_bulk_download can construct it by name.
+    # Register so a BulkDownloadSpec can name it.
     register_scheduler("backlog", BacklogAwareScheduler)
 
     paths = (wifi_config(0.3), lte_config(8.6))
@@ -64,7 +64,9 @@ def main() -> None:
     print(f"2 MB download over 0.3 Mbps WiFi + 8.6 Mbps LTE\n")
     print(f"{'scheduler':<12}{'time (s)':>9}")
     for name in ("minrtt", "ecf", "backlog"):
-        result = run_bulk_download(name, paths, size, seed=3)
+        result = run_bulk(
+            BulkDownloadSpec(scheduler=name, path_configs=paths, size=size, seed=3)
+        )
         print(f"{name:<12}{result.completion_time:>9.2f}")
     print(
         "\nOn a single bulk download an aggressive backlog threshold can"

@@ -4,14 +4,15 @@
 Builds the paper's flagship heterogeneous configuration -- a 0.3 Mbps WiFi
 path (the Android primary) and an 8.6 Mbps LTE path -- and downloads the
 same 2 MB object under each scheduler, printing completion time and how
-the bytes were split across paths.
+the bytes were split across paths.  Each download is one frozen
+``BulkDownloadSpec`` handed to ``run_bulk`` -- the spec is the only way in.
 
 Run:
     python examples/quickstart.py
 """
 
 from repro import SCHEDULER_NAMES
-from repro.apps.bulk import run_bulk_download
+from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.net.profiles import lte_config, wifi_config
 
 OBJECT_SIZE = 2 * 1024 * 1024
@@ -22,7 +23,9 @@ def main() -> None:
     print(f"Downloading {OBJECT_SIZE // 1024} kB over 0.3 Mbps WiFi + 8.6 Mbps LTE\n")
     print(f"{'scheduler':<12}{'time (s)':>9}{'wifi kB':>10}{'lte kB':>9}{'reinject':>10}")
     for name in SCHEDULER_NAMES:
-        result = run_bulk_download(name, PATHS, OBJECT_SIZE, seed=1)
+        result = run_bulk(
+            BulkDownloadSpec(scheduler=name, path_configs=PATHS, size=OBJECT_SIZE, seed=1)
+        )
         wifi_kb = result.payload_by_path.get("wifi", 0) / 1024
         lte_kb = result.payload_by_path.get("lte", 0) / 1024
         print(

@@ -4,6 +4,7 @@
 Loads a synthetic 107-object CNN-like page over six persistent MPTCP
 connections (the paper's browser model) under each scheduler and prints
 the per-object completion-time distribution plus out-of-order delays.
+Each load is one frozen ``WebBrowsingSpec`` handed to ``run_web``.
 
 Run:
     python examples/web_browsing.py [wifi_mbps] [lte_mbps]
@@ -13,7 +14,7 @@ import sys
 
 from repro.metrics.stats import percentile
 from repro.net.profiles import lte_config, wifi_config
-from repro.workloads.web import cnn_like_page, run_web_browsing
+from repro.workloads.web import WebBrowsingSpec, cnn_like_page, run_web
 
 SCHEDULERS = ("minrtt", "ecf", "blest", "daps")
 
@@ -31,8 +32,13 @@ def main() -> None:
         f"{'page load':>11}{'ooo p99':>9}"
     )
     for name in SCHEDULERS:
-        result = run_web_browsing(
-            name, (wifi_config(wifi), lte_config(lte)), page=page, seed=7
+        result = run_web(
+            WebBrowsingSpec(
+                scheduler=name,
+                path_configs=(wifi_config(wifi), lte_config(lte)),
+                object_sizes=page.object_sizes,
+                seed=7,
+            )
         )
         cts = result.object_completion_times
         ooo = result.ooo_delays

@@ -4,20 +4,21 @@
 Draws nine streaming runs with wild path profiles -- a public-WiFi path
 whose RTT varies from tens of milliseconds to nearly a second across
 runs, and a stable ~70 ms LTE path -- then compares default vs ECF, as
-the paper does against its Washington D.C. server.
+the paper does against its Washington D.C. server.  The streaming half is
+one ``WildStreamingSpec`` handed to ``run_wild``.
 
 Run:
     python examples/wild_measurement.py
 """
 
-from repro.experiments.wild import run_wild_streaming, run_wild_web
+from repro.experiments.wild import WildStreamingSpec, run_wild, run_wild_web
 from repro.metrics.stats import mean
 
 
 def main() -> None:
     print("Streaming in the wild (9 runs, sorted by WiFi RTT)\n")
     print(f"{'run':<5}{'wifi rtt':>10}{'lte rtt':>9}{'default':>10}{'ecf':>8}")
-    runs = run_wild_streaming(runs=9, video_duration=60.0)
+    runs = run_wild(WildStreamingSpec(runs=9, video_duration=60.0)).runs
     default_thps, ecf_thps = [], []
     for run in runs:
         default_thps.append(run.throughput_mbps("minrtt"))

@@ -22,7 +22,6 @@ environment variable route through the latter).
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -38,9 +37,11 @@ from repro.analysis.events import (
     RtoFired,
 )
 from repro.analysis.reference import replay_ecf, replay_minrtt
+from repro.sim.probe import env_on
 
-#: Setting this environment variable to anything non-empty makes the
-#: executor wrap every run in record-and-check (pool workers inherit it).
+#: Switching this environment variable on (:func:`repro.sim.probe.env_on`)
+#: makes the executor wrap every run in record-and-check (pool workers
+#: inherit it).
 ENV_VAR = "REPRO_CHECK"
 
 #: Relative tolerance for re-deriving float quantities the implementation
@@ -54,8 +55,8 @@ _MAX_BACKOFF = 64.0
 
 
 def check_enabled() -> bool:
-    """True when the ``REPRO_CHECK`` environment variable is set."""
-    return bool(os.environ.get(ENV_VAR))
+    """True when the ``REPRO_CHECK`` environment variable is on."""
+    return env_on(ENV_VAR)
 
 
 class CheckError(AssertionError):

@@ -100,15 +100,19 @@ DIMENSION_SUFFIXES: Tuple[Tuple[str, str], ...] = (
     ("_bps", "bits/s"),
 )
 
-#: Modules RPR811-813 report call sites in: the simulation-semantics
-#: packages that must stay wall-clock- and ambient-RNG-free even
-#: transitively.  Files outside the repro package (fixtures, scripts
-#: linted explicitly) are always in scope.
+#: Modules RPR811-813 report call sites in: the transport core plus the
+#: application and workload models driven inside a simulation, all of
+#: which must stay wall-clock- and ambient-RNG-free even transitively.
+#: Files outside the repro package (fixtures, scripts linted explicitly)
+#: are always in scope.
 TAINT_SCOPE: Tuple[str, ...] = (
     "repro.sim",
-    "repro.tcp",
     "repro.net",
+    "repro.tcp",
+    "repro.mptcp",
     "repro.core",
+    "repro.apps",
+    "repro.workloads",
 )
 
 #: Taint kinds, in reporting order.

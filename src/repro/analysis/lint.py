@@ -182,6 +182,18 @@ _EVENT_QUEUE_ALLOWLIST = ("repro/sim/engine.py",)
 #: run journal, the timeline exporters, or a ProgressEvent sink.
 _PRINT_ALLOWLIST = ("repro/cli.py",)
 
+#: Host-side code whose job is reading the clock (RPR101): run timeouts
+#: and wall-time accounting in the executor, journal/daemon/store
+#: timestamps, the perf collector and profiler.  Files or directories,
+#: matched anywhere in the path.  None of it runs inside a simulation;
+#: a clock read that *reaches* one is still RPR811's to report.
+_WALL_CLOCK_ALLOWLIST = (
+    "repro/experiments/exec.py",
+    "repro/obs/",
+    "repro/perf/",
+    "repro/service/",
+)
+
 
 def _registries() -> Dict[str, Set[str]]:
     """Kind-name sets for RPR501, loaded from the live registries.
@@ -228,6 +240,7 @@ class _Linter(ast.NodeVisitor):
         self.allow_rng_construction = posix.endswith(_RNG_CONSTRUCTION_ALLOWLIST)
         self.allow_event_queue = posix.endswith(_EVENT_QUEUE_ALLOWLIST)
         self.allow_print = posix.endswith(_PRINT_ALLOWLIST)
+        self.allow_wall_clock = any(part in posix for part in _WALL_CLOCK_ALLOWLIST)
         self.repro_package = _repro_package_of(path)
 
     # -- helpers -------------------------------------------------------
@@ -249,7 +262,8 @@ class _Linter(ast.NodeVisitor):
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
         if dotted in _WALL_CLOCK_CALLS:
-            self.add(node, "RPR101", f"{dotted}()")
+            if not self.allow_wall_clock:
+                self.add(node, "RPR101", f"{dotted}()")
         elif dotted == "print":
             if not self.allow_print:
                 self.add(node, "RPR601", "print(...)")

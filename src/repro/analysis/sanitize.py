@@ -30,7 +30,6 @@ run time; the audited objects are read duck-typed.
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import TYPE_CHECKING, Any
 
@@ -276,5 +275,5 @@ def enabled() -> bool:
     return _probe.armed(_ROLE) is not None
 
 
-if os.environ.get(ENV_VAR, "").strip() not in ("", "0"):
+if _probe.env_on(ENV_VAR):
     enable()

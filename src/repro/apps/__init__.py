@@ -1,6 +1,12 @@
 """Application layer: HTTP, bulk downloads, and DASH video streaming."""
 
 from repro.apps.http import GetResult, HttpSession
-from repro.apps.bulk import BulkDownloadResult, run_bulk_download
+from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec, run_bulk
 
-__all__ = ["HttpSession", "GetResult", "run_bulk_download", "BulkDownloadResult"]
+__all__ = [
+    "HttpSession",
+    "GetResult",
+    "BulkDownloadSpec",
+    "BulkDownloadResult",
+    "run_bulk",
+]

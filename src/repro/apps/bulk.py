@@ -9,7 +9,7 @@ rarely utilizes a secondary subflow for small transfers".
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
-from typing import Any, ClassVar, Dict, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.apps.http import GetResult, HttpSession
 from repro.core.spec import SchedulerSpec, build
@@ -213,35 +213,6 @@ def run_bulk(spec: BulkDownloadSpec) -> BulkDownloadResult:
     does not complete within ``spec.timeout``.
     """
     return build_world(spec).run_to_completion()
-
-
-def run_bulk_download(
-    scheduler_name: str,
-    path_configs: Sequence[PathConfig],
-    size: int,
-    seed: int = 0,
-    config: Optional[ConnectionConfig] = None,
-    timeout: float = 300.0,
-    **scheduler_params,
-) -> BulkDownloadResult:
-    """Positional-argument wrapper around :func:`run_bulk`.
-
-    .. deprecated:: 1.1
-        Build a :class:`BulkDownloadSpec` and call :func:`run_bulk` (or
-        submit the spec to :class:`repro.experiments.exec.ExperimentExecutor`).
-        Kept so existing examples and benchmarks run unchanged.
-    """
-    return run_bulk(
-        BulkDownloadSpec(
-            scheduler=scheduler_name,
-            path_configs=tuple(path_configs),
-            size=size,
-            seed=seed,
-            scheduler_params=dict(scheduler_params),
-            connection=config,
-            timeout=timeout,
-        )
-    )
 
 
 def _register() -> None:

@@ -38,7 +38,7 @@ from pathlib import Path
 from typing import List, Optional
 
 from repro.analysis.fixtures import FIXTURE_SCHEDULERS
-from repro.apps.bulk import run_bulk_download
+from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.apps.dash.media import VideoManifest
 from repro.core.registry import SCHEDULER_NAMES
 from repro.experiments.exec import ExperimentExecutor
@@ -50,10 +50,14 @@ from repro.experiments.grid import (
 )
 from repro.experiments.ideal import ideal_average_bitrate
 from repro.experiments.runner import StreamingRunConfig
-from repro.experiments.wild import run_wild_streaming
+from repro.experiments.wild import (
+    WildStreamingSpec,
+    run_wild,
+    wild_streaming_configs,
+)
 from repro.metrics.stats import percentile
 from repro.net.profiles import lte_config, wifi_config
-from repro.workloads.web import run_web_browsing
+from repro.workloads.web import WebBrowsingSpec, run_web
 
 
 def parse_size(text: str) -> int:
@@ -162,61 +166,36 @@ def _add_executor_flags(parser: argparse.ArgumentParser) -> None:
         "--no-cache", action="store_true",
         help="ignore --cache-dir (run everything fresh, store nothing)",
     )
-    parser.add_argument(
-        "--campaign", default=None, metavar="NAME",
-        help="run the sweep as a durable campaign (jobs tracked in "
-        "--campaign-db, resumable with the same command after a kill)",
-    )
-    parser.add_argument(
-        "--campaign-db", default="campaigns.db", metavar="FILE",
-        help="SQLite campaign store used by --campaign (default: campaigns.db)",
-    )
 
 
 def _campaign_runner(
-    store, name: str, jobs: int, cache_dir, journal=None,
-    backend=None, timeout_s=None, retries: int = 1, max_attempts: int = 3,
+    store, name: str, jobs: int, cache_dir,
+    timeout_s=None, retries: int = 1, max_attempts: int = 3,
 ):
     """One place that maps CLI knobs onto a CampaignRunner."""
-    from pathlib import Path
-
     from repro.service import CampaignRunner, InlineBackendConfig, PoolBackendConfig
 
-    if backend is None:
-        if jobs == 1:
-            backend = InlineBackendConfig(timeout_s=timeout_s, retries=retries)
-        else:
-            backend = PoolBackendConfig(jobs=jobs, timeout_s=timeout_s, retries=retries)
-    if journal is None:
-        journal = Path(str(store.path)).with_suffix(".journal.jsonl")
+    if jobs == 1:
+        backend = InlineBackendConfig(timeout_s=timeout_s, retries=retries)
+    else:
+        backend = PoolBackendConfig(jobs=jobs, timeout_s=timeout_s, retries=retries)
     return CampaignRunner(
         store,
         name,
         backend=backend,
         cache_dir=cache_dir if cache_dir is not None else ".repro-cache",
-        journal=journal,
+        journal=Path(str(store.path)).with_suffix(".journal.jsonl"),
         max_attempts=max_attempts,
         progress=sys.stderr.isatty(),
     )
 
 
-def _executor_from_args(args):
-    """Build the sweep executor (or campaign runner) the common flags describe.
+def _executor_from_args(args) -> ExperimentExecutor:
+    """Build the sweep executor the common flags describe.
 
-    With ``--campaign NAME`` the sweep routes through the campaign
-    service: jobs land in the SQLite store, results in the cache, and
-    killing the process mid-sweep loses nothing -- re-running the same
-    command resumes from where it stopped.
+    A durable, resumable sweep is ``campaign submit --sweep ...``; pointing
+    ``--cache-dir`` at that campaign's cache renders it with every cell a hit.
     """
-    if getattr(args, "campaign", None):
-        from repro.service import CampaignStore
-
-        return _campaign_runner(
-            CampaignStore(args.campaign_db),
-            args.campaign,
-            jobs=args.jobs,
-            cache_dir=args.cache_dir,
-        )
     return ExperimentExecutor(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
@@ -228,7 +207,11 @@ def cmd_download(args) -> int:
     paths = (wifi_config(args.wifi), lte_config(args.lte))
     print(f"{'scheduler':<10}{'time (s)':>10}{'throughput':>13}")
     for name in args.scheduler:
-        result = run_bulk_download(name, paths, args.size, seed=args.seed)
+        result = run_bulk(
+            BulkDownloadSpec(
+                scheduler=name, path_configs=paths, size=args.size, seed=args.seed
+            )
+        )
         print(
             f"{name:<10}{result.completion_time:>10.3f}"
             f"{result.throughput_bps / 1e6:>11.2f}Mb"
@@ -261,7 +244,9 @@ def cmd_web(args) -> int:
     paths = (wifi_config(args.wifi), lte_config(args.lte))
     print(f"{'scheduler':<10}{'mean ct':>10}{'p95 ct':>9}{'page load':>11}")
     for name in args.scheduler:
-        result = run_web_browsing(name, paths, seed=args.seed)
+        result = run_web(
+            WebBrowsingSpec(scheduler=name, path_configs=paths, seed=args.seed)
+        )
         cts = result.object_completion_times
         print(
             f"{name:<10}{result.mean_completion_time:>9.3f}s"
@@ -273,7 +258,6 @@ def cmd_web(args) -> int:
 def cmd_twin(args) -> int:
     import json
 
-    from repro.apps.bulk import BulkDownloadSpec
     from repro.experiments import twin
     from repro.obs.timeline import twin_timeline_document
 
@@ -425,9 +409,6 @@ RACE_SCENARIOS = ("dash", "bulk")
 
 def _check_scenario(name: str, scheduler: str, args):
     """(runner, spec) for one cell of the check matrix."""
-    from repro.apps.bulk import BulkDownloadSpec, run_bulk
-    from repro.workloads.web import WebBrowsingSpec, run_web
-
     paths = (wifi_config(args.wifi), lte_config(args.lte))
     if name == "dash":
         from repro.experiments.runner import run_streaming
@@ -551,12 +532,12 @@ def cmd_trace_validate(args) -> int:
 
 
 def cmd_wild(args) -> int:
-    runs = run_wild_streaming(
-        runs=args.runs, video_duration=args.video,
+    result = run_wild(
+        WildStreamingSpec(runs=args.runs, video_duration=args.video),
         executor=_executor_from_args(args),
     )
     print(f"{'run':<5}{'wifi rtt':>10}{'default':>10}{'ecf':>8}")
-    for run in runs:
+    for run in result.runs:
         print(
             f"{run.run_index:<5}{run.wifi_config.one_way_delay * 2000:>8.0f}ms"
             f"{run.throughput_mbps('minrtt'):>9.2f}M"
@@ -572,7 +553,6 @@ def _campaign_sweep_specs(args) -> List:
         streaming_grid_specs,
         wget_matrix_specs,
     )
-    from repro.experiments.wild import WildStreamingSpec, wild_streaming_configs
 
     if args.sweep == "grid":
         wifi = args.wifi_grid or list(PAPER_BANDWIDTH_GRID_MBPS)
@@ -838,7 +818,7 @@ def cmd_campaign_watch(args) -> int:
 
 
 def cmd_metrics_validate(args) -> int:
-    from repro.obs.metrics import validate_openmetrics
+    from repro.obs.registry import validate_openmetrics
 
     if args.file == "-":
         text = sys.stdin.read()
@@ -1111,7 +1091,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "metrics",
-        help="telemetry utilities for the repro.obs.metrics registry",
+        help="telemetry utilities for the repro.obs.registry metric registry",
     )
     metrics_sub = p.add_subparsers(dest="metrics_command", required=True)
     mv = metrics_sub.add_parser(

@@ -406,7 +406,7 @@ class ExperimentExecutor:
         stats, journal = self.stats, self.journal
         # Wall clock is correct here: this measures the *host's* sweep
         # progress for ETA display, not anything inside a simulation.
-        started = time.monotonic()  # repro: noqa[RPR101]
+        started = time.monotonic()
         done = 0
         if journal is not None:
             journal.batch_start(
@@ -466,7 +466,7 @@ class ExperimentExecutor:
             if self.on_job is not None:
                 self.on_job(outcome)
             if self._progress is not None:
-                elapsed = time.monotonic() - started  # repro: noqa[RPR101]
+                elapsed = time.monotonic() - started
                 eta: Optional[float] = None
                 if done == total:
                     eta = 0.0
@@ -557,7 +557,7 @@ class ExperimentExecutor:
                     cached=stats.cached,
                     failed=stats.failed,
                     retried=stats.retried,
-                    elapsed_s=round(time.monotonic() - started, 6),  # repro: noqa[RPR101]
+                    elapsed_s=round(time.monotonic() - started, 6),
                 )
         return results
 
@@ -566,7 +566,7 @@ class ExperimentExecutor:
         self, pending: List[int], payloads: Dict[int, Dict[str, Any]], settle: _Settle
     ) -> None:
         for index in pending:
-            start = time.monotonic()  # repro: noqa[RPR101]
+            start = time.monotonic()
             attempts = 0
             again = True
             while again:
@@ -576,7 +576,7 @@ class ExperimentExecutor:
                     attempt = _execute_payload(payloads[index], self.timeout_s)
                 except Exception as exc:
                     attempt = exc
-                wall = time.monotonic() - start  # repro: noqa[RPR101]
+                wall = time.monotonic() - start
                 again = settle(index, attempt, wall, attempts)
 
     def _run_on_pool(
@@ -605,7 +605,7 @@ class ExperimentExecutor:
                 while futures or (source and not broken):
                     while source and len(futures) < window and not broken:
                         index = source.popleft()
-                        submitted_at[index] = time.monotonic()  # repro: noqa[RPR101]
+                        submitted_at[index] = time.monotonic()
                         call = (_execute_payload, payloads[index], self.timeout_s)
                         try:
                             futures[pool.submit(*call)] = index
@@ -616,7 +616,7 @@ class ExperimentExecutor:
                     for future in completed:
                         index = futures.pop(future)
                         attempts[index] += 1
-                        wall = time.monotonic() - submitted_at[index]  # repro: noqa[RPR101]
+                        wall = time.monotonic() - submitted_at[index]
                         attempt: _Attempt
                         try:
                             attempt = future.result()

@@ -10,7 +10,15 @@ send-buffer / player traces.
 The same harness covers fixed bandwidths (Figs 2, 9), the idle-reset
 ablation (Fig 6), multi-subflow runs (Fig 15), random bandwidth processes
 (Figs 16, 17), and in-the-wild path profiles (Fig 22) -- each is just a
-different :class:`StreamingRunConfig`.
+different :class:`StreamingRunConfig`.  The spec is the only way in:
+``run_streaming(spec)`` here, ``run_spec(spec)`` by kind, or a batch
+through :class:`~repro.experiments.exec.ExperimentExecutor` /
+:class:`~repro.service.CampaignRunner`.
+
+:class:`StreamingRunResult` owns its wire format
+(:meth:`~StreamingRunResult.to_dict` / :meth:`~StreamingRunResult.from_dict`,
+:data:`STREAMING_RESULT_SCHEMA_VERSION`): the form the result cache
+stores and pool workers ship.
 """
 
 from __future__ import annotations
@@ -19,10 +27,12 @@ from dataclasses import asdict, dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.apps.dash.abr import make_abr
-from repro.apps.dash.media import VideoManifest
-from repro.apps.dash.player import DashPlayer, StreamingMetrics
+from repro.apps.dash.media import Representation, VideoManifest
+from repro.apps.dash.mpdash import MpDashPathManager, MpDashScheduler
+from repro.apps.dash.player import ChunkRecord, DashPlayer, StreamingMetrics
 from repro.apps.http import HttpSession
 from repro.core.spec import SchedulerSpec, build
+from repro.experiments.spec import register_experiment
 from repro.metrics.collectors import PeriodicSampler
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.bandwidth import BandwidthSpec, make_bandwidth_process
@@ -160,6 +170,12 @@ class StreamingRunConfig:
 #: Protocol-style alias: the frozen spec the ``streaming`` kind runs.
 StreamingSpec = StreamingRunConfig
 
+#: Wire-format version written by :meth:`StreamingRunResult.to_dict`.
+#: v1 (unversioned) was a flat lossy summary; v2 embeds the spec and every
+#: field needed to rebuild the :class:`StreamingRunResult` exactly, and is
+#: the executor's cache/worker format.
+STREAMING_RESULT_SCHEMA_VERSION = 2
+
 
 @dataclass
 class StreamingRunResult:
@@ -201,17 +217,121 @@ class StreamingRunResult:
         return self.payload_by_interface.get(self.fast_interface, 0) / total
 
     def to_dict(self) -> Dict[str, Any]:
-        """Lossless, JSON-serializable form (cache/worker wire format)."""
-        from repro.metrics.export import streaming_result_to_dict
+        """Lossless, JSON-serializable form (cache/worker wire format).
 
-        return streaming_result_to_dict(self)
+        The flat summary keys of the original (v1) format are kept for
+        plotting scripts; on top of them the dict carries
+        ``schema_version``, the run's spec (``spec`` -- the config as
+        plain data), the raw per-packet samples, and the recorded trace
+        series (as data, not a live
+        :class:`~repro.sim.trace.TraceRecorder`).  :meth:`from_dict`
+        inverts it exactly.
+        """
+        config = self.config
+        metrics = self.metrics
+        data = {
+            "schema_version": STREAMING_RESULT_SCHEMA_VERSION,
+            "kind": "streaming",
+            "spec": config.to_dict(),
+            "scheduler": config.scheduler,
+            "wifi_mbps": config.wifi_mbps,
+            "lte_mbps": config.lte_mbps,
+            "video_duration": config.video_duration,
+            "seed": config.seed,
+            "finished": self.finished,
+            "average_bitrate_bps": metrics.average_bitrate_bps,
+            "steady_average_bitrate_bps": metrics.steady_average_bitrate_bps,
+            "average_chunk_throughput_bps": self.average_chunk_throughput_bps,
+            "steady_average_throughput_bps": metrics.steady_average_throughput_bps,
+            "fraction_fast": self.fraction_fast,
+            "fast_interface": self.fast_interface,
+            "iw_resets": dict(self.iw_resets_by_interface),
+            "idle_resets": dict(self.idle_resets_by_interface),
+            "mean_rtt_s": dict(self.mean_rtt_by_interface),
+            "rebuffer_time_s": metrics.rebuffer_time,
+            "rebuffer_events": metrics.rebuffer_events,
+            "reinjections": self.reinjections,
+            "chunks": [
+                {
+                    "index": c.index,
+                    "representation": c.representation.name,
+                    "bitrate_bps": c.representation.bitrate_bps,
+                    "requested_at": c.requested_at,
+                    "completed_at": c.completed_at,
+                    "size": c.size,
+                    "throughput_bps": c.throughput_bps,
+                }
+                for c in metrics.chunks
+            ],
+            "payload_by_interface": dict(self.payload_by_interface),
+            "ooo_delays": list(self.ooo_delays),
+            "last_packet_gaps": list(self.last_packet_gaps),
+            "startup_completed_at": metrics.startup_completed_at,
+            "finished_at": metrics.finished_at,
+            "trace": (
+                None
+                if self.trace is None
+                else {name: [list(s) for s in self.trace.series(name)]
+                      for name in self.trace.names()}
+            ),
+        }
+        # Additive field: emitted only when a perf record was attached, so
+        # payloads (and cached digests) without one are byte-identical to v2.
+        if self.perf is not None:
+            data["perf"] = dict(self.perf)
+        return data
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "StreamingRunResult":
-        """Rebuild a result from :meth:`to_dict` output."""
-        from repro.metrics.export import streaming_result_from_dict
+        """Rebuild a result from :meth:`to_dict` output.
 
-        return streaming_result_from_dict(data)
+        Only understands ``schema_version`` 2 (v1 summaries are lossy and
+        cannot be rebuilt).
+        """
+        version = data.get("schema_version")
+        if version != STREAMING_RESULT_SCHEMA_VERSION:
+            raise ValueError(
+                f"cannot rebuild a streaming result from schema_version "
+                f"{version!r} (expected {STREAMING_RESULT_SCHEMA_VERSION})"
+            )
+        metrics = StreamingMetrics(
+            chunks=[
+                ChunkRecord(
+                    index=c["index"],
+                    representation=Representation(
+                        c["representation"], c["bitrate_bps"]
+                    ),
+                    requested_at=c["requested_at"],
+                    completed_at=c["completed_at"],
+                    size=c["size"],
+                )
+                for c in data["chunks"]
+            ],
+            rebuffer_time=data["rebuffer_time_s"],
+            rebuffer_events=data["rebuffer_events"],
+            startup_completed_at=data["startup_completed_at"],
+            finished_at=data["finished_at"],
+        )
+        trace = None
+        if data["trace"] is not None:
+            trace = TraceRecorder()
+            for name, samples in data["trace"].items():
+                trace.extend(name, [(t, v) for t, v in samples])
+        return cls(
+            config=StreamingRunConfig.from_dict(data["spec"]),
+            metrics=metrics,
+            finished=data["finished"],
+            fast_interface=data["fast_interface"],
+            payload_by_interface=dict(data["payload_by_interface"]),
+            iw_resets_by_interface=dict(data["iw_resets"]),
+            idle_resets_by_interface=dict(data["idle_resets"]),
+            mean_rtt_by_interface=dict(data["mean_rtt_s"]),
+            ooo_delays=list(data["ooo_delays"]),
+            last_packet_gaps=list(data["last_packet_gaps"]),
+            reinjections=data["reinjections"],
+            trace=trace,
+            perf=data.get("perf"),
+        )
 
 
 def _build_paths(sim: Simulator, config: StreamingRunConfig, rngs: RngRegistry) -> List[Path]:
@@ -279,8 +399,6 @@ def run_streaming(config: StreamingRunConfig) -> StreamingRunResult:
 
     # MP-DASH is cross-layer: its path manager needs the player's chunk
     # requirements.
-    from repro.apps.dash.mpdash import MpDashPathManager, MpDashScheduler
-
     if isinstance(scheduler, MpDashScheduler):
         MpDashPathManager(scheduler, conn).attach(player)
 
@@ -346,15 +464,9 @@ def run_streaming(config: StreamingRunConfig) -> StreamingRunResult:
     )
 
 
-def _register() -> None:
-    from repro.experiments.spec import register_experiment
-
-    register_experiment(
-        "streaming",
-        StreamingRunConfig.from_dict,
-        run_streaming,
-        StreamingRunResult.from_dict,
-    )
-
-
-_register()
+register_experiment(
+    "streaming",
+    StreamingRunConfig.from_dict,
+    run_streaming,
+    StreamingRunResult.from_dict,
+)

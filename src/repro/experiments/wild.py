@@ -10,12 +10,17 @@ town WiFi plus AT&T LTE as-is, observing
 We emulate each run by drawing a fresh pair of path profiles from the
 ``wild_*`` distributions (seeded per run index, shared across schedulers
 so Default and ECF see identical conditions).
+
+Fig 22 runs from a :class:`WildStreamingSpec`: :func:`run_wild` expands
+it into independent streaming specs (:func:`wild_streaming_configs`),
+runs them through an executor, and regroups the per-cell
+:class:`~repro.experiments.runner.StreamingRunResult` values by run.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.exec import ExperimentExecutor
 from repro.experiments.runner import StreamingRunConfig, StreamingRunResult
@@ -60,8 +65,6 @@ class WildStreamingSpec:
     executor.
     """
 
-    kind: ClassVar[str] = "wild_streaming"
-
     schedulers: Tuple[str, ...] = ("minrtt", "ecf")
     runs: int = 9
     video_duration: float = 120.0
@@ -70,66 +73,17 @@ class WildStreamingSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "schedulers", tuple(self.schedulers))
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {
-            "schedulers": list(self.schedulers),
-            "runs": self.runs,
-            "video_duration": self.video_duration,
-            "base_seed": self.base_seed,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WildStreamingSpec":
-        data = dict(data)
-        data["schedulers"] = tuple(data["schedulers"])
-        return cls(**data)
-
 
 @dataclass
 class WildStreamingResult:
-    """Fig 22 outcome: the sorted run list, serializable as one value."""
+    """Fig 22 outcome: the campaign spec and its sorted run list.
+
+    Not a wire format of its own: every cell's result is a
+    :class:`StreamingRunResult`, which the executor caches and ships.
+    """
 
     spec: WildStreamingSpec
     runs: List[WildStreamingRun]
-
-    def to_dict(self) -> Dict[str, Any]:
-        from dataclasses import asdict
-
-        return {
-            "schema_version": 2,
-            "kind": "wild_streaming",
-            "spec": self.spec.to_dict(),
-            "runs": [
-                {
-                    "run_index": run.run_index,
-                    "wifi_config": asdict(run.wifi_config),
-                    "lte_config": asdict(run.lte_config),
-                    "results": {
-                        name: result.to_dict()
-                        for name, result in run.results.items()
-                    },
-                }
-                for run in self.runs
-            ],
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WildStreamingResult":
-        return cls(
-            spec=WildStreamingSpec.from_dict(data["spec"]),
-            runs=[
-                WildStreamingRun(
-                    run_index=run["run_index"],
-                    wifi_config=PathConfig(**run["wifi_config"]),
-                    lte_config=PathConfig(**run["lte_config"]),
-                    results={
-                        name: StreamingRunResult.from_dict(result)
-                        for name, result in run["results"].items()
-                    },
-                )
-                for run in data["runs"]
-            ],
-        )
 
 
 def _wild_cells(
@@ -201,28 +155,6 @@ def run_wild(
         for index, (wifi, lte) in enumerate(drawn, start=1)
     ]
     return WildStreamingResult(spec=spec, runs=runs)
-
-
-def run_wild_streaming(
-    schedulers: Sequence[str] = ("minrtt", "ecf"),
-    runs: int = 9,
-    video_duration: float = 120.0,
-    base_seed: int = 6,
-    executor: Optional[ExperimentExecutor] = None,
-) -> List[WildStreamingRun]:
-    """Positional-argument wrapper around :func:`run_wild`.
-
-    .. deprecated:: 1.1
-        Build a :class:`WildStreamingSpec` and call :func:`run_wild`.
-        Kept so existing examples and benchmarks run unchanged.
-    """
-    spec = WildStreamingSpec(
-        schedulers=tuple(schedulers),
-        runs=runs,
-        video_duration=video_duration,
-        base_seed=base_seed,
-    )
-    return run_wild(spec, executor=executor).runs
 
 
 def run_wild_web(

@@ -1,4 +1,8 @@
-"""Measurement utilities: distribution statistics and periodic samplers."""
+"""Measurement utilities: distribution statistics and the periodic sampler.
+
+Result wire formats live with the result types (``to_dict``/``from_dict``
+on each ``*Result``); the telemetry registry is :mod:`repro.obs.registry`.
+"""
 
 from repro.metrics.stats import (
     Summary,
@@ -11,23 +15,9 @@ from repro.metrics.stats import (
     stdev,
     summarize,
 )
-from repro.metrics.collectors import PeriodicSampler, ThroughputMeter
-from repro.metrics.export import (
-    streaming_result_from_dict,
-    streaming_result_to_dict,
-    write_cdf_csv,
-    write_matrix_csv,
-    write_series_csv,
-    write_streaming_results_json,
-)
+from repro.metrics.collectors import PeriodicSampler
 
 __all__ = [
-    "write_series_csv",
-    "write_cdf_csv",
-    "write_matrix_csv",
-    "write_streaming_results_json",
-    "streaming_result_to_dict",
-    "streaming_result_from_dict",
     "Summary",
     "cdf",
     "ccdf",
@@ -38,5 +28,4 @@ __all__ = [
     "fraction_at_most",
     "fraction_at_least",
     "PeriodicSampler",
-    "ThroughputMeter",
 ]

@@ -1,14 +1,13 @@
-"""Runtime collectors: periodic samplers and throughput meters.
+"""Runtime collector: the periodic sampler.
 
 The paper's trace figures (CWND over time, send-buffer occupancy) are
 sampled periodically in the kernel; :class:`PeriodicSampler` does the same
-against any zero-argument probe.  :class:`ThroughputMeter` integrates
-delivered bytes into interval throughputs (Figs 6, 16, 22).
+against any zero-argument probe.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, Optional
 
 from repro.sim.engine import Simulator
 from repro.sim.trace import TraceRecorder
@@ -51,44 +50,3 @@ class PeriodicSampler:
         for series, probe in self._probes.items():
             self.trace.record(series, now, float(probe()))
         self.sim.schedule(self.period, self._tick)
-
-
-class ThroughputMeter:
-    """Accumulates byte deliveries and reports interval/average throughput."""
-
-    def __init__(self, sim: Simulator) -> None:
-        self.sim = sim
-        self.total_bytes = 0
-        self.first_byte_at: Optional[float] = None
-        self.last_byte_at: Optional[float] = None
-        self._marks: List[Tuple[float, int]] = []
-
-    def on_bytes(self, nbytes: int) -> None:
-        """Feed a delivery event (wire this to the receiver callback)."""
-        now = self.sim.now
-        if self.first_byte_at is None:
-            self.first_byte_at = now
-        self.last_byte_at = now
-        self.total_bytes += nbytes
-
-    def mark(self) -> None:
-        """Snapshot (now, total) -- delimits an interval of interest."""
-        self._marks.append((self.sim.now, self.total_bytes))
-
-    def interval_throughput_bps(self) -> List[float]:
-        """Throughput of each interval between consecutive marks."""
-        rates: List[float] = []
-        for (t0, b0), (t1, b1) in zip(self._marks, self._marks[1:]):
-            if t1 > t0:
-                rates.append((b1 - b0) * 8.0 / (t1 - t0))
-        return rates
-
-    def average_throughput_bps(self, elapsed: Optional[float] = None) -> float:
-        """Mean delivered rate over ``elapsed`` (or first-to-last byte)."""
-        if elapsed is None:
-            if self.first_byte_at is None or self.last_byte_at is None:
-                return 0.0
-            elapsed = self.last_byte_at - self.first_byte_at
-        if elapsed <= 0:
-            return 0.0
-        return self.total_bytes * 8.0 / elapsed

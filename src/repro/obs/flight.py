@@ -69,7 +69,7 @@ _ROLE = "flight"
 
 def obs_enabled() -> bool:
     """True when the environment asks for the flight recorder."""
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    return _probe.env_on(ENV_VAR)
 
 
 def obs_dir() -> Path:

@@ -107,7 +107,7 @@ class RunJournal:
             "seq": self._seq,
             # Campaign bookkeeping, not simulation state: wall clock is
             # the honest timestamp for "when did this job finish".
-            "wall": time.time(),  # repro: noqa[RPR101]
+            "wall": time.time(),
         }
         entry.update(fields)
         with self.path.open("a") as handle:

@@ -486,15 +486,15 @@ def prometheus_text(
     non-finite, and negative entries are skipped (counters cannot
     decrease).
 
-    The rendering routes through the :mod:`repro.obs.metrics` registry,
+    The rendering routes through :mod:`repro.obs.registry`,
     so the output is the same dialect the ``campaign serve`` daemon
     scrapes: ``# TYPE``/``# HELP`` metadata per family,
     ``_total``-suffixed counter samples, and the mandatory ``# EOF``
     terminator.  ``repro.cli metrics validate`` accepts it.
     """
-    from repro.obs import metrics as _metrics
+    from repro.obs import registry as _registry
 
-    registry = _metrics.MetricRegistry()
+    registry = _registry.MetricRegistry()
     for name in sorted(counters):
         value = counters[name]
         if isinstance(value, bool) or not isinstance(value, (int, float)):
@@ -505,7 +505,7 @@ def prometheus_text(
             prefix + name,
             f"Perf counter {name} from the run's perf record.",
         ).inc(value)
-    return _metrics.render_openmetrics(registry)
+    return _registry.render_openmetrics(registry)
 
 
 # ----------------------------------------------------------------------
@@ -554,9 +554,7 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
     * an **events JSONL** file (``*.jsonl``);
     * a **cache entry** (``{"schema_version", "kind", "spec", "result"}``,
       the executor's on-disk format) -- trace series only;
-    * a serialized **run result** dict, or a JSON **array** of them
-      (``write_streaming_results_json`` output; the first element is
-      used) -- trace series only.
+    * a serialized **run result** dict -- trace series only.
     """
     source = Path(path)
     if source.is_dir():
@@ -571,10 +569,6 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
             "perf": {},
         }
     payload = json.loads(source.read_text())
-    if isinstance(payload, list):
-        if not payload:
-            raise ValueError(f"{source}: empty result array")
-        payload = payload[0]
     if not isinstance(payload, dict):
         raise ValueError(f"{source}: unrecognized export source")
     if "result" in payload and isinstance(payload["result"], dict):

@@ -18,11 +18,7 @@ from repro.perf.counters import (
     measure,
     perf_enabled,
 )
-from repro.perf.profiler import (
-    SimProfiler,
-    profile_enabled,
-    profiling,
-)
+from repro.perf.profiler import SimProfiler, profiling
 
 
 __all__ = [
@@ -34,6 +30,5 @@ __all__ = [
     "collecting",
     "measure",
     "perf_enabled",
-    "profile_enabled",
     "profiling",
 ]

@@ -29,7 +29,6 @@ and is never imported from below.
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass, fields
@@ -49,7 +48,7 @@ _ROLE = "perf"
 
 def perf_enabled() -> bool:
     """True when the environment asks for per-run perf records."""
-    return os.environ.get(ENV_VAR, "") not in ("", "0")
+    return _probe.env_on(ENV_VAR)
 
 
 @dataclass(frozen=True)
@@ -216,9 +215,9 @@ def measure(runner: Callable[..., Any], *args: Any) -> Tuple[Any, PerfRecord]:
     with collecting() as collector:
         # Host wall clock, not simulated time: this measures how fast the
         # hardware chews through the event loop, which is the whole point.
-        start = time.perf_counter()  # repro: noqa[RPR101]
+        start = time.perf_counter()
         result = runner(*args)
-        wall = time.perf_counter() - start  # repro: noqa[RPR101]
+        wall = time.perf_counter() - start
     snap = collector.snapshot()
     record = PerfRecord(
         wall_s=wall,

@@ -33,16 +33,13 @@ flamegraph::
 
 (weights are integer microseconds; feed the text straight to any
 FlameGraph renderer).  :meth:`SimProfiler.publish` folds the same data
-into the :mod:`repro.obs.metrics` registry histograms.
+into the :mod:`repro.obs.registry` registry histograms.
 
-Enable with the :func:`profiling` context manager;
-:func:`profile_enabled` reads ``REPRO_PROFILE`` for callers that want an
-environment switch.
+Enable with the :func:`profiling` context manager.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from contextlib import contextmanager
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
@@ -50,12 +47,9 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 
-#: Environment toggle (mirrors ``REPRO_PERF`` / ``REPRO_OBS``).
-ENV_VAR = "REPRO_PROFILE"
-
 #: Log-spaced per-dispatch buckets, seconds (1us..1s + overflow slot).
 #: Kept numerically identical to
-#: ``repro.obs.metrics.DEFAULT_SECONDS_BUCKETS`` so :meth:`publish` can
+#: ``repro.obs.registry.DEFAULT_SECONDS_BUCKETS`` so :meth:`publish` can
 #: fold pre-aggregated counts without resampling.
 BUCKET_BOUNDS: Tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
@@ -74,11 +68,6 @@ _T = TypeVar("_T")
 
 #: This module's role on the probe seam.
 _ROLE = "profile"
-
-
-def profile_enabled() -> bool:
-    """True when ``REPRO_PROFILE`` requests profiling."""
-    return os.environ.get(ENV_VAR, "").strip() not in ("", "0", "false", "no")
 
 
 class SimProfiler(_probe.Probe):
@@ -139,10 +128,10 @@ class SimProfiler(_probe.Probe):
     def event_begin(self, sim: Any, event_time: float, timer: Any) -> None:
         self._current = self.classify(timer.callback)
         # Host-side attribution of host wall time; never simulated state.
-        self._event_t0 = time.perf_counter()  # repro: noqa[RPR101]
+        self._event_t0 = time.perf_counter()
 
     def event_end(self, sim: Any) -> None:
-        dt = time.perf_counter() - self._event_t0  # repro: noqa[RPR101]
+        dt = time.perf_counter() - self._event_t0
         component = self._current
         self._current = ""
         self._event_wall += dt
@@ -171,11 +160,11 @@ class SimProfiler(_probe.Probe):
     def timed(self, name: str, fn: Callable[..., _T], *args: Any) -> _T:
         """Time ``fn(*args)`` as hot-spot ``name`` nested under the
         component currently dispatching."""
-        t0 = time.perf_counter()  # repro: noqa[RPR101]
+        t0 = time.perf_counter()
         try:
             return fn(*args)
         finally:
-            dt = time.perf_counter() - t0  # repro: noqa[RPR101]
+            dt = time.perf_counter() - t0
             parent = self._current or "outside"
             path = ("engine", parent, name) if parent != "outside" else (
                 "outside", name,
@@ -189,13 +178,13 @@ class SimProfiler(_probe.Probe):
     # -- run bracketing --------------------------------------------------
     def run_begin(self, sim: Any) -> None:
         self._open_runs.append((
-            time.perf_counter(),  # repro: noqa[RPR101]
+            time.perf_counter(),
             self._event_wall,
         ))
 
     def run_end(self, sim: Any) -> None:
         t0, event_wall_before = self._open_runs.pop()
-        total = time.perf_counter() - t0  # repro: noqa[RPR101]
+        total = time.perf_counter() - t0
         inside_events = self._event_wall - event_wall_before
         overhead = max(0.0, total - inside_events)
         self._runs += 1
@@ -254,17 +243,17 @@ class SimProfiler(_probe.Probe):
         return "\n".join(lines) + ("\n" if lines else "")
 
     def publish(self, registry: Any, campaign: str = "") -> None:
-        """Fold totals into a :class:`repro.obs.metrics.MetricRegistry`."""
-        from repro.obs import metrics as _metrics
+        """Fold totals into a :class:`repro.obs.registry.MetricRegistry`."""
+        from repro.obs import registry as _registry
 
         calls = registry.counter(
             "repro_profile_component_calls",
-            _metrics.CATALOG["repro_profile_component_calls"][1],
+            _registry.CATALOG["repro_profile_component_calls"][1],
             ("component",),
         )
         wall = registry.counter(
             "repro_profile_component_wall_seconds",
-            _metrics.CATALOG["repro_profile_component_wall_seconds"][1],
+            _registry.CATALOG["repro_profile_component_wall_seconds"][1],
             ("component",),
         )
         for name, (n, seconds) in sorted(self._components.items()):
@@ -274,7 +263,7 @@ class SimProfiler(_probe.Probe):
                 wall.inc(seconds, component=name)
         histogram = registry.histogram(
             "repro_profile_event_seconds",
-            _metrics.CATALOG["repro_profile_event_seconds"][1],
+            _registry.CATALOG["repro_profile_event_seconds"][1],
             ("component",),
             buckets=BUCKET_BOUNDS,
         )
@@ -303,9 +292,7 @@ def profiling() -> Iterator[SimProfiler]:
 
 __all__ = [
     "BUCKET_BOUNDS",
-    "ENV_VAR",
     "SimProfiler",
     "current",
-    "profile_enabled",
     "profiling",
 ]

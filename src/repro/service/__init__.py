@@ -13,7 +13,7 @@ from a per-process pool into a campaign service:
   executor drop-in for the grid sweeps;
 * :mod:`repro.service.daemon` -- the long-lived ``campaign serve``
   daemon: a drain loop plus an OpenMetrics/JSON scrape endpoint fed by
-  the :mod:`repro.obs.metrics` registry.
+  the :mod:`repro.obs.registry` registry.
 
 See ``docs/architecture.md`` ("Campaign service") and
 ``repro.cli campaign`` for the command-line surface.

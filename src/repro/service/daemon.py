@@ -7,7 +7,7 @@ killed predecessors), and exposes an HTTP endpoint -- stdlib
 ``http.server``, no new dependencies -- with three routes:
 
 ``/metrics``
-    The telemetry registry (:mod:`repro.obs.metrics`) rendered as
+    The telemetry registry (:mod:`repro.obs.registry`) rendered as
     OpenMetrics text.  Point a Prometheus scrape config at it; the
     ``repro_campaign_jobs`` gauges are refreshed from the store (ground
     truth) on every drain-loop iteration, so a scrape after a
@@ -38,7 +38,7 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Any, Dict, Optional
 
 from repro.experiments.exec import JobOutcome
-from repro.obs.metrics import (
+from repro.obs.registry import (
     OPENMETRICS_CONTENT_TYPE,
     MetricRegistry,
     default_registry,
@@ -107,7 +107,7 @@ def status_document(
         "jobs_per_s": jobs_per_s,
         "eta_s": eta_s,
         # Bookkeeping timestamp (campaign layer, not simulation state).
-        "updated_wall": time.time(),  # repro: noqa[RPR101]
+        "updated_wall": time.time(),
     }
 
 
@@ -136,7 +136,7 @@ class CampaignDaemon:
     Parameters mirror :class:`~repro.service.runner.CampaignRunner`
     (which this wraps); ``port=0`` binds an ephemeral port (read it back
     from :attr:`port` after :meth:`start_http`).  ``registry`` defaults
-    to a fresh :func:`~repro.obs.metrics.default_registry`.
+    to a fresh :func:`~repro.obs.registry.default_registry`.
     """
 
     def __init__(
@@ -166,7 +166,7 @@ class CampaignDaemon:
         self._server_thread: Optional[threading.Thread] = None
         self._status: Dict[str, Any] = {"campaign": name, "counts": {}}
         # Daemon-side rate accounting (host wall clock; campaign layer).
-        self._started = time.monotonic()  # repro: noqa[RPR101]
+        self._started = time.monotonic()
         self._events_total = 0.0
         self._events_wall = 0.0
         self._jobs_done = 0
@@ -229,7 +229,7 @@ class CampaignDaemon:
 
     # -- rates -----------------------------------------------------------
     def _rates(self) -> Dict[str, Optional[float]]:
-        elapsed = time.monotonic() - self._started  # repro: noqa[RPR101]
+        elapsed = time.monotonic() - self._started
         jobs_per_s = self._jobs_done / elapsed if elapsed > 0 else None
         events_per_s = (
             self._events_total / self._events_wall

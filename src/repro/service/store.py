@@ -219,7 +219,7 @@ class CampaignStore:
             "INSERT INTO campaigns (name, backend, cache_dir, created_wall)"
             " VALUES (?, ?, ?, ?)",
             # Bookkeeping timestamp, not simulation state.
-            (name, canonical_json(backend), cache_dir, time.time()),  # repro: noqa[RPR101]
+            (name, canonical_json(backend), cache_dir, time.time()),
         )
         self._conn.commit()
         return int(cursor.lastrowid)
@@ -270,7 +270,7 @@ class CampaignStore:
                     wire["kind"],
                     canonical_json(wire),
                     PENDING,
-                    time.time(),  # repro: noqa[RPR101]
+                    time.time(),
                 ),
             )
             added += cursor.rowcount
@@ -333,7 +333,7 @@ class CampaignStore:
                 f"job {key[:12]} cannot go {current!r} -> {new_status!r}"
             )
         sets = ["status = ?", "updated_wall = ?"]
-        values: List[Any] = [new_status, time.time()]  # repro: noqa[RPR101]
+        values: List[Any] = [new_status, time.time()]
         if bump_attempts:
             sets.append("attempts = attempts + 1")
         for column, value in (fields or {}).items():
@@ -365,7 +365,7 @@ class CampaignStore:
             " updated_wall = ?"
             " WHERE campaign_id = ? AND spec_hash = ? AND status = ?",
             # Bookkeeping timestamp, not simulation state.
-            (RUNNING, time.time(), campaign_id, key, PENDING),  # repro: noqa[RPR101]
+            (RUNNING, time.time(), campaign_id, key, PENDING),
         )
         self._conn.commit()
         if cursor.rowcount > 0:

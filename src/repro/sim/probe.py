@@ -27,9 +27,16 @@ This module is stdlib-only and imports nothing from the package.
 from __future__ import annotations
 
 import itertools
+import os
 from typing import Any, Callable, Dict, List, Optional
 
 _UIDS = itertools.count(1)
+
+
+def env_on(name: str) -> bool:
+    """How every tool reads its on/off environment switch: unset, empty
+    and ``0`` (after ``strip()``) are off, anything else is on."""
+    return os.environ.get(name, "").strip() not in ("", "0")
 
 
 def next_uid() -> int:

@@ -254,37 +254,6 @@ def run_web(spec: WebBrowsingSpec) -> WebBrowsingResult:
     return result
 
 
-def run_web_browsing(
-    scheduler_name: str,
-    path_configs: Sequence[PathConfig],
-    page: Optional[WebPage] = None,
-    seed: int = 0,
-    connections: int = BROWSER_CONNECTIONS,
-    config: Optional[ConnectionConfig] = None,
-    timeout: float = 600.0,
-    **scheduler_params,
-) -> WebBrowsingResult:
-    """Positional-argument wrapper around :func:`run_web`.
-
-    .. deprecated:: 1.1
-        Build a :class:`WebBrowsingSpec` and call :func:`run_web` (or
-        submit the spec to :class:`repro.experiments.exec.ExperimentExecutor`).
-        Kept so existing examples and benchmarks run unchanged.
-    """
-    return run_web(
-        WebBrowsingSpec(
-            scheduler=scheduler_name,
-            path_configs=tuple(path_configs),
-            seed=seed,
-            connections=connections,
-            object_sizes=None if page is None else tuple(page.object_sizes),
-            scheduler_params=dict(scheduler_params),
-            connection=config,
-            timeout=timeout,
-        )
-    )
-
-
 def _register() -> None:
     from repro.experiments.spec import register_experiment
 

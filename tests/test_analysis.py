@@ -42,6 +42,18 @@ class TestLintRules:
     def test_rpr101_datetime(self):
         assert codes_of("import datetime\nd = datetime.datetime.now()\n") == ["RPR101"]
 
+    @pytest.mark.parametrize("path, flagged", [
+        ("src/repro/experiments/exec.py", False),
+        ("src/repro/obs/journal.py", False),
+        ("src/repro/perf/counters.py", False),
+        ("src/repro/service/store.py", False),
+        ("src/repro/experiments/grid.py", True),
+        ("src/repro/mptcp/connection.py", True),
+    ])
+    def test_rpr101_allowlisted_in_host_side_code_only(self, path, flagged):
+        source = "import time\nt = time.monotonic()\n"
+        assert codes_of(source, path=path) == (["RPR101"] if flagged else [])
+
     def test_rpr102_module_level_random(self):
         assert codes_of("import random\nx = random.random()\n") == ["RPR102"]
         assert codes_of("x = rng.random()\n") == []

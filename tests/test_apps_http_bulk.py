@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.apps.bulk import run_bulk_download
+from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.apps.http import HttpSession
 from repro.net.profiles import lte_config, wifi_config
 from tests.conftest import build_connection, drain
@@ -82,38 +82,38 @@ class TestBulkDownload:
     PATHS = (wifi_config(2.0), lte_config(8.6))
 
     def test_download_completes(self):
-        result = run_bulk_download("minrtt", self.PATHS, 256 * 1024)
+        result = run_bulk(BulkDownloadSpec("minrtt", self.PATHS, 256 * 1024))
         assert result.completion_time > 0
         assert sum(result.payload_by_path.values()) >= 256 * 1024
 
     def test_larger_files_take_longer(self):
-        small = run_bulk_download("minrtt", self.PATHS, 64 * 1024)
-        large = run_bulk_download("minrtt", self.PATHS, 1024 * 1024)
+        small = run_bulk(BulkDownloadSpec("minrtt", self.PATHS, 64 * 1024))
+        large = run_bulk(BulkDownloadSpec("minrtt", self.PATHS, 1024 * 1024))
         assert large.completion_time > small.completion_time
 
     def test_all_schedulers_complete(self):
         for name in ("minrtt", "ecf", "blest", "daps"):
-            result = run_bulk_download(name, self.PATHS, 128 * 1024)
+            result = run_bulk(BulkDownloadSpec(name, self.PATHS, 128 * 1024))
             assert result.scheduler == name
             assert result.completion_time > 0
 
     def test_small_transfer_mostly_on_primary(self):
         """Secondary joins a handshake later: tiny objects ride WiFi."""
-        result = run_bulk_download("minrtt", self.PATHS, 16 * 1024)
+        result = run_bulk(BulkDownloadSpec("minrtt", self.PATHS, 16 * 1024))
         assert result.payload_by_path["wifi"] >= result.payload_by_path["lte"]
 
     def test_timeout_raises(self):
         slow = (wifi_config(0.3),)
         with pytest.raises(RuntimeError):
-            run_bulk_download("minrtt", slow, 10_000_000, timeout=1.0)
+            run_bulk(BulkDownloadSpec("minrtt", slow, 10_000_000, timeout=1.0))
 
     def test_deterministic_given_seed(self):
-        a = run_bulk_download("ecf", self.PATHS, 256 * 1024, seed=5)
-        b = run_bulk_download("ecf", self.PATHS, 256 * 1024, seed=5)
+        a = run_bulk(BulkDownloadSpec("ecf", self.PATHS, 256 * 1024, seed=5))
+        b = run_bulk(BulkDownloadSpec("ecf", self.PATHS, 256 * 1024, seed=5))
         assert a.completion_time == b.completion_time
 
     def test_throughput_property(self):
-        result = run_bulk_download("minrtt", self.PATHS, 512 * 1024)
+        result = run_bulk(BulkDownloadSpec("minrtt", self.PATHS, 512 * 1024))
         assert result.throughput_bps == pytest.approx(
             512 * 1024 * 8 / result.completion_time
         )

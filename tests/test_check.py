@@ -510,10 +510,11 @@ class TestCheckCli:
         assert "bulk/ecf" in out
         assert "races:bulk/ecf" in out
 
-    def test_broken_fixture_cell_fails(self, capsys):
+    @pytest.mark.parametrize("scenario", ["bulk", "dash"])
+    def test_broken_fixture_cell_fails(self, capsys, scenario):
         code = cli_main([
-            "check", "--scenario", "bulk", "--scheduler", "ecf-nowait",
-            "--size", "128k", "--skip-races",
+            "check", "--scenario", scenario, "--scheduler", "ecf-nowait",
+            "--size", "128k", "--video", "10", "--skip-races",
         ])
         out = capsys.readouterr().out
         assert code == 1

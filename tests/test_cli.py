@@ -3,6 +3,9 @@
 import pytest
 
 from repro.cli import build_parser, main, parse_size
+from repro.experiments.exec import ExperimentExecutor, ResultCache
+from repro.experiments.grid import streaming_grid_specs
+from repro.experiments.runner import StreamingRunConfig
 
 
 class TestParseSize:
@@ -43,6 +46,14 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["download", "--scheduler", "nope"])
 
+    @pytest.mark.parametrize("command", ["streaming", "grid", "wild"])
+    def test_sweep_commands_have_no_campaign_fork(self, command, capsys):
+        # A durable sweep is `campaign submit --sweep ...`, nothing else.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args([command, "--campaign", "x"])
+        assert exit_info.value.code == 2
+        assert "--campaign" in capsys.readouterr().err
+
 
 class TestCommands:
     def test_download_runs(self, capsys):
@@ -61,8 +72,6 @@ class TestCommands:
         assert "ideal bit rate" in capsys.readouterr().out
 
     def test_no_cache_bypasses_configured_dir(self, tmp_path, capsys, monkeypatch):
-        from repro.experiments.exec import ResultCache
-
         argv = [
             "streaming", "--scheduler", "ecf", "--video", "10",
             "--cache-dir", str(tmp_path),
@@ -85,3 +94,20 @@ class TestCommands:
     def test_wild_runs(self, capsys):
         assert main(["wild", "--runs", "2", "--video", "15"]) == 0
         assert "wifi rtt" in capsys.readouterr().out
+
+    def test_a_submitted_sweep_renders_from_its_cache(self, tmp_path, capsys):
+        """`campaign submit --sweep grid` then `grid --cache-dir D`: the
+        render reads the campaign's cache and simulates nothing."""
+        cache = tmp_path / "cache"
+        assert main([
+            "campaign", "submit", "sweep", "--db", str(tmp_path / "c.db"),
+            "--cache-dir", str(cache), "--sweep", "grid", "--video", "10",
+            "--wifi-grid", "0.7", "8.6", "--lte-grid", "8.6",
+        ]) == 0
+        assert "done=2 failed=0" in capsys.readouterr().out
+        base = StreamingRunConfig(scheduler="ecf", video_duration=10.0, seed=0)
+        executor = ExperimentExecutor(cache_dir=cache)
+        executor.run(
+            [spec for _, spec in streaming_grid_specs(base, (0.7, 8.6), (8.6,))]
+        )
+        assert (executor.stats.executed, executor.stats.cached) == (0, 2)

@@ -12,7 +12,7 @@ import pytest
 
 from repro.apps.bulk import BulkDownloadSpec
 from repro.net.profiles import lte_config, wifi_config
-from repro.obs.metrics import (
+from repro.obs.registry import (
     default_registry,
     publish_perf_counters,
     validate_openmetrics,

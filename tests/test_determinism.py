@@ -5,19 +5,20 @@ configuration and seed -- that is what makes the paper's scenario
 comparisons ("each scheduler sees the same scenario") meaningful.
 """
 
-from repro.apps.bulk import run_bulk_download
+from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
-from repro.experiments.wild import run_wild_streaming
+from repro.experiments.wild import WildStreamingSpec, run_wild
 from repro.net.profiles import lte_config, wifi_config
 from repro.workloads.scenarios import random_bandwidth_scenarios
-from repro.workloads.web import run_web_browsing
+from repro.workloads.web import WebBrowsingSpec, run_web
 
 
 class TestDeterminism:
     def test_bulk_download_bitwise_stable(self):
         paths = (wifi_config(1.0), lte_config(8.6))
-        a = run_bulk_download("ecf", paths, 512 * 1024, seed=11)
-        b = run_bulk_download("ecf", paths, 512 * 1024, seed=11)
+        spec = BulkDownloadSpec("ecf", paths, 512 * 1024, seed=11)
+        a = run_bulk(spec)
+        b = run_bulk(spec)
         assert a.completion_time == b.completion_time
         assert a.payload_by_path == b.payload_by_path
 
@@ -44,15 +45,17 @@ class TestDeterminism:
 
     def test_web_browsing_stable(self):
         paths = (wifi_config(2.0), lte_config(8.6))
-        a = run_web_browsing("minrtt", paths, seed=5)
-        b = run_web_browsing("minrtt", paths, seed=5)
+        spec = WebBrowsingSpec("minrtt", paths, seed=5)
+        a = run_web(spec)
+        b = run_web(spec)
         assert a.object_completion_times == b.object_completion_times
         assert a.page_load_time == b.page_load_time
 
     def test_wild_runs_stable(self):
-        a = run_wild_streaming(runs=2, video_duration=15.0)
-        b = run_wild_streaming(runs=2, video_duration=15.0)
-        for run_a, run_b in zip(a, b):
+        spec = WildStreamingSpec(runs=2, video_duration=15.0)
+        a = run_wild(spec)
+        b = run_wild(spec)
+        for run_a, run_b in zip(a.runs, b.runs):
             assert run_a.wifi_config == run_b.wifi_config
             assert (
                 run_a.throughput_mbps("ecf") == run_b.throughput_mbps("ecf")

@@ -11,7 +11,12 @@ from repro.experiments.grid import (
 )
 from repro.experiments.ideal import ideal_average_bitrate, ideal_fast_fraction
 from repro.experiments.runner import StreamingRunConfig, run_streaming
-from repro.experiments.wild import run_wild_streaming, run_wild_web, wild_path_pair
+from repro.experiments.wild import (
+    WildStreamingSpec,
+    run_wild,
+    run_wild_web,
+    wild_path_pair,
+)
 from repro.net.bandwidth import PiecewiseBandwidth
 
 
@@ -142,7 +147,7 @@ class TestWild:
         assert wild_path_pair(3) != wild_path_pair(4)
 
     def test_wild_streaming_sorted_by_wifi_rtt(self):
-        runs = run_wild_streaming(runs=3, video_duration=15.0)
+        runs = run_wild(WildStreamingSpec(runs=3, video_duration=15.0)).runs
         rtts = [run.wifi_config.one_way_delay for run in runs]
         assert rtts == sorted(rtts)
         for run in runs:

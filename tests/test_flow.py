@@ -110,6 +110,12 @@ class TestProjectInternals:
         summary = extract_module(source, "src/repro/obs/journal.py")
         project = Project([summary])
         assert not project.in_taint_scope("repro.obs.journal")
-        assert project.in_taint_scope("repro.sim.engine")
+        assert not project.in_taint_scope("repro.experiments.exec")
+        for module in (
+            "repro.sim.engine", "repro.net.link", "repro.tcp.subflow",
+            "repro.mptcp.connection", "repro.core.ecf", "repro.apps.bulk",
+            "repro.workloads.web",
+        ):
+            assert project.in_taint_scope(module), module
         # Non-repro files (fixtures, scripts) are always in scope.
         assert project.in_taint_scope("tests.data.flow.deep")

@@ -8,7 +8,7 @@ byte stream is exact.
 
 import pytest
 
-from repro.apps.bulk import run_bulk_download
+from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.net.profiles import lte_config, make_path, wifi_config
 from repro.core.spec import SchedulerSpec, build
@@ -118,8 +118,8 @@ class TestEcfVersusDefault:
     def test_wget_ecf_never_slower_with_margin(self):
         """Fig 19's claim: ECF never does worse than default (within noise)."""
         paths = (wifi_config(1.0), lte_config(8.0))
-        default = run_bulk_download("minrtt", paths, 512 * 1024)
-        ecf = run_bulk_download("ecf", paths, 512 * 1024)
+        default = run_bulk(BulkDownloadSpec("minrtt", paths, 512 * 1024))
+        ecf = run_bulk(BulkDownloadSpec("ecf", paths, 512 * 1024))
         assert ecf.completion_time <= default.completion_time * 1.15
 
 

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.metrics.collectors import PeriodicSampler, ThroughputMeter
+from repro.metrics.collectors import PeriodicSampler
 from repro.metrics.stats import (
     ccdf,
     cdf,
@@ -107,29 +107,3 @@ class TestPeriodicSampler:
         sampler.start()
         with pytest.raises(RuntimeError):
             sampler.start()
-
-
-class TestThroughputMeter:
-    def test_average_throughput(self, sim):
-        meter = ThroughputMeter(sim)
-        meter.on_bytes(1000)
-        sim.schedule(1.0, meter.on_bytes, 1000)
-        sim.run()
-        # 2000 bytes over the 1 s between first and last byte.
-        assert meter.average_throughput_bps() == pytest.approx(16_000.0)
-
-    def test_average_with_explicit_elapsed(self, sim):
-        meter = ThroughputMeter(sim)
-        meter.on_bytes(1000)
-        assert meter.average_throughput_bps(elapsed=2.0) == pytest.approx(4000.0)
-
-    def test_no_bytes_is_zero(self, sim):
-        assert ThroughputMeter(sim).average_throughput_bps() == 0.0
-
-    def test_interval_marks(self, sim):
-        meter = ThroughputMeter(sim)
-        meter.mark()
-        meter.on_bytes(1250)
-        sim.schedule(1.0, meter.mark)
-        sim.run()
-        assert meter.interval_throughput_bps() == [pytest.approx(10_000.0)]

@@ -567,7 +567,7 @@ class TestFlatExports:
         )
 
     def test_prometheus_text_is_valid_openmetrics(self):
-        from repro.obs.metrics import validate_openmetrics
+        from repro.obs.registry import validate_openmetrics
 
         text = timeline.prometheus_text({"events": 100, "wall_s": 0.25})
         assert validate_openmetrics(text) == []
@@ -597,13 +597,6 @@ class TestLoadExportSource:
         loaded = timeline.load_export_source(path)
         assert loaded["traces"] == {"cwnd.wifi0": [[0.0, 1.0]]}
 
-    def test_result_array_takes_first(self, tmp_path):
-        path = tmp_path / "results.json"
-        path.write_text(json.dumps([
-            {"trace": {"a": [[0.0, 1.0]]}}, {"trace": {"b": []}},
-        ]))
-        assert timeline.load_export_source(path)["traces"] == {"a": [[0.0, 1.0]]}
-
     def test_cache_entry_unwraps_result(self, tmp_path):
         path = tmp_path / "entry.json"
         path.write_text(json.dumps({
@@ -621,7 +614,13 @@ class TestLoadExportSource:
     def test_empty_array_rejected(self, tmp_path):
         path = tmp_path / "empty.json"
         path.write_text("[]")
-        with pytest.raises(ValueError, match="empty"):
+        with pytest.raises(ValueError, match="unrecognized export source"):
+            timeline.load_export_source(path)
+
+    def test_result_array_rejected(self, tmp_path):
+        path = tmp_path / "results.json"
+        path.write_text(json.dumps([{"trace": {"a": [[0.0, 1.0]]}}]))
+        with pytest.raises(ValueError, match="unrecognized export source"):
             timeline.load_export_source(path)
 
 

@@ -1,10 +1,10 @@
-"""Tests for repro.obs.metrics: registry, rendering, validation, publishers."""
+"""Tests for repro.obs.registry: registry, rendering, validation, publishers."""
 
 import math
 
 import pytest
 
-from repro.obs.metrics import (
+from repro.obs.registry import (
     CATALOG,
     OPENMETRICS_CONTENT_TYPE,
     PERF_COUNTER_FIELDS,

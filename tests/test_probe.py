@@ -15,11 +15,13 @@ Three guarantees the refactor rests on:
 import hashlib
 import heapq  # repro: noqa[RPR901] -- one test corrupts the queue on purpose
 import itertools
+import subprocess
+import sys
 from contextlib import ExitStack, contextmanager
 
 import pytest
 
-from repro.analysis import events, sanitize
+from repro.analysis import check, events, sanitize
 from repro.analysis.flow import Project, extract_module
 from repro.analysis.sanitize import SanitizerError
 from repro.apps.bulk import BulkDownloadSpec, build_world, run_bulk
@@ -294,3 +296,34 @@ class TestNesting:
                 assert not sanitize.enabled() and events.current() is log
             assert not sanitize.enabled() and events.current() is None
             assert probe.ACTIVE is None
+
+
+def _sanitizer_armed_at_import() -> bool:
+    """The sanitizer reads its switch once, at import: ask a child."""
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "from repro.analysis import sanitize; print(sanitize.enabled())"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    return out.stdout.strip() == "True"
+
+
+_SWITCHES = {
+    check.ENV_VAR: check.check_enabled,
+    counters.ENV_VAR: counters.perf_enabled,
+    flight.ENV_VAR: flight.obs_enabled,
+    sanitize.ENV_VAR: _sanitizer_armed_at_import,
+}
+
+
+@pytest.mark.parametrize("name", sorted(_SWITCHES))
+@pytest.mark.parametrize(
+    "value, on",
+    [(None, False), ("", False), ("0", False), (" 0", False), ("1", True)],
+)
+def test_every_tool_switch_parses_the_same_way(monkeypatch, name, value, on):
+    if value is None:
+        monkeypatch.delenv(name, raising=False)
+    else:
+        monkeypatch.setenv(name, value)
+    assert _SWITCHES[name]() is on

@@ -10,14 +10,12 @@ The two load-bearing guarantees:
   guards the same property at sha256 granularity).
 """
 
-import os
-
 import pytest
 
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.net.profiles import lte_config, wifi_config
 from repro.perf import profiler as _profiler
-from repro.perf.profiler import SimProfiler, profile_enabled, profiling
+from repro.perf.profiler import SimProfiler, profiling
 
 
 def bulk_spec(seed=0, size=96 * 1024):
@@ -32,14 +30,6 @@ def bulk_spec(seed=0, size=96 * 1024):
 class TestZeroCostOff:
     def test_profiler_global_defaults_to_none(self):
         assert _profiler.current() is None
-
-    def test_profile_enabled_reads_env(self, monkeypatch):
-        monkeypatch.delenv(_profiler.ENV_VAR, raising=False)
-        assert not profile_enabled()
-        monkeypatch.setenv(_profiler.ENV_VAR, "1")
-        assert profile_enabled()
-        monkeypatch.setenv(_profiler.ENV_VAR, "0")
-        assert not profile_enabled()
 
     def test_runs_fine_with_profiler_off(self):
         result = run_bulk(bulk_spec())
@@ -131,7 +121,7 @@ class TestCollapsed:
 
 class TestPublish:
     def test_publish_fills_registry(self):
-        from repro.obs.metrics import default_registry
+        from repro.obs.registry import default_registry
 
         with profiling() as prof:
             run_bulk(bulk_spec())
@@ -160,9 +150,3 @@ class TestProfilingContext:
             with profiling():
                 raise RuntimeError("boom")
         assert _profiler.current() is None
-
-
-class TestEnvVarName:
-    def test_env_var_is_documented_name(self):
-        assert _profiler.ENV_VAR == "REPRO_PROFILE"
-        assert _profiler.ENV_VAR not in os.environ or True

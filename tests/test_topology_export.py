@@ -1,19 +1,8 @@
-"""Tests for multi-hop topologies and the results exporters."""
-
-import json
+"""Tests for multi-hop topologies."""
 
 import pytest
 
 from repro.core.spec import SchedulerSpec, build
-from repro.experiments.runner import StreamingRunConfig, run_streaming
-from repro.metrics.export import (
-    load_streaming_results_json,
-    streaming_result_to_dict,
-    write_cdf_csv,
-    write_matrix_csv,
-    write_series_csv,
-    write_streaming_results_json,
-)
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.packet import Packet
 from repro.net.topology import CompositeForward, LinkSpec, chain_path, shared_bottleneck
@@ -130,73 +119,3 @@ class TestSharedBottleneck:
         conn.write(2_000_000)
         sim.run(until=120.0)
         assert conn.delivered_bytes == 2_000_000
-
-
-class TestExport:
-    def test_series_csv_roundtrip(self, tmp_path):
-        target = tmp_path / "series.csv"
-        write_series_csv(target, [(1.0, 2.0), (3.0, 4.0)])
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "x,y"
-        assert lines[1] == "1.0,2.0"
-
-    def test_cdf_csv(self, tmp_path):
-        target = tmp_path / "cdf.csv"
-        write_cdf_csv(target, [1.0, 2.0, 2.0, 5.0])
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "value,cdf"
-        assert len(lines) == 4  # header + 3 distinct values
-
-    def test_ccdf_csv(self, tmp_path):
-        target = tmp_path / "ccdf.csv"
-        write_cdf_csv(target, [1.0, 2.0], complementary=True)
-        assert "ccdf" in target.read_text().splitlines()[0]
-
-    def test_matrix_csv(self, tmp_path):
-        target = tmp_path / "matrix.csv"
-        write_matrix_csv(target, {(0.3, 8.6): 0.7, (8.6, 8.6): 0.9})
-        lines = target.read_text().strip().splitlines()
-        assert lines[0] == "wifi_mbps,lte_mbps,value"
-        assert len(lines) == 3
-
-    def test_writers_create_parent_directories(self, tmp_path):
-        # Regression: writers used to fail with FileNotFoundError when
-        # pointed at a fresh output tree (e.g. results/run3/cdf.csv).
-        deep = tmp_path / "results" / "run3"
-        write_series_csv(deep / "series.csv", [(1.0, 2.0)])
-        write_cdf_csv(deep / "sub" / "cdf.csv", [1.0, 2.0])
-        write_matrix_csv(deep / "matrix" / "m.csv", {(0.3, 8.6): 0.7})
-        assert (deep / "series.csv").exists()
-        assert (deep / "sub" / "cdf.csv").exists()
-        assert (deep / "matrix" / "m.csv").exists()
-        result = run_streaming(StreamingRunConfig(
-            scheduler="minrtt", wifi_mbps=4.2, lte_mbps=8.6, video_duration=6.0
-        ))
-        write_streaming_results_json(deep / "json" / "runs.json", [result])
-        assert load_streaming_results_json(deep / "json" / "runs.json")
-
-    def test_streaming_results_json_roundtrip(self, tmp_path):
-        result = run_streaming(StreamingRunConfig(
-            scheduler="ecf", wifi_mbps=4.2, lte_mbps=8.6, video_duration=15.0
-        ))
-        target = tmp_path / "runs.json"
-        write_streaming_results_json(target, [result])
-        loaded = load_streaming_results_json(target)
-        assert len(loaded) == 1
-        assert loaded[0]["scheduler"] == "ecf"
-        assert loaded[0]["chunks"]
-        assert loaded[0]["average_bitrate_bps"] == pytest.approx(
-            result.average_bitrate_bps
-        )
-
-    def test_load_rejects_non_array(self, tmp_path):
-        target = tmp_path / "bad.json"
-        target.write_text(json.dumps({"not": "a list"}))
-        with pytest.raises(ValueError):
-            load_streaming_results_json(target)
-
-    def test_result_dict_is_json_serializable(self):
-        result = run_streaming(StreamingRunConfig(
-            scheduler="minrtt", wifi_mbps=8.6, lte_mbps=8.6, video_duration=10.0
-        ))
-        json.dumps(streaming_result_to_dict(result))

@@ -7,10 +7,28 @@ from repro.workloads.scenarios import random_bandwidth_scenarios
 from repro.workloads.web import (
     BROWSER_CONNECTIONS,
     CNN_OBJECT_COUNT,
+    WebBrowsingSpec,
     WebPage,
     cnn_like_page,
-    run_web_browsing,
+    run_web,
 )
+
+
+def test_packages_export_the_spec_and_its_typed_runner_only():
+    import repro.apps
+    import repro.workloads
+
+    assert set(repro.apps.__all__) == {
+        "HttpSession", "GetResult",
+        "BulkDownloadSpec", "BulkDownloadResult", "run_bulk",
+    }
+    assert set(repro.workloads.__all__) == {
+        "WebPage", "cnn_like_page",
+        "WebBrowsingSpec", "WebBrowsingResult", "run_web",
+        "random_bandwidth_scenarios",
+    }
+    for package in (repro.apps, repro.workloads):
+        assert all(hasattr(package, name) for name in package.__all__)
 
 
 class TestPageModel:
@@ -43,34 +61,39 @@ class TestWebBrowsing:
     PATHS = (wifi_config(5.0), lte_config(5.0))
 
     def test_page_load_completes(self):
-        result = run_web_browsing("minrtt", self.PATHS, seed=3)
+        result = run_web(WebBrowsingSpec("minrtt", self.PATHS, seed=3))
         assert result.complete
         assert result.objects_completed == CNN_OBJECT_COUNT
         assert len(result.object_completion_times) == CNN_OBJECT_COUNT
 
     def test_page_load_time_set(self):
-        result = run_web_browsing("minrtt", self.PATHS, seed=3)
+        result = run_web(WebBrowsingSpec("minrtt", self.PATHS, seed=3))
         assert result.page_load_time >= max(result.object_completion_times)
 
     def test_small_page_and_fewer_connections(self):
-        page = WebPage((10_000, 20_000, 30_000))
-        result = run_web_browsing("ecf", self.PATHS, page=page, connections=2)
+        result = run_web(WebBrowsingSpec(
+            "ecf", self.PATHS, object_sizes=(10_000, 20_000, 30_000), connections=2
+        ))
         assert result.complete
         assert result.total_objects == 3
 
     def test_all_schedulers_complete(self):
-        page = WebPage(tuple([20_000] * 12))
         for name in ("minrtt", "ecf", "blest", "daps"):
-            result = run_web_browsing(name, self.PATHS, page=page)
+            result = run_web(WebBrowsingSpec(
+                name, self.PATHS, object_sizes=(20_000,) * 12
+            ))
             assert result.complete, name
 
     def test_ooo_delays_collected(self):
-        result = run_web_browsing("minrtt", (wifi_config(1.0), lte_config(10.0)), seed=3)
+        result = run_web(WebBrowsingSpec(
+            "minrtt", (wifi_config(1.0), lte_config(10.0)), seed=3
+        ))
         assert result.ooo_delays  # some packets always recorded
 
     def test_mean_completion_time(self):
-        page = WebPage((10_000, 10_000))
-        result = run_web_browsing("minrtt", self.PATHS, page=page)
+        result = run_web(WebBrowsingSpec(
+            "minrtt", self.PATHS, object_sizes=(10_000, 10_000)
+        ))
         assert result.mean_completion_time == pytest.approx(
             sum(result.object_completion_times) / 2
         )
