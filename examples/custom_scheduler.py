@@ -35,18 +35,12 @@ class BacklogAwareScheduler(Scheduler):
 
     def select(self, conn):
         self.decisions += 1
-        established = self.established_subflows(conn)
-        fastest = self.fastest(established)
-        if fastest is None:
-            self.waits += 1
-            return None
-        if fastest.can_send():
-            return fastest
-        candidates = [sf for sf in established if sf is not fastest and sf.can_send()]
-        second = self.fastest(candidates)
+        fastest, second = self.fastest_and_sendable(conn)
         if second is None:
             self.waits += 1
             return None
+        if second is fastest:
+            return fastest
         backlog_segments = conn.unassigned_bytes / conn.mss
         keep_fast_busy = self.backlog_rtts * max(fastest.cwnd, 1.0)
         if backlog_segments > keep_fast_busy:

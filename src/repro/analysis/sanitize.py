@@ -132,6 +132,16 @@ class Checks(_probe.Probe):
                 "flight <= outstanding segments",
                 f"flight={in_flight}, outstanding={len(outstanding)}",
             )
+        # What lets _absorb_ack remove() a lost segment without first
+        # scanning the queue for it.
+        queued = {seg.seq for seg in subflow._retx_queue}
+        for seg in outstanding.values():
+            if not seg.acked and seg.lost != (seg.seq in queued):
+                _fail(
+                    subflow,
+                    "unacked segment: lost <=> queued for retransmission",
+                    f"seq={seg.seq}, lost={seg.lost}, queued={seg.seq in queued}",
+                )
 
     # ------------------------------------------------------------------
     # mptcp.connection

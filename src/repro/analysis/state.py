@@ -252,6 +252,19 @@ class StateModel:
             for base in model.info.bases
         ]
 
+    def inherited_state(self, model: ClassModel) -> Optional[Set[str]]:
+        """Union of the ``STATE_FIELDS`` the in-project ancestors declare,
+        or None when none of them declares a contract."""
+        inherited: Optional[Set[str]] = None
+        for base_qual in self.base_quals(model):
+            base = self.classes.get(base_qual) if base_qual else None
+            if base is None:
+                continue
+            for fields in (base.info.declared_state, self.inherited_state(base)):
+                if fields is not None:
+                    inherited = (inherited or set()) | set(fields)
+        return inherited
+
     def slots_closure(self, model: ClassModel) -> Optional[Set[str]]:
         """All slot names an instance has, or None when it has a dict.
 
@@ -617,9 +630,13 @@ def _fork_unsafe(model: StateModel, cls: ClassModel) -> List[Violation]:
 
 
 def _declared_drift(model: StateModel, cls: ClassModel) -> List[Violation]:
-    if cls.info.declared_state is None:
+    own = cls.info.declared_state
+    # No declaration of its own, but a base has one: snapshot.capture holds
+    # the instance to the inherited contract, so whatever the class adds is
+    # undeclared (what left MpDashScheduler uncapturable).
+    declared = set(own) if own is not None else model.inherited_state(cls)
+    if declared is None:
         return []
-    declared = set(cls.info.declared_state)
     # Aug-only fields (``self.decisions += 1``) mutate *inherited* state;
     # the declaring class, not the mutator, owns them in the contract.
     observed = {
@@ -627,7 +644,7 @@ def _declared_drift(model: StateModel, cls: ClassModel) -> List[Violation]:
         for name, field in cls.fields.items()
         if any(assign.kind != "aug" for assign in field.assigns)
     }
-    missing = sorted(declared - observed)
+    missing = sorted(declared - observed) if own is not None else []
     extra = sorted(observed - declared)
     if not missing and not extra:
         return []

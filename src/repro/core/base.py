@@ -18,7 +18,7 @@ Contract:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.sim import probe as _probe
 
@@ -69,18 +69,46 @@ class Scheduler:
         return [sf for sf in conn.subflows if sf.established]
 
     @staticmethod
-    def fastest(subflows: List["Subflow"]) -> Optional["Subflow"]:
-        """Smallest-SRTT subflow (ties broken by subflow id).
+    def fastest(subflows: Iterable["Subflow"]) -> Optional["Subflow"]:
+        """Smallest-SRTT subflow, in one pass.
 
-        Subflows whose RTT estimate is non-finite (a path in an outage
-        reports an ``inf`` transit estimate, and NaN would make ``min``
-        ordering-dependent) are excluded; if no subflow has a finite
-        estimate there is no meaningful "fastest" and None is returned.
+        Ties go to the first in iteration order: the lowest subflow id
+        for ``conn.subflows`` or a list filtered from it.  RTT estimates
+        are positive, so the strict ``<`` from an infinite start is also
+        the finiteness test: a path in an outage (``inf``) or a NaN never
+        wins, and None means no subflow has a finite estimate.
         """
-        usable = [sf for sf in subflows if math.isfinite(sf.srtt_or_default())]
-        if not usable:
-            return None
-        return min(usable, key=lambda sf: (sf.srtt_or_default(), sf.sf_id))
+        best = None
+        best_srtt = math.inf
+        for sf in subflows:
+            srtt = sf.rtt.srtt or sf.srtt_or_default()
+            if srtt < best_srtt:
+                best, best_srtt = sf, srtt
+        return best
+
+    @staticmethod
+    def fastest_and_sendable(
+        conn: "MptcpConnection",
+    ) -> Tuple[Optional["Subflow"], Optional["Subflow"]]:
+        """The smallest-SRTT established subflow and the smallest-SRTT
+        one that ``can_send()``, ranked as :meth:`fastest` does, in one pass.
+
+        ``sendable is fastest``: the fast path has room.  Otherwise
+        ``sendable`` is the default scheduler's fallback among the others,
+        or None when nothing can send.
+        """
+        now = conn.sim.now
+        fastest = sendable = None
+        fastest_srtt = sendable_srtt = math.inf
+        for sf in conn.subflows:
+            srtt = sf.rtt.srtt or sf.srtt_or_default()
+            # sendable_srtt >= fastest_srtt: the sendable are a subset.
+            if srtt < sendable_srtt and now >= sf.established_at:
+                if srtt < fastest_srtt:
+                    fastest, fastest_srtt = sf, srtt
+                if sf.can_send():
+                    sendable, sendable_srtt = sf, srtt
+        return fastest, sendable
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         """Choose the subflow for the next segment (or None to wait)."""

@@ -59,18 +59,12 @@ class BlestScheduler(Scheduler):
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         self.decisions += 1
         self._update_lambda(conn)
-        established = self.established_subflows(conn)
-        fastest = self.fastest(established)
-        if fastest is None:
-            self.waits += 1
-            return None
-        if fastest.can_send():
-            return fastest
-        candidates = [sf for sf in established if sf is not fastest and sf.can_send()]
-        second = self.fastest(candidates)
+        fastest, second = self.fastest_and_sendable(conn)
         if second is None:
             self.waits += 1
             return None
+        if second is fastest:
+            return fastest
         if self._would_block(conn, fastest, second):
             self.wait_decisions += 1
             self.waits += 1

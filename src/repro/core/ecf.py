@@ -126,22 +126,13 @@ class EcfScheduler(Scheduler):
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         self.decisions += 1
-        established = self.established_subflows(conn)
-        fastest = self.fastest(established)
-        if fastest is None:
-            self.waits += 1
-            return None
-        if fastest.can_send():
-            return fastest
-
-        # Fastest subflow is full: consider the default scheduler's pick
-        # among the remaining available subflows.
-        candidates = [sf for sf in established if sf is not fastest and sf.can_send()]
-        second = self.fastest(candidates)
+        fastest, second = self.fastest_and_sendable(conn)
         if second is None:
             self.waits += 1
             return None
-
+        if second is fastest:
+            return fastest
+        # Fastest is full; ``second`` is the default scheduler's pick.
         if self._should_wait_for_fast(conn, fastest, second):
             self.wait_decisions += 1
             self.waits += 1

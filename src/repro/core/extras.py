@@ -70,8 +70,8 @@ class RedundantScheduler(Scheduler):
         the fastest path, which is the point of the policy.
         """
         self.decisions += 1
-        fastest = self.fastest(self.established_subflows(conn))
-        if fastest is not None and fastest.can_send():
+        fastest, sendable = self.fastest_and_sendable(conn)
+        if fastest is not None and sendable is fastest:
             return fastest
         self.waits += 1
         return None
@@ -113,6 +113,9 @@ class MpDashScheduler(Scheduler):
 
     __slots__ = ("cellular_active", "activations", "deactivations")
 
+    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    STATE_FIELDS = ("cellular_active", "activations", "deactivations")
+
     def __init__(self) -> None:
         super().__init__()
         self.cellular_active = True  # safe default before any requirement
@@ -128,11 +131,8 @@ class MpDashScheduler(Scheduler):
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         self.decisions += 1
-        admissible = [
-            sf for sf in conn.subflows
-            if sf.can_send() and (sf.sf_id == 0 or self.cellular_active)
-        ]
-        choice = self.fastest(admissible)
+        admissible = conn.subflows if self.cellular_active else conn.subflows[:1]
+        choice = self.fastest([sf for sf in admissible if sf.can_send()])
         if choice is None:
             self.waits += 1
         return choice

@@ -28,8 +28,9 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
 
+from repro.core.base import Scheduler
 from repro.net.packet import MSS, Packet
 from repro.net.path import Path
 from repro.mptcp.receiver import MptcpReceiver
@@ -37,9 +38,6 @@ from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 from repro.tcp.cc.base import CongestionController
 from repro.tcp.subflow import Subflow
-
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard
-    from repro.core.base import Scheduler
 
 
 @dataclass
@@ -255,37 +253,44 @@ class MptcpConnection:
         self._sending = True
         probe = _probe.ACTIVE
         try:
-            self._service_rto_reinjections()
+            if self._rto_reinject_queue:
+                self._service_rto_reinjections()
+            config = self.config
+            mss = config.mss
+            scheduler = self.scheduler
+            duplicates = type(scheduler).duplicate_targets is not Scheduler.duplicate_targets
             while self.unassigned_bytes > 0:
-                if self.window_limited():
-                    if self.config.penalization_enabled and self.recv_window_limited():
+                payload = min(mss, self.unassigned_bytes)
+                # window_limited(), on locals.
+                window = min(config.send_window_bytes, self.peer_recv_window)
+                if window - (self.next_dsn - self.conn_una) < payload:
+                    if config.penalization_enabled and self.recv_window_limited():
                         self._opportunistic_retransmit()
                     break
                 if probe is None:
-                    subflow = self.scheduler.select(self)
+                    subflow = scheduler.select(self)
                 else:
-                    subflow = probe.timed("scheduler.decision", self.scheduler.select, self)
+                    subflow = probe.timed("scheduler.decision", scheduler.select, self)
                 if subflow is None:
                     self.scheduler_waits += 1
                     break
                 if not subflow.can_send():
                     raise RuntimeError(
-                        f"scheduler {self.scheduler.name!r} returned a subflow "
+                        f"scheduler {scheduler.name!r} returned a subflow "
                         f"without window space: {subflow!r}"
                     )
-                payload = min(self.mss, self.unassigned_bytes)
                 dsn = self.next_dsn
-                self.next_dsn += payload
+                self.next_dsn = dsn + payload
                 self.unassigned_bytes -= payload
                 self._outstanding_dsn[dsn] = (payload, subflow.sf_id)
                 self._dsn_order.append(dsn)
                 subflow.send_segment(dsn, payload)
-                # Redundant-style schedulers ask for copies on other open
-                # subflows; the receiver dedupes by DSN.
-                for twin in self.scheduler.duplicate_targets(self, subflow):
-                    if twin.can_send():
-                        twin.send_segment(dsn, payload)
-                        self.duplicate_transmissions += 1
+                if duplicates:
+                    # Copies on other open subflows; the receiver dedupes.
+                    for twin in scheduler.duplicate_targets(self, subflow):
+                        if twin.can_send():
+                            twin.send_segment(dsn, payload)
+                            self.duplicate_transmissions += 1
         finally:
             self._sending = False
         if probe is not None:

@@ -206,19 +206,14 @@ class Link:
             self._queue.append((packet, on_delivery))
             self._queued_bytes += packet.size
         else:
-            self._begin_transmission(packet, on_delivery)
+            self._busy = True
+            tx_time = packet.size * 8.0 / self.rate_bps
+            self.stats.busy_time += tx_time
+            self._tx_timer = self.sim.schedule(tx_time, self._finish_cb, packet, on_delivery)
         probe = _probe.ACTIVE
         if probe is not None:
             probe.audit_link(self)
         return True
-
-    def _begin_transmission(
-        self, packet: Packet, on_delivery: Callable[[Packet], None]
-    ) -> None:
-        self._busy = True
-        tx_time = packet.size * 8.0 / self.rate_bps
-        self.stats.busy_time += tx_time
-        self._tx_timer = self.sim.schedule(tx_time, self._finish_cb, packet, on_delivery)
 
     def _finish_transmission(
         self, packet: Packet, on_delivery: Callable[[Packet], None]
@@ -237,7 +232,9 @@ class Link:
         if self._queue:
             next_packet, next_cb = self._queue.popleft()
             self._queued_bytes -= next_packet.size
-            self._begin_transmission(next_packet, next_cb)
+            tx_time = next_packet.size * 8.0 / self.rate_bps
+            self.stats.busy_time += tx_time
+            self._tx_timer = self.sim.schedule(tx_time, self._finish_cb, next_packet, next_cb)
         else:
             self._busy = False
         probe = _probe.ACTIVE

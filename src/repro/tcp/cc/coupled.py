@@ -16,7 +16,7 @@ the fast path for many RTTs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Tuple
 
 from repro.tcp.cc.base import CongestionController
 
@@ -36,23 +36,31 @@ class CoupledController(CongestionController):
 
     def alpha(self) -> float:
         """The LIA aggressiveness factor over all registered subflows."""
-        total_cwnd = sum(sf.cwnd for sf in self.subflows)
-        if total_cwnd <= 0:
-            return 1.0
+        return self._alpha_and_total()[0]
+
+    def _alpha_and_total(self) -> Tuple[float, float]:
+        """``(alpha, total_cwnd)`` from one loop.  ``total_cwnd`` stays a
+        ``sum()`` and ``denom`` a ``+=``: 3.12's ``sum()`` compensates
+        float addition, so respelling either moves the last digit."""
+        cwnds = []
         best = 0.0
         denom = 0.0
-        for sf in self.subflows:
-            rtt = sf.rtt.smoothed_or(DEFAULT_RTT)
-            best = max(best, sf.cwnd / (rtt * rtt))
-            denom += sf.cwnd / rtt
-        if denom <= 0:
-            return 1.0
-        return total_cwnd * best / (denom * denom)
+        for sf in self._subflows:
+            cwnd = sf.cwnd
+            cwnds.append(cwnd)
+            rtt = sf.rtt.srtt or DEFAULT_RTT
+            rate = cwnd / (rtt * rtt)
+            if rate > best:
+                best = rate
+            denom += cwnd / rtt
+        total_cwnd = sum(cwnds)
+        if total_cwnd <= 0 or denom <= 0:
+            return 1.0, total_cwnd
+        return total_cwnd * best / (denom * denom), total_cwnd
 
     def ca_increase(self, subflow: "Subflow") -> float:
-        total_cwnd = sum(sf.cwnd for sf in self.subflows)
-        if total_cwnd <= 0:
-            return 1.0 / max(subflow.cwnd, 1.0)
-        coupled = self.alpha() / total_cwnd
+        alpha, total_cwnd = self._alpha_and_total()
         uncoupled = 1.0 / max(subflow.cwnd, 1.0)
-        return min(coupled, uncoupled)
+        if total_cwnd <= 0:
+            return uncoupled
+        return min(alpha / total_cwnd, uncoupled)

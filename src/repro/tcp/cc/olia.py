@@ -21,7 +21,7 @@ flappiness) which is all the paper relies on.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List
+from typing import TYPE_CHECKING, Tuple
 
 from repro.tcp.cc.base import CongestionController
 from repro.tcp.cc.coupled import DEFAULT_RTT
@@ -39,37 +39,50 @@ class OliaController(CongestionController):
 
     __slots__ = ()
 
-    def _quality(self, sf: "Subflow") -> float:
-        rtt = sf.rtt.smoothed_or(DEFAULT_RTT)
-        inter_loss = max(float(sf.stats.bytes_since_loss), float(sf.mss))
-        return inter_loss * inter_loss / rtt
-
     def _alpha(self, subflow: "Subflow") -> float:
-        paths: List["Subflow"] = self.subflows
+        return self._denom_and_alpha(subflow)[1]
+
+    def _denom_and_alpha(self, subflow: "Subflow") -> Tuple[float, float]:
+        """``(sum_j cwnd_j / rtt_j, alpha_i)``: each path's window, RTT and
+        quality ``l^2 / rtt`` are read once per ACK, in one loop."""
+        paths = self._subflows
+        cwnds = []
+        qualities = []
+        denom = 0.0
+        for sf in paths:
+            rtt = sf.rtt.srtt or DEFAULT_RTT
+            cwnd = sf.cwnd
+            inter_loss = float(max(sf.stats.bytes_since_loss, sf.mss))
+            cwnds.append(cwnd)
+            qualities.append(inter_loss * inter_loss / rtt)
+            denom += cwnd / rtt
         n = len(paths)
         if n <= 1:
-            return 0.0
-        best_quality = max(self._quality(sf) for sf in paths)
-        best = [sf for sf in paths if self._quality(sf) >= best_quality * (1 - 1e-9)]
-        max_cwnd = max(sf.cwnd for sf in paths)
-        largest = [sf for sf in paths if sf.cwnd >= max_cwnd * (1 - 1e-9)]
-        collected = [sf for sf in best if sf.cwnd < max_cwnd * (1 - 1e-9)]
-        if collected:
-            if subflow in collected:
-                return 1.0 / (len(collected) * n)
-            if subflow in largest:
-                return -1.0 / (len(largest) * n)
-            return 0.0
-        return 0.0
+            return denom, 0.0
+        best_quality = max(qualities) * (1 - 1e-9)
+        max_cwnd = max(cwnds) * (1 - 1e-9)
+        # largest: the widest windows; collected: best paths that are not.
+        largest = collected = 0
+        sign = 0.0
+        for sf, cwnd, quality in zip(paths, cwnds, qualities):
+            if cwnd >= max_cwnd:
+                largest += 1
+                if sf is subflow:
+                    sign = -1.0
+            elif quality >= best_quality:
+                collected += 1
+                if sf is subflow:
+                    sign = 1.0
+        if not collected or not sign:
+            return denom, 0.0
+        return denom, sign / ((collected if sign > 0 else largest) * n)
 
     def ca_increase(self, subflow: "Subflow") -> float:
-        denom = 0.0
-        for sf in self.subflows:
-            denom += sf.cwnd / sf.rtt.smoothed_or(DEFAULT_RTT)
+        denom, alpha = self._denom_and_alpha(subflow)
         denom = max(denom, _EPS)
-        rtt_i = subflow.rtt.smoothed_or(DEFAULT_RTT)
+        rtt_i = subflow.rtt.srtt or DEFAULT_RTT
         # For a single path this reduces to Reno's 1/cwnd.
         increase = (subflow.cwnd / (rtt_i * rtt_i)) / (denom * denom)
-        total = increase + self._alpha(subflow) / max(subflow.cwnd, 1.0)
+        total = increase + alpha / max(subflow.cwnd, 1.0)
         # Never shrink faster than a segment per ACK nor outgrow slow start.
         return max(-1.0, min(1.0, total))

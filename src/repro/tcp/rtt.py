@@ -49,6 +49,8 @@ class RttEstimator:
         "samples",
         "_sum",
         "_window",
+        "rto",
+        "_sigma",
     )
 
     #: Snapshot contract for checkpoint/fork (audited by RPR915).
@@ -60,6 +62,8 @@ class RttEstimator:
         "samples",
         "_sum",
         "_window",
+        "rto",
+        "_sigma",
     )
 
     def __init__(
@@ -78,6 +82,10 @@ class RttEstimator:
         self.samples = 0
         self._sum = 0.0
         self._window: Deque[float] = deque(maxlen=sigma_window)
+        #: Retransmission timeout, Linux-style: SRTT + max(200ms, 4*RTTVAR),
+        #: set when a sample lands; RFC 6298's 1 s before the first.
+        self.rto = 1.0
+        self._sigma: Optional[float] = None  # memoised sigma; None = stale
         if initial_rtt is not None:
             self.add_sample(initial_rtt)
 
@@ -89,33 +97,41 @@ class RttEstimator:
         """
         if rtt <= 0:
             raise ValueError(f"rtt sample must be positive, got {rtt!r}")
-        if self.srtt is None:
-            self.srtt = rtt
-            self.rttvar = rtt / 2.0
+        srtt = self.srtt
+        if srtt is None:
+            srtt = rtt
+            rttvar = rtt / 2.0
         else:
-            self.rttvar = (1.0 - BETA) * self.rttvar + BETA * abs(self.srtt - rtt)
-            self.srtt = (1.0 - ALPHA) * self.srtt + ALPHA * rtt
+            rttvar = (1.0 - BETA) * self.rttvar + BETA * abs(srtt - rtt)
+            srtt = (1.0 - ALPHA) * srtt + ALPHA * rtt
+        self.srtt = srtt
+        self.rttvar = rttvar
         self.samples += 1
         self._sum += rtt
         self._window.append(rtt)
-
-    @property
-    def rto(self) -> float:
-        """Retransmission timeout, Linux-style: SRTT + max(200ms, 4*RTTVAR)."""
-        if self.srtt is None:
-            return 1.0  # RFC 6298 initial RTO before any measurement
-        raw = self.srtt + max(self.min_rto_var, 4.0 * self.rttvar)
-        return min(self.max_rto, raw)
+        self._sigma = None
+        # min(max_rto, srtt + max(min_rto_var, 4 * rttvar)), as comparisons.
+        var_term = 4.0 * rttvar
+        raw = srtt + (var_term if var_term > self.min_rto_var else self.min_rto_var)
+        self.rto = raw if raw < self.max_rto else self.max_rto
 
     @property
     def sigma(self) -> float:
-        """Windowed RTT standard deviation (ECF's per-subflow sigma)."""
-        n = len(self._window)
-        if n < 2:
-            return 0.0
-        mean = sum(self._window) / n
-        var = sum((x - mean) ** 2 for x in self._window) / (n - 1)
-        return math.sqrt(var)
+        """Windowed RTT standard deviation (ECF's per-subflow sigma),
+        computed on the first read after a sample."""
+        sigma = self._sigma
+        if sigma is None:
+            window = self._window
+            n = len(window)
+            if n < 2:
+                sigma = 0.0
+            else:
+                # sum() twice, in window order: 3.12 compensates float sums.
+                mean = sum(window) / n
+                var = sum([(x - mean) ** 2 for x in window]) / (n - 1)
+                sigma = math.sqrt(var)
+            self._sigma = sigma
+        return sigma
 
     @property
     def mean_rtt(self) -> float:

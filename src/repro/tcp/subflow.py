@@ -262,7 +262,11 @@ class Subflow:
 
     def can_send(self) -> bool:
         """True if the scheduler may assign *new* data to this subflow."""
-        return self.established and not self._retx_queue and self.has_window_space()
+        return (
+            not self._retx_queue
+            and self._in_flight + 1 <= self.cwnd + _EPS
+            and self.sim.now >= self.established_at
+        )
 
     @property
     def srtt(self) -> Optional[float]:
@@ -374,7 +378,8 @@ class Subflow:
         if segment.in_flight:
             segment.in_flight = False
             self._in_flight -= 1
-        if segment.lost and self._retx_queue and segment in self._retx_queue:
+        if segment.lost:
+            # Unacked and lost means queued (the sanitizer audits it).
             self._retx_queue.remove(segment)
         if not segment.retransmitted:
             self.rtt.add_sample(now - segment.sent_time)
@@ -463,10 +468,13 @@ class Subflow:
         """
         if not self._outstanding:
             return  # a pending timer fires as a no-op; keep the reference
-        timeout = min(MAX_BACKOFF, self._rto_backoff) * self.rtt.rto
-        self._rto_deadline = self.sim.now + timeout
-        if self._rto_timer is None or not self._rto_timer.active:
-            self._rto_timer = self.sim.schedule(timeout, self._on_rto)
+        backoff = self._rto_backoff
+        timeout = (backoff if backoff < MAX_BACKOFF else MAX_BACKOFF) * self.rtt.rto
+        sim = self.sim
+        self._rto_deadline = sim.now + timeout
+        timer = self._rto_timer
+        if timer is None or timer.cancelled:
+            self._rto_timer = sim.schedule(timeout, self._on_rto)
 
     def _on_rto(self) -> None:
         self._rto_timer = None

@@ -9,6 +9,7 @@ import pytest
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.experiments.spec import attach_perf, canonical_json
+from repro.mptcp.connection import ConnectionConfig
 from repro.net.profiles import lte_config, wifi_config
 from repro.perf import counters as perf
 from repro.sim.engine import Simulator
@@ -172,6 +173,13 @@ class TestByteIdentity:
             "web_ecf": (run_web, WebBrowsingSpec(
                 scheduler="ecf", path_configs=paths, seed=3,
                 object_sizes=page.object_sizes[:24])),
+            # 2 % loss keeps OLIA in congestion avoidance: ~1.7k coupled
+            # increases, which no other golden runs.
+            "bulk_olia": (run_bulk, BulkDownloadSpec(
+                scheduler="ecf", size=3_000_000, seed=3,
+                path_configs=(wifi_config(1.0, loss_rate=0.02),
+                              lte_config(8.6, loss_rate=0.02)),
+                connection=ConnectionConfig(congestion_control="olia"))),
         }
 
     def test_golden_digests_match(self, golden_digests):

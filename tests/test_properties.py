@@ -1,15 +1,18 @@
 """Property-based tests (hypothesis) on core data structures and invariants."""
 
+import math
 import random
 
 from hypothesis import given, settings, strategies as st
 
+from repro.core.base import Scheduler
 from repro.metrics.stats import ccdf, cdf, mean, percentile, stdev
 from repro.mptcp.receiver import MptcpReceiver
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim.engine import Simulator
 from repro.tcp.rtt import RttEstimator
+from tests.conftest import build_connection
 
 finite_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
@@ -66,6 +69,119 @@ class TestRttEstimatorProperties:
         for sample in samples:
             est.add_sample(sample)
         assert 0.0 <= est.sigma <= (max(samples) - min(samples)) + 1e-9
+
+
+    @given(
+        st.lists(st.floats(min_value=0.001, max_value=100.0), max_size=60),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.5, max_value=60.0),
+    )
+    def test_stored_rto_and_memoised_sigma_equal_their_formulas(
+        self, samples, min_rto_var, max_rto
+    ):
+        """``rto`` is computed when a sample lands and ``sigma`` once per
+        sample; both must read as the on-demand properties they replace."""
+        est = RttEstimator(min_rto_var=min_rto_var, max_rto=max_rto)
+        assert est.rto == 1.0 and est.sigma == 0.0
+        for sample in samples:
+            est.add_sample(sample)
+            assert est.rto == min(max_rto, est.srtt + max(min_rto_var, 4.0 * est.rttvar))
+            window = est._window
+            n = len(window)
+            expected = 0.0
+            if n >= 2:
+                mean = sum(window) / n
+                expected = math.sqrt(sum((x - mean) ** 2 for x in window) / (n - 1))
+            first = est.sigma
+            assert first == expected
+            assert est.sigma is first  # no recomputation without a new sample
+
+
+# ----------------------------------------------------------------------
+# The single-pass subflow ranking against its list-based specification
+# ----------------------------------------------------------------------
+
+
+def spec_can_send(sf):
+    return sf.established and not sf._retx_queue and sf.has_window_space()
+
+
+def spec_fastest(subflows):
+    usable = [sf for sf in subflows if math.isfinite(sf.srtt_or_default())]
+    if not usable:
+        return None
+    return min(usable, key=lambda sf: (sf.srtt_or_default(), sf.sf_id))
+
+
+def spec_fastest_and_sendable(conn):
+    """ECF's and BLEST's two-stage pick as they spelled it out before."""
+    established = [sf for sf in conn.subflows if sf.established]
+    fastest = spec_fastest(established)
+    if fastest is None:
+        return None, None
+    if spec_can_send(fastest):
+        return fastest, fastest
+    candidates = [sf for sf in established if sf is not fastest and spec_can_send(sf)]
+    return fastest, spec_fastest(candidates)
+
+
+#: None (no sample yet), finite values with equal pairs, and the two
+#: non-finite estimates a path in an outage can produce.
+rtt_values = st.sampled_from([None, 0.01, 0.01, 0.05, 0.05, 0.2, 3.0, math.inf, math.nan])
+
+subflow_states = st.lists(
+    st.tuples(
+        rtt_values,  # srtt
+        rtt_values.filter(lambda v: v is not None),  # pre-handshake default
+        st.booleans(),  # established
+        st.booleans(),  # window full
+        st.booleans(),  # retransmissions queued
+    ),
+    min_size=1,
+    max_size=8,
+)
+
+
+def ranked_world(states):
+    sim = Simulator()
+    conn = build_connection(sim, path_specs=[(10.0, 0.01)] * len(states))
+    sim.now = 1.0
+    for sf, (srtt, default, established, full, retx) in zip(conn.subflows, states):
+        sf.rtt.srtt = srtt
+        sf._default_rtt = default
+        sf.established_at = 0.5 if established else 2.0
+        if full:
+            sf._in_flight = int(sf.cwnd)
+        if retx:
+            sf._retx_queue.append(object())
+    return conn
+
+
+class TestRankingProperties:
+    @given(subflow_states)
+    def test_can_send_is_its_three_conditions(self, states):
+        for sf in ranked_world(states).subflows:
+            assert sf.can_send() == spec_can_send(sf)
+
+    @given(subflow_states, st.data())
+    def test_fastest_matches_the_list_definition(self, states, data):
+        conn = ranked_world(states)
+        subset = [sf for sf in conn.subflows if data.draw(st.booleans())]
+        assert Scheduler.fastest(subset) is spec_fastest(subset)
+
+    @given(subflow_states)
+    def test_fastest_and_sendable_matches_the_two_stage_pick(self, states):
+        conn = ranked_world(states)
+        fastest, sendable = Scheduler.fastest_and_sendable(conn)
+        spec_first, spec_second = spec_fastest_and_sendable(conn)
+        assert fastest is spec_first
+        assert sendable is spec_second
+
+    @given(subflow_states)
+    def test_minrtt_picks_the_fastest_available(self, states):
+        conn = ranked_world(states)
+        available = [sf for sf in conn.subflows if spec_can_send(sf)]
+        assert conn.scheduler.select(conn) is spec_fastest(available)
 
 
 @st.composite

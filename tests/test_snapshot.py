@@ -12,7 +12,9 @@ import pytest
 from repro.analysis import sanitize
 from repro.apps.bulk import BulkDownloadSpec, build_world, finish
 from repro.apps.http import HttpSession
+from repro.core.registry import SCHEDULER_NAMES
 from repro.core.spec import SchedulerSpec, build
+from repro.experiments.spec import canonical_json
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, wifi_config
 from repro.net.topology import LinkSpec, chain_path
@@ -20,6 +22,7 @@ from repro.sim import snapshot as snapmod
 from repro.sim.engine import Simulator
 from repro.sim.snapshot import SnapshotError, capture, fork, restore
 from repro.sim.trace import TraceRecorder
+from repro.tcp.cc import CONTROLLER_NAMES
 from tests.conftest import package_state_model
 
 #: Every class the static model records as declaring STATE_FIELDS.
@@ -99,6 +102,9 @@ def world_snapshots():
     rr = _midrun_world("roundrobin")
     snaps["bulk_roundrobin_midrun"] = capture(rr.sim, rr.roots())
 
+    mpdash = _midrun_world("mpdash")
+    snaps["bulk_mpdash_midrun"] = capture(mpdash.sim, mpdash.roots())
+
     sim, roots = _chain_world()
     snaps["chain_t0"] = capture(sim, roots)
 
@@ -134,7 +140,7 @@ class TestRoundTrip:
     @pytest.mark.parametrize(
         "name",
         ["bulk_ecf_midrun", "bulk_blest_cubic_midrun", "bulk_daps_midrun",
-         "bulk_roundrobin_midrun", "chain_t0"],
+         "bulk_roundrobin_midrun", "bulk_mpdash_midrun", "chain_t0"],
     )
     def test_recapture_digest_is_identical(self, world_snapshots, name):
         snap = world_snapshots[name]
@@ -152,6 +158,20 @@ class TestRoundTrip:
         twin["sim"].run(until=world.spec.timeout)
         replayed = finish(world.spec, twin["conn"], twin["recorder"])
         assert replayed.to_dict() == original.to_dict()
+
+    @pytest.mark.parametrize("cc", CONTROLLER_NAMES)
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_every_scheduler_and_controller_replays_identically(self, scheduler, cc):
+        """A checkpoint must carry every field a scheduler, a controller
+        or the RTT estimator keeps (its memoised sigma and RTO included)."""
+        world = _midrun_world(scheduler, cc=cc)
+        snap = capture(world.sim, world.roots())
+        original = world.run_to_completion()
+
+        twin = restore(snap)
+        twin["sim"].run(until=world.spec.timeout)
+        replayed = finish(world.spec, twin["conn"], twin["recorder"])
+        assert canonical_json(replayed.to_dict()) == canonical_json(original.to_dict())
 
     def test_restored_world_is_independent(self):
         world = _midrun_world("ecf")

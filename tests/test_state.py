@@ -98,6 +98,13 @@ class TestFixturePackage:
         assert "deadline" in violation.message  # observed but undeclared
         assert "retries" in violation.message  # declared but never assigned
 
+    def test_rpr915_fires_on_subclass_outgrowing_inherited_contract(self, fixture_run):
+        [violation] = findings_in(fixture_run, "driftsub.py")
+        assert violation.code == "RPR915"
+        assert "Gated" in violation.message
+        assert "open" in violation.message
+        assert "ticks" not in violation.message
+
     def test_clean_module_is_quiet(self, fixture_run):
         assert findings_in(fixture_run, "clean.py") == []
 
