@@ -488,14 +488,7 @@ def cmd_trace_export(args) -> int:
     if args.format == "jsonl":
         text = timeline.to_jsonl(source["events"])
     else:  # prom
-        perf = source.get("perf") or {}
-        if isinstance(perf.get("counters"), dict):
-            # PerfRecord shape (results): flatten the nested snapshot in
-            # with the top-level wall/sim figures.
-            flat = {k: v for k, v in perf.items() if not isinstance(v, dict)}
-            flat.update(perf["counters"])
-            perf = flat
-        text = timeline.prometheus_text(perf)
+        text = timeline.prometheus_text(source.get("perf") or {})
     if args.output:
         from pathlib import Path
 
@@ -724,10 +717,10 @@ def cmd_campaign_serve(args) -> int:
     from repro.service import CampaignStore
     from repro.service.daemon import CampaignDaemon
 
-    if not args.no_perf:
-        # Per-job perf records feed the daemon's events/s gauge and the
-        # repro_perf_* counters; pool workers inherit the environment.
-        os.environ.setdefault(perf_counters.ENV_VAR, "1")
+    # Per-job perf records feed the daemon's events/s gauge and the
+    # repro_perf_* counters; pool workers inherit the environment, and
+    # REPRO_PERF=0 set by the caller stays the off switch.
+    os.environ.setdefault(perf_counters.ENV_VAR, "1")
     store = CampaignStore(args.db)
     campaign = store.campaign(args.name)
     if campaign is None:
@@ -766,9 +759,7 @@ def cmd_campaign_serve(args) -> int:
     signal.signal(signal.SIGTERM, _stop)
     signal.signal(signal.SIGINT, _stop)
     try:
-        doc = daemon.serve(
-            max_loops=args.max_loops, linger=not args.exit_when_done
-        )
+        doc = daemon.serve(linger=not args.exit_when_done)
     finally:
         daemon.shutdown()
     counts = doc.get("counts", {})
@@ -1026,10 +1017,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="sleep between drain iterations (default: 2)",
     )
     cp.add_argument(
-        "--max-loops", type=int, default=None, metavar="N",
-        help="exit after N drain iterations (tests/CI)",
-    )
-    cp.add_argument(
         "--exit-when-done", action="store_true",
         help="exit once no jobs remain instead of lingering for more "
         "submissions and late scrapes",
@@ -1039,11 +1026,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="BYTES",
         help="rotate the drain journal past this size, keeping a tail "
         "(default: 16 MiB; 0 = unbounded)",
-    )
-    cp.add_argument(
-        "--no-perf", action="store_true",
-        help="do not enable per-job perf records (disables the events/s "
-        "gauge and repro_perf_* counters)",
     )
     cp.set_defaults(func=cmd_campaign_serve)
 
@@ -1169,7 +1151,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace",
         help="observability timelines: export event logs / postmortem "
-        "bundles to Perfetto JSON, JSONL, or Prometheus text",
+        "bundles to Perfetto JSON, JSONL, or OpenMetrics text",
     )
     trace_sub = p.add_subparsers(dest="trace_command", required=True)
     pe = trace_sub.add_parser(
@@ -1187,7 +1169,8 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument(
         "--format", choices=("perfetto", "jsonl", "prom"), default="perfetto",
         help="perfetto = Chrome trace-event JSON (load at ui.perfetto.dev), "
-        "jsonl = flat event records, prom = Prometheus text counters",
+        "jsonl = flat event records, prom = the run's perf record as the "
+        "repro_perf_* OpenMetrics families `campaign serve` exposes",
     )
     pe.set_defaults(func=cmd_trace_export)
     pv = trace_sub.add_parser(

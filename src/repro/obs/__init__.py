@@ -14,7 +14,8 @@ Three pieces, each usable on its own:
 * :mod:`repro.obs.timeline` -- exporters that turn an event log and
   trace series into Chrome trace-event / Perfetto JSON (one track per
   subflow; ECF wait intervals as duration events; CWND as counter
-  tracks), JSONL, and Prometheus text, via
+  tracks), JSONL, and the perf record as OpenMetrics text under the
+  registry's ``repro_perf_*`` names, via
   ``python -m repro.cli trace export``.
 * :mod:`repro.obs.journal` -- a structured per-job JSONL **run journal**
   for :class:`~repro.experiments.exec.ExperimentExecutor`, so a 10k-cell

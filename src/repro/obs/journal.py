@@ -34,11 +34,11 @@ a per-status accounting for quick triage.
 
 Long-running campaigns (``campaign serve`` drains for days) would grow
 the JSONL without bound, so the journal supports **rotation**: give the
-constructor ``max_bytes`` and/or ``max_age_s`` and, when the active file
-exceeds either limit, it is atomically renamed to ``<path>.1`` (replacing
-the previous generation, which bounds total disk at roughly twice the
-size limit) and a fresh active file is seeded with the last
-``retain_tail`` records -- the retained-tail guarantee: the most recent
+constructor ``max_bytes`` and, when the active file exceeds it, it is
+atomically renamed to ``<path>.1`` (replacing the previous generation,
+which bounds total disk at roughly twice the size limit) and a fresh
+active file is seeded with the last ``retain_tail`` records -- the
+retained-tail guarantee: the most recent
 records stay greppable at ``path`` across every rotation, so ``status``
 and ``watch`` never see an empty window right after a roll.
 """
@@ -68,10 +68,10 @@ class RunJournal:
     store exists; observer failures propagate (a campaign that cannot
     index its journal should say so loudly, not drop records silently).
 
-    ``max_bytes`` / ``max_age_s`` bound the active file (see the module
-    docstring); ``retain_tail`` is how many of the newest records survive
-    into the fresh file on rotation.  With both limits ``None`` (the
-    default) the journal is append-only forever, exactly as before.
+    ``max_bytes`` bounds the active file (see the module docstring);
+    ``retain_tail`` is how many of the newest records survive into the
+    fresh file on rotation.  With ``max_bytes=None`` (the default) the
+    journal is append-only forever.
     """
 
     def __init__(
@@ -80,19 +80,14 @@ class RunJournal:
         observer: Optional[Callable[[Dict[str, Any]], None]] = None,
         *,
         max_bytes: Optional[int] = None,
-        max_age_s: Optional[float] = None,
         retain_tail: int = 256,
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.observer = observer
         self.max_bytes = max_bytes
-        self.max_age_s = max_age_s
         self.retain_tail = max(0, int(retain_tail))
         self._seq = 0
-        # Wall timestamp of the active file's first record; lazily read
-        # back from disk when resuming an existing file.
-        self._first_wall: Optional[float] = None
 
     @property
     def rotated_path(self) -> Path:
@@ -112,43 +107,19 @@ class RunJournal:
         entry.update(fields)
         with self.path.open("a") as handle:
             handle.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
-        if self._first_wall is None:
-            self._first_wall = float(entry["wall"])
-        self._maybe_rotate(float(entry["wall"]))
+        self._maybe_rotate()
         if self.observer is not None:
             self.observer(entry)
         return entry
 
-    def _read_first_wall(self) -> Optional[float]:
-        try:
-            with self.path.open() as handle:
-                for line in handle:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    wall = json.loads(line).get("wall")
-                    return float(wall) if wall is not None else None
-        except (OSError, ValueError):
-            return None
-        return None
-
-    def _maybe_rotate(self, now: float) -> None:
-        if self.max_bytes is None and self.max_age_s is None:
+    def _maybe_rotate(self) -> None:
+        if self.max_bytes is None:
             return
         try:
             size = self.path.stat().st_size
         except OSError:
             return
-        over_size = self.max_bytes is not None and size > self.max_bytes
-        over_age = False
-        if self.max_age_s is not None and not over_size:
-            if self._first_wall is None:
-                self._first_wall = self._read_first_wall()
-            over_age = (
-                self._first_wall is not None
-                and now - self._first_wall > self.max_age_s
-            )
-        if over_size or over_age:
+        if size > self.max_bytes:
             self.rotate()
 
     def rotate(self) -> None:
@@ -171,13 +142,6 @@ class RunJournal:
         with self.path.open("w") as handle:
             for line in tail:
                 handle.write(line + "\n")
-        self._first_wall = None
-        if tail:
-            try:
-                wall = json.loads(tail[0]).get("wall")
-                self._first_wall = float(wall) if wall is not None else None
-            except (ValueError, TypeError):
-                self._first_wall = None
 
     # -- typed conveniences (thin wrappers; schema lives in the docstring)
     def batch_start(self, **fields: Any) -> Dict[str, Any]:

@@ -4,59 +4,52 @@ Before this module the repo's telemetry was four disjoint surfaces --
 :mod:`repro.perf` counter snapshots, :class:`~repro.obs.journal.RunJournal`
 outcome records, :class:`~repro.service.store.CampaignStore` state-machine
 transitions, and executor progress events -- each with its own ad-hoc
-shape.  The registry unifies them: every source publishes into labelled
-**counters**, **gauges**, and **histograms** with a stable catalog
-(:data:`CATALOG`), and one formatter renders the whole registry as
-OpenMetrics text (proper ``# HELP`` / ``# TYPE`` / ``# UNIT`` metadata,
-the ``_total`` sample-suffix convention for counters, escaped label
-values, a terminating ``# EOF``).  The campaign daemon
-(:mod:`repro.service.daemon`) serves exactly this text on ``/metrics``;
-``python -m repro.cli trace export --format prom`` renders run-level
-perf counters through the same formatter, so run-level and
-campaign-level exports cannot drift apart.
+shape.  The registry unifies them.  :data:`CATALOG` declares every
+family once (kind, help text, label names); :class:`MetricRegistry`
+instantiates exactly those families, the ``publish_*`` functions fold
+each source into them as labelled **counters** and **gauges**, and one
+formatter renders the whole registry as OpenMetrics text (``# TYPE`` /
+``# HELP`` metadata, the ``_total`` sample-suffix convention for
+counters, escaped label values, a terminating ``# EOF``).  The campaign
+daemon (:mod:`repro.service.daemon`) serves exactly this text on
+``/metrics``; ``python -m repro.cli trace export --format prom`` folds a
+run's perf record through :func:`publish_perf_counters` into a fresh
+registry, so a postmortem bundle exports the sample names a scrape of
+the campaign shows.
 
 Metrics come in two time flavors, and the catalog keeps them apart the
 same way :class:`~repro.perf.counters.PerfRecord` does: **sim-time**
 quantities (``repro_perf_sim_seconds_total``, event/packet/decision
 counts) are deterministic functions of the simulated runs, while
-**wall-time** quantities (``repro_perf_wall_seconds_total``, the
-profiler histograms, scrape counters) describe the host.  Dashboards
-that divide one by the other get events/s; nothing in the registry ever
-mixes the two in a single series.
+**wall-time** quantities (``repro_perf_wall_seconds_total``, scrape
+counters) describe the host.  Dashboards that divide one by the other
+get events/s; nothing in the registry ever mixes the two in a single
+series.
 
 The module is dependency-free within the package (stdlib only): the
-profiler, the daemon, and the timeline exporter all import it, so it
-cannot import any of them back.
+daemon and the timeline exporter import it, so it cannot import either
+of them back.
 
 Example
 -------
 >>> reg = MetricRegistry()
->>> jobs = reg.counter("jobs", "Jobs seen.", labels=("status",))
->>> jobs.inc(status="done")
->>> jobs.inc(2, status="failed")
->>> print(render_openmetrics(reg), end="")
-# TYPE jobs counter
-# HELP jobs Jobs seen.
-jobs_total{status="done"} 1
-jobs_total{status="failed"} 2
-# EOF
+>>> reg["repro_campaign_retries"].inc(campaign="fig9")
+>>> reg["repro_campaign_retries"].inc(2, campaign="fig9")
+>>> reg["repro_campaign_retries"].samples()
+['repro_campaign_retries_total{campaign="fig9"} 3']
+>>> render_openmetrics(reg).splitlines()[-1]
+'# EOF'
+>>> reg["no_such_family"]
+Traceback (most recent call last):
+    ...
+KeyError: 'no_such_family'
 """
 
 from __future__ import annotations
 
 import math
 import re
-from bisect import bisect_left
-from typing import (
-    Any,
-    Dict,
-    Iterable,
-    List,
-    Mapping,
-    Optional,
-    Sequence,
-    Tuple,
-)
+from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 #: HTTP Content-Type for an OpenMetrics scrape body.
 OPENMETRICS_CONTENT_TYPE = (
@@ -65,13 +58,6 @@ OPENMETRICS_CONTENT_TYPE = (
 
 _NAME_RE = re.compile(r"^[a-zA-Z_:][a-zA-Z0-9_:]*$")
 _LABEL_RE = re.compile(r"^[a-zA-Z_][a-zA-Z0-9_]*$")
-
-#: Default histogram buckets: log-spaced seconds from 1us to 1s.  Sized
-#: for per-event and per-call wall times, which is what the sim-profiler
-#: feeds them.
-DEFAULT_SECONDS_BUCKETS: Tuple[float, ...] = (
-    1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0,
-)
 
 
 def _escape_label_value(value: str) -> str:
@@ -96,39 +82,23 @@ def _format_value(value: float) -> str:
     return repr(value)
 
 
-def _label_key(
-    label_names: Tuple[str, ...], labels: Mapping[str, Any]
-) -> Tuple[str, ...]:
-    extra = set(labels) - set(label_names)
-    if extra:
-        raise ValueError(f"undeclared label(s) {sorted(extra)}; declared: {label_names}")
-    return tuple(str(labels.get(name, "")) for name in label_names)
-
-
-def _render_labels(
-    label_names: Tuple[str, ...],
-    values: Tuple[str, ...],
-    extra: Optional[Tuple[str, str]] = None,
-) -> str:
-    pairs = [
-        (name, value) for name, value in zip(label_names, values) if value != ""
-    ]
-    if extra is not None:
-        pairs.append(extra)
-    if not pairs:
-        return ""
-    body = ",".join(f'{name}="{_escape_label_value(value)}"' for name, value in pairs)
-    return "{" + body + "}"
+def _render_labels(label_names: Tuple[str, ...], values: Tuple[str, ...]) -> str:
+    body = ",".join(
+        f'{name}="{_escape_label_value(value)}"'
+        for name, value in zip(label_names, values)
+        if value != ""
+    )
+    return "{" + body + "}" if body else ""
 
 
 class _Metric:
-    """Shared shape: a named family with fixed label names."""
+    """A named family with fixed label names and one sample per label set."""
 
     kind = "untyped"
+    #: Appended to the family name on every sample line.
+    suffix = ""
 
-    def __init__(
-        self, name: str, help: str, labels: Sequence[str] = (), unit: str = ""
-    ) -> None:
+    def __init__(self, name: str, help: str, labels: Sequence[str] = ()) -> None:
         if not _NAME_RE.match(name):
             raise ValueError(f"invalid metric name {name!r}")
         for label in labels:
@@ -136,44 +106,42 @@ class _Metric:
                 raise ValueError(f"invalid label name {label!r} on {name!r}")
         self.name = name
         self.help = help
-        self.unit = unit
         self.label_names: Tuple[str, ...] = tuple(labels)
+        self._values: Dict[Tuple[str, ...], float] = {}
 
-    # Subclasses provide: samples() -> List[str], sample_dicts() -> list.
+    def _key(self, labels: Mapping[str, Any]) -> Tuple[str, ...]:
+        extra = set(labels) - set(self.label_names)
+        if extra:
+            raise ValueError(
+                f"undeclared label(s) {sorted(extra)}; declared: {self.label_names}"
+            )
+        return tuple(str(labels.get(name, "")) for name in self.label_names)
+
+    def inc(self, amount: float = 1.0, **labels: Any) -> None:
+        key = self._key(labels)
+        self._values[key] = self._values.get(key, 0.0) + amount
+
+    def value(self, **labels: Any) -> float:
+        return self._values.get(self._key(labels), 0.0)
+
+    def samples(self) -> List[str]:
+        return [
+            f"{self.name}{self.suffix}"
+            f"{_render_labels(self.label_names, key)} {_format_value(value)}"
+            for key, value in sorted(self._values.items())
+        ]
 
 
 class Counter(_Metric):
     """Monotonically increasing total; rendered with the ``_total`` suffix."""
 
     kind = "counter"
-
-    def __init__(
-        self, name: str, help: str, labels: Sequence[str] = (), unit: str = ""
-    ) -> None:
-        super().__init__(name, help, labels, unit)
-        self._values: Dict[Tuple[str, ...], float] = {}
+    suffix = "_total"
 
     def inc(self, amount: float = 1.0, **labels: Any) -> None:
         if amount < 0:
             raise ValueError(f"counter {self.name!r} cannot decrease ({amount!r})")
-        key = _label_key(self.label_names, labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(self.label_names, labels), 0.0)
-
-    def samples(self) -> List[str]:
-        return [
-            f"{self.name}_total"
-            f"{_render_labels(self.label_names, key)} {_format_value(value)}"
-            for key, value in sorted(self._values.items())
-        ]
-
-    def sample_dicts(self) -> List[Dict[str, Any]]:
-        return [
-            {"labels": dict(zip(self.label_names, key)), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
+        super().inc(amount, **labels)
 
 
 class Gauge(_Metric):
@@ -181,245 +149,59 @@ class Gauge(_Metric):
 
     kind = "gauge"
 
-    def __init__(
-        self, name: str, help: str, labels: Sequence[str] = (), unit: str = ""
-    ) -> None:
-        super().__init__(name, help, labels, unit)
-        self._values: Dict[Tuple[str, ...], float] = {}
-
     def set(self, value: float, **labels: Any) -> None:
-        self._values[_label_key(self.label_names, labels)] = float(value)
-
-    def inc(self, amount: float = 1.0, **labels: Any) -> None:
-        key = _label_key(self.label_names, labels)
-        self._values[key] = self._values.get(key, 0.0) + amount
-
-    def value(self, **labels: Any) -> float:
-        return self._values.get(_label_key(self.label_names, labels), 0.0)
-
-    def samples(self) -> List[str]:
-        return [
-            f"{self.name}"
-            f"{_render_labels(self.label_names, key)} {_format_value(value)}"
-            for key, value in sorted(self._values.items())
-        ]
-
-    def sample_dicts(self) -> List[Dict[str, Any]]:
-        return [
-            {"labels": dict(zip(self.label_names, key)), "value": value}
-            for key, value in sorted(self._values.items())
-        ]
-
-
-class Histogram(_Metric):
-    """Cumulative-bucket histogram (per-event wall times, job durations)."""
-
-    kind = "histogram"
-
-    def __init__(
-        self,
-        name: str,
-        help: str,
-        labels: Sequence[str] = (),
-        unit: str = "",
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> None:
-        super().__init__(name, help, labels, unit)
-        bounds = tuple(sorted(float(b) for b in buckets))
-        if not bounds:
-            raise ValueError(f"histogram {name!r} needs at least one bucket")
-        if any(b1 == b2 for b1, b2 in zip(bounds, bounds[1:])):
-            raise ValueError(f"histogram {name!r} has duplicate buckets")
-        self.buckets = bounds
-        # Per labelset: [per-bound counts..., +Inf count], total count, sum.
-        self._counts: Dict[Tuple[str, ...], List[int]] = {}
-        self._totals: Dict[Tuple[str, ...], List[float]] = {}
-
-    def _slot(self, labels: Mapping[str, Any]) -> Tuple[List[int], List[float]]:
-        key = _label_key(self.label_names, labels)
-        counts = self._counts.get(key)
-        if counts is None:
-            counts = self._counts[key] = [0] * (len(self.buckets) + 1)
-            self._totals[key] = [0.0, 0.0]  # [count, sum]
-        return counts, self._totals[key]
-
-    def observe(self, value: float, **labels: Any) -> None:
-        counts, totals = self._slot(labels)
-        counts[bisect_left(self.buckets, value)] += 1
-        totals[0] += 1
-        totals[1] += value
-
-    def merge_counts(
-        self,
-        bucket_counts: Sequence[int],
-        total_sum: float,
-        **labels: Any,
-    ) -> None:
-        """Fold pre-aggregated per-bucket counts in (the profiler path).
-
-        ``bucket_counts`` must align with ``self.buckets`` plus a final
-        overflow (+Inf) slot.
-        """
-        if len(bucket_counts) != len(self.buckets) + 1:
-            raise ValueError(
-                f"expected {len(self.buckets) + 1} bucket counts, "
-                f"got {len(bucket_counts)}"
-            )
-        counts, totals = self._slot(labels)
-        for index, n in enumerate(bucket_counts):
-            counts[index] += n
-        totals[0] += sum(bucket_counts)
-        totals[1] += total_sum
-
-    def samples(self) -> List[str]:
-        out: List[str] = []
-        for key in sorted(self._counts):
-            counts = self._counts[key]
-            total, acc = self._totals[key]
-            cumulative = 0
-            for bound, n in zip(self.buckets, counts):
-                cumulative += n
-                le = _format_value(float(bound))
-                out.append(
-                    f"{self.name}_bucket"
-                    f"{_render_labels(self.label_names, key, ('le', le))}"
-                    f" {cumulative}"
-                )
-            out.append(
-                f"{self.name}_bucket"
-                f"{_render_labels(self.label_names, key, ('le', '+Inf'))}"
-                f" {int(total)}"
-            )
-            labels_text = _render_labels(self.label_names, key)
-            out.append(f"{self.name}_count{labels_text} {int(total)}")
-            out.append(f"{self.name}_sum{labels_text} {_format_value(acc)}")
-        return out
-
-    def sample_dicts(self) -> List[Dict[str, Any]]:
-        out = []
-        for key in sorted(self._counts):
-            total, acc = self._totals[key]
-            out.append(
-                {
-                    "labels": dict(zip(self.label_names, key)),
-                    "count": int(total),
-                    "sum": acc,
-                    "buckets": dict(
-                        zip(
-                            [*map(float, self.buckets), math.inf],
-                            self._counts[key],
-                        )
-                    ),
-                }
-            )
-        return out
+        self._values[self._key(labels)] = float(value)
 
 
 class MetricRegistry:
-    """A namespace of metrics with one renderer.
+    """One instance of every :data:`CATALOG` family, and nothing else.
 
-    Registration is idempotent for an identical re-declaration (same
-    kind, labels, and -- for histograms -- buckets), so publishers can
-    declare what they need without coordinating; a *conflicting*
-    redeclaration raises.
+    Construction is the only way a family comes into a registry (names
+    and label syntax are validated there, once); ``registry[name]`` is
+    the only way to reach one, and an undeclared name is a ``KeyError``.
     """
 
     def __init__(self) -> None:
-        self._metrics: Dict[str, _Metric] = {}
-
-    def _register(self, metric: _Metric) -> _Metric:
-        existing = self._metrics.get(metric.name)
-        if existing is None:
-            self._metrics[metric.name] = metric
-            return metric
-        if (
-            existing.kind != metric.kind
-            or existing.label_names != metric.label_names
-            or (
-                isinstance(existing, Histogram)
-                and isinstance(metric, Histogram)
-                and existing.buckets != metric.buckets
-            )
-        ):
-            raise ValueError(
-                f"metric {metric.name!r} re-registered with a different shape "
-                f"({existing.kind}{existing.label_names} vs "
-                f"{metric.kind}{metric.label_names})"
-            )
-        return existing
-
-    def counter(
-        self, name: str, help: str, labels: Sequence[str] = (), unit: str = ""
-    ) -> Counter:
-        metric = self._register(Counter(name, help, labels, unit))
-        assert isinstance(metric, Counter)
-        return metric
-
-    def gauge(
-        self, name: str, help: str, labels: Sequence[str] = (), unit: str = ""
-    ) -> Gauge:
-        metric = self._register(Gauge(name, help, labels, unit))
-        assert isinstance(metric, Gauge)
-        return metric
-
-    def histogram(
-        self,
-        name: str,
-        help: str,
-        labels: Sequence[str] = (),
-        unit: str = "",
-        buckets: Sequence[float] = DEFAULT_SECONDS_BUCKETS,
-    ) -> Histogram:
-        metric = self._register(Histogram(name, help, labels, unit, buckets))
-        assert isinstance(metric, Histogram)
-        return metric
-
-    def get(self, name: str) -> Optional[_Metric]:
-        return self._metrics.get(name)
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._metrics
-
-    def __iter__(self) -> Iterable[_Metric]:
-        return iter(self._metrics.values())
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON form of every family (the daemon's ``/status`` payload)."""
-        return {
-            name: {
-                "kind": metric.kind,
-                "help": metric.help,
-                "unit": metric.unit,
-                "labels": list(metric.label_names),
-                "samples": metric.sample_dicts(),  # type: ignore[attr-defined]
-            }
-            for name, metric in sorted(self._metrics.items())
+        kinds = {"counter": Counter, "gauge": Gauge}
+        self._metrics: Dict[str, _Metric] = {
+            name: kinds[kind](name, help_text, labels)
+            for name, (kind, help_text, labels) in CATALOG.items()
         }
+
+    def __getitem__(self, name: str) -> Any:
+        """The :class:`Counter` or :class:`Gauge` declared as ``name``
+        (typed ``Any``: which of the two is the catalog's to say)."""
+        return self._metrics[name]
+
+    def __iter__(self) -> Iterator[_Metric]:
+        return iter(self._metrics.values())
 
 
 def render_openmetrics(registry: MetricRegistry) -> str:
     """The registry as OpenMetrics 1.0 text exposition (with ``# EOF``)."""
     lines: List[str] = []
-    for name in sorted(metric.name for metric in registry):
-        metric = registry.get(name)
-        assert metric is not None
+    for metric in sorted(registry, key=lambda metric: metric.name):
         lines.append(f"# TYPE {metric.name} {metric.kind}")
-        if metric.unit:
-            lines.append(f"# UNIT {metric.name} {metric.unit}")
         lines.append(f"# HELP {metric.name} {_escape_help(metric.help)}")
-        lines.extend(metric.samples())  # type: ignore[attr-defined]
+        lines.extend(metric.samples())
     lines.append("# EOF")
     return "\n".join(lines) + "\n"
 
 
 # ----------------------------------------------------------------------
-# OpenMetrics structural validation (the CI scrape gate)
+# OpenMetrics structural validation (`metrics validate`, and the oracle
+# the renderer is tested against)
 # ----------------------------------------------------------------------
+#: The inside of a quoted label value: any character but a bare quote or
+#: backslash, or an escape pair -- so ``{``, ``}`` and ``,`` are ordinary.
+_LABEL_VALUE = r'(?:[^"\\]|\\.)*'
+_LABEL_PAIR_RE = re.compile(r'([a-zA-Z_][a-zA-Z0-9_]*)="(' + _LABEL_VALUE + r')"')
+# The label block ends at the first ``}`` outside a quoted value; what
+# sits between the braces is checked pair by pair afterwards.
 _SAMPLE_RE = re.compile(
-    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)(\{[^}]*\})?\s+(\S+)(\s+\S+)?$"
-)
-_LABEL_PAIR_RE = re.compile(
-    r'([a-zA-Z_][a-zA-Z0-9_]*)="((?:[^"\\]|\\.)*)"'
+    r"^([a-zA-Z_:][a-zA-Z0-9_:]*)"
+    r'(\{(?:[^"}]|"' + _LABEL_VALUE + r'")*\})?'
+    r"\s+(\S+)(\s+\S+)?$"
 )
 
 #: Sample-name suffixes each family kind may emit.
@@ -456,9 +238,11 @@ def validate_openmetrics(text: str) -> List[str]:
     An empty list means: metadata lines are well-formed, every sample
     belongs to a ``# TYPE``-declared family using a legal suffix for its
     kind (counters expose ``_total``, histograms ``_bucket``/``_count``/
-    ``_sum`` with cumulative ``le`` buckets), label syntax parses, values
-    are numbers, families are not interleaved or redeclared, and the
-    body ends with ``# EOF`` and nothing after it.
+    ``_sum``, every ``_bucket`` carrying an ``le`` label), label syntax
+    parses, values are numbers, families are not interleaved or
+    redeclared, and the body ends with ``# EOF`` and nothing after it.
+    Sample *values* are not interpreted: bucket counts that fail to be
+    cumulative, or a counter that went down between two scrapes, pass.
     """
     problems: List[str] = []
     lines = text.split("\n")
@@ -531,17 +315,16 @@ def validate_openmetrics(text: str) -> List[str]:
         )
         resolved = _family_for_sample(sample_name, families)
         if resolved is None:
+            # Also where a counter sample without ``_total`` lands: the
+            # bare family name is not among a counter's legal suffixes.
             problems.append(
-                f"{where}: sample {sample_name!r} has no preceding # TYPE"
+                f"{where}: sample {sample_name!r} is no preceding # TYPE "
+                "family plus a suffix legal for its kind"
             )
             continue
         family, suffix = resolved
         note_family_position(family, where)
         kind = families[family]
-        if kind == "counter" and suffix == "":
-            problems.append(
-                f"{where}: counter sample {sample_name!r} must use '_total'"
-            )
         labels: Dict[str, str] = {}
         if labels_text:
             body = labels_text[1:-1]
@@ -580,9 +363,11 @@ PERF_COUNTER_FIELDS: Tuple[str, ...] = (
     "scheduler_waits",
 )
 
-#: The stable catalog: ``name -> (kind, help, label names)``.  Docs
-#: (``docs/observability.md``) table-ify this; tests pin it; renaming an
-#: entry is a breaking change to every scrape config downstream.
+#: The stable catalog: ``name -> (kind, help, label names)`` -- the one
+#: place a family is declared.  ``docs/observability.md`` table-ifies it
+#: (``tests/test_obs_metrics.py`` holds the table to it) and every entry
+#: is compared with ground truth in ``tests/test_daemon.py``; renaming
+#: one is a breaking change to every scrape config downstream.
 CATALOG: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
     # -- campaign store (gauges reflect ground truth at scrape time) ----
     "repro_campaign_jobs": (
@@ -629,24 +414,6 @@ CATALOG: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
         "Host wall seconds spent inside measured runs (wall-time flavor).",
         ("campaign",),
     ),
-    # -- sim-profiler ----------------------------------------------------
-    "repro_profile_component_calls": (
-        "counter",
-        "Sim-profiler: dispatched calls attributed to a component "
-        "(deterministic).",
-        ("component",),
-    ),
-    "repro_profile_component_wall_seconds": (
-        "counter",
-        "Sim-profiler: host wall seconds attributed to a component "
-        "(wall-time flavor).",
-        ("component",),
-    ),
-    "repro_profile_event_seconds": (
-        "histogram",
-        "Sim-profiler: per-dispatch wall-time distribution by component.",
-        ("component",),
-    ),
     # -- daemon ----------------------------------------------------------
     "repro_serve_scrapes": (
         "counter", "HTTP scrapes served by the campaign daemon.", (),
@@ -662,22 +429,13 @@ CATALOG: Dict[str, Tuple[str, str, Tuple[str, ...]]] = {
 }
 
 
-def default_registry() -> MetricRegistry:
-    """A registry pre-declaring the whole :data:`CATALOG`."""
-    registry = MetricRegistry()
-    for name, (kind, help_text, labels) in CATALOG.items():
-        if kind == "counter":
-            registry.counter(name, help_text, labels)
-        elif kind == "gauge":
-            registry.gauge(name, help_text, labels)
-        else:
-            registry.histogram(name, help_text, labels)
-    return registry
-
-
 # ----------------------------------------------------------------------
 # Publishers: the formerly disjoint telemetry sources
 # ----------------------------------------------------------------------
+def _is_number(value: Any) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def publish_perf_counters(
     registry: MetricRegistry,
     perf: Mapping[str, Any],
@@ -686,34 +444,23 @@ def publish_perf_counters(
     """Fold one perf payload into the registry's ``repro_perf_*`` totals.
 
     Accepts either a flat :meth:`~repro.perf.counters.PerfSnapshot.to_dict`
-    mapping or the :meth:`~repro.perf.counters.PerfRecord.to_dict` shape
-    (``counters`` nested beside ``wall_s``) that rides on executor
-    results -- including results that crossed the process-pool boundary.
+    mapping (a postmortem bundle's ``perf.json``) or the
+    :meth:`~repro.perf.counters.PerfRecord.to_dict` shape (``counters``
+    nested beside ``wall_s``) that rides on executor results --
+    including results that crossed the process-pool boundary.
     """
     counters = perf.get("counters")
     flat: Mapping[str, Any] = counters if isinstance(counters, Mapping) else perf
-    catalog_kind = lambda n: CATALOG[n]  # noqa: E731 - local alias
     for field in PERF_COUNTER_FIELDS:
         value = flat.get(field)
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
-            name = f"repro_perf_{field}"
-            registry.counter(name, catalog_kind(name)[1], ("campaign",)).inc(
-                value, campaign=campaign
-            )
-    sim_s = flat.get("sim_time", perf.get("sim_s"))
-    if isinstance(sim_s, (int, float)) and not isinstance(sim_s, bool) and sim_s >= 0:
-        registry.counter(
-            "repro_perf_sim_seconds",
-            CATALOG["repro_perf_sim_seconds"][1],
-            ("campaign",),
-        ).inc(sim_s, campaign=campaign)
-    wall_s = perf.get("wall_s")
-    if isinstance(wall_s, (int, float)) and not isinstance(wall_s, bool) and wall_s >= 0:
-        registry.counter(
-            "repro_perf_wall_seconds",
-            CATALOG["repro_perf_wall_seconds"][1],
-            ("campaign",),
-        ).inc(wall_s, campaign=campaign)
+        if _is_number(value):
+            registry[f"repro_perf_{field}"].inc(value, campaign=campaign)
+    for name, seconds in (
+        ("repro_perf_sim_seconds", flat.get("sim_time", perf.get("sim_s"))),
+        ("repro_perf_wall_seconds", perf.get("wall_s")),
+    ):
+        if _is_number(seconds) and seconds >= 0:
+            registry[name].inc(seconds, campaign=campaign)
 
 
 def publish_journal_record(
@@ -723,29 +470,15 @@ def publish_journal_record(
 ) -> None:
     """Fold one :class:`~repro.obs.journal.RunJournal` record in."""
     kind = str(record.get("record", "unknown"))
-    registry.counter(
-        "repro_campaign_journal_records",
-        CATALOG["repro_campaign_journal_records"][1],
-        ("campaign", "record"),
-    ).inc(campaign=campaign, record=kind)
+    registry["repro_campaign_journal_records"].inc(campaign=campaign, record=kind)
     if kind == "job":
-        registry.counter(
-            "repro_campaign_job_outcomes",
-            CATALOG["repro_campaign_job_outcomes"][1],
-            ("campaign", "status"),
-        ).inc(campaign=campaign, status=str(record.get("status", "unknown")))
+        registry["repro_campaign_job_outcomes"].inc(
+            campaign=campaign, status=str(record.get("status", "unknown"))
+        )
     elif kind == "retry":
-        registry.counter(
-            "repro_campaign_retries",
-            CATALOG["repro_campaign_retries"][1],
-            ("campaign",),
-        ).inc(campaign=campaign)
+        registry["repro_campaign_retries"].inc(campaign=campaign)
     elif kind == "batch_start":
-        registry.counter(
-            "repro_campaign_drains",
-            CATALOG["repro_campaign_drains"][1],
-            ("campaign",),
-        ).inc(campaign=campaign)
+        registry["repro_campaign_drains"].inc(campaign=campaign)
 
 
 def publish_store_counts(
@@ -754,11 +487,7 @@ def publish_store_counts(
     campaign: str = "",
 ) -> None:
     """Reflect per-status job counts (store ground truth) as gauges."""
-    gauge = registry.gauge(
-        "repro_campaign_jobs",
-        CATALOG["repro_campaign_jobs"][1],
-        ("campaign", "status"),
-    )
+    gauge = registry["repro_campaign_jobs"]
     for status, count in counts.items():
         gauge.set(count, campaign=campaign, status=status)
 
@@ -770,23 +499,18 @@ def publish_transition(
     campaign: str = "",
 ) -> None:
     """Count one store state-machine transition."""
-    registry.counter(
-        "repro_campaign_transitions",
-        CATALOG["repro_campaign_transitions"][1],
-        ("campaign", "from_status", "to_status"),
-    ).inc(campaign=campaign, from_status=old_status, to_status=new_status)
+    registry["repro_campaign_transitions"].inc(
+        campaign=campaign, from_status=old_status, to_status=new_status
+    )
 
 
 __all__ = [
     "CATALOG",
     "Counter",
-    "DEFAULT_SECONDS_BUCKETS",
     "Gauge",
-    "Histogram",
     "MetricRegistry",
     "OPENMETRICS_CONTENT_TYPE",
     "PERF_COUNTER_FIELDS",
-    "default_registry",
     "publish_journal_record",
     "publish_perf_counters",
     "publish_store_counts",

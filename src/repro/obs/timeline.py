@@ -1,4 +1,4 @@
-"""Timeline export: event logs + trace series -> Perfetto / JSONL / Prometheus.
+"""Timeline export: event logs + trace series -> Perfetto / JSONL / OpenMetrics.
 
 The paper's evidence is temporal -- CWND and send-buffer timelines, idle
 resets, ECF's wait intervals -- so the most useful view of a run is a
@@ -25,8 +25,9 @@ trace-event unit).  Entry points: :func:`timeline_document` builds the
 document, :func:`validate_trace_events` checks one structurally,
 :func:`load_export_source` reads events/traces back out of a postmortem
 bundle, an ``events.jsonl`` dump, or a cached/exported result JSON, and
-:func:`prometheus_text` renders perf counters in Prometheus text
-exposition format.  The CLI front end is
+:func:`prometheus_text` renders a run's perf record as the
+``repro_perf_*`` families a ``campaign serve`` scrape shows.  The CLI
+front end is
 ``python -m repro.cli trace export`` / ``trace validate``.
 """
 
@@ -39,6 +40,11 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis import events as _events
+from repro.obs.registry import (
+    MetricRegistry,
+    publish_perf_counters,
+    render_openmetrics,
+)
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -476,36 +482,19 @@ def to_jsonl(events: Iterable[_events.Event]) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def prometheus_text(
-    counters: Mapping[str, Any], prefix: str = "repro_"
-) -> str:
-    """Perf counters as a valid OpenMetrics text exposition.
+def prometheus_text(perf: Mapping[str, Any]) -> str:
+    """A run's perf record as an OpenMetrics text exposition.
 
-    Accepts any flat name->number mapping -- typically
-    ``PerfSnapshot.to_dict()`` or a bundle's ``perf.json``; non-numeric,
-    non-finite, and negative entries are skipped (counters cannot
-    decrease).
-
-    The rendering routes through :mod:`repro.obs.registry`,
-    so the output is the same dialect the ``campaign serve`` daemon
-    scrapes: ``# TYPE``/``# HELP`` metadata per family,
-    ``_total``-suffixed counter samples, and the mandatory ``# EOF``
-    terminator.  ``repro.cli metrics validate`` accepts it.
+    ``perf`` is a bundle's ``perf.json`` (flat ``PerfSnapshot.to_dict()``)
+    or the ``perf`` record on a result (``PerfRecord.to_dict()``); it
+    goes through the daemon's own publisher into a fresh registry, so
+    the sample names are the :data:`~repro.obs.registry.CATALOG`'s
+    ``repro_perf_*`` and ``repro.cli metrics validate`` accepts the
+    output.
     """
-    from repro.obs import registry as _registry
-
-    registry = _registry.MetricRegistry()
-    for name in sorted(counters):
-        value = counters[name]
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            continue
-        if not math.isfinite(value) or value < 0:
-            continue
-        registry.counter(
-            prefix + name,
-            f"Perf counter {name} from the run's perf record.",
-        ).inc(value)
-    return _registry.render_openmetrics(registry)
+    registry = MetricRegistry()
+    publish_perf_counters(registry, perf)
+    return render_openmetrics(registry)
 
 
 # ----------------------------------------------------------------------

@@ -32,8 +32,7 @@ flamegraph::
     engine;tcp.subflow;scheduler.decision 20050
 
 (weights are integer microseconds; feed the text straight to any
-FlameGraph renderer).  :meth:`SimProfiler.publish` folds the same data
-into the :mod:`repro.obs.registry` registry histograms.
+FlameGraph renderer).
 
 Enable with the :func:`profiling` context manager.
 """
@@ -46,12 +45,6 @@ from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
-
-#: Log-spaced per-dispatch buckets, seconds (1us..1s + overflow slot).
-#: Kept numerically identical to
-#: ``repro.obs.registry.DEFAULT_SECONDS_BUCKETS`` so :meth:`publish` can
-#: fold pre-aggregated counts without resampling.
-BUCKET_BOUNDS: Tuple[float, ...] = (1e-6, 1e-5, 1e-4, 1e-3, 1e-2, 1e-1, 1.0)
 
 #: Owner-module prefix -> component name, longest prefix wins.
 _COMPONENT_BY_MODULE: Tuple[Tuple[str, str], ...] = (
@@ -74,8 +67,8 @@ class SimProfiler(_probe.Probe):
     """Accumulates wall time per component and per nested hot-spot.
 
     One instance is meant to span any number of runs (a whole bench
-    workload, a whole campaign job); :meth:`report`, :meth:`collapsed`
-    and :meth:`publish` read out the totals.
+    workload, a whole campaign job); :meth:`report` and
+    :meth:`collapsed` read out the totals.
     """
 
     def __init__(self) -> None:
@@ -83,8 +76,6 @@ class SimProfiler(_probe.Probe):
         self._components: Dict[str, List[float]] = {}
         # (component, hook) and ("engine",) style paths -> [calls, wall]
         self._paths: Dict[Tuple[str, ...], List[float]] = {}
-        # component -> per-bucket dispatch counts (+ overflow slot)
-        self._buckets: Dict[str, List[int]] = {}
         # classification cache: (owner type | bare callable) -> component
         self._classify_cache: Dict[Any, str] = {}
         # Currently dispatching component ("" between events).
@@ -140,15 +131,6 @@ class SimProfiler(_probe.Probe):
             slot = self._components[component] = [0, 0.0]
         slot[0] += 1
         slot[1] += dt
-        buckets = self._buckets.get(component)
-        if buckets is None:
-            buckets = self._buckets[component] = [0] * (len(BUCKET_BOUNDS) + 1)
-        index = 0
-        for bound in BUCKET_BOUNDS:
-            if dt <= bound:
-                break
-            index += 1
-        buckets[index] += 1
         path = ("engine", component)
         pslot = self._paths.get(path)
         if pslot is None:
@@ -242,35 +224,6 @@ class SimProfiler(_probe.Probe):
                 lines.append(f"{';'.join(path)} {usec}")
         return "\n".join(lines) + ("\n" if lines else "")
 
-    def publish(self, registry: Any, campaign: str = "") -> None:
-        """Fold totals into a :class:`repro.obs.registry.MetricRegistry`."""
-        from repro.obs import registry as _registry
-
-        calls = registry.counter(
-            "repro_profile_component_calls",
-            _registry.CATALOG["repro_profile_component_calls"][1],
-            ("component",),
-        )
-        wall = registry.counter(
-            "repro_profile_component_wall_seconds",
-            _registry.CATALOG["repro_profile_component_wall_seconds"][1],
-            ("component",),
-        )
-        for name, (n, seconds) in sorted(self._components.items()):
-            if n:
-                calls.inc(n, component=name)
-            if seconds > 0:
-                wall.inc(seconds, component=name)
-        histogram = registry.histogram(
-            "repro_profile_event_seconds",
-            _registry.CATALOG["repro_profile_event_seconds"][1],
-            ("component",),
-            buckets=BUCKET_BOUNDS,
-        )
-        for name, bucket_counts in sorted(self._buckets.items()):
-            total_wall = self._components.get(name, [0, 0.0])[1]
-            histogram.merge_counts(bucket_counts, total_wall, component=name)
-
 
 def current() -> Optional[SimProfiler]:
     """The profiler of the innermost :func:`profiling` window, or ``None``."""
@@ -291,7 +244,6 @@ def profiling() -> Iterator[SimProfiler]:
 
 
 __all__ = [
-    "BUCKET_BOUNDS",
     "SimProfiler",
     "current",
     "profiling",

@@ -41,7 +41,6 @@ from repro.experiments.exec import JobOutcome
 from repro.obs.registry import (
     OPENMETRICS_CONTENT_TYPE,
     MetricRegistry,
-    default_registry,
     publish_journal_record,
     publish_perf_counters,
     publish_store_counts,
@@ -135,8 +134,7 @@ class CampaignDaemon:
 
     Parameters mirror :class:`~repro.service.runner.CampaignRunner`
     (which this wraps); ``port=0`` binds an ephemeral port (read it back
-    from :attr:`port` after :meth:`start_http`).  ``registry`` defaults
-    to a fresh :func:`~repro.obs.registry.default_registry`.
+    from :attr:`port` after :meth:`start_http`).
     """
 
     def __init__(
@@ -150,7 +148,6 @@ class CampaignDaemon:
         host: str = "127.0.0.1",
         port: int = 0,
         poll_interval_s: float = 2.0,
-        registry: Optional[MetricRegistry] = None,
         journal_max_bytes: Optional[int] = DEFAULT_JOURNAL_MAX_BYTES,
         journal_retain_tail: int = DEFAULT_JOURNAL_RETAIN_TAIL,
     ) -> None:
@@ -159,7 +156,7 @@ class CampaignDaemon:
         self.host = host
         self.port = port
         self.poll_interval_s = poll_interval_s
-        self.registry = registry if registry is not None else default_registry()
+        self.registry = MetricRegistry()
         self._lock = threading.Lock()
         self._stop = threading.Event()
         self._server: Optional[ThreadingHTTPServer] = None
@@ -167,8 +164,6 @@ class CampaignDaemon:
         self._status: Dict[str, Any] = {"campaign": name, "counts": {}}
         # Daemon-side rate accounting (host wall clock; campaign layer).
         self._started = time.monotonic()
-        self._events_total = 0.0
-        self._events_wall = 0.0
         self._jobs_done = 0
         store.on_transition = self._on_transition
         self.runner = CampaignRunner(
@@ -209,33 +204,30 @@ class CampaignDaemon:
                 publish_perf_counters(
                     self.registry, outcome.perf, campaign=self.name
                 )
-                events = outcome.perf.get("events")
-                wall = outcome.perf.get("wall_s")
-                if isinstance(events, (int, float)) and isinstance(
-                    wall, (int, float)
-                ):
-                    self._events_total += events
-                    self._events_wall += wall
-                    if self._events_wall > 0:
-                        self.registry.gauge(
-                            "repro_serve_events_per_second",
-                            "Recent simulator events per wall second "
-                            "across drained jobs.",
-                            ("campaign",),
-                        ).set(
-                            self._events_total / self._events_wall,
-                            campaign=self.name,
-                        )
+                events_per_s = self._events_per_s()
+                if events_per_s is not None:
+                    self.registry["repro_serve_events_per_second"].set(
+                        events_per_s, campaign=self.name
+                    )
 
     # -- rates -----------------------------------------------------------
+    def _events_per_s(self) -> Optional[float]:
+        """Events per wall second over every measured job so far, read
+        back from the perf totals the registry holds (caller holds the
+        lock)."""
+        wall = self.registry["repro_perf_wall_seconds"].value(campaign=self.name)
+        if wall <= 0:
+            return None
+        events = self.registry["repro_perf_events_dispatched"].value(
+            campaign=self.name
+        )
+        return events / wall
+
     def _rates(self) -> Dict[str, Optional[float]]:
         elapsed = time.monotonic() - self._started
         jobs_per_s = self._jobs_done / elapsed if elapsed > 0 else None
-        events_per_s = (
-            self._events_total / self._events_wall
-            if self._events_wall > 0
-            else None
-        )
+        with self._lock:
+            events_per_s = self._events_per_s()
         return {"jobs_per_s": jobs_per_s, "events_per_s": events_per_s}
 
     def refresh(self) -> Dict[str, Any]:
@@ -267,10 +259,7 @@ class CampaignDaemon:
                 path = self.path.split("?", 1)[0]
                 if path in ("/metrics", "/metrics/"):
                     with daemon._lock:
-                        daemon.registry.counter(
-                            "repro_serve_scrapes",
-                            "HTTP scrapes served by the campaign daemon.",
-                        ).inc()
+                        daemon.registry["repro_serve_scrapes"].inc()
                         body = render_openmetrics(daemon.registry).encode()
                     self._reply(200, OPENMETRICS_CONTENT_TYPE, body)
                 elif path in ("/status", "/status/", "/"):
@@ -336,11 +325,7 @@ class CampaignDaemon:
             self.runner.drain(reset_orphans=True)
             loops += 1
             with self._lock:
-                self.registry.counter(
-                    "repro_serve_loops",
-                    "Drain-loop iterations completed by the daemon.",
-                    ("campaign",),
-                ).inc(campaign=self.name)
+                self.registry["repro_serve_loops"].inc(campaign=self.name)
             doc = self.refresh()
             if max_loops is not None and loops >= max_loops:
                 break

@@ -71,9 +71,8 @@ class CampaignRunner:
     max_attempts: per-job attempt budget enforced by ``requeue``.
     progress: forwarded to the executor (``True`` for the stderr ticker).
     journal_kwargs: extra :class:`~repro.obs.journal.RunJournal`
-        constructor options (``max_bytes`` / ``max_age_s`` /
-        ``retain_tail``) -- the daemon uses this to bound the journal
-        for days-long drains.
+        constructor options (``max_bytes`` / ``retain_tail``) -- the
+        daemon uses this to bound the journal for days-long drains.
     journal_observer: additional callable invoked with every journal
         record (after the store indexes it); the telemetry registry
         hangs off this.

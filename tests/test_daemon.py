@@ -11,9 +11,13 @@ import urllib.request
 import pytest
 
 from repro.apps.bulk import BulkDownloadSpec
+from repro.experiments.runner import StreamingSpec
 from repro.net.profiles import lte_config, wifi_config
+from repro.obs.journal import read_journal
 from repro.obs.registry import (
-    default_registry,
+    CATALOG,
+    PERF_COUNTER_FIELDS,
+    MetricRegistry,
     publish_perf_counters,
     validate_openmetrics,
 )
@@ -265,9 +269,7 @@ class TestDaemonServe:
         store, daemon = self.build(tmp_path, name="edges", n=2)
         try:
             daemon.serve(max_loops=1)
-            rendered = daemon.registry.get(
-                "repro_campaign_transitions"
-            )
+            rendered = daemon.registry["repro_campaign_transitions"]
             assert rendered.value(
                 campaign="edges", from_status="pending", to_status="running"
             ) == 2
@@ -327,13 +329,13 @@ class TestPerfAcrossPoolBackend:
         )
 
         def registry_total(outcomes, campaign):
-            registry = default_registry()
+            registry = MetricRegistry()
             for outcome in outcomes:
                 if outcome.perf:
                     publish_perf_counters(
                         registry, outcome.perf, campaign=campaign
                     )
-            return registry.get("repro_perf_events_dispatched").value(
+            return registry["repro_perf_events_dispatched"].value(
                 campaign=campaign
             )
 
@@ -384,11 +386,153 @@ class TestDaemonEventsRate:
         try:
             doc = daemon.serve(max_loops=1)
             assert doc["counts"]["done"] == 2
-            gauge = daemon.registry.get("repro_serve_events_per_second")
+            gauge = daemon.registry["repro_serve_events_per_second"]
             assert gauge.value(campaign="rate") > 0
             assert doc["events_per_s"] and doc["events_per_s"] > 0
         finally:
             daemon.shutdown()
+
+
+class TestCatalogAgainstGroundTruth:
+    """Every :data:`CATALOG` family, as ``/metrics`` serves it, against a
+    number computed without the registry: the store's rows, the journal
+    file, the ``JobOutcome`` perf records, the requests this test made.
+    The loop runs over ``CATALOG``, so a family nothing feeds (or a new
+    one nobody wrote an oracle for) fails here instead of being served
+    empty forever."""
+
+    NAME = "truth"
+    LOOPS = 2
+    SCRAPES = 2
+
+    def drained_daemon(self, tmp_path):
+        """A small mixed campaign (3 bulk + 1 streaming job, one of them
+        already in the cache) drained by a daemon on a 2-worker pool."""
+        specs = bulk_specs(3) + [
+            StreamingSpec(scheduler="ecf", wifi_mbps=8.6, lte_mbps=8.6,
+                          video_duration=5.0),
+        ]
+        store = CampaignStore(tmp_path / "c.db")
+        warm = CampaignRunner(store, "warm", cache_dir=tmp_path / "cache")
+        warm.submit(specs[:1])
+        warm.drain()
+        CampaignRunner(
+            store, self.NAME, backend=PoolBackendConfig(jobs=2),
+            cache_dir=tmp_path / "cache",
+        ).submit(specs)
+        daemon = CampaignDaemon(
+            store, self.NAME, cache_dir=str(tmp_path / "cache"),
+            journal=str(tmp_path / "truth.jsonl"), poll_interval_s=0.05,
+        )
+        outcomes = []
+        publish = daemon.runner.on_outcome
+
+        def tee(outcome):
+            outcomes.append(outcome)
+            publish(outcome)
+
+        daemon.runner.on_outcome = tee
+        try:
+            daemon.start_http()
+            daemon.serve(max_loops=self.LOOPS)
+            for _ in range(self.SCRAPES):
+                scrape = fetch_metrics(daemon.endpoint)
+            jobs = store.jobs(daemon.runner.campaign_id)
+            counts = store.counts(daemon.runner.campaign_id)
+        finally:
+            daemon.shutdown()
+            store.close()
+        return jobs, counts, outcomes, scrape
+
+    def test_every_family_equals_an_independent_count(
+        self, tmp_path, monkeypatch
+    ):
+        from collections import Counter
+
+        from repro.perf import counters as perf_counters
+
+        monkeypatch.setenv(perf_counters.ENV_VAR, "1")
+        jobs, counts, outcomes, scrape = self.drained_daemon(tmp_path)
+        name = self.NAME
+        assert sorted(o.status for o in outcomes) == [
+            "cached", "executed", "executed", "executed",
+        ]
+        # Cached jobs carry no perf record and so contribute nothing.
+        perf = [o.perf for o in outcomes if o.status == "executed"]
+        assert all(perf) and not any(
+            o.perf for o in outcomes if o.status == "cached"
+        )
+
+        def only(total):
+            """Nothing counted means no sample, not a zero."""
+            return {(name,): total} if total else {}
+
+        edges = Counter()
+        for job in jobs:
+            edges[(name, "pending", "running")] += job.attempts
+            if job.status in ("done", "failed"):
+                edges[(name, "running", job.status)] += 1
+        journal = read_journal(tmp_path / "truth.jsonl")
+        kinds = Counter(record["record"] for record in journal)
+        wall_s = sum(p["wall_s"] for p in perf)
+        truth = {
+            "repro_campaign_jobs": {
+                (name, status): count for status, count in counts.items()
+            },
+            "repro_campaign_transitions": dict(edges),
+            "repro_campaign_journal_records": {
+                (name, kind): count for kind, count in kinds.items()
+            },
+            "repro_campaign_job_outcomes": dict(Counter(
+                (name, record["status"])
+                for record in journal if record["record"] == "job"
+            )),
+            "repro_campaign_retries": only(kinds["retry"]),
+            "repro_campaign_drains": only(kinds["batch_start"]),
+            **{
+                f"repro_perf_{field}": {
+                    (name,): sum(p["counters"][field] for p in perf)
+                }
+                for field in PERF_COUNTER_FIELDS
+            },
+            "repro_perf_sim_seconds": {(name,): sum(p["sim_s"] for p in perf)},
+            "repro_perf_wall_seconds": {(name,): wall_s},
+            "repro_serve_scrapes": {(): self.SCRAPES},
+            "repro_serve_loops": {(name,): self.LOOPS},
+            "repro_serve_events_per_second": {
+                (name,): sum(p["events"] for p in perf) / wall_s
+            },
+        }
+
+        assert validate_openmetrics(scrape) == []
+        served = {}
+        for line in scrape.splitlines():
+            if not line.startswith("#"):
+                sample, labels, value = re.match(
+                    r"^(\w+?)(?:\{(.*)\})? (\S+)$", line
+                ).groups()
+                pairs = dict(re.findall(r'(\w+)="([^"]*)"', labels or ""))
+                served.setdefault(sample, []).append((pairs, float(value)))
+        suffixes = {"counter": "_total", "gauge": ""}
+        for family, (kind, _help, label_names) in CATALOG.items():
+            if family not in truth:
+                pytest.fail(
+                    f"{family}: no independent oracle -- a family nothing "
+                    "can check does not belong in the catalog"
+                )
+            got = {
+                tuple(pairs[label] for label in label_names): value
+                for pairs, value in served.pop(family + suffixes[kind], [])
+            }
+            assert got == pytest.approx(truth[family]), family
+        assert served == {}, "samples outside the catalog"
+        # The interesting rows really were exercised, not vacuously equal.
+        assert truth["repro_campaign_transitions"] == {
+            (name, "pending", "running"): 4, (name, "running", "done"): 4,
+        }
+        assert truth["repro_campaign_drains"] == {(name,): 1}
+        assert truth["repro_campaign_retries"] == {}
+        assert truth["repro_perf_events_dispatched"][(name,)] > 0
 
 
 class TestMetricsValidateCli:
@@ -423,7 +567,8 @@ class TestMetricsValidateCli:
 
 
 class TestServeSubprocess:
-    """The CI ``telemetry`` job's ground-truth assertion, runnable locally."""
+    """``campaign serve`` as a real process: submit, SIGKILL mid-drain,
+    resume, scrape, validate, compare with the store."""
 
     GRID = ["--sweep", "grid", "--scheduler", "ecf", "--video", "10",
             "--wifi-grid", "0.7", "8.6", "--lte-grid", "0.7", "8.6"]

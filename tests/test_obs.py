@@ -551,31 +551,35 @@ class TestFlatExports:
         assert timeline.to_jsonl([]) == ""
 
     def test_prometheus_text(self):
+        # A flat perf.json: catalog names, nothing else gets a sample.
         text = timeline.prometheus_text(
-            {"b_counter": 2.5, "a_counter": 7, "skip_inf": float("inf"),
-             "skip_flag": True, "skip_str": "x", "skip_neg": -1},
+            {"packets_in": 2.5, "events_dispatched": 7, "sim_time": 1.5,
+             "scheduler_waits": True, "stale_pops": "x", "not_a_counter": 9},
         )
         lines = text.splitlines()
-        assert "# TYPE repro_a_counter counter" in lines
-        assert "repro_a_counter_total 7" in lines
-        assert "repro_b_counter_total 2.5" in lines
+        assert "# TYPE repro_perf_events_dispatched counter" in lines
+        assert [line for line in lines if not line.startswith("#")] == [
+            "repro_perf_events_dispatched_total 7",
+            "repro_perf_packets_in_total 2.5",
+            "repro_perf_sim_seconds_total 1.5",
+        ]
         assert lines[-1] == "# EOF"
-        assert not any("skip" in line for line in lines)
-        # Counters come out in sorted family order.
-        assert lines.index("repro_a_counter_total 7") < lines.index(
-            "repro_b_counter_total 2.5"
-        )
 
     def test_prometheus_text_is_valid_openmetrics(self):
         from repro.obs.registry import validate_openmetrics
 
-        text = timeline.prometheus_text({"events": 100, "wall_s": 0.25})
+        text = timeline.prometheus_text(
+            {"wall_s": 0.25, "sim_s": 10.0, "events": 100,
+             "events_per_wall_s": 400.0, "counters": {"events_dispatched": 100}}
+        )
         assert validate_openmetrics(text) == []
-
-    def test_prometheus_prefix(self):
-        text = timeline.prometheus_text({"n": 1}, prefix="x_")
-        assert "# TYPE x_n counter" in text.splitlines()
-        assert "x_n_total 1" in text.splitlines()
+        # The rate and the duplicate `events` are not counters and are
+        # not exported as such.
+        assert [line for line in text.splitlines() if not line.startswith("#")] == [
+            "repro_perf_events_dispatched_total 100",
+            "repro_perf_sim_seconds_total 10",
+            "repro_perf_wall_seconds_total 0.25",
+        ]
 
     def test_prometheus_empty_still_terminated(self):
         assert timeline.prometheus_text({}).splitlines()[-1] == "# EOF"
@@ -662,4 +666,54 @@ class TestTraceCli:
         assert cli_main([
             "trace", "export", str(bundle), "--format", "prom",
         ]) in (0, None)
-        assert "# TYPE repro_events_dispatched counter" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "# TYPE repro_perf_events_dispatched counter" in out
+
+    def test_export_prom_speaks_the_daemon_dialect(self, tmp_path, capsys):
+        """A bundle's flat ``perf.json`` and a cached result's nested
+        ``perf`` record both export the sample names -- and the values --
+        a ``campaign serve`` registry holds for the same record."""
+        from repro.obs.registry import (
+            CATALOG,
+            MetricRegistry,
+            publish_perf_counters,
+            validate_openmetrics,
+        )
+        from repro.perf.counters import measure
+
+        bundle = self.make_bundle(tmp_path)
+        _, record = measure(run_bulk, bulk_spec())
+        entry = tmp_path / "entry.json"
+        entry.write_text(json.dumps({
+            "schema_version": 1, "kind": "bulk_download",
+            "result": {"perf": record.to_dict()},
+        }))
+        sources = {
+            entry: record.to_dict(),
+            bundle: json.loads((bundle / "perf.json").read_text()),
+        }
+        legal = {
+            name + ("_total" if kind == "counter" else "")
+            for name, (kind, _, _) in CATALOG.items()
+        }
+        for source, perf in sources.items():
+            capsys.readouterr()
+            assert cli_main([
+                "trace", "export", str(source), "--format", "prom",
+            ]) in (0, None)
+            text = capsys.readouterr().out
+            assert validate_openmetrics(text) == []
+            exported = dict(
+                line.split(" ") for line in text.splitlines()
+                if not line.startswith("#")
+            )
+            assert set(exported) - legal == set()
+            assert "repro_perf_events_dispatched_total" in exported
+            daemon_side = MetricRegistry()
+            publish_perf_counters(daemon_side, perf, campaign="c")
+            assert {
+                name: float(value) for name, value in exported.items()
+            } == {
+                metric.name + "_total": metric.value(campaign="c")
+                for metric in daemon_side if metric.samples()
+            }

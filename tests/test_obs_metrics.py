@@ -1,18 +1,20 @@
 """Tests for repro.obs.registry: registry, rendering, validation, publishers."""
 
+import inspect
 import math
+import re
+from pathlib import Path
 
 import pytest
 
+from repro.obs import registry as registry_module
 from repro.obs.registry import (
     CATALOG,
     OPENMETRICS_CONTENT_TYPE,
     PERF_COUNTER_FIELDS,
     Counter,
     Gauge,
-    Histogram,
     MetricRegistry,
-    default_registry,
     publish_journal_record,
     publish_perf_counters,
     publish_store_counts,
@@ -72,63 +74,41 @@ class TestGauge:
         assert g.samples() == ['repro_g{status="done"} 4']
 
 
-class TestHistogram:
-    def test_observe_buckets_cumulative(self):
-        h = Histogram("repro_h", "help", buckets=(0.1, 1.0))
-        h.observe(0.05)
-        h.observe(0.5)
-        h.observe(5.0)
-        lines = h.samples()
-        assert 'repro_h_bucket{le="0.1"} 1' in lines
-        assert 'repro_h_bucket{le="1"} 2' in lines
-        assert 'repro_h_bucket{le="+Inf"} 3' in lines
-        assert "repro_h_count 3" in lines
-        assert any(line.startswith("repro_h_sum ") for line in lines)
-
-    def test_merge_counts_folds_preaggregated(self):
-        h = Histogram("repro_h", "help", buckets=(0.1, 1.0))
-        h.merge_counts([2, 1, 4], 3.25)
-        h.merge_counts([1, 0, 0], 0.01)
-        lines = h.samples()
-        assert 'repro_h_bucket{le="+Inf"} 8' in lines
-        assert "repro_h_count 8" in lines
-        assert "repro_h_sum 3.26" in lines
-
-    def test_merge_counts_shape_checked(self):
-        h = Histogram("repro_h", "help", buckets=(0.1, 1.0))
-        with pytest.raises(ValueError):
-            h.merge_counts([1, 2], 0.5)
-
-
 class TestRegistry:
-    def test_idempotent_reregistration(self):
+    def test_undeclared_name_raises(self):
         registry = MetricRegistry()
-        a = registry.counter("repro_x", "help", labels=("campaign",))
-        b = registry.counter("repro_x", "other help", labels=("campaign",))
-        assert a is b
+        with pytest.raises(KeyError):
+            registry["no_such_family"]
+        # The same family object every time: there is nothing to re-register.
+        assert registry["repro_serve_loops"] is registry["repro_serve_loops"]
 
-    def test_shape_conflict_raises(self):
-        registry = MetricRegistry()
-        registry.counter("repro_x", "help")
-        with pytest.raises(ValueError):
-            registry.gauge("repro_x", "help")
-        with pytest.raises(ValueError):
-            registry.counter("repro_x", "help", labels=("campaign",))
+    @pytest.mark.parametrize("name, entry", [
+        pytest.param("7bad", ("counter", "help", ()), id="family-name"),
+        pytest.param(
+            "repro_x", ("counter", "help", ("bad-label",)), id="label-name"
+        ),
+        pytest.param("repro_x", ("histogram", "help", ()), id="unknown-kind"),
+    ])
+    def test_malformed_catalog_entry_fails_at_construction(
+        self, monkeypatch, name, entry
+    ):
+        monkeypatch.setitem(registry_module.CATALOG, name, entry)
+        with pytest.raises((ValueError, KeyError)):
+            MetricRegistry()
 
     def test_default_registry_declares_catalog(self):
-        registry = default_registry()
-        names = {metric.name for metric in registry}
-        for name, (kind, _help, _labels) in CATALOG.items():
-            assert name in names
-            metric = registry.get(name)
-            assert metric.kind == kind
-
-    def test_to_dict_round_trips_values(self):
         registry = MetricRegistry()
-        registry.counter("repro_x", "help").inc(3)
-        doc = registry.to_dict()
-        assert doc["repro_x"]["kind"] == "counter"
-        assert doc["repro_x"]["samples"][0]["value"] == 3
+        assert [metric.name for metric in registry] == list(CATALOG)
+        for name, (kind, help_text, labels) in CATALOG.items():
+            metric = registry[name]
+            assert (metric.kind, metric.help, metric.label_names) == (
+                kind, help_text, labels,
+            )
+
+    def test_registries_do_not_share_samples(self):
+        first, second = MetricRegistry(), MetricRegistry()
+        first["repro_serve_scrapes"].inc()
+        assert second["repro_serve_scrapes"].value() == 0
 
 
 class TestRender:
@@ -137,33 +117,54 @@ class TestRender:
 
     def test_families_sorted_and_typed(self):
         registry = MetricRegistry()
-        registry.counter("repro_b", "second").inc()
-        registry.gauge("repro_a", "first").set(1)
+        registry["repro_serve_scrapes"].inc()
+        registry["repro_campaign_jobs"].set(1, campaign="c", status="done")
         text = render_openmetrics(registry)
         lines = text.splitlines()
-        assert lines.index("# TYPE repro_a gauge") < lines.index(
-            "# TYPE repro_b counter"
-        )
+        # Every declared family gets its metadata, sampled or not, in
+        # sorted order (CATALOG itself is grouped by source, not sorted).
+        typed = [line.split(" ")[2] for line in lines if line.startswith("# TYPE ")]
+        assert typed == sorted(CATALOG)
+        assert "# TYPE repro_campaign_jobs gauge" in lines
+        assert "# TYPE repro_serve_scrapes counter" in lines
         assert validate_openmetrics(text) == []
 
     def test_label_escaping_survives_validation(self):
         registry = MetricRegistry()
-        registry.counter("repro_x", "help", labels=("campaign",)).inc(
+        registry["repro_campaign_retries"].inc(
             campaign='we "quote" and \\ and\nnewline'
         )
         text = render_openmetrics(registry)
         assert validate_openmetrics(text) == []
 
+    @pytest.mark.parametrize("campaign, on_the_wire", [
+        pytest.param("fig{9}", "fig{9}", id="braces"),
+        pytest.param("fig}9", "fig}9", id="close-brace"),
+        pytest.param("{", "{", id="open-brace"),
+        pytest.param("a,b", "a,b", id="comma"),
+        pytest.param('x="y"', 'x=\\"y\\"', id="equals-quote"),
+        pytest.param('q\\"q', 'q\\\\\\"q', id="backslash-quote"),
+        pytest.param('a="}",b', 'a=\\"}\\",b', id="all-of-them"),
+    ])
+    def test_label_value_punctuation_survives_validation(
+        self, campaign, on_the_wire
+    ):
+        # A campaign name is a free CLI positional: braces, commas and
+        # quotes inside a label value are legal on the wire.
+        registry = MetricRegistry()
+        publish_store_counts(registry, {"done": 3}, campaign=campaign)
+        text = render_openmetrics(registry)
+        assert (
+            f'repro_campaign_jobs{{campaign="{on_the_wire}",status="done"}} 3'
+            in text.splitlines()
+        )
+        assert validate_openmetrics(text) == []
+
     def test_full_default_registry_render_is_valid(self):
-        registry = default_registry()
-        registry.counter(
-            "repro_campaign_transitions",
-            "x",
-            labels=("campaign", "from_status", "to_status"),
-        ).inc(campaign="c", from_status="pending", to_status="running")
-        registry.histogram(
-            "repro_profile_event_seconds", "x", labels=("component",)
-        ).observe(0.001, component="link.delivery")
+        registry = MetricRegistry()
+        registry["repro_campaign_transitions"].inc(
+            campaign="c", from_status="pending", to_status="running"
+        )
         assert validate_openmetrics(render_openmetrics(registry)) == []
 
     def test_content_type_pinned(self):
@@ -195,17 +196,114 @@ class TestValidate:
         )
         assert validate_openmetrics(text) == []
 
+    def test_foreign_family_kinds_pass(self):
+        # A scrape file from outside the process may carry kinds this
+        # registry never renders.  Values are not interpreted: the
+        # non-cumulative +Inf bucket below is structurally fine.
+        text = (
+            "# TYPE h histogram\n"
+            "# UNIT h seconds\n"
+            "# HELP h a histogram\n"
+            'h_bucket{le="1"} 5\n'
+            'h_bucket{le="+Inf"} 3\n'
+            "h_count 3\n"
+            "h_sum 2.5\n"
+            "# TYPE s summary\n"
+            's{quantile="0.5"} 1 1700000000\n'
+            "s_count 1\n"
+            "# TYPE i info\n"
+            'i_info{version="1"} 1\n'
+            "# TYPE g gauge\n"
+            "g NaN\n"
+            "# EOF\n"
+        )
+        assert validate_openmetrics(text) == []
+
+    #: One minimal malformed body per rejection branch:
+    #: (body, line the message must name or None, message fragment).
+    REJECTIONS = {
+        "empty": ("", None, "empty exposition"),
+        "no-eof": ("# TYPE x gauge\nx 1\n", None, "missing '# EOF' terminator"),
+        "after-eof": (
+            "# TYPE x gauge\n# EOF\nx 1\n# EOF\n", 2, "content after '# EOF'",
+        ),
+        "blank-line": (
+            "# TYPE x gauge\n\nx 1\n# EOF\n", 2, "blank line is not allowed",
+        ),
+        "comment-keyword": ("# NOPE x y\n# EOF\n", 1, "malformed comment line"),
+        "comment-spacing": ("#TYPE x gauge\n# EOF\n", 1, "malformed comment line"),
+        "family-name": ("# TYPE 9x gauge\n# EOF\n", 1, "invalid metric name '9x'"),
+        "type-without-kind": ("# TYPE x\n# EOF\n", 1, "TYPE line needs a kind"),
+        "unknown-kind": (
+            "# TYPE x banana\n# EOF\n", 1, "unknown metric type 'banana'",
+        ),
+        "duplicate-type": (
+            "# TYPE x gauge\n# TYPE x gauge\n# EOF\n", 2, "duplicate TYPE for 'x'",
+        ),
+        "duplicate-help": (
+            "# TYPE x gauge\n# HELP x a\n# HELP x b\n# EOF\n",
+            3, "duplicate HELP for 'x'",
+        ),
+        "interleaved-sample": (
+            "# TYPE a gauge\n# TYPE b gauge\na 1\n# EOF\n",
+            3, "family 'a' is interleaved",
+        ),
+        "interleaved-metadata": (
+            "# TYPE a gauge\n# TYPE b gauge\n# UNIT a seconds\n# EOF\n",
+            3, "family 'a' is interleaved",
+        ),
+        "unparseable-sample": (
+            '# TYPE x gauge\nx{a="1" 1\n# EOF\n', 2, "unparseable sample line",
+        ),
+        "untyped-sample": ("mystery 1\n# EOF\n", 1, "is no preceding # TYPE family"),
+        # A counter sample without ``_total`` resolves to no family.
+        "counter-without-total": (
+            "# TYPE x counter\nx 1\n# EOF\n", 2, "is no preceding # TYPE family",
+        ),
+        "unquoted-label-value": (
+            "# TYPE x gauge\nx{a=1} 1\n# EOF\n", 2, "malformed label set",
+        ),
+        "trailing-label-comma": (
+            '# TYPE x gauge\nx{a="1",} 1\n# EOF\n', 2, "malformed label set",
+        ),
+        "bucket-without-le": (
+            "# TYPE h histogram\nh_bucket 1\n# EOF\n",
+            2, "histogram bucket without an 'le' label",
+        ),
+        "non-numeric-value": (
+            "# TYPE x gauge\nx banana\n# EOF\n", 2, "non-numeric value 'banana'",
+        ),
+    }
+
+    @pytest.mark.parametrize("case", list(REJECTIONS))
+    def test_each_rejection_names_its_line(self, case):
+        body, line, fragment = self.REJECTIONS[case]
+        problems = validate_openmetrics(body)
+        assert len(problems) == 1, problems
+        assert fragment in problems[0]
+        if line is not None:
+            assert problems[0].startswith(f"line {line}: ")
+
+    def test_rejection_table_covers_every_branch(self):
+        # One distinct message per way the validator can say no: a new
+        # branch needs a new row above.
+        source = inspect.getsource(validate_openmetrics)
+        branches = source.count("problems.append(") + source.count("return [")
+        assert branches == len(
+            {fragment for _, _, fragment in self.REJECTIONS.values()}
+        )
+
 
 class TestPublishers:
     def test_publish_perf_counters_flat(self):
-        registry = default_registry()
+        registry = MetricRegistry()
         perf = {field: float(i + 1) for i, field in enumerate(PERF_COUNTER_FIELDS)}
         publish_perf_counters(registry, perf, campaign="c")
-        events = registry.get("repro_perf_events_dispatched")
+        events = registry["repro_perf_events_dispatched"]
         assert events.value(campaign="c") == perf["events_dispatched"]
 
     def test_publish_perf_counters_nested_record_shape(self):
-        registry = default_registry()
+        registry = MetricRegistry()
         record = {
             "counters": {"events_dispatched": 10.0, "timers_scheduled": 4.0},
             "wall_s": 0.5,
@@ -213,21 +311,21 @@ class TestPublishers:
         }
         publish_perf_counters(registry, record, campaign="c")
         assert (
-            registry.get("repro_perf_events_dispatched").value(campaign="c") == 10.0
+            registry["repro_perf_events_dispatched"].value(campaign="c") == 10.0
         )
-        assert registry.get("repro_perf_wall_seconds").value(campaign="c") == 0.5
-        assert registry.get("repro_perf_sim_seconds").value(campaign="c") == 30.0
+        assert registry["repro_perf_wall_seconds"].value(campaign="c") == 0.5
+        assert registry["repro_perf_sim_seconds"].value(campaign="c") == 30.0
 
     def test_publish_perf_counters_accumulates(self):
-        registry = default_registry()
+        registry = MetricRegistry()
         publish_perf_counters(registry, {"events_dispatched": 5.0}, campaign="c")
         publish_perf_counters(registry, {"events_dispatched": 7.0}, campaign="c")
         assert (
-            registry.get("repro_perf_events_dispatched").value(campaign="c") == 12.0
+            registry["repro_perf_events_dispatched"].value(campaign="c") == 12.0
         )
 
     def test_publish_journal_record_routes_by_kind(self):
-        registry = default_registry()
+        registry = MetricRegistry()
         publish_journal_record(
             registry, {"record": "job", "status": "executed"}, campaign="c"
         )
@@ -236,18 +334,18 @@ class TestPublishers:
         )
         publish_journal_record(registry, {"record": "retry"}, campaign="c")
         publish_journal_record(registry, {"record": "batch_start"}, campaign="c")
-        outcomes = registry.get("repro_campaign_job_outcomes")
+        outcomes = registry["repro_campaign_job_outcomes"]
         assert outcomes.value(campaign="c", status="executed") == 1
         assert outcomes.value(campaign="c", status="cached") == 1
-        assert registry.get("repro_campaign_retries").value(campaign="c") == 1
-        assert registry.get("repro_campaign_drains").value(campaign="c") == 1
+        assert registry["repro_campaign_retries"].value(campaign="c") == 1
+        assert registry["repro_campaign_drains"].value(campaign="c") == 1
 
     def test_publish_store_counts_sets_gauges(self):
-        registry = default_registry()
+        registry = MetricRegistry()
         publish_store_counts(
             registry, {"pending": 2, "running": 1, "done": 3, "failed": 0}, "c"
         )
-        jobs = registry.get("repro_campaign_jobs")
+        jobs = registry["repro_campaign_jobs"]
         assert jobs.value(campaign="c", status="pending") == 2
         assert jobs.value(campaign="c", status="done") == 3
         # Re-publishing overwrites (gauge semantics), not accumulates.
@@ -258,11 +356,11 @@ class TestPublishers:
         assert jobs.value(campaign="c", status="done") == 6
 
     def test_publish_transition_counts_edges(self):
-        registry = default_registry()
+        registry = MetricRegistry()
         publish_transition(registry, "pending", "running", campaign="c")
         publish_transition(registry, "pending", "running", campaign="c")
         publish_transition(registry, "running", "done", campaign="c")
-        transitions = registry.get("repro_campaign_transitions")
+        transitions = registry["repro_campaign_transitions"]
         assert transitions.value(
             campaign="c", from_status="pending", to_status="running"
         ) == 2
@@ -282,6 +380,24 @@ class TestCatalog:
     def test_perf_fields_have_catalog_entries(self):
         for field in PERF_COUNTER_FIELDS:
             assert f"repro_perf_{field}" in CATALOG
+
+    def test_docs_table_matches_catalog(self):
+        doc = Path(__file__).parent.parent / "docs" / "observability.md"
+        documented = {}
+        for name, kind, labels in re.findall(
+            r"^\| `(repro_\w+(?:<counter>)?)` \| (\w+) \| ([^|]*) \|",
+            doc.read_text(), flags=re.M,
+        ):
+            shape = (kind, tuple(re.findall(r"`(\w+)`", labels)))
+            if name.endswith("<counter>"):
+                # One row stands for the whole PERF_COUNTER_FIELDS block.
+                for field in PERF_COUNTER_FIELDS:
+                    documented[name.replace("<counter>", field)] = shape
+            else:
+                documented[name] = shape
+        assert documented == {
+            name: (kind, labels) for name, (kind, _help, labels) in CATALOG.items()
+        }
 
     def test_value_formatting_stable(self):
         c = Counter("repro_x", "h")

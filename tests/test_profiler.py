@@ -119,23 +119,6 @@ class TestCollapsed:
         assert SimProfiler().collapsed() == ""
 
 
-class TestPublish:
-    def test_publish_fills_registry(self):
-        from repro.obs.registry import default_registry
-
-        with profiling() as prof:
-            run_bulk(bulk_spec())
-        registry = default_registry()
-        prof.publish(registry)
-        calls = registry.get("repro_profile_component_calls")
-        report = prof.report()
-        for name, stats in report["components"].items():
-            assert calls.value(component=name) == stats["calls"]
-        histogram = registry.get("repro_profile_event_seconds")
-        lines = histogram.samples()
-        assert any("link.delivery" in line for line in lines)
-
-
 class TestProfilingContext:
     def test_restores_previous_global(self):
         with profiling() as outer:
