@@ -8,7 +8,7 @@ rarely utilizes a secondary subflow for small transfers".
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
 
 from repro.apps.http import GetResult, HttpSession
@@ -44,13 +44,16 @@ class BulkDownloadSpec:
         object.__setattr__(self, "path_configs", tuple(self.path_configs))
 
     def to_dict(self) -> Dict[str, Any]:
+        # PathConfig and ConnectionConfig hold only scalars, so a copy of the
+        # instance dict is what ``dataclasses.asdict`` builds, minus its
+        # per-field deepcopy (this runs once per spec hash).
         return {
             "scheduler": self.scheduler,
-            "path_configs": [asdict(pc) for pc in self.path_configs],
+            "path_configs": [dict(vars(pc)) for pc in self.path_configs],
             "size": self.size,
             "seed": self.seed,
             "scheduler_params": dict(self.scheduler_params),
-            "connection": None if self.connection is None else asdict(self.connection),
+            "connection": None if self.connection is None else dict(vars(self.connection)),
             "timeout": self.timeout,
         }
 

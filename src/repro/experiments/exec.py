@@ -68,6 +68,7 @@ from repro.experiments.spec import (
     spec_from_dict,
     spec_hash,
     spec_to_dict,
+    wire_hash,
 )
 from repro.obs import flight as obs_flight
 from repro.obs.journal import RunJournal
@@ -312,11 +313,6 @@ class ResultCache:
         tmp.write_text(canonical_json(payload))
         os.replace(tmp, target)
 
-    def __len__(self) -> int:
-        if not self.root.exists():
-            return 0
-        return sum(1 for _ in self.root.glob("*/*.json"))
-
 
 class ExperimentExecutor:
     """Run batches of experiment specs in parallel, with caching.
@@ -401,7 +397,10 @@ class ExperimentExecutor:
         """
         specs = list(specs)
         total = len(specs)
-        hashes = [spec_hash(spec) for spec in specs]
+        # One serialization per spec: the wire form is hashed here, shipped
+        # to the worker and stored beside the result.
+        wires = [spec_to_dict(spec) for spec in specs]
+        hashes = [wire_hash(wire) for wire in wires]
         results: List[Any] = [None] * total
         stats, journal = self.stats, self.journal
         # Wall clock is correct here: this measures the *host's* sweep
@@ -506,7 +505,7 @@ class ExperimentExecutor:
                         {
                             "schema_version": SCHEMA_VERSION,
                             "kind": spec.kind,
-                            "spec": spec.to_dict(),
+                            "spec": wires[index]["spec"],
                             "result": {k: v for k, v in attempt.items() if k != "perf"},
                         },
                     )
@@ -537,13 +536,13 @@ class ExperimentExecutor:
 
         pending: List[int] = []
         for index, spec in enumerate(specs):
-            entry = self.cache.get(hashes[index]) if self.cache else None
+            entry = self.cache.get(hashes[index]) if self.cache is not None else None
             if entry is not None and entry["kind"] == spec.kind:
                 results[index] = result_from_dict(spec.kind, entry["result"])
                 record(index, "cached")
             else:
                 pending.append(index)
-        payloads = {index: spec_to_dict(specs[index]) for index in pending}
+        payloads = {index: wires[index] for index in pending}
         try:
             if self.jobs == 1 or len(pending) <= 1:
                 self._run_inline(pending, payloads, settle)

@@ -23,7 +23,7 @@ stores and pool workers ship.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
 from repro.apps.dash.abr import make_abr
@@ -146,7 +146,9 @@ class StreamingRunConfig:
             "path_configs": (
                 None
                 if self.path_configs is None
-                else [asdict(pc) for pc in self.path_configs]
+                # PathConfig holds only scalars: its instance dict is the
+                # ``asdict`` form without the deepcopy.
+                else [dict(vars(pc)) for pc in self.path_configs]
             ),
             "record_traces": self.record_traces,
             "record_delays": self.record_delays,

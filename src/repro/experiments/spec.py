@@ -151,13 +151,19 @@ def canonical_json(data: Any) -> str:
     return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
-def spec_hash(spec: ExperimentSpec) -> str:
-    """Content address of a spec: sha256 over its canonical wire form.
+def wire_hash(wire: Mapping[str, Any]) -> str:
+    """Content address of a spec's wire form (:func:`spec_to_dict` output).
 
     Stable across processes and sessions (unlike ``hash()``), so it keys
     the on-disk result cache.  The schema version is mixed in: a wire-
     format change invalidates old cache entries rather than mis-reading
-    them.
+    them.  Callers that need the wire form anyway (the campaign store,
+    the executor) serialize once and hash that.
     """
-    payload = {"schema_version": SCHEMA_VERSION, **spec_to_dict(spec)}
+    payload = {"schema_version": SCHEMA_VERSION, **wire}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
+
+
+def spec_hash(spec: ExperimentSpec) -> str:
+    """Content address of a spec: :func:`wire_hash` of its wire form."""
+    return wire_hash(spec_to_dict(spec))

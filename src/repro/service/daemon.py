@@ -74,14 +74,7 @@ def status_document(
         raise KeyError(f"no campaign named {name!r}")
     counts = store.counts(campaign.id)
     total = sum(counts.values())
-    jobs = [
-        record
-        for record in store.journal_records(campaign.id, record="job")
-    ]
-    by_status: Dict[str, int] = {}
-    for record in jobs:
-        status = str(record.get("status", "unknown"))
-        by_status[status] = by_status.get(status, 0) + 1
+    by_status, retries = store.journal_summary(campaign.id)
     cached = by_status.get("cached", 0)
     executed = by_status.get("executed", 0)
     resolved = cached + executed
@@ -101,7 +94,7 @@ def status_document(
         "done_fraction": (counts.get("done", 0) / total) if total else 1.0,
         "journal_jobs": by_status,
         "cache_hit_rate": (cached / resolved) if resolved else None,
-        "retries": len(store.journal_records(campaign.id, record="retry")),
+        "retries": retries,
         "events_per_s": events_per_s,
         "jobs_per_s": jobs_per_s,
         "eta_s": eta_s,

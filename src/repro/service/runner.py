@@ -24,11 +24,14 @@ The runner is also a drop-in for :class:`ExperimentExecutor` where only
 ``wget_matrix(executor=...)``): ``run`` is submit + drain + fetch.
 
 Durability model: job state lives in SQLite, results live in the
-content-addressed cache.  A drain killed half-way leaves ``running``
-rows behind; the next drain calls ``reset_running`` and re-claims them,
-and jobs whose results already landed in the cache resolve as cache
-hits (journaled as ``"cached"`` -- that journal line is the proof a
-resume did not re-simulate).
+content-addressed cache.  A drain commits once for its batch of claims
+and once per finished job (the job's journal-index row together with
+its transition, after its JSONL line and its cache entry are on disk).
+A drain killed half-way leaves ``running`` rows behind; the next drain
+calls ``reset_running`` and re-claims them, and jobs whose results
+already landed in the cache resolve as cache hits (journaled as
+``"cached"`` -- that journal line is the proof a resume did not
+re-simulate).
 """
 
 from __future__ import annotations
@@ -74,8 +77,9 @@ class CampaignRunner:
         constructor options (``max_bytes`` / ``retain_tail``) -- the
         daemon uses this to bound the journal for days-long drains.
     journal_observer: additional callable invoked with every journal
-        record (after the store indexes it); the telemetry registry
-        hangs off this.
+        record as it is written (a ``job`` record before the store
+        indexes it -- the index row commits with the job's transition);
+        the telemetry registry hangs off this.
     on_outcome: additional callable invoked with every
         :class:`~repro.experiments.exec.JobOutcome` after the store's
         state machine is updated -- carries the per-job perf record
@@ -150,36 +154,51 @@ class CampaignRunner:
             self.store.reset_running(self.campaign_id)
         claimed = []
         budget = None if limit is None else max(0, int(limit))
-        for job in self.store.jobs(self.campaign_id, status=PENDING):
-            if budget is not None and len(claimed) >= budget:
-                break
-            if self.store.claim(self.campaign_id, job.spec_hash):
-                claimed.append(job)
+        # One commit for the whole batch of claims: the loop is milliseconds
+        # of store calls, and a drainer killed before it commits has run
+        # nothing yet.
+        with self.store.transaction():
+            for job in self.store.jobs(self.campaign_id, status=PENDING):
+                if budget is not None and len(claimed) >= budget:
+                    break
+                if self.store.claim(self.campaign_id, job.spec_hash):
+                    claimed.append(job)
         if claimed:
             specs = [spec_from_dict(job.spec) for job in claimed]
+            # The executor journals a job right before it reports it to
+            # ``on_job``; its index row waits here so that it commits with
+            # the job's transition, not on its own.
+            job_entries: List[Dict[str, Any]] = []
 
             def on_job(outcome: JobOutcome) -> None:
-                if outcome.status == "failed":
-                    self.store.mark_failed(
-                        self.campaign_id,
-                        outcome.spec_hash,
-                        error_type=(outcome.error or {}).get("type", "Error"),
-                        error_message=(outcome.error or {}).get("message", ""),
-                        postmortem=outcome.postmortem,
-                        wall_s=outcome.wall_s,
-                    )
-                else:  # "cached" or "executed": the result is in the cache
-                    self.store.mark_done(
-                        self.campaign_id,
-                        outcome.spec_hash,
-                        result_path=str(self.cache.path_for(outcome.spec_hash)),
-                        wall_s=outcome.wall_s,
-                    )
+                with self.store.transaction():
+                    for entry in job_entries:
+                        self.store.record_journal(self.campaign_id, entry)
+                    job_entries.clear()
+                    if outcome.status == "failed":
+                        self.store.mark_failed(
+                            self.campaign_id,
+                            outcome.spec_hash,
+                            error_type=(outcome.error or {}).get("type", "Error"),
+                            error_message=(outcome.error or {}).get("message", ""),
+                            postmortem=outcome.postmortem,
+                            wall_s=outcome.wall_s,
+                        )
+                    else:  # "cached" or "executed": the result is in the cache
+                        self.store.mark_done(
+                            self.campaign_id,
+                            outcome.spec_hash,
+                            result_path=str(self.cache.path_for(outcome.spec_hash)),
+                            wall_s=outcome.wall_s,
+                        )
                 if self.on_outcome is not None:
                     self.on_outcome(outcome)
 
             def observe(entry: Dict[str, Any]) -> None:
-                self.store.record_journal(self.campaign_id, entry)
+                if entry["record"] == "job":
+                    job_entries.append(entry)
+                else:
+                    self.store.record_journal(self.campaign_id, entry)
                 if self.journal_observer is not None:
                     self.journal_observer(entry)
 

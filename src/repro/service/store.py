@@ -41,6 +41,7 @@ import json
 import os
 import sqlite3
 import time
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
@@ -48,6 +49,7 @@ from typing import (
     Callable,
     Dict,
     FrozenSet,
+    Iterator,
     List,
     Optional,
     Sequence,
@@ -55,7 +57,7 @@ from typing import (
     Union,
 )
 
-from repro.experiments.spec import canonical_json, spec_hash, spec_to_dict
+from repro.experiments.spec import canonical_json, spec_to_dict, wire_hash
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -162,10 +164,15 @@ def _row_to_job(row: sqlite3.Row) -> JobRow:
 class CampaignStore:
     """Durable campaign/job state in one SQLite file.
 
-    The connection commits per mutating call (autocommit via explicit
-    ``commit()``), so a killed process loses at most the statement in
-    flight -- SQLite's journal guarantees the file itself stays
-    consistent.  Open the same path again to resume.
+    A commit covers one mutating call -- or, inside a
+    :meth:`transaction` scope, everything the scope did: the runner
+    commits once per claim batch and once per finished job (its journal
+    index row together with its ``done``/``failed`` transition).  A
+    killed process therefore loses at most the call or scope in flight
+    -- a batch of claims that had run nothing yet, or the bookkeeping of
+    one job whose result is already in the cache, which the next drain
+    re-resolves as a cache hit -- and SQLite's journal guarantees the
+    file itself stays consistent.  Open the same path again to resume.
     """
 
     def __init__(self, path: PathLike) -> None:
@@ -186,6 +193,9 @@ class CampaignStore:
         #: knowing metrics exist.  Failures propagate, mirroring the
         #: journal-observer contract.
         self.on_transition: Optional[Callable[[int, str, str, str], None]] = None
+        #: Transitions awaiting the commit of the open :meth:`transaction`
+        #: scope; ``None`` outside one.
+        self._queued: Optional[List[Tuple[int, str, str, str]]] = None
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -196,6 +206,56 @@ class CampaignStore:
 
     def __exit__(self, *exc_info: Any) -> None:
         self.close()
+
+    # -- commits ---------------------------------------------------------
+    @contextmanager
+    def transaction(self) -> Iterator[None]:
+        """Make everything the block does one commit.
+
+        Inside the scope mutating calls do not commit and transitions
+        are not reported; leaving it commits once and then reports the
+        transitions to ``on_transition`` in order (every one of them,
+        even if a callback raises -- the first failure propagates
+        afterwards).  If the block raises, nothing it did is kept and
+        nothing is reported.  The first write takes SQLite's write lock
+        until the scope ends, so keep it to store calls: never run a
+        simulation inside one.
+        """
+        if self._queued is not None:
+            raise RuntimeError("CampaignStore.transaction() scopes do not nest")
+        queued: List[Tuple[int, str, str, str]] = []
+        self._queued = queued
+        try:
+            yield
+            self._conn.commit()
+        except BaseException:
+            self._conn.rollback()
+            raise
+        finally:
+            self._queued = None
+        if self.on_transition is None:
+            return
+        failure: Optional[Exception] = None
+        for transition in queued:
+            try:
+                self.on_transition(*transition)
+            except Exception as exc:
+                if failure is None:
+                    failure = exc
+        if failure is not None:
+            raise failure
+
+    def _commit(self) -> None:
+        if self._queued is None:
+            self._conn.commit()
+
+    def _transitioned(
+        self, campaign_id: int, key: str, old_status: str, new_status: str
+    ) -> None:
+        if self._queued is not None:
+            self._queued.append((campaign_id, key, old_status, new_status))
+        elif self.on_transition is not None:
+            self.on_transition(campaign_id, key, old_status, new_status)
 
     # -- campaigns -------------------------------------------------------
     def ensure_campaign(
@@ -221,7 +281,7 @@ class CampaignStore:
             # Bookkeeping timestamp, not simulation state.
             (name, canonical_json(backend), cache_dir, time.time()),
         )
-        self._conn.commit()
+        self._commit()
         return int(cursor.lastrowid)
 
     def campaign(self, name: str) -> Optional[CampaignRow]:
@@ -258,7 +318,6 @@ class CampaignStore:
         """
         added = 0
         for spec in specs:
-            key = spec_hash(spec)
             wire = spec_to_dict(spec)
             cursor = self._conn.execute(
                 "INSERT OR IGNORE INTO jobs"
@@ -266,7 +325,7 @@ class CampaignStore:
                 " VALUES (?, ?, ?, ?, ?, ?)",
                 (
                     campaign_id,
-                    key,
+                    wire_hash(wire),
                     wire["kind"],
                     canonical_json(wire),
                     PENDING,
@@ -274,7 +333,7 @@ class CampaignStore:
                 ),
             )
             added += cursor.rowcount
-        self._conn.commit()
+        self._commit()
         return added
 
     def jobs(self, campaign_id: int, status: Optional[str] = None) -> List[JobRow]:
@@ -345,9 +404,8 @@ class CampaignStore:
             " WHERE campaign_id = ? AND spec_hash = ?",
             values,
         )
-        self._conn.commit()
-        if self.on_transition is not None:
-            self.on_transition(campaign_id, key, current, new_status)
+        self._commit()
+        self._transitioned(campaign_id, key, current, new_status)
 
     def claim(self, campaign_id: int, key: str) -> bool:
         """Atomically take a pending job for execution.
@@ -367,10 +425,9 @@ class CampaignStore:
             # Bookkeeping timestamp, not simulation state.
             (RUNNING, time.time(), campaign_id, key, PENDING),
         )
-        self._conn.commit()
+        self._commit()
         if cursor.rowcount > 0:
-            if self.on_transition is not None:
-                self.on_transition(campaign_id, key, PENDING, RUNNING)
+            self._transitioned(campaign_id, key, PENDING, RUNNING)
             return True
         if self.job(campaign_id, key) is None:
             raise KeyError(f"no job {key!r} in campaign {campaign_id}")
@@ -460,7 +517,7 @@ class CampaignStore:
                 json.dumps(entry, sort_keys=True, default=str),
             ),
         )
-        self._conn.commit()
+        self._commit()
 
     def journal_records(
         self, campaign_id: int, record: Optional[str] = None
@@ -478,6 +535,26 @@ class CampaignStore:
                 (campaign_id, record),
             ).fetchall()
         return [json.loads(row["entry"]) for row in rows]
+
+    def journal_summary(self, campaign_id: int) -> Tuple[Dict[str, int], int]:
+        """``(job records per status, retry records)`` of the indexed
+        journal, aggregated in SQL: what a status document needs of it,
+        without parsing a row in Python.  A ``job`` record that carries
+        no ``status`` counts under ``"unknown"``.
+        """
+        by_status: Dict[str, int] = {}
+        for row in self._conn.execute(
+            "SELECT json_extract(entry, '$.status') AS status, COUNT(*) AS n"
+            " FROM journal WHERE campaign_id = ? AND record = 'job' GROUP BY 1",
+            (campaign_id,),
+        ).fetchall():
+            status = "unknown" if row["status"] is None else str(row["status"])
+            by_status[status] = by_status.get(status, 0) + row["n"]
+        (retries,) = self._conn.execute(
+            "SELECT COUNT(*) FROM journal WHERE campaign_id = ? AND record = 'retry'",
+            (campaign_id,),
+        ).fetchone()
+        return by_status, retries
 
     def postmortems(self, campaign_id: int) -> List[JobRow]:
         """Failed jobs that left a postmortem bundle behind."""

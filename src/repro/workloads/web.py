@@ -12,7 +12,7 @@ measure per-object download completion times and out-of-order delays.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.apps.http import GetResult, HttpSession
@@ -97,16 +97,18 @@ class WebBrowsingSpec:
         return cnn_like_page(seed=2014 + self.seed)
 
     def to_dict(self) -> Dict[str, Any]:
+        # Flat scalar dataclasses: the instance dict is the ``asdict`` form
+        # without the deepcopy (see ``BulkDownloadSpec.to_dict``).
         return {
             "scheduler": self.scheduler,
-            "path_configs": [asdict(pc) for pc in self.path_configs],
+            "path_configs": [dict(vars(pc)) for pc in self.path_configs],
             "seed": self.seed,
             "connections": self.connections,
             "object_sizes": (
                 None if self.object_sizes is None else list(self.object_sizes)
             ),
             "scheduler_params": dict(self.scheduler_params),
-            "connection": None if self.connection is None else asdict(self.connection),
+            "connection": None if self.connection is None else dict(vars(self.connection)),
             "timeout": self.timeout,
         }
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import functools
+import sys
 
 import pytest
 
@@ -48,6 +49,26 @@ def tree_run():
 @pytest.fixture(scope="session")
 def state_model():
     return package_state_model()
+
+
+def python_calls(function) -> int:
+    """Python-level ``call`` events while ``function()`` runs (C builtins
+    are ``c_call`` and do not count): the cost measure of the budget
+    gates, exact for a given interpreter where a wall clock is not."""
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        if event == "call":
+            calls += 1
+
+    previous = sys.getprofile()
+    sys.setprofile(count)
+    try:
+        function()
+    finally:
+        sys.setprofile(previous)
+    return calls
 
 
 def build_path(

@@ -97,6 +97,55 @@ class TestStatusDocument:
             assert doc["journal_jobs"] == {"cached": 2}
             assert doc["cache_hit_rate"] == 1.0
 
+    def test_journal_figures_are_sql_aggregates(self, tmp_path, monkeypatch):
+        """A drained mixed campaign (one cached, two executed, one failed,
+        plus a retry and a status-less job row): the document's journal
+        figures equal the ones computed in Python from ``journal_records``,
+        and neither ``status_document`` nor ``refresh`` parses a row."""
+        cache, specs = tmp_path / "cache", bulk_specs(3)
+        doomed = BulkDownloadSpec(
+            scheduler="ecf", path_configs=(wifi_config(0.3),), size=10**7, timeout=0.5,
+        )
+        with CampaignStore(tmp_path / "warm.db") as store:
+            CampaignRunner(store, "warm", cache_dir=cache).run(specs[:1])
+        with CampaignStore(tmp_path / "c.db") as store:
+            runner = CampaignRunner(
+                store, "mixed", cache_dir=cache, journal=tmp_path / "j.jsonl",
+            )
+            runner.submit(specs + [doomed])
+            assert runner.drain()["failed"] == 1
+            cid = runner.campaign_id
+            store.record_journal(cid, {"record": "retry", "attempt": 1})
+            store.record_journal(cid, {"record": "job"})
+
+            records = store.journal_records(cid)
+            by_status = {}
+            for record in records:
+                if record["record"] == "job":
+                    status = str(record.get("status", "unknown"))
+                    by_status[status] = by_status.get(status, 0) + 1
+            assert by_status == {"cached": 1, "executed": 2, "failed": 1, "unknown": 1}
+
+            def parsed(*args, **kwargs):
+                raise AssertionError("status parsed journal rows in Python")
+
+            monkeypatch.setattr(CampaignStore, "journal_records", parsed)
+            doc = status_document(store, "mixed")
+            assert doc["journal_jobs"] == by_status
+            assert doc["retries"] == sum(r["record"] == "retry" for r in records) == 1
+            assert doc["cache_hit_rate"] == 1 / 3
+            assert sorted(doc) == [
+                "backend", "cache_dir", "cache_hit_rate", "campaign", "counts",
+                "done_fraction", "eta_s", "events_per_s", "jobs_per_s",
+                "journal_jobs", "remaining", "retries", "total", "updated_wall",
+            ]
+            daemon = CampaignDaemon(store, "mixed", cache_dir=str(cache))
+            try:
+                served = daemon.refresh()
+            finally:
+                daemon.shutdown()
+            assert served["journal_jobs"] == by_status and served["retries"] == 1
+
     def test_matches_cli_status_json(self, tmp_path):
         from repro import cli
 

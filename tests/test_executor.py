@@ -23,7 +23,12 @@ from repro.experiments.exec import (
     ResultCache,
     RunTimeoutError,
 )
-from repro.experiments.grid import streaming_grid, wget_matrix
+from repro.experiments.grid import (
+    streaming_grid,
+    streaming_grid_specs,
+    wget_matrix,
+    wget_matrix_specs,
+)
 from repro.experiments.runner import StreamingRunConfig, StreamingSpec
 from repro.experiments.spec import (
     SCHEMA_VERSION,
@@ -41,7 +46,8 @@ from repro.net.bandwidth import (
     RandomBandwidthProcess,
     make_bandwidth_process,
 )
-from repro.net.profiles import lte_config, wifi_config
+from repro.mptcp.connection import ConnectionConfig
+from repro.net.profiles import PathConfig, lte_config, wifi_config
 from repro.workloads.web import WebBrowsingSpec
 
 
@@ -57,7 +63,75 @@ def bulk_specs(n=4, size=64 * 1024):
     ]
 
 
+#: One spec per kind with the content address it had before any ``to_dict``
+#: stopped going through ``dataclasses.asdict``.  A wire-form edit that
+#: moves one of these orphans every cache entry users already hold: bump
+#: ``SCHEMA_VERSION`` on purpose instead.
+PINNED_HASHES = [
+    (
+        BulkDownloadSpec(
+            scheduler="ecf",
+            path_configs=(wifi_config(2.0), lte_config(8.6, loss_rate=0.01)),
+            size=256_000,
+            seed=3,
+            scheduler_params={"beta": 0.25},
+            connection=ConnectionConfig(
+                congestion_control="olia", recv_buffer_bytes=1_000_000
+            ),
+        ),
+        "efe19d7213f6764bcd2d725db2bf88b0b4a5d37da97c71d67bc46ef7a2a2eba4",
+    ),
+    (
+        StreamingSpec(
+            scheduler="ecf",
+            video_duration=30.0,
+            seed=5,
+            path_configs=(
+                PathConfig("wifi", 4.2, 0.01, queue_bytes=50_000, reverse_rate_mbps=1.0),
+                lte_config(8.6),
+            ),
+        ),
+        "d4e4aa307c7b3cac789fffe179932219a5d41208b4f4d829d723f22d173f4cf4",
+    ),
+    (
+        WebBrowsingSpec(
+            scheduler="minrtt",
+            path_configs=(wifi_config(1.0), lte_config(8.6)),
+            seed=2,
+            object_sizes=(10_000, 250_000),
+        ),
+        "068fd7be377d68f121bd489a1066c97f91379182c66ff7bed4e706ee6559dfec",
+    ),
+]
+
+
+def sweep_specs():
+    """Every spec of the two sweep builders, plus the pinned ones (which
+    carry an explicit ``connection`` / ``path_configs``)."""
+    specs = [spec for _, spec in streaming_grid_specs(StreamingSpec(scheduler="ecf"))]
+    specs += [
+        spec for _, spec in wget_matrix_specs(("ecf", "minrtt"), (128_000, 1_000_000))
+    ]
+    return specs + [spec for spec, _ in PINNED_HASHES]
+
+
 class TestSpecHash:
+    @pytest.mark.parametrize(
+        "spec, expected", PINNED_HASHES, ids=[spec.kind for spec, _ in PINNED_HASHES]
+    )
+    def test_content_address_is_pinned(self, spec, expected):
+        assert spec_hash(spec) == expected
+
+    def test_wire_form_is_what_asdict_builds(self):
+        """``dataclasses.asdict`` is the reference the hand-written
+        ``to_dict`` bodies must agree with, field for field."""
+        specs = sweep_specs()
+        assert len(specs) > 100
+        for spec in specs:
+            wire = spec.to_dict()
+            assert canonical_json(wire) == canonical_json(dataclasses.asdict(spec))
+            assert type(spec).from_dict(wire) == spec
+
     def test_stable_across_instances(self):
         a, b = bulk_specs(1)[0], bulk_specs(1)[0]
         assert a is not b

@@ -14,14 +14,13 @@ before the single-pass hot path read 28.6 / 45.1 / 21.5) plus room for
 interpreter differences, not for new calls.
 """
 
-import sys
-
 import pytest
 
 from repro.experiments.runner import StreamingSpec
 from repro.experiments.spec import run_spec
 from repro.perf.counters import measure
 from repro.sim import probe
+from tests.conftest import python_calls
 
 CASES = {
     "ecf_hetero": (
@@ -50,30 +49,13 @@ CASES = {
 }
 
 
-def python_calls(spec) -> int:
-    calls = 0
-
-    def count(frame, event, arg):
-        nonlocal calls
-        if event == "call":
-            calls += 1
-
-    previous = sys.getprofile()
-    sys.setprofile(count)
-    try:
-        run_spec(spec)
-    finally:
-        sys.setprofile(previous)
-    return calls
-
-
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_calls_per_event_within_budget(name):
     if probe.ACTIVE is not None:
         pytest.skip("a tool is armed (REPRO_SANITIZE, ...): its probe calls are not the budgeted path")
     spec, budget = CASES[name]
     _, record = measure(run_spec, spec)
-    per_event = python_calls(spec) / record.events
+    per_event = python_calls(lambda: run_spec(spec)) / record.events
     assert per_event <= budget, (
         f"{name}: {per_event:.1f} Python calls per dispatched event, budget {budget}"
     )

@@ -200,6 +200,101 @@ class TestStore:
             assert [r["status"] for r in jobs] == ["cached"]
             assert len(store.journal_records(cid)) == 2
 
+    def test_journal_summary_counts_in_sql(self, tmp_path):
+        with CampaignStore(tmp_path / "c.db") as store:
+            cid = store.ensure_campaign("sweep", {"kind": "inline"})
+            other = store.ensure_campaign("other", {"kind": "inline"})
+            assert store.journal_summary(cid) == ({}, 0)
+            for status in ("cached", "executed", "cached", "failed"):
+                store.record_journal(cid, {"record": "job", "status": status})
+            store.record_journal(cid, {"record": "job"})  # no status at all
+            store.record_journal(cid, {"record": "retry", "attempt": 1})
+            store.record_journal(cid, {"record": "batch_end", "status": "cached"})
+            store.record_journal(other, {"record": "job", "status": "cached"})
+            assert store.journal_summary(cid) == (
+                {"cached": 2, "executed": 1, "failed": 1, "unknown": 1}, 1,
+            )
+
+
+class TestTransactionScope:
+    """``CampaignStore.transaction()``: many calls, one commit, callbacks
+    only for what was committed."""
+
+    @staticmethod
+    def _two_pending(store):
+        cid = store.ensure_campaign("sweep", {"kind": "inline"})
+        specs = bulk_specs(2)
+        store.add_jobs(cid, specs)
+        return cid, [spec_hash(spec) for spec in specs]
+
+    def test_commits_once_then_reports_in_order(self, tmp_path):
+        db = tmp_path / "c.db"
+        with CampaignStore(db) as store, CampaignStore(db) as peer:
+            cid, (first, second) = self._two_pending(store)
+            seen = []
+            store.on_transition = lambda *args: seen.append(args)
+            with store.transaction():
+                assert store.claim(cid, first) and store.claim(cid, second)
+                store.record_journal(cid, {"record": "job", "status": "cached"})
+                store.mark_done(cid, first)
+                # Nothing is visible to another connection, or reported,
+                # until the scope commits.
+                assert peer.counts(cid)["pending"] == 2
+                assert peer.journal_records(cid) == []
+                assert seen == []
+            assert peer.counts(cid) == {"pending": 0, "running": 1, "done": 1, "failed": 0}
+            assert len(peer.journal_records(cid)) == 1
+            assert seen == [
+                (cid, first, "pending", "running"),
+                (cid, second, "pending", "running"),
+                (cid, first, "running", "done"),
+            ]
+
+    def test_a_scope_that_raises_keeps_and_reports_nothing(self, tmp_path):
+        with CampaignStore(tmp_path / "c.db") as store:
+            cid, (first, second) = self._two_pending(store)
+            seen = []
+            store.on_transition = lambda *args: seen.append(args)
+            with pytest.raises(TransitionError):
+                with store.transaction():
+                    store.claim(cid, first)
+                    store.record_journal(cid, {"record": "job"})
+                    store.mark_failed(cid, second, "Boom", "pending cannot fail")
+            assert store.counts(cid)["pending"] == 2
+            assert store.job(cid, first).attempts == 0
+            assert store.journal_records(cid) == []
+            assert seen == []
+            # Outside a scope a call commits by itself again.
+            assert store.claim(cid, first)
+            assert len(seen) == 1
+
+    def test_a_raising_callback_loses_no_committed_transition(self, tmp_path):
+        db = tmp_path / "c.db"
+        with CampaignStore(db) as store:
+            cid, (first, second) = self._two_pending(store)
+            seen = []
+
+            def on_transition(*args):
+                seen.append(args)
+                if len(seen) == 1:
+                    raise RuntimeError("observer down")
+
+            store.on_transition = on_transition
+            with pytest.raises(RuntimeError, match="observer down"):
+                with store.transaction():
+                    store.claim(cid, first)
+                    store.claim(cid, second)
+            assert [args[1] for args in seen] == [first, second]
+        with CampaignStore(db) as store:
+            assert store.counts(cid)["running"] == 2
+
+    def test_scopes_do_not_nest(self, tmp_path):
+        with CampaignStore(tmp_path / "c.db") as store:
+            with pytest.raises(RuntimeError, match="do not nest"):
+                with store.transaction():
+                    with store.transaction():
+                        pass
+
 
 class TestBackendConfigs:
     def test_round_trip_through_wire_form(self):
@@ -392,6 +487,84 @@ class TestCampaignRunner:
             )
             counts = runner.run(specs) and runner.status()
             assert counts["done"] == 3
+
+
+class Boom(Exception):
+    """Raised by a hook to kill a drain at a chosen job."""
+
+
+class TestOneCommitPerJob:
+    """A finished job's journal index row and its transition are one
+    commit: a drain that dies anywhere leaves no half-recorded job."""
+
+    K = 2  # the hook raises on the third job to finish
+
+    @pytest.mark.parametrize("hook", ["journal_observer", "on_outcome"])
+    def test_a_drain_killed_at_job_k_resumes_without_loss(self, tmp_path, hook):
+        from repro.obs.journal import read_journal
+
+        db, cache = tmp_path / "c.db", tmp_path / "cache"
+        specs = bulk_specs(5)
+        keys = [spec_hash(spec) for spec in specs]
+        finished = []
+
+        def die_at_k(event):
+            # ``journal_observer`` sees every record, ``on_outcome`` only jobs.
+            if isinstance(event, dict) and event["record"] != "job":
+                return
+            finished.append(event)
+            if len(finished) == self.K + 1:
+                raise Boom
+
+        with CampaignStore(db) as store:
+            runner = CampaignRunner(
+                store, "sweep", cache_dir=cache,
+                journal=tmp_path / "first.jsonl", **{hook: die_at_k},
+            )
+            runner.submit(specs)
+            with pytest.raises(Boom):
+                runner.drain()
+
+        first_lines = [
+            r["spec_hash"] for r in read_journal(tmp_path / "first.jsonl")
+            if r["record"] == "job"
+        ]
+        assert first_lines == keys[: self.K + 1]  # one line per job, k included
+        with CampaignStore(db) as store:
+            cid = store.campaign("sweep").id
+            status = {job.spec_hash: job.status for job in store.jobs(cid)}
+            indexed = [r["spec_hash"] for r in store.journal_records(cid, record="job")]
+            assert len(indexed) == len(set(indexed))
+            # Neither half without the other.
+            assert set(indexed) == {key for key in keys if status[key] == "done"}
+            assert all(status[key] == "done" for key in keys[: self.K])
+            # ``journal_observer`` runs before job k's commit, ``on_outcome``
+            # after it: k is still running, or done with its row.
+            killed = status[keys[self.K]]
+            assert killed == ("running" if hook == "journal_observer" else "done")
+            assert all(status[key] == "running" for key in keys[self.K + 1:])
+            left = [key for key in keys if status[key] != "done"]
+
+            runner = CampaignRunner(
+                store, "sweep", cache_dir=cache, journal=tmp_path / "second.jsonl",
+            )
+            counts = runner.drain()
+            assert counts == {"pending": 0, "running": 0, "done": 5, "failed": 0}
+            second = {
+                r["spec_hash"]: r["status"]
+                for r in read_journal(tmp_path / "second.jsonl")
+                if r["record"] == "job"
+            }
+            assert sorted(second) == sorted(left)
+            # Job k's result was in the cache before its journal line was
+            # written, so the resume does not run it a second time.
+            for key in left:
+                assert second[key] == ("cached" if key == keys[self.K] else "executed")
+            indexed = [r["spec_hash"] for r in store.journal_records(cid, record="job")]
+            assert sorted(indexed) == sorted(keys)
+            for key in keys:
+                assert store.job(cid, key).attempts == (2 if key in left else 1)
+            assert len(runner.fetch(specs)) == 5
 
 
 class TestConcurrentDrain:
