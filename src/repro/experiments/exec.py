@@ -287,13 +287,22 @@ class ResultCache:
 
     def __init__(self, root: PathLike) -> None:
         self.root = Path(root)
+        # What pathlib puts in front of ``<hash[:2]>`` (nothing for "."),
+        # so an entry's path is one string join, not three Path joins.
+        self._prefix = str(self.root / "_")[:-1]
+
+    def entry_path(self, key: str) -> str:
+        """``str(path_for(key))``, built without pathlib: the warm path
+        asks for it three times per job."""
+        return f"{self._prefix}{key[:2]}{os.sep}{key}.json"
 
     def path_for(self, key: str) -> Path:
-        return self.root / key[:2] / f"{key}.json"
+        return Path(self.entry_path(key))
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
         try:
-            text = self.path_for(key).read_text()
+            with open(self.entry_path(key)) as handle:
+                text = handle.read()
         except OSError:
             return None
         try:

@@ -34,8 +34,7 @@ from __future__ import annotations
 import json
 import threading
 import time
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Any, Dict, Optional
+from typing import TYPE_CHECKING, Any, Dict, Optional
 
 from repro.experiments.exec import JobOutcome
 from repro.obs.registry import (
@@ -49,6 +48,9 @@ from repro.obs.registry import (
 )
 from repro.service.runner import CampaignRunner
 from repro.service.store import CampaignStore
+
+if TYPE_CHECKING:  # pragma: no cover - start_http() imports it when it binds
+    from http.server import ThreadingHTTPServer
 
 #: Default journal bound for daemon drains: ~16 MiB active file, tail of
 #: 1024 records retained across rotations.
@@ -245,6 +247,11 @@ class CampaignDaemon:
     # -- HTTP ------------------------------------------------------------
     def start_http(self) -> None:
         """Bind and serve ``/metrics`` + ``/status`` on a daemon thread."""
+        # Imported here, like ``urlopen`` below: ``import repro`` reaches
+        # this module, and only a serving daemon needs http.server (which
+        # drags in http.client, email, ssl and socketserver).
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
         daemon = self
 
         class Handler(BaseHTTPRequestHandler):

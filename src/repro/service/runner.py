@@ -188,7 +188,7 @@ class CampaignRunner:
                         self.store.mark_done(
                             self.campaign_id,
                             outcome.spec_hash,
-                            result_path=str(self.cache.path_for(outcome.spec_hash)),
+                            result_path=self.cache.entry_path(outcome.spec_hash),
                             wall_s=outcome.wall_s,
                         )
                 if self.on_outcome is not None:

@@ -54,6 +54,9 @@ from repro.sim.engine import Simulator
 __all__ = ["Snapshot", "SnapshotError", "capture", "restore", "fork"]
 
 _PRIMITIVES = (type(None), bool, int, float, str, bytes)
+#: The same types for an exact ``type(value) in`` test; their subclasses
+#: (``IntEnum``, a ``str`` subclass) take the ``isinstance`` chain.
+_ATOMS = frozenset(_PRIMITIVES)
 
 
 class SnapshotError(RuntimeError):
@@ -111,16 +114,27 @@ def _declared_fields(cls: type) -> Optional[Tuple[str, ...]]:
     return tuple(names) if declared else None
 
 
-def _instance_attrs(obj: Any) -> Set[str]:
-    """Every attribute actually present on the instance."""
-    names: Set[str] = set()
-    if hasattr(obj, "__dict__"):
-        names.update(obj.__dict__)
-    for klass in type(obj).__mro__:
-        for slot in klass.__dict__.get("__slots__", ()):
-            if slot not in ("__dict__", "__weakref__") and hasattr(obj, slot):
-                names.add(slot)
-    return names
+class _Plan:
+    """What the walk asks of a class, derived once per class object.
+
+    Keyed on the class itself (two local classes may share a qualified
+    name) and scoped to one capture.  Whether an *instance* honours the
+    contract is not a class fact: that is checked per object.
+    """
+
+    __slots__ = ("qual", "fields", "declared", "slots", "undeclared_slots")
+
+    def __init__(self, cls: type, fields: Tuple[str, ...]) -> None:
+        self.qual = _qualname(cls)
+        self.fields = fields
+        self.declared = frozenset(fields)
+        self.slots = frozenset(
+            slot
+            for klass in cls.__mro__
+            for slot in klass.__dict__.get("__slots__", ())
+            if slot not in ("__dict__", "__weakref__")
+        )
+        self.undeclared_slots = tuple(self.slots - self.declared)
 
 
 # ----------------------------------------------------------------------
@@ -132,8 +146,20 @@ class _Capture:
     def __init__(self) -> None:
         self.nodes: List[Dict[str, Any]] = []
         self.memo: Dict[int, int] = {}
+        self.plans: Dict[type, _Plan] = {}
 
     def encode(self, value: Any, where: str) -> Any:
+        cls = type(value)
+        if cls in _ATOMS:
+            return value
+        index = self.memo.get(id(value))
+        if index is not None:
+            return {"__snap__": "ref", "id": index}
+        plan = self.plans.get(cls)
+        if plan is not None:
+            return self._encode_object(value, plan)
+        if cls is tuple and _ATOMS.issuperset(map(type, value)):
+            return {"__snap__": "tuple", "items": list(value)}
         if isinstance(value, _PRIMITIVES):
             return value
         if isinstance(value, tuple):
@@ -158,16 +184,13 @@ class _Capture:
             # Registered like an object so aliasing survives: a stream
             # held by both the RngRegistry and a Link must restore to
             # ONE Random, or their futures diverge.
-            oid = id(value)
-            index = self.memo.get(oid)
-            if index is None:
-                index = len(self.nodes)
-                self.memo[oid] = index
-                self.nodes.append({
-                    "cls": "random.Random",
-                    "fields": {},
-                    "rng": self.encode(value.getstate(), where),
-                })
+            index = len(self.nodes)
+            self.memo[id(value)] = index
+            self.nodes.append({
+                "cls": "random.Random",
+                "fields": {},
+                "rng": self.encode(value.getstate(), where),
+            })
             return {"__snap__": "ref", "id": index}
         if isinstance(value, types.MethodType):
             return self._encode_method(value, where)
@@ -179,42 +202,44 @@ class _Capture:
                                  for k, v in sorted(value.keywords.items())]}
         if isinstance(value, types.FunctionType):
             return self._encode_function(value, where)
-        if dataclasses.is_dataclass(value) and not isinstance(value, type):
-            return self._encode_object(
-                value, [f.name for f in dataclasses.fields(value)], where
-            )
-        declared = _declared_fields(type(value))
-        if declared is not None:
-            return self._encode_object(value, list(declared), where)
-        raise SnapshotError(
-            f"{where}: cannot snapshot {_qualname(type(value))} -- the class "
-            "declares no STATE_FIELDS and is not a dataclass"
+        fields = (
+            tuple(f.name for f in dataclasses.fields(cls))
+            if dataclasses.is_dataclass(cls)
+            else _declared_fields(cls)
         )
-
-    def _encode_object(self, obj: Any, fields: List[str], where: str) -> Any:
-        oid = id(obj)
-        index = self.memo.get(oid)
-        if index is not None:
-            return {"__snap__": "ref", "id": index}
-        index = len(self.nodes)
-        self.memo[oid] = index
-        qual = _qualname(type(obj))
-        node: Dict[str, Any] = {"cls": qual, "fields": {}}
-        self.nodes.append(node)
-        declared = set(fields)
-        present = _instance_attrs(obj)
-        extra = sorted(name for name in present if name not in declared)
-        if extra:
+        if fields is None:
             raise SnapshotError(
-                f"{qual} carries attribute(s) outside its snapshot contract: "
-                f"{', '.join(extra)} (declare them in STATE_FIELDS)"
+                f"{where}: cannot snapshot {_qualname(cls)} -- the class "
+                "declares no STATE_FIELDS and is not a dataclass"
             )
-        for name in fields:
-            if name not in present:
-                continue  # declared, currently unset (slot never filled)
-            node["fields"][name] = self.encode(
-                getattr(obj, name), f"{qual}.{name}"
-            )
+        plan = self.plans[cls] = _Plan(cls, fields)
+        return self._encode_object(value, plan)
+
+    def _encode_object(self, obj: Any, plan: _Plan) -> Any:
+        index = len(self.nodes)
+        self.memo[id(obj)] = index
+        fields: Dict[str, Any] = {}
+        self.nodes.append({"cls": plan.qual, "fields": fields})
+        attrs = getattr(obj, "__dict__", ())
+        if plan.undeclared_slots or not plan.declared.issuperset(attrs):
+            filled = {s for s in plan.undeclared_slots if hasattr(obj, s)}
+            extra = filled.union(attrs) - plan.declared
+            if extra:
+                raise SnapshotError(
+                    f"{plan.qual} carries attribute(s) outside its snapshot "
+                    f"contract: {', '.join(sorted(extra))} (declare them in "
+                    "STATE_FIELDS)"
+                )
+        qual, slots = plan.qual, plan.slots
+        for name in plan.fields:
+            # Present on the instance, or declared and currently unset
+            # (a slot never filled): the latter is skipped.
+            if name in attrs or (name in slots and hasattr(obj, name)):
+                value = getattr(obj, name)
+                fields[name] = (
+                    value if type(value) in _ATOMS
+                    else self.encode(value, f"{qual}.{name}")
+                )
         return {"__snap__": "ref", "id": index}
 
     def _encode_method(self, method: types.MethodType, where: str) -> Any:

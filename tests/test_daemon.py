@@ -186,6 +186,20 @@ class TestWatchLine:
         assert "events=-" in line
 
 
+def test_importing_the_package_loads_no_http_server():
+    """``import repro`` reaches ``service.daemon`` (the root re-exports
+    ``CampaignRunner``), so every entry point would pay for http.server
+    and what it drags in; only ``start_http()`` may import it."""
+    heavy = ["http.server", "http.client", "email", "ssl", "socketserver"]
+    out = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, repro, repro.cli; "
+         f"print([m for m in {heavy!r} if m in sys.modules])"],
+        capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "[]"
+
+
 class TestDaemonServe:
     def build(self, tmp_path, name="serve", n=3, **kwargs):
         store = CampaignStore(tmp_path / "c.db")

@@ -10,6 +10,7 @@ import json
 import os
 import signal
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -185,6 +186,18 @@ class TestCacheBehavior:
             assert again.stats.executed == 1, text
             # ...and the rerun healed the entry.
             assert cache.get(spec_hash(spec))["kind"] == "bulk_download"
+
+    @pytest.mark.parametrize("root", [".", "", "/", "rel/dir", "a//b/", "/abs/cache"])
+    def test_entry_path_is_the_path_pathlib_would_build(self, root):
+        """``entry_path`` joins strings; it must spell every root the way
+        ``Path`` does, because the string is what a campaign stores as
+        ``result_path`` and ``path_for`` is what callers open."""
+        key = "ab" + "c" * 62
+        joined = Path(root) / key[:2] / f"{key}.json"
+        cache = ResultCache(root)
+        assert cache.entry_path(key) == str(joined)
+        assert cache.path_for(key) == joined
+        assert cache.root == Path(root)
 
     def test_cache_entry_is_self_describing(self, tmp_path):
         spec = bulk_specs(1)[0]

@@ -7,7 +7,17 @@ worlds' captures, so adding snapshot state to a class without a
 round-trip fixture here fails a parametrized case by name.
 """
 
+import dataclasses
+import enum
+import functools
+import random
+import types
+from collections import deque
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.analysis import sanitize
 from repro.apps.bulk import BulkDownloadSpec, build_world, finish
@@ -20,10 +30,10 @@ from repro.net.profiles import lte_config, wifi_config
 from repro.net.topology import LinkSpec, chain_path
 from repro.sim import snapshot as snapmod
 from repro.sim.engine import Simulator
-from repro.sim.snapshot import SnapshotError, capture, fork, restore
+from repro.sim.snapshot import Snapshot, SnapshotError, capture, fork, restore
 from repro.sim.trace import TraceRecorder
 from repro.tcp.cc import CONTROLLER_NAMES
-from tests.conftest import package_state_model
+from tests.conftest import package_state_model, python_calls
 
 #: Every class the static model records as declaring STATE_FIELDS.
 DECLARING = sorted(
@@ -79,10 +89,14 @@ def _chain_world():
     return sim, {"conn": conn, "session": session}
 
 
+WORLDS = ["bulk_ecf_midrun", "bulk_blest_cubic_midrun", "bulk_daps_midrun",
+          "bulk_roundrobin_midrun", "bulk_mpdash_midrun", "chain_t0"]
+
+
 @pytest.fixture(scope="module")
-def world_snapshots():
-    """Name -> (world snapshot) for the coverage and round-trip suites."""
-    snaps = {}
+def worlds():
+    """Name -> (sim, roots): the live fixture worlds, paused."""
+    live = {}
 
     ecf = _midrun_world("ecf")
     trace = TraceRecorder(ecf.sim)
@@ -90,25 +104,25 @@ def world_snapshots():
     trace.record("cwnd.test", 0.2, 12.0)
     roots = dict(ecf.roots())
     roots["trace"] = trace
-    snaps["bulk_ecf_midrun"] = capture(ecf.sim, roots)
+    live["bulk_ecf_midrun"] = (ecf.sim, roots)
 
     # Loss pushes CUBIC out of slow start so lazy _CubicState exists.
     cubic = _midrun_world("blest", cc="cubic", loss=0.05, events=400)
-    snaps["bulk_blest_cubic_midrun"] = capture(cubic.sim, cubic.roots())
+    live["bulk_blest_cubic_midrun"] = (cubic.sim, cubic.roots())
 
-    daps = _midrun_world("daps")
-    snaps["bulk_daps_midrun"] = capture(daps.sim, daps.roots())
+    for scheduler in ("daps", "roundrobin", "mpdash"):
+        world = _midrun_world(scheduler)
+        live[f"bulk_{scheduler}_midrun"] = (world.sim, world.roots())
 
-    rr = _midrun_world("roundrobin")
-    snaps["bulk_roundrobin_midrun"] = capture(rr.sim, rr.roots())
+    live["chain_t0"] = _chain_world()
+    assert sorted(live) == sorted(WORLDS)
+    return live
 
-    mpdash = _midrun_world("mpdash")
-    snaps["bulk_mpdash_midrun"] = capture(mpdash.sim, mpdash.roots())
 
-    sim, roots = _chain_world()
-    snaps["chain_t0"] = capture(sim, roots)
-
-    return snaps
+@pytest.fixture(scope="module")
+def world_snapshots(worlds):
+    """Name -> (world snapshot) for the coverage and round-trip suites."""
+    return {name: capture(sim, roots) for name, (sim, roots) in worlds.items()}
 
 
 @pytest.fixture(scope="module")
@@ -137,17 +151,14 @@ class TestModelCoverage:
 class TestRoundTrip:
     """capture -> restore -> capture must be a fixed point."""
 
-    @pytest.mark.parametrize(
-        "name",
-        ["bulk_ecf_midrun", "bulk_blest_cubic_midrun", "bulk_daps_midrun",
-         "bulk_roundrobin_midrun", "bulk_mpdash_midrun", "chain_t0"],
-    )
+    @pytest.mark.parametrize("name", WORLDS)
     def test_recapture_digest_is_identical(self, world_snapshots, name):
         snap = world_snapshots[name]
         world = restore(snap)
         sim = world.pop("sim")
         again = capture(sim, world)
         assert again.digest() == snap.digest()
+        assert again == snap
 
     def test_restored_future_replays_identically(self):
         world = _midrun_world("ecf")
@@ -349,3 +360,403 @@ class TestFork:
         world = fork(capture(sim))
         assert isinstance(world["sim"], Simulator)
         assert world["sim"] is not sim
+
+
+# ----------------------------------------------------------------------
+# The oracle: the walker as it was before the per-class plan, verbatim.
+# One class-fact derivation per *reference*, no fast path -- slow and
+# plainly correct, which is what a reference is for.
+# ----------------------------------------------------------------------
+
+_PRIMITIVES = (type(None), bool, int, float, str, bytes)
+
+
+def _qualname(cls: type) -> str:
+    return f"{cls.__module__}.{cls.__qualname__}"
+
+
+def _declared_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    """Effective STATE_FIELDS: base-first union over the MRO, or None."""
+    names: List[str] = []
+    seen: Set[str] = set()
+    declared = False
+    for klass in reversed(cls.__mro__):
+        own = klass.__dict__.get("STATE_FIELDS")
+        if own is None:
+            continue
+        declared = True
+        for name in own:
+            if name not in seen:
+                seen.add(name)
+                names.append(name)
+    return tuple(names) if declared else None
+
+
+def _instance_attrs(obj: Any) -> Set[str]:
+    """Every attribute actually present on the instance."""
+    names: Set[str] = set()
+    if hasattr(obj, "__dict__"):
+        names.update(obj.__dict__)
+    for klass in type(obj).__mro__:
+        for slot in klass.__dict__.get("__slots__", ()):
+            if slot not in ("__dict__", "__weakref__") and hasattr(obj, slot):
+                names.add(slot)
+    return names
+
+
+class _ReferenceCapture:
+    def __init__(self) -> None:
+        self.nodes: List[Dict[str, Any]] = []
+        self.memo: Dict[int, int] = {}
+
+    def encode(self, value: Any, where: str) -> Any:
+        if isinstance(value, _PRIMITIVES):
+            return value
+        if isinstance(value, tuple):
+            return {"__snap__": "tuple",
+                    "items": [self.encode(v, where) for v in value]}
+        if isinstance(value, list):
+            return {"__snap__": "list",
+                    "items": [self.encode(v, where) for v in value]}
+        if isinstance(value, deque):
+            return {"__snap__": "deque", "maxlen": value.maxlen,
+                    "items": [self.encode(v, where) for v in value]}
+        if isinstance(value, (set, frozenset)):
+            kind = "frozenset" if isinstance(value, frozenset) else "set"
+            items = sorted(value, key=repr)
+            return {"__snap__": kind,
+                    "items": [self.encode(v, where) for v in items]}
+        if isinstance(value, dict):
+            return {"__snap__": "dict",
+                    "items": [[self.encode(k, where), self.encode(v, where)]
+                              for k, v in value.items()]}
+        if isinstance(value, random.Random):
+            # Registered like an object so aliasing survives: a stream
+            # held by both the RngRegistry and a Link must restore to
+            # ONE Random, or their futures diverge.
+            oid = id(value)
+            index = self.memo.get(oid)
+            if index is None:
+                index = len(self.nodes)
+                self.memo[oid] = index
+                self.nodes.append({
+                    "cls": "random.Random",
+                    "fields": {},
+                    "rng": self.encode(value.getstate(), where),
+                })
+            return {"__snap__": "ref", "id": index}
+        if isinstance(value, types.MethodType):
+            return self._encode_method(value, where)
+        if isinstance(value, functools.partial):
+            return {"__snap__": "partial",
+                    "func": self.encode(value.func, where),
+                    "args": [self.encode(v, where) for v in value.args],
+                    "keywords": [[k, self.encode(v, where)]
+                                 for k, v in sorted(value.keywords.items())]}
+        if isinstance(value, types.FunctionType):
+            return self._encode_function(value, where)
+        if dataclasses.is_dataclass(value) and not isinstance(value, type):
+            return self._encode_object(
+                value, [f.name for f in dataclasses.fields(value)], where
+            )
+        declared = _declared_fields(type(value))
+        if declared is not None:
+            return self._encode_object(value, list(declared), where)
+        raise SnapshotError(
+            f"{where}: cannot snapshot {_qualname(type(value))} -- the class "
+            "declares no STATE_FIELDS and is not a dataclass"
+        )
+
+    def _encode_object(self, obj: Any, fields: List[str], where: str) -> Any:
+        oid = id(obj)
+        index = self.memo.get(oid)
+        if index is not None:
+            return {"__snap__": "ref", "id": index}
+        index = len(self.nodes)
+        self.memo[oid] = index
+        qual = _qualname(type(obj))
+        node: Dict[str, Any] = {"cls": qual, "fields": {}}
+        self.nodes.append(node)
+        declared = set(fields)
+        present = _instance_attrs(obj)
+        extra = sorted(name for name in present if name not in declared)
+        if extra:
+            raise SnapshotError(
+                f"{qual} carries attribute(s) outside its snapshot contract: "
+                f"{', '.join(extra)} (declare them in STATE_FIELDS)"
+            )
+        for name in fields:
+            if name not in present:
+                continue  # declared, currently unset (slot never filled)
+            node["fields"][name] = self.encode(
+                getattr(obj, name), f"{qual}.{name}"
+            )
+        return {"__snap__": "ref", "id": index}
+
+    def _encode_method(self, method: types.MethodType, where: str) -> Any:
+        owner = method.__self__
+        name = method.__func__.__name__
+        if isinstance(owner, type) or getattr(type(owner), name, None) is None:
+            raise SnapshotError(
+                f"{where}: cannot rebind bound method {name!r} -- its owner "
+                f"{type(owner).__name__} does not define it"
+            )
+        return {"__snap__": "method",
+                "owner": self.encode(owner, where), "name": name}
+
+    def _encode_function(self, func: types.FunctionType, where: str) -> Any:
+        if func.__name__ == "<lambda>" or "<locals>" in func.__qualname__ or func.__closure__:
+            raise SnapshotError(
+                f"{where}: cannot snapshot {func.__qualname__!r} -- lambdas "
+                "and closures are not rebindable; store a bound method of a "
+                "snapshot-reachable object instead"
+            )
+        return {"__snap__": "function",
+                "module": func.__module__, "qualname": func.__qualname__}
+
+
+def _reference_capture(sim: Simulator, roots: Optional[Mapping[str, Any]] = None) -> Snapshot:
+    if sim._running:
+        raise SnapshotError("capture() is only valid between run() calls")
+    if roots and "sim" in roots:
+        raise SnapshotError("root name 'sim' is reserved for the simulator")
+    walker = _ReferenceCapture()
+    encoded_roots = {"sim": walker.encode(sim, "roots[sim]")}
+    for name, obj in (roots or {}).items():
+        encoded_roots[name] = walker.encode(obj, f"roots[{name}]")
+    return Snapshot(walker.nodes, encoded_roots)
+
+
+# -- small object graphs for the property test --------------------------
+
+
+class Shade(enum.IntEnum):
+    DARK = 1
+    LIGHT = 2
+
+
+class Label(str):
+    """A ``str`` subclass: a primitive, but not by exact type."""
+
+
+def _noop(*args, **kwargs):
+    """Module-level, so a ``partial`` over it is rebindable."""
+
+
+class Cell:
+    """Slotted; ``spare`` is declared and only sometimes filled."""
+
+    __slots__ = ("value", "link", "spare")
+    STATE_FIELDS = ("value", "link", "spare")
+
+    def __init__(self, value, link=None):
+        self.value = value
+        self.link = link
+
+    def poke(self, *args):
+        """A bound-method target."""
+
+
+@dataclasses.dataclass
+class Pair:
+    left: Any
+    right: Any
+
+
+class Bag:
+    """Dict-based; holds one of everything the walk special-cases."""
+
+    STATE_FIELDS = ("items", "rng", "window", "hook", "shade", "label", "pair", "later")
+
+    def __init__(self, **state):
+        self.__dict__.update(state)
+
+
+_atoms = st.one_of(
+    st.none(), st.booleans(), st.integers(-5, 5), st.floats(allow_nan=False),
+    st.text(max_size=3), st.binary(max_size=3),
+    st.sampled_from(list(Shade)), st.builds(Label, st.text(max_size=3)),
+)
+
+
+@st.composite
+def object_graphs(draw):
+    """Roots over a few ``Cell``/``Bag``/``Pair`` objects that share
+    references, one ``Random`` held by two owners, deques with and
+    without ``maxlen``, partials, tuples of primitives and of objects."""
+    shared_rng = random.Random(draw(st.integers(0, 99)))  # repro: noqa[RPR813]
+    cells: List[Any] = []
+    for _ in range(draw(st.integers(1, 5))):
+        link = draw(st.sampled_from(cells)) if cells and draw(st.booleans()) else None
+        cell = Cell(draw(_atoms), link)
+        if draw(st.booleans()):
+            cell.spare = draw(st.tuples(_atoms, _atoms))
+        cells.append(cell)
+    some_cell = st.sampled_from(cells)
+
+    def bag():
+        target = draw(some_cell)
+        hook = draw(st.sampled_from([
+            target.poke,
+            functools.partial(target.poke, draw(_atoms)),
+            functools.partial(_noop, draw(some_cell), key=draw(_atoms)),
+            _noop,
+        ]))
+        state = {
+            "items": draw(st.lists(st.one_of(_atoms, some_cell), max_size=4)),
+            "rng": shared_rng,
+            "window": deque(
+                draw(st.lists(_atoms, max_size=4)),
+                maxlen=draw(st.sampled_from([None, 4])),
+            ),
+            "hook": hook,
+            "shade": draw(st.sampled_from(list(Shade))),
+            "label": Label(draw(st.text(max_size=3))),
+            "pair": Pair(draw(some_cell), draw(st.tuples(_atoms, some_cell))),
+        }
+        if draw(st.booleans()):
+            state["later"] = {draw(st.integers(0, 3)): draw(some_cell)}
+        return Bag(**state)
+
+    return {"first": bag(), "second": bag(), "cells": cells}
+
+
+class TestReferenceEquivalence:
+    """``capture`` against the oracle: same ``Snapshot``, same digest."""
+
+    @staticmethod
+    def agree(sim, roots):
+        snap, reference = capture(sim, roots), _reference_capture(sim, roots)
+        assert snap == reference
+        assert snap.digest() == reference.digest()
+        return snap
+
+    @pytest.mark.parametrize("name", WORLDS)
+    def test_fixture_worlds_match_the_reference(self, worlds, world_snapshots, name):
+        assert self.agree(*worlds[name]) == world_snapshots[name]
+
+    @pytest.mark.parametrize("cc", CONTROLLER_NAMES)
+    @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
+    def test_every_scheduler_and_controller_matches_the_reference(self, scheduler, cc):
+        world = _midrun_world(scheduler, cc=cc)
+        self.agree(world.sim, world.roots())
+
+    @given(object_graphs())
+    @settings(max_examples=60, deadline=None)
+    def test_generated_graphs_match_the_reference(self, roots):
+        snap = self.agree(Simulator(), roots)
+        # ...and the graph survives the trip: a capture of the restored
+        # world is the snapshot it was restored from.
+        world = restore(snap)
+        sim = world.pop("sim")
+        assert world["first"].rng is world["second"].rng
+        assert capture(sim, world) == snap
+
+
+class TestPlanCaching:
+    """A plan holds class facts only; what an *instance* carries is
+    looked at every time."""
+
+    def test_attr_added_after_a_sibling_was_captured_is_refused(self):
+        clean, grown = Ticker(), Ticker()
+        sim = Simulator()
+        capture(sim, {"a": clean, "b": grown})
+        grown.sneaked = 1
+        # Same walk: ``clean`` builds Ticker's plan, ``grown`` reuses it.
+        with pytest.raises(SnapshotError) as refusal:
+            capture(sim, {"a": clean, "b": grown})
+        assert str(refusal.value) == (
+            "tests.test_snapshot.Ticker carries attribute(s) outside its "
+            "snapshot contract: sneaked (declare them in STATE_FIELDS)"
+        )
+
+    def test_filled_undeclared_slot_is_refused_per_instance(self):
+        class Slotted:
+            __slots__ = ("a", "scratch")
+            STATE_FIELDS = ("a",)
+
+            def __init__(self):
+                self.a = 1
+
+        clean, dirty = Slotted(), Slotted()
+        sim = Simulator()
+        assert capture(sim, {"a": clean, "b": dirty}) == _reference_capture(
+            sim, {"a": clean, "b": dirty}
+        )
+        dirty.scratch = 2
+        with pytest.raises(SnapshotError, match="contract: scratch \\(declare"):
+            capture(sim, {"a": clean, "b": dirty})
+
+    def test_declared_but_unset_slot_is_skipped(self):
+        filled, unset = Cell(1), Cell(2)
+        filled.spare = 3
+        snap = capture(Simulator(), {"filled": filled, "unset": unset})
+        by_value = {node["fields"]["value"]: node["fields"] for node in snap.nodes[1:]}
+        assert by_value[1] == {"value": 1, "link": None, "spare": 3}
+        assert by_value[2] == {"value": 2, "link": None}
+
+    def test_subclass_fields_are_the_base_first_union(self):
+        class Loud(Ticker):
+            STATE_FIELDS = ("volume", "hits")
+
+            def __init__(self):
+                super().__init__()
+                self.volume = 11
+
+        snap = capture(Simulator(), {"base": Ticker(), "sub": Loud()})
+        base, sub = snap.nodes[1], snap.nodes[2]
+        assert list(base["fields"]) == ["hits"]
+        assert list(sub["fields"]) == ["hits", "volume"]
+
+    def test_same_named_local_classes_get_a_plan_each(self):
+        def make(fields):
+            class Local:
+                STATE_FIELDS = fields
+
+                def __init__(self):
+                    for name in fields:
+                        setattr(self, name, name.upper())
+
+            return Local
+
+        first, second = make(("a",)), make(("b", "c"))
+        assert _qualname(first) == _qualname(second)
+        sim, roots = Simulator(), {"first": first(), "second": second()}
+        snap = capture(sim, roots)
+        assert snap.nodes[1]["fields"] == {"a": "A"}
+        assert snap.nodes[2]["fields"] == {"b": "B", "c": "C"}
+        assert snap == _reference_capture(sim, roots)
+
+
+class TestCaptureBudget:
+    """Python ``call`` events per captured node, as in
+    ``tests/test_hot_path_budget.py``: exact for an interpreter, so a
+    per-reference class-fact derivation creeping back into the walk
+    fails here on a box whose clock cannot show it.
+
+    The world is ``fork_sweep``'s (1.6 MB, ECF, WiFi 4.2 / LTE 8.6) after
+    2,200 events: 833 nodes, mostly ``Segment``/``Packet``/``Timer``.
+    Measured on 3.11: 8.9 calls per node (28.8 with ``_declared_fields``
+    per reference and ``_instance_attrs`` per node).  ``restore`` reads
+    32.2 on the same snapshot -- recorded, not gated: that half waits
+    for ``fork_sweep`` to be re-sized (see docs/performance.md).
+    """
+
+    BUDGET = 12.0
+
+    def test_calls_per_captured_node_within_budget(self):
+        spec = BulkDownloadSpec(
+            scheduler="ecf",
+            path_configs=(wifi_config(4.2), lte_config(8.6)),
+            size=1_600_000,
+            seed=11,
+        )
+        world = build_world(spec)
+        world.sim.run(until=spec.timeout, max_events=2200)
+        roots = world.roots()
+        nodes = len(capture(world.sim, roots).nodes)
+        assert nodes > 500  # the budget is per node of a *large* world
+        per_node = python_calls(lambda: capture(world.sim, roots)) / nodes
+        assert per_node <= self.BUDGET, (
+            f"{per_node:.1f} Python calls per captured node, budget {self.BUDGET}"
+        )
