@@ -5,10 +5,9 @@ Four layers guard the simulator's invariants:
 * :mod:`repro.analysis.lint` -- an AST linter with simulator-specific
   rules (wall-clock reads, ad-hoc randomness, mutable defaults, float
   equality on timestamps, unfrozen specs, unresolvable registry kinds,
-  out-of-engine event-queue manipulation), fronting the whole-program
-  engine in :mod:`repro.analysis.flow` (import graph, call graph,
-  taint dataflow) whose RPR8xx rules live in
-  :mod:`repro.analysis.rules8xx` and the state-model rules (RPR9xx) in
+  out-of-engine event-queue manipulation), fronting the per-module
+  facts of :mod:`repro.analysis.flow` (symbol tables, import graph,
+  class facts) and the state-model rules (RPR91x) in
   :mod:`repro.analysis.state`; one in-memory parse -> facts -> findings
   pass per run, nothing kept on disk;
 * :mod:`repro.analysis.sanitize` -- runtime invariant checks on the

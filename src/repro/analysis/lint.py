@@ -22,12 +22,11 @@ RPR701   no cross-package imports of underscore-prefixed names
 RPR901   no event-queue manipulation outside ``repro.sim.engine``
 =======  ==========================================================
 
-These are per-module, syntactic rules.  The **RPR8xx family**
-(:mod:`repro.analysis.rules8xx`) upgrades them to whole-program,
-semantic ones -- interprocedural wall-clock/RNG taint (RPR811-813),
-frozen-spec aliasing (RPR821), unordered iteration feeding event order
-(RPR831), and units discipline (RPR841) -- using the call graph and
-dataflow built by :mod:`repro.analysis.flow`.
+These are per-module, syntactic rules: each reports the *source*
+statement, so a clock read or an ad-hoc stream is named where it is
+written, whoever ends up calling it.  The three state-model rules
+(RPR912/914/915, :mod:`repro.analysis.state`) need the whole program
+and read the class facts :mod:`repro.analysis.flow` extracts.
 
 Each violation carries a fix-it hint.  A rule can be suppressed on one
 line with ``# repro: noqa[RPR101]`` (or all rules with
@@ -35,8 +34,8 @@ line with ``# repro: noqa[RPR101]`` (or all rules with
 neighbouring comment.
 
 :func:`run_lint` is the whole analyzer, a function of the source tree:
-each file is read and parsed once, the syntactic linter and the flow
-extractor walk the same tree, the whole-program rules run over the
+each file is read and parsed once, the syntactic linter and the fact
+extractor walk the same tree, the state-model rules run over the
 resulting :class:`~repro.analysis.flow.Project`, and the sorted,
 noqa-filtered findings come back.  Nothing is read from or written to
 disk besides the sources.  :func:`lint_paths` returns just the
@@ -55,7 +54,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis import flow as _flow
 from repro.analysis.flow import (
     ModuleSummary,
     Project,
@@ -65,7 +63,6 @@ from repro.analysis.flow import (
     extract_module,
     terminal_name as _terminal_name,
 )
-from repro.analysis.rules8xx import RULES_8XX, flow_violations
 from repro.analysis.state import RULES_9XX, state_violations
 
 #: Syntactic (per-module) rule catalog: code -> (summary, fix-it hint).
@@ -122,13 +119,28 @@ SYNTACTIC_RULES: Dict[str, Tuple[str, str]] = {
     ),
 }
 
-#: The full catalog: syntactic rules plus the semantic RPR8xx family
-#: and the state-model RPR9xx family.
-RULES: Dict[str, Tuple[str, str]] = {**SYNTACTIC_RULES, **RULES_8XX, **RULES_9XX}
+#: The full catalog: syntactic rules plus the state-model RPR91x family.
+RULES: Dict[str, Tuple[str, str]] = {**SYNTACTIC_RULES, **RULES_9XX}
 
-#: Dotted call targets that read the wall clock (shared with the taint
-#: pass in :mod:`repro.analysis.flow`).
-_WALL_CLOCK_CALLS = _flow.WALL_CLOCK_CALLS
+#: Dotted call targets that read the wall clock (RPR101).
+_WALL_CLOCK_CALLS = frozenset(
+    {
+        "time.time",
+        "time.time_ns",
+        "time.monotonic",
+        "time.monotonic_ns",
+        "time.perf_counter",
+        "time.perf_counter_ns",
+        "datetime.now",
+        "datetime.utcnow",
+        "datetime.today",
+        "datetime.datetime.now",
+        "datetime.datetime.utcnow",
+        "datetime.datetime.today",
+        "date.today",
+        "datetime.date.today",
+    }
+)
 
 #: Terminal identifiers treated as simulated timestamps for RPR301.
 _TIME_NAMES = frozenset(
@@ -184,14 +196,16 @@ _PRINT_ALLOWLIST = ("repro/cli.py",)
 
 #: Host-side code whose job is reading the clock (RPR101): run timeouts
 #: and wall-time accounting in the executor, journal/daemon/store
-#: timestamps, the perf collector and profiler.  Files or directories,
-#: matched anywhere in the path.  None of it runs inside a simulation;
-#: a clock read that *reaches* one is still RPR811's to report.
-_WALL_CLOCK_ALLOWLIST = (
-    "repro/experiments/exec.py",
-    "repro/obs/",
-    "repro/perf/",
-    "repro/service/",
+#: timestamps, the perf collector and profiler.  Files or directories
+#: *inside the repro package* -- where the checkout lives never matters.
+#: None of it runs inside a simulation, and the layering gate in
+#: ``tests/test_probe.py`` reads this tuple to prove no simulation
+#: package imports any of it.
+WALL_CLOCK_ALLOWLIST = (
+    "experiments/exec.py",
+    "obs/",
+    "perf/",
+    "service/",
 )
 
 
@@ -215,6 +229,16 @@ def _registries() -> Dict[str, Set[str]]:
     }
 
 
+def _path_in_repro(path: str) -> Optional[List[str]]:
+    """Path components below the innermost ``repro`` package directory
+    (``a/repro/b/src/repro/obs/journal.py`` -> ``["obs", "journal.py"]``),
+    or None for a file outside any."""
+    parts = Path(path).as_posix().split("/")
+    if "repro" not in parts:
+        return None
+    return parts[len(parts) - parts[::-1].index("repro") :]
+
+
 def _repro_package_of(path: str) -> Optional[str]:
     """The repro subpackage a file belongs to, for RPR701.
 
@@ -224,10 +248,9 @@ def _repro_package_of(path: str) -> Optional[str]:
     repro underscore name is private -- suppress with a noqa where a
     test deliberately reaches into internals).
     """
-    parts = Path(path).as_posix().split("/")
-    if "repro" not in parts:
+    rel = _path_in_repro(path)
+    if rel is None:
         return None
-    rel = parts[len(parts) - 1 - parts[::-1].index("repro") + 1 :]
     return rel[0] if len(rel) > 1 else ""
 
 
@@ -240,7 +263,8 @@ class _Linter(ast.NodeVisitor):
         self.allow_rng_construction = posix.endswith(_RNG_CONSTRUCTION_ALLOWLIST)
         self.allow_event_queue = posix.endswith(_EVENT_QUEUE_ALLOWLIST)
         self.allow_print = posix.endswith(_PRINT_ALLOWLIST)
-        self.allow_wall_clock = any(part in posix for part in _WALL_CLOCK_ALLOWLIST)
+        inside = "/".join(_path_in_repro(path) or ())
+        self.allow_wall_clock = inside.startswith(WALL_CLOCK_ALLOWLIST)
         self.repro_package = _repro_package_of(path)
 
     # -- helpers -------------------------------------------------------
@@ -551,7 +575,7 @@ def lint_source(
 
     ``select`` restricts to the given rule codes; ``registries``
     overrides the kind-name sets (tests use this to avoid importing the
-    whole library).  The whole-program RPR8xx rules need more than one
+    whole library).  The state-model RPR91x rules need more than one
     module's text -- they run in :func:`run_lint` / :func:`lint_paths`.
     """
     wanted = _selected(select)
@@ -613,7 +637,6 @@ def run_lint(
         found.extend(linter.violations)
         summaries.append(extract_module(source, key, tree=tree))
     project = Project(summaries)
-    found.extend(flow_violations(project))
     found.extend(state_violations(project))
 
     by_path: Dict[str, List[Violation]] = {}
@@ -630,7 +653,7 @@ def lint_paths(
 ) -> List[Violation]:
     """Lint files and/or directory trees; returns all violations.
 
-    Runs the full rule set, syntactic and whole-program;
+    Runs the full rule set, syntactic and state-model;
     :func:`run_lint` also hands back the program model.
     """
     return run_lint(paths, select=select).violations

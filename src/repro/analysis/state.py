@@ -1,8 +1,8 @@
-"""The static state model: ownership graph, snapshot contract, RPR9xx.
+"""The static state model: ownership graph, snapshot contract, RPR91x.
 
-The ROADMAP's checkpoint/fork item (counterfactual twin runs) needs an
-answer to one question before any refactor can start: *what is the
-complete mutable state of a running simulation?*  This module derives
+Checkpoint/fork (:mod:`repro.sim.snapshot`, counterfactual twin runs)
+rests on the answer to one question: *what is the complete mutable
+state of a running simulation?*  This module derives
 that answer statically from the :class:`repro.analysis.flow.Project`
 summaries -- for every class in the simulation-state packages it
 collects the full set of instance attributes ever assigned, classifies
@@ -22,22 +22,16 @@ each field, and assembles the object-ownership graph rooted at
 
 :func:`build_state_model` renders the whole thing as a deterministic,
 line-number-free JSON document (``python -m repro.cli state``), derived
-from the sources on demand.  On top of the same model sit the RPR9xx
+from the sources on demand.  On top of the same model sit the RPR91x
 rules (:data:`RULES_9XX`), routed through
-:func:`repro.analysis.lint.run_lint` like every other family:
+:func:`repro.analysis.lint.run_lint` like the syntactic family:
 
 =======  ===========================================================
 code     invariant
 =======  ===========================================================
-RPR911   no hidden state: every instance attribute is born in
-         ``__init__`` (or a declared reset path), so a snapshot of
-         ``__init__``-visible state is complete
 RPR912   no ``__slots__`` drift: slotted classes assign only declared
          slots, declare no dead slots, and small hot-path classes on
          the Simulator ownership graph declare ``__slots__`` at all
-RPR913   no shared-mutable aliasing: caller-provided containers are
-         copied before storing; one local container is not stored
-         into two fields
 RPR914   no fork-unsafe state reachable from ``Simulator``: open
          files/sockets/threads, live generators, stored lambdas or
          bound methods of *other* objects would dangle across a
@@ -47,7 +41,7 @@ RPR915   no drift between a class's declared ``STATE_FIELDS``
 =======  ===========================================================
 
 All findings honour ``# repro: noqa[RPR91x]`` on the reported line,
-exactly like the RPR1xx-9xx syntactic rules and the RPR8xx flow rules.
+exactly like the syntactic rules.
 """
 
 from __future__ import annotations
@@ -82,13 +76,6 @@ STATE_SCOPE: Tuple[str, ...] = (
     "repro.core",
 )
 
-#: Methods that legitimately give birth to instance attributes: the
-#: constructor family plus the conventional reset paths.  ``<class>``
-#: marks dataclass-style class-body annotations.
-INIT_METHODS = frozenset(
-    {"<class>", "__init__", "__post_init__", "__new__", "__set_name__", "reset", "clear", "setup"}
-)
-
 #: Classes with at most this many observed fields are "small": when one
 #: sits on the Simulator ownership graph without ``__slots__``, RPR912
 #: flags it (the ROADMAP speed item's per-instance-dict tax).  Larger
@@ -119,22 +106,11 @@ _KIND_RANK = {kind: rank for rank, kind in enumerate(_KIND_PRECEDENCE)}
 
 #: Rule catalog: code -> (summary, fix-it hint).
 RULES_9XX: Dict[str, Tuple[str, str]] = {
-    "RPR911": (
-        "hidden state: attribute born outside __init__/reset",
-        "assign the attribute (even to None) in __init__ or a declared "
-        "reset path; a snapshot of __init__-visible state must be the "
-        "complete state",
-    ),
     "RPR912": (
         "__slots__ drift",
         "keep __slots__ in lockstep with the fields actually assigned; "
         "small hot-path classes on the Simulator ownership graph should "
         "declare __slots__ (per-instance dicts are the speed item's tax)",
-    ),
-    "RPR913": (
-        "shared mutable container aliased into instance state",
-        "copy before storing (list(x) / dict(x) / deque(x)); two objects "
-        "mutating one container makes checkpoint/fork and cache keys lie",
     ),
     "RPR914": (
         "fork-unsafe state reachable from Simulator",
@@ -459,28 +435,6 @@ def render_state_model(document: Dict[str, Any]) -> str:
 # ----------------------------------------------------------------------
 
 
-def _hidden_state(model: StateModel, cls: ClassModel) -> List[Violation]:
-    violations: List[Violation] = []
-    for name in sorted(cls.fields):
-        field = cls.fields[name]
-        births = [a for a in field.assigns if a.kind != "aug"]
-        if not births:
-            continue
-        if any(a.method in INIT_METHODS for a in births):
-            continue
-        first = min(births, key=lambda a: (a.line, a.col))
-        violations.append(
-            _make(
-                cls.summary.path,
-                first.line,
-                first.col,
-                "RPR911",
-                f"{cls.name}.{name} first assigned in {first.method}()",
-            )
-        )
-    return violations
-
-
 def _slots_drift(model: StateModel, cls: ClassModel) -> List[Violation]:
     violations: List[Violation] = []
     closure = model.slots_closure(cls)
@@ -549,43 +503,6 @@ def _slots_drift(model: StateModel, cls: ClassModel) -> List[Violation]:
                     "Simulator ownership graph but declares no __slots__",
                 )
             )
-    return violations
-
-
-def _shared_aliasing(model: StateModel, cls: ClassModel) -> List[Violation]:
-    violations: List[Violation] = []
-    by_alias: Dict[Tuple[str, str], List[FieldAssign]] = {}
-    for name in sorted(cls.fields):
-        field = cls.fields[name]
-        for assign in field.assigns:
-            if assign.shared and assign.kind == "container":
-                violations.append(
-                    _make(
-                        cls.summary.path,
-                        assign.line,
-                        assign.col,
-                        "RPR913",
-                        f"{cls.name}.{name} stores a caller-provided mutable "
-                        "container without copying",
-                    )
-                )
-            if assign.alias is not None:
-                by_alias.setdefault((assign.method, assign.alias), []).append(assign)
-    for (method, alias), assigns in sorted(by_alias.items()):
-        names = sorted({a.name for a in assigns})
-        if len(names) < 2:
-            continue
-        second = sorted(assigns, key=lambda a: (a.line, a.col))[1]
-        violations.append(
-            _make(
-                cls.summary.path,
-                second.line,
-                second.col,
-                "RPR913",
-                f"{cls.name}.{' and '.join(names[:2])} alias the same local "
-                f"container {alias!r} (in {method}())",
-            )
-        )
     return violations
 
 
@@ -670,8 +587,8 @@ def state_violations(
     """Every RPR9xx finding for the program, unsorted and un-noqa'd.
 
     The front end (:func:`repro.analysis.lint.run_lint`) merges these
-    with the per-module and RPR8xx streams, applies noqa against the
-    sources, and sorts.
+    with the per-module stream, applies noqa against the sources, and
+    sorts.
     """
     model = StateModel(project, scope=scope)
     violations: List[Violation] = []
@@ -679,9 +596,7 @@ def state_violations(
         cls = model.classes[qual]
         if not model.in_scope(cls):
             continue
-        violations.extend(_hidden_state(model, cls))
         violations.extend(_slots_drift(model, cls))
-        violations.extend(_shared_aliasing(model, cls))
         violations.extend(_fork_unsafe(model, cls))
         violations.extend(_declared_drift(model, cls))
     return violations

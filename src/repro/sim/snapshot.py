@@ -379,9 +379,7 @@ def restore(snapshot: Snapshot) -> Dict[str, Any]:
     ``"sim"``) to its freshly built object.  Nothing is shared with the
     captured world: mutating one cannot perturb the other.
     """
-    # noqa: restore legitimately re-materializes captured Random streams
-    # from their getstate tuples; no registry seed is involved.
-    restorer = _Restore(snapshot)  # repro: noqa[RPR813]
+    restorer = _Restore(snapshot)
     return {name: restorer.decode(encoded)
             for name, encoded in snapshot.roots.items()}
 
@@ -396,7 +394,7 @@ def fork(
     :class:`~repro.core.ecf.EcfScheduler` -- before the caller runs the
     forked future to completion.
     """
-    world = restore(snapshot)  # repro: noqa[RPR813] -- see restore()
+    world = restore(snapshot)
     if override is not None:
         override(world)
     return world

@@ -51,46 +51,9 @@ def chatty_progress(done, total):
     print(f"{done}/{total}")  # RPR601: stdout write outside the CLI
 
 
-def relabel(report):
-    report["at"] = stamp()  # RPR811: one hop from time.time()
-
-
-def wrapped_stamp():
-    return stamp()
-
-
-def timestamp_result(result):
-    result["at"] = wrapped_stamp()  # RPR811: two hops from time.time()
-
-
-def perturb(delay):
-    return delay + jitter()  # RPR812: reaches random.random()
-
-
-def fresh_stream(seed):
-    return make_rng(seed)  # RPR813: reaches random.Random(...)
-
-
-def retarget(spec):
-    paths = spec.paths  # alias to frozen-spec payload
-    paths.append("wifi")  # RPR821: mutates state reachable from the spec
-
-
-def schedule_probes(sim, probes):
-    for probe in probes | {"baseline"}:  # RPR831: set order feeds the
-        sim.schedule(0.0, probe)  # event queue
-
-
-def naive_transfer_time(size_bytes, delay_s):
-    return size_bytes + delay_s  # RPR841: bytes + seconds
-
-
 class Simulator:  # ownership-graph root for the RPR91x seeds below
     def __init__(self):
         self.engine = Engine()
-
-    def warm_up(self):
-        self.booted = True  # RPR911: attribute born outside __init__
 
 
 class Engine:
@@ -106,5 +69,5 @@ class Ledger:
     STATE_FIELDS = ("entries",)  # RPR915: observed 'backup' undeclared
 
     def __init__(self, shared: list):
-        self.entries = shared  # RPR913: caller-owned list stored uncopied
+        self.entries = shared
         self.backup = shared

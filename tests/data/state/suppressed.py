@@ -1,4 +1,4 @@
-"""Every RPR9xx seed again, each silenced with ``# repro: noqa[...]``."""
+"""Every RPR91x seed again, each silenced with ``# repro: noqa[...]``."""
 
 
 class Simulator:
@@ -18,7 +18,4 @@ class Tape:  # repro: noqa[RPR912] scratch object, never bulk-allocated
     def __init__(self, cells: list = None):
         self.head = open("tape.bin", "rb")  # repro: noqa[RPR914] closed pre-fork
         self.position = 0
-        self.cells = cells  # repro: noqa[RPR913] caller hands over ownership
-
-    def rewind(self):
-        self.mark = 0  # repro: noqa[RPR911] debug-only breadcrumb
+        self.cells = cells

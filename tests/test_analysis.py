@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import re
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import sanitize
+from repro.analysis.flow import suppressed_codes
 from repro.analysis.lint import RULES, lint_paths, lint_source
 from repro.analysis.sanitize import Checks, SanitizerError
 from repro.cli import main as cli_main
@@ -53,6 +55,19 @@ class TestLintRules:
     def test_rpr101_allowlisted_in_host_side_code_only(self, path, flagged):
         source = "import time\nt = time.monotonic()\n"
         assert codes_of(source, path=path) == (["RPR101"] if flagged else [])
+
+    def test_rpr101_allowlist_ignores_where_the_checkout_lives(self, tmp_path):
+        # The allowlist names paths *inside* the repro package: a clone
+        # that happens to sit under a directory called repro/obs keeps
+        # the rule for the whole tree.
+        checkout = tmp_path / "repro" / "obs" / "x" / "src" / "repro"
+        source = "import time\nt = time.time()\n"
+        for inside, flagged in (("tcp/seeded.py", True), ("obs/journal.py", False)):
+            path = checkout / inside
+            path.parent.mkdir(parents=True, exist_ok=True)
+            path.write_text(source)
+            codes = [v.code for v in lint_paths([path])]
+            assert codes == (["RPR101"] if flagged else []), inside
 
     def test_rpr102_module_level_random(self):
         assert codes_of("import random\nx = random.random()\n") == ["RPR102"]
@@ -234,6 +249,21 @@ class TestNoqaAndSelect:
         assert codes_of(source) == ["RPR101", "RPR102"]
         assert codes_of(source, select=["RPR102"]) == ["RPR102"]
 
+    def test_every_suppressed_code_is_a_live_rule(self):
+        # apply_noqa accepts any code without a word, so a retired or
+        # typoed one would linger as a comment that suppresses nothing.
+        files = sorted((REPO_ROOT / "src").rglob("*.py")) + sorted(
+            (REPO_ROOT / "tests").glob("*.py")
+        )
+        stale = [
+            f"{path.relative_to(REPO_ROOT)}:{number}: {code}"
+            for path in files
+            for number, line in enumerate(path.read_text().splitlines(), 1)
+            for code in sorted(suppressed_codes(line) or ())
+            if code not in RULES
+        ]
+        assert stale == []
+
     def test_select_unknown_code_raises(self):
         with pytest.raises(ValueError):
             lint_source("x = 1\n", select=["RPR999"], registries=TEST_REGISTRIES)
@@ -273,14 +303,31 @@ class TestLintCli:
             lint_paths([str(REPO_ROOT / "does-not-exist")])
 
     def test_rule_catalog_is_pinned(self):
-        # The analyzer may lose machinery, never a check: adding or
-        # dropping a rule has to edit this list on purpose.
+        # Adding or dropping a rule has to edit this list on purpose, and
+        # a rule leaves only with an entry in the evidence ledger of
+        # docs/analysis.md: what it reported, on which tree, and the
+        # gate that covers it from then on.
         assert set(RULES) == {
             "RPR101", "RPR102", "RPR103", "RPR201", "RPR301", "RPR401",
-            "RPR402", "RPR501", "RPR601", "RPR701", "RPR811", "RPR812",
-            "RPR813", "RPR821", "RPR831", "RPR841", "RPR901", "RPR911",
-            "RPR912", "RPR913", "RPR914", "RPR915",
+            "RPR402", "RPR501", "RPR601", "RPR701", "RPR901", "RPR912",
+            "RPR914", "RPR915",
         }
+
+    def test_the_ledger_names_every_rule_and_retired_codes_are_unknown(self, capsys):
+        # docs/analysis.md is the audit trail: one ledger row per live
+        # rule, one "Retired" row per deleted one -- and a retired code
+        # is gone from the front end, not parked behind --select.
+        sections = (REPO_ROOT / "docs" / "analysis.md").read_text().split("\n## ")
+        rows = {
+            section.splitlines()[0]: re.findall(r"^\| (RPR\d{3}) \|", section, re.M)
+            for section in sections
+        }
+        retired = rows["Retired"]
+        assert retired
+        for code in retired:
+            assert cli_main(["lint", "--select", code]) == 2, code
+            assert capsys.readouterr().err == f"lint: unknown rule code(s): ['{code}']\n"
+        assert sorted(rows["The evidence ledger"]) == sorted(RULES)
 
     @pytest.mark.parametrize(
         "argv, message",

@@ -3,12 +3,15 @@ byte-identity guarantee over the hot-path optimizations."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
-from repro.experiments.spec import attach_perf, canonical_json
+from repro.experiments.spec import attach_perf, canonical_json, spec_to_dict
 from repro.mptcp.connection import ConnectionConfig
 from repro.net.profiles import lte_config, wifi_config
 from repro.perf import counters as perf
@@ -191,6 +194,29 @@ class TestByteIdentity:
             assert digest == golden_digests[name], (
                 f"{name}: output diverged from the pre-optimization golden"
             )
+
+    @pytest.mark.parametrize("hash_seed", ["1", "2"])
+    def test_golden_digest_holds_under_any_hash_seed(self, golden_digests, hash_seed):
+        """Set-iteration order must not reach a result.
+
+        A set of names iterated on the way to ``schedule()``, an RNG
+        stream name or the wire form moves this digest under one of two
+        fixed string-hash seeds, whatever the variable holding it is
+        called.
+        """
+        _, spec = self._cases()["dash_ecf"]
+        child = (
+            "import hashlib, json, sys\n"
+            "from repro.experiments.spec import canonical_json, run_spec, spec_from_dict\n"
+            "result = run_spec(spec_from_dict(json.loads(sys.argv[1])))\n"
+            "print(hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest())\n"
+        )
+        out = subprocess.run(
+            [sys.executable, "-c", child, json.dumps(spec_to_dict(spec))],
+            env={**os.environ, "PYTHONHASHSEED": hash_seed},
+            capture_output=True, text=True, check=True, timeout=120,
+        )
+        assert out.stdout.strip() == golden_digests["dash_ecf"]
 
     def test_perf_collection_does_not_perturb_results(self):
         """Measuring a run must not change its outcome."""

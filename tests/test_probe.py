@@ -4,7 +4,8 @@ Three guarantees the refactor rests on:
 
 * **layering** -- nothing under ``repro.sim|net|tcp|mptcp|core`` imports
   ``repro.analysis|obs|perf|experiments|service|apps`` (or the package
-  root) at any scope;
+  root) at any scope, and ``repro.apps|workloads`` import none of the
+  host-side modules the lint lets read the wall clock;
 * **composition** -- any subset of the five tools armed together leaves
   results byte-identical, the event log record-identical, and the
   sanitizer ahead of every recorder;
@@ -23,6 +24,7 @@ import pytest
 
 from repro.analysis import check, events, sanitize
 from repro.analysis.flow import Project, extract_module
+from repro.analysis.lint import WALL_CLOCK_ALLOWLIST
 from repro.analysis.sanitize import SanitizerError
 from repro.apps.bulk import BulkDownloadSpec, build_world, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
@@ -40,12 +42,26 @@ ABOVE = (
 )
 
 
+#: The application and workload models run inside a simulation too, but
+#: sit above the core (they register with ``repro.experiments.spec``).
+#: What they must never reach is a module RPR101 exempts; derived from
+#: the lint's allowlist so the two cannot drift.
+DRIVEN = ("repro.apps", "repro.workloads")
+CLOCK_READERS = tuple(
+    "repro." + entry.rstrip("/").removesuffix(".py").replace("/", ".")
+    for entry in WALL_CLOCK_ALLOWLIST
+)
+
+#: (importing packages, what they must not import)
+FENCES = ((CORE, ABOVE), (DRIVEN, CLOCK_READERS))
+
+
 def _under(module, packages):
     return any(module == p or module.startswith(p + ".") for p in packages)
 
 
 def upward_imports(project):
-    """``(core module, imported module)`` edges that break the layering.
+    """``(module, imported module)`` edges that break the layering.
 
     A bare ``import repro.x.y`` binds (and is recorded as) the package
     root, which itself imports every layer, so the root counts too.
@@ -53,9 +69,10 @@ def upward_imports(project):
     return [
         (module, target)
         for module, targets in sorted(project.import_graph().items())
-        if _under(module, CORE)
+        for packages, forbidden in FENCES
+        if _under(module, packages)
         for target in sorted(targets)
-        if target == "repro" or _under(target, ABOVE)
+        if target == "repro" or _under(target, forbidden)
     ]
 
 
@@ -63,6 +80,10 @@ class TestLayering:
     def test_core_imports_nothing_from_above(self, tree_run):
         project = tree_run.project
         assert any(_under(m, CORE) for m in project.by_module)
+        assert any(_under(m, DRIVEN) for m in project.by_module)
+        assert CLOCK_READERS == (
+            "repro.experiments.exec", "repro.obs", "repro.perf", "repro.service",
+        )
         assert upward_imports(project) == []
 
     def test_a_lazy_upward_import_is_caught(self):
@@ -72,12 +93,26 @@ class TestLayering:
                 "src/repro/tcp/seeded.py",
             ),
             extract_module("import repro.perf.counters\n", "src/repro/net/seeded.py"),
+            # apps may register with experiments.spec, never time a run.
+            extract_module(
+                "def register():\n"
+                "    from repro.experiments.spec import register_experiment\n"
+                "def late():\n"
+                "    from repro.experiments.exec import ExperimentExecutor\n",
+                "src/repro/apps/seeded.py",
+            ),
+            extract_module("from repro.obs import journal\n", "src/repro/workloads/seeded.py"),
             extract_module("", "src/repro/analysis/events.py"),
+            extract_module("", "src/repro/experiments/spec.py"),
+            extract_module("", "src/repro/experiments/exec.py"),
+            extract_module("", "src/repro/obs/journal.py"),
             extract_module("", "src/repro/__init__.py"),
         ])
         assert upward_imports(seeded) == [
+            ("repro.apps.seeded", "repro.experiments.exec"),
             ("repro.net.seeded", "repro"),
             ("repro.tcp.seeded", "repro.analysis.events"),
+            ("repro.workloads.seeded", "repro.obs.journal"),
         ]
 
 

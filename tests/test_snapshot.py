@@ -584,7 +584,7 @@ def object_graphs(draw):
     """Roots over a few ``Cell``/``Bag``/``Pair`` objects that share
     references, one ``Random`` held by two owners, deques with and
     without ``maxlen``, partials, tuples of primitives and of objects."""
-    shared_rng = random.Random(draw(st.integers(0, 99)))  # repro: noqa[RPR813]
+    shared_rng = random.Random(draw(st.integers(0, 99)))
     cells: List[Any] = []
     for _ in range(draw(st.integers(1, 5))):
         link = draw(st.sampled_from(cells)) if cells and draw(st.booleans()) else None
