@@ -22,6 +22,11 @@ class _StoredConfig:
     """The stored dict form both configs share: ``{"kind": ..., **fields}``."""
 
     kind: ClassVar[str]
+    retries: int
+
+    def __post_init__(self) -> None:
+        if self.retries < 0:
+            raise ValueError(f"retries must be >= 0, got {self.retries!r}")
 
     def to_dict(self) -> Dict[str, Any]:
         return {"kind": self.kind, **asdict(self)}

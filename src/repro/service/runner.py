@@ -18,6 +18,7 @@ executor's per-job outcomes move the store's state machine::
     runner.drain()                # runs every pending job, keep-going
     runner.requeue()              # failed jobs back to pending (capped)
     results = runner.fetch(specs) # typed results, in your order
+    runner.entries()              # (hash, kind, cache entry | why not), lenient
 
 The runner is also a drop-in for :class:`ExperimentExecutor` where only
 ``run(specs)`` is used (``streaming_grid(executor=...)``,
@@ -37,7 +38,7 @@ re-simulate).
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.exec import ExperimentExecutor, FailedRun, JobOutcome, ResultCache
 from repro.experiments.spec import result_from_dict, spec_from_dict, spec_hash
@@ -152,73 +153,79 @@ class CampaignRunner:
         """
         if reset_orphans:
             self.store.reset_running(self.campaign_id)
+        pending = self.store.jobs(self.campaign_id, status=PENDING)
+        if not pending:
+            return self.status()
+        # The executor journals a job right before it reports it to
+        # ``on_job``; its index row waits here so that it commits with
+        # the job's transition, not on its own.
+        job_entries: List[Dict[str, Any]] = []
+
+        def on_job(outcome: JobOutcome) -> None:
+            with self.store.transaction():
+                for entry in job_entries:
+                    self.store.record_journal(self.campaign_id, entry)
+                job_entries.clear()
+                if outcome.status == "failed":
+                    self.store.mark_failed(
+                        self.campaign_id,
+                        outcome.spec_hash,
+                        error_type=(outcome.error or {}).get("type", "Error"),
+                        error_message=(outcome.error or {}).get("message", ""),
+                        postmortem=outcome.postmortem,
+                        wall_s=outcome.wall_s,
+                    )
+                else:  # "cached" or "executed": the result is in the cache
+                    self.store.mark_done(
+                        self.campaign_id,
+                        outcome.spec_hash,
+                        result_path=self.cache.entry_path(outcome.spec_hash),
+                        wall_s=outcome.wall_s,
+                    )
+            if self.on_outcome is not None:
+                self.on_outcome(outcome)
+
+        def observe(entry: Dict[str, Any]) -> None:
+            if entry["record"] == "job":
+                job_entries.append(entry)
+            else:
+                self.store.record_journal(self.campaign_id, entry)
+            if self.journal_observer is not None:
+                self.journal_observer(entry)
+
+        journal: Optional[RunJournal] = None
+        if self.journal_path is not None:
+            journal = RunJournal(
+                self.journal_path,
+                observer=observe,
+                **self.journal_kwargs,
+            )
+        # Built before anything is claimed: an executor that refuses its
+        # knobs (jobs < 1, retries < 0) must not leave ``running`` rows
+        # behind that nothing is running.
+        executor = ExperimentExecutor(
+            jobs=self.backend_config.jobs,
+            cache_dir=self.cache_dir,
+            timeout_s=self.backend_config.timeout_s,
+            retries=self.backend_config.retries,
+            progress=self.progress,
+            journal=journal,
+            keep_going=True,
+            on_job=on_job,
+        )
         claimed = []
         budget = None if limit is None else max(0, int(limit))
         # One commit for the whole batch of claims: the loop is milliseconds
         # of store calls, and a drainer killed before it commits has run
         # nothing yet.
         with self.store.transaction():
-            for job in self.store.jobs(self.campaign_id, status=PENDING):
+            for job in pending:
                 if budget is not None and len(claimed) >= budget:
                     break
                 if self.store.claim(self.campaign_id, job.spec_hash):
                     claimed.append(job)
         if claimed:
-            specs = [spec_from_dict(job.spec) for job in claimed]
-            # The executor journals a job right before it reports it to
-            # ``on_job``; its index row waits here so that it commits with
-            # the job's transition, not on its own.
-            job_entries: List[Dict[str, Any]] = []
-
-            def on_job(outcome: JobOutcome) -> None:
-                with self.store.transaction():
-                    for entry in job_entries:
-                        self.store.record_journal(self.campaign_id, entry)
-                    job_entries.clear()
-                    if outcome.status == "failed":
-                        self.store.mark_failed(
-                            self.campaign_id,
-                            outcome.spec_hash,
-                            error_type=(outcome.error or {}).get("type", "Error"),
-                            error_message=(outcome.error or {}).get("message", ""),
-                            postmortem=outcome.postmortem,
-                            wall_s=outcome.wall_s,
-                        )
-                    else:  # "cached" or "executed": the result is in the cache
-                        self.store.mark_done(
-                            self.campaign_id,
-                            outcome.spec_hash,
-                            result_path=self.cache.entry_path(outcome.spec_hash),
-                            wall_s=outcome.wall_s,
-                        )
-                if self.on_outcome is not None:
-                    self.on_outcome(outcome)
-
-            def observe(entry: Dict[str, Any]) -> None:
-                if entry["record"] == "job":
-                    job_entries.append(entry)
-                else:
-                    self.store.record_journal(self.campaign_id, entry)
-                if self.journal_observer is not None:
-                    self.journal_observer(entry)
-
-            journal: Optional[RunJournal] = None
-            if self.journal_path is not None:
-                journal = RunJournal(
-                    self.journal_path,
-                    observer=observe,
-                    **self.journal_kwargs,
-                )
-            ExperimentExecutor(
-                jobs=self.backend_config.jobs,
-                cache_dir=self.cache_dir,
-                timeout_s=self.backend_config.timeout_s,
-                retries=self.backend_config.retries,
-                progress=self.progress,
-                journal=journal,
-                keep_going=True,
-                on_job=on_job,
-            ).run(specs)
+            executor.run([spec_from_dict(job.spec) for job in claimed])
         return self.status()
 
     def requeue(self) -> int:
@@ -232,34 +239,45 @@ class CampaignRunner:
         """Per-status job counts for this campaign."""
         return self.store.counts(self.campaign_id)
 
+    def entries(
+        self, specs: Optional[Sequence[Any]] = None
+    ) -> Iterator[Tuple[str, str, Union[Dict[str, Any], "CampaignError"]]]:
+        """``(spec hash, kind, found)`` for ``specs`` (default: every job,
+        store order): the one walk over store + cache behind :meth:`fetch`
+        and ``campaign fetch``.  ``found`` is the job's cache entry, or the
+        :class:`CampaignError` that says why there is none."""
+        if specs is None:
+            rows = [(j.spec_hash, j.kind, j) for j in self.store.jobs(self.campaign_id)]
+        else:
+            wanted = [(spec_hash(spec), spec.kind) for spec in specs]
+            rows = [(key, kind, self.store.job(self.campaign_id, key)) for key, kind in wanted]
+        for key, kind, job in rows:
+            if job is None or job.status != DONE:
+                state = "missing" if job is None else job.status
+                yield key, kind, CampaignError(
+                    f"job {key[:12]} ({kind}) is {state}, not done; "
+                    "drain (and maybe requeue) the campaign first"
+                )
+                continue
+            found = self.cache.get(key)
+            if found is None or found["kind"] != kind:
+                found = CampaignError(
+                    f"job {key[:12]} is done but its cache entry is gone "
+                    f"(expected a {kind} result at {self.cache.path_for(key)})"
+                )
+            yield key, kind, found
+
     def fetch(self, specs: Optional[Sequence[Any]] = None) -> List[Any]:
         """Typed results for ``specs`` (default: every job, store order).
 
         Raises :class:`CampaignError` if any requested job is not done
         -- fetch is for finished work; ``status`` tells you what is left.
         """
-        if specs is not None:
-            wanted = [(spec_hash(spec), spec.kind) for spec in specs]
-        else:
-            wanted = [
-                (job.spec_hash, job.kind) for job in self.store.jobs(self.campaign_id)
-            ]
         results: List[Any] = []
-        for key, kind in wanted:
-            job = self.store.job(self.campaign_id, key)
-            if job is None or job.status != DONE:
-                state = "missing" if job is None else job.status
-                raise CampaignError(
-                    f"job {key[:12]} ({kind}) is {state}, not done; "
-                    "drain (and maybe requeue) the campaign first"
-                )
-            entry = self.cache.get(key)
-            if entry is None or entry["kind"] != kind:
-                raise CampaignError(
-                    f"job {key[:12]} is done but its cache entry is gone "
-                    f"(expected a {kind} result at {self.cache.path_for(key)})"
-                )
-            results.append(result_from_dict(kind, entry["result"]))
+        for _key, kind, found in self.entries(specs):
+            if isinstance(found, CampaignError):
+                raise found
+            results.append(result_from_dict(kind, found["result"]))
         return results
 
     def failures(self) -> List[FailedRun]:

@@ -337,8 +337,20 @@ class TestLintCli:
             (["lint", "--select", "RPR000"], "lint: unknown rule code(s): ['RPR000']"),
             (["lint", "{tmp}/nope"], "lint: not a python file or directory: {tmp}/nope"),
             (["state", "{tmp}/nope"], "state: not a python file or directory: {tmp}/nope"),
+            (["trace", "export", "{tmp}/nope.jsonl"],
+             "trace export: [Errno 2] No such file or directory: '{tmp}/nope.jsonl'"),
+            (["trace", "export", "{tmp}/broken.py"],
+             "trace export: Expecting value: line 1 column 1 (char 0)"),
+            (["trace", "validate", "{tmp}/nope.json"],
+             "trace validate: [Errno 2] No such file or directory: '{tmp}/nope.json'"),
+            (["trace", "validate", "{tmp}/broken.py"],
+             "trace validate: Expecting value: line 1 column 1 (char 0)"),
+            (["metrics", "validate", "{tmp}/nope.txt"],
+             "metrics validate: [Errno 2] No such file or directory: '{tmp}/nope.txt'"),
         ],
-        ids=["lint-syntax", "state-syntax", "unknown-rule", "lint-missing", "state-missing"],
+        ids=["lint-syntax", "state-syntax", "unknown-rule", "lint-missing", "state-missing",
+             "export-missing", "export-not-json", "validate-missing", "validate-not-json",
+             "metrics-missing"],
     )
     def test_bad_outside_input_is_one_stderr_line_and_exit_2(
         self, tmp_path, capsys, argv, message

@@ -314,6 +314,13 @@ class TestBackendConfigs:
             stored = store.campaign("sweep").backend
             assert backend_config_from_dict(stored) == config
 
+    def test_negative_retries_are_refused_at_construction(self):
+        for config in (InlineBackendConfig, PoolBackendConfig):
+            with pytest.raises(ValueError, match="retries must be >= 0"):
+                config(retries=-1)
+        with pytest.raises(ValueError, match="retries must be >= 0"):
+            backend_config_from_dict({"kind": "inline", "retries": -1})
+
     def test_build_rejects_unknown_configs(self):
         # A backend config is a stored value, not a construction spec.
         with pytest.raises(TypeError):
@@ -408,6 +415,31 @@ class TestCampaignRunner:
             if record["record"] == "job"
         ]
         assert [job["status"] for job in jobs] == ["cached"] * 4
+
+    def test_a_drain_that_cannot_build_its_executor_claims_nothing(self, tmp_path, capsys):
+        """A bad knob used to surface *after* the claims were committed:
+        a traceback, and ``running=1`` until some later drain reset it."""
+        from repro.cli import main
+
+        with CampaignStore(tmp_path / "c.db") as store:
+            runner = CampaignRunner(
+                store, "sweep", backend=PoolBackendConfig(jobs=0),
+                cache_dir=tmp_path / "cache",
+            )
+            runner.submit(bulk_specs(1))
+            with pytest.raises(ValueError, match="jobs must be >= 1"):
+                runner.drain()
+            assert runner.status() == {"pending": 1, "running": 0, "done": 0, "failed": 0}
+            (job,) = store.jobs(runner.campaign_id)
+            assert job.attempts == 0
+        # The CLI's way in: a negative --retries is a usage error, before
+        # any store exists.
+        with pytest.raises(SystemExit) as exit_info:
+            main(["campaign", "submit", "t", "--db", str(tmp_path / "t.db"),
+                  "--cache-dir", str(tmp_path / "cache"), "--retries", "-1"])
+        assert exit_info.value.code == 2
+        assert "--retries: must be >= 0, got -1" in capsys.readouterr().err
+        assert not (tmp_path / "t.db").exists()
 
     def test_fetch_refuses_a_half_written_or_foreign_cache_entry(self, tmp_path):
         (spec,) = bulk_specs(1)
