@@ -5,10 +5,8 @@ Four layers guard the simulator's invariants:
 * :mod:`repro.analysis.lint` -- an AST linter with simulator-specific
   rules (wall-clock reads, ad-hoc randomness, mutable defaults, float
   equality on timestamps, unfrozen specs, unresolvable registry kinds,
-  out-of-engine event-queue manipulation), fronting the per-module
-  facts of :mod:`repro.analysis.flow` (symbol tables, import graph,
-  class facts) and the state-model rules (RPR91x) in
-  :mod:`repro.analysis.state`; one in-memory parse -> facts -> findings
+  out-of-engine event-queue manipulation), fronting the module import
+  graph of :mod:`repro.analysis.flow`; one in-memory parse -> findings
   pass per run, nothing kept on disk;
 * :mod:`repro.analysis.sanitize` -- runtime invariant checks on the
   state-audit points of the probe seam (:mod:`repro.sim.probe`),

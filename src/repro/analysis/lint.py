@@ -24,9 +24,9 @@ RPR901   no event-queue manipulation outside ``repro.sim.engine``
 
 These are per-module, syntactic rules: each reports the *source*
 statement, so a clock read or an ad-hoc stream is named where it is
-written, whoever ends up calling it.  The three state-model rules
-(RPR912/914/915, :mod:`repro.analysis.state`) need the whole program
-and read the class facts :mod:`repro.analysis.flow` extracts.
+written, whoever ends up calling it.  The snapshot contract
+(``STATE_FIELDS``) is not linted: :func:`repro.sim.snapshot.capture`
+refuses, per instance, anything outside it.
 
 Each violation carries a fix-it hint.  A rule can be suppressed on one
 line with ``# repro: noqa[RPR101]`` (or all rules with
@@ -34,14 +34,13 @@ line with ``# repro: noqa[RPR101]`` (or all rules with
 neighbouring comment.
 
 :func:`run_lint` is the whole analyzer, a function of the source tree:
-each file is read and parsed once, the syntactic linter and the fact
-extractor walk the same tree, the state-model rules run over the
-resulting :class:`~repro.analysis.flow.Project`, and the sorted,
-noqa-filtered findings come back.  Nothing is read from or written to
-disk besides the sources.  :func:`lint_paths` returns just the
-findings, :func:`lint_source` runs the syntactic rules over one
-module's text, and the CLI form exits non-zero when any violation
-survives::
+each file is read and parsed once, the linter and the import extractor
+walk the same tree, and the sorted, noqa-filtered findings come back
+beside the :class:`~repro.analysis.flow.Project` (the import graph the
+layering gate walks).  Nothing is read from or written to disk besides
+the sources.  :func:`lint_paths` returns just the findings,
+:func:`lint_source` runs the rules over one module's text, and the CLI
+form exits non-zero when any violation survives::
 
     python -m repro.cli lint            # lints the installed repro package
     python -m repro.cli lint src tests  # explicit files or directories
@@ -63,10 +62,9 @@ from repro.analysis.flow import (
     extract_module,
     terminal_name as _terminal_name,
 )
-from repro.analysis.state import RULES_9XX, state_violations
 
-#: Syntactic (per-module) rule catalog: code -> (summary, fix-it hint).
-SYNTACTIC_RULES: Dict[str, Tuple[str, str]] = {
+#: The rule catalog: code -> (summary, fix-it hint).
+RULES: Dict[str, Tuple[str, str]] = {
     "RPR101": (
         "wall-clock read in simulation code",
         "use the simulator clock (sim.now); real time breaks determinism",
@@ -118,9 +116,6 @@ SYNTACTIC_RULES: Dict[str, Tuple[str, str]] = {
         "_heap access bypasses tie-break keys and breaks the race detector",
     ),
 }
-
-#: The full catalog: syntactic rules plus the state-model RPR91x family.
-RULES: Dict[str, Tuple[str, str]] = {**SYNTACTIC_RULES, **RULES_9XX}
 
 #: Dotted call targets that read the wall clock (RPR101).
 _WALL_CLOCK_CALLS = frozenset(
@@ -571,12 +566,11 @@ def lint_source(
     select: Optional[Iterable[str]] = None,
     registries: Optional[Dict[str, Set[str]]] = None,
 ) -> List[Violation]:
-    """Lint one module's source text with the syntactic rules.
+    """Lint one module's source text.
 
     ``select`` restricts to the given rule codes; ``registries``
     overrides the kind-name sets (tests use this to avoid importing the
-    whole library).  The state-model RPR91x rules need more than one
-    module's text -- they run in :func:`run_lint` / :func:`lint_paths`.
+    whole library).
     """
     wanted = _selected(select)
     tree = ast.parse(source, filename=path)
@@ -615,7 +609,7 @@ def run_lint(
     select: Optional[Iterable[str]] = None,
     registries: Optional[Dict[str, Set[str]]] = None,
 ) -> LintRun:
-    """Parse -> facts -> findings over every ``.py`` file under ``paths``.
+    """Parse -> findings (and imports) over every ``.py`` file under ``paths``.
 
     ``select`` restricts the reported rule codes; ``registries``
     overrides the kind-name sets RPR501 resolves against.  A file that
@@ -626,36 +620,23 @@ def run_lint(
     if registries is None:
         registries = _registries()
     summaries: List[ModuleSummary] = []
-    sources: Dict[str, str] = {}
-    found: List[Violation] = []
+    kept: List[Violation] = []
     for file_path in iter_python_files([Path(p) for p in paths]):
         key = str(file_path)
-        sources[key] = source = file_path.read_text()
+        source = file_path.read_text()
         tree = ast.parse(source, filename=key)
         linter = _Linter(key, registries)
         linter.visit(tree)
-        found.extend(linter.violations)
+        kept.extend(apply_noqa(linter.violations, source))
         summaries.append(extract_module(source, key, tree=tree))
-    project = Project(summaries)
-    found.extend(state_violations(project))
-
-    by_path: Dict[str, List[Violation]] = {}
-    for violation in found:
-        by_path.setdefault(violation.path, []).append(violation)
-    kept: List[Violation] = []
-    for path_key, violations in by_path.items():
-        kept.extend(apply_noqa(violations, sources[path_key]))
-    return LintRun(violations=_report(kept, wanted), project=project)
+    return LintRun(violations=_report(kept, wanted), project=Project(summaries))
 
 
 def lint_paths(
     paths: Sequence, select: Optional[Iterable[str]] = None
 ) -> List[Violation]:
-    """Lint files and/or directory trees; returns all violations.
-
-    Runs the full rule set, syntactic and state-model;
-    :func:`run_lint` also hands back the program model.
-    """
+    """Lint files and/or directory trees; returns all violations
+    (:func:`run_lint` also hands back the import graph)."""
     return run_lint(paths, select=select).violations
 
 

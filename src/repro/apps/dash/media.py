@@ -26,10 +26,6 @@ class Representation:
         """Size of one chunk of this representation, bytes."""
         return max(1, int(self.bitrate_bps * chunk_duration / 8.0))
 
-    @property
-    def bitrate_mbps(self) -> float:
-        return self.bitrate_bps / 1e6
-
 
 #: Table 1 of the paper (note: the paper labels the 4.14 Mbps tier "760p";
 #: that is its typo for 720p, kept here as 720p).

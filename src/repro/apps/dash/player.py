@@ -98,18 +98,6 @@ class StreamingMetrics:
         rates = [c.throughput_bps for c in chunks if c.throughput_bps > 0]
         return sum(rates) / len(rates) if rates else 0.0
 
-    @property
-    def average_throughput_bps(self) -> float:
-        """Bytes downloaded over active session time."""
-        if not self.chunks:
-            return 0.0
-        total = sum(c.size for c in self.chunks)
-        start = self.chunks[0].requested_at
-        end = self.chunks[-1].completed_at
-        if end <= start:
-            return 0.0
-        return total * 8.0 / (end - start)
-
     def chunk_throughputs_bps(self) -> List[float]:
         """Per-chunk download throughput (Fig 17)."""
         return [c.throughput_bps for c in self.chunks]

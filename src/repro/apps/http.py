@@ -58,11 +58,8 @@ class GetResult:
 class _PendingGet:
     __slots__ = ("index", "size", "issued_at", "first_byte_at", "remaining", "callback")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("index", "size", "issued_at", "first_byte_at", "remaining", "callback")
-    #: Fields :mod:`repro.sim.snapshot` encodes as owner references and
-    #: rebinds on restore (exempts them from RPR914).
-    SNAPSHOT_REBIND = ("callback",)
 
     def __init__(self, index: int, size: int, issued_at: float, callback) -> None:
         self.index = index
@@ -94,7 +91,7 @@ class HttpSession:
         "_next_index",
     )
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
         "conn",
@@ -137,11 +134,6 @@ class HttpSession:
         primary = self.conn.subflows[0].path
         primary.reverse.send(request, partial(self._request_arrived, size))
         return index
-
-    @property
-    def outstanding_requests(self) -> int:
-        """GETs issued but not yet fully delivered."""
-        return len(self._pending)
 
     # ------------------------------------------------------------------
     # Server side

@@ -320,34 +320,18 @@ def cmd_report(args) -> int:
 
 
 # -- analysis commands ----------------------------------------------------------
-def _analyze(command: str, paths, select=None):
-    """``run_lint`` for the CLI (``None`` when the input cannot be analyzed)."""
-    from repro.analysis.lint import default_lint_root, run_lint
-
-    return _read(command, run_lint, paths or [default_lint_root()], select=select)
-
-
 def cmd_lint(args) -> int:
-    if args.list_rules:
-        from repro.analysis.lint import RULES
+    from repro.analysis.lint import RULES, default_lint_root, run_lint
 
+    if args.list_rules:
         for code, (summary, fixit) in sorted(RULES.items()):
             print(f"{code}  {summary}\n        fix: {fixit}")
         return 0
-    run = _analyze("lint", args.paths, select=args.select)
+    run = _read("lint", run_lint, args.paths or [default_lint_root()], select=args.select)
     if run is None:
         return 2
     print(f"lint: {len(run.project.summaries)} file(s)", file=sys.stderr)
     return _report_problems([v.format() for v in run.violations], noun="violation")
-
-
-def cmd_state(args) -> int:
-    from repro.analysis.state import build_state_model, render_state_model
-
-    run = _analyze("state", args.paths)
-    if run is None:
-        return 2
-    return _emit(render_state_model(build_state_model(run.project)), args.output)
 
 
 #: Scenarios `repro check` can run the property catalog over: name ->
@@ -954,21 +938,13 @@ def build_parser() -> argparse.ArgumentParser:
                    help="bulk download size")
     p.add_argument("--seed", type=int, default=7)
 
-    paths_help = "files or directories (default: the installed repro package)"
     p = command(sub, "lint", cmd_lint,
                 "simulator-specific static analysis (see repro.analysis.lint)")
-    p.add_argument("paths", nargs="*", help=paths_help)
+    p.add_argument("paths", nargs="*",
+                   help="files or directories (default: the installed repro package)")
     p.add_argument("--select", nargs="+", metavar="CODE", default=None,
                    help="restrict to these rule codes (e.g. RPR101 RPR301)")
     p.add_argument("--list-rules", action="store_true", help="print the rule catalog and exit")
-
-    p = command(
-        sub, "state", cmd_state,
-        "static state model: ownership graph + snapshot contract (see repro.analysis.state)",
-    )
-    p.add_argument("paths", nargs="*", help=paths_help)
-    p.add_argument("-o", "--output", default=None, metavar="FILE",
-                   help="write the state-model JSON to FILE (default: stdout)")
 
     p = sub.add_parser(
         "trace",

@@ -34,7 +34,7 @@ class Scheduler:
 
     __slots__ = ("conn", "uid", "decisions", "waits")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("conn", "uid", "decisions", "waits")
 
     def __init__(self) -> None:

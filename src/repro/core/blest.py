@@ -47,7 +47,7 @@ class BlestScheduler(Scheduler):
 
     __slots__ = ("lambda_", "wait_decisions", "_last_limited_seen")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("lambda_", "wait_decisions", "_last_limited_seen")
 
     def __init__(self) -> None:

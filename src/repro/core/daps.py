@@ -37,7 +37,7 @@ class DapsScheduler(Scheduler):
 
     __slots__ = ("_schedule", "schedules_built")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("_schedule", "schedules_built")
 
     def __init__(self) -> None:

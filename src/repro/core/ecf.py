@@ -86,8 +86,8 @@ class EcfScheduler(Scheduler):
         "forced_decisions",
     )
 
-    #: The snapshot contract: the fields this class gives birth to (the
-    #: checkpoint/fork refactor codes against this; RPR915 keeps it honest).
+    #: The snapshot contract: the fields this class gives birth to
+    #: (checkpoint/fork copies exactly these; snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "beta",
         "use_second_inequality",

@@ -29,7 +29,7 @@ class RoundRobinScheduler(Scheduler):
 
     __slots__ = ("_next",)
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("_next",)
 
     def __init__(self) -> None:
@@ -113,7 +113,7 @@ class MpDashScheduler(Scheduler):
 
     __slots__ = ("cellular_active", "activations", "deactivations")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("cellular_active", "activations", "deactivations")
 
     def __init__(self) -> None:

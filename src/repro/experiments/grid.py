@@ -180,22 +180,6 @@ def fraction_fast_matrix(
     }
 
 
-def throughput_matrix(
-    grid: Dict[Cell, List[StreamingRunResult]],
-    steady_state: bool = True,
-) -> Dict[Cell, float]:
-    """Mean per-chunk download throughput per cell, bps (Fig 6)."""
-    if steady_state:
-        return {
-            cell: sum(r.metrics.steady_average_throughput_bps for r in runs) / len(runs)
-            for cell, runs in grid.items()
-        }
-    return {
-        cell: sum(r.average_chunk_throughput_bps for r in runs) / len(runs)
-        for cell, runs in grid.items()
-    }
-
-
 def format_matrix(
     matrix: Dict[Cell, float],
     wifi_values: Iterable[float],

@@ -48,9 +48,6 @@ class WildStreamingRun:
     lte_config: PathConfig
     results: Dict[str, StreamingRunResult]
 
-    def mean_rtt_ms(self, scheduler: str, interface: str) -> float:
-        return self.results[scheduler].mean_rtt_by_interface.get(interface, 0.0) * 1e3
-
     def throughput_mbps(self, scheduler: str) -> float:
         return self.results[scheduler].average_chunk_throughput_bps / 1e6
 

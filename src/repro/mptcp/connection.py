@@ -87,7 +87,7 @@ class MptcpConnection:
     name: label for traces and debugging.
     """
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
         "config",
@@ -433,19 +433,6 @@ class MptcpConnection:
     def payload_sent_by_subflow(self) -> Dict[int, int]:
         """Original payload bytes transmitted per subflow id."""
         return {sf.sf_id: sf.stats.payload_bytes_sent for sf in self.subflows}
-
-    def subflow_by_path_name(self, name: str) -> Subflow:
-        """First subflow riding the named path.
-
-        Raises
-        ------
-        KeyError
-            If no subflow uses a path with that name.
-        """
-        for sf in self.subflows:
-            if sf.path.name == name:
-                return sf
-        raise KeyError(f"no subflow on path named {name!r}")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -33,7 +33,7 @@ class MptcpReceiver:
         (disable in huge sweeps to save memory).
     """
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
         "uid",
@@ -50,9 +50,6 @@ class MptcpReceiver:
         "_buffered",
         "_buffered_bytes",
     )
-    #: Fields :mod:`repro.sim.snapshot` encodes as owner references and
-    #: rebinds on restore (exempts them from RPR914).
-    SNAPSHOT_REBIND = ("on_deliver",)
 
     def __init__(
         self,
@@ -170,10 +167,6 @@ class MptcpReceiver:
     def buffered_bytes(self) -> int:
         """Bytes currently held waiting for a DSN gap to fill."""
         return self._buffered_bytes
-
-    @property
-    def buffered_segments(self) -> int:
-        return len(self._buffered)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

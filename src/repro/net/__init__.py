@@ -24,7 +24,6 @@ from repro.net.bandwidth import (
     ConstantBandwidth,
     PiecewiseBandwidth,
     RandomBandwidthProcess,
-    as_bandwidth_spec,
     make_bandwidth_process,
     register_bandwidth_process,
 )
@@ -52,7 +51,6 @@ __all__ = [
     "ConstantBandwidth",
     "PiecewiseBandwidth",
     "RandomBandwidthProcess",
-    "as_bandwidth_spec",
     "make_bandwidth_process",
     "register_bandwidth_process",
     "PathConfig",

@@ -245,24 +245,3 @@ def make_bandwidth_process(spec: BandwidthSpec):
             f"choose from {sorted(_BANDWIDTH_FACTORIES)}"
         ) from None
     return factory(**spec.param_dict())
-
-
-def as_bandwidth_spec(process: Any) -> BandwidthSpec:
-    """Coerce a live process (or a spec) into a :class:`BandwidthSpec`.
-
-    Raises
-    ------
-    TypeError
-        For objects that expose neither ``to_spec`` nor the spec fields;
-        such processes cannot cross a process-pool boundary or be cached.
-    """
-    if isinstance(process, BandwidthSpec):
-        return process
-    to_spec = getattr(process, "to_spec", None)
-    if callable(to_spec):
-        return to_spec()
-    raise TypeError(
-        f"{type(process).__name__} is not serializable as a bandwidth "
-        f"process; give it a to_spec() -> BandwidthSpec method (and "
-        f"register_bandwidth_process its kind) to use it in experiment specs"
-    )

@@ -41,7 +41,7 @@ class LinkStats:
         "busy_time",
     )
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "packets_in",
         "packets_delivered",
@@ -111,7 +111,7 @@ class Link:
         Label used in traces and error messages.
     """
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
         "rate_bps",

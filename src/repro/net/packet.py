@@ -60,7 +60,7 @@ class Packet:
         "recv_window",
     )
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "size",
         "payload",

@@ -31,7 +31,7 @@ class Path:
 
     __slots__ = ("name", "forward", "reverse")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("name", "forward", "reverse")
 
     def __init__(self, name: str, forward: Link, reverse: Link) -> None:

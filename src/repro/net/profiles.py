@@ -24,7 +24,7 @@ LTE stays near 70 ms, both with plentiful but jittery bandwidth.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Optional
 
 from repro.net.link import Link
@@ -54,14 +54,6 @@ class PathConfig:
     loss_rate: float = 0.0
     reverse_rate_mbps: Optional[float] = None
     reverse_queue_bytes: Optional[int] = None
-
-    def with_rate(self, rate_mbps: float) -> "PathConfig":
-        """Copy of this config regulated to a different bandwidth."""
-        return replace(self, rate_mbps=rate_mbps)
-
-    def with_delay(self, one_way_delay: float) -> "PathConfig":
-        """Copy of this config with a different propagation delay."""
-        return replace(self, one_way_delay=one_way_delay)
 
 
 #: Queue floor so low-bandwidth regulations exhibit the bufferbloat RTTs

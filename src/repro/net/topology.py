@@ -64,10 +64,10 @@ class CompositeForward:
 
     __slots__ = ("hops",)
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).  Note
-    #: the per-hop delivery lambdas created mid-flight by ``_send_hop``
-    #: are *not* snapshot-safe: checkpoint composite-path worlds only at
-    #: quiescent points, or use single-hop paths.
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the
+    #: rest).  Note the per-hop delivery lambdas created mid-flight by
+    #: ``_send_hop`` are *not* snapshot-safe: checkpoint composite-path
+    #: worlds only at quiescent points, or use single-hop paths.
     STATE_FIELDS = ("hops",)
 
     def __init__(self, hops: Sequence[Link]) -> None:

@@ -74,12 +74,11 @@ class Timer:
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the
+    #: rest).  ``callback`` is a bound method of another snapshotted
+    #: object: the snapshot encodes it as (owner, name) and rebinds it on
+    #: restore, never copies it raw.
     STATE_FIELDS = ("time", "seq", "callback", "args", "cancelled", "_sim")
-    #: Fields :mod:`repro.sim.snapshot` encodes as owner references and
-    #: rebinds on restore (exempts them from RPR914): the callback is a
-    #: bound method of another snapshotted object, never copied raw.
-    SNAPSHOT_REBIND = ("callback",)
 
     def __init__(
         self,
@@ -147,8 +146,8 @@ class Simulator:
     (1.5, ['hello'])
     """
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915): every
-    #: attribute a clean state capture must copy, and nothing else.
+    #: Snapshot contract for checkpoint/fork: every attribute a clean state
+    #: capture must copy, and nothing else (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "tie_break",
         "tie_break_seed",

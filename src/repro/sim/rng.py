@@ -28,8 +28,8 @@ class RngRegistry:
 
     __slots__ = ("seed", "_streams")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915): the
-    #: streams dict is captured via ``Random.getstate``/``setstate``.
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the
+    #: rest): the streams dict is captured via ``Random.getstate``/``setstate``.
     STATE_FIELDS = ("seed", "_streams")
 
     def __init__(self, seed: int = 0) -> None:

@@ -1,15 +1,17 @@
 """Runtime checkpoint/fork of a live simulation.
 
-This is the runtime half of the ROADMAP's counterfactual-twin item; the
-static half is the state model :mod:`repro.analysis.state` derives from
-the sources.  :func:`capture` walks the object graph from the
+The substrate of the counterfactual twin
+(:mod:`repro.experiments.twin`), and the one enforcer of the snapshot
+contract: a class's ``STATE_FIELDS`` tuple is its complete mutable
+state, and :func:`capture` refuses, per instance, anything outside it.
+:func:`capture` walks the object graph from the
 :class:`~repro.sim.engine.Simulator` and any extra roots, deep-copying
 exactly the ``STATE_FIELDS`` every class declares:
 
 * the engine heap, including live :class:`~repro.sim.engine.Timer`\\ s --
-  their callbacks are encoded as *(owner, method-name)* pairs and rebound
-  through the restore registry, never copied raw (the ``SNAPSHOT_REBIND``
-  declaration that exempts them from RPR914 is this protocol's contract);
+  their callbacks (bound methods of other snapshotted objects) are
+  encoded as *(owner, method-name)* pairs and rebound through the
+  restore registry, never copied raw;
 * :class:`~repro.sim.rng.RngRegistry` streams via ``Random.getstate`` /
   ``setstate``;
 * receiver reassembly maps, subflow retransmission state, congestion
@@ -19,11 +21,16 @@ The walk is *refusing* by construction, in both directions:
 
 * an object whose class declares no ``STATE_FIELDS`` (and is not a
   dataclass) cannot be captured;
-* an instance attribute outside the declared contract is an error
-  (lint rule RPR915 holds the same declaration against the attributes
-  the source assigns, in both directions, on every lint run);
+* an instance attribute (or filled slot) outside the declared contract
+  is an error, on a subclass as on the class that declared it;
 * opaque callables (lambdas, closures) are rejected with a pointer at
-  the offending field, because no registry can rebind them.
+  the offending field, because no registry can rebind them -- as is
+  anything else no contract covers (an open file, a live generator).
+
+Nothing checks the declarations statically.  Every scheduler and
+congestion controller is captured, restored and replayed in
+``tests/test_snapshot.py``, whose ``TestModelCoverage`` fails by name
+when a class declaring ``STATE_FIELDS`` appears in no fixture world.
 
 :func:`restore` rebuilds the world two-phase -- blank instances first,
 then field fills with references resolved through the registry -- and

@@ -33,7 +33,7 @@ class TraceRecorder:
 
     __slots__ = ("enabled", "max_samples_per_series", "_series")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("enabled", "max_samples_per_series", "_series")
 
     def __init__(

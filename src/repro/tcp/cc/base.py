@@ -29,7 +29,7 @@ class CongestionController:
 
     __slots__ = ("_subflows",)
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("_subflows",)
 
     def __init__(self) -> None:

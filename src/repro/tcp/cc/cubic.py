@@ -35,7 +35,7 @@ BETA_CUBIC = 0.7
 class _CubicState:
     __slots__ = ("w_max", "epoch_start", "k", "reno_cwnd")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("w_max", "epoch_start", "k", "reno_cwnd")
 
     def __init__(self) -> None:
@@ -52,7 +52,7 @@ class CubicController(CongestionController):
 
     __slots__ = ("_state",)
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("_state",)
 
     def __init__(self) -> None:

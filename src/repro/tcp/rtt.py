@@ -53,7 +53,7 @@ class RttEstimator:
         "_sigma",
     )
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "min_rto_var",
         "max_rto",
@@ -139,15 +139,6 @@ class RttEstimator:
         if self.samples == 0:
             return 0.0
         return self._sum / self.samples
-
-    @property
-    def has_estimate(self) -> bool:
-        """True once at least one valid sample has been absorbed."""
-        return self.srtt is not None
-
-    def smoothed_or(self, default: float) -> float:
-        """SRTT, or ``default`` before the first sample."""
-        return self.srtt if self.srtt is not None else default
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         if self.srtt is None:

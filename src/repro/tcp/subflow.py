@@ -51,7 +51,7 @@ class Segment:
 
     __slots__ = ("seq", "dsn", "payload", "sent_time", "retransmitted", "acked", "lost", "in_flight")
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = ("seq", "dsn", "payload", "sent_time", "retransmitted", "acked", "lost", "in_flight")
 
     def __init__(self, seq: int, dsn: int, payload: int, sent_time: float) -> None:
@@ -89,7 +89,7 @@ class SubflowStats:
         "last_data_acked_at",
     )
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "segments_sent",
         "segments_retransmitted",
@@ -143,7 +143,7 @@ class Subflow:
     max_cwnd: cap on cwnd growth, segments.
     """
 
-    #: Snapshot contract for checkpoint/fork (audited by RPR915).
+    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
         "path",
@@ -522,11 +522,6 @@ class Subflow:
         self.ssthresh = max(self.cwnd / 2.0, 2.0)
         self.cwnd = max(self.cwnd / 2.0, 1.0)
         self.stats.penalizations += 1
-
-    def oldest_unacked_dsn(self) -> Optional[int]:
-        """DSN of the oldest unacked segment (reinjection candidate)."""
-        segment = self._outstanding.get(self.una)
-        return segment.dsn if segment is not None else None
 
     def outstanding_dsn_ranges(self) -> list:
         """(dsn, payload) of every unacked segment, in sequence order.

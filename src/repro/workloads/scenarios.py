@@ -26,10 +26,6 @@ class BandwidthScenario:
     wifi: PiecewiseBandwidth
     lte: PiecewiseBandwidth
 
-    def aggregate_rate_at(self, time: float) -> float:
-        """Sum of the two schedules' rates at ``time``, bps."""
-        return self.wifi.rate_at(time) + self.lte.rate_at(time)
-
 
 def random_bandwidth_scenarios(
     count: int = 10,

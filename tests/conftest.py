@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import functools
+import importlib
+import pkgutil
 import sys
 
 import pytest
@@ -20,35 +22,48 @@ def sim() -> Simulator:
     return Simulator()
 
 
-@functools.lru_cache(maxsize=None)
-def package_analysis():
-    """The analyzer run over the installed package, once per session."""
-    from repro.analysis.lint import default_lint_root, run_lint
-
-    return run_lint([default_lint_root()])
+#: The packages whose classes carry simulation state (what a checkpoint
+#: walks); telemetry, the service layer and the analyzers are rebuilt,
+#: never snapshotted.
+STATE_PACKAGES = ("sim", "tcp", "net", "mptcp", "apps", "core")
 
 
 @functools.lru_cache(maxsize=None)
-def package_state_model():
-    """The state-model document, built in memory from the sources.
+def declaring_classes():
+    """Qualified name -> class, for every class under ``STATE_PACKAGES``
+    whose own ``__dict__`` holds ``STATE_FIELDS``, sorted by name.
 
-    A plain cached function (not only a fixture) because
-    ``test_snapshot`` parametrizes over it at collection time.
+    Discovered by importing the packages, so a class that starts
+    declaring a snapshot contract is picked up by the coverage and
+    ``__slots__`` suites in ``test_snapshot`` without being listed
+    anywhere (a cached function, not a fixture: they parametrize over it
+    at collection time).
     """
-    from repro.analysis.state import build_state_model
-
-    return build_state_model(package_analysis().project)
+    found = {}
+    for name in STATE_PACKAGES:
+        package = importlib.import_module(f"repro.{name}")
+        modules = [package.__name__] + [
+            info.name
+            for info in pkgutil.walk_packages(package.__path__, package.__name__ + ".")
+        ]
+        for module_name in modules:
+            for cls in vars(importlib.import_module(module_name)).values():
+                if (
+                    isinstance(cls, type)
+                    and cls.__module__ == module_name
+                    and "STATE_FIELDS" in vars(cls)
+                ):
+                    found[f"{module_name}.{cls.__qualname__}"] = cls
+    return dict(sorted(found.items()))
 
 
 @pytest.fixture(scope="session")
 def tree_run():
-    """One analysis of the real package, shared by every model assertion."""
-    return package_analysis()
+    """The analyzer run over the installed package, once per session
+    (the layering gate reads its import graph)."""
+    from repro.analysis.lint import default_lint_root, run_lint
 
-
-@pytest.fixture(scope="session")
-def state_model():
-    return package_state_model()
+    return run_lint([default_lint_root()])
 
 
 def python_calls(function) -> int:

@@ -49,25 +49,3 @@ def sneak_event(sim, timer):
 
 def chatty_progress(done, total):
     print(f"{done}/{total}")  # RPR601: stdout write outside the CLI
-
-
-class Simulator:  # ownership-graph root for the RPR91x seeds below
-    def __init__(self):
-        self.engine = Engine()
-
-
-class Engine:
-    __slots__ = ("ticks",)
-
-    def __init__(self):
-        self.ticks = 0
-        self.on_tick = lambda: None  # RPR912: not in __slots__;
-        # RPR914: lambda reachable from Simulator
-
-
-class Ledger:
-    STATE_FIELDS = ("entries",)  # RPR915: observed 'backup' undeclared
-
-    def __init__(self, shared: list):
-        self.entries = shared
-        self.backup = shared

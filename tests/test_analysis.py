@@ -8,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import sanitize
-from repro.analysis.flow import suppressed_codes
+from repro.analysis.flow import module_name_for, suppressed_codes
 from repro.analysis.lint import RULES, lint_paths, lint_source
 from repro.analysis.sanitize import Checks, SanitizerError
 from repro.cli import main as cli_main
@@ -302,6 +302,12 @@ class TestLintCli:
         with pytest.raises(FileNotFoundError):
             lint_paths([str(REPO_ROOT / "does-not-exist")])
 
+    def test_module_names(self):
+        # The import graph is keyed by these: package files by their real
+        # import path, files outside it by a path-derived unique name.
+        assert module_name_for("src/repro/sim/engine.py") == "repro.sim.engine"
+        assert module_name_for("tests/data/lint_bad.py") == "tests.data.lint_bad"
+
     def test_rule_catalog_is_pinned(self):
         # Adding or dropping a rule has to edit this list on purpose, and
         # a rule leaves only with an entry in the evidence ledger of
@@ -309,8 +315,7 @@ class TestLintCli:
         # gate that covers it from then on.
         assert set(RULES) == {
             "RPR101", "RPR102", "RPR103", "RPR201", "RPR301", "RPR401",
-            "RPR402", "RPR501", "RPR601", "RPR701", "RPR901", "RPR912",
-            "RPR914", "RPR915",
+            "RPR402", "RPR501", "RPR601", "RPR701", "RPR901",
         }
 
     def test_the_ledger_names_every_rule_and_retired_codes_are_unknown(self, capsys):
@@ -333,10 +338,8 @@ class TestLintCli:
         "argv, message",
         [
             (["lint", "{tmp}/broken.py"], "lint: {tmp}/broken.py:1:7: syntax error"),
-            (["state", "{tmp}/broken.py"], "state: {tmp}/broken.py:1:7: syntax error"),
             (["lint", "--select", "RPR000"], "lint: unknown rule code(s): ['RPR000']"),
             (["lint", "{tmp}/nope"], "lint: not a python file or directory: {tmp}/nope"),
-            (["state", "{tmp}/nope"], "state: not a python file or directory: {tmp}/nope"),
             (["trace", "export", "{tmp}/nope.jsonl"],
              "trace export: [Errno 2] No such file or directory: '{tmp}/nope.jsonl'"),
             (["trace", "export", "{tmp}/broken.py"],
@@ -348,9 +351,8 @@ class TestLintCli:
             (["metrics", "validate", "{tmp}/nope.txt"],
              "metrics validate: [Errno 2] No such file or directory: '{tmp}/nope.txt'"),
         ],
-        ids=["lint-syntax", "state-syntax", "unknown-rule", "lint-missing", "state-missing",
-             "export-missing", "export-not-json", "validate-missing", "validate-not-json",
-             "metrics-missing"],
+        ids=["lint-syntax", "unknown-rule", "lint-missing", "export-missing",
+             "export-not-json", "validate-missing", "validate-not-json", "metrics-missing"],
     )
     def test_bad_outside_input_is_one_stderr_line_and_exit_2(
         self, tmp_path, capsys, argv, message
@@ -361,10 +363,9 @@ class TestLintCli:
         assert captured.out == ""
         assert captured.err == message.replace("{tmp}", str(tmp_path)) + "\n"
 
-    def test_lint_and_state_keep_nothing_on_disk(self, tmp_path, monkeypatch, capsys):
+    def test_lint_keeps_nothing_on_disk(self, tmp_path, monkeypatch, capsys):
         monkeypatch.chdir(tmp_path)
         assert cli_main(["lint"]) == 0
-        assert cli_main(["state"]) == 0
         capsys.readouterr()
         assert list(tmp_path.iterdir()) == []
 

@@ -50,12 +50,6 @@ class TestHttpSession:
         drain(sim)
         assert [r.size for r in session.results] == [10_000, 20_000]
 
-    def test_outstanding_requests_counter(self, sim, session):
-        session.get(10_000)
-        assert session.outstanding_requests == 1
-        drain(sim)
-        assert session.outstanding_requests == 0
-
     def test_observers_fire_for_every_get(self, sim, session):
         seen = []
         session.observers.append(lambda r: seen.append(r.index))

@@ -51,7 +51,7 @@ FIXTURES = SCHEDULERS + ("ecf-nowait", "ecf-noineq2", "ecf-invbeta")
 PARSER_SURFACE = [
     ("", (), "command", None,
      ("download", "streaming", "web", "grid", "twin", "wild", "campaign", "metrics", "check",
-      "lint", "state", "trace", "report"), "A...", True, None),
+      "lint", "trace", "report"), "A...", True, None),
     ("download", ("--scheduler",), "scheduler", ["minrtt", "ecf"], SCHEDULERS, "+", False, None),
     ("download", ("--wifi",), "wifi", 1.0, None, None, False, "float"),
     ("download", ("--lte",), "lte", 8.6, None, None, False, "float"),
@@ -170,8 +170,6 @@ PARSER_SURFACE = [
     ("lint", (), "paths", None, None, "*", True, None),
     ("lint", ("--select",), "select", None, None, "+", False, None),
     ("lint", ("--list-rules",), "list_rules", False, None, 0, False, None),
-    ("state", (), "paths", None, None, "*", True, None),
-    ("state", ("-o", "--output"), "output", None, None, None, False, None),
     ("trace", (), "trace_command", None, ("export", "validate"), "A...", True, None),
     ("trace export", (), "source", None, None, None, True, None),
     ("trace export", ("-o", "--output"), "output", None, None, None, False, None),

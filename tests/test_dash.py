@@ -31,7 +31,7 @@ def inputs(buffer_level=20.0, throughput=None, startup=False):
 
 class TestMedia:
     def test_paper_representations_match_table1(self):
-        rates = [round(r.bitrate_mbps, 2) for r in PAPER_REPRESENTATIONS]
+        rates = [round(r.bitrate_bps / 1e6, 2) for r in PAPER_REPRESENTATIONS]
         assert rates == [0.26, 0.64, 1.0, 1.6, 4.14, 8.47]
 
     def test_chunk_bytes(self):

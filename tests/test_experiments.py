@@ -7,7 +7,6 @@ from repro.experiments.grid import (
     format_matrix,
     fraction_fast_matrix,
     streaming_grid,
-    throughput_matrix,
 )
 from repro.experiments.ideal import ideal_average_bitrate, ideal_fast_fraction
 from repro.experiments.runner import StreamingRunConfig, run_streaming
@@ -125,10 +124,6 @@ class TestGrid:
     def test_fraction_matrix(self):
         fractions = fraction_fast_matrix(self.small_grid())
         assert all(0.0 <= v <= 1.0 for v in fractions.values())
-
-    def test_throughput_matrix_positive(self):
-        matrix = throughput_matrix(self.small_grid())
-        assert all(v > 0 for v in matrix.values())
 
     def test_format_matrix_renders(self):
         ratios = bitrate_ratio_matrix(self.small_grid())

@@ -49,12 +49,6 @@ class TestBasics:
         with pytest.raises(RuntimeError):
             MptcpConnection(sim, paths, scheduler)
 
-    def test_subflow_by_path_name(self, sim):
-        conn = build_connection(sim)
-        assert conn.subflow_by_path_name("p0") is conn.subflows[0]
-        with pytest.raises(KeyError):
-            conn.subflow_by_path_name("nope")
-
     def test_unassigned_bytes_exposed_for_ecf(self, sim):
         conn = build_connection(sim)
         conn.write(10_000_000)

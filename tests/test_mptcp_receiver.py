@@ -66,11 +66,6 @@ class TestReordering:
         rx.on_data(data(200))
         assert rx.max_buffered_bytes == 200
 
-    def test_buffered_segments_counts(self, sim, rx):
-        rx.on_data(data(100))
-        rx.on_data(data(300))
-        assert rx.buffered_segments == 2
-
 
 class TestDuplicates:
     def test_old_duplicate_ignored(self, sim, rx):

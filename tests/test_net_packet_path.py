@@ -80,15 +80,6 @@ class TestProfiles:
     def test_queue_floor_applies_at_low_rates(self):
         assert queue_bytes_for(0.3, 0.1) == queue_bytes_for(0.1, 0.1)
 
-    def test_with_rate_preserves_other_fields(self):
-        base = wifi_config(1.0)
-        changed = base.with_rate(5.0)
-        assert changed.rate_mbps == 5.0
-        assert changed.one_way_delay == base.one_way_delay
-
-    def test_with_delay(self):
-        assert wifi_config(1.0).with_delay(0.2).one_way_delay == 0.2
-
     def test_make_path_builds_both_links(self, sim):
         path = make_path(sim, wifi_config(2.0))
         assert path.name == "wifi"

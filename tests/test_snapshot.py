@@ -1,10 +1,11 @@
 """Checkpoint/fork round-trips for :mod:`repro.sim.snapshot`.
 
-The coverage suite is auto-generated from the state model the analyzer
-derives from the sources: every class that declares ``STATE_FIELDS``
-must show up (itself or via a subclass) in at least one of the fixture
-worlds' captures, so adding snapshot state to a class without a
-round-trip fixture here fails a parametrized case by name.
+The coverage suite is auto-generated from the classes that declare
+``STATE_FIELDS`` (``tests.conftest.declaring_classes`` finds them by
+importing the simulation packages): each must show up (itself or via a
+subclass) in at least one of the fixture worlds' captures, so adding
+snapshot state to a class without a round-trip fixture here fails a
+parametrized case by name.
 """
 
 import dataclasses
@@ -22,6 +23,8 @@ from hypothesis import strategies as st
 from repro.analysis import sanitize
 from repro.apps.bulk import BulkDownloadSpec, build_world, finish
 from repro.apps.http import HttpSession
+from repro.core.ecf import EcfScheduler
+from repro.core.minrtt import MinRttScheduler
 from repro.core.registry import SCHEDULER_NAMES
 from repro.core.spec import SchedulerSpec, build
 from repro.experiments.spec import canonical_json
@@ -33,14 +36,10 @@ from repro.sim.engine import Simulator
 from repro.sim.snapshot import Snapshot, SnapshotError, capture, fork, restore
 from repro.sim.trace import TraceRecorder
 from repro.tcp.cc import CONTROLLER_NAMES
-from tests.conftest import package_state_model, python_calls
+from tests.conftest import STATE_PACKAGES, declaring_classes, python_calls
 
-#: Every class the static model records as declaring STATE_FIELDS.
-DECLARING = sorted(
-    name
-    for name, info in package_state_model()["classes"].items()
-    if info.get("declared_state") is not None
-)
+#: Every class in the simulation packages with its own STATE_FIELDS.
+DECLARING = list(declaring_classes())
 
 
 class Ticker:
@@ -146,6 +145,11 @@ class TestModelCoverage:
         assert any(
             issubclass(cls, declared) for cls in captured_classes
         ), f"{qualname} declares STATE_FIELDS but no fixture world captures it"
+
+    def test_discovery_reaches_every_state_package(self):
+        # An import walk that silently found nothing would leave the
+        # parametrized case above with no cases to fail.
+        assert {name.split(".")[1] for name in DECLARING} == set(STATE_PACKAGES)
 
 
 class TestRoundTrip:
@@ -340,6 +344,59 @@ class TestRefusals:
         with pytest.raises(SnapshotError, match="closures are not rebindable"):
             capture(sim, {"thing": Holder()})
 
+    @pytest.mark.parametrize(
+        "make, type_name",
+        [
+            (lambda tmp: open(tmp / "link.log", "w"), "_io.TextIOWrapper"),
+            (lambda tmp: (n for n in range(3)), "builtins.generator"),
+        ],
+        ids=["open-file", "live-generator"],
+    )
+    def test_handle_or_generator_in_a_declared_field_is_refused(
+        self, tmp_path, make, type_name
+    ):
+        world = _midrun_world("ecf")
+        link = world.conn.subflows[0].path.forward
+        link.on_drop = value = make(tmp_path)
+        try:
+            with pytest.raises(
+                SnapshotError,
+                match=rf"^repro\.net\.link\.Link\.on_drop: cannot snapshot {type_name} ",
+            ):
+                capture(world.sim, world.roots())
+        finally:
+            value.close()
+
+    def test_subclass_field_outside_the_inherited_contract_is_refused(self):
+        class Gated(MinRttScheduler):
+            """Declares nothing itself: held to the contract it inherits."""
+
+            def __init__(self):
+                super().__init__()
+                self.open = True
+
+        world = _midrun_world("minrtt")
+        world.conn.scheduler = gated = Gated()
+        gated.attach(world.conn)
+        with pytest.raises(
+            SnapshotError,
+            match=r"Gated carries attribute\(s\) outside its snapshot contract: open ",
+        ):
+            capture(world.sim, world.roots())
+
+    def test_foreign_bound_method_in_state_fires_on_the_restored_owner(self):
+        """Not a refusal: a declared field may hold a bound method of
+        *another* snapshotted object (here ``_PendingGet.callback`` is
+        the recorder's ``on_complete``); it is encoded as (owner, name),
+        never copied raw."""
+        world = _midrun_world("ecf")
+        assert world.session._pending[0].callback.__self__ is world.recorder
+        twin = restore(capture(world.sim, world.roots()))
+        assert twin["session"]._pending[0].callback.__self__ is twin["recorder"]
+        twin["sim"].run(until=world.spec.timeout)
+        assert twin["recorder"].result is not None
+        assert world.recorder.result is None  # the captured owner never heard of it
+
 
 class TestFork:
     def test_fork_override_sees_the_roots(self):
@@ -360,6 +417,38 @@ class TestFork:
         world = fork(capture(sim))
         assert isinstance(world["sim"], Simulator)
         assert world["sim"] is not sim
+
+
+class TestSlotsSatellite:
+    """Small state classes carry no per-instance ``__dict__``: the
+    hot-path ones are allocated per packet, segment and timer."""
+
+    #: Classes with more effective fields than this are config-heavy
+    #: aggregates (one per connection or link) where slots buy little.
+    HOT_PATH_MAX_FIELDS = 10
+
+    def test_hot_classes_have_no_instance_dict(self):
+        hot = {
+            name: cls
+            for name, cls in declaring_classes().items()
+            if len(_declared_fields(cls)) <= self.HOT_PATH_MAX_FIELDS
+        }
+        assert "repro.sim.engine.Timer" in hot
+        for name, cls in hot.items():
+            # Slot-restriction only holds if every class on the MRO is
+            # slotted; one dictful base re-grows the per-instance dict.
+            dictful = [
+                base.__name__
+                for base in cls.__mro__
+                if base is not object and "__dict__" in vars(base)
+            ]
+            assert not dictful, f"{name} has an instance __dict__ via {dictful}"
+
+    def test_scheduler_still_constructs_and_counts(self):
+        scheduler = EcfScheduler()
+        assert scheduler.decisions == 0 and scheduler.waits == 0
+        with pytest.raises(AttributeError):
+            scheduler.surprise_attribute = 1  # slots reject strays
 
 
 # ----------------------------------------------------------------------

@@ -34,18 +34,6 @@ class TestBasics:
         est = RttEstimator(initial_rtt=0.2)
         assert est.srtt == pytest.approx(0.2)
 
-    def test_has_estimate(self):
-        est = RttEstimator()
-        assert not est.has_estimate
-        est.add_sample(0.1)
-        assert est.has_estimate
-
-    def test_smoothed_or_default(self):
-        est = RttEstimator()
-        assert est.smoothed_or(0.3) == 0.3
-        est.add_sample(0.1)
-        assert est.smoothed_or(0.3) == pytest.approx(0.1)
-
     def test_samples_counted(self):
         est = RttEstimator()
         for _ in range(5):

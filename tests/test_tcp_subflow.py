@@ -224,11 +224,3 @@ class TestPenalize:
         sf.cwnd = 1.0
         sf.penalize()
         assert sf.cwnd >= 1.0
-
-    def test_oldest_unacked_dsn(self, sim):
-        conn, sf = single_path_conn(sim)
-        conn.write(10_000_000)
-        sim.run(until=0.001)
-        assert sf.oldest_unacked_dsn() == 0
-        drain(sim)
-        assert sf.oldest_unacked_dsn() is None

@@ -116,12 +116,6 @@ class TestScenarios:
         scenario = random_bandwidth_scenarios(count=1, duration=500.0)[0]
         assert scenario.wifi.schedule != scenario.lte.schedule
 
-    def test_aggregate_rate(self):
-        scenario = random_bandwidth_scenarios(count=1, duration=100.0)[0]
-        assert scenario.aggregate_rate_at(0.0) == (
-            scenario.wifi.rate_at(0.0) + scenario.lte.rate_at(0.0)
-        )
-
     def test_count_validation(self):
         with pytest.raises(ValueError):
             random_bandwidth_scenarios(count=0)
