@@ -26,7 +26,16 @@ process pool and memoizes finished runs on disk:
 This is the one engine.  Ad-hoc sweeps use it as is (no cache needed,
 fail-fast with the original exception); a campaign
 (:mod:`repro.service.runner`) is durable state over it and drives it
-directly, keep-going, through ``on_job``.
+directly, keep-going, through ``on_look``.
+
+A *look* is the unit the executor reports in: every job it found
+finished in one glance at its sources -- a slice of the cache scan (at
+most :data:`LOOK_SLICE` hits), one ``wait()`` wake-up of the pool, one
+finished inline job.  Journal line, ``stats`` and ``progress`` stay per
+job; ``on_look`` receives the look's outcomes together, so a listener
+that commits (the campaign runner) commits once per look.  The look in
+flight is delivered on the way out of a batch that raises (fail-fast, a
+raising journal observer), so nothing already recorded is lost.
 
 Example
 -------
@@ -79,6 +88,14 @@ PathLike = Union[str, "os.PathLike[str]"]
 _Attempt = Union[Dict[str, Any], BaseException]
 #: ``settle(index, attempt, wall_s, attempts)`` -> must the job run again?
 _Settle = Callable[[int, _Attempt, float, int], bool]
+#: ``flush()``: the dispatcher's look is over, deliver it to ``on_look``.
+_Flush = Callable[[], None]
+
+#: Most outcomes one look of the cache scan delivers.  A warm campaign of
+#: any size reaches its listener in slices of this many, so the campaign
+#: runner's per-look transaction holds SQLite's write lock for milliseconds
+#: and ``/status`` keeps moving while the scan runs.
+LOOK_SLICE = 256
 
 
 class RunTimeoutError(RuntimeError):
@@ -105,14 +122,14 @@ class ExecutorStats:
 
 @dataclass(frozen=True)
 class JobOutcome:
-    """Terminal fate of one spec in a batch, as seen by ``on_job``.
+    """Terminal fate of one spec in a batch, as seen by ``on_look``.
 
     Emitted exactly once per spec -- when it resolves from cache, when it
     finishes executing, or when it fails permanently.  ``index`` is the
     spec's position in the submitted batch; ``status`` is ``"cached"``,
     ``"executed"``, or ``"failed"``.  The campaign runner
-    (:mod:`repro.service.runner`) uses this callback to move jobs through
-    the store's state machine as the batch unfolds.
+    (:mod:`repro.service.runner`) moves jobs through the store's state
+    machine from these, one look at a time, as the batch unfolds.
     """
 
     index: int
@@ -281,7 +298,8 @@ class ResultCache:
     Entries live at ``<root>/<hash[:2]>/<hash>.json`` holding the spec
     alongside the result (the file is self-describing and greppable).
     Writes are atomic (temp file + ``os.replace``), so a killed campaign
-    never leaves a truncated entry behind; unreadable, version-skewed
+    never leaves a truncated entry behind, and a write that fails
+    removes its temp file before re-raising; unreadable, version-skewed
     or incomplete entries read as misses.
     """
 
@@ -319,8 +337,14 @@ class ResultCache:
         target = self.path_for(key)
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.parent / f".{key}.{os.getpid()}.tmp"
-        tmp.write_text(canonical_json(payload))
-        os.replace(tmp, target)
+        try:
+            tmp.write_text(canonical_json(payload))
+            os.replace(tmp, target)
+        except BaseException:
+            # A write that died half-way (full disk) must not leave its
+            # temp file to eat what space is left.
+            tmp.unlink(missing_ok=True)
+            raise
 
 
 class ExperimentExecutor:
@@ -347,10 +371,12 @@ class ExperimentExecutor:
         default (``False``) is fail-fast: a non-retryable error
         propagates as raised, exhausted retries raise
         :class:`ExperimentError`.
-    on_job: callable receiving a :class:`JobOutcome` for every spec that
-        reaches a terminal state (cached / executed / failed), in
-        completion order.  This is the hook the campaign runner uses to
-        persist per-job state without wrapping the executor.
+    on_look: callable receiving the list of :class:`JobOutcome` values
+        of one look (see the module docstring): every spec reaches it
+        exactly once, in a terminal state (cached / executed / failed),
+        in completion order, never in an empty list.  This is the hook
+        the campaign runner uses to persist job state without wrapping
+        the executor.
     """
 
     def __init__(
@@ -362,7 +388,7 @@ class ExperimentExecutor:
         progress: Union[bool, Callable[[ProgressEvent], None], None] = None,
         journal: Union[None, RunJournal, PathLike] = None,
         keep_going: bool = False,
-        on_job: Optional[Callable[[JobOutcome], None]] = None,
+        on_look: Optional[Callable[[List[JobOutcome]], None]] = None,
     ) -> None:
         if jobs < 1:
             raise ValueError(f"jobs must be >= 1, got {jobs!r}")
@@ -385,7 +411,7 @@ class ExperimentExecutor:
         else:
             self.journal = RunJournal(journal)
         self.keep_going = bool(keep_going)
-        self.on_job = on_job
+        self.on_look = on_look
         self.stats = ExecutorStats()
 
     # -- context manager sugar (no persistent resources today) ----------
@@ -416,6 +442,7 @@ class ExperimentExecutor:
         # progress for ETA display, not anything inside a simulation.
         started = time.monotonic()
         done = 0
+        look: List[JobOutcome] = []
         if journal is not None:
             journal.batch_start(
                 total=total,
@@ -434,7 +461,7 @@ class ExperimentExecutor:
             perf: Optional[Dict[str, Any]] = None,
         ) -> None:
             """A job reached a terminal state: build its outcome once and
-            feed stats, journal, ``on_job`` and progress from it."""
+            feed stats, journal, the look and progress from it."""
             nonlocal done
             error: Optional[Dict[str, str]] = None
             postmortem: Optional[str] = None
@@ -471,8 +498,8 @@ class ExperimentExecutor:
                 done += 1  # under fail-fast the failed job aborts the batch
             if journal is not None:
                 journal.job(**outcome.journal_fields())
-            if self.on_job is not None:
-                self.on_job(outcome)
+            if self.on_look is not None:
+                look.append(outcome)
             if self._progress is not None:
                 elapsed = time.monotonic() - started
                 eta: Optional[float] = None
@@ -543,35 +570,55 @@ class ExperimentExecutor:
                 ) from attempt
             raise attempt  # the original exception, unwrapped
 
+        def flush() -> None:
+            """The look is over: hand ``on_look`` what it resolved."""
+            nonlocal look
+            if look:
+                outcomes, look = look, []
+                self.on_look(outcomes)
+
         pending: List[int] = []
-        for index, spec in enumerate(specs):
-            entry = self.cache.get(hashes[index]) if self.cache is not None else None
-            if entry is not None and entry["kind"] == spec.kind:
-                results[index] = result_from_dict(spec.kind, entry["result"])
-                record(index, "cached")
-            else:
-                pending.append(index)
-        payloads = {index: wires[index] for index in pending}
         try:
+            for index, spec in enumerate(specs):
+                entry = self.cache.get(hashes[index]) if self.cache is not None else None
+                if entry is not None and entry["kind"] == spec.kind:
+                    results[index] = result_from_dict(spec.kind, entry["result"])
+                    record(index, "cached")
+                    if len(look) >= LOOK_SLICE:
+                        flush()
+                else:
+                    pending.append(index)
+            flush()
+            payloads = {index: wires[index] for index in pending}
             if self.jobs == 1 or len(pending) <= 1:
-                self._run_inline(pending, payloads, settle)
+                self._run_inline(pending, payloads, settle, flush)
             else:
-                self._run_on_pool(pending, payloads, settle)
+                self._run_on_pool(pending, payloads, settle, flush)
         finally:
-            if journal is not None:
-                journal.batch_end(
-                    done=done,
-                    executed=stats.executed,
-                    cached=stats.cached,
-                    failed=stats.failed,
-                    retried=stats.retried,
-                    elapsed_s=round(time.monotonic() - started, 6),
-                )
+            # Whatever ended the batch, the look in flight was recorded
+            # (journal line, stats, progress): its listener hears of it too.
+            try:
+                flush()
+            finally:
+                if journal is not None:
+                    journal.batch_end(
+                        done=done,
+                        executed=stats.executed,
+                        cached=stats.cached,
+                        failed=stats.failed,
+                        retried=stats.retried,
+                        elapsed_s=round(time.monotonic() - started, 6),
+                    )
         return results
 
-    # -- the two dispatchers: run it / submit it, then ``settle`` ---------
+    # -- the two dispatchers: run it / submit it, then ``settle``; a look
+    # -- is one finished inline job / one ``wait()`` wake-up of the pool ---
     def _run_inline(
-        self, pending: List[int], payloads: Dict[int, Dict[str, Any]], settle: _Settle
+        self,
+        pending: List[int],
+        payloads: Dict[int, Dict[str, Any]],
+        settle: _Settle,
+        flush: _Flush,
     ) -> None:
         for index in pending:
             start = time.monotonic()
@@ -586,9 +633,14 @@ class ExperimentExecutor:
                     attempt = exc
                 wall = time.monotonic() - start
                 again = settle(index, attempt, wall, attempts)
+            flush()
 
     def _run_on_pool(
-        self, pending: List[int], payloads: Dict[int, Dict[str, Any]], settle: _Settle
+        self,
+        pending: List[int],
+        payloads: Dict[int, Dict[str, Any]],
+        settle: _Settle,
+        flush: _Flush,
     ) -> None:
         """Keep a bounded window of jobs in flight on a process pool.
 
@@ -642,3 +694,4 @@ class ExperimentExecutor:
                                 suspects.append(index)
                         elif again:
                             source.appendleft(index)
+                    flush()

@@ -27,10 +27,12 @@ the *campaign*, not anything inside a simulation):
     ``done``, ``executed``, ``cached``, ``failed``, ``retried``,
     ``elapsed_s``.
 
-The file is append-opened per record (no handle to leak across the
-executor's lifetime) and is safe to tail while a sweep runs.  Load one
-back with :func:`read_journal`; :func:`summarize` folds the records into
-a per-status accounting for quick triage.
+The file is held open from ``batch_start`` to ``batch_end`` (a record
+outside a batch opens, appends and closes) and every record is flushed
+as it is written, so the journal is safe to tail while a sweep runs and
+no handle outlives its batch.  Load
+one back with :func:`read_journal`; :func:`summarize` folds the records
+into a per-status accounting for quick triage.
 
 Long-running campaigns (``campaign serve`` drains for days) would grow
 the JSONL without bound, so the journal supports **rotation**: give the
@@ -50,7 +52,7 @@ import os
 import time
 import warnings
 from pathlib import Path
-from typing import Any, Callable, Dict, List, Optional, Union
+from typing import Any, Callable, Dict, List, Optional, TextIO, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -88,6 +90,10 @@ class RunJournal:
         self.max_bytes = max_bytes
         self.retain_tail = max(0, int(retain_tail))
         self._seq = 0
+        #: Between ``batch_start`` and ``batch_end`` the active file stays
+        #: open across records (until a rotation replaces it).
+        self._in_batch = False
+        self._handle: Optional[TextIO] = None
 
     @property
     def rotated_path(self) -> Path:
@@ -105,8 +111,15 @@ class RunJournal:
             "wall": time.time(),
         }
         entry.update(fields)
-        with self.path.open("a") as handle:
-            handle.write(json.dumps(entry, sort_keys=True, default=str) + "\n")
+        line = json.dumps(entry, sort_keys=True, default=str) + "\n"
+        if self._handle is None:
+            self._handle = self.path.open("a")
+        try:
+            self._handle.write(line)
+            self._handle.flush()
+        finally:
+            if not self._in_batch:
+                self._close()
         self._maybe_rotate()
         if self.observer is not None:
             self.observer(entry)
@@ -129,6 +142,7 @@ class RunJournal:
         seeded with the last ``retain_tail`` lines of the old one, so a
         reader of ``self.path`` always sees the recent history.
         """
+        self._close()  # a batch's next record opens the fresh file
         try:
             lines = [
                 line
@@ -143,8 +157,14 @@ class RunJournal:
             for line in tail:
                 handle.write(line + "\n")
 
+    def _close(self) -> None:
+        if self._handle is not None:
+            self._handle.close()
+            self._handle = None
+
     # -- typed conveniences (thin wrappers; schema lives in the docstring)
     def batch_start(self, **fields: Any) -> Dict[str, Any]:
+        self._in_batch = True
         return self.record("batch_start", **fields)
 
     def job(self, **fields: Any) -> Dict[str, Any]:
@@ -154,7 +174,11 @@ class RunJournal:
         return self.record("retry", **fields)
 
     def batch_end(self, **fields: Any) -> Dict[str, Any]:
-        return self.record("batch_end", **fields)
+        try:
+            return self.record("batch_end", **fields)
+        finally:
+            self._in_batch = False
+            self._close()
 
 
 def read_journal(path: PathLike) -> List[Dict[str, Any]]:

@@ -5,7 +5,7 @@ in the SQLite :class:`~repro.service.store.CampaignStore`, a drain claims
 the pending ones and runs them through an
 :class:`~repro.experiments.exec.ExperimentExecutor` it constructs from
 the campaign's stored config (:mod:`repro.service.backends`), and the
-executor's per-job outcomes move the store's state machine::
+executor's outcomes move the store's state machine, one look at a time::
 
     from repro.service import CampaignRunner, CampaignStore, PoolBackendConfig
 
@@ -26,13 +26,15 @@ The runner is also a drop-in for :class:`ExperimentExecutor` where only
 
 Durability model: job state lives in SQLite, results live in the
 content-addressed cache.  A drain commits once for its batch of claims
-and once per finished job (the job's journal-index row together with
-its transition, after its JSONL line and its cache entry are on disk).
-A drain killed half-way leaves ``running`` rows behind; the next drain
-calls ``reset_running`` and re-claims them, and jobs whose results
-already landed in the cache resolve as cache hits (journaled as
-``"cached"`` -- that journal line is the proof a resume did not
-re-simulate).
+and once per *look* of the executor -- a slice of the cache scan, one
+wake-up of the pool, one finished inline job: the journal-index rows of
+the look's jobs together with their transitions, after their JSONL
+lines and their cache entries are on disk.  A killed drain loses at
+most the bookkeeping of the look in flight; its results are already in
+the cache and the next drain journals them as ``"cached"`` (that
+journal line is the proof a resume did not re-simulate).  What it
+leaves behind are ``running`` rows: the next drain calls
+``reset_running`` and re-claims them.
 """
 
 from __future__ import annotations
@@ -79,12 +81,12 @@ class CampaignRunner:
         daemon uses this to bound the journal for days-long drains.
     journal_observer: additional callable invoked with every journal
         record as it is written (a ``job`` record before the store
-        indexes it -- the index row commits with the job's transition);
-        the telemetry registry hangs off this.
+        indexes it -- the index row commits with the job's transition,
+        at the end of its look); the telemetry registry hangs off this.
     on_outcome: additional callable invoked with every
-        :class:`~repro.experiments.exec.JobOutcome` after the store's
-        state machine is updated -- carries the per-job perf record
-        (when ``REPRO_PERF`` is on) to the metrics layer.
+        :class:`~repro.experiments.exec.JobOutcome` after its look has
+        committed -- carries the per-job perf record (when
+        ``REPRO_PERF`` is on) to the metrics layer.
     """
 
     def __init__(
@@ -156,42 +158,47 @@ class CampaignRunner:
         pending = self.store.jobs(self.campaign_id, status=PENDING)
         if not pending:
             return self.status()
-        # The executor journals a job right before it reports it to
-        # ``on_job``; its index row waits here so that it commits with
-        # the job's transition, not on its own.
+        # The executor journals a job when it finishes and reports it
+        # with the rest of its look; the index rows wait here so that
+        # they commit with the look's transitions, not on their own.
         job_entries: List[Dict[str, Any]] = []
 
-        def on_job(outcome: JobOutcome) -> None:
+        def on_look(outcomes: List[JobOutcome]) -> None:
+            # One entry per outcome, in order: a job whose journal record
+            # raised has neither.
             with self.store.transaction():
                 for entry in job_entries:
                     self.store.record_journal(self.campaign_id, entry)
                 job_entries.clear()
-                if outcome.status == "failed":
-                    self.store.mark_failed(
-                        self.campaign_id,
-                        outcome.spec_hash,
-                        error_type=(outcome.error or {}).get("type", "Error"),
-                        error_message=(outcome.error or {}).get("message", ""),
-                        postmortem=outcome.postmortem,
-                        wall_s=outcome.wall_s,
-                    )
-                else:  # "cached" or "executed": the result is in the cache
-                    self.store.mark_done(
-                        self.campaign_id,
-                        outcome.spec_hash,
-                        result_path=self.cache.entry_path(outcome.spec_hash),
-                        wall_s=outcome.wall_s,
-                    )
+                for outcome in outcomes:
+                    if outcome.status == "failed":
+                        self.store.mark_failed(
+                            self.campaign_id,
+                            outcome.spec_hash,
+                            error_type=(outcome.error or {}).get("type", "Error"),
+                            error_message=(outcome.error or {}).get("message", ""),
+                            postmortem=outcome.postmortem,
+                            wall_s=outcome.wall_s,
+                        )
+                    else:  # "cached" or "executed": the result is in the cache
+                        self.store.mark_done(
+                            self.campaign_id,
+                            outcome.spec_hash,
+                            result_path=self.cache.entry_path(outcome.spec_hash),
+                            wall_s=outcome.wall_s,
+                        )
             if self.on_outcome is not None:
-                self.on_outcome(outcome)
+                for outcome in outcomes:
+                    self.on_outcome(outcome)
 
         def observe(entry: Dict[str, Any]) -> None:
-            if entry["record"] == "job":
-                job_entries.append(entry)
-            else:
+            is_job = entry["record"] == "job"
+            if not is_job:
                 self.store.record_journal(self.campaign_id, entry)
             if self.journal_observer is not None:
                 self.journal_observer(entry)
+            if is_job:
+                job_entries.append(entry)
 
         journal: Optional[RunJournal] = None
         if self.journal_path is not None:
@@ -211,7 +218,7 @@ class CampaignRunner:
             progress=self.progress,
             journal=journal,
             keep_going=True,
-            on_job=on_job,
+            on_look=on_look,
         )
         claimed = []
         budget = None if limit is None else max(0, int(limit))
@@ -246,14 +253,14 @@ class CampaignRunner:
         store order): the one walk over store + cache behind :meth:`fetch`
         and ``campaign fetch``.  ``found`` is the job's cache entry, or the
         :class:`CampaignError` that says why there is none."""
+        known = self.store.statuses(self.campaign_id)
         if specs is None:
-            rows = [(j.spec_hash, j.kind, j) for j in self.store.jobs(self.campaign_id)]
+            rows = [(key, kind, status) for key, (kind, status) in known.items()]
         else:
             wanted = [(spec_hash(spec), spec.kind) for spec in specs]
-            rows = [(key, kind, self.store.job(self.campaign_id, key)) for key, kind in wanted]
-        for key, kind, job in rows:
-            if job is None or job.status != DONE:
-                state = "missing" if job is None else job.status
+            rows = [(key, kind, known.get(key, (kind, "missing"))[1]) for key, kind in wanted]
+        for key, kind, state in rows:
+            if state != DONE:
                 yield key, kind, CampaignError(
                     f"job {key[:12]} ({kind}) is {state}, not done; "
                     "drain (and maybe requeue) the campaign first"

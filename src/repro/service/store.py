@@ -166,12 +166,13 @@ class CampaignStore:
 
     A commit covers one mutating call -- or, inside a
     :meth:`transaction` scope, everything the scope did: the runner
-    commits once per claim batch and once per finished job (its journal
-    index row together with its ``done``/``failed`` transition).  A
-    killed process therefore loses at most the call or scope in flight
-    -- a batch of claims that had run nothing yet, or the bookkeeping of
-    one job whose result is already in the cache, which the next drain
-    re-resolves as a cache hit -- and SQLite's journal guarantees the
+    commits once per claim batch and once per *look* of its executor
+    (the journal index rows of the jobs the look found finished together
+    with their ``done``/``failed`` transitions).  A killed process
+    therefore loses at most the call or scope in flight -- a batch of
+    claims that had run nothing yet, or the bookkeeping of one look
+    whose results are already in the cache, which the next drain
+    re-resolves as cache hits -- and SQLite's journal guarantees the
     file itself stays consistent.  Open the same path again to resume.
     """
 
@@ -218,8 +219,10 @@ class CampaignStore:
         even if a callback raises -- the first failure propagates
         afterwards).  If the block raises, nothing it did is kept and
         nothing is reported.  The first write takes SQLite's write lock
-        until the scope ends, so keep it to store calls: never run a
-        simulation inside one.
+        until the scope ends, so keep it to a bounded number of store
+        calls (the runner's largest scope after the claim batch is one
+        look, at most ``repro.experiments.exec.LOOK_SLICE`` jobs): never
+        run a simulation inside one.
         """
         if self._queued is not None:
             raise RuntimeError("CampaignStore.transaction() scopes do not nest")
@@ -357,6 +360,19 @@ class CampaignStore:
             (campaign_id, key),
         ).fetchone()
         return None if row is None else _row_to_job(row)
+
+    def statuses(self, campaign_id: int) -> Dict[str, Tuple[str, str]]:
+        """``spec hash -> (kind, status)`` for every job of a campaign, in
+        insertion order: one query that parses no spec, for callers that
+        only ask how far each job got."""
+        return {
+            row["spec_hash"]: (row["kind"], row["status"])
+            for row in self._conn.execute(
+                "SELECT spec_hash, kind, status FROM jobs"
+                " WHERE campaign_id = ? ORDER BY id",
+                (campaign_id,),
+            )
+        }
 
     def counts(self, campaign_id: int) -> Dict[str, int]:
         """Per-status job counts (statuses with zero jobs included)."""

@@ -22,6 +22,18 @@ def sim() -> Simulator:
     return Simulator()
 
 
+@pytest.fixture
+def whole_window_looks(monkeypatch):
+    """Every ``wait()`` wake-up of the executor's pool finds its whole
+    window (two jobs per worker) finished, so which jobs share a look no
+    longer depends on the host's timing."""
+    from concurrent.futures import wait
+
+    from repro.experiments import exec as exec_module
+
+    monkeypatch.setattr(exec_module, "wait", lambda futures, return_when: wait(futures))
+
+
 #: The packages whose classes carry simulation state (what a checkpoint
 #: walks); telemetry, the service layer and the analyzers are rebuilt,
 #: never snapshotted.

@@ -187,6 +187,34 @@ class TestCacheBehavior:
             # ...and the rerun healed the entry.
             assert cache.get(spec_hash(spec))["kind"] == "bulk_download"
 
+    @pytest.mark.parametrize("dies_in", ["write_text", "replace"])
+    def test_a_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, dies_in):
+        """A full disk mid-``put``: the error propagates, the entry reads
+        as a miss and the shard directory holds nothing."""
+        cache = ResultCache(tmp_path)
+        key = "ab" + "c" * 62
+        payload = {"schema_version": SCHEMA_VERSION, "kind": "bulk_download", "result": {}}
+
+        def write_half(path, text):
+            with open(path, "w") as handle:
+                handle.write(text[: len(text) // 2])
+            raise OSError(28, "No space left on device")
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        with monkeypatch.context() as patch:
+            if dies_in == "write_text":
+                patch.setattr(Path, "write_text", write_half)
+            else:
+                patch.setattr(os, "replace", refuse)
+            with pytest.raises(OSError, match="No space left"):
+                cache.put(key, payload)
+        assert cache.get(key) is None
+        assert list(cache.path_for(key).parent.iterdir()) == []
+        cache.put(key, payload)  # the disk has room again
+        assert cache.get(key) == payload
+
     @pytest.mark.parametrize("root", [".", "", "/", "rel/dir", "a//b/", "/abs/cache"])
     def test_entry_path_is_the_path_pathlib_would_build(self, root):
         """``entry_path`` joins strings; it must spell every root the way
@@ -370,7 +398,7 @@ class TestWorkerDeath:
     def test_only_the_poison_job_fails(self):
         outcomes = []
         executor = ExperimentExecutor(
-            jobs=2, retries=1, keep_going=True, on_job=outcomes.append
+            jobs=2, retries=1, keep_going=True, on_look=outcomes.extend
         )
         results = executor.run(self._batch())
         failed = [r for r in results if isinstance(r, FailedRun)]
@@ -602,7 +630,7 @@ def test_pipeline_parity(jobs, case, keep_going, tmp_path):
         progress=ticks.append,
         journal=tmp_path / "journal.jsonl",
         keep_going=keep_going,
-        on_job=outcomes.append,
+        on_look=outcomes.extend,
         **knobs,
     )
     fails = "failed" in statuses
@@ -656,3 +684,72 @@ def test_pipeline_parity(jobs, case, keep_going, tmp_path):
     assert last.retried == executor.stats.retried == retried
     # Under fail-fast the failed job aborts the batch instead of counting as done.
     assert last.done == len(outcomes) - (0 if keep_going else tally["failed"])
+
+
+# ----------------------------------------------------------------------
+# Looks: what ``on_look`` hears, and that a raise loses none of it
+# ----------------------------------------------------------------------
+
+
+def _job_records(path):
+    from repro.obs.journal import read_journal
+
+    return [r["spec_hash"] for r in read_journal(path) if r["record"] == "job"]
+
+
+def test_a_cache_scan_is_delivered_in_slices(tmp_path, monkeypatch):
+    from repro.experiments import exec as exec_module
+
+    specs = bulk_specs(5, size=16 * 1024)
+    ExperimentExecutor(cache_dir=tmp_path).run(specs)
+    monkeypatch.setattr(exec_module, "LOOK_SLICE", 2)
+    looks = []
+    ExperimentExecutor(cache_dir=tmp_path, on_look=looks.append).run(specs)
+    assert [[o.index for o in look] for look in looks] == [[0, 1], [2, 3], [4]]
+    assert {o.status for look in looks for o in look} == {"cached"}
+
+
+def test_a_fail_fast_raise_delivers_the_look_in_flight(tmp_path, whole_window_looks):
+    """Fail-fast raises out of the middle of a look: the jobs recorded
+    before the failure (journal line, stats) still reach ``on_look``, in
+    one list with the failed job last."""
+    from tests.test_service import FlakySpec
+
+    # Four jobs on two workers: one window, one look.
+    specs = bulk_specs(3, size=16 * 1024)
+    specs.append(FlakySpec(marker=str(tmp_path / "marker"), succeed_after=99))
+    looks = []
+    executor = ExperimentExecutor(
+        jobs=2, journal=tmp_path / "journal.jsonl", on_look=looks.append
+    )
+    with pytest.raises(RuntimeError, match="deliberate failure"):
+        executor.run(specs)
+    (look,) = looks
+    assert [o.spec_hash for o in look] == _job_records(tmp_path / "journal.jsonl")
+    assert [o.status for o in look] == ["executed"] * (len(look) - 1) + ["failed"]
+    assert executor.stats.executed == len(look) - 1 and executor.stats.failed == 1
+
+
+def test_a_raising_journal_observer_delivers_the_look_in_flight(tmp_path):
+    """The other way out of a look: ``record`` itself raises (here the
+    journal's observer, at the third cached job).  The two jobs recorded
+    before it are delivered; the third has no outcome."""
+    from repro.obs.journal import RunJournal
+
+    specs = bulk_specs(5, size=16 * 1024)
+    ExperimentExecutor(cache_dir=tmp_path / "cache").run(specs)
+
+    def die_at_the_third_job(entry):
+        if entry["record"] == "job" and entry["spec_hash"] == spec_hash(specs[2]):
+            raise RuntimeError("observer died")
+
+    looks = []
+    executor = ExperimentExecutor(
+        cache_dir=tmp_path / "cache",
+        journal=RunJournal(tmp_path / "journal.jsonl", observer=die_at_the_third_job),
+        on_look=looks.append,
+    )
+    with pytest.raises(RuntimeError, match="observer died"):
+        executor.run(specs)
+    assert [[o.index for o in look] for look in looks] == [[0, 1]]
+    assert len(_job_records(tmp_path / "journal.jsonl")) == 3

@@ -7,6 +7,7 @@ Perfetto exporter/validator, and the ``trace`` CLI front end.
 """
 
 import json
+from functools import partial
 
 import pytest
 
@@ -404,6 +405,44 @@ class TestJournalRotation:
         for i in range(100):
             journal.job(**self.entry(i))
         assert len(seen) == 100
+
+    def test_a_batch_holds_one_handle_and_stays_tailable(self, tmp_path):
+        journal = RunJournal(tmp_path / "journal.jsonl")
+        journal.batch_start(total=2)
+        handle = journal._handle
+        assert handle is not None
+        journal.job(**self.entry(0))
+        assert journal._handle is handle
+        # Flushed per record: a reader tailing the file sees the job now.
+        assert [r["record"] for r in read_journal(journal.path)] == ["batch_start", "job"]
+        journal.batch_end(done=1)
+        assert journal._handle is None and handle.closed
+        journal.job(**self.entry(1))  # outside a batch: open, append, close
+        assert journal._handle is None
+        assert len(read_journal(journal.path)) == 4
+
+    def test_a_batch_rotates_like_single_records(self, tmp_path):
+        """Rotation inside a batch moves the open handle to the fresh
+        file: both generations hold what open-append-close would have
+        written."""
+        def write(name, in_batch):
+            journal = RunJournal(tmp_path / name, max_bytes=2048, retain_tail=5)
+            # ``record`` by name writes the same line without the batch.
+            start, end = (
+                (journal.batch_start, journal.batch_end)
+                if in_batch
+                else (partial(journal.record, "batch_start"), partial(journal.record, "batch_end"))
+            )
+            start(total=100)
+            for i in range(100):
+                journal.job(**self.entry(i))
+            end(done=100)
+            return [
+                [(r["record"], r["seq"]) for r in read_journal(path)]
+                for path in (journal.path, journal.rotated_path)
+            ]
+
+        assert write("batch.jsonl", True) == write("single.jsonl", False)
 
 
 class TestMandatedWaitReplay:

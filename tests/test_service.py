@@ -527,7 +527,8 @@ class Boom(Exception):
 
 class TestOneCommitPerJob:
     """A finished job's journal index row and its transition are one
-    commit: a drain that dies anywhere leaves no half-recorded job."""
+    commit -- the commit of its look: a drain that dies anywhere leaves
+    no half-recorded job, and a look dies whole or not at all."""
 
     K = 2  # the hook raises on the third job to finish
 
@@ -597,6 +598,136 @@ class TestOneCommitPerJob:
             for key in keys:
                 assert store.job(cid, key).attempts == (2 if key in left else 1)
             assert len(runner.fetch(specs)) == 5
+
+
+    def _kill_inside_a_look_then_resume(
+        self, tmp_path, monkeypatch, specs, backend, where, at, lines, done
+    ):
+        """Kill a drain at its ``at``-th finished job (0-based) -- in the
+        journal observer (before the look commits), inside the look's
+        transaction, or in ``on_outcome`` (after it) -- and resume it.
+        ``lines`` jobs must have reached the first JSONL and the first
+        ``done`` of them the store; the resume must re-simulate nothing
+        that reached the cache and index every job exactly once."""
+        from repro.obs.journal import read_journal
+
+        db, cache = tmp_path / "c.db", tmp_path / "cache"
+        keys = [spec_hash(spec) for spec in specs]
+        seen = []
+
+        def die(event=None):
+            if isinstance(event, dict) and event["record"] != "job":
+                return
+            seen.append(event)
+            if len(seen) == at + 1:
+                raise Boom
+
+        finished = []  # what ``on_transition`` was told reached ``done``
+        with CampaignStore(db) as store:
+            store.on_transition = (
+                lambda cid, key, old, new: new == "done" and finished.append(key)
+            )
+            hooks = {where: die} if where != "transaction" else {}
+            runner = CampaignRunner(
+                store, "sweep", backend=backend, cache_dir=cache,
+                journal=tmp_path / "first.jsonl", **hooks,
+            )
+            if where == "transaction":
+                mark_done = store.mark_done
+
+                def dying_mark_done(*args, **kwargs):
+                    die()
+                    mark_done(*args, **kwargs)
+
+                monkeypatch.setattr(store, "mark_done", dying_mark_done)
+            runner.submit(specs)
+            with pytest.raises(Boom):
+                runner.drain()
+
+        first_lines = [
+            r["spec_hash"] for r in read_journal(tmp_path / "first.jsonl")
+            if r["record"] == "job"
+        ]
+        assert len(first_lines) == lines
+        with CampaignStore(db) as store:
+            cid = store.campaign("sweep").id
+            status = {job.spec_hash: job.status for job in store.jobs(cid)}
+            indexed = [r["spec_hash"] for r in store.journal_records(cid, record="job")]
+            # Whole looks, and what the dying look recorded before the raise
+            # when the raise came before its commit: nothing else is done,
+            # nothing done lacks its row, and a rolled-back look reported
+            # no transition.
+            assert indexed == first_lines[:done] == finished
+            assert {key for key in keys if status[key] == "done"} == set(indexed)
+            assert {status[key] for key in keys if key not in indexed} == {"running"}
+            left = [key for key in keys if status[key] != "done"]
+            in_cache = {key for key in left if ResultCache(cache).get(key) is not None}
+            assert in_cache >= set(first_lines[done:])
+
+            runner = CampaignRunner(
+                store, "sweep", backend=backend, cache_dir=cache,
+                journal=tmp_path / "second.jsonl",
+            )
+            counts = runner.drain()
+            assert counts == {"pending": 0, "running": 0, "done": len(keys), "failed": 0}
+            second = {
+                r["spec_hash"]: r["status"]
+                for r in read_journal(tmp_path / "second.jsonl")
+                if r["record"] == "job"
+            }
+            assert second == {
+                key: "cached" if key in in_cache else "executed" for key in left
+            }
+            indexed = [r["spec_hash"] for r in store.journal_records(cid, record="job")]
+            assert sorted(indexed) == sorted(keys)
+            for key in keys:
+                assert store.job(cid, key).attempts == (2 if key in left else 1)
+            assert len(runner.fetch(specs)) == len(keys)
+
+    @pytest.mark.parametrize(
+        "where, lines, done",
+        [
+            # Outcomes 0 and 1 were recorded before job 2's line raised: the
+            # look's way out delivers them, job 2 has a line and no row.
+            ("journal_observer", 3, 2),
+            # All four were journaled, then the look's one commit died.
+            ("transaction", 4, 0),
+            # The look had committed whole before ``on_outcome`` heard of it.
+            ("on_outcome", 4, 4),
+        ],
+    )
+    def test_a_pool_look_killed_at_outcome_k_dies_whole_or_not_at_all(
+        self, tmp_path, monkeypatch, whole_window_looks, where, lines, done
+    ):
+        # Six jobs on two workers are a look of four, then a look of two.
+        self._kill_inside_a_look_then_resume(
+            tmp_path, monkeypatch, bulk_specs(6, size=16 * 1024),
+            PoolBackendConfig(jobs=2), where, at=self.K, lines=lines, done=done,
+        )
+
+    @pytest.mark.parametrize(
+        "where, lines, done",
+        [
+            ("journal_observer", 5, 4),  # slice one, and job 3 of slice two
+            ("transaction", 6, 3),  # slice two rolled back whole
+            ("on_outcome", 6, 6),  # slice two committed whole
+        ],
+    )
+    def test_a_cached_scan_killed_inside_a_slice_resumes_as_cached(
+        self, tmp_path, monkeypatch, where, lines, done
+    ):
+        from repro.experiments import exec as exec_module
+        from repro.experiments.exec import ExperimentExecutor
+
+        specs = bulk_specs(8, size=16 * 1024)
+        ExperimentExecutor(cache_dir=tmp_path / "cache").run(specs)
+        # Eight cached jobs in slices of three; the kill lands on the
+        # second job of the second slice.
+        monkeypatch.setattr(exec_module, "LOOK_SLICE", 3)
+        self._kill_inside_a_look_then_resume(
+            tmp_path, monkeypatch, specs, InlineBackendConfig(), where,
+            at=4, lines=lines, done=done,
+        )
 
 
 class TestConcurrentDrain:
@@ -670,3 +801,79 @@ class TestConcurrentDrain:
             for spec in specs:
                 job = store.job(runner.campaign_id, spec_hash(spec))
                 assert job.attempts == 1
+
+    def test_two_live_drainers_over_a_big_warm_campaign(self, tmp_path):
+        """2,000 cached jobs, two drainers claiming 600 at a time on one
+        on-disk store: nobody sees ``database is locked``, the jobs
+        partition, and no transaction after a claim batch writes more
+        than one slice of a cache scan."""
+        import threading
+
+        from repro.experiments.exec import LOOK_SLICE
+        from repro.experiments.spec import SCHEMA_VERSION
+
+        db, cache_dir = tmp_path / "c.db", tmp_path / "cache"
+        specs = self._flaky_specs(tmp_path, 2000)
+        cache = ResultCache(cache_dir)
+        for spec in specs:  # results nobody simulated: every job is a hit
+            cache.put(spec_hash(spec), {
+                "schema_version": SCHEMA_VERSION, "kind": spec.kind,
+                "spec": spec.to_dict(), "result": {"attempts": 1},
+            })
+        with CampaignStore(db) as store:
+            CampaignRunner(store, "sweep", cache_dir=cache_dir).submit(specs)
+
+        errors, drained, statements = [], {}, {}
+
+        def drain_all(worker: str) -> None:
+            mine = drained[worker] = []
+            sql = statements[worker] = []
+            try:
+                with CampaignStore(db) as store:
+                    store._conn.set_trace_callback(sql.append)
+                    runner = CampaignRunner(
+                        store, "sweep", cache_dir=cache_dir,
+                        journal=tmp_path / f"{worker}.jsonl",
+                        on_outcome=lambda outcome: mine.append(outcome.spec_hash),
+                    )
+                    while runner.drain(limit=600, reset_orphans=False)["pending"]:
+                        pass
+            except Exception as exc:  # pragma: no cover - surfaced below
+                errors.append((worker, exc))
+
+        threads = [
+            threading.Thread(target=drain_all, args=(name,)) for name in ("alpha", "beta")
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=120)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+
+        # A partition: every job drained by exactly one of the two.
+        assert sorted(drained["alpha"] + drained["beta"]) == sorted(
+            spec_hash(spec) for spec in specs
+        )
+        assert drained["alpha"] and drained["beta"]
+        # Rows written per transaction.  A claim batch takes its (at most)
+        # 600 jobs in one commit by design -- it has run nothing yet; every
+        # other transaction is a look, bounded by the slice.
+        assert LOOK_SLICE < 600
+        for sql in statements.values():
+            writes = {"claim": 0, "done": 0, "journal": 0}
+            for statement in sql:
+                if statement == "COMMIT":
+                    assert writes["done"] == writes["journal"] <= LOOK_SLICE or (
+                        writes["done"] == 0 and writes["journal"] == 1  # batch_start/_end
+                    )
+                    assert not (writes["claim"] and writes["done"])
+                    writes = dict.fromkeys(writes, 0)
+                elif statement.startswith("UPDATE jobs"):
+                    writes["claim" if "attempts + 1" in statement else "done"] += 1
+                elif statement.startswith("INSERT INTO journal"):
+                    writes["journal"] += 1
+        with CampaignStore(db) as store:
+            cid = store.campaign("sweep").id
+            assert store.counts(cid) == {"pending": 0, "running": 0, "done": 2000, "failed": 0}
+            assert {job.attempts for job in store.jobs(cid)} == {1}
