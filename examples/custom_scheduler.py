@@ -3,6 +3,10 @@
 
 The scheduler API is one method: ``select(conn)`` returns the subflow
 that should carry the next segment, or ``None`` to wait for a better one.
+It is pure policy: the connection counts every answer into the
+scheduler's ``decisions`` / ``waits`` and logs it as one
+``events.Decision`` record, so a custom scheduler keeps no bookkeeping
+and shows up in the event log and the timeline like the built-ins.
 This example implements a "deadline-aware" toy scheduler -- use the slow
 path only while the backlog is large enough to keep the fast path busy
 for more than one RTT -- and benchmarks it against the built-ins on the
@@ -34,10 +38,8 @@ class BacklogAwareScheduler(Scheduler):
         self.backlog_rtts = backlog_rtts
 
     def select(self, conn):
-        self.decisions += 1
         fastest, second = self.fastest_and_sendable(conn)
         if second is None:
-            self.waits += 1
             return None
         if second is fastest:
             return fastest
@@ -45,7 +47,6 @@ class BacklogAwareScheduler(Scheduler):
         keep_fast_busy = self.backlog_rtts * max(fastest.cwnd, 1.0)
         if backlog_segments > keep_fast_busy:
             return second
-        self.waits += 1
         return None
 
 

@@ -30,13 +30,13 @@ from repro.analysis import fixtures as _fixtures  # noqa: F401 -- registers its 
 from repro.analysis.events import (
     AckProcessed,
     Delivered,
+    Decision,
     EcfDecision,
     EventLog,
     IdleReset,
-    MinRttDecision,
     RtoFired,
 )
-from repro.analysis.reference import replay_ecf, replay_minrtt
+from repro.analysis.reference import mandated_wait, replay_ecf, replay_minrtt
 from repro.sim.probe import env_on
 
 #: Switching this environment variable on (:func:`repro.sim.probe.env_on`)
@@ -117,21 +117,14 @@ def _ecf_wait_inequalities(log: EventLog) -> List[Violation]:
     """ECF never sends on the slow subflow while Algorithm 1 said wait.
 
     For every logged ``"slow"`` decision, re-derive both inequalities
-    from the decision's own inputs; if inequality 1 held -- and
-    inequality 2 too, when enabled -- Algorithm 1 mandated waiting, so
-    transmitting on the slow subflow violates the paper.
+    from the decision's own inputs (:func:`mandated_wait`); if inequality
+    1 held -- and inequality 2 too, when enabled -- Algorithm 1 mandated
+    waiting, so transmitting on the slow subflow violates the paper.
     """
     out: List[Violation] = []
     for dec in log.of_kind(EcfDecision):
-        if dec.decision != "slow":
+        if dec.decision != "slow" or not mandated_wait(dec):
             continue
-        ineq1 = dec.n_rounds * dec.rtt_f < dec.threshold
-        if not ineq1:
-            continue
-        if dec.use_second_inequality:
-            rounds_s = math.ceil(dec.k_segments / max(dec.cwnd_s, 1.0))
-            if not (rounds_s * dec.rtt_s >= 2.0 * dec.rtt_f + dec.delta):
-                continue  # inequality 2 released the wait: send is legal
         out.append(Violation(
             prop="ecf-wait-respects-inequality-1",
             t=dec.t,
@@ -260,36 +253,29 @@ def _idle_reset_not_during_wait(log: EventLog) -> List[Violation]:
     return out
 
 
+def _replayed(
+    prop: str, replay: Callable[[List[Any]], List[Any]], decisions: List[Any]
+) -> List[Violation]:
+    """Run a reference ``replay`` over each scheduler instance's decisions."""
+    by_sched: Dict[int, List[Any]] = {}
+    for dec in decisions:
+        by_sched.setdefault(dec.sched_uid, []).append(dec)
+    return [
+        Violation(prop=prop, t=div.t, message=f"scheduler uid={uid}: {div}")
+        for uid, group in sorted(by_sched.items())
+        for div in replay(group)
+    ]
+
+
 def _ecf_reference(log: EventLog) -> List[Violation]:
     """Differential oracle: replay every ECF decision through the paper model."""
-    by_sched: Dict[int, List[EcfDecision]] = {}
-    for dec in log.of_kind(EcfDecision):
-        by_sched.setdefault(dec.sched_uid, []).append(dec)
-    out: List[Violation] = []
-    for uid, decisions in sorted(by_sched.items()):
-        for div in replay_ecf(decisions):
-            out.append(Violation(
-                prop="ecf-reference-model",
-                t=div.t,
-                message=f"scheduler uid={uid}: {div}",
-            ))
-    return out
+    return _replayed("ecf-reference-model", replay_ecf, log.of_kind(EcfDecision))
 
 
 def _minrtt_reference(log: EventLog) -> List[Violation]:
     """Differential oracle: every minRTT pick is the smallest-SRTT subflow."""
-    by_sched: Dict[int, List[MinRttDecision]] = {}
-    for dec in log.of_kind(MinRttDecision):
-        by_sched.setdefault(dec.sched_uid, []).append(dec)
-    out: List[Violation] = []
-    for uid, decisions in sorted(by_sched.items()):
-        for div in replay_minrtt(decisions):
-            out.append(Violation(
-                prop="minrtt-reference-model",
-                t=div.t,
-                message=f"scheduler uid={uid}: {div}",
-            ))
-    return out
+    picks = [dec for dec in log.of_kind(Decision) if dec.scheduler == "minrtt"]
+    return _replayed("minrtt-reference-model", replay_minrtt, picks)
 
 
 CATALOG: Tuple[Property, ...] = (

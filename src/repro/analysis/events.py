@@ -195,10 +195,15 @@ class EcfDecision(Event):
 
 
 @dataclass(frozen=True)
-class MinRttDecision(Event):
-    """One minRTT pick among the currently available subflows."""
+class Decision(Event):
+    """One ``select`` answer of any scheduler, as the connection saw it.
+
+    ``available`` is every subflow that could take a segment at that
+    instant, with its SRTT estimate; ``chosen_sf`` is None for a wait.
+    """
 
     sched_uid: int
+    scheduler: str
     chosen_sf: Optional[int]
     available: Tuple[Tuple[int, float], ...]  # (sf_id, srtt) pairs
 
@@ -220,7 +225,7 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
         Delivered,
         Reinjection,
         EcfDecision,
-        MinRttDecision,
+        Decision,
     )
 }
 
@@ -228,7 +233,7 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
 def event_from_dict(data: Dict[str, Any]) -> Event:
     """Rebuild a typed record from its ``to_dict`` form (lossless).
 
-    JSON has no tuples, so :class:`MinRttDecision.available` comes back
+    JSON has no tuples, so :class:`Decision.available` comes back
     as nested lists and is re-frozen here; everything else round-trips
     as-is.
 
@@ -241,7 +246,7 @@ def event_from_dict(data: Dict[str, Any]) -> Event:
     if cls is None:
         raise ValueError(f"unknown event kind: {kind!r}")
     payload = {k: v for k, v in data.items() if k != "kind"}
-    if cls is MinRttDecision:
+    if cls is Decision:
         payload["available"] = tuple(
             (int(sf_id), float(srtt)) for sf_id, srtt in payload["available"]
         )
@@ -426,14 +431,16 @@ class _Tap(_probe.Probe):
             forced=forced,
         ))
 
-    def minrtt_decision(
-        self, scheduler: Any, conn: Any, available: List[Any], choice: Any
-    ) -> None:
-        self.emit(MinRttDecision(
+    def decision(self, scheduler: Any, conn: Any, choice: Any) -> None:
+        # Exact: select() mutates no subflow, and nothing was sent yet.
+        self.emit(Decision(
             t=conn.sim.now,
             sched_uid=scheduler.uid,
+            scheduler=scheduler.name,
             chosen_sf=None if choice is None else choice.sf_id,
-            available=tuple((sf.sf_id, sf.srtt_or_default()) for sf in available),
+            available=tuple(
+                (sf.sf_id, sf.srtt_or_default()) for sf in conn.subflows if sf.can_send()
+            ),
         ))
 
 

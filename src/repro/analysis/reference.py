@@ -3,7 +3,7 @@
 These are *independent re-implementations* used as differential oracles:
 the production schedulers log every decision with its raw inputs
 (:class:`repro.analysis.events.EcfDecision`,
-:class:`repro.analysis.events.MinRttDecision`), and the replay functions
+:class:`repro.analysis.events.Decision`), and the replay functions
 here recompute what the paper says the decision should have been from
 those inputs alone.  A divergence means the implementation and the paper
 disagree -- either a bug or an intentional deviation that must be
@@ -22,7 +22,7 @@ import math
 from dataclasses import dataclass
 from typing import List, Sequence
 
-from repro.analysis.events import EcfDecision, MinRttDecision
+from repro.analysis.events import Decision, EcfDecision
 
 
 @dataclass(frozen=True)
@@ -93,6 +93,25 @@ class EcfReference:
         return "slow"
 
 
+def mandated_wait(dec: EcfDecision) -> bool:
+    """Did Algorithm 1 mandate waiting, re-derived from one decision's
+    logged inputs and threshold (stateless, unlike :func:`replay_ecf`)?
+
+    Non-finite RTTs are resolved first: a dead fast path is never worth
+    waiting for, a dead slow path never worth sending on.
+    """
+    if not math.isfinite(dec.rtt_f):
+        return False
+    if not math.isfinite(dec.rtt_s):
+        return True
+    if not dec.n_rounds * dec.rtt_f < dec.threshold:
+        return False
+    if not dec.use_second_inequality:
+        return True
+    rounds_s = math.ceil(dec.k_segments / max(dec.cwnd_s, 1.0))
+    return rounds_s * dec.rtt_s >= 2.0 * dec.rtt_f + dec.delta
+
+
 def replay_ecf(decisions: Sequence[EcfDecision]) -> List[Divergence]:
     """Differentially replay one ECF scheduler's logged decision stream.
 
@@ -149,7 +168,7 @@ def replay_ecf(decisions: Sequence[EcfDecision]) -> List[Divergence]:
     return divergences
 
 
-def replay_minrtt(decisions: Sequence[MinRttDecision]) -> List[Divergence]:
+def replay_minrtt(decisions: Sequence[Decision]) -> List[Divergence]:
     """Check every logged minRTT pick against "smallest SRTT first".
 
     The paper's default scheduler "selects the subflow with the smallest

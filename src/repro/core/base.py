@@ -8,8 +8,11 @@ could be assigned.
 
 Contract:
 
-* :meth:`select` must return a subflow for which ``can_send()`` is true,
-  or ``None`` meaning "send nothing now and wait for an ACK event".
+* :meth:`select` is the whole API and pure policy: it returns a subflow
+  for which ``can_send()`` is true (the connection raises
+  ``RuntimeError`` otherwise), or ``None`` meaning "send nothing now and
+  wait for an ACK event".  The connection counts every answer into
+  :attr:`decisions` / :attr:`waits`; a scheduler never touches them.
 * Returning ``None`` while *no* data is in flight anywhere would deadlock
   the connection; the provided schedulers never wait unless the subflow
   they are waiting for has segments in flight (so ACKs are coming).

@@ -45,29 +45,24 @@ class BlestScheduler(Scheduler):
 
     name = "blest"
 
-    __slots__ = ("lambda_", "wait_decisions", "_last_limited_seen")
+    __slots__ = ("lambda_", "_last_limited_seen")
 
     #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("lambda_", "wait_decisions", "_last_limited_seen")
+    STATE_FIELDS = ("lambda_", "_last_limited_seen")
 
     def __init__(self) -> None:
         super().__init__()
         self.lambda_ = 1.0
-        self.wait_decisions = 0
         self._last_limited_seen = 0
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
         self._update_lambda(conn)
         fastest, second = self.fastest_and_sendable(conn)
         if second is None:
-            self.waits += 1
             return None
         if second is fastest:
             return fastest
         if self._would_block(conn, fastest, second):
-            self.wait_decisions += 1
-            self.waits += 1
             return None
         return second
 

@@ -46,10 +46,8 @@ class DapsScheduler(Scheduler):
         self.schedules_built = 0
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
         available = self.available_subflows(conn)
         if not available:
-            self.waits += 1
             return None
         established = self.established_subflows(conn)
         if len(established) == 1:

@@ -80,8 +80,6 @@ class EcfScheduler(Scheduler):
         "beta",
         "use_second_inequality",
         "waiting",
-        "wait_decisions",
-        "send_on_slow_decisions",
         "ecf_decisions",
         "forced_decisions",
     )
@@ -92,8 +90,6 @@ class EcfScheduler(Scheduler):
         "beta",
         "use_second_inequality",
         "waiting",
-        "wait_decisions",
-        "send_on_slow_decisions",
         "ecf_decisions",
         "forced_decisions",
     )
@@ -107,8 +103,6 @@ class EcfScheduler(Scheduler):
         self.beta = beta
         self.use_second_inequality = use_second_inequality
         self.waiting = False
-        self.wait_decisions = 0
-        self.send_on_slow_decisions = 0
         #: Monotone count of Algorithm 1 evaluations -- the index the
         #: twin-run driver keys its forced-choice overrides on.
         self.ecf_decisions = 0
@@ -125,19 +119,14 @@ class EcfScheduler(Scheduler):
         self.forced_decisions[index] = choice
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
         fastest, second = self.fastest_and_sendable(conn)
         if second is None:
-            self.waits += 1
             return None
         if second is fastest:
             return fastest
         # Fastest is full; ``second`` is the default scheduler's pick.
         if self._should_wait_for_fast(conn, fastest, second):
-            self.wait_decisions += 1
-            self.waits += 1
             return None
-        self.send_on_slow_decisions += 1
         return second
 
     # ------------------------------------------------------------------

@@ -37,14 +37,12 @@ class RoundRobinScheduler(Scheduler):
         self._next = 0
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
         n = len(conn.subflows)
         for offset in range(n):
             subflow = conn.subflows[(self._next + offset) % n]
             if subflow.can_send():
                 self._next = (subflow.sf_id + 1) % n
                 return subflow
-        self.waits += 1
         return None
 
 
@@ -69,11 +67,9 @@ class RedundantScheduler(Scheduler):
         exist to carry copies -- so the connection's progress is pinned to
         the fastest path, which is the point of the policy.
         """
-        self.decisions += 1
         fastest, sendable = self.fastest_and_sendable(conn)
         if fastest is not None and sendable is fastest:
             return fastest
-        self.waits += 1
         return None
 
     def duplicate_targets(
@@ -93,11 +89,9 @@ class PrimaryOnlyScheduler(Scheduler):
     __slots__ = ()
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
         primary = conn.subflows[0]
         if primary.can_send():
             return primary
-        self.waits += 1
         return None
 
 
@@ -130,9 +124,5 @@ class MpDashScheduler(Scheduler):
         self.cellular_active = active
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
         admissible = conn.subflows if self.cellular_active else conn.subflows[:1]
-        choice = self.fastest([sf for sf in admissible if sf.can_send()])
-        if choice is None:
-            self.waits += 1
-        return choice
+        return self.fastest([sf for sf in admissible if sf.can_send()])

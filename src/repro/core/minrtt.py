@@ -11,7 +11,6 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Optional
 
 from repro.core.base import Scheduler
-from repro.sim import probe as _probe
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -26,12 +25,4 @@ class MinRttScheduler(Scheduler):
     __slots__ = ()
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        self.decisions += 1
-        available = self.available_subflows(conn)
-        choice = self.fastest(available)
-        if choice is None:
-            self.waits += 1
-        probe = _probe.ACTIVE
-        if probe is not None:
-            probe.minrtt_decision(self, conn, available, choice)
-        return choice
+        return self.fastest(self.available_subflows(conn))

@@ -71,6 +71,14 @@ class ConnectionConfig:
     max_cwnd: float = 10_000.0
 
 
+def _broken_contract(scheduler: Scheduler, subflow: Subflow) -> RuntimeError:
+    """The error for a ``select`` answer that has no window space."""
+    return RuntimeError(
+        f"scheduler {scheduler.name!r} returned a subflow "
+        f"without window space: {subflow!r}"
+    )
+
+
 class MptcpConnection:
     """One MPTCP connection between a server (sender) and client (receiver).
 
@@ -102,7 +110,6 @@ class MptcpConnection:
         "total_written",
         "peer_recv_window",
         "reinjections",
-        "scheduler_waits",
         "duplicate_transmissions",
         "_outstanding_dsn",
         "_dsn_order",
@@ -184,7 +191,6 @@ class MptcpConnection:
         self._sending = False
 
         self.reinjections = 0
-        self.scheduler_waits = 0
         self.duplicate_transmissions = 0
 
         scheduler.attach(self)
@@ -247,7 +253,11 @@ class MptcpConnection:
     # Scheduling loop
     # ------------------------------------------------------------------
     def try_send(self) -> None:
-        """Assign as much queued data as scheduler + windows allow."""
+        """Assign as much queued data as scheduler + windows allow.
+
+        With :meth:`_service_rto_reinjections`, the one place a decision
+        is made, counted (``decisions`` / ``waits``) and reported.
+        """
         if self._sending:
             return
         self._sending = True
@@ -271,14 +281,13 @@ class MptcpConnection:
                     subflow = scheduler.select(self)
                 else:
                     subflow = probe.timed("scheduler.decision", scheduler.select, self)
+                    probe.decision(scheduler, self, subflow)
+                scheduler.decisions += 1
                 if subflow is None:
-                    self.scheduler_waits += 1
+                    scheduler.waits += 1
                     break
                 if not subflow.can_send():
-                    raise RuntimeError(
-                        f"scheduler {scheduler.name!r} returned a subflow "
-                        f"without window space: {subflow!r}"
-                    )
+                    raise _broken_contract(scheduler, subflow)
                 dsn = self.next_dsn
                 self.next_dsn = dsn + payload
                 self.unassigned_bytes -= payload
@@ -361,6 +370,7 @@ class MptcpConnection:
 
     def _service_rto_reinjections(self) -> None:
         probe = _probe.ACTIVE
+        scheduler = self.scheduler
         while self._rto_reinject_queue:
             dsn, payload, owner_id = self._rto_reinject_queue[0]
             if dsn < self.conn_una:
@@ -372,10 +382,17 @@ class MptcpConnection:
             # policy never spills onto the secondary, and a waiting ECF
             # defers the reinjection like any other segment.
             if probe is None:
-                target = self.scheduler.select(self)
+                target = scheduler.select(self)
             else:
-                target = probe.timed("scheduler.decision", self.scheduler.select, self)
-            if target is None or target.sf_id == owner_id or not target.can_send():
+                target = probe.timed("scheduler.decision", scheduler.select, self)
+                probe.decision(scheduler, self, target)
+            scheduler.decisions += 1
+            if target is None:
+                scheduler.waits += 1
+                return
+            if not target.can_send():
+                raise _broken_contract(scheduler, target)
+            if target.sf_id == owner_id:
                 return
             self._rto_reinject_queue.popleft()
             self._rto_reinject_pending.discard(dsn)

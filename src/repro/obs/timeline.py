@@ -40,6 +40,7 @@ from pathlib import Path
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro.analysis import events as _events
+from repro.analysis.reference import mandated_wait
 from repro.obs.registry import (
     MetricRegistry,
     publish_perf_counters,
@@ -100,26 +101,6 @@ class _Tracks:
                 }
             )
         return tid
-
-
-def _mandated_wait(event: _events.EcfDecision) -> bool:
-    """Replay Algorithm 1 from one decision's logged inputs.
-
-    Mirrors ``EcfScheduler._evaluate`` (including its non-finite
-    guards): a non-finite fast RTT can never be worth waiting for, a
-    non-finite slow RTT can never be worth sending on.
-    """
-    if not math.isfinite(event.rtt_f):
-        return False
-    if not math.isfinite(event.rtt_s):
-        return True
-    if not event.n_rounds * event.rtt_f < event.threshold:
-        return False
-    if not event.use_second_inequality:
-        return True
-    cwnd_s = max(event.cwnd_s, 1.0)
-    rounds_s = math.ceil(event.k_segments / cwnd_s)
-    return rounds_s * event.rtt_s >= 2.0 * event.rtt_f + event.delta
 
 
 def _wait_spans(
@@ -256,11 +237,12 @@ def timeline_document(
             )
             instant(f"ecf: {event.decision}", event, tid)
             ecf_by_sched.setdefault(event.sched_uid, []).append(event)
-        elif isinstance(event, _events.MinRttDecision):
+        elif isinstance(event, _events.Decision):
             tid = tracks.tid(
-                "scheduler", event.sched_uid, f"minrtt scheduler (uid {event.sched_uid})"
+                "scheduler", event.sched_uid,
+                f"{event.scheduler} scheduler (uid {event.sched_uid})",
             )
-            instant("minrtt pick", event, tid)
+            instant(f"{event.scheduler} pick", event, tid)
         elif isinstance(event, _events.Dispatch):
             # One per engine event; far too chatty to chart individually.
             continue
@@ -287,7 +269,7 @@ def timeline_document(
                 tid,
                 {"fastest_sf": first.fastest_sf, "second_sf": first.second_sf},
             )
-        mandated = _wait_spans(decisions, _mandated_wait, last_t)
+        mandated = _wait_spans(decisions, mandated_wait, last_t)
         for start, end, first in mandated:
             span(
                 "ecf wait (mandated)",

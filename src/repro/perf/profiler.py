@@ -40,8 +40,9 @@ Enable with the :func:`profiling` context manager.
 from __future__ import annotations
 
 import time
+from collections import defaultdict
 from contextlib import contextmanager
-from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar
+from typing import Any, Callable, DefaultDict, Dict, Iterator, List, Optional, Tuple, TypeVar
 
 from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
@@ -72,10 +73,10 @@ class SimProfiler(_probe.Probe):
     """
 
     def __init__(self) -> None:
-        # component -> [calls, wall_seconds]
-        self._components: Dict[str, List[float]] = {}
-        # (component, hook) and ("engine",) style paths -> [calls, wall]
-        self._paths: Dict[Tuple[str, ...], List[float]] = {}
+        # ("engine", component), ("engine", component, hook) and
+        # ("outside", hook) paths -> [calls, wall_seconds]; the
+        # two-frame engine paths are the per-component totals.
+        self._paths: DefaultDict[Tuple[str, ...], List[float]] = defaultdict(lambda: [0, 0.0])
         # classification cache: (owner type | bare callable) -> component
         self._classify_cache: Dict[Any, str] = {}
         # Currently dispatching component ("" between events).
@@ -126,17 +127,9 @@ class SimProfiler(_probe.Probe):
         component = self._current
         self._current = ""
         self._event_wall += dt
-        slot = self._components.get(component)
-        if slot is None:
-            slot = self._components[component] = [0, 0.0]
+        slot = self._paths["engine", component]
         slot[0] += 1
         slot[1] += dt
-        path = ("engine", component)
-        pslot = self._paths.get(path)
-        if pslot is None:
-            pslot = self._paths[path] = [0, 0.0]
-        pslot[0] += 1
-        pslot[1] += dt
 
     # -- nested hot-spot hooks ------------------------------------------
     def timed(self, name: str, fn: Callable[..., _T], *args: Any) -> _T:
@@ -147,13 +140,8 @@ class SimProfiler(_probe.Probe):
             return fn(*args)
         finally:
             dt = time.perf_counter() - t0
-            parent = self._current or "outside"
-            path = ("engine", parent, name) if parent != "outside" else (
-                "outside", name,
-            )
-            slot = self._paths.get(path)
-            if slot is None:
-                slot = self._paths[path] = [0, 0.0]
+            parent = self._current
+            slot = self._paths["engine", parent, name] if parent else self._paths["outside", name]
             slot[0] += 1
             slot[1] += dt
 
@@ -171,24 +159,17 @@ class SimProfiler(_probe.Probe):
         overhead = max(0.0, total - inside_events)
         self._runs += 1
         self._run_wall += total
-        slot = self._components.get("engine.dispatch")
-        if slot is None:
-            slot = self._components["engine.dispatch"] = [0, 0.0]
+        slot = self._paths["engine", "engine.dispatch"]
         slot[0] += 1
         slot[1] += overhead
-        path = ("engine", "engine.dispatch")
-        pslot = self._paths.get(path)
-        if pslot is None:
-            pslot = self._paths[path] = [0, 0.0]
-        pslot[0] += 1
-        pslot[1] += overhead
 
     # -- read-out ---------------------------------------------------------
     def report(self) -> Dict[str, Any]:
         """Structured totals: per-component and per-nested-path."""
         components = {
-            name: {"calls": int(calls), "wall_s": wall}
-            for name, (calls, wall) in sorted(self._components.items())
+            path[1]: {"calls": int(calls), "wall_s": wall}
+            for path, (calls, wall) in sorted(self._paths.items())
+            if len(path) == 2 and path[0] == "engine"
         }
         hot_spots = {
             ";".join(path): {"calls": int(calls), "wall_s": wall}

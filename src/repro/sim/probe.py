@@ -128,10 +128,9 @@ class Probe:
     ) -> None:
         """Algorithm 1 was evaluated in full; hysteresis already updated."""
 
-    def minrtt_decision(
-        self, scheduler: Any, conn: Any, available: List[Any], choice: Any
-    ) -> None:
-        """minRTT picked ``choice`` (or None) among ``available``."""
+    def decision(self, scheduler: Any, conn: Any, choice: Any) -> None:
+        """``scheduler.select(conn)`` answered ``choice`` (None: wait);
+        nothing has been sent yet."""
 
 
 _POINTS = tuple(

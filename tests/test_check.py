@@ -125,7 +125,8 @@ class TestInstrumentation:
     def test_minrtt_run_emits_decisions(self):
         with events.recording() as log:
             run_bulk(bulk_spec("minrtt"))
-        decisions = log.of_kind(events.MinRttDecision)
+        decisions = log.of_kind(events.Decision)
+        assert {d.scheduler for d in decisions} == {"minrtt"}
         assert decisions
         # "no pick" decisions (all windows full) are legal; real picks must
         # appear too, and each must come from the logged candidate set.
@@ -221,19 +222,35 @@ class TestReferenceModel:
             replay_ecf([ecf_decision(sched_uid=1), ecf_decision(sched_uid=2)])
 
     def test_minrtt_replay_flags_wrong_pick(self):
-        bad = events.MinRttDecision(
-            t=1.0, sched_uid=1, chosen_sf=1, available=((1, 0.05), (2, 0.01))
+        bad = events.Decision(
+            t=1.0, sched_uid=1, scheduler="minrtt", chosen_sf=1,
+            available=((1, 0.05), (2, 0.01)),
         )
         divergences = replay_minrtt([bad])
         assert len(divergences) == 1
         assert divergences[0].expected == "sf=2"
 
     def test_minrtt_replay_accepts_lowest_id_tie_break(self):
-        tie = events.MinRttDecision(
-            t=1.0, sched_uid=1, chosen_sf=1, available=((1, 0.01), (2, 0.01))
+        tie = events.Decision(
+            t=1.0, sched_uid=1, scheduler="minrtt", chosen_sf=1,
+            available=((1, 0.01), (2, 0.01)),
         )
-        empty = events.MinRttDecision(t=2.0, sched_uid=1, chosen_sf=None, available=())
+        empty = events.Decision(
+            t=2.0, sched_uid=1, scheduler="minrtt", chosen_sf=None, available=(),
+        )
         assert replay_minrtt([tie, empty]) == []
+
+    def test_minrtt_reference_reads_only_minrtt_records(self):
+        # A DAPS slot may legally pick the slower subflow; only minRTT's
+        # records are held to "smallest SRTT first".
+        log = events.EventLog()
+        for scheduler in ("daps", "minrtt"):
+            log.emit(events.Decision(
+                t=1.0, sched_uid=1, scheduler=scheduler, chosen_sf=1,
+                available=((0, 0.01), (1, 0.1)),
+            ))
+        report = check.check_log(log, props("minrtt-reference-model"))
+        assert len(report.violations) == 1
 
 
 class TestPropertyCatalog:

@@ -7,6 +7,7 @@ decisions, and more than two subflows are handled.
 """
 
 
+from repro.analysis import events
 from repro.core.ecf import EcfScheduler
 from tests.conftest import build_connection, drain
 
@@ -37,9 +38,12 @@ class TestWaitingLifecycle:
         fast.cwnd = slow.cwnd = 10.0
         fast._in_flight = 10
         conn.unassigned_bytes = conn.mss
-        for _ in range(3):
-            assert conn.scheduler.select(conn) is None
-        assert conn.scheduler.wait_decisions == 3
+        with events.recording() as log:
+            for _ in range(3):
+                assert conn.scheduler.select(conn) is None
+        decisions = log.of_kind(events.EcfDecision)
+        assert [d.decision for d in decisions] == ["wait"] * 3
+        assert [d.waiting_before for d in decisions] == [False, True, True]
 
     def test_full_transfer_with_waiting_episodes_completes(self, sim):
         conn = warmed_conn(sim)
@@ -121,14 +125,16 @@ class TestSecondInequalityAblation:
     def test_stock_sends_on_slow_when_second_inequality_fails(self, sim):
         conn = ineq2_boundary_conn(sim, use_second_inequality=True)
         _, slow = conn.subflows
-        assert conn.scheduler.select(conn) is slow
-        assert conn.scheduler.send_on_slow_decisions == 1
+        with events.recording() as log:
+            assert conn.scheduler.select(conn) is slow
+        assert [d.decision for d in log.of_kind(events.EcfDecision)] == ["slow"]
 
     def test_ablation_waits_on_first_inequality_alone(self, sim):
         conn = ineq2_boundary_conn(sim, use_second_inequality=False)
-        assert conn.scheduler.select(conn) is None
+        with events.recording() as log:
+            assert conn.scheduler.select(conn) is None
         assert conn.scheduler.waiting
-        assert conn.scheduler.wait_decisions == 1
+        assert [d.decision for d in log.of_kind(events.EcfDecision)] == ["wait"]
 
     def test_ablation_still_sends_on_slow_when_first_inequality_fails(self, sim):
         conn = ineq2_boundary_conn(sim, use_second_inequality=False)
@@ -184,5 +190,5 @@ class TestUnitsAndEdges:
 
     def test_scheduler_stats_expose_decision_mix(self, sim):
         scheduler = EcfScheduler()
-        assert scheduler.wait_decisions == 0
-        assert scheduler.send_on_slow_decisions == 0
+        assert scheduler.decisions == scheduler.waits == 0
+        assert scheduler.ecf_decisions == 0

@@ -3,6 +3,7 @@ DATA_ACKs, interleaved writes, and sequencing invariants."""
 
 import pytest
 
+from repro.core.base import Scheduler
 from tests.conftest import build_connection, drain
 
 
@@ -94,7 +95,7 @@ class TestSchedulerErrors:
         """A scheduler returning a full subflow is a contract violation."""
         conn = build_connection(sim)
 
-        class Broken:
+        class Broken(Scheduler):
             name = "broken"
 
             def attach(self, conn):
@@ -111,3 +112,23 @@ class TestSchedulerErrors:
         conn.scheduler = Broken()
         with pytest.raises(RuntimeError):
             conn.write(100_000)
+
+    def test_broken_scheduler_refused_at_rto_reinjection(self, sim):
+        """The reinjection site refuses the same answer try_send refuses,
+        instead of silently stalling the reinjection queue."""
+        conn = build_connection(sim)
+        conn.write(4 * conn.mss)  # all assigned now: try_send selects no more
+        stranded = conn.subflows[0]
+        assert conn.unassigned_bytes == 0 and stranded.outstanding_segments
+
+        class Broken(Scheduler):
+            name = "broken"
+
+            def select(self, conn):
+                subflow = conn.subflows[1]
+                subflow._in_flight = int(subflow.cwnd)  # force full
+                return subflow
+
+        conn.scheduler = Broken()
+        with pytest.raises(RuntimeError, match="without window space"):
+            conn._on_subflow_rto(stranded)

@@ -12,6 +12,7 @@ from functools import partial
 import pytest
 
 from repro.analysis import check, events
+from repro.analysis.reference import mandated_wait
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.cli import main as cli_main
 from repro.experiments.exec import ExperimentExecutor
@@ -58,8 +59,9 @@ def sample_events():
             cause="rto",
         ),
         ecf_decision(t=0.8),
-        events.MinRttDecision(
-            t=0.9, sched_uid=2, chosen_sf=0, available=((0, 0.01), (1, 0.1)),
+        events.Decision(
+            t=0.9, sched_uid=2, scheduler="minrtt", chosen_sf=0,
+            available=((0, 0.01), (1, 0.1)),
         ),
     ]
 
@@ -94,8 +96,9 @@ class TestEventRoundTrip:
             assert type(again) is type(sample)
 
     def test_minrtt_available_refrozen_to_tuples(self):
-        sample = events.MinRttDecision(
-            t=0.9, sched_uid=2, chosen_sf=None, available=((0, 0.01),),
+        sample = events.Decision(
+            t=0.9, sched_uid=2, scheduler="blest", chosen_sf=None,
+            available=((0, 0.01),),
         )
         again = events.event_from_dict(json.loads(json.dumps(sample.to_dict())))
         assert again.available == ((0, 0.01),)
@@ -447,28 +450,28 @@ class TestJournalRotation:
 
 class TestMandatedWaitReplay:
     def test_defaults_mandate_waiting(self):
-        assert timeline._mandated_wait(ecf_decision()) is True
+        assert mandated_wait(ecf_decision()) is True
 
     def test_nonfinite_fast_rtt_never_waits(self):
-        assert timeline._mandated_wait(
+        assert mandated_wait(
             ecf_decision(rtt_f=float("inf"))) is False
 
     def test_nonfinite_slow_rtt_always_waits(self):
-        assert timeline._mandated_wait(
+        assert mandated_wait(
             ecf_decision(rtt_s=float("inf"))) is True
 
     def test_first_inequality_failing_sends(self):
         # n * rtt_f >= threshold: the fast path is no longer worth it.
-        assert timeline._mandated_wait(
+        assert mandated_wait(
             ecf_decision(n_rounds=20.0)) is False
 
     def test_second_inequality_skipped_when_disabled(self):
-        assert timeline._mandated_wait(
+        assert mandated_wait(
             ecf_decision(use_second_inequality=False, rtt_s=1e-6)) is True
 
     def test_second_inequality_failing_sends(self):
         # Slow path finishes well inside 2 * rtt_f + delta: use it.
-        assert timeline._mandated_wait(
+        assert mandated_wait(
             ecf_decision(rtt_s=0.001, k_segments=1.0)) is False
 
 
@@ -533,6 +536,22 @@ class TestTimelineDocument:
         spans = [e for e in document["traceEvents"] if e["ph"] == "X"]
         assert [e["name"] for e in spans] == ["ecf wait (mandated)"]
         assert spans[0]["args"]["taken"] == "slow"
+
+    def test_decisions_are_labelled_by_scheduler(self):
+        log = [
+            events.Decision(t=0.01, sched_uid=5, scheduler="daps", chosen_sf=1,
+                            available=((0, 0.01), (1, 0.1))),
+            events.Decision(t=0.02, sched_uid=6, scheduler="blest", chosen_sf=None,
+                            available=()),
+        ]
+        trace_events = timeline.timeline_document(log)["traceEvents"]
+        thread_names = {
+            e["args"]["name"] for e in trace_events
+            if e["ph"] == "M" and e["name"] == "thread_name"
+        }
+        assert thread_names == {"daps scheduler (uid 5)", "blest scheduler (uid 6)"}
+        picks = [e["name"] for e in trace_events if e["ph"] == "i"]
+        assert picks == ["daps pick", "blest pick"]
 
     def test_nonfinite_args_sanitized(self, tmp_path):
         log = [ecf_decision(t=0.01, decision="fast", threshold=float("inf"))]

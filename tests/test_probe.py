@@ -210,7 +210,7 @@ class TestComposition:
 
     def test_the_workloads_reach_the_recovery_and_wait_paths(self, references):
         kinds = {r["kind"] for _digest_, records in references.values() for r in records}
-        assert {"FastRetransmit", "EcfDecision", "MinRttDecision", "IdleReset"} <= kinds
+        assert {"FastRetransmit", "EcfDecision", "Decision", "IdleReset"} <= kinds
 
     @pytest.mark.parametrize("tools", SUBSETS, ids="+".join)
     def test_subset_changes_neither_result_nor_log(self, tools, references):

@@ -10,12 +10,16 @@ The two load-bearing guarantees:
   guards the same property at sha256 granularity).
 """
 
+import itertools
+from types import SimpleNamespace
+
 import pytest
 
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.net.profiles import lte_config, wifi_config
 from repro.perf import profiler as _profiler
 from repro.perf.profiler import SimProfiler, profiling
+from repro.sim.engine import Simulator
 
 
 def bulk_spec(seed=0, size=96 * 1024):
@@ -117,6 +121,101 @@ class TestCollapsed:
 
     def test_empty_profiler_collapses_to_nothing(self):
         assert SimProfiler().collapsed() == ""
+
+
+#: One scripted clock step: binary-exact, so every pinned total is too.
+TICK = 2.0 ** -10
+
+
+def scripted_profile(monkeypatch):
+    """A fixed dispatch/timed/run sequence under a scripted host clock."""
+    steps = itertools.cycle((3, 1, 4, 1, 5, 9, 2, 6))
+    clock = [0.0]
+
+    def perf_counter():
+        clock[0] += next(steps) * TICK
+        return clock[0]
+
+    monkeypatch.setattr(_profiler.time, "perf_counter", perf_counter)
+
+    def owned(module):
+        cls = type("Owner", (), {"__module__": module, "fire": lambda self: None})
+        return SimpleNamespace(callback=cls().fire)
+
+    def bare():
+        pass
+
+    bare.__module__ = "somewhere.else"
+
+    prof = SimProfiler()
+    sim = Simulator()
+    prof.adopt(sim)
+    prof.adopt(object())
+    prof.timed("spec.hash", len, ())  # outside any dispatch
+    prof.run_begin(sim)
+    for timer, hooks in (
+        (owned("repro.net.link"), ("receiver.reassembly",)),
+        (owned("repro.tcp.subflow"), ("scheduler.decision", "cc.update")),
+        (owned("repro.net.link"), ()),
+        (SimpleNamespace(callback=bare), ()),
+        (owned("repro.mptcp.connection"), ("scheduler.decision",)),
+    ):
+        prof.event_begin(sim, 0.0, timer)
+        for hook in hooks:
+            prof.timed(hook, len, ())
+        prof.event_end(sim)
+    prof.run_begin(sim)  # a nested run
+    prof.event_begin(sim, 1.0, owned("repro.apps.bulk"))
+    prof.event_end(sim)
+    prof.run_end(sim)
+    prof.run_end(sim)
+    return prof
+
+
+def calls_wall(calls, ticks):
+    return {"calls": calls, "wall_s": ticks * TICK}
+
+
+class TestScriptedReadout:
+    """``report()`` and ``collapsed()`` pinned on a scripted clock: the
+    per-component totals are read off the one path table."""
+
+    def test_report_is_pinned(self, monkeypatch):
+        assert scripted_profile(monkeypatch).report() == {
+            "runs": 2,
+            "run_wall_s": 100 * TICK,
+            "sims_adopted": 1,
+            "components": {
+                "app": calls_wall(1, 6),
+                "engine.dispatch": calls_wall(2, 43),
+                "link.delivery": calls_wall(2, 18),
+                "mptcp.connection": calls_wall(1, 10),
+                "other": calls_wall(1, 3),
+                "tcp.subflow": calls_wall(1, 14),
+            },
+            "hot_spots": {
+                "engine;link.delivery;receiver.reassembly": calls_wall(1, 9),
+                "engine;mptcp.connection;scheduler.decision": calls_wall(1, 1),
+                "engine;tcp.subflow;cc.update": calls_wall(1, 1),
+                "engine;tcp.subflow;scheduler.decision": calls_wall(1, 1),
+                "outside;spec.hash": calls_wall(1, 1),
+            },
+        }
+
+    def test_collapsed_is_pinned(self, monkeypatch):
+        assert scripted_profile(monkeypatch).collapsed() == (
+            "engine;app 5859\n"
+            "engine;engine.dispatch 41992\n"
+            "engine;link.delivery 8789\n"
+            "engine;link.delivery;receiver.reassembly 8789\n"
+            "engine;mptcp.connection 8789\n"
+            "engine;mptcp.connection;scheduler.decision 977\n"
+            "engine;other 2930\n"
+            "engine;tcp.subflow 11719\n"
+            "engine;tcp.subflow;cc.update 977\n"
+            "engine;tcp.subflow;scheduler.decision 977\n"
+            "outside;spec.hash 977\n"
+        )
 
 
 class TestProfilingContext:

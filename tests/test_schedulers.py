@@ -1,7 +1,13 @@
 """Tests for the path schedulers: the ECF contribution and its baselines."""
 
+import importlib.util
+from pathlib import Path
+
 import pytest
 
+from repro import perf
+from repro.analysis import events
+from repro.analysis.fixtures import FIXTURE_SCHEDULERS
 from repro.core import (
     BlestScheduler,
     DapsScheduler,
@@ -13,7 +19,9 @@ from repro.core import (
     SchedulerSpec,
     build,
 )
-from tests.conftest import build_connection, drain
+from repro.mptcp.connection import ConnectionConfig, MptcpConnection
+from repro.sim.engine import Simulator
+from tests.conftest import build_connection, build_path, drain
 
 
 def prepared_conn(sim, scheduler_name="minrtt", fast=(10.0, 0.005), slow=(1.0, 0.05), **kw):
@@ -272,8 +280,9 @@ class TestEcfAlgorithm:
         fast_sf.cwnd = slow_sf.cwnd = 10.0
         fill_window(fast_sf)
         conn.unassigned_bytes = conn.mss
-        conn.scheduler.select(conn)
-        assert conn.scheduler.wait_decisions == 1
+        with events.recording() as log:
+            assert conn.scheduler.select(conn) is None
+        assert [d.decision for d in log.of_kind(events.EcfDecision)] == ["wait"]
 
 
 class TestBlest:
@@ -291,7 +300,9 @@ class TestBlest:
         conn.unassigned_bytes = 100 * conn.mss
         # Fast path could push ~ 30 * 10 rounds * mss >> 60 kB window.
         assert conn.scheduler.select(conn) is None
-        assert conn.scheduler.wait_decisions == 1
+        # A window-blocking wait, not a full house: the slow path had room.
+        assert slow_sf.can_send()
+        assert conn.scheduler._would_block(conn, fast_sf, slow_sf)
 
     def test_sends_on_slow_when_window_ample(self, sim):
         conn, fast_sf, slow_sf = prepared_conn(
@@ -370,3 +381,47 @@ class TestExtras:
         drain(sim)
         assert conn.subflows[1].stats.payload_bytes_sent == 0
         assert conn.delivered_bytes == 1_000_000
+
+
+#: The tutorial's scheduler, which keeps no bookkeeping of its own.
+EXAMPLE = "backlog (examples/custom_scheduler.py)"
+
+
+def example_scheduler():
+    path = Path(__file__).resolve().parents[1] / "examples" / "custom_scheduler.py"
+    spec = importlib.util.spec_from_file_location("custom_scheduler", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.BacklogAwareScheduler()
+
+
+class TestOneDecisionSite:
+    """The connection counts and records every ``select`` answer, for
+    every scheduler: the log, the scheduler and the perf counters agree."""
+
+    @pytest.mark.parametrize("name", [*SCHEDULER_NAMES, *FIXTURE_SCHEDULERS, EXAMPLE])
+    def test_every_answer_is_counted_and_recorded(self, name):
+        with perf.collecting() as collector, events.recording() as log:
+            sim = Simulator()
+            paths = [
+                build_path(sim, rate, delay, name=f"p{i}")
+                for i, (rate, delay) in enumerate(((10.0, 0.005), (1.0, 0.05)))
+            ]
+            scheduler = example_scheduler() if name == EXAMPLE else build(SchedulerSpec.of(name))
+            conn = MptcpConnection(
+                sim, paths, scheduler, config=ConnectionConfig(handshake_delays=False)
+            )
+            conn.write(400_000)
+            drain(sim)
+        assert conn.delivered_bytes == 400_000
+        counters = collector.snapshot()
+        decisions = log.of_kind(events.Decision)
+        assert {d.scheduler for d in decisions} == {scheduler.name}
+        assert len(decisions) == scheduler.decisions == counters.scheduler_decisions > 0
+        waits = [d for d in decisions if d.chosen_sf is None]
+        assert len(waits) == scheduler.waits == counters.scheduler_waits
+        if isinstance(scheduler, EcfScheduler):
+            ecf = log.of_kind(events.EcfDecision)
+            assert len(ecf) == scheduler.ecf_decisions
+            ecf_waits = [d for d in ecf if d.decision == "wait"]
+            assert len([d for d in waits if d.available]) == len(ecf_waits)
