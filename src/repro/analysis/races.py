@@ -1,22 +1,23 @@
 """Event-order race detector: re-run scenarios under shuffled tie-breaks.
 
-The engine breaks same-timestamp ties by insertion order, which makes
-runs reproducible but also *hides* any code that accidentally depends on
-which of two simultaneous events fires first -- a latent race that a
-refactor reordering two ``schedule()`` calls would surface as a silent
-result change.  This module re-executes a scenario several times under
-:func:`repro.sim.engine.forced_tie_break` with different shuffle seeds
-and demands the summary metrics stay **byte-identical** (compared as
-canonical JSON of ``result.to_dict()``): for a single-connection
-scenario, simultaneous events are causally independent, so any
-divergence is order-dependence in library code.
+The invariant it checks: results do not depend on the order in which
+same-instant events were scheduled; an instant's events run in
+owner-construction order.  The engine orders its heap by ``(time, owner
+rank, seq)`` (see :mod:`repro.sim.engine`), so two ACKs that reach two
+subflows in the same instant, or two access hops that deliver into one
+shared queue in the same instant, are served in the order their owners
+were built -- never in the order a refactor happened to call
+``schedule()``.  What the rank cannot order is one owner's own
+same-instant events; code that depends on their order is a latent race.
 
-Scope: the identity assertion only makes sense where ties are causally
-independent.  Scenarios with several connections contending for shared
-links (the web workload) have *semantic* tie sensitivity -- two packets
-hitting one queue in the same instant genuinely serve in either order --
-so the default ``repro check`` matrix runs the race detector on the
-single-connection DASH and bulk scenarios only.
+This module re-executes a scenario several times under
+:func:`repro.sim.engine.forced_tie_break` with different shuffle seeds --
+which permute exactly the events whose time and owner rank are equal --
+and demands the summary metrics stay **byte-identical** (compared as
+canonical JSON of ``result.to_dict()``).  ``repro check`` runs it on
+every scenario of its matrix: single-connection DASH and bulk, DASH over
+four subflows per interface, and the six-connection web page whose
+connections share links.
 """
 
 from __future__ import annotations

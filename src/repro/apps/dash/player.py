@@ -133,6 +133,7 @@ class DashPlayer:
         if start_threshold > max_buffer or resume_threshold > max_buffer:
             raise ValueError("thresholds cannot exceed max_buffer")
         self.sim = sim
+        self._rank = sim.next_rank()
         self.session = session
         self.manifest = manifest
         self.abr = abr or BufferBasedAbr()

@@ -25,6 +25,7 @@ class PeriodicSampler:
         if period <= 0:
             raise ValueError(f"period must be positive, got {period!r}")
         self.sim = sim
+        self._rank = sim.next_rank()
         self.trace = trace
         self.period = period
         self._probes: Dict[str, Callable[[], float]] = {}

@@ -98,6 +98,7 @@ class MptcpConnection:
     #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
+        "_rank",
         "config",
         "scheduler",
         "name",
@@ -132,6 +133,7 @@ class MptcpConnection:
         if not paths:
             raise ValueError("an MPTCP connection needs at least one path")
         self.sim = sim
+        self._rank = sim.next_rank()
         self.config = config or ConnectionConfig()
         self.scheduler = scheduler
         self.name = name

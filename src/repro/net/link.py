@@ -114,6 +114,7 @@ class Link:
     #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
+        "_rank",
         "rate_bps",
         "delay",
         "queue_bytes",
@@ -157,6 +158,7 @@ class Link:
         if (loss_rate > 0.0 or jitter > 0.0) and rng is None:
             raise ValueError("loss_rate/jitter > 0 requires an rng")
         self.sim = sim
+        self._rank = sim.next_rank()
         self.rate_bps = float(rate_bps)
         self.delay = float(delay)
         self.queue_bytes = int(queue_bytes)

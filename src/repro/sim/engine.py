@@ -1,27 +1,36 @@
 """Heap-based discrete-event simulator.
 
-The engine is intentionally small: a priority queue of ``(time, seq,
-callback)`` entries, a simulated clock, and cancellable :class:`Timer`
+The engine is intentionally small: a priority queue of ``(time, rank,
+seq, Timer)`` entries, a simulated clock, and cancellable :class:`Timer`
 handles.  Everything else in the library (links, TCP subflows, DASH players)
 is expressed as callbacks scheduled on one :class:`Simulator` instance.
 
-Determinism: ties in event time are broken by a monotonically increasing
-sequence number, so two runs with the same seed execute events in the same
-order regardless of hash randomization or dict ordering.
+Determinism: results do not depend on the order in which same-instant
+events were scheduled; an instant's events run in owner-construction
+order.  Every object whose bound methods are scheduled (a link, a subflow,
+a connection, a player, a sampler) takes a per-world construction index,
+its *rank*, from :meth:`Simulator.next_rank` when it is built, and the
+heap orders entries by ``(time, owner rank, seq)``.  A callback with no
+ranked owner (a lambda, ``Path.set_rate``, a bound method of a plain list)
+has rank 0 and runs first at its instant.  The sequence number only orders
+one owner's own same-instant events, so two runs with the same seed
+execute events in the same order regardless of hash randomization or dict
+ordering.
 
-Tie-break randomization: correct simulation code must not depend on *which*
-order same-timestamp events run in -- any such dependence is a latent race
-that insertion-order tie-breaking merely hides.  Constructing a simulator
-with ``tie_break="random"`` (or running scenarios under the
+Tie-break randomization: correct simulation code must not depend on the
+order of one owner's same-instant events.  Constructing a simulator with
+``tie_break="random"`` (or running scenarios under the
 :func:`forced_tie_break` context manager, which the race detector in
-:mod:`repro.analysis.races` uses) shuffles ties with a seeded stream while
-keeping each individual run fully deterministic.
+:mod:`repro.analysis.races` uses) shuffles the events whose ``(time,
+rank)`` are equal with a seeded stream while keeping each individual run
+fully deterministic.
 """
 
 from __future__ import annotations
 
 import heapq
 from contextlib import contextmanager
+from types import MethodType as _MethodType
 from typing import Any, Callable, Iterator, Optional, Tuple
 
 from repro.sim import probe as _probe
@@ -45,9 +54,10 @@ _FORCED_TIE_BREAK: Optional[Tuple[str, int]] = None
 def forced_tie_break(mode: str, seed: int = 0) -> Iterator[None]:
     """Force every ``Simulator()`` constructed in the body to ``mode``.
 
-    ``mode`` is ``"fifo"`` (insertion order, the default) or ``"random"``
-    (seeded shuffle of same-timestamp ties).  Explicit constructor
-    arguments still win over the forced default.
+    ``mode`` is ``"fifo"`` (the canonical key, the default) or
+    ``"random"`` (seeded shuffle of events whose time and owner rank are
+    equal).  Explicit constructor arguments still win over the forced
+    default.
     """
     global _FORCED_TIE_BREAK
     previous = _FORCED_TIE_BREAK
@@ -116,13 +126,6 @@ class Timer:
         fired (a fired timer is consumed and reports inactive)."""
         return not self.cancelled
 
-    def __lt__(self, other: "Timer") -> bool:
-        # Exact float equality is intended: two timers tie only when they
-        # hold bit-identical times, and ties fall through to the seq.
-        if self.time != other.time:  # repro: noqa[RPR301]
-            return self.time < other.time
-        return self.seq < other.seq
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "active"
         return f"Timer(t={self.time:.6f}, seq={self.seq}, {state})"
@@ -155,6 +158,7 @@ class Simulator:
         "now",
         "_heap",
         "_seq",
+        "_ranks",
         "_events_processed",
         "_running",
         "_cancelled_in_heap",
@@ -186,11 +190,13 @@ class Simulator:
         else:
             self._tie_rng = None
         self.now: float = 0.0
-        # Heap entries: (time, key, Timer) where key is the seq (fifo) or a
-        # (random draw, seq) pair -- within one simulator the key type is
-        # homogeneous, so tuple comparison stays at the C level.
+        # Heap entries: (time, rank, key, Timer) where key is the seq (fifo)
+        # or a (random draw, seq) pair -- within one simulator the key type
+        # is homogeneous, so tuple comparison stays at the C level.
         self._heap: list = []
         self._seq: int = 0
+        #: Ranks handed out so far by next_rank(); 0 is the unowned rank.
+        self._ranks: int = 0
         self._events_processed: int = 0
         self._running = False
         # Perf accounting (always-on: plain int bumps, read by repro.perf).
@@ -205,6 +211,16 @@ class Simulator:
     # ------------------------------------------------------------------
     # Scheduling
     # ------------------------------------------------------------------
+    def next_rank(self) -> int:
+        """A new owner's rank: its construction index in this world.
+
+        An object whose bound methods are scheduled calls this once, when
+        it is built, and keeps the answer as ``_rank``; its same-instant
+        events then run after those of every owner built before it.
+        """
+        self._ranks += 1
+        return self._ranks
+
     def schedule(self, delay: float, callback: Callable, *args: Any) -> Timer:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
@@ -219,13 +235,11 @@ class Simulator:
         self._seq = seq
         time = self.now + delay
         timer = Timer(time, seq, callback, args, self)
-        # Heap entries are plain tuples: C-level comparisons are several
-        # times faster than calling Timer.__lt__ for every sift.
+        rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
         if self._tie_rng is None:
-            key: Any = seq
+            _heappush(self._heap, (time, rank, seq, timer))
         else:
-            key = (self._tie_rng.random(), seq)
-        _heappush(self._heap, (time, key, timer))
+            _heappush(self._heap, (time, rank, (self._tie_rng.random(), seq), timer))
         return timer
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> Timer:
@@ -237,11 +251,11 @@ class Simulator:
         seq = self._seq + 1
         self._seq = seq
         timer = Timer(time, seq, callback, args, self)
+        rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
         if self._tie_rng is None:
-            key: Any = seq
+            _heappush(self._heap, (time, rank, seq, timer))
         else:
-            key = (self._tie_rng.random(), seq)
-        _heappush(self._heap, (time, key, timer))
+            _heappush(self._heap, (time, rank, (self._tie_rng.random(), seq), timer))
         return timer
 
     # ------------------------------------------------------------------
@@ -261,7 +275,7 @@ class Simulator:
             self._cancelled_in_heap >= _COMPACT_MIN_CANCELLED
             and self._cancelled_in_heap * 2 >= len(heap)
         ):
-            heap[:] = [entry for entry in heap if not entry[2].cancelled]
+            heap[:] = [entry for entry in heap if not entry[3].cancelled]
             heapq.heapify(heap)
             self._cancelled_in_heap = 0
             self._compactions += 1
@@ -317,7 +331,7 @@ class Simulator:
                 # semantic edit must be applied to both.
                 while heap:
                     entry = heap[0]
-                    timer = entry[2]
+                    timer = entry[3]
                     if timer.cancelled:
                         pop(heap)
                         self._stale_pops += 1
@@ -334,7 +348,7 @@ class Simulator:
             else:
                 while heap:
                     entry = heap[0]
-                    timer = entry[2]
+                    timer = entry[3]
                     if timer.cancelled:
                         pop(heap)
                         self._stale_pops += 1
@@ -377,7 +391,7 @@ class Simulator:
     @property
     def pending_events(self) -> int:
         """Number of scheduled, not-yet-cancelled events."""
-        return sum(1 for _, _, t in self._heap if not t.cancelled)
+        return sum(1 for *_, t in self._heap if not t.cancelled)
 
     @property
     def events_processed(self) -> int:
@@ -413,7 +427,7 @@ class Simulator:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next pending event, or None if the queue is empty."""
-        while self._heap and self._heap[0][2].cancelled:
+        while self._heap and self._heap[0][3].cancelled:
             heapq.heappop(self._heap)
             self._stale_pops += 1
             self._cancelled_in_heap -= 1

@@ -146,6 +146,7 @@ class Subflow:
     #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
     STATE_FIELDS = (
         "sim",
+        "_rank",
         "path",
         "cc",
         "sf_id",
@@ -191,6 +192,7 @@ class Subflow:
         max_cwnd: float = 10_000.0,
     ) -> None:
         self.sim = sim
+        self._rank = sim.next_rank()
         self.path = path
         self.cc = cc
         self.sf_id = sf_id

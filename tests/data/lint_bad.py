@@ -44,7 +44,7 @@ class BrokenSpec:  # RPR401: spec dataclass not frozen
 
 
 def sneak_event(sim, timer):
-    heapq.heappush(sim._heap, (0.0, 0, timer))  # RPR901: bypasses Simulator.schedule
+    heapq.heappush(sim._heap, (0.0, 0, 0, timer))  # RPR901: bypasses Simulator.schedule
 
 
 def chatty_progress(done, total):

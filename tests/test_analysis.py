@@ -437,7 +437,7 @@ class TestSanitizer:
         # Hand-push a stale event behind the clock; schedule() itself
         # would legitimately refuse this, which is the point of the check.
         timer = Timer(0.5, 10_000, lambda: None, ())
-        heapq.heappush(sim._heap, (0.5, 10_000, timer))  # repro: noqa[RPR901]
+        heapq.heappush(sim._heap, (0.5, 0, 10_000, timer))  # repro: noqa[RPR901]
         with pytest.raises(SanitizerError, match="non-decreasing event dispatch"):
             sim.run()
 

@@ -18,7 +18,9 @@ from repro.cli import main as cli_main
 from repro.core.ecf import EcfScheduler
 from repro.core.registry import SCHEDULER_NAMES
 from repro.core.spec import SchedulerSpec, build
+from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, wifi_config
+from repro.net.topology import LinkSpec, chain_path, shared_bottleneck
 from repro.sim.engine import SimulationError, Simulator, forced_tie_break
 from tests.conftest import build_connection
 
@@ -453,6 +455,43 @@ class _ProbeResult:
         return {"order": self.order}
 
 
+def _shared_bottleneck_run(duration):
+    """Two-subflow MPTCP plus one TCP flow through one shared bottleneck
+    link, built as ``benchmarks/test_ext_shared_bottleneck.py`` builds it."""
+    sim = Simulator()
+    mptcp_paths = shared_bottleneck(
+        sim,
+        access_a=LinkSpec(50.0, 0.005, name="a"),
+        access_b=LinkSpec(50.0, 0.006, name="b"),
+        bottleneck=LinkSpec(6.0, 0.01, queue_bytes=120_000, name="bn"),
+    )
+    shared_link = mptcp_paths[0].forward.hops[1]
+    tcp_path = chain_path(sim, "tcp", [LinkSpec(50.0, 0.005, name="tcp-access")])
+    tcp_path.forward.hops.append(shared_link)
+    mptcp = MptcpConnection(
+        sim, mptcp_paths, build(SchedulerSpec.of("roundrobin")),
+        config=ConnectionConfig(handshake_delays=False, congestion_control="coupled"),
+        name="mptcp",
+    )
+    tcp = MptcpConnection(
+        sim, [tcp_path], build(SchedulerSpec.of("minrtt")),
+        config=ConnectionConfig(handshake_delays=False, congestion_control="reno"),
+        name="tcp",
+    )
+    for conn in (mptcp, tcp):
+        conn.write(10_000_000)
+    sim.run(until=duration)
+    return _ProbeResult({
+        "delivered": [conn.delivered_bytes for conn in (mptcp, tcp)],
+        "segments_sent": [sf.stats.segments_sent
+                          for conn in (mptcp, tcp) for sf in conn.subflows],
+        "retransmitted": [sf.stats.segments_retransmitted
+                          for conn in (mptcp, tcp) for sf in conn.subflows],
+        "bottleneck_drops": shared_link.stats.packets_dropped_queue,
+        "ooo_delays": [conn.receiver.ooo_delays for conn in (mptcp, tcp)],
+    })
+
+
 def _order_dependent_run(_spec):
     """Result depends on which of two same-timestamp events fires first."""
     sim = Simulator()
@@ -487,6 +526,12 @@ class TestRaceDetector:
     def test_bulk_scenario_is_order_independent(self):
         report = race_check(run_bulk, bulk_spec("ecf", size=64_000), orders=3)
         assert report.ok
+
+    def test_shared_bottleneck_is_order_independent(self):
+        """Three flows queue at one link: simultaneous arrivals from two
+        access hops must serve in one canonical order, not schedule order."""
+        report = race_check(_shared_bottleneck_run, 4.0, orders=3)
+        assert report.ok, report.format()
 
     def test_seed_list_must_match_orders(self):
         with pytest.raises(ValueError):

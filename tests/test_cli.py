@@ -158,8 +158,8 @@ PARSER_SURFACE = [
     ("metrics", (), "metrics_command", None, ("validate",), "A...", True, None),
     ("metrics validate", (), "file", None, None, None, True, None),
     ("check", ("--scheduler",), "scheduler", ["ecf", "minrtt"], FIXTURES, "+", False, None),
-    ("check", ("--scenario",), "scenario", ["dash", "bulk", "web"], ("dash", "bulk", "web"), "+",
-     False, None),
+    ("check", ("--scenario",), "scenario", ["dash", "dash4sf", "bulk", "web"],
+     ("dash", "dash4sf", "bulk", "web"), "+", False, None),
     ("check", ("--orders",), "orders", 5, None, None, False, "_positive_int"),
     ("check", ("--skip-races",), "skip_races", False, None, 0, False, None),
     ("check", ("--wifi",), "wifi", 8.6, None, None, False, "float"),

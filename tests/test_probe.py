@@ -228,7 +228,7 @@ class TestComposition:
             sim.run()
             # Hand-push an event behind the clock (schedule() would refuse).
             stale = Timer(0.5, 10_000, lambda: None, ())
-            heapq.heappush(sim._heap, (0.5, 10_000, stale))  # repro: noqa[RPR901]
+            heapq.heappush(sim._heap, (0.5, 0, 10_000, stale))  # repro: noqa[RPR901]
             with pytest.raises(SanitizerError, match="non-decreasing event dispatch"):
                 sim.run()
         assert [e.seq for e in log.of_kind(events.Dispatch)] == [1]

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.sim.engine import SimulationError
+from repro.sim.engine import SimulationError, Simulator
 
 
 class TestScheduling:
@@ -65,6 +65,59 @@ class TestScheduling:
         sim.run()
         assert fired == ["inner"]
         assert sim.now == 2.0
+
+
+class _Owner:
+    """An event owner the way links and subflows are: ranked when built."""
+
+    def __init__(self, sim, log, name):
+        self._rank = sim.next_rank()
+        self.log = log
+        self.name = name
+
+    def fire(self, tag=""):
+        self.log.append(self.name + tag)
+
+
+class TestCanonicalKey:
+    """An instant's events run in owner-construction order, whatever order
+    they were scheduled in."""
+
+    def test_same_instant_events_run_in_owner_order(self, sim):
+        log = []
+        first, second = _Owner(sim, log, "a"), _Owner(sim, log, "b")
+        sim.schedule(1.0, second.fire)
+        sim.schedule_at(1.0, first.fire)
+        sim.schedule(1.0, log.append, "unowned")
+        sim.run()
+        assert log == ["unowned", "a", "b"]
+
+    def test_one_owners_ties_keep_schedule_order(self, sim):
+        log = []
+        owner = _Owner(sim, log, "a")
+        for tag in "123":
+            sim.schedule(1.0, owner.fire, tag)
+        sim.run()
+        assert log == ["a1", "a2", "a3"]
+
+    def test_ranks_are_per_world_construction_indices(self):
+        assert [Simulator().next_rank() for _ in range(2)] == [1, 1]
+        sim = Simulator()
+        assert [sim.next_rank() for _ in range(3)] == [1, 2, 3]
+
+    def test_random_mode_shuffles_only_equal_time_and_rank(self):
+        orders = set()
+        for seed in range(12):
+            sim = Simulator(tie_break="random", tie_break_seed=seed)
+            log = []
+            first, second = _Owner(sim, log, "a"), _Owner(sim, log, "b")
+            for tag in "12":
+                sim.schedule(1.0, second.fire, tag)
+                sim.schedule(1.0, first.fire, tag)
+            sim.run()
+            assert sorted(log[:2]) == ["a1", "a2"] and sorted(log[2:]) == ["b1", "b2"]
+            orders.add(tuple(log))
+        assert len(orders) > 1
 
 
 class TestRunControl:
