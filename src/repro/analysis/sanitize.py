@@ -236,27 +236,38 @@ class Checks(_probe.Probe):
     # net.link
     # ------------------------------------------------------------------
     def audit_link(self, link: "Link") -> None:
-        """Packet and byte conservation across the queue/transmitter."""
-        queued = sum(packet.size for packet, _ in link._queue)
-        if queued != link.queued_bytes:
-            _fail(
-                link,
-                "queue byte conservation",
-                f"counter={link.queued_bytes}, actual={queued}",
-            )
-        if not 0 <= link.queued_bytes <= link.queue_bytes:
+        """Packet and byte conservation across the queue/transmitter.
+
+        Reads the link's public properties, the length of its FIFO of
+        admitted packets and, on a jittered link, how many packets wait
+        in their jitter delivery event.
+        """
+        queued, depth, busy = link.queued_bytes, link.queue_depth, link.busy
+        if not 0 <= queued <= link.queue_bytes:
             _fail(
                 link,
                 "0 <= queued_bytes <= capacity",
-                f"queued={link.queued_bytes}, capacity={link.queue_bytes}",
+                f"queued={queued}, capacity={link.queue_bytes}",
+            )
+        if (queued == 0) != (depth == 0) or (depth and not busy):
+            _fail(
+                link,
+                "queue byte conservation",
+                f"queued={queued} bytes in {depth} packet(s), busy={busy}",
+            )
+        admitted = len(link._fifo)
+        if depth + busy > admitted:
+            _fail(
+                link,
+                "queued and transmitting packets are admitted",
+                f"queued={depth}, busy={busy}, admitted={admitted}",
             )
         stats = link.stats
         accounted = (
             stats.packets_delivered
             + stats.packets_dropped
-            + link.queue_depth
-            + (1 if link.busy else 0)
-            + link._in_propagation
+            + admitted
+            + link._jittering
         )
         if stats.packets_in != accounted:
             _fail(
@@ -264,8 +275,7 @@ class Checks(_probe.Probe):
                 "packet conservation",
                 f"in={stats.packets_in}, accounted={accounted} "
                 f"(delivered={stats.packets_delivered}, dropped={stats.packets_dropped}, "
-                f"queued={link.queue_depth}, busy={link.busy}, "
-                f"propagating={link._in_propagation})",
+                f"admitted={admitted}, jittering={link._jittering})",
             )
 
 

@@ -14,6 +14,23 @@ The link reproduces what ``tc`` rate limiting does to a real interface:
 Rate changes (Section 5.3's variable-bandwidth scenarios) take effect on
 the next packet that begins transmission, exactly like a token-bucket
 regulator being reconfigured.
+
+Virtual time: a link is a FIFO server, so :meth:`Link.send` computes a
+packet's whole future at admission -- start = max(now, transmitter free),
+finish = start + size*8/rate, arrival = finish + delay -- and appends it
+to one FIFO.  The link keeps one timer, for the FIFO head, and each
+delivery re-arms it for the next: one event per packet per link, and no
+timer allocated per packet.  What a serialisation-end event would
+decide is read off the FIFO instead:
+
+* a packet has started at ``now`` once the packet ahead of it has
+  finished (start <= now), so a departure at t precedes an arrival at t;
+* :meth:`Link.set_rate` re-times the packets that have not started;
+* an outage is recorded as an interval, and a packet whose finish falls
+  inside one is dropped when its turn comes;
+* a jittered link's head event fires at the packet's finish instead, where
+  its jitter is drawn (so draws interleave with loss draws as they always
+  have) before one more link-owned event delivers it.
 """
 
 from __future__ import annotations
@@ -21,11 +38,11 @@ from __future__ import annotations
 import math
 import random
 from collections import deque
-from typing import Callable, Deque, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.sim import probe as _probe
-from repro.sim.engine import Simulator, Timer
+from repro.sim.engine import Simulator
 
 
 class LinkStats:
@@ -59,6 +76,8 @@ class LinkStats:
         self.packets_dropped_random = 0
         self.packets_dropped_outage = 0
         self.bytes_delivered = 0
+        #: Serialisation time of every admitted packet (booked at
+        #: admission, re-booked by a rate change before it starts).
         self.busy_time = 0.0
 
     @property
@@ -124,14 +143,14 @@ class Link:
         "name",
         "stats",
         "on_drop",
-        "_queue",
+        "_fifo",
+        "_waiting",
         "_queued_bytes",
-        "_busy",
+        "_free_at",
         "_down",
-        "_tx_timer",
-        "_in_propagation",
-        "_finish_cb",
-        "_deliver_cb",
+        "_outages",
+        "_jittering",
+        "_timer",
     )
 
     def __init__(
@@ -168,17 +187,26 @@ class Link:
         self.name = name
         self.stats = LinkStats()
         self.on_drop: Optional[Callable[[Packet], None]] = None
-        self._queue: Deque[tuple[Packet, Callable[[Packet], None]]] = deque()
+        #: Admitted packets not yet handed on, in admission order:
+        #: (finish, packet, on_delivery).  The head's turn -- its arrival,
+        #: finish + delay, or its finish on a jittered link -- is the one
+        #: pending event of the link.
+        self._fifo: Deque[Tuple[float, Packet, Callable[[Packet], None]]] = deque()
+        #: How many FIFO tail entries were still waiting to start, and
+        #: their bytes, as of the last send or rate change.
+        self._waiting = 0
         self._queued_bytes = 0
-        self._busy = False
+        #: When the transmitter finishes the last admitted packet.
+        self._free_at = 0.0
         self._down = False
-        self._tx_timer: Optional[Timer] = None
-        #: Packets serialized but still in propagation (conservation audit).
-        self._in_propagation = 0
-        # Bound methods are allocated once here, not once per packet in the
-        # serialization loop.
-        self._finish_cb = self._finish_transmission
-        self._deliver_cb = self._deliver
+        #: (down_at, up_at) outages some FIFO entry may still finish in;
+        #: the current outage's ``up_at`` is infinite.
+        self._outages: List[Tuple[float, float]] = []
+        #: Packets handed to their jitter delivery event (jittered links).
+        self._jittering = 0
+        #: The one timer of the link: the FIFO head's turn, re-armed for
+        #: each new head.
+        self._timer = sim.timer(self._turn)
         probe = _probe.ACTIVE
         if probe is not None:
             probe.adopt(self)
@@ -191,60 +219,112 @@ class Link:
 
         Returns False if the packet was dropped (full queue or random loss).
         """
-        self.stats.packets_in += 1
+        stats = self.stats
+        stats.packets_in += 1
         if self._down:
-            self.stats.packets_dropped_outage += 1
+            stats.packets_dropped_outage += 1
             self._notify_drop(packet)
             return False
         if self.loss_rate > 0.0 and self.rng.random() < self.loss_rate:
-            self.stats.packets_dropped_random += 1
+            stats.packets_dropped_random += 1
             self._notify_drop(packet)
             return False
-        if self._busy:
-            if self._queued_bytes + packet.size > self.queue_bytes:
-                self.stats.packets_dropped_queue += 1
+        now = self.sim.now
+        fifo = self._fifo
+        waiting = self._waiting
+        if waiting:
+            # _departures, inlined: the waiting packets that have started
+            # leave the queue first.  A call here costs the full-queue
+            # (bufferbloat) regime about a tenth of the link's time.
+            index = len(fifo) - waiting
+            while waiting and (index == 0 or fifo[index - 1][0] <= now):
+                self._queued_bytes -= fifo[index][1].size
+                waiting -= 1
+                index += 1
+            self._waiting = waiting
+        start = self._free_at
+        size = packet.size
+        if start > now:
+            # The transmitter is busy: the packet waits in the queue.
+            if self._queued_bytes + size > self.queue_bytes:
+                stats.packets_dropped_queue += 1
                 self._notify_drop(packet)
                 return False
-            self._queue.append((packet, on_delivery))
-            self._queued_bytes += packet.size
+            self._waiting += 1
+            self._queued_bytes += size
         else:
-            self._busy = True
-            tx_time = packet.size * 8.0 / self.rate_bps
-            self.stats.busy_time += tx_time
-            self._tx_timer = self.sim.schedule(tx_time, self._finish_cb, packet, on_delivery)
+            start = now
+        tx_time = size * 8.0 / self.rate_bps
+        stats.busy_time += tx_time
+        finish = start + tx_time
+        self._free_at = finish
+        fifo.append((finish, packet, on_delivery))
+        if len(fifo) == 1:
+            self.sim.rearm(self._timer, finish if self.jitter > 0.0 else finish + self.delay)
         probe = _probe.ACTIVE
         if probe is not None:
             probe.audit_link(self)
         return True
 
-    def _finish_transmission(
-        self, packet: Packet, on_delivery: Callable[[Packet], None]
-    ) -> None:
-        self._tx_timer = None
-        delay = self.delay
-        if self.jitter > 0.0:
-            delay += self.rng.uniform(0.0, self.jitter)
-        if self._down:
-            # The packet in flight when the link went down is lost.
-            self.stats.packets_dropped_outage += 1
+    def _departures(self, now: float) -> Tuple[int, int]:
+        """(packets, bytes) of the waiting packets that have started by
+        ``now``.  A waiting packet starts when the one ahead of it
+        finishes; one whose predecessor was already handed on has started
+        too."""
+        fifo = self._fifo
+        index = len(fifo) - self._waiting
+        count = size = 0
+        while index < len(fifo) and (index == 0 or fifo[index - 1][0] <= now):
+            size += fifo[index][1].size
+            count += 1
+            index += 1
+        return count, size
+
+    def _turn(self) -> None:
+        """The FIFO head's turn: its arrival at the far end, or on a
+        jittered link the end of its serialisation.  There the jitter is
+        drawn -- even for a packet an outage takes, so draws interleave
+        with loss draws on a shared stream as they always have -- and one
+        more link-owned event delivers the packet."""
+        fifo = self._fifo
+        if self._waiting == len(fifo):
+            # The head has long started; no send since has noticed.
+            self._waiting -= 1
+            self._queued_bytes -= fifo[0][1].size
+        finish, packet, on_delivery = fifo.popleft()
+        jittered = self.jitter > 0.0
+        if fifo:
+            self.sim.rearm(self._timer, fifo[0][0] if jittered else fifo[0][0] + self.delay)
+        if jittered:
+            delay = self.delay + self.rng.uniform(0.0, self.jitter)
+        stats = self.stats
+        lost = self._outages and self._in_outage(finish)
+        if lost:
+            stats.packets_dropped_outage += 1
             self._notify_drop(packet)
+        elif jittered:
+            self._jittering += 1
+            self.sim.schedule(delay, self._deliver_jittered, packet, on_delivery)
         else:
-            self._in_propagation += 1
-            self.sim.schedule(delay, self._deliver_cb, packet, on_delivery)
-        if self._queue:
-            next_packet, next_cb = self._queue.popleft()
-            self._queued_bytes -= next_packet.size
-            tx_time = next_packet.size * 8.0 / self.rate_bps
-            self.stats.busy_time += tx_time
-            self._tx_timer = self.sim.schedule(tx_time, self._finish_cb, next_packet, next_cb)
-        else:
-            self._busy = False
+            stats.packets_delivered += 1
+            stats.bytes_delivered += packet.size
         probe = _probe.ACTIVE
         if probe is not None:
             probe.audit_link(self)
+        if not (lost or jittered):
+            on_delivery(packet)
 
-    def _deliver(self, packet: Packet, on_delivery: Callable[[Packet], None]) -> None:
-        self._in_propagation -= 1
+    def _in_outage(self, finish: float) -> bool:
+        """Whether ``finish`` falls in a recorded outage (down_at < finish
+        <= up_at).  Heads come in finish order, so outages that ended
+        before ``finish`` are forgotten."""
+        outages = self._outages
+        while outages and outages[0][1] < finish:
+            del outages[0]
+        return bool(outages) and outages[0][0] < finish
+
+    def _deliver_jittered(self, packet: Packet, on_delivery: Callable[[Packet], None]) -> None:
+        self._jittering -= 1
         self.stats.packets_delivered += 1
         self.stats.bytes_delivered += packet.size
         on_delivery(packet)
@@ -259,12 +339,31 @@ class Link:
     def set_rate(self, rate_bps: float) -> None:
         """Change the regulated rate; applies to subsequent transmissions.
 
-        NaN slips past a plain ``<= 0`` check and silently poisons every
+        Packets already queued but not yet started are re-timed at the
+        new rate; the one in transmission finishes at the old one.  NaN
+        slips past a plain ``<= 0`` check and silently poisons every
         subsequent serialization time, so the rate must be finite too.
         """
         if not math.isfinite(rate_bps) or rate_bps <= 0:
             raise ValueError(f"rate_bps must be positive and finite, got {rate_bps!r}")
-        self.rate_bps = float(rate_bps)
+        count, started = self._departures(self.sim.now)
+        self._waiting -= count
+        self._queued_bytes -= started
+        old_rate, self.rate_bps = self.rate_bps, float(rate_bps)
+        fifo = self._fifo
+        first = len(fifo) - self._waiting
+        if first == len(fifo):
+            return
+        # The packet ahead of the first waiting one is in transmission.
+        finish = fifo[first - 1][0]
+        stats = self.stats
+        for index in range(first, len(fifo)):
+            _, packet, on_delivery = fifo[index]
+            tx_time = packet.size * 8.0 / self.rate_bps
+            stats.busy_time += tx_time - packet.size * 8.0 / old_rate
+            finish += tx_time
+            fifo[index] = (finish, packet, on_delivery)
+        self._free_at = finish
 
     def set_down(self, down: bool = True) -> None:
         """Take the link down (an interface outage) or bring it back up.
@@ -274,7 +373,14 @@ class Link:
         void; the transport's RTO machinery is what recovers the traffic,
         exactly as with a real radio outage.
         """
+        if down == self._down:
+            return
         self._down = down
+        now = self.sim.now
+        if down:
+            self._outages.append((now, math.inf))
+        else:
+            self._outages[-1] = (self._outages[-1][0], now)
 
     @property
     def down(self) -> bool:
@@ -284,17 +390,17 @@ class Link:
     @property
     def queued_bytes(self) -> int:
         """Bytes waiting behind the packet currently being serialized."""
-        return self._queued_bytes
+        return self._queued_bytes - self._departures(self.sim.now)[1]
 
     @property
     def queue_depth(self) -> int:
         """Number of packets waiting (excluding the one in transmission)."""
-        return len(self._queue)
+        return self._waiting - self._departures(self.sim.now)[0]
 
     @property
     def busy(self) -> bool:
         """True while a packet is being serialized."""
-        return self._busy
+        return self._free_at > self.sim.now
 
     def transit_estimate(self, size: int) -> float:
         """Estimated time for ``size`` bytes to cross an empty link.
@@ -311,5 +417,5 @@ class Link:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
             f"Link({self.name!r}, {self.rate_bps / 1e6:.2f} Mbps, "
-            f"{self.delay * 1e3:.1f} ms, q={self._queued_bytes}/{self.queue_bytes}B)"
+            f"{self.delay * 1e3:.1f} ms, q={self.queued_bytes}/{self.queue_bytes}B)"
         )

@@ -79,7 +79,9 @@ class Timer:
     the entry stays in the heap but is skipped when popped.  The owning
     simulator counts cancellations and compacts the heap once dead
     entries dominate it, so a workload that cancels aggressively does not
-    drag a mostly-dead heap through every sift.
+    drag a mostly-dead heap through every sift.  A fired timer can be
+    re-armed (:meth:`Simulator.rearm`): an owner with one event pending
+    at a time keeps one timer instead of allocating one per event.
     """
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
@@ -257,6 +259,42 @@ class Simulator:
         else:
             _heappush(self._heap, (time, rank, (self._tie_rng.random(), seq), timer))
         return timer
+
+    def timer(self, callback: Callable, *args: Any) -> Timer:
+        """An unarmed timer for ``callback(*args)``: :meth:`rearm` arms it.
+
+        An owner with one event pending at a time -- a link's FIFO head --
+        keeps one timer and re-arms it, instead of allocating one per
+        event.
+        """
+        timer = Timer(self.now, 0, callback, args, self)
+        timer.cancelled = True  # not pending: nothing to fire yet
+        return timer
+
+    def rearm(self, timer: Timer, time: float) -> None:
+        """Arm a timer that is not pending -- unarmed, or fired -- to fire
+        at ``time``, with a new sequence number.
+
+        A pending or cancelled timer cannot be re-armed: its old heap
+        entry would come back to life.
+        """
+        if not timer.cancelled or timer.callback is _noop:
+            raise SimulationError(f"only an unarmed or fired timer can be re-armed: {timer!r}")
+        if time < self.now:
+            raise SimulationError(
+                f"cannot schedule in the past: t={time!r} < now={self.now!r}"
+            )
+        seq = self._seq + 1
+        self._seq = seq
+        timer.time = time
+        timer.seq = seq
+        timer.cancelled = False
+        callback = timer.callback
+        rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
+        if self._tie_rng is None:
+            _heappush(self._heap, (time, rank, seq, timer))
+        else:
+            _heappush(self._heap, (time, rank, (self._tie_rng.random(), seq), timer))
 
     # ------------------------------------------------------------------
     # Cancelled-entry bookkeeping

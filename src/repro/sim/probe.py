@@ -87,7 +87,7 @@ class Probe:
         """``subflow`` finished an ACK or RTO processing pass."""
 
     def audit_link(self, link: Any) -> None:
-        """``link`` accepted a packet or finished a transmission."""
+        """``link`` accepted a packet or took its FIFO head's turn."""
 
     def audit_connection(self, conn: Any) -> None:
         """``conn`` finished a scheduling pass."""

@@ -122,3 +122,7 @@ class TestJitter:
         # the dupack threshold), but they must stay a small fraction.
         sf = conn.subflows[0]
         assert sf.stats.segments_retransmitted < sf.stats.segments_sent * 0.2
+        # Each packet's jitter is drawn at its finish, as when the link had
+        # a serialisation-end event per packet: the identical run.
+        assert (sf.stats.segments_sent, sf.stats.segments_retransmitted) == (1388, 6)
+        assert max(conn.receiver.ooo_delays) == 0.00771150883696059

@@ -1,17 +1,27 @@
-"""A cost gate the wall clock cannot blur: Python calls per simulated event.
+"""A cost gate the wall clock cannot blur: Python calls per delivered packet.
 
 Each case runs one fixed 10 s-video spec twice -- once inside a perf
-collection window for the number of dispatched events, once under
-``sys.setprofile`` counting Python-level ``call`` events (C builtins are
-``c_call`` and do not count) -- and holds the ratio to a budget.  The
+collection window for the number of packets the links delivered, once
+under ``sys.setprofile`` counting Python-level ``call`` events (C builtins
+are ``c_call`` and do not count) -- and holds the ratio to a budget.  The
 count repeats exactly for a given interpreter, so a per-ACK helper call
 added to the ACK -> decision -> send path shows up here even on a box
 whose timings swing by a third.  Python 3.12 inlines comprehensions and
 only lowers the count.
 
-Budgets are the measured values (13.0 / 15.4 / 12.6 on 3.11; the tree
-before the single-pass hot path read 28.6 / 45.1 / 21.5) plus room for
-interpreter differences, not for new calls.
+The unit is the delivered packet, not the dispatched event: it is the
+same in every tree, while the number of events per packet is exactly
+what an engine change moves.  Measured on 3.11, ecf_hetero /
+ecf_eight_subflows / minrtt_hetero:
+
+* 22.2 / 26.6 / 21.4 -- one event per packet per link, on one re-armed
+  timer per link (budgets below: these plus the interpreter margin the
+  per-event budgets carried);
+* 26.2 / 30.9 / 25.4 -- the tree with a serialisation-end event per
+  packet (13.0 / 15.4 / 12.6 per event), which fails these budgets.
+
+Before the single-pass hot path the per-event figures read 28.6 / 45.1 /
+21.5.
 """
 
 import pytest
@@ -27,7 +37,7 @@ CASES = {
         StreamingSpec(
             scheduler="ecf", wifi_mbps=0.3, lte_mbps=8.6, video_duration=10.0, seed=1
         ),
-        14.0,
+        24.0,
     ),
     "ecf_eight_subflows": (
         StreamingSpec(
@@ -38,24 +48,24 @@ CASES = {
             subflows_per_interface=4,
             seed=1,
         ),
-        17.0,
+        29.5,
     ),
     "minrtt_hetero": (
         StreamingSpec(
             scheduler="minrtt", wifi_mbps=0.3, lte_mbps=8.6, video_duration=10.0, seed=1
         ),
-        14.0,
+        24.0,
     ),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
-def test_calls_per_event_within_budget(name):
+def test_calls_per_delivered_packet_within_budget(name):
     if probe.ACTIVE is not None:
         pytest.skip("a tool is armed (REPRO_SANITIZE, ...): its probe calls are not the budgeted path")
     spec, budget = CASES[name]
     _, record = measure(run_spec, spec)
-    per_event = python_calls(lambda: run_spec(spec)) / record.events
-    assert per_event <= budget, (
-        f"{name}: {per_event:.1f} Python calls per dispatched event, budget {budget}"
+    per_packet = python_calls(lambda: run_spec(spec)) / record.counters.packets_delivered
+    assert per_packet <= budget, (
+        f"{name}: {per_packet:.1f} Python calls per delivered packet, budget {budget}"
     )

@@ -149,6 +149,70 @@ class TestQueueing:
         assert len(dropped) == 1
 
 
+class TestVirtualTime:
+    """Same-instant behaviour of the one-event-per-packet link, pinned on
+    binary-exact floats: 1000 bytes at 8000 bps serialise in exactly 1 s."""
+
+    @staticmethod
+    def _sender(sim, link, arrivals):
+        def deliver(packet):
+            arrivals.append((packet.seq, sim.now))
+
+        def send(seq):
+            return link.send(Packet(size=1000, seq=seq), deliver)
+
+        return send
+
+    def test_arrival_at_a_finish_finds_the_queue_without_the_departed(self, sim):
+        link = make_link(sim, rate_bps=8000.0, delay=0.5, queue_bytes=1000)
+        arrivals, seen = [], []
+        send = self._sender(sim, link, arrivals)
+        send(0)  # transmits over [0, 1)
+        send(1)  # fills the one-packet queue; starts at 1
+        # At t = 1 packet 0 finishes and packet 1 starts: the departure
+        # precedes this arrival, so the queue is empty and 2 fits.
+        sim.schedule_at(1.0, lambda: seen.append((link.queue_depth, link.queued_bytes, send(2))))
+        sim.run()
+        assert seen == [(0, 0, True)]
+        assert arrivals == [(0, 1.5), (1, 2.5), (2, 3.5)]
+        assert link.stats.packets_dropped_queue == 0
+
+    def test_set_rate_retimes_only_packets_not_yet_started(self, sim):
+        link = make_link(sim, rate_bps=8000.0, delay=0.0, queue_bytes=10_000)
+        arrivals = []
+        send = self._sender(sim, link, arrivals)
+        for seq in range(4):
+            send(seq)  # 0 transmits; 1, 2 and 3 queue behind it
+        # At 1.5, packet 1 is mid-transmission and keeps the old rate;
+        # 2 and 3 have not started and serialise in 0.5 s each.
+        sim.schedule_at(1.5, link.set_rate, 16000.0)
+        sim.run()
+        assert arrivals == [(0, 1.0), (1, 2.0), (2, 2.5), (3, 3.0)]
+        assert link.stats.busy_time == 1.0 + 1.0 + 0.5 + 0.5
+
+    @pytest.mark.parametrize(
+        "down, up, delivered",
+        [
+            (0.25, 0.75, [0, 1]),  # ends before both finishes
+            (0.25, 1.5, [1]),  # covers 0's finish (1.0), not 1's (2.0)
+            (1.25, 2.0, [0]),  # ends exactly at 1's finish: covers it
+            (0.25, 2.5, []),
+        ],
+    )
+    def test_outage_drops_the_packets_whose_finish_it_covers(self, sim, down, up, delivered):
+        link = make_link(sim, rate_bps=8000.0, delay=0.5, queue_bytes=10_000)
+        arrivals = []
+        send = self._sender(sim, link, arrivals)
+        send(0)  # finishes at 1.0
+        send(1)  # queued; finishes at 2.0
+        sim.schedule_at(down, link.set_down)
+        sim.schedule_at(up, link.set_down, False)
+        sim.run()
+        assert [seq for seq, _ in arrivals] == delivered
+        assert link.stats.packets_dropped_outage == 2 - len(delivered)
+        assert link.stats.packets_in == link.stats.packets_delivered + 2 - len(delivered)
+
+
 class TestLoss:
     def test_zero_loss_delivers_everything(self, sim):
         link = make_link(sim, queue_bytes=1_000_000)

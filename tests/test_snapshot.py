@@ -66,7 +66,7 @@ def _spec(scheduler="ecf", size=96_000, seed=3, cc=None, loss=0.0):
     )
 
 
-def _midrun_world(scheduler="ecf", cc=None, loss=0.0, events=200):
+def _midrun_world(scheduler="ecf", cc=None, loss=0.0, events=100):
     """A bulk world paused at an event boundary mid-download."""
     world = build_world(_spec(scheduler=scheduler, cc=cc, loss=loss))
     world.sim.run(until=world.spec.timeout, max_events=events)
@@ -106,7 +106,7 @@ def worlds():
     live["bulk_ecf_midrun"] = (ecf.sim, roots)
 
     # Loss pushes CUBIC out of slow start so lazy _CubicState exists.
-    cubic = _midrun_world("blest", cc="cubic", loss=0.05, events=400)
+    cubic = _midrun_world("blest", cc="cubic", loss=0.05, events=200)
     live["bulk_blest_cubic_midrun"] = (cubic.sim, cubic.roots())
 
     for scheduler in ("daps", "roundrobin", "mpdash"):
@@ -304,7 +304,7 @@ class TestRefusals:
         was_on = sanitize.enabled()
         sanitize.enable()
         try:
-            world = _midrun_world("ecf", events=600)
+            world = _midrun_world("ecf")
             assert world.conn.receiver.expected_dsn > 0  # a floor was recorded
             snap = capture(world.sim, world.roots())
             original = world.run_to_completion()
@@ -824,11 +824,14 @@ class TestCaptureBudget:
     fails here on a box whose clock cannot show it.
 
     The world is ``fork_sweep``'s (1.6 MB, ECF, WiFi 4.2 / LTE 8.6) after
-    2,200 events: 833 nodes, mostly ``Segment``/``Packet``/``Timer``.
-    Measured on 3.11: 8.9 calls per node (28.8 with ``_declared_fields``
-    per reference and ``_instance_attrs`` per node).  ``restore`` reads
-    32.2 on the same snapshot -- recorded, not gated: that half waits
-    for ``fork_sweep`` to be re-sized (see docs/performance.md).
+    1,100 events -- the instant 2,200 events reached while a link had a
+    serialisation-end event per packet: 761 nodes, mostly
+    ``Segment``/``Packet``.  Measured on 3.11: 9.1 calls per node (8.9 on
+    the 833-node world of 2,200 events, which held a ``Timer`` per
+    packet in flight; 28.8 with ``_declared_fields`` per reference and
+    ``_instance_attrs`` per node).  ``restore`` reads 34.3 on the same
+    snapshot -- recorded, not gated: that half waits for ``fork_sweep``
+    to be re-sized (see docs/performance.md).
     """
 
     BUDGET = 12.0
@@ -841,7 +844,7 @@ class TestCaptureBudget:
             seed=11,
         )
         world = build_world(spec)
-        world.sim.run(until=spec.timeout, max_events=2200)
+        world.sim.run(until=spec.timeout, max_events=1100)
         roots = world.roots()
         nodes = len(capture(world.sim, roots).nodes)
         assert nodes > 500  # the budget is per node of a *large* world
