@@ -30,6 +30,8 @@ run time; the audited objects are read duck-typed.
 
 from __future__ import annotations
 
+import itertools
+import math
 import weakref
 from typing import TYPE_CHECKING, Any
 
@@ -238,30 +240,40 @@ class Checks(_probe.Probe):
     def audit_link(self, link: "Link") -> None:
         """Packet and byte conservation across the queue/transmitter.
 
-        Reads the link's public properties, the length of its FIFO of
-        admitted packets and, on a jittered link, how many packets wait
-        in their jitter delivery event.
+        The link keeps its queue counters lazily, so they are held
+        against the FIFO of admitted ``(finish, packet, on_delivery)``
+        entries itself: a packet waits while the one ahead of it has not
+        finished, and the transmitter is busy until the last finish.
         """
-        queued, depth, busy = link.queued_bytes, link.queue_depth, link.busy
+        now = link.sim.now
+        fifo = link._fifo
+        waiting = [
+            entry[1].size
+            for ahead, entry in zip(fifo, itertools.islice(fifo, 1, None))
+            if ahead[0] > now
+        ]
+        depth, queued = link.queue_depth, link.queued_bytes
+        if (depth, queued) != (len(waiting), sum(waiting)):
+            _fail(
+                link,
+                "queue byte conservation",
+                f"counters: {depth} packet(s), {queued} bytes; "
+                f"FIFO: {len(waiting)} packet(s), {sum(waiting)} bytes",
+            )
         if not 0 <= queued <= link.queue_bytes:
             _fail(
                 link,
                 "0 <= queued_bytes <= capacity",
                 f"queued={queued}, capacity={link.queue_bytes}",
             )
-        if (queued == 0) != (depth == 0) or (depth and not busy):
+        last_finish = fifo[-1][0] if fifo else -math.inf
+        if link.busy != (last_finish > now):
             _fail(
                 link,
-                "queue byte conservation",
-                f"queued={queued} bytes in {depth} packet(s), busy={busy}",
+                "busy until the last admitted packet finishes",
+                f"busy={link.busy}, last finish={last_finish!r}, now={now!r}",
             )
-        admitted = len(link._fifo)
-        if depth + busy > admitted:
-            _fail(
-                link,
-                "queued and transmitting packets are admitted",
-                f"queued={depth}, busy={busy}, admitted={admitted}",
-            )
+        admitted = len(fifo)
         stats = link.stats
         accounted = (
             stats.packets_delivered

@@ -25,9 +25,11 @@ decide is read off the FIFO instead:
 
 * a packet has started at ``now`` once the packet ahead of it has
   finished (start <= now), so a departure at t precedes an arrival at t;
-* :meth:`Link.set_rate` re-times the packets that have not started;
+* :meth:`Link.set_rate` re-times the packets that have not started, and
+  the one that starts exactly at the rate change;
 * an outage is recorded as an interval, and a packet whose finish falls
-  inside one is dropped when its turn comes;
+  inside one is dropped -- and reported to ``on_drop`` -- when its turn
+  comes, at finish + delay (at its finish on a jittered link);
 * a jittered link's head event fires at the packet's finish instead, where
   its jitter is drawn (so draws interleave with loss draws as they always
   have) before one more link-owned event delivers it.
@@ -230,18 +232,11 @@ class Link:
             self._notify_drop(packet)
             return False
         now = self.sim.now
-        fifo = self._fifo
-        waiting = self._waiting
-        if waiting:
-            # _departures, inlined: the waiting packets that have started
-            # leave the queue first.  A call here costs the full-queue
-            # (bufferbloat) regime about a tenth of the link's time.
-            index = len(fifo) - waiting
-            while waiting and (index == 0 or fifo[index - 1][0] <= now):
-                self._queued_bytes -= fifo[index][1].size
-                waiting -= 1
-                index += 1
-            self._waiting = waiting
+        if self._waiting:
+            # The waiting packets that have started leave the queue first.
+            count, started = self._departures(now)
+            self._waiting -= count
+            self._queued_bytes -= started
         start = self._free_at
         size = packet.size
         if start > now:
@@ -258,9 +253,10 @@ class Link:
         stats.busy_time += tx_time
         finish = start + tx_time
         self._free_at = finish
+        fifo = self._fifo
         fifo.append((finish, packet, on_delivery))
         if len(fifo) == 1:
-            self.sim.rearm(self._timer, finish if self.jitter > 0.0 else finish + self.delay)
+            self.sim.arm(self._timer, finish if self.jitter > 0.0 else finish + self.delay)
         probe = _probe.ACTIVE
         if probe is not None:
             probe.audit_link(self)
@@ -294,7 +290,7 @@ class Link:
         finish, packet, on_delivery = fifo.popleft()
         jittered = self.jitter > 0.0
         if fifo:
-            self.sim.rearm(self._timer, fifo[0][0] if jittered else fifo[0][0] + self.delay)
+            self.sim.arm(self._timer, fifo[0][0] if jittered else fifo[0][0] + self.delay)
         if jittered:
             delay = self.delay + self.rng.uniform(0.0, self.jitter)
         stats = self.stats
@@ -340,13 +336,16 @@ class Link:
         """Change the regulated rate; applies to subsequent transmissions.
 
         Packets already queued but not yet started are re-timed at the
-        new rate; the one in transmission finishes at the old one.  NaN
-        slips past a plain ``<= 0`` check and silently poisons every
-        subsequent serialization time, so the rate must be finite too.
+        new rate; the one in transmission finishes at the old one.  A
+        packet that starts exactly now takes the new rate: a rate change
+        applies before the transmissions its instant begins.  NaN slips
+        past a plain ``<= 0`` check and silently poisons every subsequent
+        serialization time, so the rate must be finite too.
         """
         if not math.isfinite(rate_bps) or rate_bps <= 0:
             raise ValueError(f"rate_bps must be positive and finite, got {rate_bps!r}")
-        count, started = self._departures(self.sim.now)
+        # Started before now: finish <= the float just below now.
+        count, started = self._departures(math.nextafter(self.sim.now, -math.inf))
         self._waiting -= count
         self._queued_bytes -= started
         old_rate, self.rate_bps = self.rate_bps, float(rate_bps)

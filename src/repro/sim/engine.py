@@ -80,7 +80,7 @@ class Timer:
     simulator counts cancellations and compacts the heap once dead
     entries dominate it, so a workload that cancels aggressively does not
     drag a mostly-dead heap through every sift.  A fired timer can be
-    re-armed (:meth:`Simulator.rearm`): an owner with one event pending
+    armed again (:meth:`Simulator.arm`): an owner with one event pending
     at a time keeps one timer instead of allocating one per event.
     """
 
@@ -226,10 +226,11 @@ class Simulator:
     def schedule(self, delay: float, callback: Callable, *args: Any) -> Timer:
         """Schedule ``callback(*args)`` to run ``delay`` seconds from now.
 
-        This is the per-packet path (links and subflows live here), so the
-        ``schedule_at`` body is inlined rather than delegated: one call
-        frame per packet, not two.  A non-negative delay from ``now`` can
-        never land in the past, so only the delay needs validating.
+        The heap push is :meth:`arm`'s, repeated here: going through
+        :meth:`timer` and :meth:`arm` makes a schedule-and-run a quarter
+        dearer, and even one shared push helper 5 %.  A non-negative
+        delay from ``now`` can never land in the past, so only the delay
+        needs validating.
         """
         if delay < 0:
             raise SimulationError(f"negative delay: {delay!r}")
@@ -238,48 +239,38 @@ class Simulator:
         time = self.now + delay
         timer = Timer(time, seq, callback, args, self)
         rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
-        if self._tie_rng is None:
-            _heappush(self._heap, (time, rank, seq, timer))
-        else:
-            _heappush(self._heap, (time, rank, (self._tie_rng.random(), seq), timer))
+        tie = self._tie_rng
+        _heappush(self._heap, (time, rank, seq if tie is None else (tie.random(), seq), timer))
         return timer
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> Timer:
         """Schedule ``callback(*args)`` at an absolute simulated time."""
-        if time < self.now:
-            raise SimulationError(
-                f"cannot schedule in the past: t={time!r} < now={self.now!r}"
-            )
-        seq = self._seq + 1
-        self._seq = seq
-        timer = Timer(time, seq, callback, args, self)
-        rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
-        if self._tie_rng is None:
-            _heappush(self._heap, (time, rank, seq, timer))
-        else:
-            _heappush(self._heap, (time, rank, (self._tie_rng.random(), seq), timer))
+        timer = self.timer(callback, *args)
+        self.arm(timer, time)
         return timer
 
     def timer(self, callback: Callable, *args: Any) -> Timer:
-        """An unarmed timer for ``callback(*args)``: :meth:`rearm` arms it.
+        """An unarmed timer for ``callback(*args)``: :meth:`arm` arms it.
 
         An owner with one event pending at a time -- a link's FIFO head --
-        keeps one timer and re-arms it, instead of allocating one per
-        event.
+        keeps one timer and arms it again after each firing, instead of
+        allocating one per event.
         """
         timer = Timer(self.now, 0, callback, args, self)
         timer.cancelled = True  # not pending: nothing to fire yet
         return timer
 
-    def rearm(self, timer: Timer, time: float) -> None:
+    def arm(self, timer: Timer, time: float) -> None:
         """Arm a timer that is not pending -- unarmed, or fired -- to fire
-        at ``time``, with a new sequence number.
+        at ``time``, with a new sequence number, under the key ``(time,
+        owner rank, seq)``.  Every event but :meth:`schedule`'s enters the
+        heap here.
 
-        A pending or cancelled timer cannot be re-armed: its old heap
-        entry would come back to life.
+        A pending or cancelled timer cannot be armed: its old heap entry
+        would come back to life.
         """
         if not timer.cancelled or timer.callback is _noop:
-            raise SimulationError(f"only an unarmed or fired timer can be re-armed: {timer!r}")
+            raise SimulationError(f"only an unarmed or fired timer can be armed: {timer!r}")
         if time < self.now:
             raise SimulationError(
                 f"cannot schedule in the past: t={time!r} < now={self.now!r}"
@@ -291,10 +282,8 @@ class Simulator:
         timer.cancelled = False
         callback = timer.callback
         rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
-        if self._tie_rng is None:
-            _heappush(self._heap, (time, rank, seq, timer))
-        else:
-            _heappush(self._heap, (time, rank, (self._tie_rng.random(), seq), timer))
+        tie = self._tie_rng
+        _heappush(self._heap, (time, rank, seq if tie is None else (tie.random(), seq), timer))
 
     # ------------------------------------------------------------------
     # Cancelled-entry bookkeeping

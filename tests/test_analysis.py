@@ -425,6 +425,28 @@ class TestSanitizer:
         with pytest.raises(SanitizerError):
             drain(sim)
 
+    @pytest.mark.parametrize(
+        "field, shift, invariant",
+        [
+            ("_queued_bytes", 100, "queue byte conservation"),
+            ("_waiting", 1, "queue byte conservation"),
+            ("_free_at", -3.0, "busy until the last admitted packet finishes"),
+        ],
+    )
+    def test_link_counter_drift_detected(self, field, shift, invariant):
+        from repro.net.link import Link
+        from repro.net.packet import Packet
+
+        sim = Simulator()
+        link = Link(sim, 8000.0, 0.5, queue_bytes=10_000)
+        for seq in range(3):  # one transmitting, two waiting
+            link.send(Packet(size=1000, seq=seq), lambda packet: None)
+        sim.run(until=1.0)  # 0 finished at 1.0: the counters lag the FIFO
+        Checks().audit_link(link)
+        setattr(link, field, getattr(link, field) + shift)
+        with pytest.raises(SanitizerError, match=invariant):
+            Checks().audit_link(link)
+
     def test_event_dispatch_violation(self, sanitized):
         import heapq  # repro: noqa[RPR901] -- deliberately corrupting the queue
 

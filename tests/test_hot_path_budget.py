@@ -14,9 +14,10 @@ same in every tree, while the number of events per packet is exactly
 what an engine change moves.  Measured on 3.11, ecf_hetero /
 ecf_eight_subflows / minrtt_hetero:
 
-* 22.2 / 26.6 / 21.4 -- one event per packet per link, on one re-armed
-  timer per link (budgets below: these plus the interpreter margin the
-  per-event budgets carried);
+* 22.7 / 27.1 / 21.9 -- one event per packet per link, on one timer per
+  link armed again for each head (budgets below: the 22.2 / 26.6 / 21.4
+  read while ``Link.send`` repeated its departure loop instead of calling
+  it, plus the interpreter margin the per-event budgets carried);
 * 26.2 / 30.9 / 25.4 -- the tree with a serialisation-end event per
   packet (13.0 / 15.4 / 12.6 per event), which fails these budgets.
 

@@ -190,6 +190,36 @@ class TestVirtualTime:
         assert arrivals == [(0, 1.0), (1, 2.0), (2, 2.5), (3, 3.0)]
         assert link.stats.busy_time == 1.0 + 1.0 + 0.5 + 0.5
 
+    @pytest.mark.parametrize("delay", [0.0, 0.5])
+    def test_rate_change_at_a_finish_retimes_the_packet_starting_there(self, sim, delay):
+        link = make_link(sim, rate_bps=8000.0, delay=delay, queue_bytes=10_000)
+        arrivals = []
+        send = self._sender(sim, link, arrivals)
+        for seq in range(3):
+            send(seq)  # 0 finishes at 1; 1 starts there
+        # An unowned event runs first at its instant -- before the link's
+        # own turn when delay is 0 -- so packet 1, which starts at 1,
+        # takes the new rate.
+        sim.schedule_at(1.0, lambda: link.set_rate(16000.0))
+        sim.run()
+        assert arrivals == [(0, 1.0 + delay), (1, 1.5 + delay), (2, 2.0 + delay)]
+        assert link.stats.busy_time == 1.0 + 0.5 + 0.5
+
+    @pytest.mark.parametrize("jitter, reported_at", [(0.0, 1.5), (0.25, 1.0)])
+    def test_outage_drop_is_reported_at_the_packets_turn(self, sim, jitter, reported_at):
+        # The turn is the one event a packet has: its arrival (finish +
+        # delay) on a plain link, its finish on a jittered one.
+        link = make_link(
+            sim, rate_bps=8000.0, delay=0.5, jitter=jitter, rng=random.Random(0)
+        )
+        dropped = []
+        link.on_drop = lambda packet: dropped.append((packet.seq, sim.now))
+        self._sender(sim, link, [])(0)  # finishes at 1.0
+        sim.schedule_at(0.25, link.set_down)
+        sim.run()
+        assert dropped == [(0, reported_at)]
+        assert link.stats.packets_dropped_outage == 1
+
     @pytest.mark.parametrize(
         "down, up, delivered",
         [

@@ -273,8 +273,9 @@ class TestTimers:
         assert seen == [False]
 
 
-class TestRearm:
-    """One timer per owner that has one event pending at a time."""
+class TestArm:
+    """``schedule_at`` arms a new timer; an owner with one event pending
+    at a time arms its one timer again after each firing."""
 
     def test_unarmed_timer_fires_once_armed(self, sim):
         fired = []
@@ -282,46 +283,46 @@ class TestRearm:
         assert not timer.active
         sim.run()
         assert fired == []
-        sim.rearm(timer, 1.0)
+        sim.arm(timer, 1.0)
         assert timer.active
         sim.run()
         assert (fired, sim.now) == (["a"], 1.0)
 
-    def test_fired_timer_rearms_from_its_own_callback(self, sim):
+    def test_fired_timer_is_armed_again_from_its_own_callback(self, sim):
         log = []
 
         def tick():
             log.append(sim.now)
             if len(log) < 3:
-                sim.rearm(timer, sim.now + 0.5)
+                sim.arm(timer, sim.now + 0.5)
 
         timer = sim.timer(tick)
-        sim.rearm(timer, 1.0)
+        sim.arm(timer, 1.0)
         assert sim.run() == 3
         assert log == [1.0, 1.5, 2.0]
         assert sim.timers_scheduled == 3
 
-    def test_rearmed_timer_keeps_its_owners_rank(self, sim):
+    def test_armed_timer_keeps_its_owners_rank(self, sim):
         log = []
         first, second = _Owner(sim, log, "a"), _Owner(sim, log, "b")
         timer = sim.timer(second.fire)
-        sim.rearm(timer, 1.0)
+        sim.arm(timer, 1.0)
         sim.schedule(1.0, first.fire)
         sim.run()
         assert log == ["a", "b"]
 
     def test_pending_or_cancelled_timer_is_refused(self, sim):
         pending = sim.schedule(1.0, lambda: None)
-        with pytest.raises(SimulationError, match="re-armed"):
-            sim.rearm(pending, 2.0)
+        with pytest.raises(SimulationError, match="can be armed"):
+            sim.arm(pending, 2.0)
         pending.cancel()
-        with pytest.raises(SimulationError, match="re-armed"):
-            sim.rearm(pending, 2.0)
+        with pytest.raises(SimulationError, match="can be armed"):
+            sim.arm(pending, 2.0)
 
-    def test_rearm_in_the_past_is_refused(self, sim):
+    def test_arming_in_the_past_is_refused(self, sim):
         sim.run(until=1.0)
         with pytest.raises(SimulationError, match="past"):
-            sim.rearm(sim.timer(lambda: None), 0.5)
+            sim.arm(sim.timer(lambda: None), 0.5)
 
 
 class TestCancellationAccounting:
