@@ -134,7 +134,11 @@ class Checks(_probe.Probe):
                 "flight <= outstanding segments",
                 f"flight={in_flight}, outstanding={len(outstanding)}",
             )
-        # What lets _absorb_ack remove() a lost segment without first
+        # What lets handle_ack advance una only for an ACK at una.
+        head = outstanding.get(subflow.una)
+        if head is not None and head.acked:
+            _fail(subflow, "the segment at una is unacked", f"una={subflow.una}")
+        # What lets handle_ack remove() a lost segment without first
         # scanning the queue for it.
         queued = {seg.seq for seg in subflow._retx_queue}
         for seg in outstanding.values():

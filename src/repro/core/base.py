@@ -124,7 +124,7 @@ class Scheduler:
 
         Most schedulers never duplicate; the redundant scheduler overrides
         this to trade bandwidth for latency.  Every returned subflow must
-        satisfy ``can_send()``.
+        satisfy ``can_send()``: ``send_segment`` refuses any other.
         """
         return []
 

@@ -3,7 +3,8 @@
 "The default path scheduler selects the subflow with the smallest RTT for
 which there is available congestion window space for packet transmission"
 (Section 2.1).  If that subflow is full it falls through to the next
-smallest RTT, and so on; it never declines to send.
+smallest RTT, and so on; it never declines to send.  The pick is the
+second answer of :meth:`Scheduler.fastest_and_sendable`.
 """
 
 from __future__ import annotations
@@ -25,4 +26,4 @@ class MinRttScheduler(Scheduler):
     __slots__ = ()
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        return self.fastest(self.available_subflows(conn))
+        return self.fastest_and_sendable(conn)[1]

@@ -71,14 +71,6 @@ class ConnectionConfig:
     max_cwnd: float = 10_000.0
 
 
-def _broken_contract(scheduler: Scheduler, subflow: Subflow) -> RuntimeError:
-    """The error for a ``select`` answer that has no window space."""
-    return RuntimeError(
-        f"scheduler {scheduler.name!r} returned a subflow "
-        f"without window space: {subflow!r}"
-    )
-
-
 class MptcpConnection:
     """One MPTCP connection between a server (sender) and client (receiver).
 
@@ -288,20 +280,17 @@ class MptcpConnection:
                 if subflow is None:
                     scheduler.waits += 1
                     break
-                if not subflow.can_send():
-                    raise _broken_contract(scheduler, subflow)
                 dsn = self.next_dsn
                 self.next_dsn = dsn + payload
                 self.unassigned_bytes -= payload
                 self._outstanding_dsn[dsn] = (payload, subflow.sf_id)
                 self._dsn_order.append(dsn)
-                subflow.send_segment(dsn, payload)
+                subflow.send_segment(dsn, payload)  # refuses a broken scheduler's pick
                 if duplicates:
                     # Copies on other open subflows; the receiver dedupes.
                     for twin in scheduler.duplicate_targets(self, subflow):
-                        if twin.can_send():
-                            twin.send_segment(dsn, payload)
-                            self.duplicate_transmissions += 1
+                        twin.send_segment(dsn, payload)
+                        self.duplicate_transmissions += 1
         finally:
             self._sending = False
         if probe is not None:
@@ -315,20 +304,18 @@ class MptcpConnection:
     # ------------------------------------------------------------------
     def _client_on_data(self, packet: Packet) -> None:
         probe = _probe.ACTIVE
+        receiver = self.receiver
         if probe is None:
-            absorbed = self.receiver.on_data(packet)
+            absorbed = receiver.on_data(packet)
         else:
-            absorbed = probe.timed("receiver.reassembly", self.receiver.on_data, packet)
+            absorbed = probe.timed("receiver.reassembly", receiver.on_data, packet)
         if not absorbed:
             # Dropped for lack of receive-buffer space: stay silent so the
             # subflow-level RTO retransmits the segment once the window
             # reopens.  Acking it would discard the data permanently.
             return
-        subflow = self.subflows[packet.subflow_id]
-        subflow.send_ack(
-            ack_seq=packet.seq,
-            data_ack=self.receiver.data_ack,
-            recv_window=self.receiver.recv_window,
+        self.subflows[packet.subflow_id].send_ack(
+            packet.seq, receiver.expected_dsn, receiver.recv_window
         )
 
     # ------------------------------------------------------------------
@@ -392,8 +379,11 @@ class MptcpConnection:
             if target is None:
                 scheduler.waits += 1
                 return
-            if not target.can_send():
-                raise _broken_contract(scheduler, target)
+            if not target.can_send():  # here, or the owner test below hides it
+                raise RuntimeError(
+                    f"scheduler {scheduler.name!r} returned a subflow "
+                    f"without window space: {target!r}"
+                )
             if target.sf_id == owner_id:
                 return
             self._rto_reinject_queue.popleft()

@@ -115,7 +115,8 @@ class MptcpReceiver:
         absorbed = True
         if dsn == self.expected_dsn:
             self._deliver(payload, delay=0.0)
-            self._drain_buffer()
+            if self._buffered:
+                self._drain_buffer()
         elif self._buffered_bytes + payload > self.recv_buffer_bytes:
             # Out-of-window data: the advertised buffer cannot hold it.
             # Real receivers discard such segments; modeling an infinite
@@ -133,6 +134,7 @@ class MptcpReceiver:
         return absorbed
 
     def _drain_buffer(self) -> None:
+        """Deliver the buffered run the edge reaches (something is buffered)."""
         now = self.sim.now
         while self.expected_dsn in self._buffered:
             payload, arrived = self._buffered.pop(self.expected_dsn)

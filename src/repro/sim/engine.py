@@ -81,16 +81,17 @@ class Timer:
     entries dominate it, so a workload that cancels aggressively does not
     drag a mostly-dead heap through every sift.  A fired timer can be
     armed again (:meth:`Simulator.arm`): an owner with one event pending
-    at a time keeps one timer instead of allocating one per event.
+    at a time keeps one timer instead of allocating one per event.  The
+    owner rank of its heap key, ``rank``, is resolved when it is built.
     """
 
-    __slots__ = ("time", "seq", "callback", "args", "cancelled", "_sim")
+    __slots__ = ("time", "seq", "callback", "args", "cancelled", "rank", "_sim")
 
     #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the
     #: rest).  ``callback`` is a bound method of another snapshotted
     #: object: the snapshot encodes it as (owner, name) and rebinds it on
     #: restore, never copies it raw.
-    STATE_FIELDS = ("time", "seq", "callback", "args", "cancelled", "_sim")
+    STATE_FIELDS = ("time", "seq", "callback", "args", "cancelled", "rank", "_sim")
 
     def __init__(
         self,
@@ -105,6 +106,7 @@ class Timer:
         self.callback = callback
         self.args = args
         self.cancelled = False
+        self.rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
         self._sim = sim
 
     def cancel(self) -> None:
@@ -238,9 +240,8 @@ class Simulator:
         self._seq = seq
         time = self.now + delay
         timer = Timer(time, seq, callback, args, self)
-        rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
         tie = self._tie_rng
-        _heappush(self._heap, (time, rank, seq if tie is None else (tie.random(), seq), timer))
+        _heappush(self._heap, (time, timer.rank, seq if tie is None else (tie.random(), seq), timer))
         return timer
 
     def schedule_at(self, time: float, callback: Callable, *args: Any) -> Timer:
@@ -280,10 +281,8 @@ class Simulator:
         timer.time = time
         timer.seq = seq
         timer.cancelled = False
-        callback = timer.callback
-        rank = getattr(callback.__self__, "_rank", 0) if callback.__class__ is _MethodType else 0
         tie = self._tie_rng
-        _heappush(self._heap, (time, rank, seq if tie is None else (tie.random(), seq), timer))
+        _heappush(self._heap, (time, timer.rank, seq if tie is None else (tie.random(), seq), timer))
 
     # ------------------------------------------------------------------
     # Cancelled-entry bookkeeping

@@ -285,14 +285,15 @@ class Subflow:
     def send_segment(self, dsn: int, payload: int) -> Segment:
         """Transmit one new segment carrying ``payload`` bytes at ``dsn``.
 
-        The caller (the MPTCP connection) must have checked
-        :meth:`can_send`; violating that is a programming error.
+        The one place a send asks :meth:`can_send`: a subflow that cannot
+        send is refused with ``RuntimeError``, so callers do not ask first.
         """
         if not self.can_send():
             raise RuntimeError(f"send_segment() on subflow without window space: {self!r}")
         if payload <= 0 or payload > self.mss:
             raise ValueError(f"payload must be in (0, mss], got {payload!r}")
-        self._maybe_idle_restart()
+        if not self._in_flight and self.idle_reset_enabled and self._last_send_time is not None:
+            self._maybe_idle_restart()
         segment = Segment(self.next_seq, dsn, payload, self.sim.now)
         self.next_seq += 1
         self._outstanding[segment.seq] = segment
@@ -300,11 +301,7 @@ class Subflow:
         return segment
 
     def _maybe_idle_restart(self) -> None:
-        """RFC 5681: collapse cwnd to IW after an idle period > RTO."""
-        if not self.idle_reset_enabled:
-            return
-        if self._last_send_time is None or self._in_flight > 0 or self._retx_queue:
-            return
+        """RFC 5681: collapse cwnd to IW after an idle period > RTO (idle subflows only)."""
         idle = self.sim.now - self._last_send_time
         if idle > self.rtt.rto and self.cwnd > self.initial_window:
             # Linux tcp_cwnd_restart(): ssthresh = tcp_current_ssthresh()
@@ -365,46 +362,50 @@ class Subflow:
     # Acknowledgement processing
     # ------------------------------------------------------------------
     def handle_ack(self, packet: Packet) -> None:
-        """Process one arriving ACK (selective, per-segment)."""
+        """Process one arriving ACK (selective, per-segment).
+
+        Each helper is entered only with work.  The segment at una is never
+        acked between ACKs, so only an ACK at una can advance una."""
         segment = self._outstanding.get(packet.ack_seq)
         newly_acked = segment is not None and not segment.acked
         if newly_acked:
-            self._absorb_ack(segment)
+            probe = _probe.ACTIVE
+            now = self.sim.now
+            segment.acked = True
+            if segment.in_flight:
+                segment.in_flight = False
+                self._in_flight -= 1
+            if segment.lost:
+                # Unacked and lost means queued (the sanitizer audits it).
+                self._retx_queue.remove(segment)
+            if not segment.retransmitted:
+                self.rtt.add_sample(now - segment.sent_time)
+                self._rto_backoff = 1.0
+            self.stats.bytes_acked += segment.payload
+            self.stats.bytes_since_loss += segment.payload
+            self.stats.last_data_acked_at = now
+            if segment.seq > self.highest_acked:
+                self.highest_acked = segment.seq
+            if segment.seq == self.una:
+                self._advance_una()
+            if self._in_recovery and self.una > self._recovery_point:
+                self._in_recovery = False
+            if not self._in_recovery:
+                if probe is None:
+                    self.cc.on_ack(self, 1)
+                else:
+                    probe.timed("cc.update", self.cc.on_ack, self, 1)
+            threshold = self.highest_acked - DUP_THRESHOLD + 1
+            if threshold > self.una and threshold > self._loss_scanned_to:
+                self._detect_losses(threshold)
+            if self._retx_queue:
+                self._service_retransmissions()
+            self._arm_rto()
+            if probe is not None:
+                probe.audit_subflow(self)
+                probe.ack_processed(self, segment)
         if self.on_ack_processed is not None:
             self.on_ack_processed(self, packet, newly_acked)
-
-    def _absorb_ack(self, segment: Segment) -> None:
-        probe = _probe.ACTIVE
-        now = self.sim.now
-        segment.acked = True
-        if segment.in_flight:
-            segment.in_flight = False
-            self._in_flight -= 1
-        if segment.lost:
-            # Unacked and lost means queued (the sanitizer audits it).
-            self._retx_queue.remove(segment)
-        if not segment.retransmitted:
-            self.rtt.add_sample(now - segment.sent_time)
-            self._rto_backoff = 1.0
-        self.stats.bytes_acked += segment.payload
-        self.stats.bytes_since_loss += segment.payload
-        self.stats.last_data_acked_at = now
-        if segment.seq > self.highest_acked:
-            self.highest_acked = segment.seq
-        self._advance_una()
-        if self._in_recovery and self.una > self._recovery_point:
-            self._in_recovery = False
-        if not self._in_recovery:
-            if probe is None:
-                self.cc.on_ack(self, 1)
-            else:
-                probe.timed("cc.update", self.cc.on_ack, self, 1)
-        self._detect_losses()
-        self._service_retransmissions()
-        self._arm_rto()
-        if probe is not None:
-            probe.audit_subflow(self)
-            probe.ack_processed(self, segment)
 
     def _advance_una(self) -> None:
         while self.una < self.next_seq:
@@ -414,19 +415,15 @@ class Subflow:
             del self._outstanding[self.una]
             self.una += 1
 
-    def _detect_losses(self) -> None:
-        """FACK: mark unacked segments trailing the ack front by >= 3.
+    def _detect_losses(self, threshold: int) -> None:
+        """FACK: mark lost the unacked segments below ``threshold``, 3 behind the ack front.
 
         A monotone scan pointer keeps this amortized O(1) per ACK: each
         sequence number is examined once.  A segment whose *retransmission*
         is also lost is therefore recovered by the RTO backstop rather than
         by dupacks -- the same compromise many real stacks make.
         """
-        threshold = self.highest_acked - DUP_THRESHOLD + 1
-        start = max(self.una, self._loss_scanned_to)
-        if threshold <= start:
-            return
-        for seq in range(start, threshold):
+        for seq in range(max(self.una, self._loss_scanned_to), threshold):
             segment = self._outstanding.get(seq)
             if segment is None or segment.acked or segment.lost:
                 continue
@@ -452,11 +449,13 @@ class Subflow:
                 probe.fast_retransmit(self, segment)
 
     def _service_retransmissions(self) -> None:
-        while self._retx_queue and self.has_window_space():
+        """Resend queued segments while the window admits; queue non-empty."""
+        while self.has_window_space():
             segment = self._retx_queue.popleft()
-            if segment.acked:
-                continue
-            self._transmit(segment, retransmission=True)
+            if not segment.acked:
+                self._transmit(segment, retransmission=True)
+            if not self._retx_queue:
+                return
 
     # ------------------------------------------------------------------
     # Retransmission timeout
@@ -509,7 +508,8 @@ class Subflow:
                 self._in_flight -= 1
             segment.lost = True
             self._retx_queue.append(segment)
-        self._service_retransmissions()
+        if self._retx_queue:
+            self._service_retransmissions()
         self._arm_rto()
         if probe is not None:
             probe.audit_subflow(self)

@@ -415,6 +415,18 @@ class TestSanitizer:
         with pytest.raises(SanitizerError, match="ssthresh > 0"):
             Checks().audit_cwnd(subflow)
 
+    def test_acked_segment_at_una_detected(self):
+        """``handle_ack`` advances una only for an ACK at una, which
+        holds because the segment at una is never acked between ACKs."""
+        sim = Simulator()
+        conn = build_connection(sim)
+        conn.write(100_000)
+        subflow = conn.subflows[0]
+        Checks().audit_subflow(subflow)
+        subflow._outstanding[subflow.una].acked = True
+        with pytest.raises(SanitizerError, match="the segment at una is unacked"):
+            Checks().audit_subflow(subflow)
+
     def test_corruption_caught_mid_simulation(self, sanitized):
         sim = Simulator()
         conn = build_connection(sim)

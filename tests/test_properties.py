@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.base import Scheduler
+from repro.core.minrtt import MinRttScheduler
 from repro.metrics.stats import ccdf, cdf, mean, percentile, stdev
 from repro.mptcp.receiver import MptcpReceiver
 from repro.net.link import Link
@@ -176,6 +177,9 @@ class TestRankingProperties:
         spec_first, spec_second = spec_fastest_and_sendable(conn)
         assert fastest is spec_first
         assert sendable is spec_second
+        # minRTT's answer: the fastest of the subflows that can send.
+        sendable_list = [sf for sf in conn.subflows if spec_can_send(sf)]
+        assert MinRttScheduler().select(conn) is spec_fastest(sendable_list)
 
     @given(subflow_states)
     def test_minrtt_picks_the_fastest_available(self, states):
