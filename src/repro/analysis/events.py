@@ -26,18 +26,19 @@ process-unique ``uid`` from :func:`next_uid`, so records from several
 simultaneous connections (or sequential connections reusing subflow ids,
 as the web workload does) never alias in one log.
 
-Apart from the seam this module imports nothing from the package; the
-subjects of the probe points are read duck-typed.
+Apart from the seam and the wire codec this module imports nothing from
+the package; the subjects of the probe points are read duck-typed.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
-from typing import Any, Deque, Dict, Iterator, List, Optional, Tuple, Type, TypeVar
+from dataclasses import dataclass
+from typing import Any, ClassVar, Deque, Dict, Iterator, List, Optional, Tuple, Type, TypeVar
 
 from repro.sim import probe as _probe
+from repro.sim.codec import Tagged, decode_tagged
 from repro.sim.probe import next_uid  # noqa: F401 -- re-exported: events.next_uid is public
 
 #: This module's role on the probe seam: one active log at a time.
@@ -48,20 +49,20 @@ _ROLE = "events"
 # Record types
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class Event:
-    """Base record: every event carries its simulated timestamp."""
+class Event(Tagged):
+    """Base record: every event carries its simulated timestamp.
+
+    Its wire form (:mod:`repro.sim.codec`) is ``{"kind": <class name>,
+    **fields}``.
+    """
+
+    kind: ClassVar[str] = "Event"
 
     t: float
 
-    @property
-    def kind(self) -> str:
-        return type(self).__name__
-
-    def to_dict(self) -> Dict[str, Any]:
-        data: Dict[str, Any] = {"kind": self.kind}
-        for f in fields(self):
-            data[f.name] = getattr(self, f.name)
-        return data
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls.kind = cls.__name__
 
 
 @dataclass(frozen=True)
@@ -214,7 +215,7 @@ E = TypeVar("E", bound=Event)
 #: format of ``to_dict`` / :func:`event_from_dict`.  Exporters iterate
 #: this to stay exhaustive, and the round-trip tests assert it is.
 EVENT_TYPES: Dict[str, Type[Event]] = {
-    cls.__name__: cls
+    cls.kind: cls
     for cls in (
         Dispatch,
         SegmentSent,
@@ -233,24 +234,11 @@ EVENT_TYPES: Dict[str, Type[Event]] = {
 def event_from_dict(data: Dict[str, Any]) -> Event:
     """Rebuild a typed record from its ``to_dict`` form (lossless).
 
-    JSON has no tuples, so :class:`Decision.available` comes back
-    as nested lists and is re-frozen here; everything else round-trips
-    as-is.
-
     >>> event_from_dict(Delivered(t=1.5, recv_uid=7, dsn=0,
     ...                           payload=1448, delay=0.25).to_dict())
     Delivered(t=1.5, recv_uid=7, dsn=0, payload=1448, delay=0.25)
     """
-    kind = data.get("kind")
-    cls = EVENT_TYPES.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise ValueError(f"unknown event kind: {kind!r}")
-    payload = {k: v for k, v in data.items() if k != "kind"}
-    if cls is Decision:
-        payload["available"] = tuple(
-            (int(sf_id), float(srtt)) for sf_id, srtt in payload["available"]
-        )
-    return cls(**payload)
+    return decode_tagged("event", EVENT_TYPES, data)
 
 
 # ----------------------------------------------------------------------

@@ -9,25 +9,27 @@ rarely utilizes a secondary subflow for small transfers".
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, Mapping, Optional, Tuple
+from typing import Any, ClassVar, Dict, Optional, Tuple
 
 from repro.apps.http import GetResult, HttpSession
 from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.path import Path
 from repro.net.profiles import PathConfig, make_path
+from repro.sim.codec import Record, Result
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
 
 @dataclass(frozen=True)
-class BulkDownloadSpec:
+class BulkDownloadSpec(Record):
     """Frozen description of one wget-style download -- a plain value.
 
     Path profiles are embedded as :class:`~repro.net.profiles.PathConfig`
-    (primary first) and the optional connection tunables as their plain
-    field values, so the spec serializes, pickles, and content-hashes for
-    the executor and its result cache.
+    (primary first) and the optional connection tunables as a
+    :class:`~repro.mptcp.connection.ConnectionConfig`, both plain values,
+    so the spec serializes (:mod:`repro.sim.codec`), pickles, and
+    content-hashes for the executor and its result cache.
     """
 
     kind: ClassVar[str] = "bulk_download"
@@ -43,32 +45,12 @@ class BulkDownloadSpec:
     def __post_init__(self) -> None:
         object.__setattr__(self, "path_configs", tuple(self.path_configs))
 
-    def to_dict(self) -> Dict[str, Any]:
-        # PathConfig and ConnectionConfig hold only scalars, so a copy of the
-        # instance dict is what ``dataclasses.asdict`` builds, minus its
-        # per-field deepcopy (this runs once per spec hash).
-        return {
-            "scheduler": self.scheduler,
-            "path_configs": [dict(vars(pc)) for pc in self.path_configs],
-            "size": self.size,
-            "seed": self.seed,
-            "scheduler_params": dict(self.scheduler_params),
-            "connection": None if self.connection is None else dict(vars(self.connection)),
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BulkDownloadSpec":
-        data = dict(data)
-        data["path_configs"] = tuple(PathConfig(**pc) for pc in data["path_configs"])
-        if data.get("connection") is not None:
-            data["connection"] = ConnectionConfig(**data["connection"])
-        return cls(**data)
-
 
 @dataclass(frozen=True)
-class BulkDownloadResult:
+class BulkDownloadResult(Result):
     """Outcome of one wget-style single-object download."""
+
+    kind = "bulk_download"
 
     scheduler: str
     size: int
@@ -77,8 +59,7 @@ class BulkDownloadResult:
     ooo_delays_max: float
     reinjections: int
     #: Optional per-run perf record (``PerfRecord.to_dict()``), attached by
-    #: the executor when ``REPRO_PERF=1``.  Additive: absent from the wire
-    #: format when None, so cached v2 payloads stay valid.
+    #: the executor when ``REPRO_PERF=1``.
     perf: Optional[Dict[str, Any]] = None
 
     @property
@@ -86,33 +67,6 @@ class BulkDownloadResult:
         if self.completion_time <= 0:
             return 0.0
         return self.size * 8.0 / self.completion_time
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "schema_version": 2,
-            "kind": "bulk_download",
-            "scheduler": self.scheduler,
-            "size": self.size,
-            "completion_time": self.completion_time,
-            "payload_by_path": dict(self.payload_by_path),
-            "ooo_delays_max": self.ooo_delays_max,
-            "reinjections": self.reinjections,
-        }
-        if self.perf is not None:
-            data["perf"] = dict(self.perf)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BulkDownloadResult":
-        return cls(
-            scheduler=data["scheduler"],
-            size=data["size"],
-            completion_time=data["completion_time"],
-            payload_by_path=dict(data["payload_by_path"]),
-            ooo_delays_max=data["ooo_delays_max"],
-            reinjections=data["reinjections"],
-            perf=data.get("perf"),
-        )
 
 
 class _CompletionRecorder:
@@ -221,12 +175,7 @@ def run_bulk(spec: BulkDownloadSpec) -> BulkDownloadResult:
 def _register() -> None:
     from repro.experiments.spec import register_experiment
 
-    register_experiment(
-        "bulk_download",
-        BulkDownloadSpec.from_dict,
-        run_bulk,
-        BulkDownloadResult.from_dict,
-    )
+    register_experiment("bulk_download", BulkDownloadSpec.from_dict, run_bulk, BulkDownloadResult.from_dict)
 
 
 _register()

@@ -9,7 +9,8 @@ described by a small frozen spec dataclass and realized through a single
 
     scheduler = build(SchedulerSpec.of("ecf", beta=0.5))
 
-The spec is a plain value -- JSON-serializable, hashable, comparable --
+The spec is a plain value -- JSON-serializable, hashable, comparable
+(one :class:`~repro.sim.codec.KindSpec` definition serves every family) --
 so it can ride inside experiment specs, cross a process-pool boundary,
 key the result cache, and be stored in the campaign database, none of
 which a live scheduler object can do.  :func:`build` dispatches on the
@@ -30,57 +31,15 @@ instance: schedulers and controllers carry per-connection state.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Mapping, Tuple
+from typing import Any
 
 from repro.core.base import Scheduler
 from repro.core import registry as _registry
-
-
-def _canonical(value: Any) -> Any:
-    """Normalize parameter values so equal specs compare (and hash) equal.
-
-    Lists become tuples (recursively); everything else passes through.
-    This keeps a spec reconstructed from JSON equal to the original --
-    the same rule :class:`~repro.net.bandwidth.BandwidthSpec` applies.
-    """
-    if isinstance(value, (list, tuple)):
-        return tuple(_canonical(v) for v in value)
-    return value
+from repro.sim.codec import KindSpec
 
 
 @dataclass(frozen=True)
-class _KindSpec:
-    """Shared shape of a named-kind construction spec.
-
-    ``params`` is stored canonically as a sorted tuple of ``(key, value)``
-    pairs with nested sequences tupled, so two specs describing the same
-    object are equal regardless of construction order or a JSON round
-    trip.
-    """
-
-    kind: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    @classmethod
-    def of(cls, kind: str, **params: Any) -> "Any":
-        """Build a spec from keyword parameters."""
-        items = tuple(sorted((k, _canonical(v)) for k, v in params.items()))
-        return cls(kind=kind, params=items)
-
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (tuples degrade to lists in JSON)."""
-        return {"kind": self.kind, "params": self.param_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "Any":
-        return cls.of(data["kind"], **dict(data.get("params", {})))
-
-
-@dataclass(frozen=True)
-class SchedulerSpec(_KindSpec):
+class SchedulerSpec(KindSpec):
     """A named, serializable description of a path scheduler.
 
     ``kind`` resolves against the scheduler registry
@@ -90,7 +49,7 @@ class SchedulerSpec(_KindSpec):
 
 
 @dataclass(frozen=True)
-class CcSpec(_KindSpec):
+class CcSpec(KindSpec):
     """A named, serializable description of a congestion controller.
 
     ``kind`` resolves against :func:`repro.tcp.cc.registered_controllers`

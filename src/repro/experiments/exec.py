@@ -75,7 +75,6 @@ from repro.experiments.spec import (
     result_from_dict,
     run_spec,
     spec_from_dict,
-    spec_hash,
     spec_to_dict,
     wire_hash,
 )
@@ -251,7 +250,7 @@ def _execute_payload(payload: Dict[str, Any], timeout_s: Optional[float]) -> Dic
     :func:`repro.obs.flight.postmortem_dir_for`.
     """
     spec = spec_from_dict(payload)
-    key = spec_hash(spec)
+    key = wire_hash(payload)
     label = f"{payload['kind']} {key[:12]}"
 
     def invoke(target_spec: Any) -> Any:
@@ -284,7 +283,7 @@ def _execute_payload(payload: Dict[str, Any], timeout_s: Optional[float]) -> Dic
                 kind=payload["kind"],
                 spec=payload,
                 spec_hash=key,
-                seed=payload.get("seed"),
+                seed=getattr(spec, "seed", None),
                 rev=obs_flight.current_rev(),
                 error=exc,
             )

@@ -15,10 +15,12 @@ different :class:`StreamingRunConfig`.  The spec is the only way in:
 through :class:`~repro.experiments.exec.ExperimentExecutor` /
 :class:`~repro.service.CampaignRunner`.
 
-:class:`StreamingRunResult` owns its wire format
-(:meth:`~StreamingRunResult.to_dict` / :meth:`~StreamingRunResult.from_dict`,
-:data:`STREAMING_RESULT_SCHEMA_VERSION`): the form the result cache
-stores and pool workers ship.
+:class:`StreamingRunConfig` serializes through :mod:`repro.sim.codec`.
+:class:`StreamingRunResult` writes its own wire format
+(:meth:`~StreamingRunResult.to_dict` / :meth:`~StreamingRunResult.from_dict`),
+because its summary keys are renamed or derived rather than its field
+list; it embeds the spec through the codec and carries the codec's
+``schema_version``.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ from repro.net.bandwidth import BandwidthSpec, make_bandwidth_process
 from repro.net.path import Path
 from repro.net.profiles import PathConfig, lte_config, make_path, wifi_config
 from repro.obs import flight as _flight
+from repro.sim.codec import SCHEMA_VERSION, Record, wrong_schema_version
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 from repro.sim.trace import TraceRecorder
@@ -62,7 +65,7 @@ def _coerce_process(process: Optional[object]) -> Optional[object]:
 
 
 @dataclass(frozen=True)
-class StreamingRunConfig:
+class StreamingRunConfig(Record):
     """Everything one streaming session depends on -- as a plain value.
 
     ``wifi_mbps``/``lte_mbps`` set fixed regulated bandwidths; a
@@ -93,8 +96,8 @@ class StreamingRunConfig:
     abr: str = "bba"
     max_buffer: float = 25.0
     subflows_per_interface: int = 1
-    wifi_process: Optional[object] = None
-    lte_process: Optional[object] = None
+    wifi_process: Optional[BandwidthSpec] = None
+    lte_process: Optional[BandwidthSpec] = None
     path_configs: Optional[Tuple[PathConfig, ...]] = None
     record_traces: bool = False
     record_delays: bool = True
@@ -113,70 +116,9 @@ class StreamingRunConfig:
             return self.time_limit
         return 3.0 * self.video_duration + 120.0
 
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (the spec side of the wire format)."""
-
-        def process_dict(process: Optional[object]) -> Optional[Dict[str, Any]]:
-            if process is None:
-                return None
-            if not isinstance(process, BandwidthSpec):
-                raise TypeError(
-                    f"{type(process).__name__} bandwidth process is not "
-                    f"serializable; use a BandwidthSpec (or a process with "
-                    f"to_spec()) to run through the executor or cache"
-                )
-            return process.to_dict()
-
-        return {
-            "scheduler": self.scheduler,
-            "scheduler_params": dict(self.scheduler_params),
-            "wifi_mbps": self.wifi_mbps,
-            "lte_mbps": self.lte_mbps,
-            "video_duration": self.video_duration,
-            "chunk_duration": self.chunk_duration,
-            "seed": self.seed,
-            "congestion_control": self.congestion_control,
-            "idle_reset_enabled": self.idle_reset_enabled,
-            "penalization_enabled": self.penalization_enabled,
-            "abr": self.abr,
-            "max_buffer": self.max_buffer,
-            "subflows_per_interface": self.subflows_per_interface,
-            "wifi_process": process_dict(self.wifi_process),
-            "lte_process": process_dict(self.lte_process),
-            "path_configs": (
-                None
-                if self.path_configs is None
-                # PathConfig holds only scalars: its instance dict is the
-                # ``asdict`` form without the deepcopy.
-                else [dict(vars(pc)) for pc in self.path_configs]
-            ),
-            "record_traces": self.record_traces,
-            "record_delays": self.record_delays,
-            "sample_period": self.sample_period,
-            "time_limit": self.time_limit,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "StreamingRunConfig":
-        data = dict(data)
-        for key in ("wifi_process", "lte_process"):
-            if data.get(key) is not None:
-                data[key] = BandwidthSpec.from_dict(data[key])
-        if data.get("path_configs") is not None:
-            data["path_configs"] = tuple(
-                PathConfig(**pc) for pc in data["path_configs"]
-            )
-        return cls(**data)
-
 
 #: Protocol-style alias: the frozen spec the ``streaming`` kind runs.
 StreamingSpec = StreamingRunConfig
-
-#: Wire-format version written by :meth:`StreamingRunResult.to_dict`.
-#: v1 (unversioned) was a flat lossy summary; v2 embeds the spec and every
-#: field needed to rebuild the :class:`StreamingRunResult` exactly, and is
-#: the executor's cache/worker format.
-STREAMING_RESULT_SCHEMA_VERSION = 2
 
 
 @dataclass
@@ -232,7 +174,7 @@ class StreamingRunResult:
         config = self.config
         metrics = self.metrics
         data = {
-            "schema_version": STREAMING_RESULT_SCHEMA_VERSION,
+            "schema_version": SCHEMA_VERSION,
             "kind": "streaming",
             "spec": config.to_dict(),
             "scheduler": config.scheduler,
@@ -290,12 +232,8 @@ class StreamingRunResult:
         Only understands ``schema_version`` 2 (v1 summaries are lossy and
         cannot be rebuilt).
         """
-        version = data.get("schema_version")
-        if version != STREAMING_RESULT_SCHEMA_VERSION:
-            raise ValueError(
-                f"cannot rebuild a streaming result from schema_version "
-                f"{version!r} (expected {STREAMING_RESULT_SCHEMA_VERSION})"
-            )
+        if data.get("schema_version") != SCHEMA_VERSION:
+            raise wrong_schema_version("streaming", data)
         metrics = StreamingMetrics(
             chunks=[
                 ChunkRecord(

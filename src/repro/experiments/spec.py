@@ -8,18 +8,23 @@ Every experiment entry point in the library follows one contract:
 * a **result** is a dataclass exposing ``to_dict()`` / ``from_dict()``
   whose serialized form round-trips losslessly.
 
+The built-in kinds get both pairs from :mod:`repro.sim.codec`, the one
+module that decides the wire form (only ``StreamingRunResult``'s summary
+block is written by hand); this module adds the ``{"kind", "spec"}``
+envelope and the content address.
+
 That contract is what lets :mod:`repro.experiments.exec` fan runs out to
 process-pool workers (specs and results cross the boundary as dicts) and
 cache results on disk keyed by :func:`spec_hash` (a content address of
 the spec).  Each workload module registers its kind here at import time:
 
-========  ==============================================  ==================
-kind      spec                                            runner
-========  ==============================================  ==================
-streaming :class:`repro.experiments.runner.StreamingSpec` ``run_streaming``
-bulk      :class:`repro.apps.bulk.BulkDownloadSpec`       ``run_bulk``
-web       :class:`repro.workloads.web.WebBrowsingSpec`    ``run_web``
-========  ==============================================  ==================
+=============  ==============================================  ==================
+kind           spec                                            runner
+=============  ==============================================  ==================
+streaming      :class:`repro.experiments.runner.StreamingSpec` ``run_streaming``
+bulk_download  :class:`repro.apps.bulk.BulkDownloadSpec`       ``run_bulk``
+web_browsing   :class:`repro.workloads.web.WebBrowsingSpec`    ``run_web``
+=============  ==============================================  ==================
 
 :func:`run_spec` dispatches a spec of any registered kind to its runner;
 :func:`spec_from_dict` / :func:`result_from_dict` rebuild the typed
@@ -29,13 +34,10 @@ objects from the wire format.
 from __future__ import annotations
 
 import hashlib
-import json
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, FrozenSet, Mapping, Protocol, runtime_checkable
 
-#: Version of the spec/result wire format.  Bump when a serialized field
-#: changes meaning; the cache treats entries from other versions as misses.
-SCHEMA_VERSION = 2
+from repro.sim.codec import SCHEMA_VERSION, canonical_json
 
 
 @runtime_checkable
@@ -43,15 +45,14 @@ class ExperimentSpec(Protocol):
     """What every runnable experiment description provides."""
 
     kind: str
-
-    def to_dict(self) -> Dict[str, Any]: ...  # pragma: no cover - protocol
+    to_dict: Callable[[], Dict[str, Any]]
 
 
 @runtime_checkable
 class RunResult(Protocol):
     """What every experiment outcome provides."""
 
-    def to_dict(self) -> Dict[str, Any]: ...  # pragma: no cover - protocol
+    to_dict: Callable[[], Dict[str, Any]]
 
 
 @dataclass(frozen=True)
@@ -144,11 +145,6 @@ def attach_perf(result: RunResult, perf: Dict[str, Any]) -> None:
             "declare one to carry perf records"
         )
     object.__setattr__(result, "perf", perf)
-
-
-def canonical_json(data: Any) -> str:
-    """Deterministic JSON used for hashing and byte-comparable storage."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
 
 
 def wire_hash(wire: Mapping[str, Any]) -> str:

@@ -11,9 +11,10 @@ schedule (useful for tests and for regenerating a specific scenario).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.net.path import Path
+from repro.sim.codec import KindSpec
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -21,19 +22,8 @@ from repro.sim.rng import RngRegistry
 PAPER_RATE_SET_MBPS = (0.3, 1.1, 1.7, 4.2, 8.6)
 
 
-def _canonical(value: Any) -> Any:
-    """Normalize parameter values so equal specs compare (and hash) equal.
-
-    Lists become tuples (recursively); everything else passes through.
-    This keeps a spec reconstructed from JSON equal to the original.
-    """
-    if isinstance(value, (list, tuple)):
-        return tuple(_canonical(v) for v in value)
-    return value
-
-
 @dataclass(frozen=True)
-class BandwidthSpec:
+class BandwidthSpec(KindSpec):
     """A named, serializable description of a bandwidth process.
 
     Experiment configs carry these instead of live process objects so a
@@ -41,32 +31,7 @@ class BandwidthSpec:
     hashable (for the result cache).  ``make_bandwidth_process`` turns a
     spec back into the live object; each process class's ``to_spec``
     goes the other way.
-
-    ``params`` is stored canonically as a sorted tuple of ``(key, value)``
-    pairs with nested sequences tupled, so two specs describing the same
-    process are equal regardless of construction order or a JSON round
-    trip.
     """
-
-    kind: str
-    params: Tuple[Tuple[str, Any], ...] = ()
-
-    @classmethod
-    def of(cls, kind: str, **params: Any) -> "BandwidthSpec":
-        """Build a spec from keyword parameters."""
-        items = tuple(sorted((k, _canonical(v)) for k, v in params.items()))
-        return cls(kind=kind, params=items)
-
-    def param_dict(self) -> Dict[str, Any]:
-        return dict(self.params)
-
-    def to_dict(self) -> Dict[str, Any]:
-        """JSON-serializable form (tuples degrade to lists in JSON)."""
-        return {"kind": self.kind, "params": self.param_dict()}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "BandwidthSpec":
-        return cls.of(data["kind"], **dict(data.get("params", {})))
 
 
 class ConstantBandwidth:

@@ -31,12 +31,13 @@ from __future__ import annotations
 
 import time
 from contextlib import contextmanager
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from repro.core.base import Scheduler
 from repro.net.link import Link
 from repro.sim import probe as _probe
+from repro.sim.codec import Record
 from repro.sim.engine import Simulator
 
 #: Environment variable that enables perf collection around executor runs.
@@ -52,8 +53,9 @@ def perf_enabled() -> bool:
 
 
 @dataclass(frozen=True)
-class PerfSnapshot:
-    """Deterministic counter totals over one collection window."""
+class PerfSnapshot(Record):
+    """Deterministic counter totals over one collection window (its wire
+    form is the field dict, :mod:`repro.sim.codec`)."""
 
     #: Events executed by adopted simulators (callbacks actually run).
     events_dispatched: int = 0
@@ -79,9 +81,6 @@ class PerfSnapshot:
     scheduler_waits: int = 0
     #: Largest simulated clock reached by any adopted simulator.
     sim_time: float = 0.0
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,9 @@ A campaign records *where its work runs* as a small frozen dataclass --
 ``inline`` (serial, in the draining process: the reference path and the
 debugger-friendly one) or ``pool`` (``jobs`` worker processes) -- plus
 the per-run ``timeout_s`` and ``retries``.  It serializes into the
-campaign store as ``{"kind": "inline" | "pool", ...}`` and comes back
-through :func:`backend_config_from_dict`, so a resumed campaign drains
+campaign store as ``{"kind": "inline" | "pool", ...}``
+(:mod:`repro.sim.codec`) and comes back through
+:func:`backend_config_from_dict`, so a resumed campaign drains
 the way it was submitted.  Nothing is built from a config:
 :class:`~repro.service.runner.CampaignRunner` reads its three numbers
 and constructs the one engine,
@@ -14,30 +15,26 @@ and constructs the one engine,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, fields
-from typing import Any, ClassVar, Dict, Mapping, Optional, Union
+from dataclasses import dataclass
+from typing import Any, ClassVar, Mapping, Optional, Union
+
+from repro.sim.codec import Tagged, decode_tagged
 
 
-class _StoredConfig:
-    """The stored dict form both configs share: ``{"kind": ..., **fields}``."""
+class _BackendConfig(Tagged):
+    """What both configs check: a retry budget cannot be negative."""
 
-    kind: ClassVar[str]
+    __slots__ = ()
+
     retries: int
 
     def __post_init__(self) -> None:
         if self.retries < 0:
             raise ValueError(f"retries must be >= 0, got {self.retries!r}")
 
-    def to_dict(self) -> Dict[str, Any]:
-        return {"kind": self.kind, **asdict(self)}
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> Any:
-        return cls(**{f.name: data[f.name] for f in fields(cls) if f.name in data})
-
 
 @dataclass(frozen=True)
-class InlineBackendConfig(_StoredConfig):
+class InlineBackendConfig(_BackendConfig):
     """Serial execution in the submitting process (the reference path)."""
 
     kind: ClassVar[str] = "inline"
@@ -48,7 +45,7 @@ class InlineBackendConfig(_StoredConfig):
 
 
 @dataclass(frozen=True)
-class PoolBackendConfig(_StoredConfig):
+class PoolBackendConfig(_BackendConfig):
     """Process-pool fan-out across ``jobs`` workers."""
 
     kind: ClassVar[str] = "pool"
@@ -64,12 +61,7 @@ _CONFIGS = {config.kind: config for config in (InlineBackendConfig, PoolBackendC
 
 def backend_config_from_dict(data: Mapping[str, Any]) -> BackendConfig:
     """Rebuild a frozen backend config from its stored dict form."""
-    kind = data.get("kind")
-    if kind not in _CONFIGS:
-        raise ValueError(
-            f"unknown backend kind {kind!r}; known: {sorted(_CONFIGS)}"
-        )
-    return _CONFIGS[kind].from_dict(data)
+    return decode_tagged("backend", _CONFIGS, data)
 
 
 __all__ = ["InlineBackendConfig", "PoolBackendConfig", "backend_config_from_dict"]

@@ -10,6 +10,8 @@ This package provides the substrate every other subsystem runs on:
   collection used for CWND traces, send-buffer occupancy, etc.
 * :mod:`repro.sim.snapshot` -- checkpoint/fork of a live simulation
   (:func:`~repro.sim.snapshot.capture` / ``restore`` / ``fork``).
+* :mod:`repro.sim.codec` -- the one wire codec every spec, result,
+  kind-spec and event record serializes through.
 """
 
 from repro.sim.engine import Simulator, Timer

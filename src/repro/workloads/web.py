@@ -13,12 +13,13 @@ measure per-object download completion times and out-of-order delays.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.http import GetResult, HttpSession
 from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import PathConfig, make_path
+from repro.sim.codec import Record, Result
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -65,7 +66,7 @@ def cnn_like_page(seed: int = 2014, object_count: int = CNN_OBJECT_COUNT) -> Web
 
 
 @dataclass(frozen=True)
-class WebBrowsingSpec:
+class WebBrowsingSpec(Record):
     """Frozen description of one full-page load -- a plain value.
 
     ``object_sizes`` pins an explicit page; left ``None``, the page is
@@ -96,36 +97,12 @@ class WebBrowsingSpec:
             return WebPage(self.object_sizes)
         return cnn_like_page(seed=2014 + self.seed)
 
-    def to_dict(self) -> Dict[str, Any]:
-        # Flat scalar dataclasses: the instance dict is the ``asdict`` form
-        # without the deepcopy (see ``BulkDownloadSpec.to_dict``).
-        return {
-            "scheduler": self.scheduler,
-            "path_configs": [dict(vars(pc)) for pc in self.path_configs],
-            "seed": self.seed,
-            "connections": self.connections,
-            "object_sizes": (
-                None if self.object_sizes is None else list(self.object_sizes)
-            ),
-            "scheduler_params": dict(self.scheduler_params),
-            "connection": None if self.connection is None else dict(vars(self.connection)),
-            "timeout": self.timeout,
-        }
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WebBrowsingSpec":
-        data = dict(data)
-        data["path_configs"] = tuple(PathConfig(**pc) for pc in data["path_configs"])
-        if data.get("object_sizes") is not None:
-            data["object_sizes"] = tuple(data["object_sizes"])
-        if data.get("connection") is not None:
-            data["connection"] = ConnectionConfig(**data["connection"])
-        return cls(**data)
-
 
 @dataclass
-class WebBrowsingResult:
+class WebBrowsingResult(Result):
     """Outcome of one full-page load."""
+
+    kind = "web_browsing"
 
     scheduler: str
     object_completion_times: List[float] = field(default_factory=list)
@@ -136,8 +113,7 @@ class WebBrowsingResult:
     iw_resets: int = 0
     reinjections: int = 0
     #: Optional per-run perf record (``PerfRecord.to_dict()``), attached by
-    #: the executor when ``REPRO_PERF=1``; absent from the wire format when
-    #: None so cached v2 payloads stay valid.
+    #: the executor when ``REPRO_PERF=1``.
     perf: Optional[Dict[str, Any]] = None
 
     @property
@@ -149,37 +125,6 @@ class WebBrowsingResult:
         if not self.object_completion_times:
             return 0.0
         return sum(self.object_completion_times) / len(self.object_completion_times)
-
-    def to_dict(self) -> Dict[str, Any]:
-        data = {
-            "schema_version": 2,
-            "kind": "web_browsing",
-            "scheduler": self.scheduler,
-            "object_completion_times": list(self.object_completion_times),
-            "ooo_delays": list(self.ooo_delays),
-            "page_load_time": self.page_load_time,
-            "objects_completed": self.objects_completed,
-            "total_objects": self.total_objects,
-            "iw_resets": self.iw_resets,
-            "reinjections": self.reinjections,
-        }
-        if self.perf is not None:
-            data["perf"] = dict(self.perf)
-        return data
-
-    @classmethod
-    def from_dict(cls, data: Mapping[str, Any]) -> "WebBrowsingResult":
-        return cls(
-            scheduler=data["scheduler"],
-            object_completion_times=list(data["object_completion_times"]),
-            ooo_delays=list(data["ooo_delays"]),
-            page_load_time=data["page_load_time"],
-            objects_completed=data["objects_completed"],
-            total_objects=data["total_objects"],
-            iw_resets=data["iw_resets"],
-            reinjections=data["reinjections"],
-            perf=data.get("perf"),
-        )
 
 
 class _BrowserQueue:
@@ -259,12 +204,7 @@ def run_web(spec: WebBrowsingSpec) -> WebBrowsingResult:
 def _register() -> None:
     from repro.experiments.spec import register_experiment
 
-    register_experiment(
-        "web_browsing",
-        WebBrowsingSpec.from_dict,
-        run_web,
-        WebBrowsingResult.from_dict,
-    )
+    register_experiment("web_browsing", WebBrowsingSpec.from_dict, run_web, WebBrowsingResult.from_dict)
 
 
 _register()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.spec import SchedulerSpec, build
+from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.mptcp.connection import MptcpConnection
 from tests.conftest import build_connection, build_path, drain
 
@@ -123,6 +124,38 @@ class TestPenalizationMechanism:
         drain(sim, limit=600.0)
         # Receiver ignores duplicates; delivered bytes exact.
         assert conn.delivered_bytes == 2_000_000
+
+
+class TestHeadlineCellWindow:
+    """Which window binds on the paper's headline cell (WiFi 0.3 / LTE 8.6
+    Mbps, seed 0): the peer's receive window, never the 4 MB local send
+    window.  A pass is counted by wrapping ``recv_window_limited``, which
+    only the window-limited branch of ``try_send`` calls (penalization is
+    on by default)."""
+
+    def test_every_window_limited_pass_is_receive_window_limited(self, monkeypatch):
+        original = MptcpConnection.recv_window_limited
+        passes = {}
+        for scheduler in ("minrtt", "ecf", "blest", "daps"):
+            seen = []
+
+            def counted(conn):
+                limited = original(conn)
+                seen.append(
+                    limited and conn.peer_recv_window < conn.config.send_window_bytes
+                )
+                return limited
+
+            monkeypatch.setattr(MptcpConnection, "recv_window_limited", counted)
+            run_streaming(
+                StreamingRunConfig(
+                    scheduler=scheduler, wifi_mbps=0.3, lte_mbps=8.6, video_duration=20.0
+                )
+            )
+            assert seen and all(seen), scheduler
+            passes[scheduler] = len(seen)
+        # Measured: minrtt 446, ecf 242, blest 433, daps 446.
+        assert passes["ecf"] < passes["minrtt"], passes
 
 
 class TestCallbacks:

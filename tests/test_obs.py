@@ -261,6 +261,23 @@ class TestExecutorObservability:
         )
         assert problems == []
 
+    def test_executor_bundle_records_the_spec_seed(self, tmp_path, monkeypatch):
+        """The manifest's seed comes from the spec the executor ran, not
+        from the ``{"kind", "spec"}`` envelope it was handed."""
+        monkeypatch.setenv(flight.ENV_VAR, "1")
+        monkeypatch.setenv(flight.DIR_ENV_VAR, str(tmp_path / "obs"))
+        monkeypatch.setenv(check.ENV_VAR, "1")
+        spec = StreamingSpec(
+            scheduler="ecf-nowait", wifi_mbps=8.6, lte_mbps=8.6,
+            video_duration=10.0, seed=7,
+        )
+        with pytest.raises(check.CheckError):
+            ExperimentExecutor(jobs=1).run([spec])
+        bundle = flight.postmortem_dir_for(spec_hash(spec))
+        manifest = json.loads((bundle / "manifest.json").read_text())
+        assert manifest["seed"] == spec.seed
+        assert manifest["spec"] == spec_to_dict(spec)
+
     def test_successful_batch_journals_executed(self, tmp_path):
         journal_path = tmp_path / "journal.jsonl"
         executor = ExperimentExecutor(jobs=1, journal=journal_path)
