@@ -66,13 +66,6 @@ class Event(Tagged):
 
 
 @dataclass(frozen=True)
-class Dispatch(Event):
-    """One engine event leaving the heap (``EventLog.capture_dispatch``)."""
-
-    seq: int
-
-
-@dataclass(frozen=True)
 class SegmentSent(Event):
     """A data segment left a subflow (original or retransmission)."""
 
@@ -217,7 +210,6 @@ E = TypeVar("E", bound=Event)
 EVENT_TYPES: Dict[str, Type[Event]] = {
     cls.kind: cls
     for cls in (
-        Dispatch,
         SegmentSent,
         AckProcessed,
         RtoFired,
@@ -254,18 +246,12 @@ class EventLog:
         are dropped and counted in :attr:`dropped`.  Capped logs are for
         interactive inspection -- the property checker refuses partial
         logs by default, since a missing record can fake a violation.
-    capture_dispatch:
-        Also record one :class:`Dispatch` per engine event (very chatty;
-        off by default).
     """
 
-    def __init__(
-        self, capacity: Optional[int] = None, capture_dispatch: bool = False
-    ) -> None:
+    def __init__(self, capacity: Optional[int] = None) -> None:
         if capacity is not None and capacity < 1:
             raise ValueError(f"capacity must be >= 1, got {capacity!r}")
         self.capacity = capacity
-        self.capture_dispatch = capture_dispatch
         self.dropped = 0
         self._events: Deque[Event] = deque(maxlen=capacity)
 
@@ -432,30 +418,16 @@ class _Tap(_probe.Probe):
         ))
 
 
-class _DispatchTap(_Tap):
-    """A tap that also brackets engine dispatch (``capture_dispatch``);
-    kept apart so an ordinary log leaves ``Simulator.run`` on its bare
-    loop."""
-
-    def event_begin(self, sim: Any, time: float, timer: Any) -> None:
-        self.emit(Dispatch(t=time, seq=timer.seq))
-
-
 def _arm(log: Optional[EventLog]) -> Optional[EventLog]:
     """Make ``log`` the active one (``None``: none); returns the log it
     displaced."""
-    tap: Optional[_Tap] = None
-    if log is not None:
-        tap = _DispatchTap(log) if log.capture_dispatch else _Tap(log)
-    previous = _probe.swap(_ROLE, tap)
+    previous = _probe.swap(_ROLE, None if log is None else _Tap(log))
     return previous.log if isinstance(previous, _Tap) else None
 
 
-def start(
-    capacity: Optional[int] = None, capture_dispatch: bool = False
-) -> EventLog:
+def start(capacity: Optional[int] = None) -> EventLog:
     """Install (and return) a fresh active log, replacing any current one."""
-    log = EventLog(capacity=capacity, capture_dispatch=capture_dispatch)
+    log = EventLog(capacity=capacity)
     _arm(log)
     return log
 
@@ -477,11 +449,9 @@ def active() -> bool:
 
 
 @contextmanager
-def recording(
-    capacity: Optional[int] = None, capture_dispatch: bool = False
-) -> Iterator[EventLog]:
+def recording(capacity: Optional[int] = None) -> Iterator[EventLog]:
     """Event-log a block of code; restores the previous log on exit."""
-    log = EventLog(capacity=capacity, capture_dispatch=capture_dispatch)
+    log = EventLog(capacity=capacity)
     previous = _arm(log)
     try:
         yield log

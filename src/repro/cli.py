@@ -25,7 +25,7 @@ The shell is thin and says each thing once:
   ``(flag, env var, metavar, help)`` that the parser and ``main`` both
   loop over; the environment carries a switch into pool workers;
 * **one campaign opener** (``_open_campaign``) behind ``campaign
-  status|fetch|retry|serve|watch``: it owns ``name``/``--db``/
+  status|fetch|retry|serve``: it owns ``name``/``--db``/
   ``--cache-dir``, the journal path and the not-found messages.  Only
   ``campaign submit`` creates a store; the others exit 1 on a missing
   one and leave nothing behind;
@@ -47,7 +47,6 @@ memoize finished runs on disk (a re-run executes only missing cells), and
 from __future__ import annotations
 
 import argparse
-import functools
 import json
 import os
 import sys
@@ -393,17 +392,13 @@ def cmd_trace_export(args) -> int:
     source = _read("trace export", timeline.load_export_source, args.source)
     if source is None:
         return 2
-    if args.format == "perfetto":
-        document = timeline.timeline_document(source["events"], source["traces"])
-        if args.output:
-            timeline.write_timeline(document, args.output)
-            print(f"wrote {args.output} ({len(document['traceEvents'])} trace events)")
-        else:
-            print(json.dumps(document))
-        return 0
-    if args.format == "jsonl":
-        return _emit(timeline.to_jsonl(source["events"]), args.output)
-    return _emit(timeline.prometheus_text(source.get("perf") or {}), args.output)
+    document = timeline.timeline_document(source["events"], source["traces"])
+    if args.output:
+        timeline.write_timeline(document, args.output)
+        print(f"wrote {args.output} ({len(document['traceEvents'])} trace events)")
+    else:
+        print(json.dumps(document))
+    return 0
 
 
 def cmd_trace_validate(args) -> int:
@@ -492,10 +487,6 @@ def _print_campaign_counts(name: str, counts: dict) -> int:
     total = sum(counts.values())
     states = " ".join(f"{state}={counts[state]}" for state in sorted(counts))
     print(f"campaign {name}: {total} job(s)  {states}")
-    return _failed_exit(counts)
-
-
-def _failed_exit(counts: dict) -> int:
     return 0 if counts.get("failed", 0) == 0 else 1
 
 
@@ -646,44 +637,6 @@ def cmd_campaign_serve(args) -> int:
     return _print_campaign_counts(args.name, doc.get("counts", {}))
 
 
-def cmd_campaign_watch(args) -> int:
-    import time
-
-    from repro.service.daemon import fetch_status, render_watch_line, status_document
-
-    if args.endpoint:
-        read_doc = functools.partial(fetch_status, args.endpoint)
-    elif args.name:
-        runner = _open_campaign(args)
-        if runner is None:
-            return 1
-        read_doc = functools.partial(status_document, runner.store, args.name)
-    else:
-        print("watch needs a campaign name or --endpoint URL", file=sys.stderr)
-        return 1
-
-    live = sys.stdout.isatty() and not args.once
-    while True:
-        try:
-            doc = read_doc()
-        except (OSError, KeyError, ValueError) as exc:
-            if live:
-                print()
-            print(f"watch: {exc}", file=sys.stderr)
-            return 1
-        line = render_watch_line(doc)
-        if live:
-            sys.stdout.write("\r\x1b[K" + line)
-            sys.stdout.flush()
-        else:
-            print(line, flush=True)
-        if args.once or (doc.get("remaining") == 0 and not args.follow):
-            if live:
-                print()
-            return _failed_exit(doc.get("counts", {}))
-        time.sleep(args.interval)
-
-
 # -- the parser -----------------------------------------------------------------
 #: ``--scheduler`` choices for the commands that also offer the fixture
 #: schedulers (seeded-violation variants like ``ecf-nowait``): named once,
@@ -819,10 +772,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     campaign_sub = p.add_subparsers(dest="campaign_command", required=True)
 
-    def campaign(name: str, func, summary: str, cache_dir: bool = True, **name_kwargs):
+    def campaign(name: str, func, summary: str, cache_dir: bool = True,
+                 help: str = "campaign name"):
         """What ``_open_campaign`` reads: ``name``, ``--db``, ``--cache-dir``."""
         cp = command(campaign_sub, name, func, summary)
-        cp.add_argument("name", **{"help": "campaign name", **name_kwargs})
+        cp.add_argument("name", help=help)
         cp.add_argument("--db", default="campaigns.db", metavar="FILE",
                         help="SQLite campaign store (default: campaigns.db)")
         if cache_dir:
@@ -888,18 +842,6 @@ def build_parser() -> argparse.ArgumentParser:
                     help="rotate the drain journal past this size, keeping a tail "
                     "(default: 16 MiB; 0 = unbounded)")
 
-    cp = campaign("watch", cmd_campaign_watch,
-                  "live one-line terminal status view of a campaign", cache_dir=False,
-                  nargs="?", default=None, help="campaign name (omit when polling --endpoint)")
-    cp.add_argument("--endpoint", default=None, metavar="URL",
-                    help="poll a running `campaign serve` daemon (http://host:port) "
-                    "instead of reading the store directly")
-    cp.add_argument("--interval", type=float, default=2.0, metavar="S",
-                    help="refresh interval (default: 2)")
-    cp.add_argument("--once", action="store_true", help="print one status line and exit")
-    cp.add_argument("--follow", action="store_true",
-                    help="keep watching after the campaign finishes")
-
     cp = campaign("fetch", cmd_campaign_fetch, "export the finished results as JSON lines")
     cp.add_argument("-o", "--output", default="-", help="output file ('-' = stdout)")
 
@@ -952,19 +894,16 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser(
         "trace",
         help="observability timelines: export event logs / postmortem "
-        "bundles to Perfetto JSON, JSONL, or OpenMetrics text",
+        "bundles to Perfetto JSON",
     )
     trace_sub = p.add_subparsers(dest="trace_command", required=True)
     p = command(trace_sub, "export", cmd_trace_export,
-                "convert a run or postmortem into a viewable timeline")
+                "convert a run or postmortem into a Perfetto (Chrome "
+                "trace-event JSON) timeline")
     p.add_argument("source", help="postmortem bundle directory, events .jsonl, or a cached/"
                    "exported result .json")
     p.add_argument("-o", "--output", default=None, metavar="FILE",
                    help="output file (default: stdout)")
-    p.add_argument("--format", choices=("perfetto", "jsonl", "prom"), default="perfetto",
-                   help="perfetto = Chrome trace-event JSON (load at ui.perfetto.dev), "
-                   "jsonl = flat event records, prom = the run's perf record as the "
-                   "repro_perf_* OpenMetrics families `campaign serve` exposes")
     p = command(trace_sub, "validate", cmd_trace_validate,
                 "structurally validate an exported trace-event JSON")
     p.add_argument("document", help="trace-event JSON file to validate")

@@ -11,12 +11,10 @@ Three pieces, each usable on its own:
   Enabled with ``REPRO_OBS=1`` (or the CLI's ``--obs``); a subscriber
   on the probe seam (:mod:`repro.sim.probe`), so the transport pays one
   ``is None`` test per point when nothing is armed.
-* :mod:`repro.obs.timeline` -- exporters that turn an event log and
+* :mod:`repro.obs.timeline` -- the exporter that turns an event log and
   trace series into Chrome trace-event / Perfetto JSON (one track per
   subflow; ECF wait intervals as duration events; CWND as counter
-  tracks), JSONL, and the perf record as OpenMetrics text under the
-  registry's ``repro_perf_*`` names, via
-  ``python -m repro.cli trace export``.
+  tracks), via ``python -m repro.cli trace export``.
 * :mod:`repro.obs.journal` -- a structured per-job JSONL **run journal**
   for :class:`~repro.experiments.exec.ExperimentExecutor`, so a 10k-cell
   sweep is diagnosable after the fact.

@@ -54,11 +54,11 @@ DIR_ENV_VAR = "REPRO_OBS_DIR"
 #: Default bundle/journal directory (relative to the working directory).
 DEFAULT_DIR = ".repro-obs"
 
-#: Default ring-buffer capacity: recent-history depth of a postmortem.
-DEFAULT_CAPACITY = 4096
+#: Ring-buffer capacity: recent-history depth of a postmortem.
+CAPACITY = 4096
 
-#: Default per-series tail kept from adopted trace recorders.
-DEFAULT_TRACE_TAIL = 512
+#: Per-series tail kept from adopted trace recorders.
+TRACE_TAIL = 512
 
 #: Version of the postmortem bundle layout (``manifest.json``).
 BUNDLE_SCHEMA_VERSION = 1
@@ -117,21 +117,11 @@ class FlightRecorder(_probe.Probe):
       global perf window, so ``REPRO_PERF`` and ``REPRO_OBS`` compose);
     * ``TraceRecorder`` -> per-series sample tails for the bundle.
 
-    The event ring itself is a capacity-capped
+    The event ring itself is a :data:`CAPACITY`-capped
     :class:`~repro.analysis.events.EventLog` installed by :func:`flight`.
     """
 
-    def __init__(
-        self,
-        capacity: int = DEFAULT_CAPACITY,
-        trace_tail: int = DEFAULT_TRACE_TAIL,
-    ) -> None:
-        if capacity < 1:
-            raise ValueError(f"capacity must be >= 1, got {capacity!r}")
-        if trace_tail < 1:
-            raise ValueError(f"trace_tail must be >= 1, got {trace_tail!r}")
-        self.capacity = capacity
-        self.trace_tail = trace_tail
+    def __init__(self) -> None:
         #: The ring buffer; set by :func:`flight` once installed.
         self.log: Optional[_events.EventLog] = None
         self._sims: List[Any] = []
@@ -157,7 +147,7 @@ class FlightRecorder(_probe.Probe):
         return self._perf.snapshot()
 
     def trace_tails(self) -> Dict[str, List[List[float]]]:
-        """Last ``trace_tail`` samples of every adopted trace series.
+        """Last :data:`TRACE_TAIL` samples of every adopted trace series.
 
         Series names colliding across recorders (two simulations in one
         window) are disambiguated with a ``#<recorder-index>`` suffix.
@@ -165,7 +155,7 @@ class FlightRecorder(_probe.Probe):
         out: Dict[str, List[List[float]]] = {}
         for index, recorder in enumerate(self._traces):
             for name in recorder.names():
-                samples = recorder.series(name)[-self.trace_tail:]
+                samples = recorder.series(name)[-TRACE_TAIL:]
                 key = name if name not in out else f"{name}#{index}"
                 out[key] = [[t, v] for t, v in samples]
         return out
@@ -199,7 +189,7 @@ class FlightRecorder(_probe.Probe):
         tail: List[Dict[str, Any]] = []
         dropped = 0
         if log is not None:
-            records = log.tail(self.capacity)
+            records = log.tail(CAPACITY)
             dropped = log.dropped + (len(log) - len(records))
             tail = [event.to_dict() for event in records]
 
@@ -246,20 +236,18 @@ def current() -> Optional[FlightRecorder]:
 
 
 @contextmanager
-def flight(
-    capacity: int = DEFAULT_CAPACITY, trace_tail: int = DEFAULT_TRACE_TAIL
-) -> Iterator[FlightRecorder]:
+def flight() -> Iterator[FlightRecorder]:
     """Open a flight-recording window; restores previous state on exit.
 
     Arms a fresh :class:`FlightRecorder` as the adoption target and a
-    capacity-capped :func:`repro.analysis.events.recording` log as the
-    ring buffer.  Windows nest; the innermost wins, exactly like
+    :data:`CAPACITY`-capped :func:`repro.analysis.events.recording` log
+    as the ring buffer.  Windows nest; the innermost wins, exactly like
     :func:`repro.perf.counters.collecting`.
     """
-    recorder = FlightRecorder(capacity=capacity, trace_tail=trace_tail)
+    recorder = FlightRecorder()
     previous = _probe.swap(_ROLE, recorder)
     try:
-        with _events.recording(capacity=capacity) as log:
+        with _events.recording(capacity=CAPACITY) as log:
             recorder.log = log
             yield recorder
     finally:

@@ -30,19 +30,18 @@ the *campaign*, not anything inside a simulation):
 The file is held open from ``batch_start`` to ``batch_end`` (a record
 outside a batch opens, appends and closes) and every record is flushed
 as it is written, so the journal is safe to tail while a sweep runs and
-no handle outlives its batch.  Load
-one back with :func:`read_journal`; :func:`summarize` folds the records
-into a per-status accounting for quick triage.
+no handle outlives its batch.  Load one back with :func:`read_journal`;
+a campaign's per-status accounting is the store's SQL
+``journal_summary``, which ``campaign status`` and ``/status`` serve.
 
 Long-running campaigns (``campaign serve`` drains for days) would grow
 the JSONL without bound, so the journal supports **rotation**: give the
 constructor ``max_bytes`` and, when the active file exceeds it, it is
 atomically renamed to ``<path>.1`` (replacing the previous generation,
 which bounds total disk at roughly twice the size limit) and a fresh
-active file is seeded with the last ``retain_tail`` records -- the
-retained-tail guarantee: the most recent
-records stay greppable at ``path`` across every rotation, so ``status``
-and ``watch`` never see an empty window right after a roll.
+active file is seeded with the last :data:`RETAIN_TAIL` records -- the
+retained-tail guarantee: the most recent records stay greppable at
+``path`` across every rotation.
 """
 
 from __future__ import annotations
@@ -50,15 +49,13 @@ from __future__ import annotations
 import json
 import os
 import time
-import warnings
 from pathlib import Path
 from typing import Any, Callable, Dict, List, Optional, TextIO, Union
 
 PathLike = Union[str, "os.PathLike[str]"]
 
-#: Record types this schema revision understands (newer writers may add
-#: more; :func:`summarize` skips those with a single warning).
-KNOWN_RECORD_TYPES = frozenset({"batch_start", "job", "retry", "batch_end"})
+#: How many of the newest records survive into the fresh file on rotation.
+RETAIN_TAIL = 1024
 
 
 class RunJournal:
@@ -70,10 +67,9 @@ class RunJournal:
     store exists; observer failures propagate (a campaign that cannot
     index its journal should say so loudly, not drop records silently).
 
-    ``max_bytes`` bounds the active file (see the module docstring);
-    ``retain_tail`` is how many of the newest records survive into the
-    fresh file on rotation.  With ``max_bytes=None`` (the default) the
-    journal is append-only forever.
+    ``max_bytes`` bounds the active file (see the module docstring).
+    With ``max_bytes=None`` (the default) the journal is append-only
+    forever.
     """
 
     def __init__(
@@ -82,13 +78,11 @@ class RunJournal:
         observer: Optional[Callable[[Dict[str, Any]], None]] = None,
         *,
         max_bytes: Optional[int] = None,
-        retain_tail: int = 256,
     ) -> None:
         self.path = Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         self.observer = observer
         self.max_bytes = max_bytes
-        self.retain_tail = max(0, int(retain_tail))
         self._seq = 0
         #: Between ``batch_start`` and ``batch_end`` the active file stays
         #: open across records (until a rotation replaces it).
@@ -139,8 +133,8 @@ class RunJournal:
         """Roll the active file to ``.1``, keeping the newest records.
 
         The rename is atomic (``os.replace``); the fresh active file is
-        seeded with the last ``retain_tail`` lines of the old one, so a
-        reader of ``self.path`` always sees the recent history.
+        seeded with the last :data:`RETAIN_TAIL` lines of the old one, so
+        a reader of ``self.path`` always sees the recent history.
         """
         self._close()  # a batch's next record opens the fresh file
         try:
@@ -152,7 +146,7 @@ class RunJournal:
         except OSError:
             return
         os.replace(self.path, self.rotated_path)
-        tail = lines[-self.retain_tail:] if self.retain_tail else []
+        tail = lines[-RETAIN_TAIL:]
         with self.path.open("w") as handle:
             for line in tail:
                 handle.write(line + "\n")
@@ -193,52 +187,3 @@ def read_journal(path: PathLike) -> List[Dict[str, Any]]:
             raise ValueError(f"journal line is not an object: {line[:80]!r}")
         records.append(entry)
     return records
-
-
-def summarize(records: List[Dict[str, Any]]) -> Dict[str, Any]:
-    """Fold journal records into a quick-triage accounting.
-
-    Returns counts per job status, total retries, and the spec hashes of
-    failed jobs with their postmortem paths (when present).  Records with
-    a ``record`` type this schema revision does not know (a journal
-    written by a newer version) are skipped and counted under
-    ``"skipped"``, with a single :class:`FutureWarning` naming the
-    unknown types -- old readers stay usable against new journals.
-    """
-    statuses: Dict[str, int] = {}
-    retries = 0
-    failures: List[Dict[str, Any]] = []
-    unknown: Dict[str, int] = {}
-    for entry in records:
-        kind = entry.get("record")
-        if kind not in KNOWN_RECORD_TYPES:
-            key = str(kind)
-            unknown[key] = unknown.get(key, 0) + 1
-            continue
-        if kind == "job":
-            status = str(entry.get("status", "unknown"))
-            statuses[status] = statuses.get(status, 0) + 1
-            if status == "failed":
-                failures.append(
-                    {
-                        "spec_hash": entry.get("spec_hash"),
-                        "error": entry.get("error"),
-                        "postmortem": entry.get("postmortem"),
-                    }
-                )
-        elif kind == "retry":
-            retries += 1
-    if unknown:
-        warnings.warn(
-            "journal has record type(s) this reader does not know "
-            f"(newer schema?): {sorted(unknown)} -- skipped "
-            f"{sum(unknown.values())} record(s)",
-            FutureWarning,
-            stacklevel=2,
-        )
-    return {
-        "statuses": statuses,
-        "retries": retries,
-        "failures": failures,
-        "skipped": sum(unknown.values()),
-    }

@@ -12,10 +12,7 @@ formatter renders the whole registry as OpenMetrics text (``# TYPE`` /
 ``# HELP`` metadata, the ``_total`` sample-suffix convention for
 counters, escaped label values, a terminating ``# EOF``).  The campaign
 daemon (:mod:`repro.service.daemon`) serves exactly this text on
-``/metrics``; ``python -m repro.cli trace export --format prom`` folds a
-run's perf record through :func:`publish_perf_counters` into a fresh
-registry, so a postmortem bundle exports the sample names a scrape of
-the campaign shows.
+``/metrics``.
 
 Metrics come in two time flavors, and the catalog keeps them apart the
 same way :class:`~repro.perf.counters.PerfRecord` does: **sim-time**
@@ -27,8 +24,7 @@ get events/s; nothing in the registry ever mixes the two in a single
 series.
 
 The module is dependency-free within the package (stdlib only): the
-daemon and the timeline exporter import it, so it cannot import either
-of them back.
+daemon imports it, so it cannot import the daemon back.
 
 Example
 -------
@@ -347,8 +343,8 @@ def validate_openmetrics(text: str) -> List[str]:
 # The stable metric catalog
 # ----------------------------------------------------------------------
 #: Deterministic counter fields a :class:`~repro.perf.counters.PerfSnapshot`
-#: carries (everything but ``sim_time``, which becomes the sim-seconds
-#: counter below).
+#: carries (everything but ``sim_time``; the record's ``sim_s`` becomes
+#: the sim-seconds counter below).
 PERF_COUNTER_FIELDS: Tuple[str, ...] = (
     "events_dispatched",
     "stale_pops",
@@ -441,22 +437,17 @@ def publish_perf_counters(
     perf: Mapping[str, Any],
     campaign: str = "",
 ) -> None:
-    """Fold one perf payload into the registry's ``repro_perf_*`` totals.
-
-    Accepts either a flat :meth:`~repro.perf.counters.PerfSnapshot.to_dict`
-    mapping (a postmortem bundle's ``perf.json``) or the
-    :meth:`~repro.perf.counters.PerfRecord.to_dict` shape (``counters``
-    nested beside ``wall_s``) that rides on executor results --
-    including results that crossed the process-pool boundary.
-    """
-    counters = perf.get("counters")
-    flat: Mapping[str, Any] = counters if isinstance(counters, Mapping) else perf
+    """Fold one :meth:`~repro.perf.counters.PerfRecord.to_dict` payload
+    (``counters`` nested beside ``wall_s`` and ``sim_s``), as it rides on
+    executor results across the process-pool boundary, into the
+    registry's ``repro_perf_*`` totals."""
+    counters = perf.get("counters") or {}
     for field in PERF_COUNTER_FIELDS:
-        value = flat.get(field)
+        value = counters.get(field)
         if _is_number(value):
             registry[f"repro_perf_{field}"].inc(value, campaign=campaign)
     for name, seconds in (
-        ("repro_perf_sim_seconds", flat.get("sim_time", perf.get("sim_s"))),
+        ("repro_perf_sim_seconds", perf.get("sim_s")),
         ("repro_perf_wall_seconds", perf.get("wall_s")),
     ):
         if _is_number(seconds) and seconds >= 0:

@@ -1,4 +1,4 @@
-"""Timeline export: event logs + trace series -> Perfetto / JSONL / OpenMetrics.
+"""Timeline export: event logs + trace series -> Perfetto JSON.
 
 The paper's evidence is temporal -- CWND and send-buffer timelines, idle
 resets, ECF's wait intervals -- so the most useful view of a run is a
@@ -24,11 +24,9 @@ Timestamps are simulated seconds converted to integer microseconds (the
 trace-event unit).  Entry points: :func:`timeline_document` builds the
 document, :func:`validate_trace_events` checks one structurally,
 :func:`load_export_source` reads events/traces back out of a postmortem
-bundle, an ``events.jsonl`` dump, or a cached/exported result JSON, and
-:func:`prometheus_text` renders a run's perf record as the
-``repro_perf_*`` families a ``campaign serve`` scrape shows.  The CLI
-front end is
-``python -m repro.cli trace export`` / ``trace validate``.
+bundle, an ``events.jsonl`` dump, or a cached/exported result JSON.  The
+CLI front end is ``python -m repro.cli trace export`` / ``trace
+validate``.
 """
 
 from __future__ import annotations
@@ -41,11 +39,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import events as _events
 from repro.analysis.reference import mandated_wait
-from repro.obs.registry import (
-    MetricRegistry,
-    publish_perf_counters,
-    render_openmetrics,
-)
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -243,9 +236,6 @@ def timeline_document(
                 f"{event.scheduler} scheduler (uid {event.sched_uid})",
             )
             instant(f"{event.scheduler} pick", event, tid)
-        elif isinstance(event, _events.Dispatch):
-            # One per engine event; far too chatty to chart individually.
-            continue
 
     # Close any recovery episode still open when the log ends.
     for sf_uid, (start, cause, seq) in open_recovery.items():
@@ -453,30 +443,6 @@ def validate_trace_events(
     if require_ecf_waits and ecf_waits == 0:
         problems.append("no 'ecf wait' duration events found")
     return problems
-
-
-# ----------------------------------------------------------------------
-# Flat exports
-# ----------------------------------------------------------------------
-def to_jsonl(events: Iterable[_events.Event]) -> str:
-    """Event records as JSONL (one sorted-keys object per line)."""
-    lines = [json.dumps(e.to_dict(), sort_keys=True) for e in events]
-    return "\n".join(lines) + ("\n" if lines else "")
-
-
-def prometheus_text(perf: Mapping[str, Any]) -> str:
-    """A run's perf record as an OpenMetrics text exposition.
-
-    ``perf`` is a bundle's ``perf.json`` (flat ``PerfSnapshot.to_dict()``)
-    or the ``perf`` record on a result (``PerfRecord.to_dict()``); it
-    goes through the daemon's own publisher into a fresh registry, so
-    the sample names are the :data:`~repro.obs.registry.CATALOG`'s
-    ``repro_perf_*`` and ``repro.cli metrics validate`` accepts the
-    output.
-    """
-    registry = MetricRegistry()
-    publish_perf_counters(registry, perf)
-    return render_openmetrics(registry)
 
 
 # ----------------------------------------------------------------------

@@ -88,8 +88,7 @@ class PerfRecord:
     """One measured run: deterministic counters plus wall-clock context.
 
     ``events_per_wall_s`` is the headline throughput figure the bench
-    trajectory tracks; ``wall_per_sim_s`` is how many host seconds one
-    simulated second costs.
+    trajectory tracks.
     """
 
     wall_s: float
@@ -100,10 +99,6 @@ class PerfRecord:
     @property
     def events_per_wall_s(self) -> float:
         return self.events / self.wall_s if self.wall_s > 0 else 0.0
-
-    @property
-    def wall_per_sim_s(self) -> float:
-        return self.wall_s / self.sim_s if self.sim_s > 0 else 0.0
 
     def to_dict(self) -> Dict[str, Any]:
         return {

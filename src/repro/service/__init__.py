@@ -24,11 +24,7 @@ from repro.service.backends import (
     PoolBackendConfig,
     backend_config_from_dict,
 )
-from repro.service.daemon import (
-    CampaignDaemon,
-    render_watch_line,
-    status_document,
-)
+from repro.service.daemon import CampaignDaemon, status_document
 from repro.service.runner import CampaignError, CampaignRunner
 from repro.service.store import CampaignRow, CampaignStore, JobRow, TransitionError
 
@@ -37,7 +33,6 @@ __all__ = [
     "CampaignRunner",
     "CampaignDaemon",
     "CampaignError",
-    "render_watch_line",
     "status_document",
     "CampaignRow",
     "JobRow",

@@ -15,14 +15,17 @@ killed predecessors), and exposes an HTTP endpoint -- stdlib
 ``/status``
     The machine-readable JSON status document -- the *same* document
     ``campaign status --json`` prints, plus daemon-side rates
-    (events/s, jobs/s, ETA).  ``campaign watch`` polls this.
+    (events/s, jobs/s, ETA).
 ``/healthz``
     ``ok`` (liveness only).
 
 Threading model: SQLite connections are bound to their creating thread,
 so the drain loop (main thread) is the only thing that touches the
-store.  The HTTP thread reads a cached status document and the registry
+store.  The HTTP threads read a cached status document and the registry
 behind ``self._lock``; the loop refreshes both after every iteration.
+Each connection's socket times out after :data:`REQUEST_TIMEOUT_S`, so
+a client that stalls mid-request cannot hold a thread (or ``shutdown``)
+forever.
 Telemetry flows in through the three hooks this PR added --
 ``store.on_transition``, the runner's ``journal_observer``, and the
 runner's ``on_outcome`` (which carries per-job perf records across the
@@ -52,10 +55,13 @@ from repro.service.store import CampaignStore
 if TYPE_CHECKING:  # pragma: no cover - start_http() imports it when it binds
     from http.server import ThreadingHTTPServer
 
-#: Default journal bound for daemon drains: ~16 MiB active file, tail of
-#: 1024 records retained across rotations.
+#: Default journal bound for daemon drains: ~16 MiB active file (the
+#: newest :data:`repro.obs.journal.RETAIN_TAIL` records survive a rotation).
 DEFAULT_JOURNAL_MAX_BYTES = 16 * 1024 * 1024
-DEFAULT_JOURNAL_RETAIN_TAIL = 1024
+
+#: Seconds an HTTP connection may sit idle mid-request before the server
+#: drops it (a slow or stalled client otherwise pins its thread).
+REQUEST_TIMEOUT_S = 2.0
 
 
 def status_document(
@@ -105,25 +111,6 @@ def status_document(
     }
 
 
-def render_watch_line(doc: Dict[str, Any]) -> str:
-    """One terminal line of a status document (``campaign watch``)."""
-    counts = doc.get("counts", {})
-    hit_rate = doc.get("cache_hit_rate")
-    hits = "-" if hit_rate is None else f"{100.0 * hit_rate:.0f}%"
-    events = doc.get("events_per_s")
-    rate = "-" if not events else f"{events / 1000.0:.0f}k/s"
-    eta = doc.get("eta_s")
-    eta_text = "-" if eta is None else f"{eta:.0f}s"
-    return (
-        f"[{doc.get('campaign', '?')}] "
-        f"pending={counts.get('pending', 0)} "
-        f"running={counts.get('running', 0)} "
-        f"done={counts.get('done', 0)} "
-        f"failed={counts.get('failed', 0)} "
-        f"cache-hits={hits} events={rate} eta={eta_text}"
-    )
-
-
 class CampaignDaemon:
     """Own one campaign: drain it in a loop, serve its telemetry.
 
@@ -144,7 +131,6 @@ class CampaignDaemon:
         port: int = 0,
         poll_interval_s: float = 2.0,
         journal_max_bytes: Optional[int] = DEFAULT_JOURNAL_MAX_BYTES,
-        journal_retain_tail: int = DEFAULT_JOURNAL_RETAIN_TAIL,
     ) -> None:
         self.name = name
         self.store = store
@@ -168,10 +154,7 @@ class CampaignDaemon:
             cache_dir=cache_dir,
             journal=journal,
             max_attempts=max_attempts,
-            journal_kwargs={
-                "max_bytes": journal_max_bytes,
-                "retain_tail": journal_retain_tail,
-            },
+            journal_max_bytes=journal_max_bytes,
             journal_observer=self._on_journal_record,
             on_outcome=self._on_outcome,
         )
@@ -255,6 +238,8 @@ class CampaignDaemon:
         daemon = self
 
         class Handler(BaseHTTPRequestHandler):
+            timeout = REQUEST_TIMEOUT_S
+
             def do_GET(self) -> None:  # noqa: N802 - http.server API
                 path = self.path.split("?", 1)[0]
                 if path in ("/metrics", "/metrics/"):
@@ -348,18 +333,6 @@ class CampaignDaemon:
             self.store.on_transition = None
 
 
-def fetch_status(endpoint: str, timeout_s: float = 5.0) -> Dict[str, Any]:
-    """GET ``<endpoint>/status`` and parse it (``campaign watch``)."""
-    from urllib.request import urlopen
-
-    url = endpoint.rstrip("/") + "/status"
-    with urlopen(url, timeout=timeout_s) as response:  # noqa: S310 - local
-        payload = json.loads(response.read().decode())
-    if not isinstance(payload, dict):
-        raise ValueError(f"unexpected status payload from {url}")
-    return payload
-
-
 def fetch_metrics(endpoint: str, timeout_s: float = 5.0) -> str:
     """GET ``<endpoint>/metrics`` as text (CI validation path)."""
     from urllib.request import urlopen
@@ -372,9 +345,7 @@ def fetch_metrics(endpoint: str, timeout_s: float = 5.0) -> str:
 __all__ = [
     "CampaignDaemon",
     "DEFAULT_JOURNAL_MAX_BYTES",
-    "DEFAULT_JOURNAL_RETAIN_TAIL",
+    "REQUEST_TIMEOUT_S",
     "fetch_metrics",
-    "fetch_status",
-    "render_watch_line",
     "status_document",
 ]

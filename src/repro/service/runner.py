@@ -76,8 +76,8 @@ class CampaignRunner:
         into the store, so ``status`` can count cache hits per drain.
     max_attempts: per-job attempt budget enforced by ``requeue``.
     progress: forwarded to the executor (``True`` for the stderr ticker).
-    journal_kwargs: extra :class:`~repro.obs.journal.RunJournal`
-        constructor options (``max_bytes`` / ``retain_tail``) -- the
+    journal_max_bytes: rotate the journal past this size
+        (:class:`~repro.obs.journal.RunJournal`'s ``max_bytes``) -- the
         daemon uses this to bound the journal for days-long drains.
     journal_observer: additional callable invoked with every journal
         record as it is written (a ``job`` record before the store
@@ -98,7 +98,7 @@ class CampaignRunner:
         journal: Optional[PathLike] = None,
         max_attempts: int = 3,
         progress: Any = None,
-        journal_kwargs: Optional[Dict[str, Any]] = None,
+        journal_max_bytes: Optional[int] = None,
         journal_observer: Optional[Callable[[Dict[str, Any]], None]] = None,
         on_outcome: Optional[Callable[[JobOutcome], None]] = None,
     ) -> None:
@@ -114,7 +114,7 @@ class CampaignRunner:
         self.journal_path = None if journal is None else str(journal)
         self.max_attempts = int(max_attempts)
         self.progress = progress
-        self.journal_kwargs = dict(journal_kwargs or {})
+        self.journal_max_bytes = journal_max_bytes
         self.journal_observer = journal_observer
         self.on_outcome = on_outcome
 
@@ -205,7 +205,7 @@ class CampaignRunner:
             journal = RunJournal(
                 self.journal_path,
                 observer=observe,
-                **self.journal_kwargs,
+                max_bytes=self.journal_max_bytes,
             )
         # Built before anything is claimed: an executor that refuses its
         # knobs (jobs < 1, retries < 0) must not leave ``running`` rows

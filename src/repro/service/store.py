@@ -522,7 +522,7 @@ class CampaignStore:
             requeued += 1
         return requeued, exhausted
 
-    # -- journal + postmortem indexes ------------------------------------
+    # -- journal index ---------------------------------------------------
     def record_journal(self, campaign_id: int, entry: Dict[str, Any]) -> None:
         """Index one run-journal record against the campaign."""
         self._conn.execute(
@@ -571,12 +571,3 @@ class CampaignStore:
             (campaign_id,),
         ).fetchone()
         return by_status, retries
-
-    def postmortems(self, campaign_id: int) -> List[JobRow]:
-        """Failed jobs that left a postmortem bundle behind."""
-        rows = self._conn.execute(
-            "SELECT * FROM jobs WHERE campaign_id = ?"
-            " AND postmortem IS NOT NULL ORDER BY id",
-            (campaign_id,),
-        ).fetchall()
-        return [_row_to_job(row) for row in rows]

@@ -3,6 +3,8 @@
 import argparse
 import json
 import os
+import re
+from pathlib import Path
 
 import pytest
 
@@ -106,7 +108,7 @@ PARSER_SURFACE = [
     ("wild", ("--obs",), "obs", False, None, 0, False, None),
     ("wild", ("--obs-dir",), "obs_dir", None, None, None, False, None),
     ("campaign", (), "campaign_command", None,
-     ("submit", "status", "serve", "watch", "fetch", "retry"), "A...", True, None),
+     ("submit", "status", "serve", "fetch", "retry"), "A...", True, None),
     ("campaign submit", (), "name", None, None, None, True, None),
     ("campaign submit", ("--db",), "db", "campaigns.db", None, None, False, None),
     ("campaign submit", ("--cache-dir",), "cache_dir", None, None, None, False, None),
@@ -139,12 +141,6 @@ PARSER_SURFACE = [
     ("campaign serve", ("--exit-when-done",), "exit_when_done", False, None, 0, False, None),
     ("campaign serve", ("--journal-max-bytes",), "journal_max_bytes", 16777216, None, None, False,
      "int"),
-    ("campaign watch", (), "name", None, None, "?", False, None),
-    ("campaign watch", ("--db",), "db", "campaigns.db", None, None, False, None),
-    ("campaign watch", ("--endpoint",), "endpoint", None, None, None, False, None),
-    ("campaign watch", ("--interval",), "interval", 2.0, None, None, False, "float"),
-    ("campaign watch", ("--once",), "once", False, None, 0, False, None),
-    ("campaign watch", ("--follow",), "follow", False, None, 0, False, None),
     ("campaign fetch", (), "name", None, None, None, True, None),
     ("campaign fetch", ("--db",), "db", "campaigns.db", None, None, False, None),
     ("campaign fetch", ("--cache-dir",), "cache_dir", None, None, None, False, None),
@@ -173,14 +169,50 @@ PARSER_SURFACE = [
     ("trace", (), "trace_command", None, ("export", "validate"), "A...", True, None),
     ("trace export", (), "source", None, None, None, True, None),
     ("trace export", ("-o", "--output"), "output", None, None, None, False, None),
-    ("trace export", ("--format",), "format", "perfetto", ("perfetto", "jsonl", "prom"), None,
-     False, None),
     ("trace validate", (), "document", None, None, None, True, None),
     ("trace validate", ("--min-subflow-tracks",), "min_subflow_tracks", 0, None, None, False,
      "int"),
     ("trace validate", ("--require-ecf-waits",), "require_ecf_waits", False, None, 0, False, None),
     ("report", ("--output",), "output", "-", None, None, False, None),
 ]
+
+
+#: The prose that tells a user what to type: a command it names that the
+#: parser does not know is a command that was removed or renamed.
+_REPO = Path(__file__).resolve().parent.parent
+_DOCS = [
+    _REPO / "README.md", *sorted((_REPO / "docs").glob("*.md")),
+    _REPO / ".claude" / "skills" / "verify" / "SKILL.md",
+]
+#: ``python -m repro.cli CMD [SUB]`` anywhere, and a backticked ``campaign
+#: SUB`` / ``trace SUB``; ``SUB`` may be an ``a|b|c`` list.
+_NAMED_COMMAND = re.compile(
+    r"python -m repro\.cli\s+([a-z][\w-]*)(?:\s+([a-z][\w-]*(?:\|[a-z][\w-]*)*))?"
+    r"|`(campaign|trace)\s+([a-z][\w-]*(?:\|[a-z][\w-]*)*)"
+)
+
+
+def _subcommands(parser):
+    for action in parser._actions:
+        if isinstance(action, argparse._SubParsersAction):
+            return action.choices
+    return {}
+
+
+def test_docs_name_only_commands_the_parser_knows():
+    commands = _subcommands(build_parser())
+    named, unknown = 0, []
+    for doc in _DOCS:
+        text = doc.read_text()
+        for match in _NAMED_COMMAND.finditer(text):
+            command, subs = match.group(1, 2) if match.group(1) else match.group(3, 4)
+            named += 1
+            known = _subcommands(commands[command]) if command in commands else None
+            if known is None or (known and subs and not set(subs.split("|")) <= set(known)):
+                line = text.count("\n", 0, match.start()) + 1
+                unknown.append(f"{doc.relative_to(_REPO)}:{line}: {match.group(0)!r}")
+    assert named > 20  # the scan found the docs' commands at all
+    assert unknown == []
 
 
 def parser_surface(parser, path=""):
@@ -303,7 +335,7 @@ class TestCommands:
 
 
 class TestCampaignCommands:
-    """`fetch`, `retry` and `watch --once` over a drained two-cell sweep."""
+    """`fetch` and `retry` over a drained two-cell sweep."""
 
     @pytest.fixture
     def campaign(self, tmp_path, capsys):
@@ -342,16 +374,9 @@ class TestCampaignCommands:
             "campaign two: 2 job(s)  done=2 failed=0 pending=0 running=0\n"
         )
 
-    def test_watch_once_prints_one_status_line(self, campaign, capsys):
-        assert main(["campaign", "watch", "--once", "two", *campaign[:2]]) == 0
-        assert capsys.readouterr().out == (
-            "[two] pending=0 running=0 done=2 failed=0 cache-hits=0% events=- eta=0s\n"
-        )
-
     @pytest.mark.parametrize(
-        "command", [["status"], ["fetch"], ["retry"], ["serve", "--exit-when-done"],
-                    ["watch", "--once"]],
-        ids=["status", "fetch", "retry", "serve", "watch"],
+        "command", [["status"], ["fetch"], ["retry"], ["serve", "--exit-when-done"]],
+        ids=["status", "fetch", "retry", "serve"],
     )
     def test_reading_a_store_that_is_not_there_creates_nothing(
         self, command, tmp_path, monkeypatch, capsys

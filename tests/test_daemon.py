@@ -3,8 +3,10 @@ executor -> store -> registry telemetry plumbing it rides on."""
 
 import json
 import re
+import socket
 import subprocess
 import sys
+import threading
 import time
 import urllib.request
 
@@ -28,12 +30,17 @@ from repro.service import (
     PoolBackendConfig,
 )
 from repro.service.daemon import (
+    REQUEST_TIMEOUT_S,
     CampaignDaemon,
     fetch_metrics,
-    fetch_status,
-    render_watch_line,
     status_document,
 )
+
+
+def fetch_status(endpoint):
+    """GET ``<endpoint>/status`` and parse it."""
+    with urllib.request.urlopen(endpoint + "/status", timeout=5) as response:
+        return json.loads(response.read().decode())
 
 
 def bulk_specs(n=3, size=48 * 1024):
@@ -160,30 +167,6 @@ class TestStatusDocument:
         rc = cli.main(["campaign", "status", "cli-doc", "--db", str(db),
                        "--json"])
         assert rc == 0
-
-
-class TestWatchLine:
-    def test_render(self):
-        doc = {
-            "campaign": "grid",
-            "counts": {"pending": 3, "running": 1, "done": 5, "failed": 0},
-            "cache_hit_rate": 0.4,
-            "events_per_s": 95000.0,
-            "eta_s": 12.0,
-            "remaining": 4,
-        }
-        line = render_watch_line(doc)
-        assert "[grid]" in line
-        assert "pending=3" in line
-        assert "done=5" in line
-        assert "cache-hits=40%" in line
-        assert "events=95k/s" in line
-        assert "eta=12s" in line
-
-    def test_render_tolerates_missing_fields(self):
-        line = render_watch_line({})
-        assert "pending=0" in line
-        assert "events=-" in line
 
 
 def test_importing_the_package_loads_no_http_server():
@@ -316,10 +299,10 @@ class TestDaemonServe:
         finally:
             daemon.shutdown()
 
-    def test_journal_rotation_bounds_daemon_journal(self, tmp_path):
+    def test_journal_rotation_bounds_daemon_journal(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.obs.journal.RETAIN_TAIL", 4)
         store, daemon = self.build(
-            tmp_path, name="rotate", n=2,
-            journal_max_bytes=512, journal_retain_tail=4,
+            tmp_path, name="rotate", n=2, journal_max_bytes=512,
         )
         try:
             daemon.serve(max_loops=1)
@@ -347,6 +330,79 @@ class TestDaemonServe:
         assert store.on_transition is not None
         daemon.shutdown()
         assert store.on_transition is None
+
+
+class TestHttpFaults:
+    """A client that stalls mid-request or sends garbage costs the daemon
+    one request timeout, never a thread (or its shutdown) for good."""
+
+    #: How long past the request timeout a disconnect may take to arrive.
+    SLACK_S = 3.0
+
+    @pytest.fixture
+    def daemon(self, tmp_path):
+        store = CampaignStore(tmp_path / "c.db")
+        CampaignRunner(store, "faults", cache_dir=tmp_path / "cache")
+        daemon = CampaignDaemon(store, "faults", cache_dir=str(tmp_path / "cache"))
+        daemon.start_http()
+        try:
+            yield daemon
+        finally:
+            daemon.shutdown()
+            store.close()
+
+    @staticmethod
+    def stall(daemon):
+        """A connection that sent half a request line and then nothing."""
+        sock = socket.create_connection((daemon.host, daemon.port), timeout=5)
+        sock.sendall(b"GET /metr")
+        return sock
+
+    def disconnected(self, sock):
+        """True once the server closed ``sock`` (EOF or reset) within the
+        request timeout plus slack; False if it is still held open."""
+        sock.settimeout(REQUEST_TIMEOUT_S + self.SLACK_S)
+        try:
+            return sock.recv(1024) == b""
+        except ConnectionResetError:
+            return True
+        except socket.timeout:
+            return False
+        finally:
+            sock.close()
+
+    def test_a_stalled_client_is_disconnected_within_the_timeout(self, daemon):
+        start = time.monotonic()
+        assert self.disconnected(self.stall(daemon))
+        assert time.monotonic() - start < REQUEST_TIMEOUT_S + self.SLACK_S
+
+    def test_a_garbage_request_gets_400_and_the_next_scrape_succeeds(self, daemon):
+        with socket.create_connection((daemon.host, daemon.port), timeout=5) as sock:
+            sock.sendall(b"\x16\x03\x01 not an http request line\r\n\r\n")
+            reply = sock.recv(4096)
+        # A line that names no HTTP version is answered HTTP/0.9 style:
+        # the error page alone, no status line.
+        assert b"Error code: 400" in reply
+        scrape = fetch_metrics(daemon.endpoint)
+        assert validate_openmetrics(scrape) == []
+        assert scrape.splitlines()[-1] == "# EOF"
+
+    def test_shutdown_returns_while_stalled_clients_are_connected(self, daemon):
+        before = threading.active_count()
+        stalled = [self.stall(daemon) for _ in range(8)]
+        # Every stalled connection has its handler thread before shutdown.
+        deadline = time.monotonic() + 5
+        while threading.active_count() < before + len(stalled):
+            assert time.monotonic() < deadline, "handler threads never started"
+            time.sleep(0.01)
+        start = time.monotonic()
+        daemon.shutdown()
+        assert time.monotonic() - start < 5
+        assert all(self.disconnected(sock) for sock in stalled)
+        deadline = time.monotonic() + 5
+        while threading.active_count() > before:
+            assert time.monotonic() < deadline, "handler threads outlived shutdown"
+            time.sleep(0.01)
 
 
 class TestPerfAcrossPoolBackend:

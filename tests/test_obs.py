@@ -20,7 +20,7 @@ from repro.experiments.runner import StreamingSpec
 from repro.experiments.spec import spec_hash, spec_to_dict
 from repro.net.profiles import lte_config, wifi_config
 from repro.obs import flight, timeline
-from repro.obs.journal import RunJournal, read_journal, summarize
+from repro.obs.journal import RunJournal, read_journal
 
 
 def bulk_spec(scheduler="ecf", size=96_000, seed=3):
@@ -35,7 +35,6 @@ def bulk_spec(scheduler="ecf", size=96_000, seed=3):
 def sample_events():
     """One instance of every concrete record kind."""
     return [
-        events.Dispatch(t=0.0, seq=1),
         events.SegmentSent(
             t=0.1, sf_uid=3, sf_id=0, seq=2, dsn=1448, payload=1448,
             retransmitted=False, cwnd=10.0, in_flight=4,
@@ -120,21 +119,26 @@ def Event_subclasses():
     return out
 
 
+def delivered(dsn):
+    """A minimal record, told apart by its ``dsn``."""
+    return events.Delivered(t=float(dsn), recv_uid=1, dsn=dsn, payload=1, delay=0.0)
+
+
 class TestEventLogBounding:
     def test_capacity_drops_oldest(self):
         log = events.EventLog(capacity=3)
-        for seq in range(5):
-            log.emit(events.Dispatch(t=float(seq), seq=seq))
+        for dsn in range(5):
+            log.emit(delivered(dsn))
         assert len(log) == 3
         assert log.dropped == 2
-        assert [e.seq for e in log.events()] == [2, 3, 4]
+        assert [e.dsn for e in log.events()] == [2, 3, 4]
 
     def test_tail(self):
         log = events.EventLog()
-        for seq in range(4):
-            log.emit(events.Dispatch(t=float(seq), seq=seq))
-        assert [e.seq for e in log.tail(2)] == [2, 3]
-        assert [e.seq for e in log.tail(99)] == [0, 1, 2, 3]
+        for dsn in range(4):
+            log.emit(delivered(dsn))
+        assert [e.dsn for e in log.tail(2)] == [2, 3]
+        assert [e.dsn for e in log.tail(99)] == [0, 1, 2, 3]
         assert log.tail(0) == []
 
     def test_uids_never_alias_across_sequential_connections(self):
@@ -154,11 +158,11 @@ class TestEventLogBounding:
 class TestFlightRecorder:
     def test_window_installs_and_restores(self):
         assert flight.current() is None
-        with flight.flight(capacity=64) as recorder:
+        with flight.flight() as recorder:
             assert flight.current() is recorder
             assert events.current() is recorder.log
-            assert recorder.log.capacity == 64
-            with flight.flight(capacity=8) as inner:
+            assert recorder.log.capacity == flight.CAPACITY
+            with flight.flight() as inner:
                 assert flight.current() is inner
             assert flight.current() is recorder
         assert flight.current() is None
@@ -169,12 +173,6 @@ class TestFlightRecorder:
         assert isinstance(rev, str) and rev
         assert "/" not in rev and "\n" not in rev
 
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            flight.FlightRecorder(capacity=0)
-        with pytest.raises(ValueError):
-            flight.FlightRecorder(trace_tail=0)
-
     def test_adopts_run_objects(self):
         with flight.flight() as recorder:
             run_bulk(bulk_spec())
@@ -183,10 +181,11 @@ class TestFlightRecorder:
             assert len(recorder.log) > 0
         assert adopted["events_dispatched"] > 0
 
-    def test_postmortem_bundle_contents(self, tmp_path):
+    def test_postmortem_bundle_contents(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(flight, "CAPACITY", 128)
         spec = bulk_spec()
         key = spec_hash(spec)
-        with flight.flight(capacity=128) as recorder:
+        with flight.flight() as recorder:
             run_bulk(spec)
             bundle = recorder.write_postmortem(
                 kind="bulk",
@@ -209,20 +208,21 @@ class TestFlightRecorder:
         assert loaded["events"]  # typed records rebuilt from events.jsonl
         assert all(isinstance(e, events.Event) for e in loaded["events"])
 
-    def test_postmortem_prefers_error_event_log(self, tmp_path):
+    def test_postmortem_prefers_error_event_log(self, tmp_path, monkeypatch):
         # run_with_checks attaches its own (uncapped) log to escaping
         # errors; the bundle must carry that, not the shadowed ring.
+        monkeypatch.setattr(flight, "CAPACITY", 8)
         full = events.EventLog()
-        full.emit(events.Dispatch(t=1.0, seq=42))
+        full.emit(delivered(42))
         error = RuntimeError("boom")
         error.event_log = full
-        with flight.flight(capacity=8) as recorder:
+        with flight.flight() as recorder:
             bundle = recorder.write_postmortem(
                 kind="bulk", spec={}, spec_hash="cafe" * 10, error=error,
                 root=tmp_path,
             )
         loaded = timeline.load_bundle(bundle)
-        assert [e.seq for e in loaded["events"]] == [42]
+        assert [e.dsn for e in loaded["events"]] == [42]
 
 
 class TestExecutorObservability:
@@ -246,11 +246,10 @@ class TestExecutorObservability:
         assert manifest["kind"] == "streaming"
         assert manifest["error"]["type"] == "CheckError"
 
-        records = read_journal(obs_root / "journal.jsonl")
-        folded = summarize(records)
-        assert folded["statuses"] == {"failed": 1}
-        assert folded["failures"][0]["spec_hash"] == spec_hash(spec)
-        assert folded["failures"][0]["postmortem"] == str(bundle)
+        jobs = [r for r in read_journal(obs_root / "journal.jsonl") if r["record"] == "job"]
+        assert [job["status"] for job in jobs] == ["failed"]
+        assert jobs[0]["spec_hash"] == spec_hash(spec)
+        assert jobs[0]["postmortem"] == str(bundle)
 
         # Acceptance: the bundle exports to a valid Perfetto document with
         # per-subflow tracks and (mandated) ECF wait intervals.
@@ -299,8 +298,8 @@ class TestExecutorObservability:
             jobs=1, cache_dir=tmp_path / "cache", journal=journal_path
         )
         executor.run([spec])
-        folded = summarize(read_journal(journal_path))
-        assert folded["statuses"] == {"cached": 1}
+        jobs = [r for r in read_journal(journal_path) if r["record"] == "job"]
+        assert [job["status"] for job in jobs] == ["cached"]
 
 
 class TestJournal:
@@ -328,54 +327,15 @@ class TestJournal:
         with pytest.raises(ValueError, match="not an object"):
             read_journal(path)
 
-    def test_summarize(self):
-        folded = summarize([
-            {"record": "job", "status": "cached"},
-            {"record": "job", "status": "failed", "spec_hash": "ff",
-             "error": {"type": "X"}, "postmortem": "/p"},
-            {"record": "retry"},
-            {"record": "retry"},
-            {"record": "batch_end"},
-        ])
-        assert folded["statuses"] == {"cached": 1, "failed": 1}
-        assert folded["retries"] == 2
-        assert folded["failures"] == [
-            {"spec_hash": "ff", "error": {"type": "X"}, "postmortem": "/p"},
-        ]
-
-    def test_summarize_skips_unknown_record_kinds(self):
-        # Forward compatibility: a newer writer may add record types this
-        # reader does not know; they are skipped (and counted), not fatal.
-        with pytest.warns(FutureWarning, match="hologram"):
-            folded = summarize([
-                {"record": "job", "status": "executed"},
-                {"record": "hologram", "volume": 11},
-                {"record": "hologram", "volume": 12},
-                {"record": "batch_end"},
-            ])
-        assert folded["statuses"] == {"executed": 1}
-        assert folded["skipped"] == 2
-
-    def test_summarize_known_records_do_not_warn(self, recwarn):
-        folded = summarize([
-            {"record": "batch_start", "total": 1},
-            {"record": "job", "status": "executed"},
-            {"record": "batch_end"},
-        ])
-        assert folded["skipped"] == 0
-        assert not [w for w in recwarn.list
-                    if issubclass(w.category, FutureWarning)]
-
 
 class TestJournalRotation:
     def entry(self, i):
         return {"spec_hash": f"h{i:05d}", "status": "executed",
                 "padding": "x" * 64}
 
-    def test_size_rotation_keeps_tail(self, tmp_path):
-        journal = RunJournal(
-            tmp_path / "journal.jsonl", max_bytes=4096, retain_tail=10,
-        )
+    def test_size_rotation_keeps_tail(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.obs.journal.RETAIN_TAIL", 10)
+        journal = RunJournal(tmp_path / "journal.jsonl", max_bytes=4096)
         for i in range(200):
             journal.job(**self.entry(i))
         assert journal.rotated_path.exists()
@@ -387,10 +347,9 @@ class TestJournalRotation:
         rotated = read_journal(journal.rotated_path)
         assert rotated  # older records moved aside, not lost
 
-    def test_tail_overlap_is_contiguous(self, tmp_path):
-        journal = RunJournal(
-            tmp_path / "journal.jsonl", max_bytes=2048, retain_tail=5,
-        )
+    def test_tail_overlap_is_contiguous(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.obs.journal.RETAIN_TAIL", 5)
+        journal = RunJournal(tmp_path / "journal.jsonl", max_bytes=2048)
         for i in range(100):
             journal.job(**self.entry(i))
         active = read_journal(journal.path)
@@ -405,22 +364,22 @@ class TestJournalRotation:
         assert not journal.rotated_path.exists()
         assert len(read_journal(journal.path)) == 50
 
-    def test_summarize_of_rotated_journal_still_works(self, tmp_path):
-        journal = RunJournal(
-            tmp_path / "journal.jsonl", max_bytes=2048, retain_tail=5,
-        )
+    def test_a_rotated_journal_still_reads_back(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.obs.journal.RETAIN_TAIL", 5)
+        journal = RunJournal(tmp_path / "journal.jsonl", max_bytes=2048)
         journal.batch_start(total=100)
         for i in range(100):
             journal.job(**self.entry(i))
         journal.batch_end(done=100)
-        folded = summarize(read_journal(journal.path))
-        assert folded["statuses"]["executed"] >= 5
+        records = read_journal(journal.path)
+        assert sum(r["record"] == "job" for r in records) >= 5
+        assert records[-1]["record"] == "batch_end"
 
-    def test_observer_sees_every_record_despite_rotation(self, tmp_path):
+    def test_observer_sees_every_record_despite_rotation(self, tmp_path, monkeypatch):
+        monkeypatch.setattr("repro.obs.journal.RETAIN_TAIL", 5)
         seen = []
         journal = RunJournal(
-            tmp_path / "journal.jsonl", max_bytes=2048, retain_tail=5,
-            observer=seen.append,
+            tmp_path / "journal.jsonl", max_bytes=2048, observer=seen.append,
         )
         for i in range(100):
             journal.job(**self.entry(i))
@@ -441,12 +400,14 @@ class TestJournalRotation:
         assert journal._handle is None
         assert len(read_journal(journal.path)) == 4
 
-    def test_a_batch_rotates_like_single_records(self, tmp_path):
+    def test_a_batch_rotates_like_single_records(self, tmp_path, monkeypatch):
         """Rotation inside a batch moves the open handle to the fresh
         file: both generations hold what open-append-close would have
         written."""
+        monkeypatch.setattr("repro.obs.journal.RETAIN_TAIL", 5)
+
         def write(name, in_batch):
-            journal = RunJournal(tmp_path / name, max_bytes=2048, retain_tail=5)
+            journal = RunJournal(tmp_path / name, max_bytes=2048)
             # ``record`` by name writes the same line without the batch.
             start, end = (
                 (journal.batch_start, journal.batch_end)
@@ -615,55 +576,29 @@ class TestValidator:
         ) == ["no 'ecf wait' duration events found"]
 
 
+def events_jsonl(records):
+    """Records as a bundle's ``events.jsonl`` holds them (what
+    :meth:`~repro.obs.flight.FlightRecorder.write_postmortem` writes)."""
+    return "".join(json.dumps(e.to_dict(), sort_keys=True) + "\n" for e in records)
+
+
 class TestFlatExports:
     def test_jsonl_round_trips(self, tmp_path):
         samples = sample_events()
         path = tmp_path / "events.jsonl"
-        path.write_text(timeline.to_jsonl(samples))
+        path.write_text(events_jsonl(samples))
         assert timeline.load_events_jsonl(path) == samples
 
-    def test_jsonl_empty(self):
-        assert timeline.to_jsonl([]) == ""
-
-    def test_prometheus_text(self):
-        # A flat perf.json: catalog names, nothing else gets a sample.
-        text = timeline.prometheus_text(
-            {"packets_in": 2.5, "events_dispatched": 7, "sim_time": 1.5,
-             "scheduler_waits": True, "stale_pops": "x", "not_a_counter": 9},
-        )
-        lines = text.splitlines()
-        assert "# TYPE repro_perf_events_dispatched counter" in lines
-        assert [line for line in lines if not line.startswith("#")] == [
-            "repro_perf_events_dispatched_total 7",
-            "repro_perf_packets_in_total 2.5",
-            "repro_perf_sim_seconds_total 1.5",
-        ]
-        assert lines[-1] == "# EOF"
-
-    def test_prometheus_text_is_valid_openmetrics(self):
-        from repro.obs.registry import validate_openmetrics
-
-        text = timeline.prometheus_text(
-            {"wall_s": 0.25, "sim_s": 10.0, "events": 100,
-             "events_per_wall_s": 400.0, "counters": {"events_dispatched": 100}}
-        )
-        assert validate_openmetrics(text) == []
-        # The rate and the duplicate `events` are not counters and are
-        # not exported as such.
-        assert [line for line in text.splitlines() if not line.startswith("#")] == [
-            "repro_perf_events_dispatched_total 100",
-            "repro_perf_sim_seconds_total 10",
-            "repro_perf_wall_seconds_total 0.25",
-        ]
-
-    def test_prometheus_empty_still_terminated(self):
-        assert timeline.prometheus_text({}).splitlines()[-1] == "# EOF"
+    def test_jsonl_empty(self, tmp_path):
+        path = tmp_path / "events.jsonl"
+        path.write_text(events_jsonl([]))
+        assert timeline.load_events_jsonl(path) == []
 
 
 class TestLoadExportSource:
     def test_jsonl_source(self, tmp_path):
         path = tmp_path / "events.jsonl"
-        path.write_text(timeline.to_jsonl(sample_events()))
+        path.write_text(events_jsonl(sample_events()))
         loaded = timeline.load_export_source(path)
         assert loaded["events"] == sample_events()
         assert loaded["traces"] == {}
@@ -734,61 +669,3 @@ class TestTraceCli:
         ])
         assert rc == 1
         assert "ecf wait" in capsys.readouterr().out
-
-    def test_export_prom_to_stdout(self, tmp_path, capsys):
-        bundle = self.make_bundle(tmp_path)
-        capsys.readouterr()
-        assert cli_main([
-            "trace", "export", str(bundle), "--format", "prom",
-        ]) in (0, None)
-        out = capsys.readouterr().out
-        assert "# TYPE repro_perf_events_dispatched counter" in out
-
-    def test_export_prom_speaks_the_daemon_dialect(self, tmp_path, capsys):
-        """A bundle's flat ``perf.json`` and a cached result's nested
-        ``perf`` record both export the sample names -- and the values --
-        a ``campaign serve`` registry holds for the same record."""
-        from repro.obs.registry import (
-            CATALOG,
-            MetricRegistry,
-            publish_perf_counters,
-            validate_openmetrics,
-        )
-        from repro.perf.counters import measure
-
-        bundle = self.make_bundle(tmp_path)
-        _, record = measure(run_bulk, bulk_spec())
-        entry = tmp_path / "entry.json"
-        entry.write_text(json.dumps({
-            "schema_version": 1, "kind": "bulk_download",
-            "result": {"perf": record.to_dict()},
-        }))
-        sources = {
-            entry: record.to_dict(),
-            bundle: json.loads((bundle / "perf.json").read_text()),
-        }
-        legal = {
-            name + ("_total" if kind == "counter" else "")
-            for name, (kind, _, _) in CATALOG.items()
-        }
-        for source, perf in sources.items():
-            capsys.readouterr()
-            assert cli_main([
-                "trace", "export", str(source), "--format", "prom",
-            ]) in (0, None)
-            text = capsys.readouterr().out
-            assert validate_openmetrics(text) == []
-            exported = dict(
-                line.split(" ") for line in text.splitlines()
-                if not line.startswith("#")
-            )
-            assert set(exported) - legal == set()
-            assert "repro_perf_events_dispatched_total" in exported
-            daemon_side = MetricRegistry()
-            publish_perf_counters(daemon_side, perf, campaign="c")
-            assert {
-                name: float(value) for name, value in exported.items()
-            } == {
-                metric.name + "_total": metric.value(campaign="c")
-                for metric in daemon_side if metric.samples()
-            }

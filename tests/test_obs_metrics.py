@@ -295,19 +295,17 @@ class TestValidate:
 
 
 class TestPublishers:
-    def test_publish_perf_counters_flat(self):
-        registry = MetricRegistry()
-        perf = {field: float(i + 1) for i, field in enumerate(PERF_COUNTER_FIELDS)}
-        publish_perf_counters(registry, perf, campaign="c")
-        events = registry["repro_perf_events_dispatched"]
-        assert events.value(campaign="c") == perf["events_dispatched"]
-
     def test_publish_perf_counters_nested_record_shape(self):
         registry = MetricRegistry()
         record = {
-            "counters": {"events_dispatched": 10.0, "timers_scheduled": 4.0},
+            "counters": {
+                "events_dispatched": 10.0, "timers_scheduled": 4.0,
+                "scheduler_waits": True, "stale_pops": "x", "not_a_counter": 9,
+            },
             "wall_s": 0.5,
             "sim_s": 30.0,
+            "events": 10,
+            "events_per_wall_s": 20.0,
         }
         publish_perf_counters(registry, record, campaign="c")
         assert (
@@ -315,11 +313,22 @@ class TestPublishers:
         )
         assert registry["repro_perf_wall_seconds"].value(campaign="c") == 0.5
         assert registry["repro_perf_sim_seconds"].value(campaign="c") == 30.0
+        # Catalog fields with numeric values only: no bool, no string, no
+        # field outside the catalog, no rate.
+        assert sorted(line for line in render_openmetrics(registry).splitlines()
+                      if not line.startswith("#")) == [
+            'repro_perf_events_dispatched_total{campaign="c"} 10',
+            'repro_perf_sim_seconds_total{campaign="c"} 30',
+            'repro_perf_timers_scheduled_total{campaign="c"} 4',
+            'repro_perf_wall_seconds_total{campaign="c"} 0.5',
+        ]
 
     def test_publish_perf_counters_accumulates(self):
         registry = MetricRegistry()
-        publish_perf_counters(registry, {"events_dispatched": 5.0}, campaign="c")
-        publish_perf_counters(registry, {"events_dispatched": 7.0}, campaign="c")
+        for events in (5.0, 7.0):
+            publish_perf_counters(
+                registry, {"counters": {"events_dispatched": events}}, campaign="c"
+            )
         assert (
             registry["repro_perf_events_dispatched"].value(campaign="c") == 12.0
         )

@@ -221,17 +221,18 @@ class TestComposition:
             if log is not None:
                 assert _records(log) == records, name
 
-    def test_sanitizer_raises_before_the_dispatch_record(self):
-        with armed(TOOLS[:-1]), events.recording(capture_dispatch=True) as log:
+    def test_sanitizer_raises_before_the_stale_event_runs(self):
+        ran = []
+        with armed(TOOLS):
             sim = Simulator()
-            sim.schedule(1.0, lambda: None)
+            sim.schedule(1.0, ran.append, "on time")
             sim.run()
             # Hand-push an event behind the clock (schedule() would refuse).
-            stale = Timer(0.5, 10_000, lambda: None, ())
+            stale = Timer(0.5, 10_000, ran.append, ("stale",))
             heapq.heappush(sim._heap, (0.5, 0, 10_000, stale))  # repro: noqa[RPR901]
             with pytest.raises(SanitizerError, match="non-decreasing event dispatch"):
                 sim.run()
-        assert [e.seq for e in log.of_kind(events.Dispatch)] == [1]
+        assert ran == ["on time"]
 
     def test_sanitizer_raises_before_the_ack_record(self):
         corrupt_at = 0.15
@@ -278,8 +279,6 @@ class TestSlot:
         for tools in (("sanitize",), ("profile",)):
             with armed(tools):
                 assert probe.ACTIVE.brackets_dispatch
-        with armed(()), events.recording(capture_dispatch=True):
-            assert probe.ACTIVE.brackets_dispatch
 
     def test_a_sole_subscriber_is_called_without_indirection(self):
         with armed(()), counters.collecting() as collector:
