@@ -13,8 +13,13 @@ process pool and memoizes finished runs on disk:
   function of its spec (the spec carries the seed).
 * **Caching**: with a ``cache_dir``, every finished run is stored as
   canonical JSON under its :func:`~repro.experiments.spec.spec_hash`
-  (content address).  Re-running a half-finished campaign executes only
-  the missing cells; a warm cache executes nothing.
+  (content address), behind a one-line header that carries the body's
+  sha256 (:class:`ResultCache`).  Re-running a half-finished campaign
+  executes only the missing cells; a warm cache executes nothing.  Who
+  parses what: a campaign drain (:meth:`ExperimentExecutor.execute`)
+  checks each hit's header and digest and never parses its body;
+  :meth:`ExperimentExecutor.run` and the campaign's ``fetch`` check the
+  digest, then parse the body once.
 * **Timeout + retry**: a per-run wall-clock ``timeout_s`` (enforced via
   ``SIGALRM`` on POSIX) converts a wedged simulation into a
   :class:`RunTimeoutError`, and the executor retries it -- like a run
@@ -53,6 +58,7 @@ Example
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import signal
@@ -65,7 +71,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.analysis import check
 from repro.experiments.spec import (
@@ -291,15 +297,64 @@ def _execute_payload(payload: Dict[str, Any], timeout_s: Optional[float]) -> Dic
     return result.to_dict()
 
 
+def _accepted(path: PathLike) -> Optional[Tuple[str, bytes]]:
+    """The entry's ``(kind, body)`` when it counts, else ``None``: the
+    one acceptance rule behind :func:`read_entry` and
+    :meth:`ResultCache.verify` (the layout is :class:`ResultCache`'s)."""
+    try:
+        with open(path, "rb") as handle:
+            data = handle.read()
+    except OSError:
+        return None
+    head, newline, body = data.partition(b"\n")
+    if not newline:
+        return None  # truncated inside the header, or header-less
+    try:
+        header = json.loads(head)
+    except ValueError:
+        return None
+    if (
+        not isinstance(header, dict)
+        or header.get("schema_version") != SCHEMA_VERSION
+        or header.get("result") is not True  # a payload stored without a result
+        or not isinstance(header.get("kind"), str)
+        or header.get("sha256") != hashlib.sha256(body).hexdigest()
+    ):
+        return None
+    return header["kind"], body
+
+
+def read_entry(path: PathLike) -> Optional[Dict[str, Any]]:
+    """The payload of the :class:`ResultCache` entry at ``path``, parsed
+    once its header and digest check out, or ``None`` when it does not
+    count.  :meth:`ResultCache.get` by key; ``trace export`` by path."""
+    found = _accepted(path)
+    return None if found is None else json.loads(found[1])
+
+
 class ResultCache:
     """Content-addressed on-disk store of finished runs.
 
     Entries live at ``<root>/<hash[:2]>/<hash>.json`` holding the spec
     alongside the result (the file is self-describing and greppable).
-    Writes are atomic (temp file + ``os.replace``), so a killed campaign
-    never leaves a truncated entry behind, and a write that fails
-    removes its temp file before re-raising; unreadable, version-skewed
-    or incomplete entries read as misses.
+    An entry is two lines.  The header is canonical JSON naming the
+    entry's ``kind``, its ``schema_version``, whether it holds a
+    ``result``, and the ``sha256`` of the body; the body is
+    ``canonical_json(payload)``, ASCII with no newline.  An entry counts
+    when its header is well-formed, names this ``SCHEMA_VERSION`` and a
+    result, and its body hashes to the header's digest; anything else
+    (unreadable, truncated, garbled, version-skewed, incomplete, or in
+    the older header-less layout) reads as a miss, and the next run
+    rewrites it.
+
+    The two readers share that rule.  :meth:`verify` reads the header and
+    hashes the body without parsing it (a campaign drain's cache scan);
+    :meth:`get` checks the same and then parses the body (``fetch``,
+    ``ExperimentExecutor.run``); :func:`read_entry` is :meth:`get` by
+    path (``trace export`` of an entry).  Writes are atomic (temp file +
+    ``os.replace``), so a killed campaign never leaves a truncated entry
+    behind, and a write that fails removes its temp file before
+    re-raising.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -317,27 +372,30 @@ class ResultCache:
         return Path(self.entry_path(key))
 
     def get(self, key: str) -> Optional[Dict[str, Any]]:
-        try:
-            with open(self.entry_path(key)) as handle:
-                text = handle.read()
-        except OSError:
-            return None
-        try:
-            payload = json.loads(text)
-        except ValueError:
-            return None
-        if not isinstance(payload, dict) or payload.get("schema_version") != SCHEMA_VERSION:
-            return None
-        if "kind" not in payload or "result" not in payload:
-            return None  # a half-written entry is no entry
-        return payload
+        """The entry's payload, parsed, or ``None`` for a miss."""
+        return read_entry(self.entry_path(key))
+
+    def verify(self, key: str, kind: str) -> bool:
+        """Whether :meth:`get` would return a ``kind`` entry, decided
+        from the header and the body's digest without parsing the body."""
+        found = _accepted(self.entry_path(key))
+        return found is not None and found[0] == kind
 
     def put(self, key: str, payload: Dict[str, Any]) -> None:
         target = self.path_for(key)
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.parent / f".{key}.{os.getpid()}.tmp"
+        body = canonical_json(payload)
+        header = canonical_json(
+            {
+                "kind": payload.get("kind"),
+                "result": "result" in payload,
+                "schema_version": payload.get("schema_version"),
+                "sha256": hashlib.sha256(body.encode()).hexdigest(),
+            }
+        )
         try:
-            tmp.write_text(canonical_json(payload))
+            tmp.write_text(f"{header}\n{body}")
             os.replace(tmp, target)
         except BaseException:
             # A write that died half-way (full disk) must not leave its
@@ -424,18 +482,33 @@ class ExperimentExecutor:
     def run(self, specs: Sequence[Any]) -> List[Any]:
         """Execute every spec; return typed results in submission order.
 
-        Cache hits are rebuilt from disk without simulating; misses run
-        inline (``jobs=1``) or on the pool.  All results -- cached, inline,
-        or pooled -- pass through the same ``to_dict``/``from_dict`` wire
+        Cache hits are rebuilt from disk without simulating (each entry
+        read once, with :meth:`ResultCache.get`); misses run inline
+        (``jobs=1``) or on the pool.  All results -- cached, inline, or
+        pooled -- pass through the same ``to_dict``/``from_dict`` wire
         format, so the three paths are indistinguishable to the caller.
         """
         specs = list(specs)
+        results: List[Any] = [None] * len(specs)
+        self._batch(specs, results)
+        return results
+
+    def execute(self, specs: Sequence[Any]) -> None:
+        """:meth:`run` for a caller that reads results from the cache
+        later (the campaign runner's drain): the same batch, outcomes,
+        journal and ``on_look``, but no result object is built.  A cache
+        hit is checked with :meth:`ResultCache.verify` (header and digest,
+        the body never parsed); an executed run is cached and reported."""
+        self._batch(list(specs), None)
+
+    def _batch(self, specs: List[Any], results: Optional[List[Any]]) -> None:
+        """The one batch loop behind :meth:`run` (``results`` to fill in
+        submission order) and :meth:`execute` (``results`` is ``None``)."""
         total = len(specs)
         # One serialization per spec: the wire form is hashed here, shipped
         # to the worker and stored beside the result.
         wires = [spec_to_dict(spec) for spec in specs]
         hashes = [wire_hash(wire) for wire in wires]
-        results: List[Any] = [None] * total
         stats, journal = self.stats, self.journal
         # Wall clock is correct here: this measures the *host's* sweep
         # progress for ETA display, not anything inside a simulation.
@@ -473,13 +546,14 @@ class ExperimentExecutor:
                     bundle = obs_flight.postmortem_dir_for(hashes[index])
                     if bundle.exists():
                         postmortem = str(bundle)
-                results[index] = FailedRun(
-                    spec_hash=hashes[index],
-                    kind=specs[index].kind,
-                    error_type=error["type"],
-                    error_message=error["message"],
-                    postmortem=postmortem,
-                )
+                if results is not None:
+                    results[index] = FailedRun(
+                        spec_hash=hashes[index],
+                        kind=specs[index].kind,
+                        error_type=error["type"],
+                        error_message=error["message"],
+                        postmortem=postmortem,
+                    )
             outcome = JobOutcome(
                 index=index,
                 spec_hash=hashes[index],
@@ -529,7 +603,8 @@ class ExperimentExecutor:
             """
             spec = specs[index]
             if not isinstance(attempt, BaseException):
-                results[index] = result_from_dict(spec.kind, attempt)
+                if results is not None:
+                    results[index] = result_from_dict(spec.kind, attempt)
                 perf = attempt.get("perf")
                 if self.cache is not None:
                     # The perf record carries wall-clock time from *this* run;
@@ -579,9 +654,16 @@ class ExperimentExecutor:
         pending: List[int] = []
         try:
             for index, spec in enumerate(specs):
-                entry = self.cache.get(hashes[index]) if self.cache is not None else None
-                if entry is not None and entry["kind"] == spec.kind:
-                    results[index] = result_from_dict(spec.kind, entry["result"])
+                if self.cache is None:
+                    hit = False
+                elif results is None:
+                    hit = self.cache.verify(hashes[index], spec.kind)
+                else:
+                    entry = self.cache.get(hashes[index])
+                    hit = entry is not None and entry["kind"] == spec.kind
+                    if hit:
+                        results[index] = result_from_dict(spec.kind, entry["result"])
+                if hit:
                     record(index, "cached")
                     if len(look) >= LOOK_SLICE:
                         flush()
@@ -608,7 +690,6 @@ class ExperimentExecutor:
                         retried=stats.retried,
                         elapsed_s=round(time.monotonic() - started, 6),
                     )
-        return results
 
     # -- the two dispatchers: run it / submit it, then ``settle``; a look
     # -- is one finished inline job / one ``wait()`` wake-up of the pool ---

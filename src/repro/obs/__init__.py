@@ -19,7 +19,9 @@ Three pieces, each usable on its own:
   for :class:`~repro.experiments.exec.ExperimentExecutor`, so a 10k-cell
   sweep is diagnosable after the fact.
 
-This package sits above the protocol layers but below the executor: it
+This package sits above the protocol layers and, but for the exporter
+reading a cache entry through the executor's
+:func:`~repro.experiments.exec.read_entry`, below the executor: it
 subscribes to the probe seam and is never imported from the transport
 core.  See ``docs/observability.md`` for the bundle format and workflows.
 """

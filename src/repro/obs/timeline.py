@@ -39,6 +39,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import events as _events
 from repro.analysis.reference import mandated_wait
+from repro.experiments.exec import read_entry
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -490,7 +491,9 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
     * a postmortem **bundle directory** (has ``manifest.json``);
     * an **events JSONL** file (``*.jsonl``);
     * a **cache entry** (``{"schema_version", "kind", "spec", "result"}``,
-      the executor's on-disk format) -- trace series only;
+      read through :func:`repro.experiments.exec.read_entry`, so its
+      header and digest must check out; an entry in the older
+      header-less layout is one such document) -- trace series only;
     * a serialized **run result** dict -- trace series only.
     """
     source = Path(path)
@@ -505,7 +508,10 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
             "traces": {},
             "perf": {},
         }
-    payload = json.loads(source.read_text())
+    payload = read_entry(source)
+    if payload is None:
+        # Not a cache entry that counts; a garbled one is not JSON either.
+        payload = json.loads(source.read_text())
     if not isinstance(payload, dict):
         raise ValueError(f"{source}: unrecognized export source")
     if "result" in payload and isinstance(payload["result"], dict):

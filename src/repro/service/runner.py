@@ -232,7 +232,9 @@ class CampaignRunner:
                 if self.store.claim(self.campaign_id, job.spec_hash):
                     claimed.append(job)
         if claimed:
-            executor.run([spec_from_dict(job.spec) for job in claimed])
+            # Results stay on disk until ``fetch`` reads them: the drain
+            # verifies each hit's digest and parses no cache entry.
+            executor.execute([spec_from_dict(job.spec) for job in claimed])
         return self.status()
 
     def requeue(self) -> int:

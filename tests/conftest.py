@@ -98,6 +98,16 @@ def python_calls(function) -> int:
     return calls
 
 
+def flip_a_digit(entry) -> None:
+    """Garble a cached bulk result the way a bad sector or a stray edit
+    would: its ``completion_time`` gains 9 s (0.53 -> 9.53) and the
+    entry still parses as JSON."""
+    text = entry.read_text()
+    at = text.index('"completion_time":') + len('"completion_time":')
+    assert text[at].isdigit(), text[at : at + 20]
+    entry.write_text(f"{text[:at]}{(int(text[at]) + 9) % 10}{text[at + 1:]}")
+
+
 def build_path(
     sim: Simulator,
     rate_mbps: float = 10.0,

@@ -287,6 +287,7 @@ class TestCommands:
         touched = []
         monkeypatch.setattr(ResultCache, "get", lambda self, key: touched.append(key))
         monkeypatch.setattr(ResultCache, "put", lambda self, key, _: touched.append(key))
+        monkeypatch.setattr(ResultCache, "verify", lambda self, key, _: touched.append(key))
         assert main(argv + ["--no-cache"]) == 0
         assert touched == []
         assert capsys.readouterr().out == warm

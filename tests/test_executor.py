@@ -50,6 +50,7 @@ from repro.net.bandwidth import (
 from repro.mptcp.connection import ConnectionConfig
 from repro.net.profiles import PathConfig, lte_config, wifi_config
 from repro.workloads.web import WebBrowsingSpec
+from tests.conftest import flip_a_digit
 
 
 def bulk_specs(n=4, size=64 * 1024):
@@ -186,6 +187,60 @@ class TestCacheBehavior:
             assert again.stats.executed == 1, text
             # ...and the rerun healed the entry.
             assert cache.get(spec_hash(spec))["kind"] == "bulk_download"
+
+    def test_an_entry_with_a_flipped_digit_is_a_miss(self, tmp_path):
+        """The entry still parses; its digest is what gives it away."""
+        spec = bulk_specs(1)[0]
+        cache, key = ResultCache(tmp_path), spec_hash(spec)
+        (result,) = ExperimentExecutor(cache_dir=tmp_path).run([spec])
+        flip_a_digit(cache.path_for(key))
+        assert cache.get(key) is None
+        again = ExperimentExecutor(cache_dir=tmp_path)
+        (rerun,) = again.run([spec])
+        assert again.stats.executed == 1 and again.stats.cached == 0
+        assert rerun.completion_time == result.completion_time
+        # ...and the rerun healed the entry.
+        assert cache.get(key)["result"]["completion_time"] == result.completion_time
+
+    @pytest.mark.parametrize(
+        "fixture",
+        [
+            "valid",
+            "truncated body",
+            "flipped digit",
+            "header-less",
+            "wrong kind",
+            "foreign schema_version",
+            "no result",
+            "missing file",
+        ],
+    )
+    def test_verify_accepts_exactly_what_get_returns(self, tmp_path, fixture):
+        """``verify`` (header and digest) and ``get`` (digest, then parse)
+        share one acceptance rule: a drain's hit is a ``fetch``'s entry."""
+        spec = bulk_specs(1)[0]
+        cache, key = ResultCache(tmp_path), spec_hash(spec)
+        ExperimentExecutor(cache_dir=tmp_path).run([spec])
+        entry, path = cache.get(key), cache.path_for(key)
+        if fixture == "truncated body":
+            path.write_text(path.read_text()[:-20])
+        elif fixture == "flipped digit":
+            flip_a_digit(path)
+        elif fixture == "header-less":
+            path.write_text(canonical_json(entry))  # the layout older trees wrote
+        elif fixture == "wrong kind":
+            cache.put(key, {**entry, "kind": "streaming"})
+        elif fixture == "foreign schema_version":
+            cache.put(key, {**entry, "schema_version": SCHEMA_VERSION + 1})
+        elif fixture == "no result":
+            cache.put(key, {k: v for k, v in entry.items() if k != "result"})
+        elif fixture == "missing file":
+            path.unlink()
+        for kind in ("bulk_download", "streaming"):
+            found = cache.get(key)
+            assert cache.verify(key, kind) == (found is not None and found["kind"] == kind)
+        assert cache.verify(key, "bulk_download") == (fixture == "valid")
+        assert cache.verify(key, "streaming") == (fixture == "wrong kind")
 
     @pytest.mark.parametrize("dies_in", ["write_text", "replace"])
     def test_a_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, dies_in):

@@ -15,7 +15,7 @@ from repro.analysis import check, events
 from repro.analysis.reference import mandated_wait
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.cli import main as cli_main
-from repro.experiments.exec import ExperimentExecutor
+from repro.experiments.exec import SCHEMA_VERSION, ExperimentExecutor, ResultCache
 from repro.experiments.runner import StreamingSpec
 from repro.experiments.spec import spec_hash, spec_to_dict
 from repro.net.profiles import lte_config, wifi_config
@@ -612,6 +612,17 @@ class TestLoadExportSource:
         assert loaded["traces"] == {"cwnd.wifi0": [[0.0, 1.0]]}
 
     def test_cache_entry_unwraps_result(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("ab" * 32, {
+            "schema_version": SCHEMA_VERSION, "kind": "streaming",
+            "result": {"trace": {"c": [[0.0, 2.0]]}, "perf": {"n": 1}},
+        })
+        loaded = timeline.load_export_source(cache.path_for("ab" * 32))
+        assert loaded["traces"] == {"c": [[0.0, 2.0]]}
+        assert loaded["perf"] == {"n": 1}
+
+    def test_header_less_cache_entry_unwraps_result(self, tmp_path):
+        # The layout older trees wrote: one document, no digest header.
         path = tmp_path / "entry.json"
         path.write_text(json.dumps({
             "schema_version": 1, "kind": "streaming",
@@ -620,6 +631,17 @@ class TestLoadExportSource:
         loaded = timeline.load_export_source(path)
         assert loaded["traces"] == {"c": [[0.0, 2.0]]}
         assert loaded["perf"] == {"n": 1}
+
+    def test_garbled_cache_entry_rejected(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        cache.put("cd" * 32, {
+            "schema_version": SCHEMA_VERSION, "kind": "streaming",
+            "result": {"trace": {"c": [[0.0, 2.0]]}},
+        })
+        path = cache.path_for("cd" * 32)
+        path.write_text(path.read_text().replace("2.0", "9.0"))
+        with pytest.raises(ValueError, match="Extra data"):  # header + body
+            timeline.load_export_source(path)
 
     def test_non_bundle_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not a postmortem bundle"):

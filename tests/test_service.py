@@ -15,9 +15,9 @@ import pytest
 
 import repro
 from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec
-from repro.experiments.exec import ResultCache
+from repro.experiments.exec import ExperimentExecutor, ResultCache
 from repro.experiments.grid import wget_matrix
-from repro.experiments.spec import register_experiment, spec_hash
+from repro.experiments.spec import canonical_json, register_experiment, spec_hash
 from repro.net.profiles import lte_config, wifi_config
 from repro.service import (
     CampaignError,
@@ -28,6 +28,7 @@ from repro.service import (
     TransitionError,
     backend_config_from_dict,
 )
+from tests.conftest import flip_a_digit
 
 
 def bulk_specs(n=3, size=64 * 1024):
@@ -453,6 +454,50 @@ class TestCampaignRunner:
                 cache.put(spec_hash(spec), broken)
                 with pytest.raises(CampaignError):
                     runner.fetch([spec])
+
+    def test_a_garbled_entry_is_refused_then_re_simulated(self, tmp_path):
+        """A cached result with one flipped digit still parses: ``fetch``
+        must refuse it and a re-drain must simulate the job again."""
+        (spec,) = bulk_specs(1)
+        cache = tmp_path / "cache"
+        with CampaignStore(tmp_path / "first.db") as store:
+            runner = CampaignRunner(store, "sweep", cache_dir=cache)
+            (result,) = runner.run([spec])
+            flip_a_digit(ResultCache(cache).path_for(spec_hash(spec)))
+            with pytest.raises(CampaignError):
+                runner.fetch([spec])
+        with CampaignStore(tmp_path / "second.db") as store:
+            runner = CampaignRunner(
+                store, "sweep", cache_dir=cache, journal=tmp_path / "second.jsonl"
+            )
+            runner.submit([spec])
+            runner.drain()
+            jobs = store.journal_records(runner.campaign_id, record="job")
+            assert [r["status"] for r in jobs] == ["executed"]
+            (healed,) = runner.fetch([spec])
+            assert healed.completion_time == result.completion_time
+
+    def test_an_entry_in_the_header_less_layout_re_simulates_once(self, tmp_path):
+        """Entries written by older trees carry no digest header: the next
+        drain simulates the job again and rewrites the entry, the drain
+        after it is a cache hit."""
+        (spec,) = bulk_specs(1)
+        cache = tmp_path / "cache"
+        ExperimentExecutor(cache_dir=cache).run([spec])
+        entry = ResultCache(cache).path_for(spec_hash(spec))
+        entry.write_text(canonical_json(ResultCache(cache).get(spec_hash(spec))))
+        statuses = []
+        for db in ("first.db", "second.db"):
+            with CampaignStore(tmp_path / db) as store:
+                runner = CampaignRunner(
+                    store, "sweep", cache_dir=cache, journal=tmp_path / f"{db}.jsonl"
+                )
+                runner.submit([spec])
+                runner.drain()
+                jobs = store.journal_records(runner.campaign_id, record="job")
+                statuses += [r["status"] for r in jobs]
+                assert len(runner.fetch([spec])) == 1
+        assert statuses == ["executed", "cached"]
 
     def test_failed_job_requeues_then_succeeds(self, tmp_path):
         spec = FlakySpec(marker=str(tmp_path / "marker"), succeed_after=2)

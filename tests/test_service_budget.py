@@ -9,10 +9,12 @@ the gate counts instead of timing: Python-level ``call`` events under
 directory listings the drain performs, and the ``COMMIT`` statements
 SQLite executes.
 
-Measured on 3.11: 102.8 / 100.9 calls per cached job at 50 / 100 jobs
-(120.6 / 118.8 while every finished job was its own ``transaction()``
-scope, every journal record its own ``open`` and every fetched job its
-own ``store.job()`` row with a spec to parse; 173 / 172 while a cache
+Measured on 3.11: 103.8 / 98.7 calls per cached job at 50 / 100 jobs
+(104.8 / 99.7 while the drain parsed every cached result, and rebuilt
+it, before ``fetch`` parsed it again; 120.6 / 118.8 while every
+finished job was its own ``transaction()`` scope, every journal record
+its own ``open`` and every fetched job its own ``store.job()`` row with
+a spec to parse; 173 / 172 while a cache
 entry's path was three ``pathlib`` joins and a ``Path.read_text`` per
 job).  The tree that probed the cache with ``if self.cache`` (a
 ``__len__`` that globbed the whole cache directory once per spec) read
@@ -26,6 +28,7 @@ import pytest
 
 from repro.experiments.exec import ExperimentExecutor, ResultCache
 from repro.experiments.grid import wget_matrix_specs
+from repro.experiments.spec import spec_hash
 from repro.service import (
     CampaignRunner,
     CampaignStore,
@@ -98,6 +101,37 @@ def test_a_warm_drain_lists_no_directory(tmp_path, monkeypatch):
             patch.setattr(os, "scandir", refuse)
             counts = runner.drain()
         assert counts["done"] == len(specs)
+
+
+def test_a_warm_drain_parses_no_cache_entry(tmp_path, monkeypatch):
+    """A drain checks each hit by its digest (``ResultCache.verify``);
+    ``fetch`` is the one reader that parses, once per job."""
+    specs = wget_specs()[:20]
+    cache = tmp_path / "cache"
+    ExperimentExecutor(cache_dir=cache).run(specs)
+    with CampaignStore(":memory:") as store:
+        runner = campaign(store, cache, tmp_path / "journal.jsonl")
+        runner.submit(specs)
+
+        def refuse(self, key):
+            raise AssertionError("the drain parsed a cache entry")
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultCache, "get", refuse)
+            counts = runner.drain()
+        assert counts["done"] == len(specs)
+
+        parsed = []
+        get = ResultCache.get
+
+        def count(self, key):
+            parsed.append(key)
+            return get(self, key)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(ResultCache, "get", count)
+            assert len(runner.fetch(specs)) == len(specs)
+        assert sorted(parsed) == sorted(spec_hash(spec) for spec in specs)
 
 
 #: What a drain commits besides its looks: the claim batch, and the
