@@ -19,7 +19,12 @@ process pool and memoizes finished runs on disk:
   parses what: a campaign drain (:meth:`ExperimentExecutor.execute`)
   checks each hit's header and digest and never parses its body;
   :meth:`ExperimentExecutor.run` and the campaign's ``fetch`` check the
-  digest, then parse the body once.
+  digest, then parse the body once.  Who hashes what: a campaign's
+  ``submit`` hashes each spec once, and its store row keeps the key; the
+  drain runs on the store's keys and decodes no spec for a hit; a miss's
+  wire, loaded from the store, must hash to its key before it runs (a
+  row that does not fails alone); ``run`` and the campaign's
+  ``fetch(specs)`` hash the caller's specs.
 * **Timeout + retry**: a per-run wall-clock ``timeout_s`` (enforced via
   ``SIGALRM`` on POSIX) converts a wedged simulation into a
   :class:`RunTimeoutError`, and the executor retries it -- like a run
@@ -89,6 +94,9 @@ from repro.obs.journal import RunJournal
 from repro.perf import counters as perf_counters
 
 PathLike = Union[str, "os.PathLike[str]"]
+#: ``load(keys)`` -> ``{key: wire}``: the wire forms of the jobs a cache
+#: scan missed, called at most once per batch.
+_Load = Callable[[List[str]], Dict[str, Any]]
 #: What one attempt came back with: the result dict, or what it raised.
 _Attempt = Union[Dict[str, Any], BaseException]
 #: ``settle(index, attempt, wall_s, attempts)`` -> must the job run again?
@@ -119,6 +127,9 @@ class ExecutorStats:
     cached: int = 0
     retried: int = 0
     failed: int = 0
+    #: Cache-scan misses whose entry file exists: an entry refused as
+    #: garbled, truncated, version-skewed or of another kind.
+    refused: int = 0
 
     @property
     def total(self) -> int:
@@ -295,6 +306,23 @@ def _execute_payload(payload: Dict[str, Any], timeout_s: Optional[float]) -> Dic
             )
             raise
     return result.to_dict()
+
+
+def _misnamed(key: str, kind: str, wire: Any) -> Optional[str]:
+    """Why ``wire`` cannot run as the ``kind`` job named ``key``, or
+    ``None`` when it can: it must be a wire form of that kind that hashes
+    to the key (a store row whose text was rewritten does not)."""
+    if not isinstance(wire, dict):
+        return f"no readable spec is stored under key {key[:12]}"
+    if wire.get("kind") != kind:
+        return f"the spec stored under key {key[:12]} is {wire.get('kind')!r}, not {kind!r}"
+    actual = wire_hash(wire)
+    if actual != key:
+        return (
+            f"the spec stored under key {key[:12]} hashes to {actual[:12]}: "
+            "it is not the spec that was submitted"
+        )
+    return None
 
 
 def _accepted(path: PathLike) -> Optional[Tuple[str, bytes]]:
@@ -488,28 +516,49 @@ class ExperimentExecutor:
         pooled -- pass through the same ``to_dict``/``from_dict`` wire
         format, so the three paths are indistinguishable to the caller.
         """
-        specs = list(specs)
-        results: List[Any] = [None] * len(specs)
-        self._batch(specs, results)
-        return results
-
-    def execute(self, specs: Sequence[Any]) -> None:
-        """:meth:`run` for a caller that reads results from the cache
-        later (the campaign runner's drain): the same batch, outcomes,
-        journal and ``on_look``, but no result object is built.  A cache
-        hit is checked with :meth:`ResultCache.verify` (header and digest,
-        the body never parsed); an executed run is cached and reported."""
-        self._batch(list(specs), None)
-
-    def _batch(self, specs: List[Any], results: Optional[List[Any]]) -> None:
-        """The one batch loop behind :meth:`run` (``results`` to fill in
-        submission order) and :meth:`execute` (``results`` is ``None``)."""
-        total = len(specs)
         # One serialization per spec: the wire form is hashed here, shipped
         # to the worker and stored beside the result.
         wires = [spec_to_dict(spec) for spec in specs]
-        hashes = [wire_hash(wire) for wire in wires]
-        stats, journal = self.stats, self.journal
+        keys = [wire_hash(wire) for wire in wires]
+        by_key = dict(zip(keys, wires))
+        results: List[Any] = [None] * len(keys)
+        self._batch(keys, [wire["kind"] for wire in wires], lambda missed: by_key, results)
+        return results
+
+    def execute(self, jobs: Sequence[Tuple[str, str]], load: _Load) -> None:
+        """:meth:`run` for a caller that names its jobs by key and reads
+        results from the cache later (the campaign runner's drain): the
+        same batch, outcomes, journal and ``on_look``, but no result
+        object is built and no spec is decoded for a hit.
+
+        ``jobs`` are ``(key, kind)`` pairs.  A cache hit is checked with
+        :meth:`ResultCache.verify` (header and digest, the body never
+        parsed).  ``load`` is called once, with the keys the scan missed,
+        and returns ``{key: wire}``; a wire must be of the job's kind and
+        hash to its key, or the job fails -- nothing simulated, an error
+        that names the mismatch -- and the batch goes on.  An executed
+        run is cached under its key and reported.
+
+        Who hashes what: the campaign's ``submit`` hashed each spec once,
+        the drain hands over the keys its store holds, and the only hash
+        computed here is the check of a miss's wire against its key.
+        """
+        self._batch([key for key, _ in jobs], [kind for _, kind in jobs], load, None)
+
+    def _batch(
+        self,
+        keys: List[str],
+        kinds: List[str],
+        load: _Load,
+        results: Optional[List[Any]],
+    ) -> None:
+        """The one batch loop behind :meth:`run` (``results`` to fill in
+        submission order) and :meth:`execute` (``results`` is ``None``)."""
+        total = len(keys)
+        cache, stats, journal = self.cache, self.stats, self.journal
+        #: The wire form each miss runs from, by index: shipped to the
+        #: worker and stored beside its result.
+        wires: Dict[int, Dict[str, Any]] = {}
         # Wall clock is correct here: this measures the *host's* sweep
         # progress for ETA display, not anything inside a simulation.
         started = time.monotonic()
@@ -519,7 +568,7 @@ class ExperimentExecutor:
             journal.batch_start(
                 total=total,
                 jobs=self.jobs,
-                cache=None if self.cache is None else str(self.cache.root),
+                cache=None if cache is None else str(cache.root),
                 timeout_s=self.timeout_s,
                 retries=self.retries,
             )
@@ -543,21 +592,21 @@ class ExperimentExecutor:
                     # The worker writes the bundle at a path derived from the
                     # spec hash alone, so the parent can re-derive it here
                     # without anything crossing the pool boundary.
-                    bundle = obs_flight.postmortem_dir_for(hashes[index])
+                    bundle = obs_flight.postmortem_dir_for(keys[index])
                     if bundle.exists():
                         postmortem = str(bundle)
                 if results is not None:
                     results[index] = FailedRun(
-                        spec_hash=hashes[index],
-                        kind=specs[index].kind,
+                        spec_hash=keys[index],
+                        kind=kinds[index],
                         error_type=error["type"],
                         error_message=error["message"],
                         postmortem=postmortem,
                     )
             outcome = JobOutcome(
                 index=index,
-                spec_hash=hashes[index],
-                kind=specs[index].kind,
+                spec_hash=keys[index],
+                kind=kinds[index],
                 status=status,
                 wall_s=round(wall_s, 6),
                 attempts=attempts,
@@ -601,20 +650,20 @@ class ExperimentExecutor:
             ``wall_s`` brackets all attempts inline and submit-to-completion
             (queue wait included) on the pool.
             """
-            spec = specs[index]
+            kind = kinds[index]
             if not isinstance(attempt, BaseException):
                 if results is not None:
-                    results[index] = result_from_dict(spec.kind, attempt)
+                    results[index] = result_from_dict(kind, attempt)
                 perf = attempt.get("perf")
-                if self.cache is not None:
+                if cache is not None:
                     # The perf record carries wall-clock time from *this* run;
                     # caching it would make the entry non-deterministic (and
                     # replay a stale measurement on every later hit).
-                    self.cache.put(
-                        hashes[index],
+                    cache.put(
+                        keys[index],
                         {
                             "schema_version": SCHEMA_VERSION,
-                            "kind": spec.kind,
+                            "kind": kind,
                             "spec": wires[index]["spec"],
                             "result": {k: v for k, v in attempt.items() if k != "perf"},
                         },
@@ -632,7 +681,7 @@ class ExperimentExecutor:
                 stats.retried += 1
                 if journal is not None:
                     journal.retry(
-                        spec_hash=hashes[index], attempt=attempts, error=str(attempt)
+                        spec_hash=keys[index], attempt=attempts, error=str(attempt)
                     )
                 return True
             record(index, "failed", wall_s, attempts, exc=attempt)
@@ -640,7 +689,7 @@ class ExperimentExecutor:
                 return False
             if retryable:
                 raise ExperimentError(
-                    f"{spec.kind} run failed after {attempts} attempts: {attempt}"
+                    f"{kind} run failed after {attempts} attempts: {attempt}"
                 ) from attempt
             raise attempt  # the original exception, unwrapped
 
@@ -651,30 +700,43 @@ class ExperimentExecutor:
                 outcomes, look = look, []
                 self.on_look(outcomes)
 
-        pending: List[int] = []
+        missed: List[int] = []
         try:
-            for index, spec in enumerate(specs):
-                if self.cache is None:
+            for index, key in enumerate(keys):
+                kind = kinds[index]
+                if cache is None:
                     hit = False
                 elif results is None:
-                    hit = self.cache.verify(hashes[index], spec.kind)
+                    hit = cache.verify(key, kind)
                 else:
-                    entry = self.cache.get(hashes[index])
-                    hit = entry is not None and entry["kind"] == spec.kind
+                    entry = cache.get(key)
+                    hit = entry is not None and entry["kind"] == kind
                     if hit:
-                        results[index] = result_from_dict(spec.kind, entry["result"])
+                        results[index] = result_from_dict(kind, entry["result"])
                 if hit:
                     record(index, "cached")
                     if len(look) >= LOOK_SLICE:
                         flush()
                 else:
-                    pending.append(index)
+                    if cache is not None and os.path.exists(cache.entry_path(key)):
+                        stats.refused += 1
+                    missed.append(index)
             flush()
-            payloads = {index: wires[index] for index in pending}
+            loaded = load([keys[index] for index in missed]) if missed else {}
+            pending: List[int] = []
+            for index in missed:
+                wire = loaded.get(keys[index])
+                why = _misnamed(keys[index], kinds[index], wire)
+                if why is None:
+                    wires[index] = wire
+                    pending.append(index)
+                else:
+                    settle(index, ExperimentError(why), 0.0, 0)
+            flush()
             if self.jobs == 1 or len(pending) <= 1:
-                self._run_inline(pending, payloads, settle, flush)
+                self._run_inline(pending, wires, settle, flush)
             else:
-                self._run_on_pool(pending, payloads, settle, flush)
+                self._run_on_pool(pending, wires, settle, flush)
         finally:
             # Whatever ended the batch, the look in flight was recorded
             # (journal line, stats, progress): its listener hears of it too.
@@ -688,6 +750,7 @@ class ExperimentExecutor:
                         cached=stats.cached,
                         failed=stats.failed,
                         retried=stats.retried,
+                        refused=stats.refused,
                         elapsed_s=round(time.monotonic() - started, 6),
                     )
 

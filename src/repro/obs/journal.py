@@ -25,7 +25,8 @@ the *campaign*, not anything inside a simulation):
     ``spec_hash``, ``attempt``, ``error`` -- one per timed-out attempt.
 ``batch_end``
     ``done``, ``executed``, ``cached``, ``failed``, ``retried``,
-    ``elapsed_s``.
+    ``refused`` (cache-scan misses whose entry file was there but did
+    not count), ``elapsed_s``.
 
 The file is held open from ``batch_start`` to ``batch_end`` (a record
 outside a batch opens, appends and closes) and every record is flushed

@@ -20,6 +20,15 @@ executor's outcomes move the store's state machine, one look at a time::
     results = runner.fetch(specs) # typed results, in your order
     runner.entries()              # (hash, kind, cache entry | why not), lenient
 
+A job is named once, by the key ``submit`` hashed and its store row
+holds.  A drain takes the pending ``(key, kind)`` pairs from
+``CampaignStore.statuses`` (no spec parsed), claims by key and hands the
+executor keys: a cache hit is checked by key and kind and no spec is
+decoded for it.  Only the misses' specs are read, in one query
+(``CampaignStore.specs``), and each must hash to its row's key to run;
+a row whose text was rewritten fails its job alone instead of wedging
+the campaign.  ``fetch(specs)`` hashes the caller's specs.
+
 The runner is also a drop-in for :class:`ExperimentExecutor` where only
 ``run(specs)`` is used (``streaming_grid(executor=...)``,
 ``wget_matrix(executor=...)``): ``run`` is submit + drain + fetch.
@@ -43,7 +52,7 @@ import os
 from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 from repro.experiments.exec import ExperimentExecutor, FailedRun, JobOutcome, ResultCache
-from repro.experiments.spec import result_from_dict, spec_from_dict, spec_hash
+from repro.experiments.spec import result_from_dict, spec_hash
 from repro.obs.journal import RunJournal
 from repro.service.backends import (
     BackendConfig,
@@ -148,14 +157,21 @@ class CampaignRunner:
         partition the work instead of re-running it.  Failures do not
         abort the drain (``keep_going``); they land in ``failed`` with
         their error and any postmortem path, for ``requeue`` to pick
-        up.  ``limit`` bounds how many jobs this call claims (mainly
+        up -- a job whose stored spec no longer hashes to its key among
+        them.  ``limit`` bounds how many jobs this call claims (mainly
         for tests and incremental draining).
 
         Returns the per-status counts after the drain.
         """
         if reset_orphans:
             self.store.reset_running(self.campaign_id)
-        pending = self.store.jobs(self.campaign_id, status=PENDING)
+        # Jobs are named by the keys their rows hold: no spec is decoded
+        # unless the executor must run it (``store.specs`` below).
+        pending = [
+            (key, kind)
+            for key, (kind, status) in self.store.statuses(self.campaign_id).items()
+            if status == PENDING
+        ]
         if not pending:
             return self.status()
         # The executor journals a job when it finishes and reports it
@@ -226,15 +242,19 @@ class CampaignRunner:
         # of store calls, and a drainer killed before it commits has run
         # nothing yet.
         with self.store.transaction():
-            for job in pending:
+            for key, kind in pending:
                 if budget is not None and len(claimed) >= budget:
                     break
-                if self.store.claim(self.campaign_id, job.spec_hash):
-                    claimed.append(job)
+                if self.store.claim(self.campaign_id, key):
+                    claimed.append((key, kind))
         if claimed:
             # Results stay on disk until ``fetch`` reads them: the drain
-            # verifies each hit's digest and parses no cache entry.
-            executor.execute([spec_from_dict(job.spec) for job in claimed])
+            # verifies each hit's digest and parses no cache entry.  The
+            # misses' specs come from their rows in one query, and each
+            # must hash to its row's key to run.
+            executor.execute(
+                claimed, lambda keys: self.store.specs(self.campaign_id, keys)
+            )
         return self.status()
 
     def requeue(self) -> int:

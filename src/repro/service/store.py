@@ -361,6 +361,25 @@ class CampaignStore:
         ).fetchone()
         return None if row is None else _row_to_job(row)
 
+    def specs(self, campaign_id: int, keys: Sequence[str]) -> Dict[str, Any]:
+        """``spec hash -> wire`` for the campaign's jobs named in ``keys``,
+        in one query (the keys travel as one JSON array, so their number
+        is not bound by SQLite's parameter limit).  A row whose text does
+        not parse is left out: its job has no spec to run.  The wire is
+        returned as stored; whether it still hashes to its key is the
+        caller's check."""
+        found: Dict[str, Any] = {}
+        for key, text in self._conn.execute(
+            "SELECT spec_hash, spec FROM jobs WHERE campaign_id = ?"
+            " AND spec_hash IN (SELECT value FROM json_each(?))",
+            (campaign_id, json.dumps(list(keys))),
+        ):
+            try:
+                found[key] = json.loads(text)
+            except ValueError:
+                pass
+        return found
+
     def statuses(self, campaign_id: int) -> Dict[str, Tuple[str, str]]:
         """``spec hash -> (kind, status)`` for every job of a campaign, in
         insertion order: one query that parses no spec, for callers that
@@ -500,8 +519,8 @@ class CampaignStore:
         other's in-flight jobs.  Returns how many were reset.
         """
         reset = 0
-        for job in self.jobs(campaign_id, status=RUNNING):
-            self._transition(campaign_id, job.spec_hash, PENDING)
+        for key, _ in self._attempts(campaign_id, RUNNING):
+            self._transition(campaign_id, key, PENDING)
             reset += 1
         return reset
 
@@ -514,13 +533,26 @@ class CampaignStore:
         """
         requeued = 0
         exhausted = 0
-        for job in self.jobs(campaign_id, status=FAILED):
-            if job.attempts >= max_attempts:
+        for key, attempts in self._attempts(campaign_id, FAILED):
+            if attempts >= max_attempts:
                 exhausted += 1
                 continue
-            self._transition(campaign_id, job.spec_hash, PENDING)
+            self._transition(campaign_id, key, PENDING)
             requeued += 1
         return requeued, exhausted
+
+    def _attempts(self, campaign_id: int, status: str) -> List[Tuple[str, int]]:
+        """``(spec hash, attempts)`` of the campaign's ``status`` jobs, in
+        insertion order: what a bulk move needs of a row, without parsing
+        its spec (a row whose text is garbled must not stop a requeue)."""
+        return [
+            (row["spec_hash"], row["attempts"])
+            for row in self._conn.execute(
+                "SELECT spec_hash, attempts FROM jobs"
+                " WHERE campaign_id = ? AND status = ? ORDER BY id",
+                (campaign_id, status),
+            )
+        ]
 
     # -- journal index ---------------------------------------------------
     def record_journal(self, campaign_id: int, entry: Dict[str, Any]) -> None:

@@ -499,6 +499,156 @@ class TestCampaignRunner:
                 assert len(runner.fetch([spec])) == 1
         assert statuses == ["executed", "cached"]
 
+    def test_a_refused_entry_is_counted(self, tmp_path):
+        """A scan miss whose entry file is there was refused: the
+        ``batch_end`` record counts it beside the re-simulation."""
+        (spec,) = bulk_specs(1)
+        cache = tmp_path / "cache"
+        ExperimentExecutor(cache_dir=cache).run([spec])
+        flip_a_digit(ResultCache(cache).path_for(spec_hash(spec)))
+        ends = []
+        for db in ("garbled.db", "healed.db"):
+            with CampaignStore(tmp_path / db) as store:
+                runner = CampaignRunner(
+                    store, "sweep", cache_dir=cache, journal=tmp_path / f"{db}.jsonl"
+                )
+                runner.submit([spec])
+                assert runner.drain()["done"] == 1
+                (end,) = store.journal_records(runner.campaign_id, record="batch_end")
+                ends.append({name: end[name] for name in ("refused", "executed", "cached")})
+        assert ends == [
+            {"refused": 1, "executed": 1, "cached": 0},
+            {"refused": 0, "executed": 0, "cached": 1},
+        ]
+
+    @staticmethod
+    def _rewrite_row(store, runner, key, text):
+        """Replace the ``spec`` text of the row named ``key``, keeping the
+        key: a stray edit, or a tool that wrote the row by hand."""
+        store._conn.execute(
+            "UPDATE jobs SET spec = ? WHERE campaign_id = ? AND spec_hash = ?",
+            (text, runner.campaign_id, key),
+        )
+        store._conn.commit()
+
+    @staticmethod
+    def _wire_text(spec):
+        return canonical_json({"kind": spec.kind, "spec": spec.to_dict()})
+
+    def test_a_row_that_does_not_hash_to_its_key_fails_alone(self, tmp_path):
+        """The drain runs on the row's key: a spec text that no longer
+        hashes to it fails its job (nothing simulated, nothing cached),
+        the other job finishes, and the campaign is not wedged."""
+        kept, rewritten = bulk_specs(2, size=16 * 1024)
+        stranger = dataclasses.replace(rewritten, size=32 * 1024)
+        cache = tmp_path / "cache"
+        with CampaignStore(tmp_path / "c.db") as store:
+            runner = CampaignRunner(store, "sweep", cache_dir=cache, max_attempts=2)
+            runner.submit([kept, rewritten])
+            key = spec_hash(rewritten)
+            self._rewrite_row(store, runner, key, self._wire_text(stranger))
+            counts = runner.drain()
+            assert counts == {"pending": 0, "running": 0, "done": 1, "failed": 1}
+            assert store.job(runner.campaign_id, spec_hash(kept)).status == "done"
+            (failure,) = runner.failures()
+            assert failure.spec_hash == key
+            assert f"hashes to {spec_hash(stranger)[:12]}" in failure.error_message
+            for name in (key, spec_hash(stranger)):
+                assert not ResultCache(cache).path_for(name).exists()
+            assert runner.requeue() == 1
+            assert runner.drain()["failed"] == 1
+            assert runner.requeue() == 0  # both attempts burned
+            assert store.job(runner.campaign_id, key).attempts == 2
+            assert len(runner.fetch([kept])) == 1
+
+    def test_a_row_whose_spec_does_not_parse_fails_alone(self, tmp_path):
+        """Row text that is not JSON at all: its job fails alone, and
+        ``requeue`` (which parses no spec) still moves it."""
+        kept, garbled = bulk_specs(2, size=16 * 1024)
+        with CampaignStore(tmp_path / "c.db") as store:
+            runner = CampaignRunner(
+                store, "sweep", cache_dir=tmp_path / "cache", max_attempts=2,
+                journal=tmp_path / "journal.jsonl",
+            )
+            runner.submit([kept, garbled])
+            self._rewrite_row(store, runner, spec_hash(garbled), '{"kind": "bulk"')
+            counts = runner.drain()
+            assert counts == {"pending": 0, "running": 0, "done": 1, "failed": 1}
+            (failed,) = [
+                r for r in store.journal_records(runner.campaign_id, record="job")
+                if r["status"] == "failed"
+            ]
+            assert failed["spec_hash"] == spec_hash(garbled)
+            assert "no readable spec" in failed["error"]["message"]
+            assert runner.requeue() == 1
+            assert runner.drain()["failed"] == 1
+            assert runner.requeue() == 0
+
+    def test_a_row_that_does_not_hash_to_its_key_is_served_by_its_key(self, tmp_path):
+        """The key names the submitted spec: when its cache entry is there,
+        the job is a hit whatever its row's text says."""
+        (spec,) = bulk_specs(1)
+        cache = tmp_path / "cache"
+        (result,) = ExperimentExecutor(cache_dir=cache).run([spec])
+        with CampaignStore(tmp_path / "c.db") as store:
+            runner = CampaignRunner(
+                store, "sweep", cache_dir=cache, journal=tmp_path / "journal.jsonl"
+            )
+            runner.submit([spec])
+            self._rewrite_row(
+                store, runner, spec_hash(spec),
+                self._wire_text(dataclasses.replace(spec, seed=99)),
+            )
+            assert runner.drain()["done"] == 1
+            jobs = store.journal_records(runner.campaign_id, record="job")
+            assert [r["status"] for r in jobs] == ["cached"]
+            assert runner.fetch([spec]) == [result]
+
+    def test_run_and_drain_write_the_same_bytes(self, tmp_path):
+        """``ExperimentExecutor.run`` ships the wire it built from the
+        spec, a drain ships the wire its store row holds: the entries
+        they write, and their journal ``job`` records, are the same."""
+        from repro.experiments.runner import StreamingSpec
+        from repro.obs.journal import read_journal
+        from repro.workloads import WebBrowsingSpec
+
+        specs = [
+            *bulk_specs(1, size=16 * 1024),
+            StreamingSpec(scheduler="ecf", video_duration=10.0, seed=1),
+            WebBrowsingSpec(
+                scheduler="minrtt",
+                path_configs=(wifi_config(1.0), lte_config(8.6)),
+                seed=2,
+                object_sizes=(10_000, 250_000),
+            ),
+        ]
+        ExperimentExecutor(
+            cache_dir=tmp_path / "run", journal=tmp_path / "run.jsonl"
+        ).run(specs)
+        with CampaignStore(tmp_path / "c.db") as store:
+            runner = CampaignRunner(
+                store, "sweep", cache_dir=tmp_path / "drain",
+                journal=tmp_path / "drain.jsonl",
+            )
+            runner.submit(specs)
+            assert runner.drain()["done"] == len(specs)
+        for spec in specs:
+            entries = [
+                ResultCache(tmp_path / side).path_for(spec_hash(spec)).read_bytes()
+                for side in ("run", "drain")
+            ]
+            assert entries[0] == entries[1], spec.kind
+
+        def jobs(side):
+            return [
+                {k: v for k, v in record.items() if k not in ("wall", "wall_s")}
+                for record in read_journal(tmp_path / f"{side}.jsonl")
+                if record["record"] == "job"
+            ]
+
+        assert jobs("run") == jobs("drain")
+        assert [job["status"] for job in jobs("run")] == ["executed"] * len(specs)
+
     def test_failed_job_requeues_then_succeeds(self, tmp_path):
         spec = FlakySpec(marker=str(tmp_path / "marker"), succeed_after=2)
         with CampaignStore(tmp_path / "c.db") as store:

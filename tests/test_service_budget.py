@@ -9,20 +9,23 @@ the gate counts instead of timing: Python-level ``call`` events under
 directory listings the drain performs, and the ``COMMIT`` statements
 SQLite executes.
 
-Measured on 3.11: 103.8 / 98.7 calls per cached job at 50 / 100 jobs
-(104.8 / 99.7 while the drain parsed every cached result, and rebuilt
-it, before ``fetch`` parsed it again; 120.6 / 118.8 while every
-finished job was its own ``transaction()`` scope, every journal record
-its own ``open`` and every fetched job its own ``store.job()`` row with
-a spec to parse; 173 / 172 while a cache
+Measured on 3.11: 80.8 / 75.7 calls per cached job at 50 / 100 jobs
+(103.8 / 98.7 while the drain decoded every pending row's spec, rebuilt
+it as a typed spec, re-encoded it and hashed it, only to recompute the
+key the row already held; 104.8 / 99.7 while the drain parsed every
+cached result, and rebuilt it, before ``fetch`` parsed it again; 120.6 /
+118.8 while every finished job was its own ``transaction()`` scope,
+every journal record its own ``open`` and every fetched job its own
+``store.job()`` row with a spec to parse; 173 / 172 while a cache
 entry's path was three ``pathlib`` joins and a ``Path.read_text`` per
-job).  The tree that probed the cache with ``if self.cache`` (a
+job). The tree that probed the cache with ``if self.cache`` (a
 ``__len__`` that globbed the whole cache directory once per spec) read
 1,229 / 1,868 and issued 3 N + 2 commits.
 """
 
 import os
 import pathlib
+import re
 
 import pytest
 
@@ -40,7 +43,7 @@ from tests.conftest import python_calls
 GRID_MBPS = (1.0, 3.0, 5.0, 7.0, 9.0)
 
 #: Python calls one cached job may cost across submit, drain and fetch.
-CALLS_PER_CACHED_JOB = 110
+CALLS_PER_CACHED_JOB = 90
 
 
 def wget_specs():
@@ -132,6 +135,54 @@ def test_a_warm_drain_parses_no_cache_entry(tmp_path, monkeypatch):
             patch.setattr(ResultCache, "get", count)
             assert len(runner.fetch(specs)) == len(specs)
         assert sorted(parsed) == sorted(spec_hash(spec) for spec in specs)
+
+
+def test_a_warm_drain_decodes_no_spec(tmp_path, monkeypatch):
+    """A drain names every job by the key its store row holds: over a
+    warm cache it decodes, re-encodes and hashes no spec."""
+    from repro.experiments import exec as exec_module
+    from repro.experiments import spec as spec_module
+    from repro.service import runner as runner_module
+
+    specs = wget_specs()[:20]
+    cache = tmp_path / "cache"
+    ExperimentExecutor(cache_dir=cache).run(specs)
+    with CampaignStore(":memory:") as store:
+        runner = campaign(store, cache, tmp_path / "journal.jsonl")
+        runner.submit(specs)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the drain decoded, encoded or hashed a spec")
+
+        with monkeypatch.context() as patch:
+            for module in (spec_module, exec_module, runner_module):
+                for name in ("spec_from_dict", "spec_to_dict", "wire_hash", "spec_hash"):
+                    if hasattr(module, name):
+                        patch.setattr(module, name, refuse)
+            counts = runner.drain()
+        assert counts["done"] == len(specs)
+
+
+def test_a_cold_drain_reads_its_specs_in_one_query(tmp_path):
+    """Only the misses' specs are read, all in one query: the SELECTs that
+    read the ``spec`` column do not grow with the campaign."""
+
+    def reads_spec(statement):
+        columns = statement.split(" FROM ")[0]
+        return statement.startswith("SELECT") and re.search(r"\bspec\b|SELECT \*", columns)
+
+    for n in (4, 8):
+        specs = wget_specs()[:n]
+        with CampaignStore(tmp_path / f"campaign-{n}.db") as store:
+            runner = campaign(store, tmp_path / f"cache-{n}", None)
+            runner.submit(specs)
+            statements = []
+            store._conn.set_trace_callback(statements.append)
+            counts = runner.drain()
+            store._conn.set_trace_callback(None)
+        assert counts["done"] == n
+        read = [s for s in statements if reads_spec(s)]
+        assert len(read) == 1 and "json_each" in read[0], read
 
 
 #: What a drain commits besides its looks: the claim batch, and the
