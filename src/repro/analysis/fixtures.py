@@ -8,11 +8,12 @@ flagging them is itself a bug.  Importing this module (which
 registry under fixture-only names; they stay out of ``SCHEDULER_NAMES``
 so no experiment sweep ever picks one up by accident.
 
-Both subclass the real :class:`~repro.core.ecf.EcfScheduler` and override
-only its pure :meth:`~repro.core.ecf.EcfScheduler._evaluate` step, so
-decision logging and the hysteresis state machine -- which live in the
-superclass's ``_should_wait_for_fast`` -- keep running and the
-differential oracle sees every (mis)decision.
+All three subclass the real :class:`~repro.core.ecf.EcfScheduler` and
+override only its pure :meth:`~repro.core.ecf.EcfScheduler._evaluate` or
+:meth:`~repro.core.ecf.EcfScheduler._decision_inputs` step, so decision
+logging and the hysteresis state machine -- which live in the
+superclass's :meth:`~repro.core.ecf.EcfScheduler.select` -- keep running
+and the differential oracle sees every (mis)decision.
 """
 
 from __future__ import annotations

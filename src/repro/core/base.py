@@ -24,6 +24,7 @@ import math
 from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
 
 from repro.sim import probe as _probe
+from repro.tcp.subflow import CWND_EPS
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -109,7 +110,11 @@ class Scheduler:
             if srtt < sendable_srtt and now >= sf.established_at:
                 if srtt < fastest_srtt:
                     fastest, fastest_srtt = sf, srtt
-                if sf.can_send():
+                # ``sf.can_send()`` on locals (establishment is tested
+                # above); can_send() stays the definition, and
+                # tests/test_properties.py::TestRankingProperties holds
+                # this pick to it.
+                if not sf._retx_queue and sf._in_flight + 1 <= sf.cwnd + CWND_EPS:
                     sendable, sendable_srtt = sf, srtt
         return fastest, sendable
 

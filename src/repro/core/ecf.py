@@ -26,8 +26,7 @@ hot window.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
 from repro.core.base import Scheduler
 from repro.sim import probe as _probe
@@ -40,14 +39,14 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 DEFAULT_BETA = 0.25
 
 
-@dataclass(frozen=True)
-class EcfInputs:
+class EcfInputs(NamedTuple):
     """Everything Algorithm 1 reads for one wait-or-send decision.
 
     Gathered by :meth:`EcfScheduler._decision_inputs` and passed to
     :meth:`EcfScheduler._evaluate`; also what gets logged with every
     decision so the reference oracle in :mod:`repro.analysis.reference`
-    can replay it offline.
+    can replay it offline.  A named tuple: immutable, and built once per
+    decision without a frozen dataclass's per-field ``__setattr__``.
     """
 
     k_segments: float
@@ -119,23 +118,8 @@ class EcfScheduler(Scheduler):
         self.forced_decisions[index] = choice
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        fastest, second = self.fastest_and_sendable(conn)
-        if second is None:
-            return None
-        if second is fastest:
-            return fastest
-        # Fastest is full; ``second`` is the default scheduler's pick.
-        if self._should_wait_for_fast(conn, fastest, second):
-            return None
-        return second
-
-    # ------------------------------------------------------------------
-    # Algorithm 1
-    # ------------------------------------------------------------------
-    def _should_wait_for_fast(
-        self, conn: "MptcpConnection", fastest: "Subflow", second: "Subflow"
-    ) -> bool:
-        """One wait-or-send decision: gather inputs, evaluate, log.
+        """The fast subflow when it has room; otherwise one wait-or-send
+        decision (Algorithm 1): gather inputs, evaluate, log.
 
         The split into :meth:`_decision_inputs` / :meth:`_evaluate` keeps
         the event-log record and the hysteresis state machine here, in
@@ -144,6 +128,12 @@ class EcfScheduler(Scheduler):
         :mod:`repro.analysis.fixtures`) stay fully observable to the
         differential oracle.
         """
+        fastest, second = self.fastest_and_sendable(conn)
+        if second is None:
+            return None
+        if second is fastest:
+            return fastest
+        # Fastest is full; ``second`` is the default scheduler's pick.
         waiting_before = self.waiting
         index = self.ecf_decisions
         self.ecf_decisions = index + 1
@@ -163,8 +153,11 @@ class EcfScheduler(Scheduler):
             probe.ecf_decision(
                 self, conn, fastest, second, inputs, wait, waiting_before, forced is not None
             )
-        return wait
+        return None if wait else second
 
+    # ------------------------------------------------------------------
+    # Algorithm 1
+    # ------------------------------------------------------------------
     def _decision_inputs(
         self, conn: "MptcpConnection", fastest: "Subflow", second: "Subflow"
     ) -> EcfInputs:
@@ -176,25 +169,31 @@ class EcfScheduler(Scheduler):
         2RTT_f for transfer", i.e. one round of waiting plus >= 1 round of
         sending -- and is required for the Section 3.2 worked example
         (k = 1 leftover packet) to come out as "wait".
+
+        Read on locals, once per decision: ``srtt_or_default()``,
+        ``max(cwnd, 1.0)`` and ``conn.mss`` stay the definitions, and
+        ``TestRankingProperties.test_ecf_decision_inputs_match_the_definition``
+        in ``tests/test_properties.py`` holds every field equal to them.
         """
-        k_segments = conn.unassigned_bytes / conn.mss
-        rtt_f = fastest.srtt_or_default()
-        rtt_s = second.srtt_or_default()
-        cwnd_f = max(fastest.cwnd, 1.0)
-        cwnd_s = max(second.cwnd, 1.0)
-        delta = max(fastest.rtt.sigma, second.rtt.sigma)
-        n = 1.0 + math.ceil(k_segments / cwnd_f)
+        k_segments = conn.unassigned_bytes / conn.config.mss
+        fast_rtt = fastest.rtt
+        slow_rtt = second.rtt
+        rtt_f = fast_rtt.srtt
+        if rtt_f is None:
+            rtt_f = fastest._default_rtt
+        rtt_s = slow_rtt.srtt
+        if rtt_s is None:
+            rtt_s = second._default_rtt
+        cwnd_f = fastest.cwnd
+        if cwnd_f < 1.0:
+            cwnd_f = 1.0
+        cwnd_s = second.cwnd
+        if cwnd_s < 1.0:
+            cwnd_s = 1.0
+        delta = max(fast_rtt.sigma, slow_rtt.sigma)
         threshold = (1.0 + (self.beta if self.waiting else 0.0)) * (rtt_s + delta)
-        return EcfInputs(
-            k_segments=k_segments,
-            rtt_f=rtt_f,
-            rtt_s=rtt_s,
-            cwnd_f=cwnd_f,
-            cwnd_s=cwnd_s,
-            delta=delta,
-            n_rounds=n,
-            threshold=threshold,
-        )
+        n = 1.0 + math.ceil(k_segments / cwnd_f)
+        return EcfInputs(k_segments, rtt_f, rtt_s, cwnd_f, cwnd_s, delta, n, threshold)
 
     def _evaluate(self, inputs: EcfInputs) -> bool:
         """Algorithm 1's two inequalities, stateless.  True means wait.

@@ -128,13 +128,15 @@ class CampaignRow:
 
 @dataclass(frozen=True)
 class JobRow:
-    """One job, as stored.  ``spec`` is the wire-format dict."""
+    """One job, as stored.  ``spec`` is the wire-format dict, or None when
+    the row's text does not parse (its job fails alone; listing it must
+    not raise)."""
 
     id: int
     campaign_id: int
     spec_hash: str
     kind: str
-    spec: Dict[str, Any]
+    spec: Optional[Dict[str, Any]]
     status: str
     attempts: int
     wall_s: Optional[float]
@@ -145,12 +147,16 @@ class JobRow:
 
 
 def _row_to_job(row: sqlite3.Row) -> JobRow:
+    try:
+        spec = json.loads(row["spec"])
+    except ValueError:
+        spec = None
     return JobRow(
         id=row["id"],
         campaign_id=row["campaign_id"],
         spec_hash=row["spec_hash"],
         kind=row["kind"],
-        spec=json.loads(row["spec"]),
+        spec=spec,
         status=row["status"],
         attempts=row["attempts"],
         wall_s=row["wall_s"],

@@ -43,7 +43,10 @@ DUP_THRESHOLD = 3
 #: Maximum RTO backoff multiplier.
 MAX_BACKOFF = 64.0
 
-_EPS = 1e-9
+#: Slack on the congestion-window test, in segments: a window grown to
+#: 2.9999999999 by float increments still admits a third segment.  The
+#: schedulers' single-pass ranking reads the same constant.
+CWND_EPS = 1e-9
 
 
 class Segment:
@@ -260,13 +263,13 @@ class Subflow:
 
     def has_window_space(self) -> bool:
         """True if the congestion window admits one more segment."""
-        return self._in_flight + 1 <= self.cwnd + _EPS
+        return self._in_flight + 1 <= self.cwnd + CWND_EPS
 
     def can_send(self) -> bool:
         """True if the scheduler may assign *new* data to this subflow."""
         return (
             not self._retx_queue
-            and self._in_flight + 1 <= self.cwnd + _EPS
+            and self._in_flight + 1 <= self.cwnd + CWND_EPS
             and self.sim.now >= self.established_at
         )
 

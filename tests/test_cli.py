@@ -375,6 +375,30 @@ class TestCampaignCommands:
             "campaign two: 2 job(s)  done=2 failed=0 pending=0 running=0\n"
         )
 
+    def test_status_lists_a_job_whose_row_does_not_parse_as_failed(self, tmp_path, capsys):
+        db, cache = tmp_path / "c.db", tmp_path / "cache"
+        assert main([
+            "campaign", "submit", "two", "--db", str(db), "--cache-dir", str(cache),
+            "--no-run", "--sweep", "wget", "--scheduler", "ecf", "--size", "64k",
+            "--wifi-grid", "1.0", "8.6", "--lte-grid", "8.6",
+        ]) == 0
+        with CampaignStore(db) as store:
+            runner = CampaignRunner(store, "two", cache_dir=cache)
+            key = next(iter(store.statuses(runner.campaign_id)))
+            store._conn.execute(
+                "UPDATE jobs SET spec = ? WHERE campaign_id = ? AND spec_hash = ?",
+                ('{"kind": "bulk"', runner.campaign_id, key),
+            )
+            store._conn.commit()
+            runner.drain()
+        capsys.readouterr()
+        assert main(["campaign", "status", "two", "--db", str(db)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert "done=1 failed=1" in lines[0]
+        (failed,) = [line for line in lines if line.startswith("  failed ")]
+        assert failed.startswith(f"  failed {key[:12]} (bulk_download, attempt ")
+        assert "no readable spec" in failed
+
     @pytest.mark.parametrize(
         "command", [["status"], ["fetch"], ["retry"], ["serve", "--exit-when-done"]],
         ids=["status", "fetch", "retry", "serve"],

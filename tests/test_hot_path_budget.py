@@ -15,14 +15,16 @@ what an engine change moves.  Measured on 3.11, ecf_hetero /
 ecf_eight_subflows / minrtt_hetero / minrtt_single_path_bulk (the world
 of the ``bulk_single_path`` benchmark workload, at 4 MB):
 
+* 17.2 / 18.0 / 15.9 / 16.5 -- Algorithm 1 on locals: the ranking tests
+  sendability without a ``can_send()`` call per subflow, and an ECF
+  decision reads its inputs off the subflows once, into a named tuple,
+  inside ``select`` (budgets below: these plus 0.3 -- 0.4);
 * 19.7 / 24.1 / 17.4 / 17.5 -- each per-segment question asked once, by
   the caller that holds the answer: minRTT ranks in one pass
   (``fastest_and_sendable``), a send asks ``can_send()`` once, and idle
   restart, retransmission service, the FACK scan, the una advance and the
-  reorder drain are entered only with work to do (budgets below: these
-  plus 0.3 -- 0.5);
-* 22.7 / 27.1 / 21.9 / 22.7 -- the tree before, which fails these
-  budgets;
+  reorder drain are entered only with work to do;
+* 22.7 / 27.1 / 21.9 / 22.7 -- the tree before that;
 * 26.2 / 30.9 / 25.4 -- the tree with a serialisation-end event per
   packet (13.0 / 15.4 / 12.6 per event).
 
@@ -45,7 +47,7 @@ CASES = {
         StreamingSpec(
             scheduler="ecf", wifi_mbps=0.3, lte_mbps=8.6, video_duration=10.0, seed=1
         ),
-        20.0,
+        17.6,
     ),
     "ecf_eight_subflows": (
         StreamingSpec(
@@ -56,19 +58,19 @@ CASES = {
             subflows_per_interface=4,
             seed=1,
         ),
-        24.5,
+        18.3,
     ),
     "minrtt_hetero": (
         StreamingSpec(
             scheduler="minrtt", wifi_mbps=0.3, lte_mbps=8.6, video_duration=10.0, seed=1
         ),
-        18.0,
+        16.3,
     ),
     "minrtt_single_path_bulk": (
         BulkDownloadSpec(
             scheduler="minrtt", path_configs=(lte_config(8.6),), size=4_000_000, seed=1
         ),
-        18.0,
+        16.9,
     ),
 }
 

@@ -6,6 +6,7 @@ import random
 from hypothesis import given, settings, strategies as st
 
 from repro.core.base import Scheduler
+from repro.core.ecf import EcfInputs, EcfScheduler
 from repro.core.minrtt import MinRttScheduler
 from repro.metrics.stats import ccdf, cdf, mean, percentile, stdev
 from repro.mptcp.receiver import MptcpReceiver
@@ -180,6 +181,56 @@ class TestRankingProperties:
         # minRTT's answer: the fastest of the subflows that can send.
         sendable_list = [sf for sf in conn.subflows if spec_can_send(sf)]
         assert MinRttScheduler().select(conn) is spec_fastest(sendable_list)
+
+    @given(
+        subflow_states,
+        st.lists(st.sampled_from([0.25, 0.999, 1.0, 1.0, 2.5, 10.0]), min_size=8, max_size=8),
+        st.lists(st.sampled_from([0.0, 0.0, 0.003, 0.003, 0.04]), min_size=8, max_size=8),
+        st.integers(min_value=0, max_value=200_000),
+        st.booleans(),
+    )
+    def test_ecf_decision_inputs_match_the_definition(
+        self, states, cwnds, sigmas, unassigned, waiting
+    ):
+        """``_decision_inputs`` reads its fields on locals; each must equal,
+        bit for bit, the value its definition gives: ``srtt_or_default()``
+        (no sample yet included), ``max(cwnd, 1.0)`` (windows under one
+        segment included), ``max(sigma_f, sigma_s)`` (equal sigmas
+        included) and ``conn.mss``."""
+
+        def same(got, want):
+            return type(got) is type(want) and (
+                got == want or (math.isnan(got) and math.isnan(want))
+            )
+
+        conn = ranked_world(states)
+        conn.unassigned_bytes = unassigned
+        for sf, cwnd, sigma in zip(conn.subflows, cwnds, sigmas):
+            sf.cwnd = cwnd
+            sf.rtt._sigma = sigma
+        scheduler = EcfScheduler(beta=0.25)
+        scheduler.waiting = waiting
+        for fast in conn.subflows:
+            for slow in conn.subflows:
+                if slow is fast:
+                    continue
+                inputs = scheduler._decision_inputs(conn, fast, slow)
+                k_segments = conn.unassigned_bytes / conn.mss
+                rtt_f, rtt_s = fast.srtt_or_default(), slow.srtt_or_default()
+                cwnd_f, cwnd_s = max(fast.cwnd, 1.0), max(slow.cwnd, 1.0)
+                delta = max(fast.rtt.sigma, slow.rtt.sigma)
+                expected = EcfInputs(
+                    k_segments=k_segments,
+                    rtt_f=rtt_f,
+                    rtt_s=rtt_s,
+                    cwnd_f=cwnd_f,
+                    cwnd_s=cwnd_s,
+                    delta=delta,
+                    n_rounds=1.0 + math.ceil(k_segments / cwnd_f),
+                    threshold=(1.0 + (0.25 if waiting else 0.0)) * (rtt_s + delta),
+                )
+                for field, got, want in zip(EcfInputs._fields, inputs, expected):
+                    assert same(got, want), (field, got, want)
 
     @given(subflow_states)
     def test_minrtt_picks_the_fastest_available(self, states):

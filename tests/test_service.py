@@ -562,8 +562,9 @@ class TestCampaignRunner:
             assert len(runner.fetch([kept])) == 1
 
     def test_a_row_whose_spec_does_not_parse_fails_alone(self, tmp_path):
-        """Row text that is not JSON at all: its job fails alone, and
-        ``requeue`` (which parses no spec) still moves it."""
+        """Row text that is not JSON at all: its job fails alone, reads
+        back (``failures()``, ``store.job``) with no spec, and ``requeue``
+        (which parses no spec) still moves it."""
         kept, garbled = bulk_specs(2, size=16 * 1024)
         with CampaignStore(tmp_path / "c.db") as store:
             runner = CampaignRunner(
@@ -580,6 +581,10 @@ class TestCampaignRunner:
             ]
             assert failed["spec_hash"] == spec_hash(garbled)
             assert "no readable spec" in failed["error"]["message"]
+            (failure,) = runner.failures()
+            assert (failure.spec_hash, failure.kind) == (spec_hash(garbled), garbled.kind)
+            assert "no readable spec" in failure.error_message
+            assert store.job(runner.campaign_id, spec_hash(garbled)).spec is None
             assert runner.requeue() == 1
             assert runner.drain()["failed"] == 1
             assert runner.requeue() == 0
