@@ -74,7 +74,7 @@ class MpDashPathManager:
     def on_chunk_request(self, representation: "Representation", chunk_duration: float) -> None:
         self.requirements_seen += 1
         required = representation.bitrate_bps * self.margin
-        self.scheduler.set_cellular(self.preferred_rate_estimate_bps() < required)
+        self.scheduler.cellular_active = self.preferred_rate_estimate_bps() < required
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

@@ -11,7 +11,6 @@ Provided schedulers (Section 5.1 of the paper):
 * ``blest`` -- BLEST (Ferlin et al., IFIP Networking 2016).
 * ``daps`` -- DAPS (Kuhn et al., ICC 2014).
 * ``roundrobin`` -- cycles over available subflows (extra baseline).
-* ``primary`` -- single-path TCP on the primary interface (extra baseline).
 * ``mpdash`` -- MP-DASH's preferred-path-first scheduler (Section 7's
   contrast; driven by :class:`repro.apps.dash.mpdash.MpDashPathManager`).
 """
@@ -21,12 +20,7 @@ from repro.core.minrtt import MinRttScheduler
 from repro.core.ecf import EcfScheduler
 from repro.core.blest import BlestScheduler
 from repro.core.daps import DapsScheduler
-from repro.core.extras import (
-    MpDashScheduler,
-    PrimaryOnlyScheduler,
-    RedundantScheduler,
-    RoundRobinScheduler,
-)
+from repro.core.extras import MpDashScheduler, RoundRobinScheduler
 from repro.core.registry import SCHEDULER_NAMES, register_scheduler, registered_schedulers
 from repro.core.spec import CcSpec, SchedulerSpec, build
 
@@ -37,8 +31,6 @@ __all__ = [
     "BlestScheduler",
     "DapsScheduler",
     "RoundRobinScheduler",
-    "RedundantScheduler",
-    "PrimaryOnlyScheduler",
     "MpDashScheduler",
     "SchedulerSpec",
     "CcSpec",

@@ -21,7 +21,7 @@ Contract:
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Iterable, List, Optional, Tuple
+from typing import TYPE_CHECKING, Optional, Tuple
 
 from repro.sim import probe as _probe
 from repro.tcp.subflow import CWND_EPS
@@ -60,46 +60,22 @@ class Scheduler:
         self.conn = conn
 
     # ------------------------------------------------------------------
-    # Helpers shared by implementations
+    # The ranking helper shared by implementations
     # ------------------------------------------------------------------
-    @staticmethod
-    def available_subflows(conn: "MptcpConnection") -> List["Subflow"]:
-        """Established subflows that can accept a new segment now."""
-        return [sf for sf in conn.subflows if sf.can_send()]
-
-    @staticmethod
-    def established_subflows(conn: "MptcpConnection") -> List["Subflow"]:
-        """Established subflows, regardless of window space."""
-        return [sf for sf in conn.subflows if sf.established]
-
-    @staticmethod
-    def fastest(subflows: Iterable["Subflow"]) -> Optional["Subflow"]:
-        """Smallest-SRTT subflow, in one pass.
-
-        Ties go to the first in iteration order: the lowest subflow id
-        for ``conn.subflows`` or a list filtered from it.  RTT estimates
-        are positive, so the strict ``<`` from an infinite start is also
-        the finiteness test: a path in an outage (``inf``) or a NaN never
-        wins, and None means no subflow has a finite estimate.
-        """
-        best = None
-        best_srtt = math.inf
-        for sf in subflows:
-            srtt = sf.rtt.srtt or sf.srtt_or_default()
-            if srtt < best_srtt:
-                best, best_srtt = sf, srtt
-        return best
-
     @staticmethod
     def fastest_and_sendable(
         conn: "MptcpConnection",
     ) -> Tuple[Optional["Subflow"], Optional["Subflow"]]:
         """The smallest-SRTT established subflow and the smallest-SRTT
-        one that ``can_send()``, ranked as :meth:`fastest` does, in one pass.
+        one that ``can_send()``, in one pass over ``conn.subflows``.
 
         ``sendable is fastest``: the fast path has room.  Otherwise
         ``sendable`` is the default scheduler's fallback among the others,
-        or None when nothing can send.
+        or None when nothing can send.  Ties go to the lowest subflow id.
+        RTT estimates are positive, so the strict ``<`` from an infinite
+        start is also the finiteness test: a path in an outage (``inf``)
+        or a NaN never wins, and None means no subflow has a finite
+        estimate.
         """
         now = conn.sim.now
         fastest = sendable = None
@@ -121,17 +97,6 @@ class Scheduler:
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         """Choose the subflow for the next segment (or None to wait)."""
         raise NotImplementedError
-
-    def duplicate_targets(
-        self, conn: "MptcpConnection", chosen: "Subflow"
-    ) -> List["Subflow"]:
-        """Extra subflows that should carry a *copy* of the segment.
-
-        Most schedulers never duplicate; the redundant scheduler overrides
-        this to trade bandwidth for latency.  Every returned subflow must
-        satisfy ``can_send()``: ``send_segment`` refuses any other.
-        """
-        return []
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

@@ -35,21 +35,20 @@ class DapsScheduler(Scheduler):
 
     name = "daps"
 
-    __slots__ = ("_schedule", "schedules_built")
+    __slots__ = ("_schedule",)
 
     #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("_schedule", "schedules_built")
+    STATE_FIELDS = ("_schedule",)
 
     def __init__(self) -> None:
         super().__init__()
         self._schedule: Deque[int] = deque()
-        self.schedules_built = 0
 
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        available = self.available_subflows(conn)
+        available = [sf for sf in conn.subflows if sf.can_send()]
         if not available:
             return None
-        established = self.established_subflows(conn)
+        established = [sf for sf in conn.subflows if sf.established]
         if len(established) == 1:
             return established[0] if established[0].can_send() else None
         if not self._schedule:
@@ -81,7 +80,6 @@ class DapsScheduler(Scheduler):
                 slots.append((arrival, sf.sf_id, slot_index))
         slots.sort()
         self._schedule = deque(sf_id for _, sf_id, _ in slots)
-        self.schedules_built += 1
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"DapsScheduler(pending_slots={len(self._schedule)})"

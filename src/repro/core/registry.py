@@ -12,12 +12,7 @@ from repro.core.base import Scheduler
 from repro.core.blest import BlestScheduler
 from repro.core.daps import DapsScheduler
 from repro.core.ecf import EcfScheduler
-from repro.core.extras import (
-    MpDashScheduler,
-    PrimaryOnlyScheduler,
-    RedundantScheduler,
-    RoundRobinScheduler,
-)
+from repro.core.extras import MpDashScheduler, RoundRobinScheduler
 from repro.core.minrtt import MinRttScheduler
 
 
@@ -28,18 +23,13 @@ _FACTORIES: Dict[str, Callable[..., Scheduler]] = {
     "blest": BlestScheduler,
     "daps": DapsScheduler,
     "roundrobin": RoundRobinScheduler,
-    "redundant": RedundantScheduler,
-    "primary": PrimaryOnlyScheduler,
     "mpdash": MpDashScheduler,
 }
 
 #: Canonical user-facing scheduler names.  ("mpdash" additionally needs an
 #: :class:`~repro.apps.dash.mpdash.MpDashPathManager` wired to the player;
 #: the streaming runner does this automatically.)
-SCHEDULER_NAMES = (
-    "minrtt", "ecf", "blest", "daps", "roundrobin", "redundant", "primary",
-    "mpdash",
-)
+SCHEDULER_NAMES = ("minrtt", "ecf", "blest", "daps", "roundrobin", "mpdash")
 
 
 def registered_schedulers() -> FrozenSet[str]:

@@ -28,9 +28,8 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set
 
-from repro.core.base import Scheduler
 from repro.net.packet import MSS, Packet
 from repro.net.path import Path
 from repro.mptcp.receiver import MptcpReceiver
@@ -38,6 +37,9 @@ from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 from repro.tcp.cc.base import CongestionController
 from repro.tcp.subflow import Subflow
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.core.base import Scheduler
 
 
 @dataclass
@@ -103,7 +105,6 @@ class MptcpConnection:
         "total_written",
         "peer_recv_window",
         "reinjections",
-        "duplicate_transmissions",
         "_outstanding_dsn",
         "_dsn_order",
         "_reinjected",
@@ -185,7 +186,6 @@ class MptcpConnection:
         self._sending = False
 
         self.reinjections = 0
-        self.duplicate_transmissions = 0
 
         scheduler.attach(self)
         # Subflows that become established later must trigger a scheduling
@@ -262,7 +262,6 @@ class MptcpConnection:
             config = self.config
             mss = config.mss
             scheduler = self.scheduler
-            duplicates = type(scheduler).duplicate_targets is not Scheduler.duplicate_targets
             while self.unassigned_bytes > 0:
                 payload = min(mss, self.unassigned_bytes)
                 # window_limited(), on locals.
@@ -286,11 +285,6 @@ class MptcpConnection:
                 self._outstanding_dsn[dsn] = (payload, subflow.sf_id)
                 self._dsn_order.append(dsn)
                 subflow.send_segment(dsn, payload)  # refuses a broken scheduler's pick
-                if duplicates:
-                    # Copies on other open subflows; the receiver dedupes.
-                    for twin in scheduler.duplicate_targets(self, subflow):
-                        twin.send_segment(dsn, payload)
-                        self.duplicate_transmissions += 1
         finally:
             self._sending = False
         if probe is not None:

@@ -142,7 +142,6 @@ class CampaignDaemon:
         self._stop = threading.Event()
         self._server: Optional[ThreadingHTTPServer] = None
         self._server_thread: Optional[threading.Thread] = None
-        self._status: Dict[str, Any] = {"campaign": name, "counts": {}}
         # Daemon-side rate accounting (host wall clock; campaign layer).
         self._started = time.monotonic()
         self._jobs_done = 0
@@ -158,6 +157,10 @@ class CampaignDaemon:
             journal_observer=self._on_journal_record,
             on_outcome=self._on_outcome,
         )
+        # The first /status document is built here, before any endpoint
+        # exists (the runner has ensured the campaign), so no client can
+        # read a partial one.
+        self.refresh()
 
     # -- telemetry hooks (drain-loop thread) -----------------------------
     def _on_transition(
@@ -305,7 +308,7 @@ class CampaignDaemon:
         iterations (tests).  Returns the final status document.
         """
         loops = 0
-        doc = self.refresh()
+        doc = self._status
         while not self._stop.is_set():
             self.runner.drain(reset_orphans=True)
             loops += 1

@@ -44,7 +44,7 @@ class TestParseSize:
             parse_size("0")
 
 
-SCHEDULERS = ("minrtt", "ecf", "blest", "daps", "roundrobin", "redundant", "primary", "mpdash")
+SCHEDULERS = ("minrtt", "ecf", "blest", "daps", "roundrobin", "mpdash")
 FIXTURES = SCHEDULERS + ("ecf-nowait", "ecf-noineq2", "ecf-invbeta")
 
 #: Every argument of every command, in ``--help`` order: (command path,

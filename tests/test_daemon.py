@@ -231,6 +231,18 @@ class TestDaemonServe:
         finally:
             daemon.shutdown()
 
+    def test_status_is_whole_before_the_first_serve(self, tmp_path):
+        # ``campaign serve`` prints its endpoint before serve() runs: a
+        # client reading in that window gets the whole document.
+        store, daemon = self.build(tmp_path, name="first", n=2)
+        try:
+            daemon.start_http()
+            doc = fetch_status(daemon.endpoint)
+            assert doc["total"] == doc["remaining"] == 2
+            assert doc["counts"] == status_document(store, "first")["counts"]
+        finally:
+            daemon.shutdown()
+
     def test_healthz_and_404(self, tmp_path):
         store, daemon = self.build(tmp_path, name="health", n=1)
         try:

@@ -1,11 +1,10 @@
-"""Tests for the extension features: CUBIC, the redundant scheduler, and
-the harmonic-mean ABR."""
+"""Tests for the extension features: CUBIC and the harmonic-mean ABR."""
 
 import pytest
 
 from repro.apps.dash.abr import AbrInputs, HarmonicThroughputAbr, make_abr
 from repro.apps.dash.media import VideoManifest
-from repro.core import CcSpec, RedundantScheduler, SchedulerSpec, build
+from repro.core import CcSpec, build
 from repro.tcp.cc import CubicController
 from repro.tcp.cc.cubic import BETA_CUBIC
 from tests.conftest import build_connection, drain
@@ -62,65 +61,6 @@ class TestCubic:
         sf._in_flight = 50
         conn.cc.on_rto(sf)
         assert sf.cwnd == 1.0
-
-
-class TestRedundantScheduler:
-    def test_registry_knows_redundant(self):
-        assert isinstance(build(SchedulerSpec.of("redundant")), RedundantScheduler)
-
-    def test_duplicates_are_sent_on_other_subflows(self, sim):
-        # Symmetric paths: the twin subflow almost always has window
-        # space, so nearly every segment gets a copy.
-        conn = build_connection(
-            sim, scheduler_name="redundant",
-            path_specs=((10.0, 0.01), (10.0, 0.011)),
-        )
-        conn.write(500_000)
-        drain(sim)
-        assert conn.delivered_bytes == 500_000
-        assert conn.duplicate_transmissions > 100
-        sent = conn.payload_sent_by_subflow()
-        assert min(sent.values()) > 250_000
-
-    def test_receiver_dedupes_copies(self, sim):
-        conn = build_connection(sim, scheduler_name="redundant")
-        conn.write(200_000)
-        drain(sim)
-        assert conn.receiver.expected_dsn == 200_000
-        assert conn.receiver.duplicate_packets > 0
-
-    def test_masks_loss_on_lossy_primary(self, sim):
-        """Copies on the clean path mask losses on the lossy one: typical
-        (median) in-order delivery stays prompt despite 5% loss."""
-        import random as _random
-        from repro.metrics.stats import percentile
-        from repro.mptcp.connection import ConnectionConfig, MptcpConnection
-        from repro.net.link import Link
-        from repro.net.path import Path
-
-        local_sim = type(sim)()
-        lossy_fwd = Link(local_sim, 10e6, 0.01, 300_000,
-                         loss_rate=0.05, rng=_random.Random(4))
-        lossy = Path("lossy", lossy_fwd, Link(local_sim, 10e6, 0.01, 300_000))
-        clean = Path("clean", Link(local_sim, 10e6, 0.012, 300_000),
-                     Link(local_sim, 10e6, 0.012, 300_000))
-        conn = MptcpConnection(
-            local_sim, [lossy, clean], build(SchedulerSpec.of("redundant")),
-            config=ConnectionConfig(handshake_delays=False),
-        )
-        conn.write(400_000)
-        local_sim.run(until=120.0)
-        assert conn.delivered_bytes == 400_000
-        assert conn.duplicate_transmissions > 0
-        # Median in-order delay remains small: the twin copy covers most
-        # losses without waiting for a retransmission.
-        assert percentile(conn.receiver.ooo_delays, 50) < 0.05
-
-    def test_non_redundant_schedulers_do_not_duplicate(self, sim):
-        conn = build_connection(sim, scheduler_name="minrtt")
-        conn.write(500_000)
-        drain(sim)
-        assert conn.duplicate_transmissions == 0
 
 
 class TestHarmonicAbr:

@@ -23,24 +23,16 @@ class TestScheduler:
 
     def test_cellular_inactive_restricts_to_primary(self, sim):
         conn = warmed(sim)
-        conn.scheduler.set_cellular(False)
+        conn.scheduler.cellular_active = False
         assert conn.scheduler.select(conn) is conn.subflows[0]
         conn.subflows[0]._in_flight = int(conn.subflows[0].cwnd)
         assert conn.scheduler.select(conn) is None
 
     def test_cellular_active_admits_secondary(self, sim):
         conn = warmed(sim)
-        conn.scheduler.set_cellular(True)
+        conn.scheduler.cellular_active = True
         conn.subflows[0]._in_flight = int(conn.subflows[0].cwnd)
         assert conn.scheduler.select(conn) is conn.subflows[1]
-
-    def test_activation_counters(self, sim):
-        scheduler = MpDashScheduler()
-        scheduler.set_cellular(False)
-        scheduler.set_cellular(True)
-        scheduler.set_cellular(True)  # no change
-        assert scheduler.deactivations == 1
-        assert scheduler.activations == 1
 
 
 class TestPathManager:

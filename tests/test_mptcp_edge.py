@@ -106,9 +106,6 @@ class TestSchedulerErrors:
                 subflow._in_flight = int(subflow.cwnd)  # force full
                 return subflow
 
-            def duplicate_targets(self, conn, chosen):
-                return []
-
         conn.scheduler = Broken()
         with pytest.raises(RuntimeError):
             conn.write(100_000)

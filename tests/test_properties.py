@@ -165,12 +165,6 @@ class TestRankingProperties:
         for sf in ranked_world(states).subflows:
             assert sf.can_send() == spec_can_send(sf)
 
-    @given(subflow_states, st.data())
-    def test_fastest_matches_the_list_definition(self, states, data):
-        conn = ranked_world(states)
-        subset = [sf for sf in conn.subflows if data.draw(st.booleans())]
-        assert Scheduler.fastest(subset) is spec_fastest(subset)
-
     @given(subflow_states)
     def test_fastest_and_sendable_matches_the_two_stage_pick(self, states):
         conn = ranked_world(states)
