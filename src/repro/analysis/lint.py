@@ -18,13 +18,18 @@ RPR401   experiment spec dataclasses must be ``frozen=True``
 RPR402   spec fields must be plain values, not live simulator objects
 RPR501   registry kind strings must resolve against their registry
 RPR601   no direct ``print()`` outside the CLI front end
-RPR701   no cross-package imports of underscore-prefixed names
+RPR701   no import across a package boundary: another package's
+         underscore names, or a layer above (:data:`FENCES`)
 RPR901   no event-queue manipulation outside ``repro.sim.engine``
 =======  ==========================================================
 
 These are per-module, syntactic rules: each reports the *source*
 statement, so a clock read or an ad-hoc stream is named where it is
-written, whoever ends up calling it.  The snapshot contract
+written, whoever ends up calling it.  A call is matched after its head
+name is resolved through the module's imports, at any scope, so
+``from time import perf_counter`` or ``import random as r`` hide
+nothing.  RPR701 also holds the package layering (:data:`FENCES`) on
+each module's direct imports, at any scope.  The snapshot contract
 (``STATE_FIELDS``) is not linted: :func:`repro.sim.snapshot.capture`
 refuses, per instance, anything outside it.
 
@@ -33,14 +38,11 @@ line with ``# repro: noqa[RPR101]`` (or all rules with
 ``# repro: noqa``); suppressions are deliberate, so say *why* in a
 neighbouring comment.
 
-:func:`run_lint` is the whole analyzer, a function of the source tree:
-each file is read and parsed once, the linter and the import extractor
-walk the same tree, and the sorted, noqa-filtered findings come back
-beside the :class:`~repro.analysis.flow.Project` (the import graph the
-layering gate walks).  Nothing is read from or written to disk besides
-the sources.  :func:`lint_paths` returns just the findings,
-:func:`lint_source` runs the rules over one module's text, and the CLI
-form exits non-zero when any violation survives::
+:func:`lint_paths` is the whole analyzer, a function of the source
+tree: each file is read and parsed once and the sorted, noqa-filtered
+findings come back.  Nothing is read from or written to disk besides
+the sources.  :func:`lint_source` runs the rules over one module's
+text, and the CLI form exits non-zero when any violation survives::
 
     python -m repro.cli lint            # lints the installed repro package
     python -m repro.cli lint src tests  # explicit files or directories
@@ -49,19 +51,74 @@ form exits non-zero when any violation survives::
 from __future__ import annotations
 
 import ast
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from repro.analysis.flow import (
-    ModuleSummary,
-    Project,
-    Violation,
-    apply_noqa,
-    dotted_name as _dotted_name,
-    extract_module,
-    terminal_name as _terminal_name,
-)
+NOQA_RE = re.compile(r"#\s*repro:\s*noqa(?:\[(?P<codes>[A-Z0-9,\s]+)\])?")
+
+
+@dataclass(frozen=True)
+class Violation:
+    """One finding: where, which rule, and how to fix it."""
+
+    path: str
+    line: int
+    col: int
+    code: str
+    message: str
+    fixit: str
+
+    def format(self) -> str:
+        return f"{self.path}:{self.line}:{self.col}: {self.code} {self.message} ({self.fixit})"
+
+
+def _dotted_name(node: ast.expr) -> Optional[str]:
+    """'a.b.c' for a Name/Attribute chain, else None."""
+    parts: List[str] = []
+    while isinstance(node, ast.Attribute):
+        parts.append(node.attr)
+        node = node.value
+    if isinstance(node, ast.Name):
+        parts.append(node.id)
+        return ".".join(reversed(parts))
+    return None
+
+
+def _terminal_name(node: ast.expr) -> Optional[str]:
+    """The last identifier of a Name or Attribute expression."""
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.Name):
+        return node.id
+    return None
+
+
+def suppressed_codes(line: str) -> Optional[Set[str]]:
+    """Codes a ``# repro: noqa`` comment suppresses; None = no comment,
+    empty set = blanket suppression."""
+    match = NOQA_RE.search(line)
+    if match is None:
+        return None
+    codes = match.group("codes")
+    if codes is None:
+        return set()
+    return {code.strip() for code in codes.split(",") if code.strip()}
+
+
+def apply_noqa(violations: List[Violation], source: str) -> List[Violation]:
+    """Drop violations suppressed by a ``# repro: noqa`` on their line."""
+    lines = source.splitlines()
+    kept: List[Violation] = []
+    for violation in violations:
+        line = lines[violation.line - 1] if 0 < violation.line <= len(lines) else ""
+        suppressed = suppressed_codes(line)
+        if suppressed is not None and (not suppressed or violation.code in suppressed):
+            continue
+        kept.append(violation)
+    return kept
+
 
 #: The rule catalog: code -> (summary, fix-it hint).
 RULES: Dict[str, Tuple[str, str]] = {
@@ -105,10 +162,12 @@ RULES: Dict[str, Tuple[str, str]] = {
         "ProgressEvent sink); stdout writes belong to the CLI alone",
     ),
     "RPR701": (
-        "cross-package import of an underscore-prefixed name",
-        "underscore names are package-private; import the public accessor "
-        "(e.g. registered_schedulers()) or promote the name if it is "
-        "genuinely part of the supported surface",
+        "import across a package boundary",
+        "underscore names are package-private: import the public accessor "
+        "(e.g. registered_schedulers()) or promote the name; the simulation "
+        "packages import no tooling, driver or wall-clock reader, nor the "
+        "package root: move the code down a layer or reach it through the "
+        "probe seam (repro.sim.probe)",
     ),
     "RPR901": (
         "event-queue manipulation outside repro.sim.engine",
@@ -193,14 +252,34 @@ _PRINT_ALLOWLIST = ("repro/cli.py",)
 #: and wall-time accounting in the executor, journal/daemon/store
 #: timestamps, the perf collector and profiler.  Files or directories
 #: *inside the repro package* -- where the checkout lives never matters.
-#: None of it runs inside a simulation, and the layering gate in
-#: ``tests/test_probe.py`` reads this tuple to prove no simulation
-#: package imports any of it.
+#: None of it runs inside a simulation, and :data:`FENCES` keeps every
+#: simulation package from importing any of it.
 WALL_CLOCK_ALLOWLIST = (
     "experiments/exec.py",
     "obs/",
     "perf/",
     "service/",
+)
+
+#: The allowlist as dotted module names.
+CLOCK_READERS = tuple(
+    "repro." + entry.rstrip("/").removesuffix(".py").replace("/", ".")
+    for entry in WALL_CLOCK_ALLOWLIST
+)
+
+#: The package layering (RPR701): (fenced packages, what their modules
+#: may not import at any scope).  The package root is forbidden to both,
+#: since it imports every layer; a bare ``import repro.x`` binds it.  The
+#: transport core sits below all tooling and every driver.  The
+#: application and workload models run inside a simulation too: they may
+#: register with ``repro.experiments.spec``, never reach a clock reader.
+FENCES = (
+    (
+        ("sim", "net", "tcp", "mptcp", "core"),
+        ("repro.analysis", "repro.obs", "repro.perf", "repro.experiments",
+         "repro.service", "repro.apps"),
+    ),
+    (("apps", "workloads"), CLOCK_READERS),
 )
 
 
@@ -234,23 +313,8 @@ def _path_in_repro(path: str) -> Optional[List[str]]:
     return parts[len(parts) - parts[::-1].index("repro") :]
 
 
-def _repro_package_of(path: str) -> Optional[str]:
-    """The repro subpackage a file belongs to, for RPR701.
-
-    ``src/repro/analysis/lint.py`` -> ``"analysis"``;
-    ``src/repro/cli.py`` -> ``""`` (the package root); files outside the
-    ``repro`` package -> ``None`` (external consumers, for whom *every*
-    repro underscore name is private -- suppress with a noqa where a
-    test deliberately reaches into internals).
-    """
-    rel = _path_in_repro(path)
-    if rel is None:
-        return None
-    return rel[0] if len(rel) > 1 else ""
-
-
 class _Linter(ast.NodeVisitor):
-    def __init__(self, path: str, registries: Dict[str, Set[str]]) -> None:
+    def __init__(self, path: str, registries: Dict[str, Set[str]], tree: ast.AST) -> None:
         self.path = path
         self.registries = registries
         self.violations: List[Violation] = []
@@ -258,9 +322,23 @@ class _Linter(ast.NodeVisitor):
         self.allow_rng_construction = posix.endswith(_RNG_CONSTRUCTION_ALLOWLIST)
         self.allow_event_queue = posix.endswith(_EVENT_QUEUE_ALLOWLIST)
         self.allow_print = posix.endswith(_PRINT_ALLOWLIST)
-        inside = "/".join(_path_in_repro(path) or ())
-        self.allow_wall_clock = inside.startswith(WALL_CLOCK_ALLOWLIST)
-        self.repro_package = _repro_package_of(path)
+        inside = _path_in_repro(path)
+        self.allow_wall_clock = "/".join(inside or ()).startswith(WALL_CLOCK_ALLOWLIST)
+        # The repro subpackage the file belongs to, for RPR701: "analysis"
+        # for analysis/lint.py, "" for the package root's own modules, None
+        # outside the package (external consumers, for whom *every* repro
+        # underscore name is private).  ``package_parts`` anchors relative imports.
+        self.repro_package = None if inside is None else (inside[0] if len(inside) > 1 else "")
+        self.package_parts = None if inside is None else ["repro", *inside[:-1]]
+        self.forbidden = next(
+            (tuple(f"{target}." for target in above)
+             for fenced, above in FENCES if self.repro_package in fenced),
+            None,
+        )
+        # Import bindings at any scope: local name -> dotted target.
+        self.bindings = {
+            local: target for node in ast.walk(tree) for local, target in self._imports(node)
+        }
 
     # -- helpers -------------------------------------------------------
     def add(self, node: ast.AST, code: str, detail: str = "") -> None:
@@ -277,9 +355,36 @@ class _Linter(ast.NodeVisitor):
             )
         )
 
+    def _imports(self, node: ast.AST) -> List[Tuple[str, str]]:
+        """``(bound name, dotted target)`` per alias of an import
+        statement; a relative import resolves against the file's package."""
+        if isinstance(node, ast.Import):
+            return [
+                (alias.asname or alias.name.split(".")[0],
+                 alias.name if alias.asname else alias.name.split(".")[0])
+                for alias in node.names
+            ]
+        if not isinstance(node, ast.ImportFrom):
+            return []
+        base = node.module
+        if node.level:
+            if self.package_parts is None:
+                return []
+            parts = self.package_parts
+            anchor = parts[: max(0, len(parts) - node.level + 1)]
+            base = ".".join(anchor + ([node.module] if node.module else []))
+        return [(alias.asname or alias.name, f"{base}.{alias.name}")
+                for alias in node.names if alias.name != "*"]
+
     # -- RPR101 / RPR102 / RPR103 / RPR501 (calls) ---------------------
     def visit_Call(self, node: ast.Call) -> None:
         dotted = _dotted_name(node.func)
+        if dotted is not None:
+            # The head name as imported: ``t.monotonic`` after ``import
+            # time as t`` is ``time.monotonic``.
+            head, dot, rest = dotted.partition(".")
+            if head in self.bindings:
+                dotted = self.bindings[head] + dot + rest
         if dotted in _WALL_CLOCK_CALLS:
             if not self.allow_wall_clock:
                 self.add(node, "RPR101", f"{dotted}()")
@@ -331,7 +436,7 @@ class _Linter(ast.NodeVisitor):
                 f"(known: {', '.join(sorted(known))})",
             )
 
-    # -- RPR701 (cross-package private imports) -------------------------
+    # -- RPR701 (package boundaries) -----------------------------------
     def _foreign_repro_module(self, module: str) -> bool:
         """True when ``module`` names a repro subpackage other than ours."""
         parts = module.split(".")
@@ -353,6 +458,17 @@ class _Linter(ast.NodeVisitor):
         elif name.startswith("_"):
             self.add(node, "RPR701", f"from {module} import {name}")
 
+    def _check_layering(self, node: ast.AST) -> None:
+        """A fenced package's import of a layer above it (:data:`FENCES`)."""
+        if self.forbidden is None:
+            return
+        for _, target in self._imports(node):
+            if isinstance(node, ast.ImportFrom) and target.rpartition(".")[0] == "repro":
+                target = "repro"  # ``from repro import x`` reads the root
+            if target == "repro" or f"{target}.".startswith(self.forbidden):
+                self.add(node, "RPR701", f"repro.{self.repro_package} imports {target}")
+                return
+
     # -- RPR901 (event-queue manipulation) -----------------------------
     def visit_Import(self, node: ast.Import) -> None:
         if not self.allow_event_queue:
@@ -362,6 +478,7 @@ class _Linter(ast.NodeVisitor):
         for alias in node.names:
             # ``import repro.x._priv``: the module path itself is private.
             self._check_private_import(node, alias.name, "")
+        self._check_layering(node)
         self.generic_visit(node)
 
     def visit_ImportFrom(self, node: ast.ImportFrom) -> None:
@@ -373,6 +490,7 @@ class _Linter(ast.NodeVisitor):
         if node.level == 0 and node.module:
             for alias in node.names:
                 self._check_private_import(node, node.module, alias.name)
+        self._check_layering(node)
         self.generic_visit(node)
 
     def visit_Attribute(self, node: ast.Attribute) -> None:
@@ -574,7 +692,7 @@ def lint_source(
     """
     wanted = _selected(select)
     tree = ast.parse(source, filename=path)
-    linter = _Linter(path, _registries() if registries is None else registries)
+    linter = _Linter(path, _registries() if registries is None else registries, tree)
     linter.visit(tree)
     return _report(apply_noqa(linter.violations, source), wanted)
 
@@ -596,20 +714,13 @@ def iter_python_files(paths: Sequence[Path]) -> List[Path]:
     return sorted(files)
 
 
-@dataclass
-class LintRun:
-    """What one analysis produced: the findings and the program model."""
-
-    violations: List[Violation]
-    project: Project
-
-
-def run_lint(
+def lint_paths(
     paths: Sequence,
     select: Optional[Iterable[str]] = None,
     registries: Optional[Dict[str, Set[str]]] = None,
-) -> LintRun:
-    """Parse -> findings (and imports) over every ``.py`` file under ``paths``.
+) -> List[Violation]:
+    """Every finding in the ``.py`` files under ``paths``, each file read
+    and parsed once.
 
     ``select`` restricts the reported rule codes; ``registries``
     overrides the kind-name sets RPR501 resolves against.  A file that
@@ -619,25 +730,10 @@ def run_lint(
     wanted = _selected(select)
     if registries is None:
         registries = _registries()
-    summaries: List[ModuleSummary] = []
-    kept: List[Violation] = []
+    found: List[Violation] = []
     for file_path in iter_python_files([Path(p) for p in paths]):
-        key = str(file_path)
-        source = file_path.read_text()
-        tree = ast.parse(source, filename=key)
-        linter = _Linter(key, registries)
-        linter.visit(tree)
-        kept.extend(apply_noqa(linter.violations, source))
-        summaries.append(extract_module(source, key, tree=tree))
-    return LintRun(violations=_report(kept, wanted), project=Project(summaries))
-
-
-def lint_paths(
-    paths: Sequence, select: Optional[Iterable[str]] = None
-) -> List[Violation]:
-    """Lint files and/or directory trees; returns all violations
-    (:func:`run_lint` also hands back the import graph)."""
-    return run_lint(paths, select=select).violations
+        found.extend(lint_source(file_path.read_text(), str(file_path), registries=registries))
+    return _report(found, wanted)
 
 
 def default_lint_root() -> Path:

@@ -320,17 +320,21 @@ def cmd_report(args) -> int:
 
 # -- analysis commands ----------------------------------------------------------
 def cmd_lint(args) -> int:
-    from repro.analysis.lint import RULES, default_lint_root, run_lint
+    from repro.analysis.lint import RULES, default_lint_root, iter_python_files, lint_paths
 
     if args.list_rules:
         for code, (summary, fixit) in sorted(RULES.items()):
             print(f"{code}  {summary}\n        fix: {fixit}")
         return 0
-    run = _read("lint", run_lint, args.paths or [default_lint_root()], select=args.select)
-    if run is None:
+    paths = [Path(p) for p in args.paths or [default_lint_root()]]
+    files = _read("lint", iter_python_files, paths)
+    if files is None:
         return 2
-    print(f"lint: {len(run.project.summaries)} file(s)", file=sys.stderr)
-    return _report_problems([v.format() for v in run.violations], noun="violation")
+    violations = _read("lint", lint_paths, files, select=args.select)
+    if violations is None:
+        return 2
+    print(f"lint: {len(files)} file(s)", file=sys.stderr)
+    return _report_problems([v.format() for v in violations], noun="violation")
 
 
 def _streaming_4sf_spec(args, scheduler: str) -> StreamingRunConfig:

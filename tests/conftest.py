@@ -69,15 +69,6 @@ def declaring_classes():
     return dict(sorted(found.items()))
 
 
-@pytest.fixture(scope="session")
-def tree_run():
-    """The analyzer run over the installed package, once per session
-    (the layering gate reads its import graph)."""
-    from repro.analysis.lint import default_lint_root, run_lint
-
-    return run_lint([default_lint_root()])
-
-
 def python_calls(function) -> int:
     """Python-level ``call`` events while ``function()`` runs (C builtins
     are ``c_call`` and do not count): the cost measure of the budget

@@ -8,8 +8,7 @@ from pathlib import Path
 import pytest
 
 from repro.analysis import sanitize
-from repro.analysis.flow import module_name_for, suppressed_codes
-from repro.analysis.lint import RULES, lint_paths, lint_source
+from repro.analysis.lint import RULES, lint_paths, lint_source, suppressed_codes
 from repro.analysis.sanitize import Checks, SanitizerError
 from repro.cli import main as cli_main
 from repro.sim.engine import Simulator
@@ -68,6 +67,21 @@ class TestLintRules:
             path.write_text(source)
             codes = [v.code for v in lint_paths([path])]
             assert codes == (["RPR101"] if flagged else []), inside
+
+    @pytest.mark.parametrize("source, code", [
+        ("from time import perf_counter\nt = perf_counter()\n", "RPR101"),
+        ("import time as t\nnow = t.monotonic()\n", "RPR101"),
+        ("from datetime import datetime as dt\nd = dt.now()\n", "RPR101"),
+        ("from random import random\nx = random()\n", "RPR102"),
+        ("import random as r\nx = r.random()\n", "RPR102"),
+        ("from random import Random\nrng = Random(3)\n", "RPR103"),
+    ], ids=["from-time", "time-as", "datetime-as", "from-random", "random-as",
+            "from-random-Random"])
+    def test_rpr10x_resolve_the_call_through_its_imports(self, source, code):
+        assert codes_of(source) == [code]
+        # A binding made at function scope counts too.
+        indented = "def f():\n" + "".join(f"    {line}\n" for line in source.splitlines())
+        assert codes_of(indented) == [code]
 
     def test_rpr102_module_level_random(self):
         assert codes_of("import random\nx = random.random()\n") == ["RPR102"]
@@ -301,12 +315,6 @@ class TestLintCli:
     def test_missing_path_raises(self):
         with pytest.raises(FileNotFoundError):
             lint_paths([str(REPO_ROOT / "does-not-exist")])
-
-    def test_module_names(self):
-        # The import graph is keyed by these: package files by their real
-        # import path, files outside it by a path-derived unique name.
-        assert module_name_for("src/repro/sim/engine.py") == "repro.sim.engine"
-        assert module_name_for("tests/data/lint_bad.py") == "tests.data.lint_bad"
 
     def test_rule_catalog_is_pinned(self):
         # Adding or dropping a rule has to edit this list on purpose, and

@@ -5,7 +5,9 @@ Three guarantees the refactor rests on:
 * **layering** -- nothing under ``repro.sim|net|tcp|mptcp|core`` imports
   ``repro.analysis|obs|perf|experiments|service|apps`` (or the package
   root) at any scope, and ``repro.apps|workloads`` import none of the
-  host-side modules the lint lets read the wall clock;
+  host-side modules the lint lets read the wall clock: RPR701's
+  layering clause (``repro.analysis.lint.FENCES``), held here over the
+  installed package and a set of seeded sources;
 * **composition** -- any subset of the five tools armed together leaves
   results byte-identical, the event log record-identical, and the
   sanitizer ahead of every recorder;
@@ -23,8 +25,7 @@ from contextlib import ExitStack, contextmanager
 import pytest
 
 from repro.analysis import check, events, sanitize
-from repro.analysis.flow import Project, extract_module
-from repro.analysis.lint import WALL_CLOCK_ALLOWLIST
+from repro.analysis.lint import FENCES, default_lint_root, lint_paths, lint_source
 from repro.analysis.sanitize import SanitizerError
 from repro.apps.bulk import BulkDownloadSpec, build_world, run_bulk
 from repro.experiments.runner import StreamingRunConfig, run_streaming
@@ -35,85 +36,57 @@ from repro.perf import counters, profiler
 from repro.sim import probe
 from repro.sim.engine import Simulator, Timer
 
-CORE = ("repro.sim", "repro.net", "repro.tcp", "repro.mptcp", "repro.core")
-ABOVE = (
-    "repro.analysis", "repro.obs", "repro.perf", "repro.experiments", "repro.service",
-    "repro.apps",
-)
-
-
-#: The application and workload models run inside a simulation too, but
-#: sit above the core (they register with ``repro.experiments.spec``).
-#: What they must never reach is a module RPR101 exempts; derived from
-#: the lint's allowlist so the two cannot drift.
-DRIVEN = ("repro.apps", "repro.workloads")
-CLOCK_READERS = tuple(
-    "repro." + entry.rstrip("/").removesuffix(".py").replace("/", ".")
-    for entry in WALL_CLOCK_ALLOWLIST
-)
-
-#: (importing packages, what they must not import)
-FENCES = ((CORE, ABOVE), (DRIVEN, CLOCK_READERS))
-
-
-def _under(module, packages):
-    return any(module == p or module.startswith(p + ".") for p in packages)
-
-
-def upward_imports(project):
-    """``(module, imported module)`` edges that break the layering.
-
-    A bare ``import repro.x.y`` binds (and is recorded as) the package
-    root, which itself imports every layer, so the root counts too.
-    """
-    return [
-        (module, target)
-        for module, targets in sorted(project.import_graph().items())
-        for packages, forbidden in FENCES
-        if _under(module, packages)
-        for target in sorted(targets)
-        if target == "repro" or _under(target, forbidden)
-    ]
+def layering_findings(source, package):
+    """The RPR701 findings of ``source`` linted as a module of ``package``."""
+    path = f"src/repro/{package}/seeded.py"
+    return [v.message for v in lint_source(source, path=path, select=["RPR701"])]
 
 
 class TestLayering:
-    def test_core_imports_nothing_from_above(self, tree_run):
-        project = tree_run.project
-        assert any(_under(m, CORE) for m in project.by_module)
-        assert any(_under(m, DRIVEN) for m in project.by_module)
-        assert CLOCK_READERS == (
-            "repro.experiments.exec", "repro.obs", "repro.perf", "repro.service",
+    def test_core_imports_nothing_from_above(self):
+        root = default_lint_root()
+        assert all((root / package).is_dir() for fenced, _ in FENCES for package in fenced)
+        assert FENCES == (
+            (("sim", "net", "tcp", "mptcp", "core"),
+             ("repro.analysis", "repro.obs", "repro.perf", "repro.experiments",
+              "repro.service", "repro.apps")),
+            (("apps", "workloads"),
+             ("repro.experiments.exec", "repro.obs", "repro.perf", "repro.service")),
         )
-        assert upward_imports(project) == []
+        assert lint_paths([root], select=["RPR701"]) == []
 
     def test_a_lazy_upward_import_is_caught(self):
-        seeded = Project([
-            extract_module(
-                "def late():\n    from repro.analysis import events\n    return events\n",
-                "src/repro/tcp/seeded.py",
-            ),
-            extract_module("import repro.perf.counters\n", "src/repro/net/seeded.py"),
+        # (package, source, what its one finding names; None = allowed)
+        seeded = [
+            ("tcp", "def late():\n    from repro.analysis import events\n    return events\n",
+             "repro.analysis.events"),
+            ("tcp", "def late():\n    from repro.perf import counters\n", "repro.perf.counters"),
+            # A bare import binds, and runs, the package root.
+            ("net", "import repro.perf.counters\n", "repro"),
+            ("tcp", "import repro.perf.counters as c\n", "repro.perf.counters"),
+            # A relative import resolves against the file's package.
+            ("tcp", "from ..analysis import events\n", "repro.analysis.events"),
             # apps may register with experiments.spec, never time a run.
-            extract_module(
-                "def register():\n"
-                "    from repro.experiments.spec import register_experiment\n"
-                "def late():\n"
-                "    from repro.experiments.exec import ExperimentExecutor\n",
-                "src/repro/apps/seeded.py",
-            ),
-            extract_module("from repro.obs import journal\n", "src/repro/workloads/seeded.py"),
-            extract_module("", "src/repro/analysis/events.py"),
-            extract_module("", "src/repro/experiments/spec.py"),
-            extract_module("", "src/repro/experiments/exec.py"),
-            extract_module("", "src/repro/obs/journal.py"),
-            extract_module("", "src/repro/__init__.py"),
-        ])
-        assert upward_imports(seeded) == [
-            ("repro.apps.seeded", "repro.experiments.exec"),
-            ("repro.net.seeded", "repro"),
-            ("repro.tcp.seeded", "repro.analysis.events"),
-            ("repro.workloads.seeded", "repro.obs.journal"),
+            ("apps",
+             "def register():\n"
+             "    from repro.experiments.spec import register_experiment\n"
+             "def late():\n"
+             "    from repro.experiments.exec import ExperimentExecutor\n",
+             "repro.experiments.exec.ExperimentExecutor"),
+            ("workloads", "from repro.obs import journal\n", "repro.obs.journal"),
+            ("core", "from repro.sim.engine import Simulator\n", None),
+            ("apps", "from repro.experiments.spec import register_experiment\n", None),
+            ("workloads", "from repro.experiments.spec import register_experiment\n", None),
+            ("tcp", "from repro.perf import counters  # repro: noqa[RPR701]\n", None),
         ]
+        found = {(package, source): layering_findings(source, package)
+                 for package, source, _ in seeded}
+        assert found == {
+            (package, source): [] if target is None else [
+                f"import across a package boundary: repro.{package} imports {target}"
+            ]
+            for package, source, target in seeded
+        }
 
 
 # ----------------------------------------------------------------------
