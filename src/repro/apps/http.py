@@ -138,9 +138,6 @@ class HttpSession:
     # ------------------------------------------------------------------
     # Server side
     # ------------------------------------------------------------------
-    def _server_on_request(self, size: int) -> None:
-        self.conn.write(size)
-
     def _request_arrived(self, size: int, _packet: Packet) -> None:
         """Link-delivery adapter: ``partial(self._request_arrived, size)``
         replaces the per-GET closure the request path used to allocate."""
@@ -155,7 +152,8 @@ class HttpSession:
             head = self._pending[0]
             if head.first_byte_at is None:
                 head.first_byte_at = now
-            consumed = min(nbytes, head.remaining)
+            remaining = head.remaining
+            consumed = remaining if remaining < nbytes else nbytes  # min(nbytes, remaining)
             head.remaining -= consumed
             nbytes -= consumed
             if head.remaining == 0:

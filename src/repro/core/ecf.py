@@ -171,7 +171,8 @@ class EcfScheduler(Scheduler):
         (k = 1 leftover packet) to come out as "wait".
 
         Read on locals, once per decision: ``srtt_or_default()``,
-        ``max(cwnd, 1.0)`` and ``conn.mss`` stay the definitions, and
+        ``max(cwnd, 1.0)``, ``max(sigma_f, sigma_s)`` and ``conn.mss``
+        stay the definitions, and
         ``TestRankingProperties.test_ecf_decision_inputs_match_the_definition``
         in ``tests/test_properties.py`` holds every field equal to them.
         """
@@ -190,7 +191,9 @@ class EcfScheduler(Scheduler):
         cwnd_s = second.cwnd
         if cwnd_s < 1.0:
             cwnd_s = 1.0
-        delta = max(fast_rtt.sigma, slow_rtt.sigma)
+        sigma_f = fast_rtt.sigma
+        sigma_s = slow_rtt.sigma
+        delta = sigma_s if sigma_s > sigma_f else sigma_f  # max(sigma_f, sigma_s)
         threshold = (1.0 + (self.beta if self.waiting else 0.0)) * (rtt_s + delta)
         n = 1.0 + math.ceil(k_segments / cwnd_f)
         return EcfInputs(k_segments, rtt_f, rtt_s, cwnd_f, cwnd_s, delta, n, threshold)

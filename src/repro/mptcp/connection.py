@@ -263,9 +263,13 @@ class MptcpConnection:
             mss = config.mss
             scheduler = self.scheduler
             while self.unassigned_bytes > 0:
-                payload = min(mss, self.unassigned_bytes)
-                # window_limited(), on locals.
-                window = min(config.send_window_bytes, self.peer_recv_window)
+                # min(mss, unassigned) and window_limited(), compared on
+                # locals: a two-number min() is a C call per segment.
+                unassigned = self.unassigned_bytes
+                payload = unassigned if unassigned < mss else mss
+                peer_window = self.peer_recv_window
+                own_window = config.send_window_bytes
+                window = peer_window if peer_window < own_window else own_window
                 if window - (self.next_dsn - self.conn_una) < payload:
                     if config.penalization_enabled and self.recv_window_limited():
                         self._opportunistic_retransmit()

@@ -163,7 +163,8 @@ class MptcpReceiver:
     @property
     def recv_window(self) -> int:
         """Advertised window: capacity minus bytes parked out of order."""
-        return max(0, self.recv_buffer_bytes - self._buffered_bytes)
+        free = self.recv_buffer_bytes - self._buffered_bytes
+        return free if free > 0 else 0  # max(0, free), without the C call
 
     @property
     def buffered_bytes(self) -> int:

@@ -254,8 +254,9 @@ class Link:
         finish = start + tx_time
         self._free_at = finish
         fifo = self._fifo
+        idle = not fifo
         fifo.append((finish, packet, on_delivery))
-        if len(fifo) == 1:
+        if idle:
             self.sim.arm(self._timer, finish if self.jitter > 0.0 else finish + self.delay)
         probe = _probe.ACTIVE
         if probe is not None:

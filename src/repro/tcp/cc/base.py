@@ -51,13 +51,22 @@ class CongestionController:
     # Events
     # ------------------------------------------------------------------
     def on_ack(self, subflow: "Subflow", acked_segments: int = 1) -> None:
-        """Grow the window on a (new, non-duplicate) acknowledgement."""
-        for _ in range(acked_segments):
-            if subflow.cwnd < subflow.ssthresh:
-                subflow.cwnd += 1.0  # slow start
-            else:
-                subflow.cwnd += self.ca_increase(subflow)
-        subflow.cwnd = min(subflow.cwnd, subflow.max_cwnd)
+        """Grow the window on one new, non-duplicate acknowledgement.
+
+        One ACK per call: the subflow calls this once per newly acked
+        segment.  ``acked_segments`` is accepted only as 1, for callers
+        that spell the count out (the benchmark's per-controller probe);
+        a batch of ACKs is that many calls.
+        """
+        if acked_segments != 1:
+            raise ValueError(f"on_ack handles one ACK per call, got {acked_segments!r}")
+        cwnd = subflow.cwnd
+        if cwnd < subflow.ssthresh:
+            cwnd += 1.0  # slow start
+        else:
+            cwnd += self.ca_increase(subflow)
+        max_cwnd = subflow.max_cwnd
+        subflow.cwnd = max_cwnd if max_cwnd < cwnd else cwnd  # min(cwnd, max_cwnd)
         probe = _probe.ACTIVE
         if probe is not None:
             probe.audit_cwnd(subflow)

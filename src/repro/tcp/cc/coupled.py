@@ -60,7 +60,9 @@ class CoupledController(CongestionController):
 
     def ca_increase(self, subflow: "Subflow") -> float:
         alpha, total_cwnd = self._alpha_and_total()
-        uncoupled = 1.0 / max(subflow.cwnd, 1.0)
+        cwnd = subflow.cwnd
+        uncoupled = 1.0 / (1.0 if cwnd < 1.0 else cwnd)  # 1 / max(cwnd, 1.0)
         if total_cwnd <= 0:
             return uncoupled
-        return min(alpha / total_cwnd, uncoupled)
+        coupled = alpha / total_cwnd
+        return uncoupled if uncoupled < coupled else coupled  # min(coupled, uncoupled)

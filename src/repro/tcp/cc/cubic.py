@@ -74,24 +74,27 @@ class CubicController(CongestionController):
         state = self._state_for(subflow)
         now = subflow.sim.now
         rtt = subflow.srtt_or_default()
+        cwnd = subflow.cwnd
         if state.epoch_start < 0:
             state.epoch_start = now
-            if state.w_max < subflow.cwnd:
-                state.w_max = subflow.cwnd
+            if state.w_max < cwnd:
+                state.w_max = cwnd
             state.k = ((state.w_max * (1.0 - BETA_CUBIC)) / C) ** (1.0 / 3.0)
-            state.reno_cwnd = subflow.cwnd
+            state.reno_cwnd = cwnd
         t = now - state.epoch_start + rtt
         target = C * (t - state.k) ** 3 + state.w_max
+        floor = 1.0 if cwnd < 1.0 else cwnd  # max(cwnd, 1.0), without the C call
         # TCP-friendly region: emulate Reno's average rate.
-        state.reno_cwnd += 3.0 * (1.0 - BETA_CUBIC) / (1.0 + BETA_CUBIC) / max(
-            subflow.cwnd, 1.0
-        )
-        target = max(target, state.reno_cwnd)
-        if target <= subflow.cwnd:
+        reno_cwnd = state.reno_cwnd + 3.0 * (1.0 - BETA_CUBIC) / (1.0 + BETA_CUBIC) / floor
+        state.reno_cwnd = reno_cwnd
+        if reno_cwnd > target:
+            target = reno_cwnd  # max(target, reno_cwnd)
+        if target <= cwnd:
             # In the concave plateau: probe very gently.
-            return 0.01 / max(subflow.cwnd, 1.0)
-        # Spread the distance-to-target over one window of ACKs.
-        return min(1.0, (target - subflow.cwnd) / max(subflow.cwnd, 1.0))
+            return 0.01 / floor
+        # Spread the distance-to-target over one window of ACKs: min(1.0, step).
+        step = (target - cwnd) / floor
+        return step if step < 1.0 else 1.0
 
     def on_loss(self, subflow: "Subflow") -> None:
         state = self._state_for(subflow)

@@ -52,7 +52,9 @@ class OliaController(CongestionController):
         for sf in paths:
             rtt = sf.rtt.srtt or DEFAULT_RTT
             cwnd = sf.cwnd
-            inter_loss = float(max(sf.stats.bytes_since_loss, sf.mss))
+            since_loss = sf.stats.bytes_since_loss
+            mss = sf.mss
+            inter_loss = float(mss if mss > since_loss else since_loss)  # max(since_loss, mss)
             cwnds.append(cwnd)
             qualities.append(inter_loss * inter_loss / rtt)
             denom += cwnd / rtt
@@ -79,10 +81,14 @@ class OliaController(CongestionController):
 
     def ca_increase(self, subflow: "Subflow") -> float:
         denom, alpha = self._denom_and_alpha(subflow)
-        denom = max(denom, _EPS)
+        if _EPS > denom:
+            denom = _EPS  # max(denom, _EPS)
         rtt_i = subflow.rtt.srtt or DEFAULT_RTT
+        cwnd = subflow.cwnd
         # For a single path this reduces to Reno's 1/cwnd.
-        increase = (subflow.cwnd / (rtt_i * rtt_i)) / (denom * denom)
-        total = increase + alpha / max(subflow.cwnd, 1.0)
-        # Never shrink faster than a segment per ACK nor outgrow slow start.
-        return max(-1.0, min(1.0, total))
+        increase = (cwnd / (rtt_i * rtt_i)) / (denom * denom)
+        total = increase + alpha / (1.0 if cwnd < 1.0 else cwnd)  # max(cwnd, 1.0)
+        # Never shrink faster than a segment per ACK nor outgrow slow start:
+        # max(-1.0, min(1.0, total)).
+        total = total if total < 1.0 else 1.0
+        return total if total > -1.0 else -1.0

@@ -23,4 +23,5 @@ class RenoController(CongestionController):
     __slots__ = ()
 
     def ca_increase(self, subflow: "Subflow") -> float:
-        return 1.0 / max(subflow.cwnd, 1.0)
+        cwnd = subflow.cwnd
+        return 1.0 / (1.0 if cwnd < 1.0 else cwnd)  # 1 / max(cwnd, 1.0)

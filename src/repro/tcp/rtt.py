@@ -102,7 +102,10 @@ class RttEstimator:
             srtt = rtt
             rttvar = rtt / 2.0
         else:
-            rttvar = (1.0 - BETA) * self.rttvar + BETA * abs(srtt - rtt)
+            # abs(srtt - rtt) without the C call.  Not ``x - y if x > y
+            # else y - x``: that gives -0.0 for (+0.0, -0.0).
+            diff = srtt - rtt
+            rttvar = (1.0 - BETA) * self.rttvar + BETA * (diff if diff > 0.0 else 0.0 - diff)
             srtt = (1.0 - ALPHA) * srtt + ALPHA * rtt
         self.srtt = srtt
         self.rttvar = rttvar

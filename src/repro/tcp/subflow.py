@@ -395,9 +395,9 @@ class Subflow:
                 self._in_recovery = False
             if not self._in_recovery:
                 if probe is None:
-                    self.cc.on_ack(self, 1)
+                    self.cc.on_ack(self)
                 else:
-                    probe.timed("cc.update", self.cc.on_ack, self, 1)
+                    probe.timed("cc.update", self.cc.on_ack, self)
             threshold = self.highest_acked - DUP_THRESHOLD + 1
             if threshold > self.una and threshold > self._loss_scanned_to:
                 self._detect_losses(threshold)
@@ -426,7 +426,9 @@ class Subflow:
         is also lost is therefore recovered by the RTO backstop rather than
         by dupacks -- the same compromise many real stacks make.
         """
-        for seq in range(max(self.una, self._loss_scanned_to), threshold):
+        una = self.una
+        scanned = self._loss_scanned_to
+        for seq in range(scanned if scanned > una else una, threshold):  # max(una, scanned)
             segment = self._outstanding.get(seq)
             if segment is None or segment.acked or segment.lost:
                 continue

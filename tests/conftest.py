@@ -6,6 +6,7 @@ import functools
 import importlib
 import pkgutil
 import sys
+from typing import NamedTuple
 
 import pytest
 
@@ -69,16 +70,27 @@ def declaring_classes():
     return dict(sorted(found.items()))
 
 
-def python_calls(function) -> int:
-    """Python-level ``call`` events while ``function()`` runs (C builtins
-    are ``c_call`` and do not count): the cost measure of the budget
-    gates, exact for a given interpreter where a wall clock is not."""
-    calls = 0
+class Calls(NamedTuple):
+    """Calls made while a function ran, by the kind ``sys.setprofile``
+    reports: ``python`` counts ``call`` events (Python functions),
+    ``c`` counts ``c_call`` events (builtins and C methods)."""
+
+    python: int
+    c: int
+
+
+def call_counts(function) -> Calls:
+    """Python and C calls while ``function()`` runs: the cost measure of
+    the budget gates, exact for a given interpreter where a wall clock is
+    not."""
+    python = c = 0
 
     def count(frame, event, arg):
-        nonlocal calls
+        nonlocal python, c
         if event == "call":
-            calls += 1
+            python += 1
+        elif event == "c_call":
+            c += 1
 
     previous = sys.getprofile()
     sys.setprofile(count)
@@ -86,7 +98,7 @@ def python_calls(function) -> int:
         function()
     finally:
         sys.setprofile(previous)
-    return calls
+    return Calls(python, c)
 
 
 def flip_a_digit(entry) -> None:

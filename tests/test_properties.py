@@ -2,8 +2,10 @@
 
 import math
 import random
+import struct
 
-from hypothesis import given, settings, strategies as st
+import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from repro.core.base import Scheduler
 from repro.core.ecf import EcfInputs, EcfScheduler
@@ -12,8 +14,14 @@ from repro.metrics.stats import ccdf, cdf, mean, percentile, stdev
 from repro.mptcp.receiver import MptcpReceiver
 from repro.net.link import Link
 from repro.net.packet import Packet
+from repro.sim import probe
 from repro.sim.engine import Simulator
-from repro.tcp.rtt import RttEstimator
+from repro.tcp.cc import CoupledController, OliaController, RenoController
+from repro.tcp.cc.base import CongestionController
+from repro.tcp.cc.coupled import DEFAULT_RTT
+from repro.tcp.cc.cubic import BETA_CUBIC, C, CubicController, _CubicState
+from repro.tcp.cc.olia import _EPS
+from repro.tcp.rtt import ALPHA, BETA, RttEstimator
 from tests.conftest import build_connection
 
 finite_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -231,6 +239,201 @@ class TestRankingProperties:
         conn = ranked_world(states)
         available = [sf for sf in conn.subflows if spec_can_send(sf)]
         assert conn.scheduler.select(conn) is spec_fastest(available)
+
+
+# ----------------------------------------------------------------------
+# Two-number min / max / abs, spelled as comparisons on the hot path
+# ----------------------------------------------------------------------
+
+#: Every float, with the values a comparison can get wrong drawn often:
+#: NaN, both zeros, both infinities and the bounds the code clamps to.
+any_float = st.floats() | st.sampled_from(
+    [0.0, -0.0, math.inf, -math.inf, math.nan, 1.0, -1.0, 1e-300]
+)
+
+
+def same(got, want) -> bool:
+    """Bit for bit, via ``struct.pack``, so the sign of zero counts.  A
+    NaN matches any NaN: Python leaves a NaN's sign bit unspecified
+    (``abs`` clears it, and x86 sets it on ``inf - inf``).  An exception
+    type matches only itself."""
+    if isinstance(want, float) and isinstance(got, float):
+        if math.isnan(want):
+            return math.isnan(got)
+        return struct.pack("<d", got) == struct.pack("<d", want)
+    return type(got) is type(want) and got == want
+
+
+def outcome(function, *args):
+    """``function(*args)``, or the type of the arithmetic error it raised
+    (a division by zero, a float overflow): both spellings must fail alike."""
+    try:
+        return function(*args)
+    except ArithmeticError as exc:
+        return type(exc)
+
+
+class _Stub:
+    """Attribute bag standing in for a subflow (hashable, unlike a
+    ``SimpleNamespace``: CUBIC keys its state by the subflow)."""
+
+    def __init__(self, **fields):
+        self.__dict__.update(fields)
+
+
+class _Drawn(CongestionController):
+    """A controller whose congestion-avoidance increase is drawn."""
+
+    __slots__ = ("increase",)
+
+    def ca_increase(self, subflow):
+        return self.increase
+
+
+class _DrawnCoupled(CoupledController):
+    __slots__ = ("drawn",)
+
+    def _alpha_and_total(self):
+        return self.drawn
+
+
+class _DrawnOlia(OliaController):
+    __slots__ = ("drawn",)
+
+    def _denom_and_alpha(self, subflow):
+        return self.drawn
+
+
+def reference_add_sample(state, rtt, min_rto_var, max_rto):
+    """``RttEstimator.add_sample`` spelled with ``abs``, ``min`` and
+    ``max``; ``state`` is ``[srtt, rttvar, rto]``."""
+    srtt, rttvar, _ = state
+    if srtt is None:
+        srtt, rttvar = rtt, rtt / 2.0
+    else:
+        rttvar = (1.0 - BETA) * rttvar + BETA * abs(srtt - rtt)
+        srtt = (1.0 - ALPHA) * srtt + ALPHA * rtt
+    state[:] = [srtt, rttvar, min(max_rto, srtt + max(min_rto_var, 4.0 * rttvar))]
+
+
+def reference_cubic(state, now, rtt, cwnd):
+    """``CubicController.ca_increase`` with its ``min`` / ``max`` calls."""
+    if state.epoch_start < 0:
+        state.epoch_start = now
+        if state.w_max < cwnd:
+            state.w_max = cwnd
+        state.k = ((state.w_max * (1.0 - BETA_CUBIC)) / C) ** (1.0 / 3.0)
+        state.reno_cwnd = cwnd
+    t = now - state.epoch_start + rtt
+    target = C * (t - state.k) ** 3 + state.w_max
+    state.reno_cwnd += 3.0 * (1.0 - BETA_CUBIC) / (1.0 + BETA_CUBIC) / max(cwnd, 1.0)
+    target = max(target, state.reno_cwnd)
+    if target <= cwnd:
+        return 0.01 / max(cwnd, 1.0)
+    return min(1.0, (target - cwnd) / max(cwnd, 1.0))
+
+
+def reference_olia(cwnd, srtt, denom, alpha):
+    """``OliaController.ca_increase`` past its coupling term."""
+    denom = max(denom, _EPS)
+    rtt_i = srtt or DEFAULT_RTT
+    increase = (cwnd / (rtt_i * rtt_i)) / (denom * denom)
+    total = increase + alpha / max(cwnd, 1.0)
+    return max(-1.0, min(1.0, total))
+
+
+class TestComparisonProperties:
+    """Each two-number ``min`` / ``max`` / ``abs`` the per-segment path
+    respells as a comparison on locals keeps the builtin's result, bit for
+    bit, on any float."""
+
+    @given(any_float, any_float)
+    @example(0.0, -0.0)
+    @example(-0.0, 0.0)
+    @example(math.nan, 1.0)
+    @example(1.0, math.nan)
+    @example(math.inf, math.inf)
+    def test_spellings_match_the_builtins(self, a, b):
+        # min / max hand back one of their arguments: the very same object.
+        assert (b if b < a else a) is min(a, b)
+        assert (b if b > a else a) is max(a, b)
+        assert same(1.0 if a < 1.0 else a, max(a, 1.0))
+        clamped = a if a < 1.0 else 1.0
+        assert same(clamped if clamped > -1.0 else -1.0, max(-1.0, min(1.0, a)))
+        # abs(a - b) as RttEstimator spells it; ``a - b if a > b else b - a``
+        # would give -0.0 for (+0.0, -0.0).
+        diff = a - b
+        assert same(diff if diff > 0.0 else 0.0 - diff, abs(a - b))
+
+    @given(
+        st.lists(
+            st.floats(min_value=0.0, exclude_min=True)
+            | st.sampled_from([5e-324, 0.05, 0.05, math.inf, math.nan]),
+            max_size=40,
+        ),
+        st.floats(min_value=0.0, max_value=1.0),
+        st.floats(min_value=0.5, max_value=60.0),
+    )
+    def test_rtt_estimator_matches_the_abs_reference(self, samples, min_rto_var, max_rto):
+        est = RttEstimator(min_rto_var=min_rto_var, max_rto=max_rto)
+        state = [None, None, 1.0]
+        for sample in samples:
+            est.add_sample(sample)
+            reference_add_sample(state, sample, min_rto_var, max_rto)
+            for got, want in zip((est.srtt, est.rttvar, est.rto), state):
+                assert same(got, want), (samples, got, want)
+
+    @given(any_float, any_float, any_float, any_float)
+    def test_on_ack_caps_as_min_did(self, cwnd, ssthresh, max_cwnd, increase):
+        if probe.ACTIVE is not None:
+            pytest.skip("a tool is armed: its cwnd audit refuses drawn windows")
+        controller = _Drawn()
+        controller.increase = increase
+        subflow = _Stub(cwnd=cwnd, ssthresh=ssthresh, max_cwnd=max_cwnd)
+        controller.on_ack(subflow)
+        grown = cwnd + 1.0 if cwnd < ssthresh else cwnd + increase
+        assert same(subflow.cwnd, min(grown, max_cwnd))
+
+    @given(any_float, any_float, any_float)
+    def test_reno_and_coupled_increase_as_min_max_did(self, cwnd, alpha, total):
+        subflow = _Stub(cwnd=cwnd)
+        reno = outcome(RenoController().ca_increase, subflow)
+        assert same(reno, outcome(lambda: 1.0 / max(cwnd, 1.0)))
+        coupled = _DrawnCoupled()
+        coupled.drawn = (alpha, total)
+
+        def reference():
+            uncoupled = 1.0 / max(cwnd, 1.0)
+            return uncoupled if total <= 0 else min(alpha / total, uncoupled)
+
+        assert same(outcome(coupled.ca_increase, subflow), outcome(reference))
+
+    @given(any_float, any_float, any_float, any_float)
+    def test_olia_increase_as_min_max_did(self, cwnd, srtt, denom, alpha):
+        olia = _DrawnOlia()
+        olia.drawn = (denom, alpha)
+        subflow = _Stub(cwnd=cwnd, rtt=_Stub(srtt=srtt))
+        got = outcome(olia.ca_increase, subflow)
+        assert same(got, outcome(reference_olia, cwnd, srtt, denom, alpha))
+
+    @given(
+        st.floats(min_value=0.0) | st.sampled_from([0.0, -0.0, 0.5, 1.0, math.nan]),
+        st.floats(min_value=0.0, max_value=1e3),
+        st.floats(min_value=1e-3, max_value=10.0),
+        st.floats(min_value=0.0, max_value=1e3),
+        st.sampled_from([-1.0, 0.0, 5.0]),
+        st.floats(min_value=0.0, max_value=1e3) | st.sampled_from([-0.0, math.inf, math.nan]),
+    )
+    def test_cubic_increase_as_min_max_did(self, cwnd, now, rtt, w_max, epoch, reno_cwnd):
+        cubic = CubicController()
+        subflow = _Stub(cwnd=cwnd, sim=_Stub(now=now), srtt_or_default=lambda: rtt)
+        state, expected_state = cubic._state_for(subflow), _CubicState()
+        for each in (state, expected_state):
+            each.w_max, each.epoch_start, each.reno_cwnd = w_max, epoch, reno_cwnd
+        got = outcome(cubic.ca_increase, subflow)
+        assert same(got, outcome(reference_cubic, expected_state, now, rtt, cwnd))
+        for field in _CubicState.STATE_FIELDS:
+            assert same(getattr(state, field), getattr(expected_state, field)), field
 
 
 @st.composite

@@ -38,7 +38,7 @@ from repro.service import (
     InlineBackendConfig,
     PoolBackendConfig,
 )
-from tests.conftest import python_calls
+from tests.conftest import call_counts
 
 GRID_MBPS = (1.0, 3.0, 5.0, 7.0, 9.0)
 
@@ -79,7 +79,7 @@ def test_cached_job_cost_does_not_grow_with_the_campaign(tmp_path):
                 assert counts["done"] == len(batch)
                 assert len(runner.fetch(batch)) == len(batch)
 
-        return python_calls(pipeline)
+        return call_counts(pipeline).python
 
     half, full = warm_campaign(specs[:50]), warm_campaign(specs)
     assert half / 50 <= CALLS_PER_CACHED_JOB, f"{half / 50:.0f} calls per cached job"

@@ -36,7 +36,7 @@ from repro.sim.engine import Simulator
 from repro.sim.snapshot import Snapshot, SnapshotError, capture, fork, restore
 from repro.sim.trace import TraceRecorder
 from repro.tcp.cc import CONTROLLER_NAMES
-from tests.conftest import STATE_PACKAGES, declaring_classes, python_calls
+from tests.conftest import STATE_PACKAGES, call_counts, declaring_classes
 
 #: Every class in the simulation packages with its own STATE_FIELDS.
 DECLARING = list(declaring_classes())
@@ -848,7 +848,7 @@ class TestCaptureBudget:
         roots = world.roots()
         nodes = len(capture(world.sim, roots).nodes)
         assert nodes > 500  # the budget is per node of a *large* world
-        per_node = python_calls(lambda: capture(world.sim, roots)) / nodes
+        per_node = call_counts(lambda: capture(world.sim, roots)).python / nodes
         assert per_node <= self.BUDGET, (
             f"{per_node:.1f} Python calls per captured node, budget {self.BUDGET}"
         )

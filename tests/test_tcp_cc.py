@@ -33,14 +33,14 @@ class TestSlowStartAndDecrease:
         conn, (sf, _) = two_subflow_conn(sim)
         sf.ssthresh = float("inf")
         before = sf.cwnd
-        sf.cc.on_ack(sf, 1)
+        sf.cc.on_ack(sf)
         assert sf.cwnd == pytest.approx(before + 1.0)
 
     def test_ca_increase_is_reciprocal_for_reno(self, sim):
         conn, (sf, _) = two_subflow_conn(sim)
         sf.cwnd = 20.0
         sf.ssthresh = 10.0
-        sf.cc.on_ack(sf, 1)
+        sf.cc.on_ack(sf)
         assert sf.cwnd == pytest.approx(20.0 + 1.0 / 20.0)
 
     def test_on_loss_halves_flight(self, sim):
@@ -72,8 +72,20 @@ class TestSlowStartAndDecrease:
         sf.max_cwnd = 15.0
         sf.cwnd = 14.5
         sf.ssthresh = float("inf")
-        sf.cc.on_ack(sf, 2)
+        sf.cc.on_ack(sf)
         assert sf.cwnd == 15.0
+        sf.cc.on_ack(sf)
+        assert sf.cwnd == 15.0
+
+    def test_on_ack_is_one_ack_per_call(self, sim):
+        conn, (sf, _) = two_subflow_conn(sim)
+        sf.ssthresh = float("inf")
+        before = sf.cwnd
+        sf.cc.on_ack(sf, 1)  # the spelled-out count is still accepted
+        assert sf.cwnd == before + 1.0
+        with pytest.raises(ValueError, match="one ACK per call"):
+            sf.cc.on_ack(sf, 2)
+        assert sf.cwnd == before + 1.0
 
 
 class TestCoupled:
