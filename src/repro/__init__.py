@@ -24,27 +24,8 @@ Quickstart
 500000
 """
 
-from repro.core import (
-    BlestScheduler,
-    CcSpec,
-    DapsScheduler,
-    EcfScheduler,
-    MinRttScheduler,
-    SCHEDULER_NAMES,
-    Scheduler,
-    SchedulerSpec,
-    build,
-    registered_schedulers,
-)
-from repro.mptcp import ConnectionConfig, MptcpConnection, MptcpReceiver
-from repro.net import Path, make_path, lte_config, wifi_config
-from repro.service import (
-    CampaignRunner,
-    CampaignStore,
-    InlineBackendConfig,
-    PoolBackendConfig,
-)
-from repro.sim import Simulator, TraceRecorder
+import importlib
+from typing import Any, List
 
 # The transport core imports no tool, so the package root imports the
 # sanitizer: REPRO_SANITIZE=1 must arm it for any ``import repro.*``.
@@ -52,37 +33,54 @@ from repro.analysis import sanitize as _sanitize  # noqa: F401
 
 __version__ = "1.1.0"
 
-#: The supported public surface.  Everything importable from here is
-#: stable API; underscore-prefixed names anywhere in the package are
-#: package-private (enforced by lint rule RPR701).
-__all__ = [
+#: The supported public surface, each name with the subpackage it lives
+#: in.  Everything importable from here is stable API; underscore-prefixed
+#: names anywhere in the package are package-private (enforced by lint
+#: rule RPR701).
+_HOME = {
     # simulation substrate
-    "Simulator",
-    "TraceRecorder",
+    "Simulator": "sim",
+    "TraceRecorder": "sim",
     # schedulers + config-first construction
-    "Scheduler",
-    "EcfScheduler",
-    "MinRttScheduler",
-    "BlestScheduler",
-    "DapsScheduler",
-    "SchedulerSpec",
-    "CcSpec",
-    "build",
-    "SCHEDULER_NAMES",
-    "registered_schedulers",
+    "Scheduler": "core",
+    "EcfScheduler": "core",
+    "MinRttScheduler": "core",
+    "BlestScheduler": "core",
+    "DapsScheduler": "core",
+    "SchedulerSpec": "core",
+    "CcSpec": "core",
+    "build": "core",
+    "SCHEDULER_NAMES": "core",
+    "registered_schedulers": "core",
     # MPTCP connection
-    "MptcpConnection",
-    "ConnectionConfig",
-    "MptcpReceiver",
+    "MptcpConnection": "mptcp",
+    "ConnectionConfig": "mptcp",
+    "MptcpReceiver": "mptcp",
     # paths
-    "Path",
-    "make_path",
-    "wifi_config",
-    "lte_config",
+    "Path": "net",
+    "make_path": "net",
+    "wifi_config": "net",
+    "lte_config": "net",
     # campaign service
-    "CampaignStore",
-    "CampaignRunner",
-    "InlineBackendConfig",
-    "PoolBackendConfig",
-    "__version__",
-]
+    "CampaignStore": "service",
+    "CampaignRunner": "service",
+    "InlineBackendConfig": "service",
+    "PoolBackendConfig": "service",
+}
+
+__all__ = [*_HOME, "__version__"]
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's subpackage on first use (PEP 562, as
+    ``concurrent.futures`` does for ``ProcessPoolExecutor``): importing
+    one layer, say ``repro.sim.engine``, runs none of the layers above."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

@@ -3,10 +3,12 @@
 These exist to prove the checking layer in :mod:`repro.analysis.check`
 has teeth: ``python -m repro.cli check --scheduler ecf-nowait`` (or
 ``ecf-noineq2``) must exit non-zero, and a checker change that stops
-flagging them is itself a bug.  Importing this module (which
-:mod:`repro.analysis.check` does) registers them in the scheduler
-registry under fixture-only names; they stay out of ``SCHEDULER_NAMES``
-so no experiment sweep ever picks one up by accident.
+flagging them is itself a bug.  Importing this module (as
+:mod:`repro.analysis.check` and :mod:`repro.cli` do) registers them in
+the scheduler registry under fixture-only names, and nothing else does:
+a fresh ``import repro.core`` resolves the shipped schedulers only.
+They stay out of ``SCHEDULER_NAMES`` so no experiment sweep ever picks
+one up by accident.
 
 All three subclass the real :class:`~repro.core.ecf.EcfScheduler` and
 override only its pure :meth:`~repro.core.ecf.EcfScheduler._evaluate` or

@@ -268,8 +268,9 @@ CLOCK_READERS = tuple(
 )
 
 #: The package layering (RPR701): (fenced packages, what their modules
-#: may not import at any scope).  The package root is forbidden to both,
-#: since it imports every layer; a bare ``import repro.x`` binds it.  The
+#: may not import at any scope).  The package root is forbidden to both:
+#: it resolves each re-export on first use, so ``from repro import X``
+#: would import ``X``'s layer the first time ``X`` is touched.  The
 #: transport core sits below all tooling and every driver.  The
 #: application and workload models run inside a simulation too: they may
 #: register with ``repro.experiments.spec``, never reach a clock reader.

@@ -13,34 +13,38 @@
 * :mod:`~repro.experiments.wild` -- the Section 6 in-the-wild emulation.
 """
 
-from repro.experiments.ideal import ideal_average_bitrate, ideal_fast_fraction
-from repro.experiments.exec import ExperimentExecutor
-from repro.experiments.runner import (
-    StreamingRunConfig,
-    StreamingRunResult,
-    StreamingSpec,
-    run_streaming,
-)
-from repro.experiments.grid import (
-    PAPER_BANDWIDTH_GRID_MBPS,
-    PAPER_WGET_GRID_MBPS,
-    streaming_grid,
-    wget_matrix,
-)
-from repro.experiments.spec import run_spec, spec_hash
+import importlib
+from typing import Any, List
 
-__all__ = [
-    "ideal_average_bitrate",
-    "ideal_fast_fraction",
-    "ExperimentExecutor",
-    "run_spec",
-    "spec_hash",
-    "StreamingRunConfig",
-    "StreamingRunResult",
-    "StreamingSpec",
-    "run_streaming",
-    "streaming_grid",
-    "wget_matrix",
-    "PAPER_BANDWIDTH_GRID_MBPS",
-    "PAPER_WGET_GRID_MBPS",
-]
+#: Each public name with the module it lives in.  ``__getattr__`` imports
+#: it on first use, so importing one harness does not run the executor.
+_HOME = {
+    "ideal_average_bitrate": "ideal",
+    "ideal_fast_fraction": "ideal",
+    "ExperimentExecutor": "exec",
+    "run_spec": "spec",
+    "spec_hash": "spec",
+    "StreamingRunConfig": "runner",
+    "StreamingRunResult": "runner",
+    "StreamingSpec": "runner",
+    "run_streaming": "runner",
+    "streaming_grid": "grid",
+    "wget_matrix": "grid",
+    "PAPER_BANDWIDTH_GRID_MBPS": "grid",
+    "PAPER_WGET_GRID_MBPS": "grid",
+}
+
+__all__ = [*_HOME]
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's module on first use (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

@@ -71,14 +71,12 @@ import sys
 import threading
 import time
 from collections import deque
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
-from concurrent.futures.process import BrokenProcessPool
+from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Any, Callable, Deque, Dict, List, Optional, Sequence, Tuple, Union
 
-from repro.analysis import check
 from repro.experiments.spec import (
     SCHEMA_VERSION,
     attach_perf,
@@ -89,9 +87,8 @@ from repro.experiments.spec import (
     spec_to_dict,
     wire_hash,
 )
-from repro.obs import flight as obs_flight
 from repro.obs.journal import RunJournal
-from repro.perf import counters as perf_counters
+from repro.sim.probe import env_on
 
 PathLike = Union[str, "os.PathLike[str]"]
 #: ``load(keys)`` -> ``{key: wire}``: the wire forms of the jobs a cache
@@ -109,6 +106,12 @@ _Flush = Callable[[], None]
 #: runner's per-look transaction holds SQLite's write lock for milliseconds
 #: and ``/status`` keeps moving while the scan runs.
 LOOK_SLICE = 256
+
+#: The tool switches the executor reads, each the ``ENV_VAR`` of the tool
+#: it arms: the checker, the perf collector, the flight recorder.  A tool
+#: is imported where its switch reads on, so a sweep with every switch
+#: off never loads one.
+_CHECK, _PERF, _OBS = "REPRO_CHECK", "REPRO_PERF", "REPRO_OBS"
 
 
 class RunTimeoutError(RuntimeError):
@@ -252,45 +255,55 @@ def _wall_clock_limit(timeout_s: Optional[float], label: str):
         signal.signal(signal.SIGALRM, previous)
 
 
-def _execute_payload(payload: Dict[str, Any], timeout_s: Optional[float]) -> Dict[str, Any]:
-    """Pool-worker entry point: spec dict in, result dict out.
+def _execute_payload(
+    key: str, payload: Dict[str, Any], timeout_s: Optional[float]
+) -> Dict[str, Any]:
+    """Pool-worker entry point: the job's key and spec dict in, result
+    dict out.
 
     Module-level (picklable) and dict-in/dict-out so nothing but plain
-    values crosses the process boundary.
+    values crosses the process boundary.  ``key`` is the parent's name for
+    the job, whose wire it already checked against it: the timeout label
+    and the postmortem path are the parent's, and no spec is hashed here.
 
     With ``REPRO_OBS`` set the whole attempt runs inside a flight window
     (:func:`repro.obs.flight.flight`): any exception -- sanitizer
     assertion, :class:`~repro.analysis.check.CheckError`,
     :class:`RunTimeoutError`, or a plain crash -- snapshots a postmortem
-    bundle at the spec's deterministic path before propagating, so the
+    bundle at the key's deterministic path before propagating, so the
     parent (which only sees a pickled exception) can find it again via
     :func:`repro.obs.flight.postmortem_dir_for`.
     """
     spec = spec_from_dict(payload)
-    key = wire_hash(payload)
     label = f"{payload['kind']} {key[:12]}"
 
     def invoke(target_spec: Any) -> Any:
-        if check.check_enabled():
+        if env_on(_CHECK):
             # REPRO_CHECK: record a structured event log around the run
             # and verify the temporal property catalog over it.  A
             # CheckError propagates like any other worker failure.
+            from repro.analysis import check
+
             result, _report = check.run_with_checks(run_spec, target_spec)
             return result
         return run_spec(target_spec)
 
     def run_once() -> Any:
         with _wall_clock_limit(timeout_s, label):
-            if perf_counters.perf_enabled():
+            if env_on(_PERF):
                 # REPRO_PERF: collect deterministic counters + wall time
                 # for this run and ship them on the result's perf field.
-                result, record = perf_counters.measure(invoke, spec)
+                from repro.perf import counters
+
+                result, record = counters.measure(invoke, spec)
                 attach_perf(result, record.to_dict())
                 return result
             return invoke(spec)
 
-    if not obs_flight.obs_enabled():
+    if not env_on(_OBS):
         return run_once().to_dict()
+
+    from repro.obs import flight as obs_flight
 
     with obs_flight.flight() as recorder:
         try:
@@ -489,8 +502,10 @@ class ExperimentExecutor:
             self._progress = progress
         else:
             self._progress = None
-        if journal is None and obs_flight.obs_enabled():
-            journal = obs_flight.obs_dir() / "journal.jsonl"
+        if journal is None and env_on(_OBS):
+            from repro.obs.flight import obs_dir
+
+            journal = obs_dir() / "journal.jsonl"
         if journal is None or isinstance(journal, RunJournal):
             self.journal: Optional[RunJournal] = journal
         else:
@@ -588,11 +603,13 @@ class ExperimentExecutor:
             postmortem: Optional[str] = None
             if exc is not None:
                 error = {"type": type(exc).__name__, "message": str(exc)}
-                if obs_flight.obs_enabled():
-                    # The worker writes the bundle at a path derived from the
-                    # spec hash alone, so the parent can re-derive it here
+                if env_on(_OBS):
+                    # The worker writes the bundle at the path of the key it
+                    # was handed, so the parent derives the same one here
                     # without anything crossing the pool boundary.
-                    bundle = obs_flight.postmortem_dir_for(keys[index])
+                    from repro.obs.flight import postmortem_dir_for
+
+                    bundle = postmortem_dir_for(keys[index])
                     if bundle.exists():
                         postmortem = str(bundle)
                 if results is not None:
@@ -673,10 +690,11 @@ class ExperimentExecutor:
                     perf=perf if isinstance(perf, dict) else None,
                 )
                 return False
-            # A timeout or a dead worker may be the host's fault, so the run
-            # gets another try; anything else (CheckError, sanitizer
-            # assertions, crashes) is the run's own verdict and permanent.
-            retryable = isinstance(attempt, (RunTimeoutError, BrokenProcessPool))
+            # A timeout or a dead worker (a pool's BrokenProcessPool is a
+            # BrokenExecutor) may be the host's fault, so the run gets
+            # another try; anything else (CheckError, sanitizer assertions,
+            # crashes) is the run's own verdict and permanent.
+            retryable = isinstance(attempt, (RunTimeoutError, BrokenExecutor))
             if retryable and attempts <= self.retries:
                 stats.retried += 1
                 if journal is not None:
@@ -734,9 +752,9 @@ class ExperimentExecutor:
                     settle(index, ExperimentError(why), 0.0, 0)
             flush()
             if self.jobs == 1 or len(pending) <= 1:
-                self._run_inline(pending, wires, settle, flush)
+                self._run_inline(pending, keys, wires, settle, flush)
             else:
-                self._run_on_pool(pending, wires, settle, flush)
+                self._run_on_pool(pending, keys, wires, settle, flush)
         finally:
             # Whatever ended the batch, the look in flight was recorded
             # (journal line, stats, progress): its listener hears of it too.
@@ -759,6 +777,7 @@ class ExperimentExecutor:
     def _run_inline(
         self,
         pending: List[int],
+        keys: List[str],
         payloads: Dict[int, Dict[str, Any]],
         settle: _Settle,
         flush: _Flush,
@@ -771,7 +790,7 @@ class ExperimentExecutor:
                 attempts += 1
                 attempt: _Attempt
                 try:
-                    attempt = _execute_payload(payloads[index], self.timeout_s)
+                    attempt = _execute_payload(keys[index], payloads[index], self.timeout_s)
                 except Exception as exc:
                     attempt = exc
                 wall = time.monotonic() - start
@@ -781,6 +800,7 @@ class ExperimentExecutor:
     def _run_on_pool(
         self,
         pending: List[int],
+        keys: List[str],
         payloads: Dict[int, Dict[str, Any]],
         settle: _Settle,
         flush: _Flush,
@@ -794,6 +814,9 @@ class ExperimentExecutor:
         rebuilt, and the suspects rerun one at a time -- so a second
         death names its culprit -- before the queue resumes.
         """
+        from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
+
         queue: Deque[int] = deque(pending)
         suspects: Deque[int] = deque()
         attempts = dict.fromkeys(pending, 0)
@@ -809,7 +832,7 @@ class ExperimentExecutor:
                     while source and len(futures) < window and not broken:
                         index = source.popleft()
                         submitted_at[index] = time.monotonic()
-                        call = (_execute_payload, payloads[index], self.timeout_s)
+                        call = (_execute_payload, keys[index], payloads[index], self.timeout_s)
                         try:
                             futures[pool.submit(*call)] = index
                         except BrokenProcessPool:  # a worker died since the last wait()

@@ -25,6 +25,7 @@ list; it embeds the spec through the codec and carries the codec's
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, field
 from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
@@ -40,7 +41,6 @@ from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.bandwidth import BandwidthSpec, make_bandwidth_process
 from repro.net.path import Path
 from repro.net.profiles import PathConfig, lte_config, make_path, wifi_config
-from repro.obs import flight as _flight
 from repro.sim.codec import SCHEMA_VERSION, Record, wrong_schema_version
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
@@ -354,13 +354,16 @@ def run_streaming(config: StreamingRunConfig) -> StreamingRunResult:
     session.observers.append(_record_gap)
 
     obs_trace: Optional[TraceRecorder] = None
-    if trace is None and _flight.current() is not None:
+    # A flight window opens only through ``repro.obs.flight``: while that
+    # is not loaded, none is open and the recorder stays unimported.
+    flight = sys.modules.get("repro.obs.flight")
+    if trace is None and flight is not None and flight.current() is not None:
         # Flight recorder on but traces off: sample CWND/send-buffer into
         # a bounded side recorder for the postmortem bundle only.  The
         # recorder adopts itself into the flight window at construction;
         # it is never attached to the result, so the wire format (and the
         # cached digests) are untouched.
-        obs_trace = TraceRecorder(max_samples_per_series=_flight.TRACE_TAIL)
+        obs_trace = TraceRecorder(max_samples_per_series=flight.TRACE_TAIL)
     for target in (trace, obs_trace):
         if target is None:
             continue

@@ -26,9 +26,8 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Dict, List, Optional, Tuple
 
-from repro.analysis import events as _events
 from repro.apps.bulk import (  # noqa: F401 -- build_world/finish are this module's API too
     BulkDownloadResult,
     BulkDownloadSpec,
@@ -38,6 +37,9 @@ from repro.apps.bulk import (  # noqa: F401 -- build_world/finish are this modul
 from repro.core.ecf import EcfScheduler
 from repro.experiments.spec import canonical_json
 from repro.sim.snapshot import Snapshot, capture, fork
+
+if TYPE_CHECKING:
+    from repro.analysis.events import EcfDecision
 
 #: Events per checkpoint in the recording pass.  Small enough that a
 #: forked future replays only a short shared prefix, large enough that
@@ -62,7 +64,7 @@ class Recording:
     spec: BulkDownloadSpec
     result: BulkDownloadResult
     digest: str
-    decisions: List[_events.EcfDecision]
+    decisions: List[EcfDecision]
     #: ``(ecf_decisions count at capture, snapshot)`` in capture order;
     #: the first entry is the t=0 world.
     checkpoints: List[Tuple[int, Snapshot]] = field(repr=False, default_factory=list)
@@ -82,17 +84,19 @@ def record(
     spec: BulkDownloadSpec, checkpoint_every: int = DEFAULT_CHECKPOINT_EVERY
 ) -> Recording:
     """Run ``spec`` to completion, logging decisions and checkpointing."""
+    from repro.analysis import events
+
     world = build_world(spec)
     scheduler = world.conn.scheduler
     checkpoints = [(0, capture(world.sim, world.roots()))]
-    with _events.recording() as log:
+    with events.recording() as log:
         while True:
             executed = world.sim.run(until=spec.timeout, max_events=checkpoint_every)
             count = getattr(scheduler, "ecf_decisions", 0)
             checkpoints.append((count, capture(world.sim, world.roots())))
             if executed < checkpoint_every:
                 break
-        decisions = log.of_kind(_events.EcfDecision)
+        decisions = log.of_kind(events.EcfDecision)
     result = finish(spec, world.conn, world.recorder)
     return Recording(
         spec=spec,

@@ -26,14 +26,34 @@ subscribes to the probe seam and is never imported from the transport
 core.  See ``docs/observability.md`` for the bundle format and workflows.
 """
 
+import importlib
+from typing import Any, List
+
 # The `flight()` context manager itself is NOT re-exported here: binding
 # it at package level would shadow the `repro.obs.flight` submodule (the
-# names collide), so open a window with `flight.flight()`.
-from repro.obs.flight import (  # noqa: F401
-    DIR_ENV_VAR,
-    ENV_VAR,
-    FlightRecorder,
-    obs_dir,
-    obs_enabled,
-    postmortem_dir_for,
-)
+# names collide), so open a window with `flight.flight()`.  Each name is
+# imported on first use, so ``import repro.obs.journal`` (the executor's
+# run journal) runs neither the recorder nor the perf collector.
+_HOME = {
+    "DIR_ENV_VAR": "flight",
+    "ENV_VAR": "flight",
+    "FlightRecorder": "flight",
+    "obs_dir": "flight",
+    "obs_enabled": "flight",
+    "postmortem_dir_for": "flight",
+}
+
+__all__ = [*_HOME]
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's module on first use (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

@@ -19,25 +19,37 @@ See ``docs/architecture.md`` ("Campaign service") and
 ``repro.cli campaign`` for the command-line surface.
 """
 
-from repro.service.backends import (
-    InlineBackendConfig,
-    PoolBackendConfig,
-    backend_config_from_dict,
-)
-from repro.service.daemon import CampaignDaemon, status_document
-from repro.service.runner import CampaignError, CampaignRunner
-from repro.service.store import CampaignRow, CampaignStore, JobRow, TransitionError
+import importlib
+from typing import Any, List
 
-__all__ = [
-    "CampaignStore",
-    "CampaignRunner",
-    "CampaignDaemon",
-    "CampaignError",
-    "status_document",
-    "CampaignRow",
-    "JobRow",
-    "TransitionError",
-    "InlineBackendConfig",
-    "PoolBackendConfig",
-    "backend_config_from_dict",
-]
+#: Each public name with the module it lives in.  ``__getattr__`` imports
+#: it on first use, so ``import repro.service.runner`` runs neither the
+#: daemon nor the telemetry registry.
+_HOME = {
+    "CampaignStore": "store",
+    "CampaignRunner": "runner",
+    "CampaignDaemon": "daemon",
+    "CampaignError": "runner",
+    "status_document": "daemon",
+    "CampaignRow": "store",
+    "JobRow": "store",
+    "TransitionError": "store",
+    "InlineBackendConfig": "backends",
+    "PoolBackendConfig": "backends",
+    "backend_config_from_dict": "backends",
+}
+
+__all__ = [*_HOME]
+
+
+def __getattr__(name: str) -> Any:
+    """Import a public name's module on first use (PEP 562)."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_HOME[name]}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> List[str]:
+    return sorted({*globals(), *__all__})

@@ -170,9 +170,10 @@ class TestStatusDocument:
 
 
 def test_importing_the_package_loads_no_http_server():
-    """``import repro`` reaches ``service.daemon`` (the root re-exports
-    ``CampaignRunner``), so every entry point would pay for http.server
-    and what it drags in; only ``start_http()`` may import it."""
+    """Every entry point imports ``repro`` and most import ``repro.cli``;
+    neither may pay for http.server and what it drags in: only the
+    daemon's ``start_http()`` imports it (``tests/test_imports.py`` holds
+    the rest of the import closure)."""
     heavy = ["http.server", "http.client", "email", "ssl", "socketserver"]
     out = subprocess.run(
         [sys.executable, "-c",

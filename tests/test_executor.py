@@ -808,3 +808,25 @@ def test_a_raising_journal_observer_delivers_the_look_in_flight(tmp_path):
         executor.run(specs)
     assert [[o.index for o in look] for look in looks] == [[0, 1]]
     assert len(_job_records(tmp_path / "journal.jsonl")) == 3
+
+
+def test_a_worker_names_its_job_by_the_key_it_is_handed(tmp_path, monkeypatch):
+    """The parent proved each wire against its key before the run: the
+    worker hashes no spec, and its timeout label and postmortem path are
+    the parent's key."""
+    from repro.experiments import exec as exec_module
+
+    spec = SlowSpec(marker=str(tmp_path / "never"), sleep_s=30.0)
+    key = "ab" * 32
+
+    def refuse(wire):
+        raise AssertionError("the worker hashed its spec")
+
+    monkeypatch.setattr(exec_module, "wire_hash", refuse)
+    monkeypatch.setenv("REPRO_OBS", "1")
+    monkeypatch.setenv("REPRO_OBS_DIR", str(tmp_path / "obs"))
+    with pytest.raises(RunTimeoutError, match=f"test_slow {key[:12]}"):
+        exec_module._execute_payload(key, spec_to_dict(spec), 0.2)
+    bundle = tmp_path / "obs" / f"postmortem-{key[:12]}"
+    manifest = json.loads((bundle / "manifest.json").read_text())
+    assert manifest["spec_hash"] == key
