@@ -18,7 +18,7 @@ Run:
 
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.core.base import Scheduler
-from repro.core.registry import register_scheduler
+from repro.core.spec import SchedulerSpec
 from repro.net.profiles import lte_config, wifi_config
 
 
@@ -52,7 +52,7 @@ class BacklogAwareScheduler(Scheduler):
 
 def main() -> None:
     # Register so a BulkDownloadSpec can name it.
-    register_scheduler("backlog", BacklogAwareScheduler)
+    SchedulerSpec.register("backlog", BacklogAwareScheduler)
 
     paths = (wifi_config(0.3), lte_config(8.6))
     size = 2 * 1024 * 1024

@@ -14,7 +14,7 @@ want with a frozen spec, realize it with :func:`build`.
 Quickstart
 ----------
 >>> from repro import Simulator, SchedulerSpec, build, MptcpConnection
->>> from repro.net import make_path, wifi_config, lte_config
+>>> from repro import make_path, wifi_config, lte_config
 >>> sim = Simulator()
 >>> paths = [make_path(sim, wifi_config(1.0)), make_path(sim, lte_config(8.6))]
 >>> conn = MptcpConnection(sim, paths, build(SchedulerSpec.of("ecf")))
@@ -33,46 +33,45 @@ from repro.analysis import sanitize as _sanitize  # noqa: F401
 
 __version__ = "1.1.0"
 
-#: The supported public surface, each name with the subpackage it lives
-#: in.  Everything importable from here is stable API; underscore-prefixed
+#: The supported public surface, each name with the module that defines
+#: it.  Everything importable from here is stable API; underscore-prefixed
 #: names anywhere in the package are package-private (enforced by lint
 #: rule RPR701).
 _HOME = {
     # simulation substrate
-    "Simulator": "sim",
-    "TraceRecorder": "sim",
+    "Simulator": "sim.engine",
+    "TraceRecorder": "sim.trace",
     # schedulers + config-first construction
-    "Scheduler": "core",
-    "EcfScheduler": "core",
-    "MinRttScheduler": "core",
-    "BlestScheduler": "core",
-    "DapsScheduler": "core",
-    "SchedulerSpec": "core",
-    "CcSpec": "core",
-    "build": "core",
-    "SCHEDULER_NAMES": "core",
-    "registered_schedulers": "core",
+    "Scheduler": "core.base",
+    "EcfScheduler": "core.ecf",
+    "MinRttScheduler": "core.minrtt",
+    "BlestScheduler": "core.blest",
+    "DapsScheduler": "core.daps",
+    "SchedulerSpec": "core.spec",
+    "CcSpec": "core.spec",
+    "build": "core.spec",
+    "SCHEDULER_NAMES": "core.spec",
     # MPTCP connection
-    "MptcpConnection": "mptcp",
-    "ConnectionConfig": "mptcp",
-    "MptcpReceiver": "mptcp",
+    "MptcpConnection": "mptcp.connection",
+    "ConnectionConfig": "mptcp.connection",
+    "MptcpReceiver": "mptcp.receiver",
     # paths
-    "Path": "net",
-    "make_path": "net",
-    "wifi_config": "net",
-    "lte_config": "net",
+    "Path": "net.path",
+    "make_path": "net.profiles",
+    "wifi_config": "net.profiles",
+    "lte_config": "net.profiles",
     # campaign service
-    "CampaignStore": "service",
-    "CampaignRunner": "service",
-    "InlineBackendConfig": "service",
-    "PoolBackendConfig": "service",
+    "CampaignStore": "service.store",
+    "CampaignRunner": "service.runner",
+    "InlineBackendConfig": "service.backends",
+    "PoolBackendConfig": "service.backends",
 }
 
 __all__ = [*_HOME, "__version__"]
 
 
 def __getattr__(name: str) -> Any:
-    """Import a public name's subpackage on first use (PEP 562, as
+    """Import a public name's module on first use (PEP 562, as
     ``concurrent.futures`` does for ``ProcessPoolExecutor``): importing
     one layer, say ``repro.sim.engine``, runs none of the layers above."""
     if name not in _HOME:

@@ -5,8 +5,8 @@ has teeth: ``python -m repro.cli check --scheduler ecf-nowait`` (or
 ``ecf-noineq2``) must exit non-zero, and a checker change that stops
 flagging them is itself a bug.  Importing this module (as
 :mod:`repro.analysis.check` and :mod:`repro.cli` do) registers them in
-the scheduler registry under fixture-only names, and nothing else does:
-a fresh ``import repro.core`` resolves the shipped schedulers only.
+the scheduler table under fixture-only names, and nothing else does: a
+fresh ``import repro.core.spec`` resolves the shipped schedulers only.
 They stay out of ``SCHEDULER_NAMES`` so no experiment sweep ever picks
 one up by accident.
 
@@ -21,7 +21,7 @@ and the differential oracle sees every (mis)decision.
 from __future__ import annotations
 
 from repro.core.ecf import EcfInputs, EcfScheduler
-from repro.core.registry import register_scheduler
+from repro.core.spec import SchedulerSpec
 
 
 class NoWaitEcfScheduler(EcfScheduler):
@@ -89,4 +89,4 @@ _FIXTURES = (NoWaitEcfScheduler, NoSecondInequalityEcfScheduler, LateHalvingEcfS
 FIXTURE_SCHEDULERS = tuple(cls.name for cls in _FIXTURES)
 
 for _cls in _FIXTURES:
-    register_scheduler(_cls.name, _cls)
+    SchedulerSpec.register(_cls.name, _cls)

@@ -164,7 +164,7 @@ RULES: Dict[str, Tuple[str, str]] = {
     "RPR701": (
         "import across a package boundary",
         "underscore names are package-private: import the public accessor "
-        "(e.g. registered_schedulers()) or promote the name; the simulation "
+        "(e.g. SchedulerSpec.kinds()) or promote the name; the simulation "
         "packages import no tooling, driver or wall-clock reader, nor the "
         "package root: move the code down a layer or reach it through the "
         "probe seam (repro.sim.probe)",
@@ -291,15 +291,14 @@ def _registries() -> Dict[str, Set[str]]:
     registered scheduler is immediately lintable without touching the
     linter.
     """
-    from repro.core.registry import registered_schedulers
+    from repro.core.spec import CcSpec, SchedulerSpec
     from repro.experiments.spec import registered_experiment_kinds
-    from repro.net.bandwidth import registered_bandwidth_kinds
-    from repro.tcp.cc import registered_controllers
+    from repro.net.bandwidth import BandwidthSpec
 
     return {
-        "scheduler": set(registered_schedulers()),
-        "congestion_control": set(registered_controllers()),
-        "bandwidth": set(registered_bandwidth_kinds()),
+        "scheduler": set(SchedulerSpec.kinds()),
+        "congestion_control": set(CcSpec.kinds()),
+        "bandwidth": set(BandwidthSpec.kinds()),
         "experiment": set(registered_experiment_kinds()),
     }
 
@@ -404,10 +403,7 @@ class _Linter(ast.NodeVisitor):
 
     def _check_registry_call(self, node: ast.Call) -> None:
         terminal = _terminal_name(node.func)
-        registry_key = {
-            "build_controller": "congestion_control",
-            "experiment_kind": "experiment",
-        }.get(terminal or "")
+        registry_key = "experiment" if terminal == "experiment_kind" else None
         if terminal == "of":
             # SchedulerSpec.of("kind", ...) and friends -- only when the
             # receiver is literally one of the known spec class names;

@@ -1,12 +1,5 @@
-"""Application layer: HTTP, bulk downloads, and DASH video streaming."""
+"""Application layer: HTTP, bulk downloads, and DASH video streaming.
 
-from repro.apps.http import GetResult, HttpSession
-from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec, run_bulk
-
-__all__ = [
-    "HttpSession",
-    "GetResult",
-    "BulkDownloadSpec",
-    "BulkDownloadResult",
-    "run_bulk",
-]
+Each name is imported from its module: :mod:`repro.apps.http`,
+:mod:`repro.apps.bulk` and the :mod:`repro.apps.dash` modules.
+"""

@@ -8,29 +8,6 @@
 * :mod:`~repro.apps.dash.player` -- the client player: initial buffering,
   steady-state ON-OFF chunk fetching, and rebuffering, the traffic pattern
   whose OFF periods trigger the idle CWND resets at the heart of the paper.
+
+Each name is imported from its module.
 """
-
-from repro.apps.dash.media import (
-    PAPER_REPRESENTATIONS,
-    Representation,
-    VideoManifest,
-)
-from repro.apps.dash.abr import (
-    AbrAlgorithm,
-    BufferBasedAbr,
-    FixedAbr,
-    ThroughputAbr,
-)
-from repro.apps.dash.player import DashPlayer, StreamingMetrics
-
-__all__ = [
-    "Representation",
-    "VideoManifest",
-    "PAPER_REPRESENTATIONS",
-    "AbrAlgorithm",
-    "BufferBasedAbr",
-    "ThroughputAbr",
-    "FixedAbr",
-    "DashPlayer",
-    "StreamingMetrics",
-]

@@ -52,29 +52,20 @@ import os
 import sys
 from dataclasses import replace
 from pathlib import Path
-from typing import Any, Callable, List, Optional, Sequence
+from typing import TYPE_CHECKING, Any, Callable, List, Optional, Sequence
 
+# Module scope holds what ``build_parser`` reads; each command imports its
+# own library, so ``campaign status`` runs no simulator and ``download``
+# no campaign service.
 from repro.analysis.fixtures import FIXTURE_SCHEDULERS
-from repro.apps.bulk import BulkDownloadSpec, run_bulk
-from repro.apps.dash.media import VideoManifest
-from repro.core.registry import SCHEDULER_NAMES
-from repro.experiments.exec import ExperimentExecutor
-from repro.experiments.grid import (
-    PAPER_BANDWIDTH_GRID_MBPS,
-    bitrate_ratio_matrix,
-    format_matrix,
-    streaming_grid,
-)
-from repro.experiments.ideal import ideal_average_bitrate
-from repro.experiments.runner import StreamingRunConfig, run_streaming
-from repro.experiments.wild import (
-    WildStreamingSpec,
-    run_wild,
-    wild_streaming_configs,
-)
-from repro.metrics.stats import percentile
-from repro.net.profiles import lte_config, wifi_config
-from repro.workloads.web import WebBrowsingSpec, run_web
+from repro.core.spec import SCHEDULER_NAMES
+
+if TYPE_CHECKING:  # pragma: no cover - annotations only
+    from repro.apps.bulk import BulkDownloadSpec
+    from repro.experiments.exec import ExperimentExecutor
+    from repro.experiments.runner import StreamingRunConfig
+    from repro.experiments.wild import WildStreamingSpec
+    from repro.workloads.web import WebBrowsingSpec
 
 
 def parse_size(text: str) -> int:
@@ -111,16 +102,22 @@ def _non_negative_int(text: str) -> int:
 
 # -- args -> spec: the one place each spec type is built ---------------------
 def _path_configs(args) -> tuple:
+    from repro.net.profiles import lte_config, wifi_config
+
     return (wifi_config(args.wifi), lte_config(args.lte))
 
 
 def _bulk_spec(args, scheduler: str) -> BulkDownloadSpec:
+    from repro.apps.bulk import BulkDownloadSpec
+
     return BulkDownloadSpec(
         scheduler=scheduler, path_configs=_path_configs(args), size=args.size, seed=args.seed
     )
 
 
 def _streaming_spec(args, scheduler: str) -> StreamingRunConfig:
+    from repro.experiments.runner import StreamingRunConfig
+
     # A bandwidth-grid sweep has no --wifi/--lte: the grid sets every cell's rates.
     rates = {"wifi_mbps": args.wifi, "lte_mbps": args.lte} if hasattr(args, "wifi") else {}
     return StreamingRunConfig(
@@ -129,10 +126,14 @@ def _streaming_spec(args, scheduler: str) -> StreamingRunConfig:
 
 
 def _web_spec(args, scheduler: str) -> WebBrowsingSpec:
+    from repro.workloads.web import WebBrowsingSpec
+
     return WebBrowsingSpec(scheduler=scheduler, path_configs=_path_configs(args), seed=args.seed)
 
 
 def _wild_spec(args) -> WildStreamingSpec:
+    from repro.experiments.wild import WildStreamingSpec
+
     spec = WildStreamingSpec(runs=args.runs, video_duration=args.video)
     # `wild` has neither flag and keeps the paper's pair and seed.
     if hasattr(args, "seed"):
@@ -183,6 +184,8 @@ def _executor_from_args(args) -> ExperimentExecutor:
     A durable, resumable sweep is ``campaign submit --sweep ...``; pointing
     ``--cache-dir`` at that campaign's cache renders it with every cell a hit.
     """
+    from repro.experiments.exec import ExperimentExecutor
+
     return ExperimentExecutor(
         jobs=args.jobs,
         cache_dir=None if args.no_cache else args.cache_dir,
@@ -192,6 +195,8 @@ def _executor_from_args(args) -> ExperimentExecutor:
 
 # -- experiment commands --------------------------------------------------------
 def cmd_download(args) -> int:
+    from repro.apps.bulk import run_bulk
+
     print(f"{'scheduler':<10}{'time (s)':>10}{'throughput':>13}")
     for name in args.scheduler:
         result = run_bulk(_bulk_spec(args, name))
@@ -203,6 +208,9 @@ def cmd_download(args) -> int:
 
 
 def cmd_streaming(args) -> int:
+    from repro.apps.dash.media import VideoManifest
+    from repro.experiments.ideal import ideal_average_bitrate
+
     ideal = ideal_average_bitrate([args.wifi * 1e6, args.lte * 1e6], VideoManifest())
     print(f"ideal bit rate: {ideal / 1e6:.2f} Mbps")
     print(f"{'scheduler':<10}{'bitrate':>10}{'ratio':>8}{'IW resets':>11}")
@@ -218,6 +226,9 @@ def cmd_streaming(args) -> int:
 
 
 def cmd_web(args) -> int:
+    from repro.metrics.stats import percentile
+    from repro.workloads.web import run_web
+
     print(f"{'scheduler':<10}{'mean ct':>10}{'p95 ct':>9}{'page load':>11}")
     for name in args.scheduler:
         result = run_web(_web_spec(args, name))
@@ -289,6 +300,13 @@ def cmd_twin(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    from repro.experiments.grid import (
+        PAPER_BANDWIDTH_GRID_MBPS,
+        bitrate_ratio_matrix,
+        format_matrix,
+        streaming_grid,
+    )
+
     grid = streaming_grid(
         _streaming_spec(args, args.scheduler), executor=_executor_from_args(args)
     )
@@ -299,6 +317,8 @@ def cmd_grid(args) -> int:
 
 
 def cmd_wild(args) -> int:
+    from repro.experiments.wild import run_wild
+
     result = run_wild(_wild_spec(args), executor=_executor_from_args(args))
     print(f"{'run':<5}{'wifi rtt':>10}{'default':>10}{'ecf':>8}")
     for run in result.runs:
@@ -344,14 +364,15 @@ def _streaming_4sf_spec(args, scheduler: str) -> StreamingRunConfig:
 
 
 #: Scenarios `repro check` can run the property catalog over: name ->
-#: (runner, args -> spec).  The race detector covers every one: an
-#: instant's events run in owner-construction order, so a result must not
-#: depend on the order in which same-instant events were scheduled.
+#: args -> spec, each run through its kind's runner (``run_spec``).  The
+#: race detector covers every one: an instant's events run in
+#: owner-construction order, so a result must not depend on the order in
+#: which same-instant events were scheduled.
 CHECK_SCENARIOS = {
-    "dash": (run_streaming, _streaming_spec),
-    "dash4sf": (run_streaming, _streaming_4sf_spec),
-    "bulk": (run_bulk, _bulk_spec),
-    "web": (run_web, _web_spec),
+    "dash": _streaming_spec,
+    "dash4sf": _streaming_4sf_spec,
+    "bulk": _bulk_spec,
+    "web": _web_spec,
 }
 
 
@@ -369,21 +390,20 @@ def _check_row(label: str, ok: bool, detail: str) -> int:
 def cmd_check(args) -> int:
     from repro.analysis import check as _check
     from repro.analysis.races import race_check
+    from repro.experiments.spec import run_spec
 
     failures = 0
     cells = [(scenario, name) for scenario in args.scenario for name in args.scheduler]
     for scenario, name in cells:
-        runner, build_spec = CHECK_SCENARIOS[scenario]
         try:
-            _, report = _check.run_with_checks(runner, build_spec(args, name))
+            _, report = _check.run_with_checks(run_spec, CHECK_SCENARIOS[scenario](args, name))
         except _check.CheckError as exc:
             failures += _check_row(f"{scenario}/{name}", False, str(exc))
         else:
             detail = f"{len(report.properties_checked)} properties, {report.events_seen} events"
             failures += _check_row(f"{scenario}/{name}", True, detail)
     for scenario, name in [] if args.skip_races else cells:
-        runner, build_spec = CHECK_SCENARIOS[scenario]
-        report = race_check(runner, build_spec(args, name), orders=args.orders)
+        report = race_check(run_spec, CHECK_SCENARIOS[scenario](args, name), orders=args.orders)
         failures += _check_row(f"races:{scenario}/{name}", report.ok, report.format())
     if failures:
         print(f"{failures} check(s) failed", file=sys.stderr)
@@ -505,10 +525,12 @@ def _drain(runner, args) -> int:
 def _campaign_sweep_specs(args) -> List:
     """Shard the requested sweep into its independent job specs."""
     from repro.experiments.grid import (
+        PAPER_BANDWIDTH_GRID_MBPS,
         PAPER_WGET_GRID_MBPS,
         streaming_grid_specs,
         wget_matrix_specs,
     )
+    from repro.experiments.wild import wild_streaming_configs
 
     if args.sweep == "wild":
         return wild_streaming_configs(_wild_spec(args))

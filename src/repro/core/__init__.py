@@ -13,29 +13,8 @@ Provided schedulers (Section 5.1 of the paper):
 * ``roundrobin`` -- cycles over available subflows (extra baseline).
 * ``mpdash`` -- MP-DASH's preferred-path-first scheduler (Section 7's
   contrast; driven by :class:`repro.apps.dash.mpdash.MpDashPathManager`).
+
+Each name is imported from its module; :mod:`repro.core.spec` holds the
+name -> class tables behind ``build(SchedulerSpec.of(...))`` and
+``build(CcSpec.of(...))``.
 """
-
-from repro.core.base import Scheduler
-from repro.core.minrtt import MinRttScheduler
-from repro.core.ecf import EcfScheduler
-from repro.core.blest import BlestScheduler
-from repro.core.daps import DapsScheduler
-from repro.core.extras import MpDashScheduler, RoundRobinScheduler
-from repro.core.registry import SCHEDULER_NAMES, register_scheduler, registered_schedulers
-from repro.core.spec import CcSpec, SchedulerSpec, build
-
-__all__ = [
-    "Scheduler",
-    "MinRttScheduler",
-    "EcfScheduler",
-    "BlestScheduler",
-    "DapsScheduler",
-    "RoundRobinScheduler",
-    "MpDashScheduler",
-    "SchedulerSpec",
-    "CcSpec",
-    "build",
-    "SCHEDULER_NAMES",
-    "register_scheduler",
-    "registered_schedulers",
-]

@@ -13,19 +13,20 @@ The spec is a plain value -- JSON-serializable, hashable, comparable
 (one :class:`~repro.sim.codec.KindSpec` definition serves every family) --
 so it can ride inside experiment specs, cross a process-pool boundary,
 key the result cache, and be stored in the campaign database, none of
-which a live scheduler object can do.  :func:`build` dispatches on the
-spec type:
+which a live scheduler object can do.  Each spec family resolves its
+``kind`` through its own table (:meth:`~repro.sim.codec.KindSpec.register`,
+``kinds``, ``factory``):
 
 =====================================================  ====================
 spec                                                   built object
 =====================================================  ====================
 :class:`SchedulerSpec`                                 :class:`~repro.core.base.Scheduler`
-:class:`CcSpec`                                        :class:`~repro.tcp.cc.CongestionController`
+:class:`CcSpec`                                        :class:`~repro.tcp.cc.base.CongestionController`
 :class:`~repro.net.bandwidth.BandwidthSpec`            a bandwidth process
 =====================================================  ====================
 
-Like every registry here, :func:`build` always returns a *fresh*
-instance: schedulers and controllers carry per-connection state.
+:func:`build` always returns a *fresh* instance: schedulers and
+controllers carry per-connection state.
 """
 
 from __future__ import annotations
@@ -33,17 +34,23 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any
 
-from repro.core.base import Scheduler
-from repro.core import registry as _registry
+from repro.core.blest import BlestScheduler
+from repro.core.daps import DapsScheduler
+from repro.core.ecf import EcfScheduler
+from repro.core.extras import MpDashScheduler, RoundRobinScheduler
+from repro.core.minrtt import MinRttScheduler
 from repro.sim.codec import KindSpec
+from repro.tcp.cc.coupled import CoupledController
+from repro.tcp.cc.cubic import CubicController
+from repro.tcp.cc.olia import OliaController
+from repro.tcp.cc.reno import RenoController
 
 
 @dataclass(frozen=True)
 class SchedulerSpec(KindSpec):
     """A named, serializable description of a path scheduler.
 
-    ``kind`` resolves against the scheduler registry
-    (:func:`repro.core.registry.registered_schedulers`); ``params`` are
+    ``kind`` is one of :meth:`SchedulerSpec.kinds`; ``params`` are
     constructor keywords, e.g. ``SchedulerSpec.of("ecf", beta=0.5)``.
     """
 
@@ -52,55 +59,51 @@ class SchedulerSpec(KindSpec):
 class CcSpec(KindSpec):
     """A named, serializable description of a congestion controller.
 
-    ``kind`` resolves against :func:`repro.tcp.cc.registered_controllers`
-    (``"reno"``, ``"coupled"``/``"lia"``, ``"olia"``, ``"cubic"``).
+    ``kind`` is one of :meth:`CcSpec.kinds` (``"reno"``,
+    ``"coupled"``/``"lia"``, ``"olia"``, ``"cubic"``).
     """
 
 
-def _build_scheduler(spec: SchedulerSpec) -> Scheduler:
-    try:
-        factory = _registry._FACTORIES[spec.kind.lower()]
-    except KeyError:
-        raise ValueError(
-            f"unknown scheduler {spec.kind!r}; "
-            f"choose from {sorted(_registry.registered_schedulers())}"
-        ) from None
-    return factory(**spec.param_dict())
+#: Canonical user-facing scheduler names.  ("mpdash" additionally needs an
+#: :class:`~repro.apps.dash.mpdash.MpDashPathManager` wired to the player;
+#: the streaming runner does this automatically.)  ``SchedulerSpec.kinds()``
+#: also holds the ``default`` alias and any registered extension, which
+#: no sweep enumerates.
+SCHEDULER_NAMES = ("minrtt", "ecf", "blest", "daps", "roundrobin", "mpdash")
+
+SchedulerSpec.register("minrtt", MinRttScheduler)
+SchedulerSpec.register("default", MinRttScheduler)
+SchedulerSpec.register("ecf", EcfScheduler)
+SchedulerSpec.register("blest", BlestScheduler)
+SchedulerSpec.register("daps", DapsScheduler)
+SchedulerSpec.register("roundrobin", RoundRobinScheduler)
+SchedulerSpec.register("mpdash", MpDashScheduler)
+
+CcSpec.register("reno", RenoController)
+CcSpec.register("coupled", CoupledController)
+CcSpec.register("lia", CoupledController)
+CcSpec.register("olia", OliaController)
+CcSpec.register("cubic", CubicController)
 
 
-def _build_controller(spec: CcSpec) -> Any:
-    # Imported lazily: repro.core must not depend on repro.tcp at import
-    # time (the dependency runs the other way for event emission).
-    from repro.tcp.cc import build_controller
-
-    return build_controller(spec.kind, **spec.param_dict())
-
-
-def build(config: Any) -> Any:
+def build(config: KindSpec) -> Any:
     """The single config-first entry point: a frozen spec in, a live object out.
 
-    Dispatches on the spec type -- :class:`SchedulerSpec`,
-    :class:`CcSpec`, or :class:`~repro.net.bandwidth.BandwidthSpec`.
-    Always returns a fresh instance.
+    Looks ``config.kind`` up in its family's table -- :class:`SchedulerSpec`,
+    :class:`CcSpec`, or :class:`~repro.net.bandwidth.BandwidthSpec` -- and
+    calls the factory with the spec's params.  Always returns a fresh
+    instance.
 
     Raises
     ------
     ValueError
-        For a spec whose ``kind`` its registry does not resolve.
+        For a spec whose ``kind`` its family does not resolve.
     TypeError
-        For an object that is not a recognized construction spec.
+        For an object that is not a construction spec.
     """
-    if isinstance(config, SchedulerSpec):
-        return _build_scheduler(config)
-    if isinstance(config, CcSpec):
-        return _build_controller(config)
-    # The remaining spec families live in heavier modules; import them
-    # only when such a config actually shows up.
-    from repro.net.bandwidth import BandwidthSpec, make_bandwidth_process
-
-    if isinstance(config, BandwidthSpec):
-        return make_bandwidth_process(config)
-    raise TypeError(
-        f"cannot build a {type(config).__name__}; expected SchedulerSpec, "
-        f"CcSpec, or BandwidthSpec"
-    )
+    if not isinstance(config, KindSpec):
+        raise TypeError(
+            f"cannot build a {type(config).__name__}; expected SchedulerSpec, "
+            f"CcSpec, or BandwidthSpec"
+        )
+    return config.factory(config.kind)(**config.param_dict())

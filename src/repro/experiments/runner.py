@@ -38,7 +38,7 @@ from repro.core.spec import SchedulerSpec, build
 from repro.experiments.spec import register_experiment
 from repro.metrics.collectors import PeriodicSampler
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
-from repro.net.bandwidth import BandwidthSpec, make_bandwidth_process
+from repro.net.bandwidth import BandwidthSpec
 from repro.net.path import Path
 from repro.net.profiles import PathConfig, lte_config, make_path, wifi_config
 from repro.sim.codec import SCHEMA_VERSION, Record, wrong_schema_version
@@ -310,7 +310,7 @@ def run_streaming(config: StreamingRunConfig) -> StreamingRunResult:
         # Specs are realized into a fresh live process per run; legacy
         # duck-typed processes attach directly.
         if isinstance(process, BandwidthSpec):
-            process = make_bandwidth_process(process)
+            process = build(process)
         for path in paths:
             if path.name == interface:
                 process.attach(sim, path)

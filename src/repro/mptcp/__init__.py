@@ -10,9 +10,6 @@ architecture the paper builds on:
 * :class:`~repro.mptcp.receiver.MptcpReceiver` -- the client-side reorder
   buffer that reassembles data sequence numbers into an in-order stream and
   measures the out-of-order delay every packet experiences (Figs 13/14/21/23).
+
+Each name is imported from its module.
 """
-
-from repro.mptcp.connection import ConnectionConfig, MptcpConnection
-from repro.mptcp.receiver import MptcpReceiver
-
-__all__ = ["MptcpConnection", "ConnectionConfig", "MptcpReceiver"]

@@ -14,53 +14,6 @@ regulation over real WiFi/LTE interfaces:
   Section 5.3's random bandwidth-change scenarios.
 * :mod:`~repro.net.profiles` -- factory functions for the paper's WiFi/LTE
   configurations and the in-the-wild path models of Section 6.
+
+Each name is imported from its module.
 """
-
-from repro.net.packet import Packet
-from repro.net.link import Link, LinkStats
-from repro.net.path import Path
-from repro.net.bandwidth import (
-    BandwidthSpec,
-    ConstantBandwidth,
-    PiecewiseBandwidth,
-    RandomBandwidthProcess,
-    make_bandwidth_process,
-    register_bandwidth_process,
-)
-from repro.net.profiles import (
-    PathConfig,
-    make_path,
-    wifi_config,
-    lte_config,
-    wild_wifi_config,
-    wild_lte_config,
-)
-from repro.net.topology import (
-    CompositeForward,
-    LinkSpec,
-    chain_path,
-    shared_bottleneck,
-)
-
-__all__ = [
-    "Packet",
-    "Link",
-    "LinkStats",
-    "Path",
-    "BandwidthSpec",
-    "ConstantBandwidth",
-    "PiecewiseBandwidth",
-    "RandomBandwidthProcess",
-    "make_bandwidth_process",
-    "register_bandwidth_process",
-    "PathConfig",
-    "make_path",
-    "wifi_config",
-    "lte_config",
-    "wild_wifi_config",
-    "wild_lte_config",
-    "LinkSpec",
-    "CompositeForward",
-    "chain_path",
-    "shared_bottleneck",
-]

@@ -11,7 +11,7 @@ schedule (useful for tests and for regenerating a specific scenario).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from repro.net.path import Path
 from repro.sim.codec import KindSpec
@@ -20,18 +20,6 @@ from repro.sim.rng import RngRegistry
 
 #: Rate set used by the paper's random-change scenarios (Mbps).
 PAPER_RATE_SET_MBPS = (0.3, 1.1, 1.7, 4.2, 8.6)
-
-
-@dataclass(frozen=True)
-class BandwidthSpec(KindSpec):
-    """A named, serializable description of a bandwidth process.
-
-    Experiment configs carry these instead of live process objects so a
-    run spec stays picklable (for process-pool workers) and content-
-    hashable (for the result cache).  ``make_bandwidth_process`` turns a
-    spec back into the live object; each process class's ``to_spec``
-    goes the other way.
-    """
 
 
 class ConstantBandwidth:
@@ -165,48 +153,20 @@ class RandomBandwidthProcess:
         )
 
 
-BandwidthProcess = Callable  # documentation alias; all processes share .attach()
+@dataclass(frozen=True)
+class BandwidthSpec(KindSpec):
+    """A named, serializable description of a bandwidth process.
 
-
-_BANDWIDTH_FACTORIES: Dict[str, Callable[..., Any]] = {
-    "constant": ConstantBandwidth,
-    "piecewise": PiecewiseBandwidth,
-    "random": RandomBandwidthProcess,
-}
-
-#: Canonical bandwidth-process kind names.
-BANDWIDTH_PROCESS_KINDS = tuple(sorted(_BANDWIDTH_FACTORIES))
-
-
-def registered_bandwidth_kinds() -> frozenset:
-    """Every kind ``make_bandwidth_process`` resolves, extensions included.
-
-    Unlike :data:`BANDWIDTH_PROCESS_KINDS` (frozen at import time), this
-    reflects :func:`register_bandwidth_process` calls, so registry-aware
-    tooling (``repro.analysis.lint``) sees custom kinds.
+    Experiment configs carry these instead of live process objects so a
+    run spec stays picklable (for process-pool workers) and content-
+    hashable (for the result cache).  ``build`` (:mod:`repro.core.spec`)
+    turns a spec back into the live object; each process class's
+    ``to_spec`` goes the other way.  A custom kind joins with
+    ``BandwidthSpec.register(kind, factory)``: the factory takes the
+    spec's params and returns an object with ``attach(sim, path)``.
     """
-    return frozenset(_BANDWIDTH_FACTORIES)
 
 
-def register_bandwidth_process(kind: str, factory: Callable[..., Any]) -> None:
-    """Register a custom process kind for spec-based construction.
-
-    ``factory`` is called with the spec's params as keyword arguments and
-    must return an object with ``attach(sim, path)``.
-    """
-    _BANDWIDTH_FACTORIES[kind] = factory
-
-
-def make_bandwidth_process(spec: BandwidthSpec):
-    """Instantiate the live process a :class:`BandwidthSpec` describes.
-
-    Like every ``build`` here, always returns a fresh instance.
-    """
-    try:
-        factory = _BANDWIDTH_FACTORIES[spec.kind]
-    except KeyError:
-        raise ValueError(
-            f"unknown bandwidth process kind {spec.kind!r}; "
-            f"choose from {sorted(_BANDWIDTH_FACTORIES)}"
-        ) from None
-    return factory(**spec.param_dict())
+BandwidthSpec.register("constant", ConstantBandwidth)
+BandwidthSpec.register("piecewise", PiecewiseBandwidth)
+BandwidthSpec.register("random", RandomBandwidthProcess)

@@ -8,27 +8,3 @@ collapsed-stack/flamegraph output).  Both are subscribers on the probe seam
 never imports this package.  The benchmark that reads them lives in
 ``bench/`` at the repo root (see ``bench/README.md``).
 """
-
-from repro.perf.counters import (
-    ENV_VAR,
-    PerfCollector,
-    PerfRecord,
-    PerfSnapshot,
-    collecting,
-    measure,
-    perf_enabled,
-)
-from repro.perf.profiler import SimProfiler, profiling
-
-
-__all__ = [
-    "ENV_VAR",
-    "PerfCollector",
-    "PerfRecord",
-    "PerfSnapshot",
-    "SimProfiler",
-    "collecting",
-    "measure",
-    "perf_enabled",
-    "profiling",
-]

@@ -12,21 +12,8 @@ This package provides the substrate every other subsystem runs on:
   (:func:`~repro.sim.snapshot.capture` / ``restore`` / ``fork``).
 * :mod:`repro.sim.codec` -- the one wire codec every spec, result,
   kind-spec and event record serializes through.
+
+Each name is imported from its module, so a transport module's ``from
+repro.sim import probe`` runs neither the snapshot layer nor the trace
+recorder.
 """
-
-from repro.sim.engine import Simulator, Timer
-from repro.sim.rng import RngRegistry
-from repro.sim.snapshot import Snapshot, SnapshotError, capture, fork, restore
-from repro.sim.trace import TraceRecorder
-
-__all__ = [
-    "Simulator",
-    "Timer",
-    "RngRegistry",
-    "TraceRecorder",
-    "Snapshot",
-    "SnapshotError",
-    "capture",
-    "restore",
-    "fork",
-]

@@ -46,7 +46,19 @@ import dataclasses
 import functools
 import json
 import typing
-from typing import Any, Callable, ClassVar, Dict, Mapping, Optional, Tuple, Type, TypeVar, Union
+from typing import (
+    Any,
+    Callable,
+    ClassVar,
+    Dict,
+    FrozenSet,
+    Mapping,
+    Optional,
+    Tuple,
+    Type,
+    TypeVar,
+    Union,
+)
 
 #: Version of the spec/result wire format.  Bump when a serialized field
 #: changes meaning; the cache treats entries from other versions as misses.
@@ -188,10 +200,44 @@ class KindSpec:
     ``params`` is a sorted tuple of ``(key, value)`` pairs with nested
     sequences tupled, so two specs describing the same object are equal
     whatever the construction order, and after a JSON round trip.
+
+    Each family (subclass) owns one kind -> factory table, the registry
+    ``build`` and the linter read: :meth:`register` adds a kind,
+    :meth:`kinds` lists them, :meth:`factory` resolves one.  Kind names
+    fold case, so ``"ECF"`` resolves as ``"ecf"`` does.
     """
 
     kind: str
     params: Tuple[Tuple[str, Any], ...] = ()
+
+    _factories: ClassVar[Dict[str, Callable[..., Any]]] = {}
+
+    def __init_subclass__(cls, **kwargs: Any) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._factories = {}
+
+    @classmethod
+    def register(cls, kind: str, factory: Callable[..., Any]) -> None:
+        """Make ``build(cls.of(kind, **params))`` call ``factory(**params)``,
+        which must return a fresh object: schedulers and controllers carry
+        per-connection state."""
+        cls._factories[kind.lower()] = factory
+
+    @classmethod
+    def kinds(cls) -> FrozenSet[str]:
+        """Every kind name the family resolves, aliases and registered
+        extensions included."""
+        return frozenset(cls._factories)
+
+    @classmethod
+    def factory(cls, kind: str) -> Callable[..., Any]:
+        """The factory ``kind`` names; :class:`ValueError` for an unknown one."""
+        try:
+            return cls._factories[kind.lower()]
+        except KeyError:
+            raise ValueError(
+                f"unknown {cls.__name__} kind {kind!r}; choose from {sorted(cls._factories)}"
+            ) from None
 
     @classmethod
     def of(cls: Type[K], kind: str, **params: Any) -> K:

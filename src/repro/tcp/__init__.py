@@ -11,9 +11,6 @@ needs, at packet granularity:
   acknowledgement, dupack fast retransmit, RTO with exponential backoff,
   and the RFC 5681/2861 idle congestion-window reset that Section 3.2 of
   the paper identifies as the root cause of fast-path under-utilization.
+
+Each name is imported from its module.
 """
-
-from repro.tcp.rtt import RttEstimator
-from repro.tcp.subflow import Subflow, SubflowStats, Segment
-
-__all__ = ["RttEstimator", "Subflow", "SubflowStats", "Segment"]

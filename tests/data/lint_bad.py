@@ -12,7 +12,7 @@ import time
 from dataclasses import dataclass
 from typing import ClassVar, Optional
 
-from repro.core.registry import _FACTORIES  # RPR701: cross-package private import
+from repro.sim.codec import _PLANS  # RPR701: cross-package private import
 
 
 def stamp():

@@ -207,21 +207,21 @@ class TestLintRules:
         assert codes_of("s = SchedulerSpec.of('ECF')\n") == []
 
     def test_rpr701_cross_package_private_name(self):
-        bad = "from repro.core.registry import _FACTORIES\n"
+        bad = "from repro.sim.codec import _PLANS\n"
         violations = lint_source(
             bad, path="src/repro/experiments/exec.py", registries=TEST_REGISTRIES
         )
         assert [v.code for v in violations] == ["RPR701"]
-        assert "_FACTORIES" in violations[0].message
+        assert "_PLANS" in violations[0].message
 
     def test_rpr701_same_package_is_fine(self):
-        source = "from repro.core.registry import _FACTORIES\n"
+        source = "from repro.sim.codec import _PLANS\n"
         assert lint_source(
-            source, path="src/repro/core/spec.py", registries=TEST_REGISTRIES
+            source, path="src/repro/sim/snapshot.py", registries=TEST_REGISTRIES
         ) == []
 
     def test_rpr701_public_import_is_fine(self):
-        source = "from repro.core.registry import registered_schedulers\n"
+        source = "from repro.sim.codec import KindSpec\n"
         assert lint_source(
             source, path="src/repro/experiments/exec.py", registries=TEST_REGISTRIES
         ) == []
@@ -236,12 +236,12 @@ class TestLintRules:
     def test_rpr701_applies_outside_the_package(self):
         # External consumers (tests, scripts) get the same protection: for
         # them every underscore name in repro is private.
-        assert codes_of("from repro.core.registry import _FACTORIES\n") == ["RPR701"]
+        assert codes_of("from repro.sim.codec import _PLANS\n") == ["RPR701"]
 
     def test_rpr701_relative_imports_exempt(self):
-        source = "from ._registry import _FACTORIES\n"
+        source = "from ._codec import _PLANS\n"
         assert lint_source(
-            source, path="src/repro/core/spec.py", registries=TEST_REGISTRIES
+            source, path="src/repro/sim/snapshot.py", registries=TEST_REGISTRIES
         ) == []
 
 

@@ -16,8 +16,7 @@ from repro.analysis.reference import EcfReference, replay_ecf, replay_minrtt
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
 from repro.cli import main as cli_main
 from repro.core.ecf import EcfScheduler
-from repro.core.registry import SCHEDULER_NAMES
-from repro.core.spec import SchedulerSpec, build
+from repro.core.spec import SCHEDULER_NAMES, SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, wifi_config
 from repro.net.topology import LinkSpec, chain_path, shared_bottleneck

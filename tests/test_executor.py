@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.bulk import BulkDownloadSpec
+from repro.core.spec import build
 from repro.experiments.exec import (
     ExperimentError,
     ExperimentExecutor,
@@ -41,13 +42,12 @@ from repro.experiments.spec import (
     spec_to_dict,
 )
 from repro.experiments.wild import WildStreamingSpec, run_wild
+from repro.mptcp.connection import ConnectionConfig
 from repro.net.bandwidth import (
     BandwidthSpec,
     PiecewiseBandwidth,
     RandomBandwidthProcess,
-    make_bandwidth_process,
 )
-from repro.mptcp.connection import ConnectionConfig
 from repro.net.profiles import PathConfig, lte_config, wifi_config
 from repro.workloads.web import WebBrowsingSpec
 from tests.conftest import flip_a_digit
@@ -559,7 +559,7 @@ class TestSpecRoundTripProperty:
         again = BandwidthSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
         assert again == spec
         # And the spec constructs a live process of the right shape.
-        process = make_bandwidth_process(again)
+        process = build(again)
         assert hasattr(process, "attach")
 
 

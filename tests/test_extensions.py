@@ -4,9 +4,8 @@ import pytest
 
 from repro.apps.dash.abr import AbrInputs, HarmonicThroughputAbr, make_abr
 from repro.apps.dash.media import VideoManifest
-from repro.core import CcSpec, build
-from repro.tcp.cc import CubicController
-from repro.tcp.cc.cubic import BETA_CUBIC
+from repro.core.spec import CcSpec, build
+from repro.tcp.cc.cubic import BETA_CUBIC, CubicController
 from tests.conftest import build_connection, drain
 
 

@@ -1,25 +1,32 @@
 """Import what you use: what one import statement loads in a fresh
 interpreter (its *import closure*).
 
-The package roots resolve their public names on first use (PEP 562), and
-each tool is imported where its switch is read, so
+Each public name lives in one module.  The four package roots
+(``repro``, ``repro.service``, ``repro.experiments``, ``repro.obs``)
+resolve theirs on first use (PEP 562), every other ``__init__.py`` holds
+a docstring only, and each tool is imported where its switch is read, so
 
 * importing a transport layer runs no tool and no driver: no service,
   executor, telemetry or perf module, no analyzer but the sanitizer, and
   neither SQLite nor ``multiprocessing``;
+* importing the engine runs no snapshot layer, and importing a link no
+  topology or bandwidth model;
+* importing the CLI runs no command's library;
 * importing the campaign runner does not run the daemon, the telemetry
   registry, the checker or the perf collector;
-* every public name is still importable from where it was, and
+* every root name resolves to its home module's object, and
   ``REPRO_SANITIZE=1`` still arms the sanitizer for any ``import repro.*``.
 
 Each closure is read in a child interpreter: this process has imported
 everything long ago.
 """
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -32,8 +39,20 @@ from repro.experiments import exec as exec_module
 from repro.obs import flight
 from repro.perf import counters
 
-#: The transport core: what a simulation needs and nothing above it.
-TRANSPORT = ("repro.sim.engine", "repro.net", "repro.tcp", "repro.mptcp", "repro.core")
+#: The transport core: what a simulation needs and nothing above it, each
+#: layer as its (docstring-only) package and as its home module.
+TRANSPORT = (
+    "repro.sim.engine",
+    "repro.net", "repro.net.link",
+    "repro.tcp", "repro.tcp.subflow",
+    "repro.mptcp", "repro.mptcp.connection",
+    "repro.core", "repro.core.spec",
+)
+
+#: The packages whose ``__init__`` binds names: the lazy roots.
+ROOTS = ("repro", "repro.service", "repro.experiments", "repro.obs")
+
+PACKAGE_DIR = Path(repro.__file__).parent
 
 #: Upper layers the transport's closure must not reach.
 UPPER = ("repro.service", "repro.experiments", "repro.obs", "repro.perf")
@@ -68,6 +87,41 @@ def test_a_transport_layer_loads_no_tool_and_no_driver(module):
     assert [m for package in UPPER for m in under(loaded, package)] == []
     assert under(loaded, "repro.analysis") == ["repro.analysis", "repro.analysis.sanitize"]
     assert [m for m in HEAVY if m in loaded] == []
+
+
+def test_the_engine_loads_no_snapshot_trace_rng_or_hashing():
+    loaded = closure("import repro.sim.engine")
+    for module in ("repro.sim.snapshot", "repro.sim.trace", "repro.sim.rng", "hashlib", "inspect"):
+        assert module not in loaded
+
+
+def test_a_link_loads_no_topology_or_bandwidth_model():
+    loaded = closure("import repro.net.link")
+    for module in ("repro.net.topology", "repro.net.bandwidth", "repro.net.profiles"):
+        assert module not in loaded
+
+
+def test_the_cli_loads_no_command_library():
+    """``build_parser`` needs argparse and the scheduler names; each
+    command imports its own library when it runs."""
+    loaded = closure("import repro.cli")
+    heavy = ("repro.experiments", "repro.service", "repro.apps", "repro.workloads",
+             "repro.obs", "repro.perf", "repro.metrics")
+    assert [m for package in heavy for m in under(loaded, package)] == []
+    assert [m for m in ("sqlite3", "multiprocessing") if m in loaded] == []
+
+
+def test_only_the_roots_bind_names():
+    """Every other ``__init__.py`` is a docstring, so a re-export layer
+    cannot grow back unnoticed."""
+    for init in sorted(PACKAGE_DIR.rglob("__init__.py")):
+        package = ".".join(init.relative_to(PACKAGE_DIR.parent).parent.parts)
+        if package in ROOTS:
+            continue
+        body = ast.parse(init.read_text()).body
+        assert len(body) == 1 and isinstance(body[0], ast.Expr), package
+        assert isinstance(body[0].value, ast.Constant), package
+        assert isinstance(body[0].value.value, str), package
 
 
 def test_the_campaign_runner_loads_no_daemon_registry_checker_or_perf():
@@ -117,21 +171,20 @@ class TestSchedulerRegistry:
 
     def test_a_fresh_core_registers_the_shipped_schedulers_only(self):
         fresh, added, fixtures, shipped = child(
-            "from repro.core import SCHEDULER_NAMES, registered_schedulers\n"
-            "fresh = registered_schedulers()\n"
+            "from repro.core.spec import SCHEDULER_NAMES, SchedulerSpec\n"
+            "fresh = SchedulerSpec.kinds()\n"
             "from repro.analysis.fixtures import FIXTURE_SCHEDULERS\n"
-            "added = registered_schedulers() - fresh\n"
+            "added = SchedulerSpec.kinds() - fresh\n"
             "print(json.dumps([sorted(fresh), sorted(added), "
             "sorted(FIXTURE_SCHEDULERS), sorted(SCHEDULER_NAMES)]))"
         )
-        # ``default`` is the registry's alias of ``minrtt``, not a scheduler.
+        # ``default`` is the table's alias of ``minrtt``, not a scheduler.
         assert set(fresh) == set(shipped) | {"default"}
         assert added == fixtures
 
 
 class TestPublicNames:
-    """Every re-exported name resolves from the same place as before, to
-    the object its home module defines."""
+    """Every root name resolves to the object its home module defines."""
 
     @pytest.mark.parametrize("package", [repro, repro.service, repro.experiments, repro.obs])
     def test_every_public_name_resolves(self, package):

@@ -5,7 +5,8 @@ import random
 import struct
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from repro.core.base import Scheduler
 from repro.core.ecf import EcfInputs, EcfScheduler
@@ -16,11 +17,11 @@ from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.sim import probe
 from repro.sim.engine import Simulator
-from repro.tcp.cc import CoupledController, OliaController, RenoController
 from repro.tcp.cc.base import CongestionController
-from repro.tcp.cc.coupled import DEFAULT_RTT
+from repro.tcp.cc.coupled import DEFAULT_RTT, CoupledController
 from repro.tcp.cc.cubic import BETA_CUBIC, C, CubicController, _CubicState
-from repro.tcp.cc.olia import _EPS
+from repro.tcp.cc.olia import _EPS, OliaController
+from repro.tcp.cc.reno import RenoController
 from repro.tcp.rtt import ALPHA, BETA, RttEstimator
 from tests.conftest import build_connection
 

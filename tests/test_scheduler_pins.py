@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from repro.apps.bulk import BulkDownloadSpec
-from repro.core.registry import SCHEDULER_NAMES
+from repro.core.spec import SCHEDULER_NAMES
 from repro.experiments.runner import StreamingSpec
 from repro.experiments.spec import canonical_json, run_spec
 from repro.mptcp.connection import ConnectionConfig

@@ -6,23 +6,29 @@ from pathlib import Path
 
 import pytest
 
-from repro import perf
 from repro.analysis import events
 from repro.analysis.fixtures import FIXTURE_SCHEDULERS
-from repro.core import (
-    BlestScheduler,
-    DapsScheduler,
-    EcfScheduler,
-    MinRttScheduler,
-    RoundRobinScheduler,
-    SCHEDULER_NAMES,
-    SchedulerSpec,
-    build,
-)
+from repro.core.blest import BlestScheduler
+from repro.core.daps import DapsScheduler
+from repro.core.ecf import EcfScheduler
+from repro.core.extras import MpDashScheduler, RoundRobinScheduler
+from repro.core.minrtt import MinRttScheduler
+from repro.core.spec import SCHEDULER_NAMES, CcSpec, SchedulerSpec, build
 from repro.experiments.runner import StreamingSpec
 from repro.experiments.spec import run_spec
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
+from repro.net.bandwidth import (
+    BandwidthSpec,
+    ConstantBandwidth,
+    PiecewiseBandwidth,
+    RandomBandwidthProcess,
+)
+from repro.perf import counters as perf
 from repro.sim.engine import Simulator
+from repro.tcp.cc.coupled import CoupledController
+from repro.tcp.cc.cubic import CubicController
+from repro.tcp.cc.olia import OliaController
+from repro.tcp.cc.reno import RenoController
 from tests.conftest import build_connection, build_path, drain
 
 
@@ -73,6 +79,55 @@ class TestRegistry:
             if not any(f'"{name}"' in text or f"'{name}'" in text for text in sources)
         ]
         assert unused == []
+
+
+class TestKindTables:
+    """One kind -> factory table per spec family, one lookup rule."""
+
+    SHIPPED = {
+        SchedulerSpec: {
+            "minrtt": MinRttScheduler, "default": MinRttScheduler, "ecf": EcfScheduler,
+            "blest": BlestScheduler, "daps": DapsScheduler,
+            "roundrobin": RoundRobinScheduler, "mpdash": MpDashScheduler,
+        },
+        CcSpec: {
+            "reno": RenoController, "coupled": CoupledController, "lia": CoupledController,
+            "olia": OliaController, "cubic": CubicController,
+        },
+        BandwidthSpec: {
+            "constant": ConstantBandwidth, "piecewise": PiecewiseBandwidth,
+            "random": RandomBandwidthProcess,
+        },
+    }
+
+    @pytest.mark.parametrize("family", [SchedulerSpec, CcSpec, BandwidthSpec])
+    def test_every_shipped_kind_resolves_to_its_class(self, family):
+        assert family.kinds() >= set(self.SHIPPED[family])
+        for kind, cls in self.SHIPPED[family].items():
+            assert family.factory(kind) is cls
+
+    @pytest.mark.parametrize("family", [SchedulerSpec, CcSpec, BandwidthSpec])
+    def test_every_family_folds_case(self, family):
+        for kind in self.SHIPPED[family]:
+            assert family.factory(kind.upper()) is family.factory(kind)
+
+    def test_an_unknown_kind_names_its_family_and_the_choices(self):
+        with pytest.raises(ValueError, match=r"unknown BandwidthSpec kind 'nope'; "
+                           r"choose from \['constant', 'piecewise', 'random'\]"):
+            build(BandwidthSpec.of("nope"))
+        with pytest.raises(ValueError, match="unknown CcSpec kind 'nope'"):
+            build(CcSpec.of("nope"))
+
+    def test_register_adds_a_kind_to_its_family_only(self, monkeypatch):
+        monkeypatch.setattr(BandwidthSpec, "_factories", dict(BandwidthSpec._factories))
+        BandwidthSpec.register("Flat", ConstantBandwidth)
+        assert "flat" in BandwidthSpec.kinds()
+        assert "flat" not in SchedulerSpec.kinds() | CcSpec.kinds()
+        assert build(BandwidthSpec.of("FLAT", rate_bps=1e6)).rate_bps == 1e6
+
+    def test_build_refuses_what_is_not_a_spec(self):
+        with pytest.raises(TypeError, match="cannot build a str"):
+            build("ecf")
 
 
 class TestSchedulerContract:

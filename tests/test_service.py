@@ -615,7 +615,7 @@ class TestCampaignRunner:
         they write, and their journal ``job`` records, are the same."""
         from repro.experiments.runner import StreamingSpec
         from repro.obs.journal import read_journal
-        from repro.workloads import WebBrowsingSpec
+        from repro.workloads.web import WebBrowsingSpec
 
         specs = [
             *bulk_specs(1, size=16 * 1024),

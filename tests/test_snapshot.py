@@ -25,8 +25,7 @@ from repro.apps.bulk import BulkDownloadSpec, build_world, finish
 from repro.apps.http import HttpSession
 from repro.core.ecf import EcfScheduler
 from repro.core.minrtt import MinRttScheduler
-from repro.core.registry import SCHEDULER_NAMES
-from repro.core.spec import SchedulerSpec, build
+from repro.core.spec import SCHEDULER_NAMES, CcSpec, SchedulerSpec, build
 from repro.experiments.spec import canonical_json
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, wifi_config
@@ -35,7 +34,6 @@ from repro.sim import snapshot as snapmod
 from repro.sim.engine import Simulator
 from repro.sim.snapshot import Snapshot, SnapshotError, capture, fork, restore
 from repro.sim.trace import TraceRecorder
-from repro.tcp.cc import CONTROLLER_NAMES
 from tests.conftest import STATE_PACKAGES, call_counts, declaring_classes
 
 #: Every class in the simulation packages with its own STATE_FIELDS.
@@ -174,7 +172,7 @@ class TestRoundTrip:
         replayed = finish(world.spec, twin["conn"], twin["recorder"])
         assert replayed.to_dict() == original.to_dict()
 
-    @pytest.mark.parametrize("cc", CONTROLLER_NAMES)
+    @pytest.mark.parametrize("cc", sorted(CcSpec.kinds()))
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_every_scheduler_and_controller_replays_identically(self, scheduler, cc):
         """A checkpoint must carry every field a scheduler, a controller
@@ -724,7 +722,7 @@ class TestReferenceEquivalence:
     def test_fixture_worlds_match_the_reference(self, worlds, world_snapshots, name):
         assert self.agree(*worlds[name]) == world_snapshots[name]
 
-    @pytest.mark.parametrize("cc", CONTROLLER_NAMES)
+    @pytest.mark.parametrize("cc", sorted(CcSpec.kinds()))
     @pytest.mark.parametrize("scheduler", SCHEDULER_NAMES)
     def test_every_scheduler_and_controller_matches_the_reference(self, scheduler, cc):
         world = _midrun_world(scheduler, cc=cc)

@@ -3,8 +3,10 @@
 import pytest
 
 from repro.core.spec import CcSpec, build
-from repro.tcp.cc import CoupledController, OliaController, RenoController
 from repro.tcp.cc.base import MIN_CWND
+from repro.tcp.cc.coupled import CoupledController
+from repro.tcp.cc.olia import OliaController
+from repro.tcp.cc.reno import RenoController
 from tests.conftest import build_connection
 
 

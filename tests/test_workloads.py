@@ -14,23 +14,6 @@ from repro.workloads.web import (
 )
 
 
-def test_packages_export_the_spec_and_its_typed_runner_only():
-    import repro.apps
-    import repro.workloads
-
-    assert set(repro.apps.__all__) == {
-        "HttpSession", "GetResult",
-        "BulkDownloadSpec", "BulkDownloadResult", "run_bulk",
-    }
-    assert set(repro.workloads.__all__) == {
-        "WebPage", "cnn_like_page",
-        "WebBrowsingSpec", "WebBrowsingResult", "run_web",
-        "random_bandwidth_scenarios",
-    }
-    for package in (repro.apps, repro.workloads):
-        assert all(hasattr(package, name) for name in package.__all__)
-
-
 class TestPageModel:
     def test_object_count_matches_cnn(self):
         assert len(cnn_like_page()) == CNN_OBJECT_COUNT
