@@ -27,9 +27,14 @@ Quickstart
 import importlib
 from typing import Any, List
 
+from repro.sim import probe as _probe
+
 # The transport core imports no tool, so the package root imports the
 # sanitizer: REPRO_SANITIZE=1 must arm it for any ``import repro.*``.
-from repro.analysis import sanitize as _sanitize  # noqa: F401
+# It reads the switch the sanitizer reads at import; switched off, the
+# module stays unloaded until ``sanitize.enable()`` (``cli --sanitize``).
+if _probe.env_on("REPRO_SANITIZE"):
+    from repro.analysis import sanitize as _sanitize  # noqa: F401
 
 __version__ = "1.1.0"
 

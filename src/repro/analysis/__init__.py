@@ -19,6 +19,7 @@ Four layers guard the simulator's invariants:
 * :mod:`repro.analysis.races` -- an event-order race detector re-running
   scenarios under randomized same-timestamp tie-breaking.
 
-Import each from its module.  The package root imports the sanitizer,
-so ``REPRO_SANITIZE=1`` arms on ``import repro``.
+Import each from its module.  The package root imports the sanitizer
+while ``REPRO_SANITIZE`` is on, so ``REPRO_SANITIZE=1`` arms on
+``import repro``.
 """

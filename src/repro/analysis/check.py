@@ -29,8 +29,8 @@ from repro.analysis import events as _events
 from repro.analysis import fixtures as _fixtures  # noqa: F401 -- registers its schedulers
 from repro.analysis.events import (
     AckProcessed,
-    Delivered,
     Decision,
+    Delivered,
     EcfDecision,
     EventLog,
     IdleReset,

@@ -677,24 +677,22 @@ def _tool_switches() -> tuple:
     exports the ones that were given; the environment carries them into
     executor pool workers, which inherit it.  ``metavar`` is ``None`` for
     an on/off switch (exported as ``1``) and names the value otherwise.
+    Each env var is the tool's own ``ENV_VAR`` (``DIR_ENV_VAR``), spelled
+    out so that parsing loads no tool.
     """
-    from repro.analysis import check, sanitize
-    from repro.obs import flight
-    from repro.perf import counters
-
     return (
-        ("--sanitize", sanitize.ENV_VAR, None,
+        ("--sanitize", "REPRO_SANITIZE", None,
          "enable runtime protocol-invariant checks (REPRO_SANITIZE=1)"),
-        ("--check", check.ENV_VAR, None,
+        ("--check", "REPRO_CHECK", None,
          "record an event log per run and fail on temporal property "
          "violations (REPRO_CHECK=1; see repro.analysis.check)"),
-        ("--perf", counters.ENV_VAR, None,
+        ("--perf", "REPRO_PERF", None,
          "attach a per-run perf record (counters + wall time) to every "
          "result (REPRO_PERF=1; see repro.perf)"),
-        ("--obs", flight.ENV_VAR, None,
+        ("--obs", "REPRO_OBS", None,
          "enable the flight recorder: failed runs leave a postmortem "
          "bundle and sweeps write a run journal (REPRO_OBS=1; see repro.obs)"),
-        ("--obs-dir", flight.DIR_ENV_VAR, "DIR",
+        ("--obs-dir", "REPRO_OBS_DIR", "DIR",
          "where postmortem bundles and the run journal land "
          "(REPRO_OBS_DIR; default: .repro-obs); implies --obs"),
     )

@@ -17,14 +17,16 @@ reference path, which produces byte-identical results.
 from __future__ import annotations
 
 from dataclasses import replace
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec
-from repro.apps.dash.media import VideoManifest
-from repro.experiments.exec import ExperimentExecutor
-from repro.experiments.ideal import ideal_average_bitrate
 from repro.experiments.runner import StreamingRunConfig, StreamingRunResult
 from repro.net.profiles import lte_config, wifi_config
+
+# The executor loads where a sweep runs and the ideal model where a
+# ratio is taken: building a sweep's specs needs neither.
+if TYPE_CHECKING:
+    from repro.experiments.exec import ExperimentExecutor
 
 #: The paper's streaming bandwidth set (Mbps), chosen "slightly larger"
 #: than the Table 1 bit rates.
@@ -86,6 +88,8 @@ def streaming_grid(
         base_config, wifi_values_mbps, lte_values_mbps, runs_per_cell
     )
     if executor is None:
+        from repro.experiments.exec import ExperimentExecutor
+
         executor = ExperimentExecutor()
     run_results = executor.run([spec for _, spec in cells_and_specs])
     results: Dict[Cell, List[StreamingRunResult]] = {}
@@ -143,6 +147,8 @@ def wget_matrix(
     coords = [cell for cell, _ in cells_and_specs]
     specs = [spec for _, spec in cells_and_specs]
     if executor is None:
+        from repro.experiments.exec import ExperimentExecutor
+
         executor = ExperimentExecutor()
     return dict(zip(coords, executor.run(specs)))
 
@@ -158,6 +164,9 @@ def bitrate_ratio_matrix(
     scaled-down videos comparable to the paper's 20-minute runs (where
     startup is a negligible fraction of the average).
     """
+    from repro.apps.dash.media import VideoManifest
+    from repro.experiments.ideal import ideal_average_bitrate
+
     ratios: Dict[Cell, float] = {}
     for (wifi, lte), runs in grid.items():
         manifest = VideoManifest(chunk_duration=chunk_duration)

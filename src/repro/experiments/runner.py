@@ -27,16 +27,10 @@ from __future__ import annotations
 
 import sys
 from dataclasses import dataclass, field
-from typing import Any, ClassVar, Dict, List, Mapping, Optional, Tuple
+from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
-from repro.apps.dash.abr import make_abr
-from repro.apps.dash.media import Representation, VideoManifest
-from repro.apps.dash.mpdash import MpDashPathManager, MpDashScheduler
-from repro.apps.dash.player import ChunkRecord, DashPlayer, StreamingMetrics
-from repro.apps.http import HttpSession
 from repro.core.spec import SchedulerSpec, build
 from repro.experiments.spec import register_experiment
-from repro.metrics.collectors import PeriodicSampler
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.bandwidth import BandwidthSpec
 from repro.net.path import Path
@@ -44,7 +38,13 @@ from repro.net.profiles import PathConfig, lte_config, make_path, wifi_config
 from repro.sim.codec import SCHEMA_VERSION, Record, wrong_schema_version
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
-from repro.sim.trace import TraceRecorder
+
+# The DASH stack, the samplers and the trace recorder load where a
+# session runs or a result is decoded: defining and registering the spec
+# (what a sweep that only builds specs imports) needs none of them.
+if TYPE_CHECKING:
+    from repro.apps.dash.player import StreamingMetrics
+    from repro.sim.trace import TraceRecorder
 
 
 def _coerce_process(process: Optional[object]) -> Optional[object]:
@@ -232,6 +232,10 @@ class StreamingRunResult:
         Only understands ``schema_version`` 2 (v1 summaries are lossy and
         cannot be rebuilt).
         """
+        from repro.apps.dash.media import Representation
+        from repro.apps.dash.player import ChunkRecord, StreamingMetrics
+        from repro.sim.trace import TraceRecorder
+
         if data.get("schema_version") != SCHEMA_VERSION:
             raise wrong_schema_version("streaming", data)
         metrics = StreamingMetrics(
@@ -300,6 +304,14 @@ def _fast_interface(config: StreamingRunConfig, paths: List[Path]) -> str:
 
 def run_streaming(config: StreamingRunConfig) -> StreamingRunResult:
     """Execute one full streaming session and collect its metrics."""
+    from repro.apps.dash.abr import make_abr
+    from repro.apps.dash.media import VideoManifest
+    from repro.apps.dash.mpdash import MpDashPathManager, MpDashScheduler
+    from repro.apps.dash.player import DashPlayer
+    from repro.apps.http import HttpSession
+    from repro.metrics.collectors import PeriodicSampler
+    from repro.sim.trace import TraceRecorder
+
     sim = Simulator()
     rngs = RngRegistry(config.seed)
     paths = _build_paths(sim, config, rngs)

@@ -30,9 +30,9 @@ from collections import deque
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set
 
+from repro.mptcp.receiver import MptcpReceiver
 from repro.net.packet import MSS, Packet
 from repro.net.path import Path
-from repro.mptcp.receiver import MptcpReceiver
 from repro.sim import probe as _probe
 from repro.sim.engine import Simulator
 from repro.tcp.cc.base import CongestionController

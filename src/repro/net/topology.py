@@ -20,10 +20,9 @@ of hop *i+1*), so per-hop serialization, queueing, and drops all apply.
 
 from __future__ import annotations
 
+import random
 from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence
-
-import random
 
 from repro.net.link import Link
 from repro.net.packet import Packet

@@ -49,17 +49,31 @@ leaves behind are ``running`` rows: the next drain calls
 from __future__ import annotations
 
 import os
-from typing import Any, Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    Iterator,
+    List,
+    Optional,
+    Sequence,
+    Tuple,
+    Union,
+)
 
-from repro.experiments.exec import ExperimentExecutor, FailedRun, JobOutcome, ResultCache
 from repro.experiments.spec import result_from_dict, spec_hash
-from repro.obs.journal import RunJournal
 from repro.service.backends import (
     BackendConfig,
     InlineBackendConfig,
     backend_config_from_dict,
 )
 from repro.service.store import DONE, PENDING, CampaignStore
+
+# The executor, and with it the pool machinery and the journal, loads
+# where a runner is built: importing this module defines the class only.
+if TYPE_CHECKING:
+    from repro.experiments.exec import FailedRun, JobOutcome
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -111,6 +125,8 @@ class CampaignRunner:
         journal_observer: Optional[Callable[[Dict[str, Any]], None]] = None,
         on_outcome: Optional[Callable[[JobOutcome], None]] = None,
     ) -> None:
+        from repro.experiments.exec import ResultCache
+
         if cache_dir is None:
             raise ValueError(
                 "a campaign needs a cache_dir: results live in the "
@@ -216,6 +232,9 @@ class CampaignRunner:
             if is_job:
                 job_entries.append(entry)
 
+        from repro.experiments.exec import ExperimentExecutor
+        from repro.obs.journal import RunJournal
+
         journal: Optional[RunJournal] = None
         if self.journal_path is not None:
             journal = RunJournal(
@@ -311,6 +330,8 @@ class CampaignRunner:
 
     def failures(self) -> List[FailedRun]:
         """The failed jobs, as :class:`FailedRun` values."""
+        from repro.experiments.exec import FailedRun
+
         return [
             FailedRun(
                 spec_hash=job.spec_hash,

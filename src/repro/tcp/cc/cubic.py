@@ -20,7 +20,7 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict
 
 from repro.sim import probe as _probe
-from repro.tcp.cc.base import CongestionController, MIN_CWND
+from repro.tcp.cc.base import MIN_CWND, CongestionController
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.tcp.subflow import Subflow

@@ -17,6 +17,10 @@ from repro.net.path import Path
 from repro.net.profiles import lte_config, make_path, wifi_config
 from repro.sim.engine import Simulator
 
+#: ``tests/data`` holds fixtures, not tests: ``--doctest-modules`` would
+#: import ``lint_bad.py``, whose seeded violations need not import.
+collect_ignore = ["data"]
+
 
 @pytest.fixture
 def sim() -> Simulator:

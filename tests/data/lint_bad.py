@@ -2,8 +2,8 @@
 
 ``tests/test_analysis.py`` runs ``python -m repro.cli lint`` over this
 file and asserts a non-zero exit: one deliberate violation per rule.
-The filename intentionally does not start with ``test_`` so pytest never
-collects it.
+``tests/conftest.py`` keeps ``tests/data`` out of collection, so pytest
+never imports it.
 """
 
 import heapq  # RPR901: event-queue access outside repro.sim.engine

@@ -10,11 +10,11 @@ import random
 
 import pytest
 
+from repro.core.spec import SchedulerSpec, build
+from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.link import Link
 from repro.net.packet import Packet
 from repro.net.path import Path
-from repro.core.spec import SchedulerSpec, build
-from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from tests.conftest import build_connection, drain
 
 

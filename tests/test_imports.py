@@ -7,11 +7,15 @@ resolve theirs on first use (PEP 562), every other ``__init__.py`` holds
 a docstring only, and each tool is imported where its switch is read, so
 
 * importing a transport layer runs no tool and no driver: no service,
-  executor, telemetry or perf module, no analyzer but the sanitizer, and
-  neither SQLite nor ``multiprocessing``;
+  executor, telemetry, perf or analyzer module (the sanitizer loads only
+  while ``REPRO_SANITIZE`` is on), and neither SQLite nor
+  ``multiprocessing``;
 * importing the engine runs no snapshot layer, and importing a link no
   topology or bandwidth model;
-* importing the CLI runs no command's library;
+* importing the CLI, or building its parser, runs no command's library
+  and no tool;
+* the bench's imports compile no executor, tool or DASH run-time: a
+  first drain loads the executor, a first streaming session the player;
 * importing the campaign runner does not run the daemon, the telemetry
   registry, the checker or the perf collector;
 * every root name resolves to its home module's object, and
@@ -34,7 +38,8 @@ import repro
 import repro.experiments
 import repro.obs
 import repro.service
-from repro.analysis import check
+from repro import cli
+from repro.analysis import check, sanitize
 from repro.experiments import exec as exec_module
 from repro.obs import flight
 from repro.perf import counters
@@ -54,11 +59,24 @@ ROOTS = ("repro", "repro.service", "repro.experiments", "repro.obs")
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
+#: The benchmark's workload module: its ``repro`` imports are what every
+#: bench child compiles before it times anything.
+BENCH_WORKLOADS = PACKAGE_DIR.parent.parent / "bench" / "workloads.py"
+
 #: Upper layers the transport's closure must not reach.
 UPPER = ("repro.service", "repro.experiments", "repro.obs", "repro.perf")
 
 #: Heavy standard-library modules only the service plane and the pool use.
 HEAVY = ("sqlite3", "multiprocessing", "concurrent.futures.process")
+
+#: What a drain loads on first use: the executor, its pool machinery and
+#: the run journal.
+EXECUTOR = ("repro.experiments.exec", "concurrent.futures", "logging", "repro.obs.journal")
+
+#: What a streaming session loads on first use: the DASH run-time, the
+#: samplers and the trace recorder.
+STREAMING = ("repro.apps.dash.player", "repro.apps.dash.abr", "repro.apps.dash.mpdash",
+             "repro.apps.dash.media", "repro.sim.trace", "repro.metrics.collectors")
 
 
 def child(source, **env):
@@ -80,12 +98,23 @@ def under(modules, package):
     return sorted(m for m in modules if m == package or m.startswith(package + "."))
 
 
+def bench_imports():
+    """The module-scope ``repro`` imports of ``bench/workloads.py``."""
+    body = ast.parse(BENCH_WORKLOADS.read_text()).body
+    return "\n".join(
+        ast.unparse(node)
+        for node in body
+        if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro"
+    )
+
+
 @pytest.mark.parametrize("module", TRANSPORT)
 def test_a_transport_layer_loads_no_tool_and_no_driver(module):
-    loaded = closure(f"import {module}")
+    # Set explicitly: a suite run under REPRO_SANITIZE=1 passes it on.
+    loaded = closure(f"import {module}", REPRO_SANITIZE="")
     assert module in loaded
     assert [m for package in UPPER for m in under(loaded, package)] == []
-    assert under(loaded, "repro.analysis") == ["repro.analysis", "repro.analysis.sanitize"]
+    assert under(loaded, "repro.analysis") == []
     assert [m for m in HEAVY if m in loaded] == []
 
 
@@ -109,6 +138,45 @@ def test_the_cli_loads_no_command_library():
              "repro.obs", "repro.perf", "repro.metrics")
     assert [m for package in heavy for m in under(loaded, package)] == []
     assert [m for m in ("sqlite3", "multiprocessing") if m in loaded] == []
+
+
+def test_the_parser_loads_no_tool():
+    """The tool switches are rows of strings: parsing imports no tool."""
+    loaded = closure("from repro.cli import build_parser\nbuild_parser()")
+    assert "repro.analysis.check" not in loaded
+    assert under(loaded, "repro.obs") == []
+    assert under(loaded, "repro.perf") == []
+
+
+def test_the_bench_import_set_loads_no_executor_tool_or_dash_runtime():
+    loaded = closure(bench_imports(), REPRO_SANITIZE="")
+    assert "repro.experiments.runner" in loaded
+    assert [m for m in EXECUTOR + STREAMING if m in loaded] == []
+    assert "repro.experiments.ideal" not in loaded
+    assert under(loaded, "repro.obs") == []
+    assert under(loaded, "repro.analysis") == []
+
+
+def test_a_first_drain_loads_the_executor_and_a_first_session_the_player(tmp_path):
+    after_drain, after_session = child(
+        f"{bench_imports()}\n"
+        "from repro.apps.bulk import BulkDownloadSpec\n"
+        "from repro.experiments.runner import StreamingSpec, run_streaming\n"
+        "from repro.net.profiles import lte_config, wifi_config\n"
+        "from repro.service.runner import CampaignRunner\n"
+        "from repro.service.store import CampaignStore\n"
+        f"store = CampaignStore({str(tmp_path / 'c.db')!r})\n"
+        f"runner = CampaignRunner(store, 'c', cache_dir={str(tmp_path / 'cache')!r})\n"
+        "runner.run([BulkDownloadSpec(scheduler='ecf', "
+        "path_configs=(wifi_config(1.0), lte_config(8.6)), size=20_000)])\n"
+        "after_drain = sorted(sys.modules)\n"
+        "run_streaming(StreamingSpec(scheduler='ecf', video_duration=5.0))\n"
+        "print(json.dumps([after_drain, sorted(sys.modules)]))",
+        REPRO_SANITIZE="",
+    )
+    assert [m for m in EXECUTOR if m not in after_drain] == []
+    assert [m for m in STREAMING if m in after_drain] == []
+    assert [m for m in STREAMING if m not in after_session] == []
 
 
 def test_only_the_roots_bind_names():
@@ -154,6 +222,17 @@ def test_the_executor_reads_the_tools_own_switches():
     assert exec_module._CHECK == check.ENV_VAR
     assert exec_module._PERF == counters.ENV_VAR
     assert exec_module._OBS == flight.ENV_VAR
+
+
+def test_the_cli_names_the_tools_own_switches():
+    rows = {flag: env_var for flag, env_var, _, _ in cli._tool_switches()}
+    assert rows == {
+        "--sanitize": sanitize.ENV_VAR,
+        "--check": check.ENV_VAR,
+        "--perf": counters.ENV_VAR,
+        "--obs": flight.ENV_VAR,
+        "--obs-dir": flight.DIR_ENV_VAR,
+    }
 
 
 def test_the_sanitizer_arms_on_a_transport_import():

@@ -9,10 +9,10 @@ byte stream is exact.
 import pytest
 
 from repro.apps.bulk import BulkDownloadSpec, run_bulk
-from repro.experiments.runner import StreamingRunConfig, run_streaming
-from repro.net.profiles import lte_config, make_path, wifi_config
 from repro.core.spec import SchedulerSpec, build
+from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
+from repro.net.profiles import lte_config, make_path, wifi_config
 from repro.sim.engine import Simulator
 
 

@@ -5,10 +5,10 @@ import random
 import pytest
 
 from repro.net.bandwidth import (
+    PAPER_RATE_SET_MBPS,
     ConstantBandwidth,
     PiecewiseBandwidth,
     RandomBandwidthProcess,
-    PAPER_RATE_SET_MBPS,
 )
 from repro.net.packet import ACK_SIZE, HEADER_SIZE, MSS, Packet, segment_wire_size
 from repro.net.profiles import (

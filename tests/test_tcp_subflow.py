@@ -119,10 +119,11 @@ class TestLossRecovery:
 
     def test_heavy_loss_still_completes_via_rto(self, sim):
         import random as _random
+
+        from repro.core.spec import SchedulerSpec, build
+        from repro.mptcp.connection import ConnectionConfig, MptcpConnection
         from repro.net.link import Link
         from repro.net.path import Path
-        from repro.mptcp.connection import ConnectionConfig, MptcpConnection
-        from repro.core.spec import SchedulerSpec, build
 
         forward = Link(sim, 10e6, 0.01, 100_000, loss_rate=0.2, rng=_random.Random(3))
         reverse = Link(sim, 10e6, 0.01, 100_000)
