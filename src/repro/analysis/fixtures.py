@@ -15,7 +15,9 @@ override only its pure :meth:`~repro.core.ecf.EcfScheduler._evaluate` or
 :meth:`~repro.core.ecf.EcfScheduler._decision_inputs` step, so decision
 logging and the hysteresis state machine -- which live in the
 superclass's :meth:`~repro.core.ecf.EcfScheduler.select` -- keep running
-and the differential oracle sees every (mis)decision.
+and the differential oracle sees every (mis)decision.  Overriding either
+step also keeps a subclass off ``select``'s bound for delta, so the
+fixtures take the exact path even with no probe armed.
 """
 
 from __future__ import annotations

@@ -30,6 +30,7 @@ from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
 
 from repro.core.base import Scheduler
 from repro.sim import probe as _probe
+from repro.tcp.rtt import SIGMA_BOUND
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
@@ -75,6 +76,11 @@ class EcfScheduler(Scheduler):
 
     name = "ecf"
 
+    #: Algorithm 1 is this class's own (neither :meth:`_evaluate` nor
+    #: :meth:`_decision_inputs` overridden), so :meth:`select` may decide
+    #: on the bound for delta; set per subclass in ``__init_subclass__``.
+    _stock_algorithm = True
+
     __slots__ = (
         "beta",
         "use_second_inequality",
@@ -117,6 +123,13 @@ class EcfScheduler(Scheduler):
             raise ValueError(f"choice must be 'wait' or 'slow', got {choice!r}")
         self.forced_decisions[index] = choice
 
+    def __init_subclass__(cls, **kwargs: object) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._stock_algorithm = (
+            cls._evaluate is EcfScheduler._evaluate
+            and cls._decision_inputs is EcfScheduler._decision_inputs
+        )
+
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         """The fast subflow when it has room; otherwise one wait-or-send
         decision (Algorithm 1): gather inputs, evaluate, log.
@@ -127,6 +140,15 @@ class EcfScheduler(Scheduler):
         the deliberately broken fixtures in
         :mod:`repro.analysis.fixtures`) stay fully observable to the
         differential oracle.
+
+        With no probe armed, no forced decision and the stock Algorithm 1,
+        the decision is first tried on ``delta`` in ``[0, delta_hi]``,
+        ``delta_hi = SIGMA_BOUND * max`` over both sample windows (neither
+        window's sigma exceeds it).  Float ``+`` and ``*`` round
+        monotonically on non-negative operands, so a verdict that holds
+        at both ends of that range is the exact verdict, with the same
+        hysteresis update; only the close calls go on to the exact path
+        above.  Comparisons are spelled so that a NaN falls through to it.
         """
         fastest, second = self.fastest_and_sendable(conn)
         if second is None:
@@ -134,6 +156,48 @@ class EcfScheduler(Scheduler):
         if second is fastest:
             return fastest
         # Fastest is full; ``second`` is the default scheduler's pick.
+        if self._stock_algorithm and _probe.ACTIVE is None and not self.forced_decisions:
+            # ``_decision_inputs`` on locals, less delta.
+            k_segments = conn.unassigned_bytes / conn.config.mss
+            fast_rtt = fastest.rtt
+            slow_rtt = second.rtt
+            rtt_f = fast_rtt.srtt
+            if rtt_f is None:
+                rtt_f = fastest._default_rtt
+            rtt_s = slow_rtt.srtt
+            if rtt_s is None:
+                rtt_s = second._default_rtt
+            cwnd_f = fastest.cwnd
+            if cwnd_f < 1.0:
+                cwnd_f = 1.0
+            fast_window = fast_rtt._window
+            slow_window = slow_rtt._window
+            peak_f = max(fast_window) if fast_window else 0.0
+            peak_s = max(slow_window) if slow_window else 0.0
+            delta_hi = SIGMA_BOUND * (peak_s if peak_s > peak_f else peak_f)
+            scale = 1.0 + (self.beta if self.waiting else 0.0)
+            fast_time = (1.0 + math.ceil(k_segments / cwnd_f)) * rtt_f
+            if fast_time >= scale * (rtt_s + delta_hi):
+                # Inequality 1 fails for every delta: send, and clear
+                # the hysteresis.
+                self.ecf_decisions += 1
+                self.waiting = False
+                return second
+            if fast_time < scale * rtt_s:
+                # Inequality 1 holds for every delta; inequality 2 decides.
+                cwnd_s = second.cwnd
+                if cwnd_s < 1.0:
+                    cwnd_s = 1.0
+                slow_time = math.ceil(k_segments / cwnd_s) * rtt_s
+                if not self.use_second_inequality or slow_time >= 2.0 * rtt_f + delta_hi:
+                    self.ecf_decisions += 1
+                    self.waiting = True
+                    return None
+                if slow_time < 2.0 * rtt_f:
+                    # Inequality 2 fails for every delta: send, and the
+                    # waiting state stays as it was.
+                    self.ecf_decisions += 1
+                    return second
         waiting_before = self.waiting
         index = self.ecf_decisions
         self.ecf_decisions = index + 1

@@ -28,6 +28,16 @@ MAX_RTO = 60.0
 #: Number of recent samples over which ECF's sigma is computed.
 SIGMA_WINDOW = 16
 
+#: :attr:`RttEstimator.sigma` never exceeds this multiple of the window's
+#: largest sample.  Samples are positive, so the range of n >= 2 samples is
+#: below their maximum, and their sample standard deviation is at most
+#: sqrt(n / (n - 1)) * range / 2 <= max / sqrt(2) ~= 0.707 * max; 0.75
+#: leaves room for the rounding of the mean, the squares and the root.  It
+#: holds while no square under- or overflows (a largest sample between
+#: 1e-150 and 1e150 s).  A derived constant, not a knob: ECF decides on it
+#: and reads sigma only when the bound leaves the decision open.
+SIGMA_BOUND = 0.75
+
 
 class RttEstimator:
     """Tracks SRTT, RTTVAR, RTO, and a windowed RTT standard deviation.

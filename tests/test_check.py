@@ -581,6 +581,17 @@ class TestCheckCli:
         assert code == 1
         assert "FAIL" in out
 
+    @pytest.mark.parametrize("fixture", ["ecf-noineq2", "ecf-invbeta"])
+    def test_other_fixtures_fail_their_dash_cell(self, capsys, fixture):
+        # ecf-nowait is the case above; every fixture overrides Algorithm 1,
+        # so each must stay caught however stock ECF decides unobserved.
+        code = cli_main([
+            "check", "--scenario", "dash", "--scheduler", fixture,
+            "--video", "10", "--skip-races",
+        ])
+        assert code == 1
+        assert "FAIL" in capsys.readouterr().out
+
     def test_unknown_scheduler_rejected(self):
         with pytest.raises(SystemExit):
             cli_main(["check", "--scheduler", "warpdrive"])

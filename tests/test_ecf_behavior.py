@@ -6,9 +6,18 @@ ends when the fast path frees, hysteresis persists across consecutive
 decisions, and more than two subflows are handled.
 """
 
+import dataclasses
+import hashlib
+
+import pytest
 
 from repro.analysis import events
+from repro.analysis.fixtures import NoWaitEcfScheduler
 from repro.core.ecf import EcfScheduler
+from repro.experiments import runner
+from repro.experiments.runner import StreamingSpec
+from repro.experiments.spec import canonical_json, run_spec
+from repro.sim import probe
 from tests.conftest import build_connection, drain
 
 
@@ -192,3 +201,109 @@ class TestUnitsAndEdges:
         scheduler = EcfScheduler()
         assert scheduler.decisions == scheduler.waits == 0
         assert scheduler.ecf_decisions == 0
+
+
+#: The headline cell and the 4+4 world of the hot-path budget, 20 s of
+#: video: 1,105 and 2,783 Algorithm 1 evaluations.
+WORLDS = {
+    "headline": StreamingSpec(
+        scheduler="ecf", wifi_mbps=0.3, lte_mbps=8.6, video_duration=20.0, seed=1
+    ),
+    "four_plus_four": StreamingSpec(
+        scheduler="ecf",
+        wifi_mbps=4.2,
+        lte_mbps=8.6,
+        video_duration=20.0,
+        subflows_per_interface=4,
+        seed=1,
+    ),
+}
+
+
+@pytest.fixture
+def ecf_run(monkeypatch):
+    """Run a spec; return its result digest, its ECF scheduler, how many
+    decisions took the exact path (``_decision_inputs``) and how many
+    Algorithm 1 evaluations answered wait."""
+    built = []
+    real_build = runner.build
+
+    def build(spec):
+        built.append(real_build(spec))
+        return built[-1]
+
+    monkeypatch.setattr(runner, "build", build)
+    counts = {"exact": 0, "waits": 0}
+    decision_inputs, select = EcfScheduler._decision_inputs, EcfScheduler.select
+
+    def counted_inputs(self, *args):
+        counts["exact"] += 1
+        return decision_inputs(self, *args)
+
+    def counted_select(self, conn):
+        before = self.ecf_decisions
+        answer = select(self, conn)
+        counts["waits"] += answer is None and self.ecf_decisions > before
+        return answer
+
+    monkeypatch.setattr(EcfScheduler, "_decision_inputs", counted_inputs)
+    monkeypatch.setattr(EcfScheduler, "select", counted_select)
+
+    def run(spec):
+        built.clear()
+        counts.update(exact=0, waits=0)
+        result = run_spec(spec)
+        (scheduler,) = [o for o in built if isinstance(o, EcfScheduler)]
+        digest = hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
+        return digest, scheduler, dict(counts)
+
+    return run
+
+
+class TestBoundPath:
+    """With no probe armed, ``select`` decides on a bound for delta; with
+    the event log armed, every decision takes the exact path.  Whole
+    worlds must not tell the two apart."""
+
+    @pytest.mark.parametrize("world", sorted(WORLDS))
+    def test_bare_run_decides_as_the_recorded_run(self, ecf_run, world):
+        if probe.ACTIVE is not None:
+            pytest.skip("a tool is armed (REPRO_SANITIZE, ...): no run is bare")
+        digest, bare, bare_counts = ecf_run(WORLDS[world])
+        with events.recording() as log:
+            recorded_digest, recorded, recorded_counts = ecf_run(WORLDS[world])
+        assert digest == recorded_digest
+        for field in ("decisions", "waits", "ecf_decisions", "waiting"):
+            assert getattr(bare, field) == getattr(recorded, field), field
+        assert len(log.of_kind(events.EcfDecision)) == recorded.ecf_decisions
+        assert recorded_counts["exact"] == recorded.ecf_decisions
+        # The bound settles most decisions of the bare run (over 90 % here).
+        assert 0 < bare_counts["exact"] < bare.ecf_decisions / 5
+
+    def test_overridden_algorithm_keeps_its_hook_without_a_probe(self, ecf_run):
+        """``ecf-nowait`` overrides ``_evaluate``, so even unobserved it
+        never waits where stock ECF does."""
+        assert EcfScheduler._stock_algorithm
+        assert not NoWaitEcfScheduler._stock_algorithm
+        spec = WORLDS["headline"]
+        _, stock, stock_counts = ecf_run(spec)
+        _, nowait, nowait_counts = ecf_run(dataclasses.replace(spec, scheduler="ecf-nowait"))
+        assert type(nowait) is NoWaitEcfScheduler
+        assert stock_counts["waits"] > 0
+        assert nowait.ecf_decisions > 0 and nowait_counts["waits"] == 0
+
+    def test_forced_decision_overrides_a_clear_cut_verdict(self, sim):
+        """A forced decision goes through the exact path, probe or not."""
+        conn = warmed_conn(sim)
+        fast, slow = conn.subflows
+        fast.cwnd = slow.cwnd = 10.0
+        fast._in_flight = 10
+        conn.unassigned_bytes = 2000 * conn.mss  # inequality 1 fails: send
+        scheduler = conn.scheduler
+        scheduler.force_decision(0, "wait")
+        assert scheduler.select(conn) is None
+        assert scheduler.waiting and scheduler.ecf_decisions == 1
+        conn.unassigned_bytes = conn.mss  # Algorithm 1 says: wait
+        scheduler.force_decision(1, "slow")
+        assert scheduler.select(conn) is slow
+        assert scheduler.ecf_decisions == 2

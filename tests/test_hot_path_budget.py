@@ -19,6 +19,11 @@ ecf_eight_subflows / minrtt_hetero / minrtt_single_path_bulk (the world
 of the ``bulk_single_path`` benchmark workload, at 4 MB), Python calls
 then C calls:
 
+* 16.5 / 15.9 / 15.9 / 16.5 and 13.5 / 12.7 / 11.9 / 11.8 -- ECF at
+  minRTT's price: with no probe armed, Algorithm 1 decides on a bound
+  for delta (``SIGMA_BOUND`` times the largest sample of both windows)
+  and builds no named tuple, reading sigma only for the close calls
+  (budgets below: these plus 0.3 -- 0.4);
 * 17.2 / 18.0 / 15.9 / 16.5 and 13.5 / 13.6 / 11.9 / 11.8 -- compare,
   don't call: every two-number ``min`` / ``max`` / ``abs`` on the
   per-segment path is a comparison on locals, the congestion
@@ -58,7 +63,7 @@ CASES = {
         StreamingSpec(
             scheduler="ecf", wifi_mbps=0.3, lte_mbps=8.6, video_duration=10.0, seed=1
         ),
-        17.6,
+        16.8,
         13.9,
     ),
     "ecf_eight_subflows": (
@@ -70,8 +75,8 @@ CASES = {
             subflows_per_interface=4,
             seed=1,
         ),
-        18.3,
-        14.0,
+        16.2,
+        13.0,
     ),
     "minrtt_hetero": (
         StreamingSpec(

@@ -22,7 +22,7 @@ from repro.tcp.cc.coupled import DEFAULT_RTT, CoupledController
 from repro.tcp.cc.cubic import BETA_CUBIC, C, CubicController, _CubicState
 from repro.tcp.cc.olia import _EPS, OliaController
 from repro.tcp.cc.reno import RenoController
-from repro.tcp.rtt import ALPHA, BETA, RttEstimator
+from repro.tcp.rtt import ALPHA, BETA, SIGMA_BOUND, RttEstimator
 from tests.conftest import build_connection
 
 finite_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -107,6 +107,20 @@ class TestRttEstimatorProperties:
             assert first == expected
             assert est.sigma is first  # no recomputation without a new sample
 
+    @settings(max_examples=100)
+    @given(st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=2, max_size=16))
+    @example([1e-150, 1e150])
+    @example([1e-12, 1.0])
+    @example([0.05] * 16)
+    def test_sigma_is_within_its_bound(self, samples):
+        """ECF decides on ``SIGMA_BOUND * max(window)`` in place of sigma.
+        Samples span 1e-150 .. 1e150 s: beyond that a square under- or
+        overflows and the bound's float margin no longer covers it."""
+        est = RttEstimator(sigma_window=len(samples))
+        for sample in samples:
+            est.add_sample(sample)
+        assert est.sigma <= SIGMA_BOUND * max(est._window)
+
 
 # ----------------------------------------------------------------------
 # The single-pass subflow ranking against its list-based specification
@@ -165,6 +179,47 @@ def ranked_world(states):
             sf._in_flight = int(sf.cwnd)
         if retx:
             sf._retx_queue.append(object())
+    return conn
+
+
+#: RTT windows of 0-16 samples: arbitrary ones, and equal or near-equal
+#: ones (a few ulps apart), whose sigma is zero or close to it.
+rtt_windows = st.lists(
+    st.sampled_from([0.01, 0.0125, 0.02, 0.05, 0.1]), max_size=16
+) | st.builds(
+    lambda base, steps: [base + step * math.ulp(base) for step in steps],
+    st.sampled_from([0.01, 0.02, 0.05]),
+    st.lists(st.integers(min_value=0, max_value=3), min_size=2, max_size=16),
+)
+
+#: Congestion windows; under one segment only for the full fast subflow.
+fast_cwnds = (0.5, 1.0, 2.0, 4.0, 10.0)
+slow_cwnds = (1.0, 2.0, 4.0, 10.0)
+
+
+class _ExactEcf(EcfScheduler):
+    """Stock Algorithm 1, overridden, so ``select`` always takes the exact path."""
+
+    def _evaluate(self, inputs: EcfInputs) -> bool:
+        return super()._evaluate(inputs)
+
+
+def ecf_world(windows, cwnds, k_segments):
+    """Two established subflows fed ``windows``; the faster one's window
+    (``cwnds[0]``) full and the other's (``cwnds[1]``) free,
+    ``k_segments`` segments unassigned."""
+    sim = Simulator()
+    conn = build_connection(sim, path_specs=[(10.0, 0.01), (10.0, 0.05)])
+    sim.now = 1.0
+    for sf, samples in zip(conn.subflows, windows):
+        sf.established_at = 0.5
+        for sample in samples:
+            sf.rtt.add_sample(sample)
+    fastest, _ = Scheduler.fastest_and_sendable(conn)
+    (slow,) = [sf for sf in conn.subflows if sf is not fastest]
+    fastest.cwnd, slow.cwnd = cwnds
+    fastest._in_flight = int(fastest.cwnd) + 1
+    conn.unassigned_bytes = k_segments * conn.mss
     return conn
 
 
@@ -234,6 +289,50 @@ class TestRankingProperties:
                 )
                 for field, got, want in zip(EcfInputs._fields, inputs, expected):
                     assert same(got, want), (field, got, want)
+
+    @settings(max_examples=200)
+    @given(
+        st.tuples(rtt_windows, rtt_windows),
+        st.tuples(st.sampled_from(fast_cwnds), st.sampled_from(slow_cwnds)),
+        st.integers(min_value=0, max_value=4) | st.integers(min_value=0, max_value=40),
+        st.booleans(),
+        st.sampled_from([0.0, 0.25, 1.0]),
+        st.booleans(),
+    )
+    # Inequality 2 holds at delta = 0 and fails at the exact delta (~ 0.035).
+    @example(([0.02, 0.02], [0.05, 0.1]), (10.0, 10.0), 1, False, 0.25, True)
+    def test_ecf_bounded_verdict_is_algorithm_1(
+        self, windows, cwnds, k_segments, waiting, beta, second_inequality
+    ):
+        """``select`` decides on a bound for delta unless a probe is armed
+        or Algorithm 1 is overridden: its answer, hysteresis state and
+        decision count must equal the exact path's on every input."""
+        conn = ecf_world(windows, cwnds, k_segments)
+        bounded = EcfScheduler(beta=beta, use_second_inequality=second_inequality)
+        exact = _ExactEcf(beta=beta, use_second_inequality=second_inequality)
+        assert bounded._stock_algorithm and not exact._stock_algorithm
+        bounded.waiting = exact.waiting = waiting
+        assert bounded.select(conn) is exact.select(conn)
+        assert bounded.waiting == exact.waiting
+        assert bounded.ecf_decisions == exact.ecf_decisions == 1
+
+    def test_ecf_reads_sigma_only_for_close_calls(self):
+        """A clear-cut send leaves both sigmas unread; a decision the bound
+        leaves open reads them."""
+        if probe.ACTIVE is not None:
+            pytest.skip("a tool is armed (REPRO_SANITIZE, ...): every decision is exact")
+        windows = ([0.01, 0.012], [0.2, 0.25])  # SRTT ~ 0.0103 and ~ 0.206
+        # 101 fast rounds of ~ 0.0103 s outlast RTT_s plus the bound (0.1875).
+        conn = ecf_world(windows, (10.0, 10.0), k_segments=1000)
+        fast, slow = conn.subflows
+        assert EcfScheduler().select(conn) is slow
+        assert fast.rtt._sigma is None and slow.rtt._sigma is None
+        # k = 1: inequality 2 reads 0.206 >= 2 * 0.0103 + delta, which
+        # the bound cannot settle; the exact delta (~ 0.035) says wait.
+        conn = ecf_world(windows, (10.0, 10.0), k_segments=1)
+        fast, slow = conn.subflows
+        assert EcfScheduler().select(conn) is None
+        assert fast.rtt._sigma is not None and slow.rtt._sigma is not None
 
     @given(subflow_states)
     def test_minrtt_picks_the_fastest_available(self, states):
