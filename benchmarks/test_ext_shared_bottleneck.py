@@ -36,7 +36,7 @@ def run_contest(mptcp_cc: str) -> dict:
     tcp_path.forward.hops.append(shared_link)
 
     mptcp = MptcpConnection(
-        sim, mptcp_paths, build(SchedulerSpec.of("roundrobin")),
+        sim, mptcp_paths, build(SchedulerSpec.of("minrtt")),
         config=ConnectionConfig(handshake_delays=False, congestion_control=mptcp_cc),
         name="mptcp",
     )

@@ -1,16 +1,19 @@
 #!/usr/bin/env python3
 """Tutorial: writing your own MPTCP path scheduler.
 
-The scheduler API is one method: ``select(conn)`` returns the subflow
-that should carry the next segment, or ``None`` to wait for a better one.
-It is pure policy: the connection counts every answer into the
-scheduler's ``decisions`` / ``waits`` and logs it as one
-``events.Decision`` record, so a custom scheduler keeps no bookkeeping
-and shows up in the event log and the timeline like the built-ins.
-This example implements a "deadline-aware" toy scheduler -- use the slow
-path only while the backlog is large enough to keep the fast path busy
-for more than one RTT -- and benchmarks it against the built-ins on the
-paper's flagship heterogeneous configuration.
+The scheduler API is two methods.  ``select(conn)`` returns the subflow
+that should carry the next segment, or ``None`` to wait for a better one;
+``next_segment(conn, subflow)`` returns the ``(dsn, payload)`` range that
+subflow carries (the default: a queued reinjection, else the lowest
+unassigned bytes).  Both are pure policy: the connection books the range
+in its DSN ledger, counts every answer into the scheduler's
+``decisions`` / ``waits`` and logs it as one ``events.Decision`` record,
+so a custom scheduler keeps no bookkeeping and shows up in the event log
+and the timeline like the built-ins.  This example implements a
+"deadline-aware" toy scheduler -- use the slow path only while the
+backlog is large enough to keep the fast path busy for more than one RTT,
+and give it the *last* queued bytes -- and benchmarks it against the
+built-ins on the paper's flagship heterogeneous configuration.
 
 Run:
     python examples/custom_scheduler.py
@@ -28,7 +31,9 @@ class BacklogAwareScheduler(Scheduler):
     Uses the fastest open subflow whenever possible; a slower subflow is
     used only while the unscheduled backlog exceeds ``backlog_rtts``
     round-trips of the fastest subflow's capacity.  (ECF makes a sharper
-    version of the same call by estimating both completion times.)
+    version of the same call by estimating both completion times.)  A
+    slower subflow carries the backlog's last bytes, so the fast one keeps
+    the head of the stream in order (DAPS's idea, in miniature).
     """
 
     name = "backlog"
@@ -48,6 +53,16 @@ class BacklogAwareScheduler(Scheduler):
         if backlog_segments > keep_fast_busy:
             return second
         return None
+
+    def next_segment(self, conn, subflow):
+        fastest, _ = self.fastest_and_sendable(conn)
+        if conn.reinjecting or subflow is fastest:
+            return super().next_segment(conn, subflow)
+        start, end = conn.unassigned_runs[-1]
+        payload = min(conn.mss, end - start)
+        if end - conn.conn_una > conn.effective_send_window:
+            return super().next_segment(conn, subflow)  # the tail is out of reach
+        return end - payload, payload
 
 
 def main() -> None:

@@ -33,6 +33,7 @@ from __future__ import annotations
 import itertools
 import math
 import weakref
+from operator import add, itemgetter
 from typing import TYPE_CHECKING, Any
 
 from repro.sim import probe as _probe
@@ -152,38 +153,30 @@ class Checks(_probe.Probe):
     # ------------------------------------------------------------------
     # mptcp.connection
     # ------------------------------------------------------------------
-    def audit_conn_una(self, conn: "MptcpConnection", data_ack: int) -> None:
-        """DATA_ACKs only move the connection-level una forward."""
-        if data_ack < conn.conn_una:
-            _fail(
-                conn,
-                "data-sequence monotonicity",
-                f"DATA_ACK {data_ack} < conn_una {conn.conn_una}",
-            )
-        if data_ack > conn.next_dsn:
-            _fail(
-                conn,
-                "DATA_ACK within assigned sequence space",
-                f"DATA_ACK {data_ack} > next_dsn {conn.next_dsn}",
-            )
-
     def audit_connection(self, conn: "MptcpConnection") -> None:
-        """Connection-level buffer accounting after a scheduling pass."""
-        if conn.unassigned_bytes < 0:
-            _fail(conn, "unassigned_bytes >= 0", f"{conn.unassigned_bytes}")
-        if not 0 <= conn.conn_una <= conn.next_dsn:
-            _fail(
-                conn,
-                "0 <= conn_una <= next_dsn",
-                f"conn_una={conn.conn_una}, next_dsn={conn.next_dsn}",
-            )
-        if conn.next_dsn + conn.unassigned_bytes > conn.total_written:
-            _fail(
-                conn,
-                "assigned + unassigned <= written",
-                f"next_dsn={conn.next_dsn} + unassigned={conn.unassigned_bytes}"
-                f" > written={conn.total_written}",
-            )
+        """The DSN ledger after a scheduling pass: its ranges partition
+        [conn_una, total_written), and the queued ones are the queue's."""
+        assigned, runs = conn.assigned, conn.unassigned_runs
+        entries = list(assigned.values())
+        payloads = list(map(itemgetter(0), entries))
+        run_lengths = [end - start for start, end in runs]
+        # Coverage is 1 on [conn_una, total_written) and 0 elsewhere iff
+        # the starts and the ends, with the two outer bounds, are one
+        # multiset: C passes over the ledger, not a Python walk.
+        starts = [*assigned, *(start for start, _ in runs), conn.total_written]
+        ends = [conn.conn_una, *map(add, assigned, payloads), *(end for _, end in runs)]
+        if min(payloads + run_lengths, default=1) <= 0 or sorted(starts) != sorted(ends):
+            span = f"[{conn.conn_una}, {conn.total_written})"
+            _fail(conn, "the ledger partitions [conn_una, total_written)", f"{span}, runs={runs}")
+        if sorted(runs) != runs or sum(run_lengths) != conn.unassigned_bytes:
+            total = conn.unassigned_bytes
+            _fail(conn, "runs in order, unassigned_bytes their total", f"{runs}, {total}")
+        live = [dsn for dsn in conn.reinject_queue if dsn >= conn.conn_una]
+        flagged = len(entries) - list(map(itemgetter(2), entries)).count(None)
+        if len(set(live)) != len(live) or len(live) != flagged or any(
+            dsn not in assigned or assigned[dsn][2] is None for dsn in live
+        ):
+            _fail(conn, "queued for reinjection <=> once in the queue", f"{live}, {flagged}")
 
     # ------------------------------------------------------------------
     # mptcp.receiver

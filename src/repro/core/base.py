@@ -2,16 +2,19 @@
 
 A scheduler instance belongs to exactly one connection (several keep
 per-connection state such as ECF's ``waiting`` flag), is attached via
-:meth:`Scheduler.attach`, and is consulted by
-:meth:`repro.mptcp.connection.MptcpConnection.try_send` each time a segment
-could be assigned.
+:meth:`Scheduler.attach`, and is consulted by the one send loop,
+:meth:`repro.mptcp.connection.MptcpConnection.try_send`, each time a
+segment could be sent.
 
 Contract:
 
-* :meth:`select` is the whole API and pure policy: it returns a subflow
-  for which ``can_send()`` is true (the connection raises
-  ``RuntimeError`` otherwise), or ``None`` meaning "send nothing now and
-  wait for an ACK event".  The connection counts every answer into
+* :meth:`select` and :meth:`next_segment` are the whole API and pure
+  policy.  ``select`` returns a subflow for which ``can_send()`` is true
+  (the connection raises ``RuntimeError`` otherwise), or ``None``
+  meaning "send nothing now and wait for an ACK event";
+  ``next_segment`` names the DSN range that subflow carries, which the
+  connection books in its ledger (``ValueError`` for a range it cannot
+  book).  The connection counts every ``select`` answer into
   :attr:`decisions` / :attr:`waits`; a scheduler never touches them.
 * Returning ``None`` while *no* data is in flight anywhere would deadlock
   the connection; the provided schedulers never wait unless the subflow
@@ -97,6 +100,22 @@ class Scheduler:
     def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
         """Choose the subflow for the next segment (or None to wait)."""
         raise NotImplementedError
+
+    def next_segment(
+        self, conn: "MptcpConnection", subflow: "Subflow"
+    ) -> Optional[Tuple[int, int]]:
+        """The DSN range ``(dsn, payload)`` that ``subflow``, just picked by
+        :meth:`select`, carries, or None for nothing.  The kernel's order:
+        while the pass offers queued reinjections (``conn.reinjecting``),
+        the oldest, unless ``subflow``'s own timeout queued it; else the
+        lowest unassigned bytes, at most one MSS."""
+        if conn.reinjecting:
+            dsn = conn.reinject_queue[0]
+            payload, _, queued_by = conn.assigned[dsn]
+            return None if queued_by == subflow.sf_id else (dsn, payload)
+        start, end = conn.unassigned_runs[0]
+        mss = conn.config.mss
+        return start, (end - start if end - start < mss else mss)
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}()"

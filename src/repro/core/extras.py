@@ -1,8 +1,6 @@
-"""Additional baseline schedulers not evaluated in the paper.
+"""An additional baseline scheduler not evaluated in the paper.
 
-``roundrobin`` exposes the cost of ignoring RTT entirely (the
-shared-bottleneck extension benchmark runs it).  ``mpdash`` is the
-scheduler half of MP-DASH (Han et al., CoNEXT 2016), the deadline-aware
+``mpdash`` is the scheduler half of MP-DASH (Han et al., CoNEXT 2016), the deadline-aware
 approach the paper's Section 7 contrasts ECF with; its cross-layer half
 is :class:`repro.apps.dash.mpdash.MpDashPathManager`.
 """
@@ -17,30 +15,6 @@ from repro.core.base import Scheduler
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.mptcp.connection import MptcpConnection
     from repro.tcp.subflow import Subflow
-
-
-class RoundRobinScheduler(Scheduler):
-    """Cycle over available subflows irrespective of RTT."""
-
-    name = "roundrobin"
-
-    __slots__ = ("_next",)
-
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("_next",)
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._next = 0
-
-    def select(self, conn: "MptcpConnection") -> Optional["Subflow"]:
-        n = len(conn.subflows)
-        for offset in range(n):
-            subflow = conn.subflows[(self._next + offset) % n]
-            if subflow.can_send():
-                self._next = (subflow.sf_id + 1) % n
-                return subflow
-        return None
 
 
 class MpDashScheduler(Scheduler):

@@ -37,7 +37,7 @@ from typing import Any
 from repro.core.blest import BlestScheduler
 from repro.core.daps import DapsScheduler
 from repro.core.ecf import EcfScheduler
-from repro.core.extras import MpDashScheduler, RoundRobinScheduler
+from repro.core.extras import MpDashScheduler
 from repro.core.minrtt import MinRttScheduler
 from repro.sim.codec import KindSpec
 from repro.tcp.cc.coupled import CoupledController
@@ -69,14 +69,13 @@ class CcSpec(KindSpec):
 #: the streaming runner does this automatically.)  ``SchedulerSpec.kinds()``
 #: also holds the ``default`` alias and any registered extension, which
 #: no sweep enumerates.
-SCHEDULER_NAMES = ("minrtt", "ecf", "blest", "daps", "roundrobin", "mpdash")
+SCHEDULER_NAMES = ("minrtt", "ecf", "blest", "daps", "mpdash")
 
 SchedulerSpec.register("minrtt", MinRttScheduler)
 SchedulerSpec.register("default", MinRttScheduler)
 SchedulerSpec.register("ecf", EcfScheduler)
 SchedulerSpec.register("blest", BlestScheduler)
 SchedulerSpec.register("daps", DapsScheduler)
-SchedulerSpec.register("roundrobin", RoundRobinScheduler)
 SchedulerSpec.register("mpdash", MpDashScheduler)
 
 CcSpec.register("reno", RenoController)

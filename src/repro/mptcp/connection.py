@@ -6,11 +6,10 @@ bytes through them:
 * the server application calls :meth:`write`; bytes join the
   **connection-level send buffer** (ECF's ``k`` is exactly the part of this
   buffer not yet assigned to any subflow);
-* whenever window space exists, the configured **path scheduler** is asked
-  which subflow carries the next segment; returning ``None`` means "wait"
-  (the ECF/BLEST waiting decision);
-* assignment is bounded by the connection-level send window and the
-  receiver's advertised window;
+* whenever window space exists, the configured **path scheduler** picks
+  the subflow (``select``; ``None`` is the ECF/BLEST "wait") and the DSN
+  range it carries (``next_segment``), inside the connection-level send
+  window and the receiver's advertised window;
 * when the connection is window-limited, the **opportunistic
   retransmission + penalization** mechanism of Raiciu et al. (NSDI'12) --
   enabled by default in the paper's experiments -- reinjects the blocking
@@ -28,7 +27,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence, Set
+from typing import TYPE_CHECKING, Callable, Deque, Dict, List, Optional, Sequence
 
 from repro.mptcp.receiver import MptcpReceiver
 from repro.net.packet import MSS, Packet
@@ -99,18 +98,17 @@ class MptcpConnection:
         "cc",
         "receiver",
         "subflows",
-        "next_dsn",
         "conn_una",
         "unassigned_bytes",
         "total_written",
         "peer_recv_window",
         "reinjections",
-        "_outstanding_dsn",
-        "_dsn_order",
-        "_reinjected",
+        "unassigned_runs",
+        "assigned",
+        "reinject_queue",
+        "reinjecting",
+        "_reinjected_una",
         "_last_penalized",
-        "_rto_reinject_queue",
-        "_rto_reinject_pending",
         "_sending",
     )
 
@@ -167,24 +165,25 @@ class MptcpConnection:
             subflow.on_rto = self._on_subflow_rto
             self.subflows.append(subflow)
 
-        # Connection-level sequence space (bytes).
-        self.next_dsn = 0
+        # The DSN ledger: each byte of [conn_una, total_written) is either
+        # unassigned (in a ``[start, end]`` run of ``unassigned_runs``, in DSN
+        # order; ``unassigned_bytes`` is their total) or in a range of
+        # ``assigned``: dsn -> (payload, the subflow id it was assigned to,
+        # None or the id of the subflow whose timeout queued it for
+        # reinjection).  ``reinject_queue`` holds the queued dsns, oldest
+        # first; ``reinjecting`` is true while a send pass offers them.
         self.conn_una = 0
         self.unassigned_bytes = 0
         self.total_written = 0
         self.peer_recv_window = self.config.recv_buffer_bytes
-        #: In-order record of assigned, not-yet-data-acked segments:
-        #: dsn -> (payload, subflow_id).  Drives reinjection and una.
-        self._outstanding_dsn: Dict[int, tuple] = {}
-        self._dsn_order: Deque[int] = deque()
-        self._reinjected: Set[int] = set()
+        self.unassigned_runs: List[list] = []
+        self.assigned: Dict[int, tuple] = {}
+        self.reinject_queue: Deque[int] = deque()
+        self.reinjecting = False
+        #: conn_una when its segment was last opportunistically reinjected.
+        self._reinjected_una = -1
         self._last_penalized: Dict[int, float] = {}
-        #: Meta-level retransmission queue: (dsn, payload) stranded on a
-        #: timed-out subflow, to be reinjected on any open subflow.
-        self._rto_reinject_queue: Deque[tuple] = deque()
-        self._rto_reinject_pending: Set[int] = set()
         self._sending = False
-
         self.reinjections = 0
 
         scheduler.attach(self)
@@ -192,17 +191,23 @@ class MptcpConnection:
         # pass even if no ACK arrives (e.g. single-path stall before join).
         for subflow in self.subflows:
             if subflow.established_at > sim.now:
-                sim.schedule_at(subflow.established_at, self._on_subflow_established)
+                sim.schedule_at(subflow.established_at, self.try_send)
 
     # ------------------------------------------------------------------
-    # Application (server) side
+    # Server side: application writes and the send loop
     # ------------------------------------------------------------------
     def write(self, nbytes: int) -> None:
         """Queue ``nbytes`` of application data for transmission."""
         if nbytes <= 0:
             raise ValueError(f"write size must be positive, got {nbytes!r}")
-        self.unassigned_bytes += int(nbytes)
-        self.total_written += int(nbytes)
+        start = self.total_written
+        end = self.total_written = start + int(nbytes)
+        runs = self.unassigned_runs
+        if runs and runs[-1][1] == start:
+            runs[-1][1] = end
+        else:
+            runs.append([start, end])
+        self.unassigned_bytes += end - start
         self.try_send()
 
     @property
@@ -211,31 +216,19 @@ class MptcpConnection:
 
     @property
     def bytes_outstanding(self) -> int:
-        """Assigned but not yet data-acked bytes (send-window usage)."""
-        return self.next_dsn - self.conn_una
+        """Bytes from ``conn_una`` to the lowest unassigned DSN (window usage)."""
+        runs = self.unassigned_runs
+        return (runs[0][0] if runs else self.total_written) - self.conn_una
 
     @property
     def effective_send_window(self) -> int:
         """min(local send window, peer's advertised receive window)."""
         return min(self.config.send_window_bytes, self.peer_recv_window)
 
-    @property
-    def send_window_free(self) -> int:
-        """Bytes of send window still available for new assignments."""
-        return max(0, self.effective_send_window - self.bytes_outstanding)
-
-    def window_limited(self) -> bool:
-        """True when the send window blocks assigning one more segment."""
-        return self.send_window_free < min(self.mss, max(1, self.unassigned_bytes))
-
     def recv_window_limited(self) -> bool:
-        """True when the *peer's advertised window* is the binding limit.
-
-        This is the condition the kernel's opportunistic retransmission
-        reacts to (Raiciu et al. [22]): the receive window has filled with
-        out-of-order data stuck behind a slow subflow's segment.  A full
-        local send buffer alone does not trigger it.
-        """
+        """True when the *peer's advertised window* binds: the kernel's
+        opportunistic retransmission (Raiciu et al. [22]) reacts to a receive
+        window filled behind a slow subflow's segment, not to a full buffer."""
         return self.bytes_outstanding + self.mss > self.peer_recv_window
 
     @property
@@ -243,36 +236,47 @@ class MptcpConnection:
         """Bytes handed to the client application in order."""
         return self.receiver.delivered_bytes
 
-    # ------------------------------------------------------------------
-    # Scheduling loop
-    # ------------------------------------------------------------------
     def try_send(self) -> None:
-        """Assign as much queued data as scheduler + windows allow.
-
-        With :meth:`_service_rto_reinjections`, the one place a decision
-        is made, counted (``decisions`` / ``waits``) and reported.
-        """
+        """The one send loop, where every decision is made, counted and reported:
+        ``select`` picks the subflow, ``next_segment`` its DSN range.  A pass
+        offers queued reinjections until they run out, ``select`` waits or
+        ``next_segment`` declines; then new data, while the window allows."""
         if self._sending:
             return
         self._sending = True
         probe = _probe.ACTIVE
+        config = self.config
+        mss = config.mss
+        scheduler = self.scheduler
+        runs = self.unassigned_runs
+        reinjecting = False
+        if self.reinject_queue:
+            reinjecting = self.reinjecting = True
         try:
-            if self._rto_reinject_queue:
-                self._service_rto_reinjections()
-            config = self.config
-            mss = config.mss
-            scheduler = self.scheduler
-            while self.unassigned_bytes > 0:
-                # min(mss, unassigned) and window_limited(), compared on
-                # locals: a two-number min() is a C call per segment.
-                unassigned = self.unassigned_bytes
-                payload = unassigned if unassigned < mss else mss
-                peer_window = self.peer_recv_window
-                own_window = config.send_window_bytes
-                window = peer_window if peer_window < own_window else own_window
-                if window - (self.next_dsn - self.conn_una) < payload:
-                    if config.penalization_enabled and self.recv_window_limited():
-                        self._opportunistic_retransmit()
+            while True:
+                if reinjecting:
+                    start = -1  # no new-data range passed the window test
+                    queue = self.reinject_queue
+                    while queue and queue[0] < self.conn_una:
+                        queue.popleft()  # acked while it waited
+                    if not queue:
+                        reinjecting = self.reinjecting = False
+                        continue
+                elif runs:
+                    # min(mss, run) and the window test, compared on
+                    # locals: a two-number min() is a C call per segment.
+                    start, end = runs[0]
+                    size = end - start
+                    if size > mss:
+                        size = mss
+                    peer_window = self.peer_recv_window
+                    own_window = config.send_window_bytes
+                    window = peer_window if peer_window < own_window else own_window
+                    if window - (start - self.conn_una) < size:
+                        if config.penalization_enabled and self.recv_window_limited():
+                            self._opportunistic_retransmit()
+                        break
+                else:
                     break
                 if probe is None:
                     subflow = scheduler.select(self)
@@ -282,20 +286,58 @@ class MptcpConnection:
                 scheduler.decisions += 1
                 if subflow is None:
                     scheduler.waits += 1
-                    break
-                dsn = self.next_dsn
-                self.next_dsn = dsn + payload
-                self.unassigned_bytes -= payload
-                self._outstanding_dsn[dsn] = (payload, subflow.sf_id)
-                self._dsn_order.append(dsn)
+                    if not reinjecting:
+                        break
+                    reinjecting = self.reinjecting = False
+                    continue
+                segment = scheduler.next_segment(self, subflow)
+                if segment is None:
+                    if not subflow.can_send():
+                        raise RuntimeError(f"{subflow!r} picked without window space")
+                    if not reinjecting:
+                        break
+                    reinjecting = self.reinjecting = False
+                    continue
+                dsn, payload = segment
+                if dsn == start and payload == size:  # the range tested above
+                    if start + size == end:
+                        del runs[0]
+                    else:
+                        runs[0][0] = start + size
+                    self.assigned[dsn] = (payload, subflow.sf_id, None)
+                    self.unassigned_bytes -= payload
+                else:
+                    self._take(dsn, payload, subflow)
                 subflow.send_segment(dsn, payload)  # refuses a broken scheduler's pick
         finally:
-            self._sending = False
+            self._sending = self.reinjecting = False
         if probe is not None:
             probe.audit_connection(self)
 
-    def _on_subflow_established(self) -> None:
-        self.try_send()
+    def _take(self, dsn: int, payload: int, subflow: Subflow) -> None:
+        """Book a range the window test above did not pass: a queued
+        reinjection, or unassigned bytes inside the send window."""
+        assigned = self.assigned
+        if dsn in assigned:
+            size, owner_id, queued_by = assigned[dsn]
+            if queued_by is None or size != payload:
+                raise ValueError(f"({dsn}, {payload}) is not a queued reinjection")
+            assigned[dsn] = (payload, owner_id, None)
+            self.reinject_queue.remove(dsn)
+            self.reinjections += 1
+            probe = _probe.ACTIVE
+            if probe is not None:
+                probe.reinjection(self, dsn, payload, queued_by, subflow.sf_id, "rto")
+            return
+        end = dsn + payload
+        runs = self.unassigned_runs
+        index = next((i for i, (low, high) in enumerate(runs) if low <= dsn < end <= high), -1)
+        if index < 0 or end - self.conn_una > self.effective_send_window:
+            raise ValueError(f"({dsn}, {payload}) is no unassigned range inside the window")
+        low, high = runs[index]
+        runs[index:index + 1] = [run for run in ([low, dsn], [end, high]) if run[0] < run[1]]
+        assigned[dsn] = (payload, subflow.sf_id, None)
+        self.unassigned_bytes -= payload
 
     # ------------------------------------------------------------------
     # Client side (runs at the receiver host)
@@ -317,79 +359,41 @@ class MptcpConnection:
         )
 
     # ------------------------------------------------------------------
-    # Server side ACK processing
+    # Server side: DATA_ACKs and subflow timeouts
     # ------------------------------------------------------------------
     def _on_subflow_ack(self, subflow: Subflow, packet: Packet, newly_acked: bool) -> None:
         if packet.recv_window is not None:
             self.peer_recv_window = packet.recv_window
-        if packet.data_ack > self.conn_una:
-            self._advance_conn_una(packet.data_ack)
+        data_ack = packet.data_ack
+        una = self.conn_una
+        if data_ack > una:
+            # Prune the ledger: a DATA_ACK ends an assigned range, and the
+            # ranges from conn_una on tile the acked bytes (a KeyError here,
+            # or the sanitizer's partition audit after the pass, if not).
+            assigned = self.assigned
+            while una < data_ack:
+                payload = assigned[una][0]
+                del assigned[una]
+                una += payload
+            self.conn_una = data_ack
         self.try_send()
 
-    def _advance_conn_una(self, data_ack: int) -> None:
-        probe = _probe.ACTIVE
-        if probe is not None:
-            probe.audit_conn_una(self, data_ack)
-        self.conn_una = data_ack
-        while self._dsn_order and self._dsn_order[0] < data_ack:
-            del self._outstanding_dsn[self._dsn_order.popleft()]
-        if self._reinjected:
-            self._reinjected = {d for d in self._reinjected if d >= data_ack}
-
-    # ------------------------------------------------------------------
-    # Meta-level retransmission after a subflow RTO
-    # ------------------------------------------------------------------
     def _on_subflow_rto(self, subflow: Subflow) -> None:
-        """Queue a timed-out subflow's stranded data for reinjection.
-
-        Mirrors the kernel's meta retransmission: a subflow RTO is taken
-        as a sign the path may be dead, so its unacknowledged data is
-        also scheduled on the surviving subflows (the receiver dedupes if
-        the original copy eventually arrives).
-        """
+        """Queue a timed-out subflow's stranded data for reinjection: the
+        kernel's meta retransmission.  An RTO hints the path may be dead, so
+        its unacked data goes out on the others too (the receiver dedupes).
+        The scheduler picks the subflow, so path policy holds: a waiting ECF
+        defers a reinjection like any other segment."""
         if len(self.subflows) < 2:
             return
-        for dsn, payload in subflow.outstanding_dsn_ranges():
-            if dsn >= self.conn_una and dsn not in self._rto_reinject_pending:
-                self._rto_reinject_pending.add(dsn)
-                self._rto_reinject_queue.append((dsn, payload, subflow.sf_id))
+        assigned = self.assigned
+        for dsn, _ in subflow.outstanding_dsn_ranges():
+            if dsn >= self.conn_una:
+                payload, owner_id, queued_by = assigned[dsn]
+                if queued_by is None:
+                    assigned[dsn] = (payload, owner_id, subflow.sf_id)
+                    self.reinject_queue.append(dsn)
         self.try_send()
-
-    def _service_rto_reinjections(self) -> None:
-        probe = _probe.ACTIVE
-        scheduler = self.scheduler
-        while self._rto_reinject_queue:
-            dsn, payload, owner_id = self._rto_reinject_queue[0]
-            if dsn < self.conn_una:
-                self._rto_reinject_queue.popleft()
-                self._rto_reinject_pending.discard(dsn)
-                continue
-            # The path scheduler picks the reinjection subflow too (as in
-            # the kernel), so path policy is preserved -- a primary-only
-            # policy never spills onto the secondary, and a waiting ECF
-            # defers the reinjection like any other segment.
-            if probe is None:
-                target = scheduler.select(self)
-            else:
-                target = probe.timed("scheduler.decision", scheduler.select, self)
-                probe.decision(scheduler, self, target)
-            scheduler.decisions += 1
-            if target is None:
-                scheduler.waits += 1
-                return
-            if not target.can_send():  # here, or the owner test below hides it
-                raise RuntimeError(
-                    f"scheduler {scheduler.name!r} returned a subflow "
-                    f"without window space: {target!r}"
-                )
-            if target.sf_id == owner_id:
-                return
-            self._rto_reinject_queue.popleft()
-            self._rto_reinject_pending.discard(dsn)
-            self.reinjections += 1
-            if probe is not None:
-                probe.reinjection(self, dsn, payload, owner_id, target.sf_id, "rto")
-            target.send_segment(dsn, payload)
 
     # ------------------------------------------------------------------
     # Opportunistic retransmission + penalization (Raiciu et al.)
@@ -402,29 +406,22 @@ class MptcpConnection:
         again on a subflow with free CWND, and the slow subflow is
         penalized by halving its window at most once per its RTT.
         """
-        entry = self._outstanding_dsn.get(self.conn_una)
-        if entry is None:
+        una = self.conn_una
+        entry = self.assigned.get(una)
+        if entry is None or self._reinjected_una == una:
             return
-        payload, owner_id = entry
-        if self.conn_una in self._reinjected:
-            return
+        payload, owner_id, _ = entry
         owner = self.subflows[owner_id]
-        candidates = [
-            sf
-            for sf in self.subflows
-            if sf.sf_id != owner_id and sf.can_send()
-        ]
-        if not candidates:
+        candidates = [sf for sf in self.subflows if sf.sf_id != owner_id and sf.can_send()]
+        target = min(candidates, key=lambda sf: sf.srtt_or_default(), default=None)
+        if target is None or target.srtt_or_default() >= owner.srtt_or_default():
             return
-        target = min(candidates, key=lambda sf: sf.srtt_or_default())
-        if target.srtt_or_default() >= owner.srtt_or_default():
-            return
-        self._reinjected.add(self.conn_una)
+        self._reinjected_una = una
         self.reinjections += 1
         probe = _probe.ACTIVE
         if probe is not None:
-            probe.reinjection(self, self.conn_una, payload, owner_id, target.sf_id, "opportunistic")
-        target.send_segment(self.conn_una, payload)
+            probe.reinjection(self, una, payload, owner_id, target.sf_id, "opportunistic")
+        target.send_segment(una, payload)
         last = self._last_penalized.get(owner_id, -float("inf"))
         if self.sim.now - last >= owner.srtt_or_default():
             owner.penalize()

@@ -92,9 +92,6 @@ class Probe:
     def audit_connection(self, conn: Any) -> None:
         """``conn`` finished a scheduling pass."""
 
-    def audit_conn_una(self, conn: Any, data_ack: int) -> None:
-        """``conn.conn_una`` is about to advance to ``data_ack``."""
-
     def audit_receiver(self, receiver: Any) -> None:
         """``receiver`` absorbed, buffered or refused a new segment."""
 

@@ -103,10 +103,12 @@ class RttEstimator:
         """Feed one round-trip measurement (seconds).
 
         Retransmitted segments must not be sampled (Karn's algorithm); the
-        subflow enforces that before calling here.
+        subflow enforces that before calling here.  A sample must be
+        positive and finite: one NaN or inf would pin ``rto`` at
+        ``max_rto`` and idle the path for good.
         """
-        if rtt <= 0:
-            raise ValueError(f"rtt sample must be positive, got {rtt!r}")
+        if not 0.0 < rtt < math.inf:  # also false for NaN; no C call
+            raise ValueError(f"rtt sample must be positive and finite, got {rtt!r}")
         srtt = self.srtt
         if srtt is None:
             srtt = rtt

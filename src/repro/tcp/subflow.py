@@ -288,10 +288,13 @@ class Subflow:
     def send_segment(self, dsn: int, payload: int) -> Segment:
         """Transmit one new segment carrying ``payload`` bytes at ``dsn``.
 
-        The one place a send asks :meth:`can_send`: a subflow that cannot
-        send is refused with ``RuntimeError``, so callers do not ask first.
+        The one place a send asks :meth:`can_send`, spelled on attributes
+        (``tests/test_properties.py`` holds the two equal): a subflow that
+        cannot send is refused with ``RuntimeError``, so callers do not ask.
         """
-        if not self.can_send():
+        if self._retx_queue or not (
+            self._in_flight + 1 <= self.cwnd + CWND_EPS and self.sim.now >= self.established_at
+        ):
             raise RuntimeError(f"send_segment() on subflow without window space: {self!r}")
         if payload <= 0 or payload > self.mss:
             raise ValueError(f"payload must be in (0, mss], got {payload!r}")

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import functools
 import importlib
+import importlib.util
+import pathlib
 import pkgutil
 import sys
 from typing import NamedTuple
 
 import pytest
 
+from repro.core.minrtt import MinRttScheduler
 from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.link import Link
@@ -143,6 +146,32 @@ def build_connection(
     config = ConnectionConfig(handshake_delays=handshake_delays, **config_kwargs)
     scheduler = build(SchedulerSpec.of(scheduler_name))
     return MptcpConnection(sim, paths, scheduler, config=config)
+
+
+class MidpointScheduler(MinRttScheduler):
+    """minRTT's subflow, but new data from the middle of the lowest
+    unassigned run: DSNs leave out of order and the ledger holds holes."""
+
+    name = "midpoint"
+
+    def next_segment(self, conn, subflow):
+        if conn.reinjecting:
+            return super().next_segment(conn, subflow)
+        start, end = conn.unassigned_runs[0]
+        dsn = start + (end - start) // (2 * conn.mss) * conn.mss
+        return dsn, min(conn.mss, end - dsn)
+
+
+#: The example scripts, which are users of the public API, not a package.
+EXAMPLES = pathlib.Path(__file__).resolve().parents[1] / "examples"
+
+
+def load_example(name: str):
+    """Import ``examples/<name>.py`` as a module, without running ``main``."""
+    spec = importlib.util.spec_from_file_location(f"example_{name}", EXAMPLES / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 def drain(sim: Simulator, limit: float = 300.0) -> None:

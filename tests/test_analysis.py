@@ -435,6 +435,25 @@ class TestSanitizer:
         with pytest.raises(SanitizerError, match="the segment at una is unacked"):
             Checks().audit_subflow(subflow)
 
+    @pytest.mark.parametrize(
+        "corrupt, invariant",
+        [
+            (lambda conn: conn.assigned.pop(max(conn.assigned)), "the ledger partitions"),
+            (lambda conn: conn.unassigned_runs[0].__setitem__(0, 0), "the ledger partitions"),
+            (lambda conn: setattr(conn, "unassigned_bytes", 1), "unassigned_bytes their total"),
+            (lambda conn: conn.reinject_queue.append(0), "queued for reinjection"),
+        ],
+        ids=["lost-range", "overlap", "unassigned-count", "stray-queue-entry"],
+    )
+    def test_ledger_corruption_detected(self, corrupt, invariant):
+        sim = Simulator()
+        conn = build_connection(sim)
+        conn.write(100_000)
+        Checks().audit_connection(conn)
+        corrupt(conn)
+        with pytest.raises(SanitizerError, match=invariant):
+            Checks().audit_connection(conn)
+
     def test_corruption_caught_mid_simulation(self, sanitized):
         sim = Simulator()
         conn = build_connection(sim)

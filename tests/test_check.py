@@ -468,7 +468,7 @@ def _shared_bottleneck_run(duration):
     tcp_path = chain_path(sim, "tcp", [LinkSpec(50.0, 0.005, name="tcp-access")])
     tcp_path.forward.hops.append(shared_link)
     mptcp = MptcpConnection(
-        sim, mptcp_paths, build(SchedulerSpec.of("roundrobin")),
+        sim, mptcp_paths, build(SchedulerSpec.of("minrtt")),
         config=ConnectionConfig(handshake_delays=False, congestion_control="coupled"),
         name="mptcp",
     )

@@ -19,6 +19,12 @@ ecf_eight_subflows / minrtt_hetero / minrtt_single_path_bulk (the world
 of the ``bulk_single_path`` benchmark workload, at 4 MB), Python calls
 then C calls:
 
+* 16.4 / 15.8 / 15.8 / 16.2 and 12.5 / 11.7 / 10.9 / 10.8 -- one send
+  loop: the ``next_segment`` call per segment is paid for by the DATA_ACK
+  prune inline in ``_on_subflow_ack`` (a call per advancing ACK before)
+  and ``send_segment`` testing ``can_send()``'s body on attributes; the
+  ledger books a range without the deque append per segment and the
+  ``popleft`` per acked one (budgets unchanged);
 * 16.5 / 15.9 / 15.9 / 16.5 and 13.5 / 12.7 / 11.9 / 11.8 -- ECF at
   minRTT's price: with no probe armed, Algorithm 1 decides on a bound
   for delta (``SIGMA_BOUND`` times the largest sample of both windows)

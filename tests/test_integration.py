@@ -59,7 +59,7 @@ class TestGoodput:
 
 
 class TestDeliveryExactness:
-    @pytest.mark.parametrize("scheduler", ["minrtt", "ecf", "blest", "daps", "roundrobin"])
+    @pytest.mark.parametrize("scheduler", ["minrtt", "ecf", "blest", "daps"])
     def test_delivered_stream_is_exact(self, scheduler):
         _, conn = timed_transfer(
             scheduler, [wifi_config(1.0), lte_config(8.6)], 2_000_000

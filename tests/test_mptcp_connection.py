@@ -2,10 +2,12 @@
 
 import pytest
 
+from repro.analysis import events
 from repro.core.spec import SchedulerSpec, build
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.mptcp.connection import MptcpConnection
-from tests.conftest import build_connection, build_path, drain
+from repro.net.packet import MSS
+from tests.conftest import MidpointScheduler, build_connection, build_path, drain
 
 
 class TestBasics:
@@ -65,13 +67,6 @@ class TestSendWindow:
         sim.run(until=5.0)
         assert conn.bytes_outstanding <= 100_000
 
-    def test_window_limited_predicate(self, sim):
-        conn = build_connection(sim, send_window_bytes=20_000)
-        assert not conn.window_limited()
-        conn.write(10_000_000)
-        sim.run(until=0.001)
-        assert conn.window_limited()
-
     def test_effective_window_respects_peer(self, sim):
         conn = build_connection(sim)
         conn.peer_recv_window = 5_000
@@ -82,6 +77,50 @@ class TestSendWindow:
         conn.write(1_000_000)
         drain(sim)
         assert conn.delivered_bytes == 1_000_000
+
+
+class TestSchedulerChoosesTheSegment:
+    """``next_segment`` reaches the wire: the connection sends the range
+    the scheduler names, and refuses one the ledger cannot book."""
+
+    def midpoint_conn(self, sim):
+        conn = build_connection(sim)
+        conn.scheduler = MidpointScheduler()
+        conn.scheduler.attach(conn)
+        return conn
+
+    def test_out_of_order_dsns_complete_a_two_path_transfer(self, sim):
+        conn = self.midpoint_conn(sim)
+        with events.recording() as log:
+            conn.write(300_000)
+            drain(sim)
+        assert conn.delivered_bytes == conn.receiver.expected_dsn == 300_000
+        assert not conn.assigned and not conn.unassigned_runs
+        sent = [e for e in log.of_kind(events.SegmentSent) if not e.retransmitted]
+        assert {e.sf_id for e in sent} == {0, 1}
+        dsns = [e.dsn for e in sent]
+        assert sorted(dsns) == list(range(0, 300_000, conn.mss))
+        assert dsns[0] > 0 and dsns != sorted(dsns)
+
+    def test_a_range_the_ledger_cannot_book_is_refused(self, sim):
+        mss = MSS
+        conn = build_connection(sim, send_window_bytes=60 * mss)
+        conn.write(100 * mss)  # two initial windows go out at once
+        assert conn.unassigned_runs == [[20 * mss, 100 * mss]]
+        subflow = conn.subflows[0]
+        refused = (
+            (0, mss),  # in flight, not queued for reinjection
+            (99 * mss, 2 * mss),  # runs past the written bytes
+            (19 * mss, 2 * mss),  # straddles assigned and unassigned bytes
+            (70 * mss, mss),  # beyond the send window
+        )
+        for dsn, payload in refused:
+            with pytest.raises(ValueError):
+                conn._take(dsn, payload, subflow)
+        conn._take(50 * mss, mss, subflow)
+        assert conn.unassigned_runs == [[20 * mss, 50 * mss], [51 * mss, 100 * mss]]
+        assert conn.assigned[50 * mss] == (mss, 0, None)
+        assert conn.unassigned_bytes == 79 * mss
 
 
 class TestPenalizationMechanism:
@@ -97,21 +136,21 @@ class TestPenalizationMechanism:
         )
 
     def test_reinjection_triggers_on_recv_window_blocking(self, sim):
-        conn = self.heterogeneous_conn(sim, scheduler_name="roundrobin")
+        conn = self.heterogeneous_conn(sim, scheduler_name="minrtt")
         conn.write(3_000_000)
         drain(sim, limit=600.0)
         assert conn.delivered_bytes == 3_000_000
         assert conn.reinjections > 0
 
     def test_penalization_halves_slow_subflow(self, sim):
-        conn = self.heterogeneous_conn(sim, scheduler_name="roundrobin")
+        conn = self.heterogeneous_conn(sim, scheduler_name="minrtt")
         conn.write(3_000_000)
         drain(sim, limit=600.0)
         assert conn.subflows[1].stats.penalizations > 0
 
     def test_penalization_can_be_disabled(self, sim):
         conn = self.heterogeneous_conn(
-            sim, scheduler_name="roundrobin", penalization_enabled=False
+            sim, scheduler_name="minrtt", penalization_enabled=False
         )
         conn.write(3_000_000)
         drain(sim, limit=600.0)
@@ -119,7 +158,7 @@ class TestPenalizationMechanism:
         assert conn.delivered_bytes == 3_000_000
 
     def test_duplicate_reinjection_not_double_counted(self, sim):
-        conn = self.heterogeneous_conn(sim, scheduler_name="roundrobin")
+        conn = self.heterogeneous_conn(sim, scheduler_name="minrtt")
         conn.write(2_000_000)
         drain(sim, limit=600.0)
         # Receiver ignores duplicates; delivered bytes exact.

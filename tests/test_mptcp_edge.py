@@ -57,7 +57,7 @@ class TestDataAckHandling:
         drain(sim)
         assert conn.conn_una == 300_000
         assert conn.bytes_outstanding == 0
-        assert not conn._outstanding_dsn
+        assert not conn.assigned and not conn.unassigned_runs
 
 
 class TestWriteSequencing:

@@ -662,9 +662,9 @@ class TestLoadExportSource:
 
 class TestTraceCli:
     def make_bundle(self, tmp_path):
-        # roundrobin and a transfer outliving the join handshake guarantee
-        # both subflows carry traffic, so the export has two subflow tracks.
-        spec = bulk_spec(scheduler="roundrobin", size=200_000)
+        # A transfer outliving the join handshake puts traffic on both
+        # subflows, so the export has two subflow tracks.
+        spec = bulk_spec(scheduler="minrtt", size=200_000)
         with flight.flight() as recorder:
             run_bulk(spec)
             return recorder.write_postmortem(

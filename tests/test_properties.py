@@ -12,9 +12,11 @@ from repro.core.base import Scheduler
 from repro.core.ecf import EcfInputs, EcfScheduler
 from repro.core.minrtt import MinRttScheduler
 from repro.metrics.stats import ccdf, cdf, mean, percentile, stdev
+from repro.mptcp.connection import MptcpConnection
 from repro.mptcp.receiver import MptcpReceiver
 from repro.net.link import Link
 from repro.net.packet import Packet
+from repro.net.path import Path
 from repro.sim import probe
 from repro.sim.engine import Simulator
 from repro.tcp.cc.base import CongestionController
@@ -23,7 +25,7 @@ from repro.tcp.cc.cubic import BETA_CUBIC, C, CubicController, _CubicState
 from repro.tcp.cc.olia import _EPS, OliaController
 from repro.tcp.cc.reno import RenoController
 from repro.tcp.rtt import ALPHA, BETA, SIGMA_BOUND, RttEstimator
-from tests.conftest import build_connection
+from tests.conftest import MidpointScheduler, build_connection
 
 finite_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
 
@@ -228,6 +230,17 @@ class TestRankingProperties:
     def test_can_send_is_its_three_conditions(self, states):
         for sf in ranked_world(states).subflows:
             assert sf.can_send() == spec_can_send(sf)
+
+    @given(subflow_states, st.sampled_from([0.5, 0.999, 1.0, 1.0 + 1e-12, 10.0, math.nan]))
+    def test_send_segment_refuses_exactly_what_can_send_refuses(self, states, cwnd):
+        """``send_segment`` spells ``can_send()`` on attributes."""
+        for sf in ranked_world(states).subflows:
+            sf.cwnd = cwnd if sf._in_flight == 0 else sf.cwnd
+            if sf.can_send():
+                sf.send_segment(0, 1)
+            else:
+                with pytest.raises(RuntimeError, match="without window space"):
+                    sf.send_segment(0, 1)
 
     @given(subflow_states)
     def test_fastest_and_sendable_matches_the_two_stage_pick(self, states):
@@ -478,8 +491,12 @@ class TestComparisonProperties:
         est = RttEstimator(min_rto_var=min_rto_var, max_rto=max_rto)
         state = [None, None, 1.0]
         for sample in samples:
-            est.add_sample(sample)
-            reference_add_sample(state, sample, min_rto_var, max_rto)
+            if math.isfinite(sample):
+                est.add_sample(sample)
+                reference_add_sample(state, sample, min_rto_var, max_rto)
+            else:  # refused, and the state stays the reference's
+                with pytest.raises(ValueError):
+                    est.add_sample(sample)
             for got, want in zip((est.srtt, est.rttvar, est.rto), state):
                 assert same(got, want), (samples, got, want)
 
@@ -631,3 +648,77 @@ class TestEngineProperties:
         sim.run()
         assert times == sorted(times)
         assert len(times) == len(delays)
+
+
+def assert_ledger_partitions(conn):
+    """Each byte of [conn_una, total_written) is in exactly one ledger
+    range, and the queued ranges are exactly the live queue."""
+    ranges = sorted(
+        [(dsn, dsn + entry[0]) for dsn, entry in conn.assigned.items()]
+        + [(start, end) for start, end in conn.unassigned_runs]
+    )
+    position = conn.conn_una
+    for start, end in ranges:
+        assert start == position < end, (ranges, conn.conn_una)
+        position = end
+    assert position == conn.total_written
+    assert conn.unassigned_bytes == sum(end - start for start, end in conn.unassigned_runs)
+    queued = [dsn for dsn in conn.reinject_queue if dsn >= conn.conn_una]
+    flagged = [dsn for dsn, entry in conn.assigned.items() if entry[2] is not None]
+    assert sorted(queued) == sorted(flagged)
+
+
+@st.composite
+def ledger_worlds(draw):
+    """1-3 paths with 0-5 % loss, an optional outage, a few writes."""
+    paths = draw(st.lists(
+        st.tuples(
+            st.floats(min_value=1.0, max_value=20.0),  # Mbps
+            st.floats(min_value=0.002, max_value=0.05),  # one-way delay, s
+            st.floats(min_value=0.0, max_value=0.05),  # loss rate
+        ),
+        min_size=1, max_size=3,
+    ))
+    outage = draw(st.one_of(st.none(), st.tuples(
+        st.integers(min_value=0, max_value=len(paths) - 1),
+        st.floats(min_value=0.01, max_value=0.5),  # down at, s
+        st.floats(min_value=0.1, max_value=2.0),  # for, s
+    )))
+    writes = draw(st.lists(
+        st.tuples(st.floats(min_value=0.0, max_value=0.5), st.integers(1, 150_000)),
+        min_size=1, max_size=4,
+    ))
+    return paths, outage, writes, draw(st.integers(0, 2**16))
+
+
+class TestLedgerProperties:
+    """The DSN ledger on worlds nobody hand-wrote: at every checkpoint it
+    partitions [conn_una, total_written); at the end every written byte
+    has been delivered once, in order."""
+
+    @pytest.mark.parametrize("scheduler", [MinRttScheduler, MidpointScheduler])
+    @given(world=ledger_worlds())
+    @settings(max_examples=25, deadline=None)
+    def test_ledger_partitions_and_delivery_is_exact(self, scheduler, world):
+        paths, outage, writes, seed = world
+        sim = Simulator()
+        rng = random.Random(seed)
+        links = []
+        for index, (mbps, delay, loss) in enumerate(paths):
+            forward = Link(sim, mbps * 1e6, delay, 300_000, loss_rate=loss, rng=rng)
+            links.append(Path(f"p{index}", forward, Link(sim, mbps * 1e6, delay, 300_000)))
+        conn = MptcpConnection(sim, links, scheduler())
+        chunks = []
+        conn.set_deliver_callback(chunks.append)
+        for at, size in writes:
+            sim.schedule(at, conn.write, size)
+        if outage is not None:
+            index, down_at, duration = outage
+            sim.schedule(down_at, links[index].forward.set_down)
+            sim.schedule(down_at + duration, links[index].forward.set_down, False)
+        while sim.run(until=600.0, max_events=50):
+            assert_ledger_partitions(conn)
+        total = sum(size for _, size in writes)
+        assert conn.total_written == total
+        assert sum(chunks) == conn.delivered_bytes == conn.receiver.expected_dsn == total
+        assert conn.conn_una == total and not conn.assigned and not conn.unassigned_runs

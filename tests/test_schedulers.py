@@ -1,6 +1,5 @@
 """Tests for the path schedulers: the ECF contribution and its baselines."""
 
-import importlib.util
 import itertools
 from pathlib import Path
 
@@ -11,7 +10,7 @@ from repro.analysis.fixtures import FIXTURE_SCHEDULERS
 from repro.core.blest import BlestScheduler
 from repro.core.daps import DapsScheduler
 from repro.core.ecf import EcfScheduler
-from repro.core.extras import MpDashScheduler, RoundRobinScheduler
+from repro.core.extras import MpDashScheduler
 from repro.core.minrtt import MinRttScheduler
 from repro.core.spec import SCHEDULER_NAMES, CcSpec, SchedulerSpec, build
 from repro.experiments.runner import StreamingSpec
@@ -29,7 +28,7 @@ from repro.tcp.cc.coupled import CoupledController
 from repro.tcp.cc.cubic import CubicController
 from repro.tcp.cc.olia import OliaController
 from repro.tcp.cc.reno import RenoController
-from tests.conftest import build_connection, build_path, drain
+from tests.conftest import build_connection, build_path, drain, load_example
 
 
 def prepared_conn(sim, scheduler_name="minrtt", fast=(10.0, 0.005), slow=(1.0, 0.05), **kw):
@@ -88,7 +87,7 @@ class TestKindTables:
         SchedulerSpec: {
             "minrtt": MinRttScheduler, "default": MinRttScheduler, "ecf": EcfScheduler,
             "blest": BlestScheduler, "daps": DapsScheduler,
-            "roundrobin": RoundRobinScheduler, "mpdash": MpDashScheduler,
+            "mpdash": MpDashScheduler,
         },
         CcSpec: {
             "reno": RenoController, "coupled": CoupledController, "lia": CoupledController,
@@ -446,25 +445,12 @@ class TestDaps:
         assert refills >= 2
 
 
-class TestExtras:
-    def test_roundrobin_cycles(self, sim):
-        conn, fast_sf, slow_sf = prepared_conn(sim, "roundrobin")
-        first = conn.scheduler.select(conn)
-        first._in_flight += 1
-        second = conn.scheduler.select(conn)
-        assert {first.sf_id, second.sf_id} == {0, 1}
-
-
 #: The tutorial's scheduler, which keeps no bookkeeping of its own.
 EXAMPLE = "backlog (examples/custom_scheduler.py)"
 
 
 def example_scheduler():
-    path = Path(__file__).resolve().parents[1] / "examples" / "custom_scheduler.py"
-    spec = importlib.util.spec_from_file_location("custom_scheduler", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module.BacklogAwareScheduler()
+    return load_example("custom_scheduler").BacklogAwareScheduler()
 
 
 class TestOneDecisionSite:
@@ -503,7 +489,7 @@ class TestOneDecisionSite:
 #: compared field: the ACK-clocked connection offers at most one sendable
 #: subflow per decision, so a scheduler that never waits cannot differ
 #: from minRTT there.
-_ALIKE = {("minrtt", "daps"), ("minrtt", "roundrobin"), ("daps", "roundrobin")}
+_ALIKE = {("minrtt", "daps")}
 
 
 def _distinct_pairs():

@@ -87,7 +87,7 @@ def _chain_world():
 
 
 WORLDS = ["bulk_ecf_midrun", "bulk_blest_cubic_midrun", "bulk_daps_midrun",
-          "bulk_roundrobin_midrun", "bulk_mpdash_midrun", "chain_t0"]
+          "bulk_mpdash_midrun", "chain_t0"]
 
 
 @pytest.fixture(scope="module")
@@ -107,7 +107,7 @@ def worlds():
     cubic = _midrun_world("blest", cc="cubic", loss=0.05, events=200)
     live["bulk_blest_cubic_midrun"] = (cubic.sim, cubic.roots())
 
-    for scheduler in ("daps", "roundrobin", "mpdash"):
+    for scheduler in ("daps", "mpdash"):
         world = _midrun_world(scheduler)
         live[f"bulk_{scheduler}_midrun"] = (world.sim, world.roots())
 

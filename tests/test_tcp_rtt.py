@@ -16,6 +16,16 @@ class TestBasics:
         with pytest.raises(ValueError):
             RttEstimator().add_sample(0.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_nonfinite_sample_and_keeps_state(self, bad):
+        est = RttEstimator()
+        for sample in (0.1, 0.3, 0.2):
+            est.add_sample(sample)
+        before = (est.srtt, est.rttvar, est.rto, est.samples, list(est._window), est.sigma)
+        with pytest.raises(ValueError, match="positive and finite"):
+            est.add_sample(bad)
+        assert (est.srtt, est.rttvar, est.rto, est.samples, list(est._window), est.sigma) == before
+
     def test_ewma_smoothing(self):
         est = RttEstimator()
         est.add_sample(0.1)

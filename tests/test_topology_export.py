@@ -113,7 +113,7 @@ class TestSharedBottleneck:
             bottleneck=LinkSpec(4.0, 0.01, name="bn"),
         )
         conn = MptcpConnection(
-            sim, paths, build(SchedulerSpec.of("roundrobin")),
+            sim, paths, build(SchedulerSpec.of("minrtt")),
             config=ConnectionConfig(handshake_delays=False, congestion_control="coupled"),
         )
         conn.write(2_000_000)
