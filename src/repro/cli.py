@@ -30,8 +30,7 @@ The shell is thin and says each thing once:
   ``campaign submit`` creates a store; the others exit 1 on a missing
   one and leave nothing behind;
 * **one writer** (``_emit``) for ``-o FILE | stdout`` and **one tail**
-  (``_report_problems``) for ``lint`` / ``trace validate`` / ``metrics
-  validate``.
+  (``_report_problems``) for ``lint`` / ``trace validate``.
 
 Exit codes: 0 success; 1 findings (lint violations, failed checks, an
 invalid document) or failed/unfetchable campaign jobs; 2 outside input
@@ -446,22 +445,6 @@ def cmd_trace_validate(args) -> int:
     return _report_problems(problems)
 
 
-def cmd_metrics_validate(args) -> int:
-    from repro.obs.registry import validate_openmetrics
-
-    if args.file == "-":
-        text = sys.stdin.read()
-    else:
-        text = _read("metrics validate", Path(args.file).read_text)
-        if text is None:
-            return 2
-    problems = validate_openmetrics(text)
-    if not problems:
-        families = sum(1 for line in text.splitlines() if line.startswith("# TYPE "))
-        print(f"{args.file}: valid OpenMetrics exposition ({families} families)")
-    return _report_problems(problems)
-
-
 # -- campaign commands ----------------------------------------------------------
 def _backend(jobs: Optional[int], **knobs: Any):
     """``--jobs`` as a backend config: 1 is inline, N a pool of N; ``None``
@@ -572,7 +555,7 @@ def cmd_campaign_status(args) -> int:
     with runner.store as store:
         if args.json:
             # The same document a `campaign serve` daemon exposes on
-            # /status (minus its live rate gauges) -- one schema, two
+            # /status (minus its live rates) -- one schema, two
             # transports.
             print(json.dumps(status_document(store, args.name), indent=2, sort_keys=True))
             return 0
@@ -628,9 +611,9 @@ def cmd_campaign_serve(args) -> int:
     )
     if runner is None:
         return 1
-    # Per-job perf records feed the daemon's events/s gauge and the
-    # repro_perf_* counters; pool workers inherit the environment, and
-    # REPRO_PERF=0 set by the caller stays the off switch.
+    # Per-job perf records feed the daemon's events/s rate; pool workers
+    # inherit the environment, and REPRO_PERF=0 set by the caller stays
+    # the off switch.
     os.environ.setdefault(perf_counters.ENV_VAR, "1")
     daemon = CampaignDaemon(
         runner.store,
@@ -646,7 +629,7 @@ def cmd_campaign_serve(args) -> int:
     )
     daemon.start_http()
     print(
-        f"campaign {args.name}: serving /metrics /status /healthz on "
+        f"campaign {args.name}: serving /status /healthz on "
         f"{daemon.endpoint}",
         flush=True,
     )
@@ -849,8 +832,8 @@ def build_parser() -> argparse.ArgumentParser:
                     "a `campaign serve` daemon exposes on /status)")
 
     cp = campaign("serve", cmd_campaign_serve,
-                  "long-lived drain loop with an OpenMetrics/JSON telemetry "
-                  "endpoint (/metrics, /status, /healthz)",
+                  "long-lived drain loop with a JSON status endpoint "
+                  "(/status, /healthz)",
                   help="campaign name (submit jobs first, e.g. with submit --no-run)")
     drain_flags(cp, None, "override the stored backend (1 = inline, N = pool; "
                 "default: resume the campaign's recorded backend)")
@@ -861,7 +844,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="sleep between drain iterations (default: 2)")
     cp.add_argument("--exit-when-done", action="store_true",
                     help="exit once no jobs remain instead of lingering for more "
-                    "submissions and late scrapes")
+                    "submissions and late /status reads")
     cp.add_argument("--journal-max-bytes", type=int, default=16 * 1024 * 1024, metavar="BYTES",
                     help="rotate the drain journal past this size, keeping a tail "
                     "(default: 16 MiB; 0 = unbounded)")
@@ -875,16 +858,6 @@ def build_parser() -> argparse.ArgumentParser:
     drain_flags(cp, 1, "worker processes for the retry drain (default: 1)")
     cp.add_argument("--no-run", action="store_true",
                     help="only requeue; drain later via submit/retry")
-
-    p = sub.add_parser(
-        "metrics", help="telemetry utilities for the repro.obs.registry metric registry"
-    )
-    metrics_sub = p.add_subparsers(dest="metrics_command", required=True)
-    p = command(
-        metrics_sub, "validate", cmd_metrics_validate,
-        "structurally validate an OpenMetrics text exposition (a /metrics scrape body)",
-    )
-    p.add_argument("file", help="exposition text file ('-' = stdin)")
 
     p = command(
         sub, "check", cmd_check,

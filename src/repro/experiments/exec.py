@@ -163,7 +163,7 @@ class JobOutcome:
     #: (:meth:`repro.perf.counters.PerfRecord.to_dict` shape) as it rode
     #: back on the result dict -- including across the ``pool`` process
     #: boundary.  ``None`` on cache hits (the cache strips perf) and
-    #: failures.  The telemetry registry sums these per campaign.
+    #: failures.  The campaign daemon sums these into its events/s.
     perf: Optional[Dict[str, Any]] = None
 
     def journal_fields(self) -> Dict[str, Any]:

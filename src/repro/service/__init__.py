@@ -12,8 +12,7 @@ from a per-process pool into a campaign service:
   loop, which drives the executor directly and is also usable as an
   executor drop-in for the grid sweeps;
 * :mod:`repro.service.daemon` -- the long-lived ``campaign serve``
-  daemon: a drain loop plus an OpenMetrics/JSON scrape endpoint fed by
-  the :mod:`repro.obs.registry` registry.
+  daemon: a drain loop plus the JSON ``/status`` endpoint.
 
 See ``docs/architecture.md`` ("Campaign service") and
 ``repro.cli campaign`` for the command-line surface.
@@ -23,8 +22,8 @@ import importlib
 from typing import Any, List
 
 #: Each public name with the module it lives in.  ``__getattr__`` imports
-#: it on first use, so ``import repro.service.runner`` runs neither the
-#: daemon nor the telemetry registry.
+#: it on first use, so ``import repro.service.runner`` does not run the
+#: daemon.
 _HOME = {
     "CampaignStore": "store",
     "CampaignRunner": "runner",

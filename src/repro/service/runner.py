@@ -105,11 +105,11 @@ class CampaignRunner:
     journal_observer: additional callable invoked with every journal
         record as it is written (a ``job`` record before the store
         indexes it -- the index row commits with the job's transition,
-        at the end of its look); the telemetry registry hangs off this.
+        at the end of its look).
     on_outcome: additional callable invoked with every
         :class:`~repro.experiments.exec.JobOutcome` after its look has
         committed -- carries the per-job perf record (when
-        ``REPRO_PERF`` is on) to the metrics layer.
+        ``REPRO_PERF`` is on) to the daemon's events/s rate.
     """
 
     def __init__(

@@ -46,7 +46,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import (
     Any,
-    Callable,
     Dict,
     FrozenSet,
     Iterator,
@@ -193,16 +192,9 @@ class CampaignStore:
         self._conn.execute("PRAGMA busy_timeout = 5000")
         self._conn.executescript(_SCHEMA)
         self._conn.commit()
-        #: Optional observer called as ``(campaign_id, spec_hash,
-        #: old_status, new_status)`` after every committed state-machine
-        #: transition (including :meth:`claim` wins).  The telemetry
-        #: registry counts transitions through this without the store
-        #: knowing metrics exist.  Failures propagate, mirroring the
-        #: journal-observer contract.
-        self.on_transition: Optional[Callable[[int, str, str, str], None]] = None
-        #: Transitions awaiting the commit of the open :meth:`transaction`
-        #: scope; ``None`` outside one.
-        self._queued: Optional[List[Tuple[int, str, str, str]]] = None
+        #: True while a :meth:`transaction` scope is open: mutating calls
+        #: then leave the commit to the scope.
+        self._in_scope = False
 
     # -- lifecycle -------------------------------------------------------
     def close(self) -> None:
@@ -219,21 +211,17 @@ class CampaignStore:
     def transaction(self) -> Iterator[None]:
         """Make everything the block does one commit.
 
-        Inside the scope mutating calls do not commit and transitions
-        are not reported; leaving it commits once and then reports the
-        transitions to ``on_transition`` in order (every one of them,
-        even if a callback raises -- the first failure propagates
-        afterwards).  If the block raises, nothing it did is kept and
-        nothing is reported.  The first write takes SQLite's write lock
-        until the scope ends, so keep it to a bounded number of store
-        calls (the runner's largest scope after the claim batch is one
-        look, at most ``repro.experiments.exec.LOOK_SLICE`` jobs): never
-        run a simulation inside one.
+        Inside the scope mutating calls do not commit; leaving it commits
+        once.  If the block raises, nothing it did is kept.  The first
+        write takes SQLite's write lock until the scope ends, so keep it
+        to a bounded number of store calls (the runner's largest scope
+        after the claim batch is one look, at most
+        ``repro.experiments.exec.LOOK_SLICE`` jobs): never run a
+        simulation inside one.
         """
-        if self._queued is not None:
+        if self._in_scope:
             raise RuntimeError("CampaignStore.transaction() scopes do not nest")
-        queued: List[Tuple[int, str, str, str]] = []
-        self._queued = queued
+        self._in_scope = True
         try:
             yield
             self._conn.commit()
@@ -241,30 +229,11 @@ class CampaignStore:
             self._conn.rollback()
             raise
         finally:
-            self._queued = None
-        if self.on_transition is None:
-            return
-        failure: Optional[Exception] = None
-        for transition in queued:
-            try:
-                self.on_transition(*transition)
-            except Exception as exc:
-                if failure is None:
-                    failure = exc
-        if failure is not None:
-            raise failure
+            self._in_scope = False
 
     def _commit(self) -> None:
-        if self._queued is None:
+        if not self._in_scope:
             self._conn.commit()
-
-    def _transitioned(
-        self, campaign_id: int, key: str, old_status: str, new_status: str
-    ) -> None:
-        if self._queued is not None:
-            self._queued.append((campaign_id, key, old_status, new_status))
-        elif self.on_transition is not None:
-            self.on_transition(campaign_id, key, old_status, new_status)
 
     # -- campaigns -------------------------------------------------------
     def ensure_campaign(
@@ -446,7 +415,6 @@ class CampaignStore:
             values,
         )
         self._commit()
-        self._transitioned(campaign_id, key, current, new_status)
 
     def claim(self, campaign_id: int, key: str) -> bool:
         """Atomically take a pending job for execution.
@@ -468,7 +436,6 @@ class CampaignStore:
         )
         self._commit()
         if cursor.rowcount > 0:
-            self._transitioned(campaign_id, key, PENDING, RUNNING)
             return True
         if self.job(campaign_id, key) is None:
             raise KeyError(f"no job {key!r} in campaign {campaign_id}")

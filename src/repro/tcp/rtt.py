@@ -34,9 +34,15 @@ SIGMA_WINDOW = 16
 #: sqrt(n / (n - 1)) * range / 2 <= max / sqrt(2) ~= 0.707 * max; 0.75
 #: leaves room for the rounding of the mean, the squares and the root.  It
 #: holds while no square under- or overflows (a largest sample between
-#: 1e-150 and 1e150 s).  A derived constant, not a knob: ECF decides on it
-#: and reads sigma only when the bound leaves the decision open.
+#: 1e-150 s and :data:`MAX_RTT_SAMPLE`).  A derived constant, not a knob:
+#: ECF decides on it and reads sigma only when the bound leaves the
+#: decision open.
 SIGMA_BOUND = 0.75
+
+#: :meth:`RttEstimator.add_sample` refuses samples at or above this many
+#: seconds: past it the squares behind sigma overflow (``sigma`` raises
+#: ``OverflowError``) and :data:`SIGMA_BOUND` no longer holds.
+MAX_RTT_SAMPLE = 1e150
 
 
 class RttEstimator:
@@ -104,11 +110,15 @@ class RttEstimator:
 
         Retransmitted segments must not be sampled (Karn's algorithm); the
         subflow enforces that before calling here.  A sample must be
-        positive and finite: one NaN or inf would pin ``rto`` at
-        ``max_rto`` and idle the path for good.
+        positive and finite, and below :data:`MAX_RTT_SAMPLE`: one NaN or
+        inf would pin ``rto`` at ``max_rto`` and idle the path for good,
+        and a larger one would overflow sigma.
         """
-        if not 0.0 < rtt < math.inf:  # also false for NaN; no C call
-            raise ValueError(f"rtt sample must be positive and finite, got {rtt!r}")
+        if not 0.0 < rtt < MAX_RTT_SAMPLE:  # also false for NaN; no C call
+            raise ValueError(
+                f"rtt sample must be positive and finite (below {MAX_RTT_SAMPLE:g} s), "
+                f"got {rtt!r}"
+            )
         srtt = self.srtt
         if srtt is None:
             srtt = rtt

@@ -356,11 +356,9 @@ class TestLintCli:
              "trace validate: [Errno 2] No such file or directory: '{tmp}/nope.json'"),
             (["trace", "validate", "{tmp}/broken.py"],
              "trace validate: Expecting value: line 1 column 1 (char 0)"),
-            (["metrics", "validate", "{tmp}/nope.txt"],
-             "metrics validate: [Errno 2] No such file or directory: '{tmp}/nope.txt'"),
         ],
         ids=["lint-syntax", "unknown-rule", "lint-missing", "export-missing",
-             "export-not-json", "validate-missing", "validate-not-json", "metrics-missing"],
+             "export-not-json", "validate-missing", "validate-not-json"],
     )
     def test_bad_outside_input_is_one_stderr_line_and_exit_2(
         self, tmp_path, capsys, argv, message

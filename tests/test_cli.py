@@ -52,8 +52,8 @@ FIXTURES = SCHEDULERS + ("ecf-nowait", "ecf-noineq2", "ecf-invbeta")
 #: A flag that appears, moves, or changes its default is a diff here.
 PARSER_SURFACE = [
     ("", (), "command", None,
-     ("download", "streaming", "web", "grid", "twin", "wild", "campaign", "metrics", "check",
-      "lint", "trace", "report"), "A...", True, None),
+     ("download", "streaming", "web", "grid", "twin", "wild", "campaign", "check", "lint",
+      "trace", "report"), "A...", True, None),
     ("download", ("--scheduler",), "scheduler", ["minrtt", "ecf"], SCHEDULERS, "+", False, None),
     ("download", ("--wifi",), "wifi", 1.0, None, None, False, "float"),
     ("download", ("--lte",), "lte", 8.6, None, None, False, "float"),
@@ -151,8 +151,6 @@ PARSER_SURFACE = [
     ("campaign retry", ("--jobs",), "jobs", 1, None, None, False, "_positive_int"),
     ("campaign retry", ("--max-attempts",), "max_attempts", 3, None, None, False, "_positive_int"),
     ("campaign retry", ("--no-run",), "no_run", False, None, 0, False, None),
-    ("metrics", (), "metrics_command", None, ("validate",), "A...", True, None),
-    ("metrics validate", (), "file", None, None, None, True, None),
     ("check", ("--scheduler",), "scheduler", ["ecf", "minrtt"], FIXTURES, "+", False, None),
     ("check", ("--scenario",), "scenario", ["dash", "dash4sf", "bulk", "web"],
      ("dash", "dash4sf", "bulk", "web"), "+", False, None),

@@ -16,8 +16,8 @@ a docstring only, and each tool is imported where its switch is read, so
   and no tool;
 * the bench's imports compile no executor, tool or DASH run-time: a
   first drain loads the executor, a first streaming session the player;
-* importing the campaign runner does not run the daemon, the telemetry
-  registry, the checker or the perf collector;
+* importing the campaign runner does not run the daemon, the checker or
+  the perf collector;
 * every root name resolves to its home module's object, and
   ``REPRO_SANITIZE=1`` still arms the sanitizer for any ``import repro.*``.
 
@@ -195,7 +195,7 @@ def test_only_the_roots_bind_names():
 def test_the_campaign_runner_loads_no_daemon_registry_checker_or_perf():
     loaded = closure("import repro.service.runner")
     assert "repro.service.runner" in loaded
-    for module in ("repro.service.daemon", "repro.obs.registry", "repro.analysis.check"):
+    for module in ("repro.service.daemon", "repro.analysis.check"):
         assert module not in loaded
     assert under(loaded, "repro.perf") == []
 

@@ -24,7 +24,7 @@ from repro.tcp.cc.coupled import DEFAULT_RTT, CoupledController
 from repro.tcp.cc.cubic import BETA_CUBIC, C, CubicController, _CubicState
 from repro.tcp.cc.olia import _EPS, OliaController
 from repro.tcp.cc.reno import RenoController
-from repro.tcp.rtt import ALPHA, BETA, SIGMA_BOUND, RttEstimator
+from repro.tcp.rtt import ALPHA, BETA, MAX_RTT_SAMPLE, SIGMA_BOUND, RttEstimator
 from tests.conftest import MidpointScheduler, build_connection
 
 finite_floats = st.floats(min_value=1e-6, max_value=1e6, allow_nan=False)
@@ -110,14 +110,18 @@ class TestRttEstimatorProperties:
             assert est.sigma is first  # no recomputation without a new sample
 
     @settings(max_examples=100)
-    @given(st.lists(st.floats(min_value=1e-150, max_value=1e150), min_size=2, max_size=16))
-    @example([1e-150, 1e150])
+    @given(st.lists(
+        st.floats(min_value=1e-150, max_value=MAX_RTT_SAMPLE, exclude_max=True),
+        min_size=2, max_size=16,
+    ))
+    @example([1e-150, math.nextafter(MAX_RTT_SAMPLE, 0.0)])
     @example([1e-12, 1.0])
     @example([0.05] * 16)
     def test_sigma_is_within_its_bound(self, samples):
         """ECF decides on ``SIGMA_BOUND * max(window)`` in place of sigma.
-        Samples span 1e-150 .. 1e150 s: beyond that a square under- or
-        overflows and the bound's float margin no longer covers it."""
+        Samples span 1e-150 s up to ``MAX_RTT_SAMPLE``, which
+        ``add_sample`` refuses: beyond that a square under- or overflows
+        and the bound's float margin no longer covers it."""
         est = RttEstimator(sigma_window=len(samples))
         for sample in samples:
             est.add_sample(sample)
@@ -481,7 +485,7 @@ class TestComparisonProperties:
     @given(
         st.lists(
             st.floats(min_value=0.0, exclude_min=True)
-            | st.sampled_from([5e-324, 0.05, 0.05, math.inf, math.nan]),
+            | st.sampled_from([5e-324, 0.05, 0.05, MAX_RTT_SAMPLE, math.inf, math.nan]),
             max_size=40,
         ),
         st.floats(min_value=0.0, max_value=1.0),
@@ -491,10 +495,10 @@ class TestComparisonProperties:
         est = RttEstimator(min_rto_var=min_rto_var, max_rto=max_rto)
         state = [None, None, 1.0]
         for sample in samples:
-            if math.isfinite(sample):
+            if sample < MAX_RTT_SAMPLE:
                 est.add_sample(sample)
                 reference_add_sample(state, sample, min_rto_var, max_rto)
-            else:  # refused, and the state stays the reference's
+            else:  # refused (NaN too), and the state stays the reference's
                 with pytest.raises(ValueError):
                     est.add_sample(sample)
             for got, want in zip((est.srtt, est.rttvar, est.rto), state):

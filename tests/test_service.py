@@ -218,8 +218,8 @@ class TestStore:
 
 
 class TestTransactionScope:
-    """``CampaignStore.transaction()``: many calls, one commit, callbacks
-    only for what was committed."""
+    """``CampaignStore.transaction()``: many calls, one commit, and
+    nothing kept from a scope that raises."""
 
     @staticmethod
     def _two_pending(store):
@@ -232,30 +232,20 @@ class TestTransactionScope:
         db = tmp_path / "c.db"
         with CampaignStore(db) as store, CampaignStore(db) as peer:
             cid, (first, second) = self._two_pending(store)
-            seen = []
-            store.on_transition = lambda *args: seen.append(args)
             with store.transaction():
                 assert store.claim(cid, first) and store.claim(cid, second)
                 store.record_journal(cid, {"record": "job", "status": "cached"})
                 store.mark_done(cid, first)
-                # Nothing is visible to another connection, or reported,
-                # until the scope commits.
+                # Nothing is visible to another connection until the
+                # scope commits.
                 assert peer.counts(cid)["pending"] == 2
                 assert peer.journal_records(cid) == []
-                assert seen == []
             assert peer.counts(cid) == {"pending": 0, "running": 1, "done": 1, "failed": 0}
             assert len(peer.journal_records(cid)) == 1
-            assert seen == [
-                (cid, first, "pending", "running"),
-                (cid, second, "pending", "running"),
-                (cid, first, "running", "done"),
-            ]
 
     def test_a_scope_that_raises_keeps_and_reports_nothing(self, tmp_path):
         with CampaignStore(tmp_path / "c.db") as store:
             cid, (first, second) = self._two_pending(store)
-            seen = []
-            store.on_transition = lambda *args: seen.append(args)
             with pytest.raises(TransitionError):
                 with store.transaction():
                     store.claim(cid, first)
@@ -264,30 +254,10 @@ class TestTransactionScope:
             assert store.counts(cid)["pending"] == 2
             assert store.job(cid, first).attempts == 0
             assert store.journal_records(cid) == []
-            assert seen == []
             # Outside a scope a call commits by itself again.
             assert store.claim(cid, first)
-            assert len(seen) == 1
-
-    def test_a_raising_callback_loses_no_committed_transition(self, tmp_path):
-        db = tmp_path / "c.db"
-        with CampaignStore(db) as store:
-            cid, (first, second) = self._two_pending(store)
-            seen = []
-
-            def on_transition(*args):
-                seen.append(args)
-                if len(seen) == 1:
-                    raise RuntimeError("observer down")
-
-            store.on_transition = on_transition
-            with pytest.raises(RuntimeError, match="observer down"):
-                with store.transaction():
-                    store.claim(cid, first)
-                    store.claim(cid, second)
-            assert [args[1] for args in seen] == [first, second]
-        with CampaignStore(db) as store:
-            assert store.counts(cid)["running"] == 2
+        with CampaignStore(tmp_path / "c.db") as store:
+            assert store.counts(cid)["running"] == 1
 
     def test_scopes_do_not_nest(self, tmp_path):
         with CampaignStore(tmp_path / "c.db") as store:
@@ -822,11 +792,7 @@ class TestOneCommitPerJob:
             if len(seen) == at + 1:
                 raise Boom
 
-        finished = []  # what ``on_transition`` was told reached ``done``
         with CampaignStore(db) as store:
-            store.on_transition = (
-                lambda cid, key, old, new: new == "done" and finished.append(key)
-            )
             hooks = {where: die} if where != "transaction" else {}
             runner = CampaignRunner(
                 store, "sweep", backend=backend, cache_dir=cache,
@@ -855,9 +821,8 @@ class TestOneCommitPerJob:
             indexed = [r["spec_hash"] for r in store.journal_records(cid, record="job")]
             # Whole looks, and what the dying look recorded before the raise
             # when the raise came before its commit: nothing else is done,
-            # nothing done lacks its row, and a rolled-back look reported
-            # no transition.
-            assert indexed == first_lines[:done] == finished
+            # and nothing done lacks its row.
+            assert indexed == first_lines[:done]
             assert {key for key in keys if status[key] == "done"} == set(indexed)
             assert {status[key] for key in keys if key not in indexed} == {"running"}
             left = [key for key in keys if status[key] != "done"]

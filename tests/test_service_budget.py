@@ -9,8 +9,9 @@ the gate counts instead of timing: Python-level ``call`` events under
 directory listings the drain performs, and the ``COMMIT`` statements
 SQLite executes.
 
-Measured on 3.11: 80.8 / 75.7 calls per cached job at 50 / 100 jobs
-(103.8 / 98.7 while the drain decoded every pending row's spec, rebuilt
+Measured on 3.11: 78.8 / 73.7 calls per cached job at 50 / 100 jobs
+(80.8 / 75.7 while the store reported every claim and ``mark_done`` to
+a transition hook nothing read; 103.8 / 98.7 while the drain decoded every pending row's spec, rebuilt
 it as a typed spec, re-encoded it and hashed it, only to recompute the
 key the row already held; 104.8 / 99.7 while the drain parsed every
 cached result, and rebuilt it, before ``fetch`` parsed it again; 120.6 /
