@@ -13,13 +13,15 @@ process pool and memoizes finished runs on disk:
   function of its spec (the spec carries the seed).
 * **Caching**: with a ``cache_dir``, every finished run is stored as
   canonical JSON under its :func:`~repro.experiments.spec.spec_hash`
-  (content address), behind a one-line header that carries the body's
-  sha256 (:class:`ResultCache`).  Re-running a half-finished campaign
-  executes only the missing cells; a warm cache executes nothing.  Who
-  parses what: a campaign drain (:meth:`ExperimentExecutor.execute`)
-  checks each hit's header and digest and never parses its body;
-  :meth:`ExperimentExecutor.run` and the campaign's ``fetch`` check the
-  digest, then parse the body once.  Who hashes what: a campaign's
+  (content address), its long float lists packed as base64 doubles,
+  behind a one-line header that names the packed lists and carries the
+  sha256 of the rest of the file (:class:`ResultCache`).  Re-running a
+  half-finished campaign executes only the missing cells; a warm cache
+  executes nothing.  Who parses what: a campaign drain
+  (:meth:`ExperimentExecutor.execute`) checks each hit's header and
+  digest and never parses its body; :meth:`ExperimentExecutor.run` and
+  the campaign's ``fetch`` check the digest, then parse the body once
+  and unpack its packed lists.  Who hashes what: a campaign's
   ``submit`` hashes each spec once, and its store row keeps the key; the
   drain runs on the store's keys and decodes no spec for a hit; a miss's
   wire, loaded from the store, must hash to its key before it runs (a
@@ -63,10 +65,12 @@ Example
 
 from __future__ import annotations
 
+import binascii
 import hashlib
 import json
 import os
 import signal
+import struct
 import sys
 import threading
 import time
@@ -106,6 +110,18 @@ _Flush = Callable[[], None]
 #: runner's per-look transaction holds SQLite's write lock for milliseconds
 #: and ``/status`` keeps moving while the scan runs.
 LOOK_SLICE = 256
+
+#: The shortest float list :class:`ResultCache` stores packed.  Per list
+#: of a 200-list body, parsing JSON text against base64 decode plus
+#: unpack, on a 2-core x86 box: 2 floats 0.72 / 0.78 us, 3 floats 1.03 /
+#: 0.88 us (a wash once its path is named in the header), 4 floats 2.32 /
+#: 1.28 us.  So ``[t, v]`` trace pairs and the two ``last_packet_gaps``
+#: stay text.
+PACK_MIN_FLOATS = 4
+
+#: Where the part of a cache entry its ``digest`` covers begins: right
+#: after ``{"digest":"<64 hex digits>",``, the header's first key.
+_DIGESTED_FROM = len('{"digest":"",') + 64
 
 #: The tool switches the executor reads, each the ``ENV_VAR`` of the tool
 #: it arms: the checker, the perf collector, the flight recorder.  A tool
@@ -338,9 +354,37 @@ def _misnamed(key: str, kind: str, wire: Any) -> Optional[str]:
     return None
 
 
-def _accepted(path: PathLike) -> Optional[Tuple[str, bytes]]:
-    """The entry's ``(kind, body)`` when it counts, else ``None``: the
-    one acceptance rule behind :func:`read_entry` and
+def _pack_floats(node: Any, path: List[Any], packed: List[List[Any]]) -> Any:
+    """``node`` with every JSON array of at least :data:`PACK_MIN_FLOATS`
+    values, all of exact type ``float``, replaced by its
+    :func:`_packed_text`; the path of each one replaced is appended to
+    ``packed`` (dict keys and list indices, outermost first).  ``node``
+    itself is left as it was."""
+    if isinstance(node, dict):
+        return {key: _pack_floats(value, path + [key], packed) for key, value in node.items()}
+    if isinstance(node, (list, tuple)):
+        if len(node) >= PACK_MIN_FLOATS and all(type(value) is float for value in node):
+            packed.append(path)
+            return _packed_text(node)
+        return [_pack_floats(value, path + [index], packed) for index, value in enumerate(node)]
+    return node
+
+
+def _packed_text(values: Sequence[float]) -> str:
+    """Base64 of the values as little-endian IEEE doubles: bit-exact for
+    every float (-0.0, NaN, +-inf, subnormals)."""
+    return binascii.b2a_base64(struct.pack(f"<{len(values)}d", *values), newline=False).decode()
+
+
+def _unpacked(text: str) -> List[float]:
+    """The list :func:`_packed_text` was given."""
+    raw = binascii.a2b_base64(text)
+    return list(struct.unpack(f"<{len(raw) >> 3}d", raw))
+
+
+def _accepted(path: PathLike) -> Optional[Tuple[str, List[List[Any]], bytes]]:
+    """The entry's ``(kind, packed paths, body)`` when it counts, else
+    ``None``: the one acceptance rule behind :func:`read_entry` and
     :meth:`ResultCache.verify` (the layout is :class:`ResultCache`'s)."""
     try:
         with open(path, "rb") as handle:
@@ -359,43 +403,72 @@ def _accepted(path: PathLike) -> Optional[Tuple[str, bytes]]:
         or header.get("schema_version") != SCHEMA_VERSION
         or header.get("result") is not True  # a payload stored without a result
         or not isinstance(header.get("kind"), str)
-        or header.get("sha256") != hashlib.sha256(body).hexdigest()
+        # An entry of the layout before packing has neither ``packed``
+        # nor ``digest`` (its digest, of the body alone, is ``sha256``).
+        or not isinstance(header.get("packed"), list)
+        or header.get("digest") != hashlib.sha256(data[_DIGESTED_FROM:]).hexdigest()
     ):
         return None
-    return header["kind"], body
+    return header["kind"], header["packed"], body
 
 
 def read_entry(path: PathLike) -> Optional[Dict[str, Any]]:
     """The payload of the :class:`ResultCache` entry at ``path``, parsed
-    once its header and digest check out, or ``None`` when it does not
-    count.  :meth:`ResultCache.get` by key; ``trace export`` by path."""
+    once its header and digest check out, with every packed float list
+    rebuilt, or ``None`` when it does not count.  :meth:`ResultCache.get`
+    by key; ``trace export`` by path."""
     found = _accepted(path)
-    return None if found is None else json.loads(found[1])
+    if found is None:
+        return None
+    _kind, packed, body = found
+    payload = json.loads(body)
+    for where in packed:
+        node = payload
+        for step in where[:-1]:
+            node = node[step]
+        node[where[-1]] = _unpacked(node[where[-1]])
+    return payload
 
 
 class ResultCache:
     """Content-addressed on-disk store of finished runs.
 
     Entries live at ``<root>/<hash[:2]>/<hash>.json`` holding the spec
-    alongside the result (the file is self-describing and greppable).
-    An entry is two lines.  The header is canonical JSON naming the
-    entry's ``kind``, its ``schema_version``, whether it holds a
-    ``result``, and the ``sha256`` of the body; the body is
-    ``canonical_json(payload)``, ASCII with no newline.  An entry counts
-    when its header is well-formed, names this ``SCHEMA_VERSION`` and a
-    result, and its body hashes to the header's digest; anything else
-    (unreadable, truncated, garbled, version-skewed, incomplete, or in
-    the older header-less layout) reads as a miss, and the next run
-    rewrites it.
+    alongside the result (the file is self-describing and greppable,
+    but for its long float lists).  An entry is two lines.  The header
+    is canonical JSON naming the entry's ``digest``, its ``kind``, its
+    ``packed`` lists, whether it holds a ``result`` and its
+    ``schema_version``; the body is the canonical JSON of the
+    payload with every list of at least :data:`PACK_MIN_FLOATS` values,
+    all of exact type ``float`` (a streaming or web result's
+    ``ooo_delays``), stored as one base64 string of little-endian IEEE
+    doubles, ASCII with no newline.  ``packed`` names the JSON path of
+    each such list (dict keys and list indices, outermost first), and
+    the readers rebuild exactly those after parsing the body: a warm
+    read decodes 8 bytes per float instead of parsing its decimal text,
+    and the round trip is bit-exact (-0.0, NaN, +-inf and subnormals
+    included).  Shorter or mixed lists (``[t, v]`` trace pairs, the
+    two ``last_packet_gaps``) stay JSON text.  ``digest`` sorts first,
+    and it is the sha256 of everything in the file after its own value:
+    the rest of the header, the newline and the body, so an edit to
+    the header's kind or packed paths is caught like one to the body.
+    An entry counts when its header is well-formed, names this
+    ``SCHEMA_VERSION`` and a result, and the file hashes to its digest;
+    anything else (unreadable, truncated, garbled, version-skewed,
+    incomplete, or in an older layout: header-less, or with decimal
+    floats and the body's digest under ``sha256``) reads as a miss, and
+    the next run rewrites it.  A reader of the layout before packing
+    takes this layout's entries for misses in turn: it finds no
+    ``sha256``.
 
     The two readers share that rule.  :meth:`verify` reads the header and
-    hashes the body without parsing it (a campaign drain's cache scan);
-    :meth:`get` checks the same and then parses the body (``fetch``,
-    ``ExperimentExecutor.run``); :func:`read_entry` is :meth:`get` by
-    path (``trace export`` of an entry).  Writes are atomic (temp file +
-    ``os.replace``), so a killed campaign never leaves a truncated entry
-    behind, and a write that fails removes its temp file before
-    re-raising.
+    hashes the file without parsing the body (a campaign drain's cache
+    scan); :meth:`get` checks the same, then parses the body and unpacks
+    its packed lists (``fetch``, ``ExperimentExecutor.run``);
+    :func:`read_entry` is :meth:`get` by path (``trace export`` of an
+    entry).  Writes are atomic (temp file + ``os.replace``), so a killed
+    campaign never leaves a truncated entry behind, and a write that
+    fails removes its temp file before re-raising.
     """
 
     def __init__(self, root: PathLike) -> None:
@@ -426,17 +499,21 @@ class ResultCache:
         target = self.path_for(key)
         target.parent.mkdir(parents=True, exist_ok=True)
         tmp = target.parent / f".{key}.{os.getpid()}.tmp"
-        body = canonical_json(payload)
+        packed: List[List[Any]] = []
+        body = canonical_json(_pack_floats(payload, [], packed))
         header = canonical_json(
             {
                 "kind": payload.get("kind"),
+                "packed": packed,
                 "result": "result" in payload,
                 "schema_version": payload.get("schema_version"),
-                "sha256": hashlib.sha256(body.encode()).hexdigest(),
             }
         )
+        # ``digest`` sorts first, so the header stays canonical JSON.
+        rest = f"{header[1:]}\n{body}"
+        digest = hashlib.sha256(rest.encode()).hexdigest()
         try:
-            tmp.write_text(f"{header}\n{body}")
+            tmp.write_text(f'{{"digest":"{digest}",{rest}')
             os.replace(tmp, target)
         except BaseException:
             # A write that died half-way (full disk) must not leave its

@@ -168,14 +168,14 @@ class Link:
     ) -> None:
         if not math.isfinite(rate_bps) or rate_bps <= 0:
             raise ValueError(f"rate_bps must be positive and finite, got {rate_bps!r}")
-        if delay < 0:
-            raise ValueError(f"delay must be non-negative, got {delay!r}")
+        if not math.isfinite(delay) or delay < 0:
+            raise ValueError(f"delay must be non-negative and finite, got {delay!r}")
         if queue_bytes <= 0:
             raise ValueError(f"queue_bytes must be positive, got {queue_bytes!r}")
         if not 0.0 <= loss_rate < 1.0:
             raise ValueError(f"loss_rate must be in [0, 1), got {loss_rate!r}")
-        if jitter < 0:
-            raise ValueError(f"jitter must be non-negative, got {jitter!r}")
+        if not math.isfinite(jitter) or jitter < 0:
+            raise ValueError(f"jitter must be non-negative and finite, got {jitter!r}")
         if (loss_rate > 0.0 or jitter > 0.0) and rng is None:
             raise ValueError("loss_rate/jitter > 0 requires an rng")
         self.sim = sim

@@ -232,10 +232,12 @@ class Simulator:
         :meth:`timer` and :meth:`arm` makes a schedule-and-run a quarter
         dearer, and even one shared push helper 5 %.  A non-negative
         delay from ``now`` can never land in the past, so only the delay
-        needs validating.
+        needs validating.  The test is written ``not delay >= 0`` so that
+        NaN, for which every comparison is false, is refused too: it costs
+        the same instructions as ``delay < 0``.
         """
-        if delay < 0:
-            raise SimulationError(f"negative delay: {delay!r}")
+        if not delay >= 0:
+            raise SimulationError(f"negative or NaN delay: {delay!r}")
         seq = self._seq + 1
         self._seq = seq
         time = self.now + delay
@@ -268,13 +270,15 @@ class Simulator:
         heap here.
 
         A pending or cancelled timer cannot be armed: its old heap entry
-        would come back to life.
+        would come back to life.  Nor can a NaN time, which would break the
+        heap's order and set ``now`` to NaN when it fired (hence ``not
+        time >= now``, as cheap as ``time < now``).
         """
         if not timer.cancelled or timer.callback is _noop:
             raise SimulationError(f"only an unarmed or fired timer can be armed: {timer!r}")
-        if time < self.now:
+        if not time >= self.now:
             raise SimulationError(
-                f"cannot schedule in the past: t={time!r} < now={self.now!r}"
+                f"cannot schedule in the past (or at NaN): t={time!r}, now={self.now!r}"
             )
         seq = self._seq + 1
         self._seq = seq

@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import functools
+import hashlib
 import importlib
 import importlib.util
 import pathlib
+import json
 import pkgutil
 import sys
 from typing import NamedTuple
@@ -14,6 +16,7 @@ import pytest
 
 from repro.core.minrtt import MinRttScheduler
 from repro.core.spec import SchedulerSpec, build
+from repro.experiments.spec import SCHEMA_VERSION, canonical_json
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.link import Link
 from repro.net.path import Path
@@ -116,6 +119,40 @@ def flip_a_digit(entry) -> None:
     at = text.index('"completion_time":') + len('"completion_time":')
     assert text[at].isdigit(), text[at : at + 20]
     entry.write_text(f"{text[:at]}{(int(text[at]) + 9) % 10}{text[at + 1:]}")
+
+
+def previous_layout_entry(payload):
+    """``payload`` as the cache wrote it before float lists were packed:
+    the digest under ``sha256``, every float as decimal text."""
+    body = canonical_json(payload)
+    header = canonical_json(
+        {
+            "kind": payload.get("kind"),
+            "result": "result" in payload,
+            "schema_version": payload.get("schema_version"),
+            "sha256": hashlib.sha256(body.encode()).hexdigest(),
+        }
+    )
+    return f"{header}\n{body}".encode()
+
+
+def previous_layout_accepts(data):
+    """The acceptance rule of the layout before packing, frozen here as
+    the reference a reader of that layout applies to an entry's bytes."""
+    head, newline, body = data.partition(b"\n")
+    if not newline:
+        return False
+    try:
+        header = json.loads(head)
+    except ValueError:
+        return False
+    return not (
+        not isinstance(header, dict)
+        or header.get("schema_version") != SCHEMA_VERSION
+        or header.get("result") is not True
+        or not isinstance(header.get("kind"), str)
+        or header.get("sha256") != hashlib.sha256(body).hexdigest()
+    )
 
 
 def build_path(

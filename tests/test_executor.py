@@ -5,10 +5,14 @@ byte-identical results at ``jobs=1`` vs ``jobs=N``, retry-after-timeout,
 and (property-based) lossless spec round trips.
 """
 
+import base64
 import dataclasses
 import json
+import math
 import os
 import signal
+import struct
+import tempfile
 import time
 from pathlib import Path
 
@@ -19,6 +23,7 @@ from hypothesis import strategies as st
 from repro.apps.bulk import BulkDownloadSpec
 from repro.core.spec import build
 from repro.experiments.exec import (
+    PACK_MIN_FLOATS,
     ExperimentError,
     ExperimentExecutor,
     FailedRun,
@@ -50,7 +55,7 @@ from repro.net.bandwidth import (
 )
 from repro.net.profiles import PathConfig, lte_config, wifi_config
 from repro.workloads.web import WebBrowsingSpec
-from tests.conftest import flip_a_digit
+from tests.conftest import flip_a_digit, previous_layout_accepts, previous_layout_entry
 
 
 def bulk_specs(n=4, size=64 * 1024):
@@ -213,6 +218,10 @@ class TestCacheBehavior:
             "foreign schema_version",
             "no result",
             "missing file",
+            "previous layout",
+            "packed floats",
+            "edited packed path",
+            "edited header kind",
         ],
     )
     def test_verify_accepts_exactly_what_get_returns(self, tmp_path, fixture):
@@ -222,7 +231,17 @@ class TestCacheBehavior:
         cache, key = ResultCache(tmp_path), spec_hash(spec)
         ExperimentExecutor(cache_dir=tmp_path).run([spec])
         entry, path = cache.get(key), cache.path_for(key)
-        if fixture == "truncated body":
+        samples = [0.5, -0.0, 5e-324, 1e308]
+        if fixture == "previous layout":
+            path.write_bytes(previous_layout_entry(entry))
+        elif fixture in ("packed floats", "edited packed path"):
+            cache.put(key, {**entry, "result": {**entry["result"], "samples": samples}})
+            assert cache.get(key)["result"]["samples"] == samples
+            if fixture == "edited packed path":
+                path.write_text(path.read_text().replace('"samples"]', '"sample"]', 1))
+        elif fixture == "edited header kind":
+            path.write_text(path.read_text().replace('"bulk_download"', '"streaming"', 1))
+        elif fixture == "truncated body":
             path.write_text(path.read_text()[:-20])
         elif fixture == "flipped digit":
             flip_a_digit(path)
@@ -239,8 +258,25 @@ class TestCacheBehavior:
         for kind in ("bulk_download", "streaming"):
             found = cache.get(key)
             assert cache.verify(key, kind) == (found is not None and found["kind"] == kind)
-        assert cache.verify(key, "bulk_download") == (fixture == "valid")
+        assert cache.verify(key, "bulk_download") == (fixture in ("valid", "packed floats"))
         assert cache.verify(key, "streaming") == (fixture == "wrong kind")
+
+    def test_the_previous_layout_refuses_an_entry_of_this_one(self, tmp_path):
+        """Readers of either layout take the other's entries for misses: a
+        reader from before packing must never hand ``result_from_dict`` a
+        packed string where a list belongs."""
+        cache, key = ResultCache(tmp_path), "ab" + "c" * 62
+        payload = {
+            "schema_version": SCHEMA_VERSION,
+            "kind": "streaming",
+            "result": {"ooo_delays": [0.0, 0.25, 0.5, 0.75]},
+        }
+        assert previous_layout_accepts(previous_layout_entry(payload))
+        cache.put(key, payload)
+        assert cache.get(key) == payload
+        assert not previous_layout_accepts(cache.path_for(key).read_bytes())
+        cache.put(key, {**payload, "result": {}})  # nothing packed
+        assert not previous_layout_accepts(cache.path_for(key).read_bytes())
 
     @pytest.mark.parametrize("dies_in", ["write_text", "replace"])
     def test_a_failed_put_leaves_no_temp_file(self, tmp_path, monkeypatch, dies_in):
@@ -561,6 +597,98 @@ class TestSpecRoundTripProperty:
         # And the spec constructs a live process of the right shape.
         process = build(again)
         assert hasattr(process, "attach")
+
+
+#: Floats with the edge cases packing must carry bit for bit.
+float_st = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [-0.0, math.nan, math.inf, -math.inf, 5e-324, -2.2e-308, 1e308]
+)
+leaf_st = float_st | st.integers() | st.booleans() | st.text(max_size=4) | st.none()
+tree_st = st.recursive(
+    leaf_st,
+    lambda children: st.lists(children, max_size=5)
+    | st.dictionaries(st.text(max_size=4), children, max_size=4),
+    max_leaves=30,
+)
+#: Float lists straddling the packing threshold, some with an int in them.
+float_list_st = st.lists(float_st, max_size=7) | st.lists(
+    float_st | st.integers(), min_size=4, max_size=7
+)
+payload_st = st.dictionaries(
+    st.text(max_size=4), tree_st | float_list_st | st.lists(float_list_st, max_size=3), max_size=5
+)
+
+
+def exact(node):
+    """``node`` with every float replaced by its bits (NaN by one mark:
+    decimal text keeps no NaN payload) and every scalar tagged with its
+    type, so ``==`` tells -0.0 from 0.0 and 1 from 1.0."""
+    if isinstance(node, dict):
+        return {key: exact(value) for key, value in node.items()}
+    if isinstance(node, list):
+        return [exact(value) for value in node]
+    if type(node) is float:
+        return ("float", "nan" if math.isnan(node) else struct.pack("<d", node))
+    return (type(node).__name__, node)
+
+
+def json_lists(node, path=()):
+    """``(path, list)`` for every JSON array in ``node``, outermost first."""
+    if isinstance(node, dict):
+        for key, value in node.items():
+            yield from json_lists(value, path + (key,))
+    elif isinstance(node, list):
+        yield path, node
+        for index, value in enumerate(node):
+            yield from json_lists(value, path + (index,))
+
+
+class TestCachePacking:
+    """A cache entry stores each list of at least 4 floats as packed
+    doubles; everything else stays JSON text."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(extra=payload_st, result=payload_st)
+    def test_put_then_get_is_exact(self, extra, result):
+        payload = {
+            **extra,
+            "schema_version": SCHEMA_VERSION,
+            "kind": "streaming",
+            "result": result,
+        }
+        key = "ab" + "c" * 62
+        with tempfile.TemporaryDirectory() as root:
+            cache = ResultCache(root)
+            cache.put(key, payload)
+            got = cache.get(key)
+            assert exact(got) == exact(payload)
+            assert canonical_json(got) == canonical_json(payload)
+            assert cache.verify(key, "streaming") and not cache.verify(key, "bulk_download")
+            head, body = cache.path_for(key).read_text().split("\n")
+        packed = [tuple(path) for path in json.loads(head)["packed"]]
+        assert packed == [
+            path
+            for path, values in json_lists(payload)
+            if len(values) >= PACK_MIN_FLOATS and all(type(v) is float for v in values)
+        ]
+        stored = json.loads(body)
+        for path, _ in json_lists(payload):
+            node = stored
+            for step in path:
+                node = node[step]
+            # A packed list is one string; every other list stays JSON text.
+            assert isinstance(node, str if path in packed else list), path
+
+    def test_a_packed_list_is_base64_little_endian_doubles(self, tmp_path):
+        cache, key = ResultCache(tmp_path), "ab" + "c" * 62
+        values = [0.0, -0.0, 1.5, math.inf]
+        cache.put(key, {"schema_version": SCHEMA_VERSION, "kind": "streaming",
+                        "result": {"ooo_delays": values, "gaps": [1.0, 2.0, 3.0]}})
+        head, body = cache.path_for(key).read_text().split("\n")
+        assert json.loads(head)["packed"] == [["result", "ooo_delays"]]
+        stored = json.loads(body)["result"]
+        assert stored["gaps"] == [1.0, 2.0, 3.0]
+        assert base64.b64decode(stored["ooo_delays"]) == struct.pack("<4d", *values)
 
 
 class TestResultRoundTrip:

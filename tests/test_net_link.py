@@ -1,11 +1,15 @@
 """Tests for the link model: serialization, queueing, drops, loss."""
 
+import dataclasses
 import math
 import random
 
 import pytest
 
+from repro.apps.bulk import BulkDownloadSpec
+from repro.experiments.spec import run_spec
 from repro.net.link import Link
+from repro.net.profiles import lte_config, wifi_config
 from repro.net.packet import Packet
 
 
@@ -45,6 +49,27 @@ class TestValidation:
         with pytest.raises(ValueError):
             link.set_rate(rate)
         assert link.rate_bps == 1e6  # unchanged after the rejected update
+
+    @pytest.mark.parametrize("field", ["delay", "jitter"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -1.0])
+    def test_constructor_rejects_bad_delay_and_jitter(self, sim, field, value):
+        """A NaN delay would deliver at ``now == nan``, an infinite one
+        never: both are refused with the negative ones."""
+        with pytest.raises(ValueError, match=field):
+            make_link(sim, rng=random.Random(0), **{field: value})
+
+    def test_a_spec_with_a_nan_one_way_delay_is_refused(self):
+        spec = BulkDownloadSpec(
+            scheduler="minrtt",
+            path_configs=(
+                dataclasses.replace(wifi_config(2.0), one_way_delay=math.nan),
+                lte_config(8.6),
+            ),
+            size=64_000,
+            seed=1,
+        )
+        with pytest.raises(ValueError, match="delay"):
+            run_spec(spec)
 
     def test_set_rate_accepts_finite_positive(self, sim):
         link = make_link(sim)

@@ -621,6 +621,23 @@ class TestLoadExportSource:
         assert loaded["traces"] == {"c": [[0.0, 2.0]]}
         assert loaded["perf"] == {"n": 1}
 
+    def test_cache_entry_with_packed_floats_unwraps_result(self, tmp_path):
+        """A streaming entry's ``ooo_delays`` is stored packed: the export
+        reads the same traces and perf as from the plain payload."""
+        cache = ResultCache(tmp_path)
+        result = {
+            "ooo_delays": [0.0, 0.125, -0.0, 2.5e-3, 0.0],
+            "trace": {"cwnd.wifi0": [[0.0, 10.0], [0.5, 14.0]], "rtt": [[0.1, 0.03]]},
+            "perf": {"n": 1},
+        }
+        cache.put("ef" * 32, {"schema_version": SCHEMA_VERSION, "kind": "streaming",
+                              "result": result})
+        path = cache.path_for("ef" * 32)
+        assert '"packed":[["result","ooo_delays"]]' in path.read_text()
+        loaded = timeline.load_export_source(path)
+        assert loaded["traces"] == result["trace"]
+        assert loaded["perf"] == {"n": 1}
+
     def test_header_less_cache_entry_unwraps_result(self, tmp_path):
         # The layout older trees wrote: one document, no digest header.
         path = tmp_path / "entry.json"

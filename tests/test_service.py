@@ -17,6 +17,7 @@ import repro
 from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec
 from repro.experiments.exec import ExperimentExecutor, ResultCache
 from repro.experiments.grid import wget_matrix
+from repro.experiments.runner import StreamingSpec
 from repro.experiments.spec import canonical_json, register_experiment, spec_hash
 from repro.net.profiles import lte_config, wifi_config
 from repro.service import (
@@ -28,7 +29,7 @@ from repro.service import (
     TransitionError,
     backend_config_from_dict,
 )
-from tests.conftest import flip_a_digit
+from tests.conftest import flip_a_digit, previous_layout_entry
 
 
 def bulk_specs(n=3, size=64 * 1024):
@@ -447,15 +448,10 @@ class TestCampaignRunner:
             (healed,) = runner.fetch([spec])
             assert healed.completion_time == result.completion_time
 
-    def test_an_entry_in_the_header_less_layout_re_simulates_once(self, tmp_path):
-        """Entries written by older trees carry no digest header: the next
-        drain simulates the job again and rewrites the entry, the drain
-        after it is a cache hit."""
-        (spec,) = bulk_specs(1)
-        cache = tmp_path / "cache"
-        ExperimentExecutor(cache_dir=cache).run([spec])
-        entry = ResultCache(cache).path_for(spec_hash(spec))
-        entry.write_text(canonical_json(ResultCache(cache).get(spec_hash(spec))))
+    @staticmethod
+    def drain_twice(tmp_path, spec, cache):
+        """Two campaigns over ``spec`` on one cache: the job statuses their
+        drains journaled, and what the last one fetched."""
         statuses = []
         for db in ("first.db", "second.db"):
             with CampaignStore(tmp_path / db) as store:
@@ -466,8 +462,38 @@ class TestCampaignRunner:
                 runner.drain()
                 jobs = store.journal_records(runner.campaign_id, record="job")
                 statuses += [r["status"] for r in jobs]
-                assert len(runner.fetch([spec])) == 1
+                (fetched,) = runner.fetch([spec])
+        return statuses, fetched
+
+    def test_an_entry_in_the_header_less_layout_re_simulates_once(self, tmp_path):
+        """Entries written by older trees carry no digest header: the next
+        drain simulates the job again and rewrites the entry, the drain
+        after it is a cache hit."""
+        (spec,) = bulk_specs(1)
+        cache = tmp_path / "cache"
+        ExperimentExecutor(cache_dir=cache).run([spec])
+        entry = ResultCache(cache).path_for(spec_hash(spec))
+        entry.write_text(canonical_json(ResultCache(cache).get(spec_hash(spec))))
+        statuses, _ = self.drain_twice(tmp_path, spec, cache)
         assert statuses == ["executed", "cached"]
+
+    def test_an_entry_in_the_previous_layout_re_simulates_once(self, tmp_path):
+        """An entry written before float lists were packed (digest under
+        ``sha256``, decimal floats) is a miss: the next drain simulates
+        the job again and rewrites the entry packed, the drain after it
+        is a cache hit, and the result is the one first cached."""
+        spec = StreamingSpec(
+            scheduler="ecf", wifi_mbps=0.3, lte_mbps=8.6, video_duration=10.0, seed=1
+        )
+        cache, key = tmp_path / "cache", spec_hash(spec)
+        (result,) = ExperimentExecutor(cache_dir=cache).run([spec])
+        entry = ResultCache(cache).path_for(key)
+        entry.write_bytes(previous_layout_entry(ResultCache(cache).get(key)))
+        statuses, fetched = self.drain_twice(tmp_path, spec, cache)
+        assert statuses == ["executed", "cached"]
+        header = json.loads(entry.read_text().partition("\n")[0])
+        assert ["result", "ooo_delays"] in header["packed"]
+        assert canonical_json(fetched.to_dict()) == canonical_json(result.to_dict())
 
     def test_a_refused_entry_is_counted(self, tmp_path):
         """A scan miss whose entry file is there was refused: the
@@ -583,7 +609,6 @@ class TestCampaignRunner:
         """``ExperimentExecutor.run`` ships the wire it built from the
         spec, a drain ships the wire its store row holds: the entries
         they write, and their journal ``job`` records, are the same."""
-        from repro.experiments.runner import StreamingSpec
         from repro.obs.journal import read_journal
         from repro.workloads.web import WebBrowsingSpec
 

@@ -9,7 +9,11 @@ the gate counts instead of timing: Python-level ``call`` events under
 directory listings the drain performs, and the ``COMMIT`` statements
 SQLite executes.
 
-Measured on 3.11: 78.8 / 73.7 calls per cached job at 50 / 100 jobs
+Measured on 3.11: 78.8 / 73.7 calls per cached job at 50 / 100 jobs,
+the same with cache entries carrying their float lists as packed
+doubles: a bulk entry packs nothing, and its header's digest, which now
+covers the header too, is still one sha256 over bytes (a first cut that
+re-encoded the packed paths to hash them read 90.8 / 85.7, over budget)
 (80.8 / 75.7 while the store reported every claim and ``mark_done`` to
 a transition hook nothing read; 103.8 / 98.7 while the drain decoded every pending row's spec, rebuilt
 it as a typed spec, re-encoded it and hashed it, only to recompute the

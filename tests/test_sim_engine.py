@@ -1,5 +1,7 @@
 """Tests for the discrete-event engine."""
 
+import math
+
 import pytest
 
 from repro.sim.engine import SimulationError, Simulator
@@ -323,6 +325,18 @@ class TestArm:
         sim.run(until=1.0)
         with pytest.raises(SimulationError, match="past"):
             sim.arm(sim.timer(lambda: None), 0.5)
+
+    def test_nan_event_times_are_refused(self, sim):
+        """``nan < 0`` and ``nan < now`` are both false: the checks must
+        not let a NaN into the heap, where it breaks the order and, once
+        fired, sets ``now`` to NaN."""
+        with pytest.raises(SimulationError):
+            sim.schedule(math.nan, lambda: None)
+        with pytest.raises(SimulationError):
+            sim.arm(sim.timer(lambda: None), math.nan)
+        assert sim.pending_events == 0
+        sim.run()
+        assert sim.now == 0.0
 
 
 class TestCancellationAccounting:
