@@ -572,6 +572,8 @@ def cmd_campaign_status(args) -> int:
 
 
 def cmd_campaign_fetch(args) -> int:
+    from repro.sim.codec import json_default  # a fetched delay series is an array
+
     runner = _open_campaign(args)
     if runner is None:
         return 1
@@ -582,7 +584,7 @@ def cmd_campaign_fetch(args) -> int:
                 missing += 1
                 continue
             record = {"spec_hash": key, "kind": kind, "result": found["result"]}
-            lines.append(json.dumps(record, sort_keys=True) + "\n")
+            lines.append(json.dumps(record, sort_keys=True, default=json_default) + "\n")
     _emit("".join(lines), args.output, f"wrote {len(lines)} result(s) to {args.output}")
     if missing:
         print(f"{missing} job(s) not fetchable (not done or cache entry gone)",

@@ -74,6 +74,7 @@ import struct
 import sys
 import threading
 import time
+from array import array
 from collections import deque
 from concurrent.futures import FIRST_COMPLETED, BrokenExecutor, wait
 from contextlib import contextmanager
@@ -118,6 +119,9 @@ LOOK_SLICE = 256
 #: 1.28 us.  So ``[t, v]`` trace pairs and the two ``last_packet_gaps``
 #: stay text.
 PACK_MIN_FLOATS = 4
+
+#: Packed lists are little-endian on disk; a big-endian host swaps them.
+_LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: Where the part of a cache entry its ``digest`` covers begins: right
 #: after ``{"digest":"<64 hex digits>",``, the header's first key.
@@ -376,10 +380,33 @@ def _packed_text(values: Sequence[float]) -> str:
     return binascii.b2a_base64(struct.pack(f"<{len(values)}d", *values), newline=False).decode()
 
 
-def _unpacked(text: str) -> List[float]:
-    """The list :func:`_packed_text` was given."""
-    raw = binascii.a2b_base64(text)
-    return list(struct.unpack(f"<{len(raw) >> 3}d", raw))
+class PackedFloats(array):
+    """What a packed float list reads back as: an ``array("d")``, 8 bytes
+    a value where a list of float objects takes 32, that compares equal
+    to a list of the same floats, so a payload read back still equals
+    the one :meth:`ResultCache.put` was given."""
+
+    __slots__ = ()
+
+    def __eq__(self, other: object) -> Any:
+        if isinstance(other, list):
+            return self.tolist() == other
+        return array.__eq__(self, other)
+
+    def __ne__(self, other: object) -> Any:
+        equal = self.__eq__(other)
+        return equal if equal is NotImplemented else not equal
+
+
+def _unpacked(text: str) -> PackedFloats:
+    """The values :func:`_packed_text` was given.  ``frombytes`` leaves
+    an array 1/16 over-allocated; built from an array, one is sized
+    exactly (a ``memcpy``)."""
+    values = array("d")
+    values.frombytes(binascii.a2b_base64(text))
+    if not _LITTLE_ENDIAN:
+        values.byteswap()
+    return PackedFloats("d", values)
 
 
 def _accepted(path: PathLike) -> Optional[Tuple[str, List[List[Any]], bytes]]:
@@ -415,8 +442,11 @@ def _accepted(path: PathLike) -> Optional[Tuple[str, List[List[Any]], bytes]]:
 def read_entry(path: PathLike) -> Optional[Dict[str, Any]]:
     """The payload of the :class:`ResultCache` entry at ``path``, parsed
     once its header and digest check out, with every packed float list
-    rebuilt, or ``None`` when it does not count.  :meth:`ResultCache.get`
-    by key; ``trace export`` by path."""
+    rebuilt as a :class:`PackedFloats` array, or ``None`` when it does
+    not count.  :meth:`ResultCache.get` by key; ``trace export`` by
+    path.  JSON writers of the payload take
+    :func:`~repro.sim.codec.json_default` as their ``default`` hook
+    (``canonical_json`` does) for the same text."""
     found = _accepted(path)
     if found is None:
         return None
@@ -444,14 +474,18 @@ class ResultCache:
     ``ooo_delays``), stored as one base64 string of little-endian IEEE
     doubles, ASCII with no newline.  ``packed`` names the JSON path of
     each such list (dict keys and list indices, outermost first), and
-    the readers rebuild exactly those after parsing the body: a warm
-    read decodes 8 bytes per float instead of parsing its decimal text,
-    and the round trip is bit-exact (-0.0, NaN, +-inf and subnormals
-    included).  Shorter or mixed lists (``[t, v]`` trace pairs, the
-    two ``last_packet_gaps``) stay JSON text.  ``digest`` sorts first,
-    and it is the sha256 of everything in the file after its own value:
-    the rest of the header, the newline and the body, so an edit to
-    the header's kind or packed paths is caught like one to the body.
+    the readers rebuild exactly those after parsing the body, each as a
+    :class:`PackedFloats` array filled by ``frombytes``: a warm read
+    decodes 8 bytes per float instead of parsing its decimal text, holds
+    8 bytes per float instead of a float object's 32, and the round trip
+    is bit-exact (-0.0, NaN, +-inf and subnormals included).  A typed
+    result keeps a delay series as that array; a ``List[float]`` field
+    decodes it to a list.  Shorter or mixed lists (``[t, v]`` trace
+    pairs, the two ``last_packet_gaps``) stay JSON text.  ``digest``
+    sorts first, and it is the sha256 of everything in the file after
+    its own value: the rest of the header, the newline and the body, so
+    an edit to the header's kind or packed paths is caught like one to
+    the body.
     An entry counts when its header is well-formed, names this
     ``SCHEMA_VERSION`` and a result, and the file hashes to its digest;
     anything else (unreadable, truncated, garbled, version-skewed,

@@ -26,6 +26,7 @@ list; it embeds the spec through the codec and carries the codec's
 from __future__ import annotations
 
 import sys
+from array import array
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, ClassVar, Dict, List, Mapping, Optional, Tuple
 
@@ -35,7 +36,13 @@ from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.bandwidth import BandwidthSpec
 from repro.net.path import Path
 from repro.net.profiles import PathConfig, lte_config, make_path, wifi_config
-from repro.sim.codec import SCHEMA_VERSION, Record, wrong_schema_version
+from repro.sim.codec import (
+    SCHEMA_VERSION,
+    Record,
+    float_array,
+    float_list,
+    wrong_schema_version,
+)
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -133,7 +140,9 @@ class StreamingRunResult:
     iw_resets_by_interface: Dict[str, int]
     idle_resets_by_interface: Dict[str, int]
     mean_rtt_by_interface: Dict[str, float]
-    ooo_delays: List[float]
+    #: One out-of-order delay per delivered segment, 8 bytes a sample: the
+    #: receiver's own array on a fresh run, the cache entry's on a fetch.
+    ooo_delays: array
     last_packet_gaps: List[float]
     reinjections: int
     trace: Optional[TraceRecorder]
@@ -141,6 +150,11 @@ class StreamingRunResult:
     #: the executor when ``REPRO_PERF=1``; absent from the wire format when
     #: None so cached v2 payloads stay valid.
     perf: Optional[Dict[str, Any]] = None
+
+    def __post_init__(self) -> None:
+        # A list (a payload parsed from JSON text, a caller's own) becomes
+        # an array; an array, a fetched one included, is kept.
+        self.ooo_delays = float_array(self.ooo_delays)
 
     @property
     def average_bitrate_bps(self) -> float:
@@ -208,7 +222,7 @@ class StreamingRunResult:
                 for c in metrics.chunks
             ],
             "payload_by_interface": dict(self.payload_by_interface),
-            "ooo_delays": list(self.ooo_delays),
+            "ooo_delays": float_list(self.ooo_delays),
             "last_packet_gaps": list(self.last_packet_gaps),
             "startup_completed_at": metrics.startup_completed_at,
             "finished_at": metrics.finished_at,
@@ -270,7 +284,7 @@ class StreamingRunResult:
             iw_resets_by_interface=dict(data["iw_resets"]),
             idle_resets_by_interface=dict(data["idle_resets"]),
             mean_rtt_by_interface=dict(data["mean_rtt_s"]),
-            ooo_delays=list(data["ooo_delays"]),
+            ooo_delays=data["ooo_delays"],
             last_packet_gaps=list(data["last_packet_gaps"]),
             reinjections=data["reinjections"],
             trace=trace,

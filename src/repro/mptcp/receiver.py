@@ -13,7 +13,8 @@ penalization logic relies on.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple
+from array import array
+from typing import Callable, Dict, Optional, Tuple
 
 from repro.net.packet import Packet
 from repro.sim import probe as _probe
@@ -30,6 +31,7 @@ class MptcpReceiver:
     on_deliver: ``on_deliver(nbytes)`` called for every in-order chunk
         handed to the application, in DSN order.
     record_delays: collect the per-packet out-of-order delay samples
+        into ``ooo_delays``, an ``array("d")`` at 8 bytes a sample
         (disable in huge sweeps to save memory).
     """
 
@@ -73,7 +75,7 @@ class MptcpReceiver:
         #: exceed ``recv_buffer_bytes``.  The subflow-level RTO recovers
         #: the data later, exactly like real out-of-window TCP data.
         self.window_drops = 0
-        self.ooo_delays: List[float] = []
+        self.ooo_delays = array("d")
         self.max_buffered_bytes = 0
         #: Arrival time of the most recent data packet per subflow id
         #: (drives the Fig 5 "last packet time difference" analysis).

@@ -483,6 +483,20 @@ def _result_traces(payload: Dict[str, Any]) -> TraceData:
     return trace if isinstance(trace, dict) else {}
 
 
+def _previous_layout(text: str) -> bool:
+    """Whether ``text`` is a cache entry in the two-line layout from before
+    float lists were packed: its header keeps the body's digest under
+    ``sha256``, where the current one has ``digest``."""
+    head, newline, _body = text.partition("\n")
+    if not newline:
+        return False
+    try:
+        header = json.loads(head)
+    except ValueError:
+        return False
+    return isinstance(header, dict) and "sha256" in header and "digest" not in header
+
+
 def load_export_source(path: PathLike) -> Dict[str, Any]:
     """Load any exportable source into events + traces (+ perf).
 
@@ -493,7 +507,9 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
     * a **cache entry** (``{"schema_version", "kind", "spec", "result"}``,
       read through :func:`repro.experiments.exec.read_entry`, so its
       header and digest must check out; an entry in the older
-      header-less layout is one such document) -- trace series only;
+      header-less layout is one such document, and one in the two-line
+      layout from before packing is refused as stale) -- trace series
+      only;
     * a serialized **run result** dict -- trace series only.
     """
     source = Path(path)
@@ -511,7 +527,13 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
     payload = read_entry(source)
     if payload is None:
         # Not a cache entry that counts; a garbled one is not JSON either.
-        payload = json.loads(source.read_text())
+        text = source.read_text()
+        if _previous_layout(text):
+            raise ValueError(
+                f"{source}: stale cache entry (the layout from before float "
+                "lists were packed); run its job again to rewrite it"
+            )
+        payload = json.loads(text)
     if not isinstance(payload, dict):
         raise ValueError(f"{source}: unrecognized export source")
     if "result" in payload and isinstance(payload["result"], dict):

@@ -12,6 +12,10 @@ inheriting :class:`Record`, :class:`Tagged` or :class:`Result`, whose
 * a tuple becomes a list; a field annotated ``Tuple[...]`` decodes back
   to a tuple, ``List[...]`` to a list, ``Dict`` to a dict (containers
   are copied, never shared);
+* a field annotated ``array`` (an ``array("d")`` float series, such as a
+  result's ``ooo_delays``) encodes as :func:`float_list` and decodes to
+  an ``array("d")``; an array it is handed (a cache entry's packed list)
+  is kept as it is, a list is converted;
 * a kind-spec (:class:`KindSpec`) becomes ``{"kind", "params": {...}}``
   and decodes through ``of``; a kind-spec field holding an object that
   is not such a spec (a live bandwidth process, say) is a
@@ -45,13 +49,16 @@ from __future__ import annotations
 import dataclasses
 import functools
 import json
+import sys
 import typing
+from array import array
 from typing import (
     Any,
     Callable,
     ClassVar,
     Dict,
     FrozenSet,
+    List,
     Mapping,
     Optional,
     Tuple,
@@ -69,9 +76,39 @@ K = TypeVar("K", bound="KindSpec")
 _Rule = Optional[Tuple[Callable[[Any], Any], Callable[[Any], Any]]]  # None: an atom
 
 
+#: Where the sign bit of an ``array("d")`` item sits, as a byte offset.
+_SIGN_BYTE = 7 if sys.byteorder == "little" else 0
+
+
+def float_list(values: array) -> List[float]:
+    """The values of an ``array("d")`` as a JSON-ready list, exact for
+    every float.  Every ``+0.0`` in it is one shared float object, so a
+    delay series (mostly in-order ``0.0`` samples) costs about 8 B per
+    sample here instead of 32; a series holding a ``-0.0`` (or any tiny
+    negative: the check reads sign bytes only) takes the exact
+    ``tolist``, because ``-0.0 or zero`` is ``+0.0``."""
+    if b"\x80" in memoryview(values).cast("B")[_SIGN_BYTE::8].tobytes():
+        return values.tolist()
+    zero = 0.0
+    return [value or zero for value in values]
+
+
+def float_array(values: Any) -> array:
+    """``values`` as an ``array("d")``: an array is kept as it is."""
+    return values if isinstance(values, array) else array("d", values)
+
+
+def json_default(value: Any) -> Any:
+    """The ``default`` hook of every JSON writer of wire data: an
+    ``array("d")`` writes as the list of its floats, byte for byte."""
+    if isinstance(value, array):
+        return float_list(value)
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
+
+
 def canonical_json(data: Any) -> str:
     """Deterministic JSON used for hashing and byte-comparable storage."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
+    return json.dumps(data, sort_keys=True, separators=(",", ":"), default=json_default)
 
 
 def wrong_schema_version(kind: str, data: Mapping[str, Any]) -> ValueError:
@@ -183,9 +220,9 @@ class Result(Record):
 
 
 def _canonical(value: Any) -> Any:
-    """Lists become tuples, recursively, so a kind-spec rebuilt from JSON
-    equals the original."""
-    if isinstance(value, (list, tuple)):
+    """Lists (and a cache entry's packed arrays) become tuples,
+    recursively, so a kind-spec rebuilt from JSON equals the original."""
+    if isinstance(value, (list, tuple, array)):
         return tuple(_canonical(v) for v in value)
     return value
 
@@ -273,6 +310,8 @@ def _rule(tp: Any) -> _Rule:
         return _rule(present[0]) if len(present) == 1 else None
     if origin is dict:
         return dict, dict
+    if origin is array:
+        return float_list, float_array
     if origin in (tuple, list):
         # Tuple[X, ...] and List[X] by their item; a fixed tuple holds atoms.
         item = args[0] if args and (origin is list or args[-1] is Ellipsis) else Any

@@ -14,8 +14,9 @@ exactly the ``STATE_FIELDS`` every class declares:
   restore registry, never copied raw;
 * :class:`~repro.sim.rng.RngRegistry` streams via ``Random.getstate`` /
   ``setstate``;
-* receiver reassembly maps, subflow retransmission state, congestion
-  controllers, RTT estimators (deque ``maxlen`` preserved), schedulers.
+* receiver reassembly maps and delay arrays (``array`` by its bytes),
+  subflow retransmission state, congestion controllers, RTT estimators
+  (deque ``maxlen`` preserved), schedulers.
 
 The walk is *refusing* by construction, in both directions:
 
@@ -53,6 +54,7 @@ import hashlib
 import importlib
 import random
 import types
+from array import array
 from collections import deque
 from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -175,6 +177,10 @@ class _Capture:
         if isinstance(value, list):
             return {"__snap__": "list",
                     "items": [self.encode(v, where) for v in value]}
+        if isinstance(value, array):
+            # A number series (the receiver's delays): its bytes, one copy.
+            return {"__snap__": "array", "typecode": value.typecode,
+                    "items": value.tobytes()}
         if isinstance(value, deque):
             return {"__snap__": "deque", "maxlen": value.maxlen,
                     "items": [self.encode(v, where) for v in value]}
@@ -351,6 +357,8 @@ class _Restore:
             return tuple(self.decode(v) for v in encoded["items"])
         if tag == "list":
             return [self.decode(v) for v in encoded["items"]]
+        if tag == "array":
+            return array(encoded["typecode"], encoded["items"])
         if tag == "deque":
             return deque(
                 (self.decode(v) for v in encoded["items"]),

@@ -12,14 +12,16 @@ measure per-object download completion times and out-of-order delays.
 
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any, ClassVar, Dict, List, Optional, Sequence, Tuple
 
 from repro.apps.http import GetResult, HttpSession
 from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import PathConfig, make_path
-from repro.sim.codec import Record, Result
+from repro.sim.codec import Record, Result, float_array
 from repro.sim.engine import Simulator
 from repro.sim.rng import RngRegistry
 
@@ -106,7 +108,8 @@ class WebBrowsingResult(Result):
 
     scheduler: str
     object_completion_times: List[float] = field(default_factory=list)
-    ooo_delays: List[float] = field(default_factory=list)
+    #: Every connection's out-of-order delays, 8 bytes a sample.
+    ooo_delays: array = field(default_factory=partial(array, "d"))
     page_load_time: float = 0.0
     objects_completed: int = 0
     total_objects: int = 0
@@ -115,6 +118,9 @@ class WebBrowsingResult(Result):
     #: Optional per-run perf record (``PerfRecord.to_dict()``), attached by
     #: the executor when ``REPRO_PERF=1``.
     perf: Optional[Dict[str, Any]] = None
+
+    def __post_init__(self) -> None:
+        self.ooo_delays = float_array(self.ooo_delays)
 
     @property
     def complete(self) -> bool:

@@ -1,9 +1,11 @@
 """Tests for the command-line interface."""
 
 import argparse
+import base64
 import json
 import os
 import re
+import struct
 from pathlib import Path
 
 import pytest
@@ -14,10 +16,13 @@ from repro.cli import build_parser, main, parse_size
 from repro.experiments.exec import ExperimentExecutor, ResultCache
 from repro.experiments.grid import streaming_grid_specs
 from repro.experiments.runner import StreamingRunConfig
-from repro.experiments.spec import result_from_dict
-from repro.obs import flight
+from repro.apps.bulk import BulkDownloadSpec
+from repro.experiments.spec import result_from_dict, spec_hash
+from repro.net.profiles import lte_config, wifi_config
+from repro.obs import flight, timeline
 from repro.perf import counters
 from repro.service import CampaignRunner, CampaignStore
+from repro.workloads.web import WebBrowsingSpec
 
 
 class TestParseSize:
@@ -411,6 +416,73 @@ class TestCampaignCommands:
         assert captured.out == ""
         assert captured.err == "campaign store typo.db does not exist\n"
         assert list(tmp_path.iterdir()) == []
+
+
+def _entry_as_lists(path):
+    """A cache entry decoded into plain lists, as readers did before a
+    packed list decoded to an ``array("d")``: the body parsed, each
+    packed path unpacked with ``struct``."""
+    head, body = path.read_bytes().split(b"\n", 1)
+    payload = json.loads(body)
+    for where in json.loads(head)["packed"]:
+        node = payload
+        for step in where[:-1]:
+            node = node[step]
+        raw = base64.b64decode(node[where[-1]])
+        node[where[-1]] = list(struct.unpack(f"<{len(raw) // 8}d", raw))
+    return payload
+
+
+class TestFetchedTextIsByteIdentical:
+    """A fetched delay series is an ``array("d")``: ``campaign fetch`` and
+    ``trace export`` still write the text its list of floats gave, on a
+    mixed streaming / web / bulk campaign."""
+
+    SPECS = (
+        StreamingRunConfig(
+            scheduler="ecf", wifi_mbps=1.1, lte_mbps=8.6, video_duration=10.0,
+            record_traces=True, sample_period=0.5,
+        ),
+        WebBrowsingSpec(
+            scheduler="ecf", path_configs=(wifi_config(1.1), lte_config(8.6)),
+            object_sizes=(30_000, 120_000, 8_000, 64_000),
+        ),
+        BulkDownloadSpec(
+            scheduler="minrtt", path_configs=(wifi_config(8.6), lte_config(8.6)), size=64_000,
+        ),
+    )
+
+    @pytest.fixture(scope="class")
+    def campaign(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("mixed")
+        with CampaignStore(root / "c.db") as store:
+            runner = CampaignRunner(store, "mixed", cache_dir=root / "cache")
+            runner.submit(self.SPECS)
+            assert runner.drain()["done"] == len(self.SPECS)
+        return root
+
+    def entries(self, root):
+        cache = ResultCache(root / "cache")
+        return [(spec, spec_hash(spec), cache.path_for(spec_hash(spec))) for spec in self.SPECS]
+
+    def test_campaign_fetch(self, campaign, capsys):
+        where = ["--db", str(campaign / "c.db"), "--cache-dir", str(campaign / "cache")]
+        assert main(["campaign", "fetch", "mixed", *where]) == 0
+        expected = []
+        for spec, key, path in self.entries(campaign):
+            packed = json.loads(path.read_bytes().split(b"\n", 1)[0])["packed"]
+            assert (["result", "ooo_delays"] in packed) == (spec.kind != "bulk_download")
+            record = {"spec_hash": key, "kind": spec.kind, "result": _entry_as_lists(path)["result"]}
+            expected.append(json.dumps(record, sort_keys=True) + "\n")
+        assert capsys.readouterr().out == "".join(expected)
+
+    def test_trace_export(self, campaign, capsys):
+        for spec, _key, path in self.entries(campaign):
+            assert main(["trace", "export", str(path)]) == 0
+            trace = _entry_as_lists(path)["result"].get("trace")
+            assert bool(trace) == (spec.kind == "streaming")
+            document = timeline.timeline_document([], trace if isinstance(trace, dict) else {})
+            assert capsys.readouterr().out == json.dumps(document) + "\n"
 
 
 def test_each_tool_flag_sets_exactly_the_env_var_its_module_names(monkeypatch):

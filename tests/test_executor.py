@@ -10,10 +10,12 @@ import dataclasses
 import json
 import math
 import os
+import pickle
 import signal
 import struct
 import tempfile
 import time
+from array import array
 from pathlib import Path
 
 import pytest
@@ -622,10 +624,11 @@ payload_st = st.dictionaries(
 def exact(node):
     """``node`` with every float replaced by its bits (NaN by one mark:
     decimal text keeps no NaN payload) and every scalar tagged with its
-    type, so ``==`` tells -0.0 from 0.0 and 1 from 1.0."""
+    type, so ``==`` tells -0.0 from 0.0 and 1 from 1.0.  A packed list
+    reads back as an ``array("d")``: it compares as the list it was."""
     if isinstance(node, dict):
         return {key: exact(value) for key, value in node.items()}
-    if isinstance(node, list):
+    if isinstance(node, (list, array)):
         return [exact(value) for value in node]
     if type(node) is float:
         return ("float", "nan" if math.isnan(node) else struct.pack("<d", node))
@@ -691,6 +694,20 @@ class TestCachePacking:
         assert base64.b64decode(stored["ooo_delays"]) == struct.pack("<4d", *values)
 
 
+    def test_a_packed_list_reads_back_as_an_array_equal_to_the_list(self, tmp_path):
+        cache, key = ResultCache(tmp_path), "ab" + "c" * 62
+        values = [0.0, 0.25, 0.0, 1.5]
+        payload = {"schema_version": SCHEMA_VERSION, "kind": "streaming",
+                   "result": {"ooo_delays": values}}
+        cache.put(key, payload)
+        got = cache.get(key)
+        series = got["result"]["ooo_delays"]
+        assert isinstance(series, array) and series.typecode == "d"
+        assert got == payload and not got != payload
+        assert series == values and values == series and series != values[:-1]
+        assert series == array("d", values) and pickle.loads(pickle.dumps(series)) == series
+
+
 class TestResultRoundTrip:
     def test_streaming_result_with_traces_and_processes(self):
         spec = StreamingSpec(
@@ -709,6 +726,22 @@ class TestResultRoundTrip:
         assert again.trace is not None
         assert again.trace.names() == result.trace.names()
         assert again.config == result.config
+
+    def test_a_packed_spec_parameter_rebuilds_the_spec(self, tmp_path):
+        """A bandwidth spec's rate set (5 floats) is packed like a delay
+        series and reads back as an array: the rebuilt spec must still
+        equal the one that ran, and hash like it."""
+        rates = (0.3, 1.1, 1.7, 4.2, 8.6)
+        spec = StreamingSpec(
+            video_duration=10.0,
+            lte_process=BandwidthSpec.of("random", seed=1, duration=10.0, rate_set_mbps=rates),
+        )
+        ExperimentExecutor(cache_dir=tmp_path).run([spec])
+        path = ResultCache(tmp_path).path_for(spec_hash(spec))
+        packed = json.loads(path.read_bytes().split(b"\n", 1)[0])["packed"]
+        assert ["result", "spec", "lte_process", "params", "rate_set_mbps"] in packed
+        (again,) = ExperimentExecutor(cache_dir=tmp_path).run([spec])
+        assert again.config == spec and spec_hash(again.config) == spec_hash(spec)
 
     def test_to_dict_is_a_fixed_point_of_the_round_trip(self):
         result = run_spec(StreamingSpec(video_duration=10.0))

@@ -21,6 +21,7 @@ from repro.experiments.spec import spec_hash, spec_to_dict
 from repro.net.profiles import lte_config, wifi_config
 from repro.obs import flight, timeline
 from repro.obs.journal import RunJournal, read_journal
+from tests.conftest import previous_layout_entry
 
 
 def bulk_spec(scheduler="ecf", size=96_000, seed=3):
@@ -648,6 +649,24 @@ class TestLoadExportSource:
         loaded = timeline.load_export_source(path)
         assert loaded["traces"] == {"c": [[0.0, 2.0]]}
         assert loaded["perf"] == {"n": 1}
+
+    def test_stale_cache_entry_is_one_line_error(self, tmp_path, capsys):
+        """An entry in the two-line layout from before packing (the body's
+        digest under ``sha256``) is called stale, not a JSON error."""
+        path = tmp_path / "entry.json"
+        path.write_bytes(previous_layout_entry({
+            "schema_version": SCHEMA_VERSION, "kind": "streaming",
+            "result": {"ooo_delays": [0.0, 0.5, 0.0, 0.25], "trace": {"c": [[0.0, 2.0]]}},
+        }))
+        with pytest.raises(ValueError, match="stale cache entry"):
+            timeline.load_export_source(path)
+        assert cli_main(["trace", "export", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"trace export: {path}: stale cache entry (the layout from before "
+            "float lists were packed); run its job again to rewrite it\n"
+        )
 
     def test_garbled_cache_entry_rejected(self, tmp_path):
         cache = ResultCache(tmp_path)

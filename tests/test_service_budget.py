@@ -28,15 +28,25 @@ job). The tree that probed the cache with ``if self.cache`` (a
 1,229 / 1,868 and issued 3 N + 2 commits.
 """
 
+import functools
+import gc
+import math
 import os
 import pathlib
 import re
+import tempfile
+import tracemalloc
+from array import array
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.experiments.exec import ExperimentExecutor, ResultCache
 from repro.experiments.grid import wget_matrix_specs
-from repro.experiments.spec import spec_hash
+from repro.experiments.runner import StreamingSpec
+from repro.experiments.spec import canonical_json, result_from_dict, run_spec, spec_hash
+from repro.workloads.web import WebBrowsingResult
 from repro.service import (
     CampaignRunner,
     CampaignStore,
@@ -229,3 +239,63 @@ def test_a_cache_has_no_truth_value_to_compute():
     directory.  ``is not None`` is the only test a cache supports."""
     assert not hasattr(ResultCache, "__len__")
     assert not hasattr(ResultCache, "__bool__")
+
+
+#: Bytes a fetched result may hold per out-of-order delay sample: an
+#: ``array("d")`` holds 8 (a list of fresh float objects held 32).
+BYTES_PER_DELAY_SAMPLE = 9
+
+
+@functools.lru_cache(maxsize=None)
+def streaming_payload():
+    """One short streaming run's wire form, as the cache stores it."""
+    spec = StreamingSpec(scheduler="ecf", wifi_mbps=1.1, lte_mbps=8.6, video_duration=10.0)
+    return spec, run_spec(spec).to_dict()
+
+
+def test_a_fetched_delay_series_holds_eight_bytes_a_sample(tmp_path):
+    """Counted with ``tracemalloc``, which repeats exactly: what the
+    fetched result holds for its ``ooo_delays``, the difference between
+    the result with its series and with an empty one."""
+    spec, _payload = streaming_payload()
+    ExperimentExecutor(cache_dir=tmp_path).run([spec])
+    gc.collect()
+    tracemalloc.start()
+    try:
+        (result,) = ExperimentExecutor(cache_dir=tmp_path).run([spec])
+        gc.collect()
+        with_series = tracemalloc.get_traced_memory()[0]
+        samples = len(result.ooo_delays)
+        result.ooo_delays = array("d")
+        gc.collect()
+        held = with_series - tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert samples > 500
+    assert held / samples <= BYTES_PER_DELAY_SAMPLE, held / samples
+
+
+#: Delay samples packing and the zero-sharing ``to_dict`` must carry bit
+#: for bit: both zeros, NaN, both infinities, subnormals, extremes.
+edge_floats = st.floats(allow_nan=True, allow_infinity=True) | st.sampled_from(
+    [0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324, 2.2e-308, 1.7976931348623157e308]
+)
+
+
+@settings(max_examples=80, deadline=None)
+@given(delays=st.lists(edge_floats, max_size=40), kind=st.sampled_from(["streaming", "web_browsing"]))
+def test_a_delay_series_survives_put_get_from_dict_to_dict(delays, kind):
+    """``put`` -> ``get`` -> ``from_dict`` -> ``to_dict`` gives the text
+    the result had, whatever floats its series holds."""
+    if kind == "streaming":
+        result = {**streaming_payload()[1], "ooo_delays": delays}
+    else:
+        result = WebBrowsingResult(scheduler="ecf", ooo_delays=delays).to_dict()
+    text = canonical_json(result)
+    key = "ab" + "c" * 62
+    with tempfile.TemporaryDirectory() as root:
+        cache = ResultCache(root)
+        cache.put(key, {"schema_version": result["schema_version"], "kind": kind, "result": result})
+        fetched = result_from_dict(kind, cache.get(key)["result"])
+    assert isinstance(fetched.ooo_delays, array)
+    assert canonical_json(fetched.to_dict()) == text

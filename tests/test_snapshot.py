@@ -13,6 +13,7 @@ import enum
 import functools
 import random
 import types
+from array import array
 from collections import deque
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
@@ -185,6 +186,13 @@ class TestRoundTrip:
         twin["sim"].run(until=world.spec.timeout)
         replayed = finish(world.spec, twin["conn"], twin["recorder"])
         assert canonical_json(replayed.to_dict()) == canonical_json(original.to_dict())
+
+    def test_a_delay_array_restores_as_an_array_of_its_own(self):
+        world = _midrun_world("ecf", events=2_000)
+        delays = world.conn.receiver.ooo_delays
+        assert len(delays) > 10
+        again = restore(capture(world.sim, world.roots()))["conn"].receiver.ooo_delays
+        assert type(again) is array and again == delays and again is not delays
 
     def test_restored_world_is_independent(self):
         world = _midrun_world("ecf")
@@ -450,9 +458,11 @@ class TestSlotsSatellite:
 
 
 # ----------------------------------------------------------------------
-# The oracle: the walker as it was before the per-class plan, verbatim.
-# One class-fact derivation per *reference*, no fast path -- slow and
-# plainly correct, which is what a reference is for.
+# The oracle: the walker as it was before the per-class plan, verbatim
+# but for one branch, an ``array`` as its typecode and bytes (the
+# receiver's delay series is one).  One class-fact derivation per
+# *reference*, no fast path -- slow and plainly correct, which is what a
+# reference is for.
 # ----------------------------------------------------------------------
 
 _PRIMITIVES = (type(None), bool, int, float, str, bytes)
@@ -505,6 +515,9 @@ class _ReferenceCapture:
         if isinstance(value, list):
             return {"__snap__": "list",
                     "items": [self.encode(v, where) for v in value]}
+        if isinstance(value, array):
+            return {"__snap__": "array", "typecode": value.typecode,
+                    "items": value.tobytes()}
         if isinstance(value, deque):
             return {"__snap__": "deque", "maxlen": value.maxlen,
                     "items": [self.encode(v, where) for v in value]}
