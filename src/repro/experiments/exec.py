@@ -125,7 +125,8 @@ _LITTLE_ENDIAN = sys.byteorder == "little"
 
 #: Where the part of a cache entry its ``digest`` covers begins: right
 #: after ``{"digest":"<64 hex digits>",``, the header's first key.
-_DIGESTED_FROM = len('{"digest":"",') + 64
+_DIGEST_OPENS = b'{"digest":"'
+_DIGESTED_FROM = len(_DIGEST_OPENS) + 64 + len('",')
 
 #: The tool switches the executor reads, each the ``ENV_VAR`` of the tool
 #: it arms: the checker, the perf collector, the flight recorder.  A tool
@@ -437,6 +438,16 @@ def _accepted(path: PathLike) -> Optional[Tuple[str, List[List[Any]], bytes]]:
     ):
         return None
     return header["kind"], header["packed"], body
+
+
+def damaged_entry(data: bytes) -> bool:
+    """Whether ``data`` opens like a :class:`ResultCache` entry of this
+    layout (its ``digest`` first) but does not hash to that digest: an
+    entry garbled or truncated after it was written."""
+    if not data.startswith(_DIGEST_OPENS):
+        return False
+    digest = hashlib.sha256(data[_DIGESTED_FROM:]).hexdigest().encode()
+    return data[len(_DIGEST_OPENS) : len(_DIGEST_OPENS) + len(digest)] != digest
 
 
 def read_entry(path: PathLike) -> Optional[Dict[str, Any]]:

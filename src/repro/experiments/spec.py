@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, FrozenSet, Mapping, Protocol, runtime_checkable
+from typing import Any, Callable, Dict, FrozenSet, Mapping, Protocol, Tuple, runtime_checkable
 
 from repro.sim.codec import SCHEMA_VERSION, canonical_json
 
@@ -153,13 +153,32 @@ def wire_hash(wire: Mapping[str, Any]) -> str:
     Stable across processes and sessions (unlike ``hash()``), so it keys
     the on-disk result cache.  The schema version is mixed in: a wire-
     format change invalidates old cache entries rather than mis-reading
-    them.  Callers that need the wire form anyway (the campaign store,
-    the executor) serialize once and hash that.
+    them.  A caller that stores the wire text as well (the campaign
+    store) takes both from :func:`encode_spec`, one encoding.
     """
     payload = {"schema_version": SCHEMA_VERSION, **wire}
     return hashlib.sha256(canonical_json(payload).encode()).hexdigest()
 
 
+#: Where :func:`wire_hash`'s payload differs from the wire text: sorted,
+#: ``"schema_version"`` falls between ``"kind"`` and ``"spec"``.
+_SPEC_KEY = ',"spec":'
+_VERSION_ITEM = f',"schema_version":{SCHEMA_VERSION}'
+
+
+def encode_spec(spec: ExperimentSpec) -> Tuple[str, str]:
+    """``(text, key)`` of a spec from one encoding: ``text`` is the
+    :func:`canonical_json` of its wire form, ``key`` its
+    :func:`spec_hash`.  The key hashes ``text`` with the schema version
+    spliced in after ``"kind"``, which is byte for byte the payload
+    :func:`wire_hash` encodes (a string value escapes its quotes, so the
+    first ``,"spec":`` is the key's)."""
+    text = canonical_json(spec_to_dict(spec))
+    cut = text.index(_SPEC_KEY)
+    payload = text[:cut] + _VERSION_ITEM + text[cut:]
+    return text, hashlib.sha256(payload.encode()).hexdigest()
+
+
 def spec_hash(spec: ExperimentSpec) -> str:
     """Content address of a spec: :func:`wire_hash` of its wire form."""
-    return wire_hash(spec_to_dict(spec))
+    return encode_spec(spec)[1]

@@ -58,15 +58,21 @@ PathLike = Union[str, "os.PathLike[str]"]
 #: How many of the newest records survive into the fresh file on rotation.
 RETAIN_TAIL = 1024
 
+#: The one encoder of every record's line (keys sorted, anything JSON
+#: cannot carry as its ``str``).
+_LINE = json.JSONEncoder(sort_keys=True, default=str)
+
 
 class RunJournal:
     """Append-only JSONL journal of one or more executor batches.
 
     ``observer``, when given, is invoked with every record dict right
-    after it is written.  The campaign store uses this to index journal
-    records against their campaign without the executor knowing the
-    store exists; observer failures propagate (a campaign that cannot
-    index its journal should say so loudly, not drop records silently).
+    after it is written; :attr:`last_text` then holds the record's line
+    as written, without its newline.  The campaign store uses this to
+    index journal records against their campaign (the index row is that
+    text) without the executor knowing the store exists; observer
+    failures propagate (a campaign that cannot index its journal should
+    say so loudly, not drop records silently).
 
     ``max_bytes`` bounds the active file (see the module docstring).
     With ``max_bytes=None`` (the default) the journal is append-only
@@ -89,6 +95,8 @@ class RunJournal:
         #: open across records (until a rotation replaces it).
         self._in_batch = False
         self._handle: Optional[TextIO] = None
+        #: The newest record's line, without its newline.
+        self.last_text = ""
 
     @property
     def rotated_path(self) -> Path:
@@ -106,28 +114,27 @@ class RunJournal:
             "wall": time.time(),
         }
         entry.update(fields)
-        line = json.dumps(entry, sort_keys=True, default=str) + "\n"
+        self.last_text = _LINE.encode(entry)
         if self._handle is None:
             self._handle = self.path.open("a")
         try:
-            self._handle.write(line)
+            self._handle.write(self.last_text + "\n")
             self._handle.flush()
         finally:
             if not self._in_batch:
                 self._close()
-        self._maybe_rotate()
+        if self.max_bytes is not None:
+            self._maybe_rotate(self.max_bytes)
         if self.observer is not None:
             self.observer(entry)
         return entry
 
-    def _maybe_rotate(self) -> None:
-        if self.max_bytes is None:
-            return
+    def _maybe_rotate(self, max_bytes: int) -> None:
         try:
             size = self.path.stat().st_size
         except OSError:
             return
-        if size > self.max_bytes:
+        if size > max_bytes:
             self.rotate()
 
     def rotate(self) -> None:

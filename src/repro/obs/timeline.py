@@ -39,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.analysis import events as _events
 from repro.analysis.reference import mandated_wait
-from repro.experiments.exec import read_entry
+from repro.experiments.exec import damaged_entry, read_entry
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -507,9 +507,10 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
     * a **cache entry** (``{"schema_version", "kind", "spec", "result"}``,
       read through :func:`repro.experiments.exec.read_entry`, so its
       header and digest must check out; an entry in the older
-      header-less layout is one such document, and one in the two-line
-      layout from before packing is refused as stale) -- trace series
-      only;
+      header-less layout is one such document, one in the two-line
+      layout from before packing is refused as stale, and one of this
+      layout that does not hash to its digest as damaged) -- trace
+      series only;
     * a serialized **run result** dict -- trace series only.
     """
     source = Path(path)
@@ -532,6 +533,11 @@ def load_export_source(path: PathLike) -> Dict[str, Any]:
             raise ValueError(
                 f"{source}: stale cache entry (the layout from before float "
                 "lists were packed); run its job again to rewrite it"
+            )
+        if damaged_entry(text.encode()):
+            raise ValueError(
+                f"{source}: damaged cache entry (its digest does not match); "
+                "run its job again to rewrite it"
             )
         payload = json.loads(text)
     if not isinstance(payload, dict):

@@ -35,15 +35,18 @@ The runner is also a drop-in for :class:`ExperimentExecutor` where only
 
 Durability model: job state lives in SQLite, results live in the
 content-addressed cache.  A drain commits once for its batch of claims
-and once per *look* of the executor -- a slice of the cache scan, one
-wake-up of the pool, one finished inline job: the journal-index rows of
-the look's jobs together with their transitions, after their JSONL
-lines and their cache entries are on disk.  A killed drain loses at
-most the bookkeeping of the look in flight; its results are already in
-the cache and the next drain journals them as ``"cached"`` (that
-journal line is the proof a resume did not re-simulate).  What it
-leaves behind are ``running`` rows: the next drain calls
-``reset_running`` and re-claims them.
+(one guarded ``UPDATE ... RETURNING``) and once per *look* of the
+executor -- a slice of the cache scan, one wake-up of the pool, one
+finished inline job: the journal-index rows of the look's jobs (one
+``executemany`` of the lines the journal wrote) together with their
+transitions (one guarded ``executemany`` for the ``done`` ones, one for
+the ``failed`` ones), after their JSONL lines and their cache entries
+are on disk: the SQL a look sends does not grow with the look.  A
+killed drain loses at most the bookkeeping of the look in flight; its
+results are already in the cache and the next drain journals them as
+``"cached"`` (that journal line is the proof a resume did not
+re-simulate).  What it leaves behind are ``running`` rows: the next
+drain calls ``reset_running`` and re-claims them.
 """
 
 from __future__ import annotations
@@ -183,54 +186,56 @@ class CampaignRunner:
             self.store.reset_running(self.campaign_id)
         # Jobs are named by the keys their rows hold: no spec is decoded
         # unless the executor must run it (``store.specs`` below).
-        pending = [
-            (key, kind)
-            for key, (kind, status) in self.store.statuses(self.campaign_id).items()
-            if status == PENDING
-        ]
+        known = self.store.statuses(self.campaign_id)
+        pending = [key for key, (_kind, status) in known.items() if status == PENDING]
         if not pending:
             return self.status()
         # The executor journals a job when it finishes and reports it
-        # with the rest of its look; the index rows wait here so that
-        # they commit with the look's transitions, not on their own.
-        job_entries: List[Dict[str, Any]] = []
+        # with the rest of its look; the index rows (the lines the
+        # journal wrote) wait here so that they commit with the look's
+        # transitions, not on their own.
+        job_lines: List[Tuple[str, str]] = []
 
         def on_look(outcomes: List[JobOutcome]) -> None:
-            # One entry per outcome, in order: a job whose journal record
+            # One line per outcome, in order: a job whose journal record
             # raised has neither.
+            done: List[Tuple[str, str, float]] = []
+            failed: List[Tuple[str, str, str, Optional[str], float]] = []
+            for outcome in outcomes:
+                if outcome.status == "failed":
+                    error = outcome.error or {}
+                    failed.append((
+                        outcome.spec_hash,
+                        error.get("type", "Error"),
+                        error.get("message", ""),
+                        outcome.postmortem,
+                        outcome.wall_s,
+                    ))
+                else:  # "cached" or "executed": the result is in the cache
+                    done.append((
+                        outcome.spec_hash,
+                        self.cache.entry_path(outcome.spec_hash),
+                        outcome.wall_s,
+                    ))
             with self.store.transaction():
-                for entry in job_entries:
-                    self.store.record_journal(self.campaign_id, entry)
-                job_entries.clear()
-                for outcome in outcomes:
-                    if outcome.status == "failed":
-                        self.store.mark_failed(
-                            self.campaign_id,
-                            outcome.spec_hash,
-                            error_type=(outcome.error or {}).get("type", "Error"),
-                            error_message=(outcome.error or {}).get("message", ""),
-                            postmortem=outcome.postmortem,
-                            wall_s=outcome.wall_s,
-                        )
-                    else:  # "cached" or "executed": the result is in the cache
-                        self.store.mark_done(
-                            self.campaign_id,
-                            outcome.spec_hash,
-                            result_path=self.cache.entry_path(outcome.spec_hash),
-                            wall_s=outcome.wall_s,
-                        )
+                self.store.record_journal_lines(self.campaign_id, job_lines)
+                job_lines.clear()
+                self.store.mark_done_many(self.campaign_id, done)
+                self.store.mark_failed_many(self.campaign_id, failed)
             if self.on_outcome is not None:
                 for outcome in outcomes:
                     self.on_outcome(outcome)
 
         def observe(entry: Dict[str, Any]) -> None:
-            is_job = entry["record"] == "job"
+            assert journal is not None  # only the journal calls this
+            line = (entry["record"], journal.last_text)
+            is_job = line[0] == "job"
             if not is_job:
-                self.store.record_journal(self.campaign_id, entry)
+                self.store.record_journal_lines(self.campaign_id, [line])
             if self.journal_observer is not None:
                 self.journal_observer(entry)
             if is_job:
-                job_entries.append(entry)
+                job_lines.append(line)
 
         from repro.experiments.exec import ExperimentExecutor
         from repro.obs.journal import RunJournal
@@ -255,24 +260,18 @@ class CampaignRunner:
             keep_going=True,
             on_look=on_look,
         )
-        claimed = []
+        # One statement, one commit for the whole batch of claims: a
+        # drainer killed before it commits has run nothing yet.
         budget = None if limit is None else max(0, int(limit))
-        # One commit for the whole batch of claims: the loop is milliseconds
-        # of store calls, and a drainer killed before it commits has run
-        # nothing yet.
-        with self.store.transaction():
-            for key, kind in pending:
-                if budget is not None and len(claimed) >= budget:
-                    break
-                if self.store.claim(self.campaign_id, key):
-                    claimed.append((key, kind))
+        claimed = self.store.claim_many(self.campaign_id, pending, budget)
         if claimed:
             # Results stay on disk until ``fetch`` reads them: the drain
             # verifies each hit's digest and parses no cache entry.  The
             # misses' specs come from their rows in one query, and each
             # must hash to its row's key to run.
             executor.execute(
-                claimed, lambda keys: self.store.specs(self.campaign_id, keys)
+                [(key, known[key][0]) for key in claimed],
+                lambda keys: self.store.specs(self.campaign_id, keys),
             )
         return self.status()
 

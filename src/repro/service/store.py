@@ -26,13 +26,24 @@ Invariants enforced here rather than by callers:
 
 * job identity is ``(campaign, spec_hash)`` -- re-submitting a spec that
   is already part of the campaign is a no-op (idempotent submit);
-* every status change must be a legal transition (``_TRANSITIONS``);
-* claims are **process-atomic**: :meth:`CampaignStore.claim` is a single
-  conditional ``UPDATE ... WHERE status = 'pending'``, so two runners
-  draining the same campaign race safely -- exactly one wins each job,
-  the loser just moves on;
+* every status change must be a legal transition (``_TRANSITIONS``):
+  a batch of moves is one ``executemany`` of an ``UPDATE`` guarded on
+  the legal source states, and a batch in which any move is illegal
+  raises the :class:`TransitionError` (or :class:`KeyError`) its first
+  illegal move would raise alone, having changed nothing;
+* claims stay **process-atomic**, now as one guarded statement per
+  batch: :meth:`CampaignStore.claim_many` is a single ``UPDATE ...
+  RETURNING`` of the batch's rows still ``status = 'pending'``, so two
+  runners draining the same campaign race safely -- exactly one wins
+  each job, the loser just moves on;
 * claiming a job for execution bumps its attempt counter, and
   ``requeue_failed`` refuses jobs that already burned ``max_attempts``.
+
+A look of the runner is one statement per table: a claim batch, its
+journal-index rows, its ``done`` moves.  The one-row methods
+(:meth:`~CampaignStore.claim`, :meth:`~CampaignStore.mark_done`,
+:meth:`~CampaignStore.record_journal`, ...) are the one-row case of the
+same statements, so every write has one SQL path.
 """
 
 from __future__ import annotations
@@ -56,7 +67,7 @@ from typing import (
     Union,
 )
 
-from repro.experiments.spec import canonical_json, spec_to_dict, wire_hash
+from repro.experiments.spec import canonical_json, encode_spec
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -108,6 +119,29 @@ CREATE TABLE IF NOT EXISTS journal (
     entry TEXT NOT NULL
 );
 """
+
+#: A journal-index row's text for a record given as a dict: the line
+#: :class:`~repro.obs.journal.RunJournal` writes for it.
+_JOURNAL_LINE = json.JSONEncoder(sort_keys=True, default=str)
+
+#: The columns each move writes beside ``status`` and ``updated_wall``.
+_MOVE_COLUMNS: Dict[str, Tuple[str, ...]] = {
+    DONE: ("result_path", "wall_s", "error_type", "error_message", "postmortem"),
+    FAILED: ("error_type", "error_message", "postmortem", "wall_s"),
+    PENDING: (),
+}
+
+#: The guarded ``UPDATE`` of each move: a row changes only from a state
+#: that ``_TRANSITIONS`` lets reach the target.
+_MOVE_SQL: Dict[str, str] = {
+    target: "UPDATE jobs SET status = '{}', updated_wall = ?{} WHERE campaign_id = ?"
+    " AND spec_hash = ? AND status IN ({})".format(
+        target,
+        "".join(f", {column} = ?" for column in columns),
+        ", ".join(f"'{source}'" for source, targets in _TRANSITIONS.items() if target in targets),
+    )
+    for target, columns in _MOVE_COLUMNS.items()
+}
 
 
 class TransitionError(RuntimeError):
@@ -171,9 +205,11 @@ class CampaignStore:
 
     A commit covers one mutating call -- or, inside a
     :meth:`transaction` scope, everything the scope did: the runner
-    commits once per claim batch and once per *look* of its executor
-    (the journal index rows of the jobs the look found finished together
-    with their ``done``/``failed`` transitions).  A killed process
+    commits once per claim batch (one :meth:`claim_many`) and once per
+    *look* of its executor (the journal index rows of the jobs the look
+    found finished, one :meth:`record_journal_lines`, together with
+    their ``done``/``failed`` transitions, one :meth:`mark_done_many`
+    and, when a job failed, one :meth:`mark_failed_many`).  A killed process
     therefore loses at most the call or scope in flight -- a batch of
     claims that had run nothing yet, or the bookkeeping of one look
     whose results are already in the cache, which the next drain
@@ -293,24 +329,22 @@ class CampaignStore:
         Identity is the spec hash: a spec already present in the campaign
         (same content, whatever its construction) is skipped, so
         re-submitting a sweep after a crash or an extension is free.
+        Each spec is encoded once (:func:`~repro.experiments.spec.encode_spec`
+        gives the stored text and the key), and the rows go in with one
+        ``executemany``.
         """
-        added = 0
+        # Bookkeeping timestamp, not simulation state.
+        now = time.time()
+        rows = []
         for spec in specs:
-            wire = spec_to_dict(spec)
-            cursor = self._conn.execute(
-                "INSERT OR IGNORE INTO jobs"
-                " (campaign_id, spec_hash, kind, spec, status, updated_wall)"
-                " VALUES (?, ?, ?, ?, ?, ?)",
-                (
-                    campaign_id,
-                    wire_hash(wire),
-                    wire["kind"],
-                    canonical_json(wire),
-                    PENDING,
-                    time.time(),
-                ),
-            )
-            added += cursor.rowcount
+            text, key = encode_spec(spec)
+            rows.append((campaign_id, key, spec.kind, text, now))
+        added = self._conn.executemany(
+            "INSERT OR IGNORE INTO jobs"
+            " (campaign_id, spec_hash, kind, spec, status, updated_wall)"
+            f" VALUES (?, ?, ?, ?, '{PENDING}', ?)",
+            rows,
+        ).rowcount
         self._commit()
         return added
 
@@ -360,8 +394,8 @@ class CampaignStore:
         insertion order: one query that parses no spec, for callers that
         only ask how far each job got."""
         return {
-            row["spec_hash"]: (row["kind"], row["status"])
-            for row in self._conn.execute(
+            key: (kind, status)
+            for key, kind, status in self._conn.execute(
                 "SELECT spec_hash, kind, status FROM jobs"
                 " WHERE campaign_id = ? ORDER BY id",
                 (campaign_id,),
@@ -380,66 +414,116 @@ class CampaignStore:
         return result
 
     # -- the state machine ----------------------------------------------
-    def _transition(
-        self,
-        campaign_id: int,
-        key: str,
-        new_status: str,
-        *,
-        bump_attempts: bool = False,
-        fields: Optional[Dict[str, Any]] = None,
-    ) -> None:
-        row = self._conn.execute(
-            "SELECT status, attempts FROM jobs"
-            " WHERE campaign_id = ? AND spec_hash = ?",
-            (campaign_id, key),
-        ).fetchone()
-        if row is None:
-            raise KeyError(f"no job {key!r} in campaign {campaign_id}")
-        current = row["status"]
-        if new_status not in _TRANSITIONS[current]:
-            raise TransitionError(
-                f"job {key[:12]} cannot go {current!r} -> {new_status!r}"
-            )
-        sets = ["status = ?", "updated_wall = ?"]
-        values: List[Any] = [new_status, time.time()]
-        if bump_attempts:
-            sets.append("attempts = attempts + 1")
-        for column, value in (fields or {}).items():
-            sets.append(f"{column} = ?")
-            values.append(value)
-        values.extend([campaign_id, key])
-        self._conn.execute(
-            f"UPDATE jobs SET {', '.join(sets)}"
-            " WHERE campaign_id = ? AND spec_hash = ?",
-            values,
-        )
+    def claim_many(
+        self, campaign_id: int, keys: Sequence[str], limit: Optional[int] = None
+    ) -> List[str]:
+        """Atomically take pending jobs for execution; returns the keys
+        this caller won, in insertion order.
+
+        One ``UPDATE ... RETURNING`` guarded on ``status = 'pending'``
+        flips the ``limit`` (default: all) earliest-inserted of
+        ``keys``'s jobs that are still pending, whatever order ``keys``
+        is in, and bumps their attempt counts.  When several drainers
+        race for the same jobs, SQLite serializes the writes and exactly
+        one caller flips each row; a job another runner took, or that
+        already finished, is skipped, and the next pending one fills its
+        place under the ``limit``.  The keys travel as one JSON array, so
+        their number is not bound by SQLite's parameter limit.
+        """
+        # ``+status`` keeps the planner off ``jobs_by_status``: the rows are
+        # found by key through the unique index, not by reading every
+        # pending row of the campaign to test its key.
+        rows = self._conn.execute(
+            f"UPDATE jobs SET status = '{RUNNING}', attempts = attempts + 1,"
+            " updated_wall = ? WHERE id IN (SELECT id FROM jobs"
+            f" WHERE campaign_id = ? AND +status = '{PENDING}'"
+            " AND spec_hash IN (SELECT value FROM json_each(?))"
+            " ORDER BY id LIMIT ?) RETURNING id, spec_hash",
+            # Bookkeeping timestamp, not simulation state.
+            (time.time(), campaign_id, json.dumps(list(keys)), -1 if limit is None else limit),
+        ).fetchall()
         self._commit()
+        # RETURNING hands rows back in no promised order.
+        return [key for _, key in sorted(map(tuple, rows))]
 
     def claim(self, campaign_id: int, key: str) -> bool:
-        """Atomically take a pending job for execution.
+        """Atomically take one pending job: :meth:`claim_many` of one key.
 
-        One conditional ``UPDATE`` guarded on ``status = 'pending'``:
-        when several drainers race for the same job, SQLite serializes
-        the writes and exactly one caller flips the row (and bumps its
-        attempt count).  Returns ``True`` when this caller won the
-        claim; ``False`` when the job exists but was no longer pending
-        (another runner took it, or it already finished).  Raises
-        :class:`KeyError` for a job that is not in the campaign at all.
+        Returns ``True`` when this caller won the claim; ``False`` when
+        the job exists but was no longer pending (another runner took
+        it, or it already finished).  Raises :class:`KeyError` for a job
+        that is not in the campaign at all.
         """
-        cursor = self._conn.execute(
-            "UPDATE jobs SET status = ?, attempts = attempts + 1,"
-            " updated_wall = ?"
-            " WHERE campaign_id = ? AND spec_hash = ? AND status = ?",
-            # Bookkeeping timestamp, not simulation state.
-            (RUNNING, time.time(), campaign_id, key, PENDING),
-        )
-        self._commit()
-        if cursor.rowcount > 0:
+        if self.claim_many(campaign_id, [key]):
             return True
         if self.job(campaign_id, key) is None:
             raise KeyError(f"no job {key!r} in campaign {campaign_id}")
         return False
+
+    def _move(self, campaign_id: int, target: str, rows: Sequence[Sequence[Any]]) -> None:
+        """Move every job ``rows`` names to ``target``: one guarded
+        ``executemany``.  A row is ``(key, *values)``, the values of
+        ``_MOVE_COLUMNS[target]`` in order.
+
+        Only a job in a state ``_TRANSITIONS`` lets reach ``target``
+        changes, so a batch moved every row exactly when the statement
+        changed as many rows as it was given.  Otherwise the batch is
+        undone (a savepoint wraps it) and the error its first illegal
+        move would raise alone is raised, in order: :class:`KeyError`
+        for a job the campaign does not have, :class:`TransitionError`
+        for an illegal move (a key given twice moves once).
+        """
+        if not rows:
+            return
+        # Bookkeeping timestamp, not simulation state.
+        now = time.time()
+        conn = self._conn
+        if not conn.in_transaction:
+            # A savepoint that opened the transaction would commit it on
+            # its release, in the middle of a :meth:`transaction` scope.
+            conn.execute("BEGIN")
+        conn.execute("SAVEPOINT move")
+        moved = conn.executemany(
+            _MOVE_SQL[target], [(now, *values, campaign_id, key) for key, *values in rows]
+        ).rowcount
+        if moved == len(rows):
+            conn.execute("RELEASE move")
+            self._commit()
+            return
+        conn.execute("ROLLBACK TO move")
+        conn.execute("RELEASE move")
+        try:
+            self._refuse(campaign_id, target, [row[0] for row in rows])
+        finally:
+            if not self._in_scope:
+                conn.rollback()
+
+    def _refuse(self, campaign_id: int, target: str, keys: List[str]) -> None:
+        """Raise the error the one-row moves of ``keys`` to ``target``
+        would raise first, replayed from their states in the store."""
+        states = {
+            key: status
+            for key, status in self._conn.execute(
+                "SELECT spec_hash, status FROM jobs WHERE campaign_id = ?"
+                " AND spec_hash IN (SELECT value FROM json_each(?))",
+                (campaign_id, json.dumps(keys)),
+            )
+        }
+        for key in keys:
+            current = states.get(key)
+            if current is None:
+                raise KeyError(f"no job {key!r} in campaign {campaign_id}")
+            if target not in _TRANSITIONS[current]:
+                raise TransitionError(f"job {key[:12]} cannot go {current!r} -> {target!r}")
+            states[key] = target
+        raise RuntimeError(f"a move to {target!r} changed fewer jobs than it was given")
+
+    def mark_done_many(
+        self, campaign_id: int, rows: Sequence[Tuple[str, Optional[str], Optional[float]]]
+    ) -> None:
+        """``(key, result_path, wall_s)`` rows to ``done``, clearing any
+        error: one guarded statement (see :meth:`_move`)."""
+        self._move(campaign_id, DONE, [(*row, None, None, None) for row in rows])
 
     def mark_done(
         self,
@@ -448,18 +532,16 @@ class CampaignStore:
         result_path: Optional[str] = None,
         wall_s: Optional[float] = None,
     ) -> None:
-        self._transition(
-            campaign_id,
-            key,
-            DONE,
-            fields={
-                "result_path": result_path,
-                "wall_s": wall_s,
-                "error_type": None,
-                "error_message": None,
-                "postmortem": None,
-            },
-        )
+        self.mark_done_many(campaign_id, [(key, result_path, wall_s)])
+
+    def mark_failed_many(
+        self,
+        campaign_id: int,
+        rows: Sequence[Tuple[str, str, str, Optional[str], Optional[float]]],
+    ) -> None:
+        """``(key, error_type, error_message, postmortem, wall_s)`` rows to
+        ``failed``: one guarded statement (see :meth:`_move`)."""
+        self._move(campaign_id, FAILED, rows)
 
     def mark_failed(
         self,
@@ -470,16 +552,8 @@ class CampaignStore:
         postmortem: Optional[str] = None,
         wall_s: Optional[float] = None,
     ) -> None:
-        self._transition(
-            campaign_id,
-            key,
-            FAILED,
-            fields={
-                "error_type": error_type,
-                "error_message": error_message,
-                "postmortem": postmortem,
-                "wall_s": wall_s,
-            },
+        self.mark_failed_many(
+            campaign_id, [(key, error_type, error_message, postmortem, wall_s)]
         )
 
     def reset_running(self, campaign_id: int) -> int:
@@ -491,11 +565,9 @@ class CampaignStore:
         (``drain(reset_orphans=False)``) so they cannot steal each
         other's in-flight jobs.  Returns how many were reset.
         """
-        reset = 0
-        for key, _ in self._attempts(campaign_id, RUNNING):
-            self._transition(campaign_id, key, PENDING)
-            reset += 1
-        return reset
+        keys = [(key,) for key, _ in self._attempts(campaign_id, RUNNING)]
+        self._move(campaign_id, PENDING, keys)
+        return len(keys)
 
     def requeue_failed(self, campaign_id: int, max_attempts: int = 3) -> Tuple[int, int]:
         """Return failed jobs to ``pending``, respecting the attempt cap.
@@ -504,15 +576,10 @@ class CampaignStore:
         already reached ``max_attempts`` stay failed so a deterministic
         crash cannot loop forever.
         """
-        requeued = 0
-        exhausted = 0
-        for key, attempts in self._attempts(campaign_id, FAILED):
-            if attempts >= max_attempts:
-                exhausted += 1
-                continue
-            self._transition(campaign_id, key, PENDING)
-            requeued += 1
-        return requeued, exhausted
+        failed = self._attempts(campaign_id, FAILED)
+        keys = [(key,) for key, attempts in failed if attempts < max_attempts]
+        self._move(campaign_id, PENDING, keys)
+        return len(keys), len(failed) - len(keys)
 
     def _attempts(self, campaign_id: int, status: str) -> List[Tuple[str, int]]:
         """``(spec hash, attempts)`` of the campaign's ``status`` jobs, in
@@ -528,17 +595,23 @@ class CampaignStore:
         ]
 
     # -- journal index ---------------------------------------------------
-    def record_journal(self, campaign_id: int, entry: Dict[str, Any]) -> None:
-        """Index one run-journal record against the campaign."""
-        self._conn.execute(
+    def record_journal_lines(self, campaign_id: int, lines: Sequence[Tuple[str, str]]) -> None:
+        """Index run-journal records given as ``(record type, line)``, the
+        line as the journal wrote it: one ``executemany``."""
+        if not lines:
+            return
+        self._conn.executemany(
             "INSERT INTO journal (campaign_id, record, entry) VALUES (?, ?, ?)",
-            (
-                campaign_id,
-                str(entry.get("record", "unknown")),
-                json.dumps(entry, sort_keys=True, default=str),
-            ),
+            [(campaign_id, record, line) for record, line in lines],
         )
         self._commit()
+
+    def record_journal(self, campaign_id: int, entry: Dict[str, Any]) -> None:
+        """Index one run-journal record, given as the dict it was written
+        from: :meth:`record_journal_lines` of its line."""
+        self.record_journal_lines(
+            campaign_id, [(str(entry.get("record", "unknown")), _JOURNAL_LINE.encode(entry))]
+        )
 
     def journal_records(
         self, campaign_id: int, record: Optional[str] = None

@@ -106,9 +106,14 @@ def json_default(value: Any) -> Any:
     raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
+#: The one encoder behind :func:`canonical_json`: ``json.dumps`` with
+#: keyword options builds a fresh encoder per call.
+_CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=json_default)
+
+
 def canonical_json(data: Any) -> str:
     """Deterministic JSON used for hashing and byte-comparable storage."""
-    return json.dumps(data, sort_keys=True, separators=(",", ":"), default=json_default)
+    return _CANONICAL.encode(data)
 
 
 def wrong_schema_version(kind: str, data: Mapping[str, Any]) -> ValueError:

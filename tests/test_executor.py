@@ -42,11 +42,13 @@ from repro.experiments.runner import StreamingRunConfig, StreamingSpec
 from repro.experiments.spec import (
     SCHEMA_VERSION,
     canonical_json,
+    encode_spec,
     register_experiment,
     run_spec,
     spec_from_dict,
     spec_hash,
     spec_to_dict,
+    wire_hash,
 )
 from repro.experiments.wild import WildStreamingSpec, run_wild
 from repro.mptcp.connection import ConnectionConfig
@@ -124,6 +126,23 @@ def sweep_specs():
     return specs + [spec for spec, _ in PINNED_HASHES]
 
 
+@dataclasses.dataclass
+class OddSpec:
+    """A spec of any kind name whose wire form is any dict."""
+
+    kind: str
+    params: dict
+
+    def to_dict(self):
+        return dict(self.params)
+
+
+def assert_the_splice_holds(kind, params):
+    spec = OddSpec(kind, params)
+    wire = spec_to_dict(spec)
+    assert encode_spec(spec) == (canonical_json(wire), wire_hash(wire))
+
+
 class TestSpecHash:
     @pytest.mark.parametrize(
         "spec, expected", PINNED_HASHES, ids=[spec.kind for spec, _ in PINNED_HASHES]
@@ -140,6 +159,27 @@ class TestSpecHash:
             wire = spec.to_dict()
             assert canonical_json(wire) == canonical_json(dataclasses.asdict(spec))
             assert type(spec).from_dict(wire) == spec
+
+    def test_one_encoding_gives_the_stored_text_and_the_key(self):
+        """``encode_spec`` splices the schema version into the wire text
+        it hashes: byte for byte the payload ``wire_hash`` encodes."""
+        web = WebBrowsingSpec(
+            scheduler="ecf", path_configs=(wifi_config(1.0), lte_config(8.6)), seed=2
+        )
+        for spec in sweep_specs() + [web]:
+            wire = spec_to_dict(spec)
+            assert encode_spec(spec) == (canonical_json(wire), wire_hash(wire))
+
+    @settings(max_examples=100, deadline=None)
+    @given(kind=st.text(), params=st.dictionaries(st.text(), st.text() | st.floats() | st.none()))
+    def test_the_splice_holds_whatever_the_kind_and_params_spell(self, kind, params):
+        """A kind or a parameter that spells ``,"spec":`` (or a quote, a
+        backslash, a non-ASCII letter) moves no byte of the key."""
+        assert_the_splice_holds(kind, params)
+
+    @pytest.mark.parametrize("kind", [',"spec":', '\\",\\"spec\\":', "\u00e9\"", "a\\"])
+    def test_the_splice_holds_for_a_kind_that_spells_the_key(self, kind):
+        assert_the_splice_holds(kind, {',"spec":': ',"spec":'})
 
     def test_stable_across_instances(self):
         a, b = bulk_specs(1)[0], bulk_specs(1)[0]

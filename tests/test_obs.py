@@ -676,8 +676,28 @@ class TestLoadExportSource:
         })
         path = cache.path_for("cd" * 32)
         path.write_text(path.read_text().replace("2.0", "9.0"))
-        with pytest.raises(ValueError, match="Extra data"):  # header + body
+        with pytest.raises(ValueError, match="damaged cache entry"):
             timeline.load_export_source(path)
+
+    @pytest.mark.parametrize("keep", [0.5, 0.05])  # cut in the body, in the digest
+    def test_truncated_cache_entry_is_one_line_error(self, tmp_path, capsys, keep):
+        cache = ResultCache(tmp_path)
+        cache.put("ce" * 32, {
+            "schema_version": SCHEMA_VERSION, "kind": "streaming",
+            "result": {"ooo_delays": [0.0, 0.5, 0.0, 0.25], "trace": {"c": [[0.0, 2.0]]}},
+        })
+        path = cache.path_for("ce" * 32)
+        data = path.read_bytes()
+        path.write_bytes(data[: int(len(data) * keep)])
+        with pytest.raises(ValueError, match="damaged cache entry"):
+            timeline.load_export_source(path)
+        assert cli_main(["trace", "export", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"trace export: {path}: damaged cache entry (its digest does not "
+            "match); run its job again to rewrite it\n"
+        )
 
     def test_non_bundle_directory_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="not a postmortem bundle"):

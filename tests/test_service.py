@@ -9,16 +9,25 @@ resumes from SQLite without re-simulating finished jobs (proved by
 
 import dataclasses
 import json
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import repro
 from repro.apps.bulk import BulkDownloadResult, BulkDownloadSpec
 from repro.experiments.exec import ExperimentExecutor, ResultCache
 from repro.experiments.grid import wget_matrix
 from repro.experiments.runner import StreamingSpec
-from repro.experiments.spec import canonical_json, register_experiment, spec_hash
+from repro.experiments.spec import (
+    canonical_json,
+    register_experiment,
+    spec_hash,
+    spec_to_dict,
+    wire_hash,
+)
 from repro.net.profiles import lte_config, wifi_config
 from repro.service import (
     CampaignError,
@@ -260,12 +269,263 @@ class TestTransactionScope:
         with CampaignStore(tmp_path / "c.db") as store:
             assert store.counts(cid)["running"] == 1
 
+    def test_a_move_that_opens_the_scope_commits_with_it(self, tmp_path):
+        """A batched move's savepoint must not end a scope it opened."""
+        db = tmp_path / "c.db"
+        with CampaignStore(db) as store, CampaignStore(db) as peer:
+            cid, (first, second) = self._two_pending(store)
+            with pytest.raises(RuntimeError, match="later in the scope"):
+                with store.transaction():
+                    store.mark_done(cid, first)
+                    assert peer.counts(cid)["done"] == 0
+                    raise RuntimeError("later in the scope")
+            assert peer.counts(cid)["done"] == 0
+
     def test_scopes_do_not_nest(self, tmp_path):
         with CampaignStore(tmp_path / "c.db") as store:
             with pytest.raises(RuntimeError, match="do not nest"):
                 with store.transaction():
                     with store.transaction():
                         pass
+
+
+def store_rows(store):
+    """Every ``jobs`` and ``journal`` row but the bookkeeping timestamps."""
+    jobs = store._conn.execute(
+        "SELECT campaign_id, spec_hash, kind, spec, status, attempts, wall_s,"
+        " result_path, error_type, error_message, postmortem FROM jobs ORDER BY id"
+    ).fetchall()
+    journal = store._conn.execute(
+        "SELECT campaign_id, record, entry FROM journal ORDER BY id"
+    ).fetchall()
+    return [tuple(row) for row in jobs], [tuple(row) for row in journal]
+
+
+#: What a job is before a drain looks at it, as the one-row calls make it.
+START_STATES = ("pending", "running", "done", "failed")
+
+
+@st.composite
+def campaign_looks(draw):
+    """A campaign of pending, running, done and failed jobs, the jobs a
+    second drainer claims after the drain's snapshot, the drain's claim
+    ``limit``, and a look: the outcomes it books, in order."""
+    n = draw(st.integers(1, 6))
+    return {
+        "start": draw(st.lists(st.sampled_from(START_STATES), min_size=n, max_size=n)),
+        "stolen": draw(st.lists(st.booleans(), min_size=n, max_size=n)),
+        "limit": draw(st.none() | st.integers(0, n)),
+        "order": draw(st.permutations(range(n))),
+        "fates": draw(
+            st.lists(st.sampled_from([None, "done", "done", "failed"]), min_size=n, max_size=n)
+        ),
+        # Fates on the jobs this drain claimed only (always legal), or on
+        # any job (pending cannot fail, done and failed cannot finish).
+        "claimed_only": draw(st.booleans()),
+        "extra": draw(st.sampled_from([None, "missing", "twice"])),
+    }
+
+
+class TestBatchEqualsRows:
+    """A look's batched writes -- one claim statement, one journal
+    ``executemany``, one guarded ``executemany`` per target state --
+    leave every row what the one-row calls leave applied in order, and
+    an illegal move raises the same error and keeps nothing of the
+    look."""
+
+    @staticmethod
+    def _campaign(path, specs, start):
+        store = CampaignStore(path)
+        cid = store.ensure_campaign("sweep", {"kind": "inline"})
+        store.add_jobs(cid, specs)
+        for spec, state in zip(specs, start):
+            key = spec_hash(spec)
+            if state != "pending":
+                assert store.claim(cid, key)
+            if state == "done":
+                store.mark_done(cid, key, result_path=f"/cache/{key}.json", wall_s=1.5)
+            elif state == "failed":
+                store.mark_failed(cid, key, "Boom", "it broke", postmortem="/pm", wall_s=0.25)
+        return store, cid
+
+    @settings(max_examples=60, deadline=None)
+    @given(case=campaign_looks())
+    def test_a_batched_look_leaves_what_the_one_row_calls_leave(self, case):
+        from repro.obs.journal import RunJournal
+
+        specs = bulk_specs(len(case["start"]))
+        keys = [spec_hash(spec) for spec in specs]
+        with tempfile.TemporaryDirectory() as root:
+            sides = {}
+            for side in ("rows", "batched"):
+                db = Path(root) / f"{side}.db"
+                store, cid = self._campaign(db, specs, case["start"])
+                pending = [
+                    key for key, (_kind, status) in store.statuses(cid).items()
+                    if status == "pending"
+                ]
+                # A second drainer claims after this drain's snapshot.
+                with CampaignStore(db) as peer:
+                    for key, stolen in zip(keys, case["stolen"]):
+                        if stolen and key in pending:
+                            assert peer.claim(cid, key)
+                limit = case["limit"]
+                if side == "batched":
+                    claimed = store.claim_many(cid, pending, limit)
+                else:
+                    claimed = []
+                    with store.transaction():
+                        for key in pending:
+                            if limit is not None and len(claimed) >= limit:
+                                break
+                            if store.claim(cid, key):
+                                claimed.append(key)
+                sides[side] = (store, cid, claimed)
+
+            rows_store, cid, claimed = sides["rows"]
+            assert sides["batched"][2] == claimed
+            assert store_rows(sides["batched"][0]) == store_rows(rows_store)
+            before = store_rows(rows_store)
+
+            # The look: its outcomes, their journal lines as written.
+            journal = RunJournal(Path(root) / "journal.jsonl")
+            done, failed, lines = [], [], []
+            for index in case["order"]:
+                fate, key = case["fates"][index], keys[index]
+                if fate is None or (case["claimed_only"] and key not in claimed):
+                    continue
+                if fate == "done":
+                    done.append((key, f"/cache/{key}.json", 0.125 * index))
+                else:
+                    failed.append((key, "RuntimeError", f"job {index} broke", None, 0.5))
+                entry = journal.job(spec_hash=key, kind="bulk_download", status=fate, attempts=1)
+                lines.append((entry, journal.last_text))
+            if case["extra"] == "missing":
+                done.append(("f" * 64, None, None))
+            elif case["extra"] == "twice" and done:
+                done.append(done[0])
+
+            def look_by_rows(store):
+                with store.transaction():
+                    for entry, _text in lines:
+                        store.record_journal(cid, entry)
+                    for row in done:
+                        store.mark_done(cid, *row)
+                    for row in failed:
+                        store.mark_failed(cid, *row)
+
+            def look_batched(store):
+                with store.transaction():
+                    store.record_journal_lines(cid, [("job", text) for _entry, text in lines])
+                    store.mark_done_many(cid, done)
+                    store.mark_failed_many(cid, failed)
+
+            errors = {}
+            for side, look in (("rows", look_by_rows), ("batched", look_batched)):
+                store = sides[side][0]
+                try:
+                    look(store)
+                except (KeyError, TransitionError) as exc:
+                    errors[side] = (type(exc), str(exc))
+                assert not store._conn.in_transaction
+            assert errors.get("batched") == errors.get("rows")
+            after = store_rows(sides["batched"][0])
+            assert after == store_rows(rows_store)
+            if errors:
+                assert after == before  # the look died whole
+            else:
+                # Against the state machine itself: each booked job is in
+                # its fate, its index row is the journal's line.
+                status = {job.spec_hash: job.status for job in rows_store.jobs(cid)}
+                for row, fate in [(row, "done") for row in done] + [(row, "failed") for row in failed]:
+                    assert status[row[0]] == fate
+                assert [entry for _, _, entry in after[1]] == [text for _, text in lines]
+            for store, _cid, _claimed in sides.values():
+                store.close()
+
+    def test_a_batch_outside_a_scope_keeps_nothing_when_a_row_is_illegal(self, tmp_path):
+        db = tmp_path / "c.db"
+        with CampaignStore(db) as store, CampaignStore(db) as peer:
+            cid = store.ensure_campaign("sweep", {"kind": "inline"})
+            specs = bulk_specs(3)
+            store.add_jobs(cid, specs)
+            keys = [spec_hash(spec) for spec in specs]
+            assert store.claim_many(cid, keys) == keys
+            store.mark_done(cid, keys[1])
+            before = store_rows(store)
+            rows = [(key, None, 0.5) for key in keys]
+            with pytest.raises(TransitionError, match=f"job {keys[1][:12]} cannot go 'done' -> 'done'"):
+                store.mark_done_many(cid, rows)
+            assert not store._conn.in_transaction
+            assert store_rows(store) == store_rows(peer) == before
+            with pytest.raises(KeyError, match="no job 'nope'"):
+                store.mark_failed_many(cid, [(keys[0], "E", "m", None, 0.1), ("nope", "E", "m", None, 0.1)])
+            assert store_rows(peer) == before
+            # A key given twice moves once; its second move is illegal.
+            with pytest.raises(TransitionError, match=f"job {keys[0][:12]} cannot go 'done' -> 'done'"):
+                store.mark_done_many(cid, [rows[0], rows[2], rows[0]])
+            assert store_rows(peer) == before
+            store.mark_done_many(cid, [rows[0], rows[2]])
+            assert store.counts(cid)["done"] == 3
+
+    def test_a_claim_limit_takes_the_earliest_inserted_jobs(self, tmp_path):
+        with CampaignStore(tmp_path / "c.db") as store:
+            cid = store.ensure_campaign("sweep", {"kind": "inline"})
+            specs = bulk_specs(4)
+            store.add_jobs(cid, specs)
+            keys = [spec_hash(spec) for spec in specs]
+            assert store.claim(cid, keys[1])
+            # Whatever order the keys come in, and past a job taken before.
+            assert store.claim_many(cid, keys[::-1], limit=2) == [keys[0], keys[2]]
+            assert store.claim_many(cid, keys[::-1]) == [keys[3]]
+
+    def test_the_batched_and_one_row_paths_store_the_same_bytes(self, tmp_path):
+        """Spec keys and text as the parent's definitions give them, the
+        index rows as the JSONL lines, and every row as a campaign moved
+        one call at a time through the same drain leaves it."""
+        from repro.workloads.web import WebBrowsingSpec
+
+        specs = [
+            *bulk_specs(2, size=16 * 1024),
+            StreamingSpec(scheduler="ecf", video_duration=10.0, seed=1),
+            WebBrowsingSpec(
+                scheduler="minrtt",
+                path_configs=(wifi_config(1.0), lte_config(8.6)),
+                seed=2,
+                object_sizes=(10_000, 250_000),
+            ),
+        ]
+        cache = tmp_path / "cache"
+        ExperimentExecutor(cache_dir=cache).run(specs)
+        entries = sorted(path.read_bytes() for path in cache.rglob("*.json"))
+        with CampaignStore(tmp_path / "batched.db") as batched:
+            runner = CampaignRunner(
+                batched, "sweep", cache_dir=cache, journal=tmp_path / "batched.jsonl"
+            )
+            runner.submit(specs)
+            assert runner.drain()["done"] == len(specs)
+            cid = runner.campaign_id
+            lines = (tmp_path / "batched.jsonl").read_text().splitlines()
+            assert [text for _, _, text in store_rows(batched)[1]] == lines
+            jobs = {row[1]: row for row in store_rows(batched)[0]}
+            for spec in specs:
+                wire = spec_to_dict(spec)
+                assert jobs[wire_hash(wire)][3] == canonical_json(wire)
+
+            with CampaignStore(tmp_path / "rows.db") as rows:
+                assert rows.ensure_campaign("sweep", InlineBackendConfig().to_dict()) == cid
+                for spec in specs:
+                    rows.add_jobs(cid, [spec])
+                for spec in specs:
+                    assert rows.claim(cid, spec_hash(spec))
+                for text in lines:
+                    entry = json.loads(text)
+                    rows.record_journal(cid, entry)
+                    if entry["record"] == "job":
+                        key = entry["spec_hash"]
+                        rows.mark_done(cid, key, runner.cache.entry_path(key), entry["wall_s"])
+                assert store_rows(rows) == store_rows(batched)
+        assert sorted(path.read_bytes() for path in cache.rglob("*.json")) == entries
 
 
 class TestBackendConfigs:
@@ -800,7 +1060,8 @@ class TestOneCommitPerJob:
     ):
         """Kill a drain at its ``at``-th finished job (0-based) -- in the
         journal observer (before the look commits), inside the look's
-        transaction, or in ``on_outcome`` (after it) -- and resume it.
+        transaction (after its batched ``done`` write, before its
+        commit), or in ``on_outcome`` (after it) -- and resume it.
         ``lines`` jobs must have reached the first JSONL and the first
         ``done`` of them the store; the resume must re-simulate nothing
         that reached the cache and index every job exactly once."""
@@ -824,13 +1085,15 @@ class TestOneCommitPerJob:
                 journal=tmp_path / "first.jsonl", **hooks,
             )
             if where == "transaction":
-                mark_done = store.mark_done
+                mark_done_many = store.mark_done_many
 
-                def dying_mark_done(*args, **kwargs):
-                    die()
-                    mark_done(*args, **kwargs)
+                def dying_mark_done_many(campaign_id, rows):
+                    # The look's one ``done`` write lands, then the kill.
+                    mark_done_many(campaign_id, rows)
+                    for _ in rows:
+                        die()
 
-                monkeypatch.setattr(store, "mark_done", dying_mark_done)
+                monkeypatch.setattr(store, "mark_done_many", dying_mark_done_many)
             runner.submit(specs)
             with pytest.raises(Boom):
                 runner.drain()
