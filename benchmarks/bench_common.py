@@ -6,8 +6,11 @@ pytest session and shared across figures through the cached helpers here.
 
 Each harness writes its paper-shaped output table to
 ``benchmarks/output/<figure>.txt`` (and also prints it, visible with
-``pytest -s``), then registers a single-shot pytest-benchmark timing so
-``pytest benchmarks/ --benchmark-only`` reports wall-clock per figure.
+``pytest -s``), registers a single-shot pytest-benchmark timing so
+``pytest benchmarks/ --benchmark-only`` reports wall-clock per figure,
+and states the figure's claims as :class:`~repro.experiments.report.Claim`
+records: :func:`check_claims` writes them to
+``benchmarks/output/<figure>.claims.json`` and asserts their verdicts.
 
 Scaling note: benches default to a 30-60 s video instead of the paper's
 1332 s and fewer repetitions; the shapes survive, the absolute statistics
@@ -17,13 +20,16 @@ underlying ``repro.experiments`` APIs.
 
 from __future__ import annotations
 
+import dataclasses
 import functools
+import json
 import os
 from pathlib import Path
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.experiments.exec import ExperimentExecutor
 from repro.experiments.grid import streaming_grid
+from repro.experiments.report import Claim
 from repro.experiments.runner import StreamingRunConfig, StreamingRunResult, run_streaming
 
 OUTPUT_DIR = Path(__file__).parent / "output"
@@ -59,6 +65,21 @@ def write_output(name: str, text: str) -> None:
     OUTPUT_DIR.mkdir(exist_ok=True)
     (OUTPUT_DIR / f"{name}.txt").write_text(text + "\n")
     print(f"\n===== {name} =====\n{text}")
+
+
+def check_claims(name: str, claims: Sequence[Claim]) -> None:
+    """Write ``claims`` beside the figure's table, then assert that each
+    holds -- or, while it awaits its ROADMAP item, that it still fails."""
+    checked = [dataclasses.replace(c, verdict=c.evaluate()) for c in claims]
+    (OUTPUT_DIR / f"{name}.claims.json").write_text(
+        json.dumps([dataclasses.asdict(c) for c in checked], indent=1, ensure_ascii=False) + "\n"
+    )
+    wrong = [c for c in checked if (c.verdict == "holds") == bool(c.pending)]
+    assert not wrong, "\n".join(
+        f"{c.id}: {c.text}: {c.measured()} {c.verdict}"
+        + (f", but awaits {c.pending}" if c.pending else "")
+        for c in wrong
+    )
 
 
 @functools.lru_cache(maxsize=None)

@@ -7,7 +7,8 @@ the default scheduler and ECF, and check the pattern (ECF >= default)
 holds for every controller.
 """
 
-from bench_common import BENCH_LONG_VIDEO_SECONDS, run_once, write_output
+from bench_common import BENCH_LONG_VIDEO_SECONDS, check_claims, run_once, write_output
+from repro.experiments.report import Claim
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 
 CONTROLLERS = ("coupled", "olia", "reno")
@@ -36,5 +37,13 @@ def test_ablation_congestion_control(benchmark):
     write_output("ablation_congestion_control", "\n".join(lines))
 
     # The heterogeneity gap and ECF's answer are controller-independent.
-    for cc in CONTROLLERS:
-        assert rates[(cc, "ecf")] >= rates[(cc, "minrtt")] * 0.95
+    check_claims("ablation_congestion_control", [
+        Claim(
+            f"ablation_congestion_control.{cc}",
+            f"ECF's steady bit rate (Mbps) at least matches the default's at WiFi 0.3 / LTE 8.6 under {cc}",
+            "degradation appears \"regardless of the congestion controller\" (Sec 3.1)",
+            {"ecf": rates[(cc, "ecf")] / 1e6, "default": rates[(cc, "minrtt")] / 1e6},
+            chain=("ecf", "default"), op=">=", scale=0.95,
+        )
+        for cc in CONTROLLERS
+    ])

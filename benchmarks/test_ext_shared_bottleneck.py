@@ -7,7 +7,8 @@ that the MPTCP connection takes no more than a single TCP flow would,
 while uncoupled Reno subflows grab roughly two shares.
 """
 
-from bench_common import run_once, write_output
+from bench_common import check_claims, run_once, write_output
+from repro.experiments.report import Claim
 from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.topology import LinkSpec, shared_bottleneck, chain_path
@@ -74,10 +75,23 @@ def test_ext_shared_bottleneck_fairness(benchmark):
         )
     write_output("ext_shared_bottleneck", "\n".join(lines))
 
-    # Uncoupled Reno subflows grab more of the bottleneck than coupled.
-    assert shares["reno"] > shares["coupled"]
-    # Coupled MPTCP stays in the vicinity of a single flow's share.
-    assert shares["coupled"] < 0.70
-    # The pipe is actually used.
-    for row in results.values():
-        assert row["mptcp_mbps"] + row["tcp_mbps"] > BOTTLENECK_MBPS * 0.7
+    rfc = "RFC 6356's fairness goal (not a paper figure)"
+    check_claims("ext_shared_bottleneck", [
+        Claim(
+            "ext_shared_bottleneck.reno_over_coupled",
+            "Uncoupled Reno subflows take a larger share of the bottleneck than coupled (LIA) ones",
+            rfc, {"reno": shares["reno"], "coupled": shares["coupled"]},
+            chain=("reno", "coupled"), op=">",
+        ),
+        Claim(
+            "ext_shared_bottleneck.coupled_share",
+            "Coupled MPTCP stays near a single flow's share of the bottleneck",
+            rfc, {"coupled share": shares["coupled"]}, op="<", hi=0.70,
+        ),
+        Claim(
+            "ext_shared_bottleneck.pipe_used",
+            f"The {BOTTLENECK_MBPS:g} Mbps pipe is used under every controller (Mbps, MPTCP + TCP)",
+            rfc, {"total": [row["mptcp_mbps"] + row["tcp_mbps"] for row in results.values()]},
+            op="<", lo=BOTTLENECK_MBPS * 0.7,
+        ),
+    ])

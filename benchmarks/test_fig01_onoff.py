@@ -6,7 +6,8 @@ the same curve from our DASH player's download-progress trace and check
 its signature: an initial-buffering knee followed by spaced steps.
 """
 
-from bench_common import hetero_run, run_once, write_output
+from bench_common import check_claims, hetero_run, run_once, write_output
+from repro.experiments.report import Claim
 
 
 def test_fig01_onoff_download_pattern(benchmark):
@@ -25,7 +26,18 @@ def test_fig01_onoff_download_pattern(benchmark):
     # Shape: progress is monotone, and after startup the requests space out
     # into ON-OFF steps roughly a chunk apart.
     values = [v for _, v in trace]
-    assert values == sorted(values)
     requests = [c.requested_at for c in result.metrics.chunks]
     steady_gaps = [b - a for a, b in zip(requests, requests[1:]) if a > (startup or 0)]
-    assert steady_gaps and max(steady_gaps) > 2.0
+    paper = "Netflix ON-OFF curve: steep initial buffering, then spaced steps"
+    check_claims("fig01_onoff", [
+        Claim(
+            "fig01_onoff.monotone",
+            "Download progress never steps back (smallest step, MB)",
+            paper, {"step": min(b - a for a, b in zip(values, values[1:])) / 1e6}, lo=0.0,
+        ),
+        Claim(
+            "fig01_onoff.off_periods",
+            "After the initial-buffering knee, requests space out by more than 2 s (longest gap, s)",
+            paper, {"gap": max(steady_gaps, default=0.0)}, op="<", lo=2.0,
+        ),
+    ])

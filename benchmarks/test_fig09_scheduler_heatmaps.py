@@ -5,7 +5,8 @@ heterogeneity; DAPS does not improve on the default and is sometimes
 worse; BLEST helps only in a few cells.
 """
 
-from bench_common import GRID_MBPS, run_once, scheduler_grid, write_output
+from bench_common import GRID_MBPS, check_claims, run_once, scheduler_grid, write_output
+from repro.experiments.report import Claim
 from repro.experiments.grid import bitrate_ratio_matrix, format_matrix
 
 SCHEDULERS = ("minrtt", "ecf", "daps", "blest")
@@ -30,13 +31,32 @@ def test_fig09_scheduler_heatmaps(benchmark):
         )
     write_output("fig09_scheduler_heatmaps", "\n\n".join(sections))
 
-    def hetero_mean(name):
-        return sum(ratios[name][cell] for cell in HETERO_CELLS) / len(HETERO_CELLS)
-
-    # ECF dominates the default under heterogeneity...
-    assert hetero_mean("ecf") >= hetero_mean("minrtt")
-    # ...and is the best (or tied best) of all four schedulers there.
-    best = max(SCHEDULERS, key=hetero_mean)
-    assert hetero_mean("ecf") >= hetero_mean(best) - 0.02
-    # DAPS does not beat ECF.
-    assert hetero_mean("daps") <= hetero_mean("ecf") + 0.02
+    mean = {
+        name: sum(ratios[name][cell] for cell in HETERO_CELLS) / len(HETERO_CELLS)
+        for name in SCHEDULERS
+    }
+    paper = "ECF's map darkest under heterogeneity; DAPS no better than the default; BLEST helps in a few cells"
+    over = "mean bit-rate ratio over the >= 4x-asymmetric cells"
+    check_claims("fig09_scheduler_heatmaps", [
+        # ECF dominates the default under heterogeneity...
+        Claim(
+            "fig09_scheduler_heatmaps.ecf_over_default",
+            f"ECF's {over} at least matches the default's",
+            paper, {"ecf": mean["ecf"], "default": mean["minrtt"]},
+            chain=("ecf", "default"), op=">=",
+        ),
+        # ...and is the best (or tied best) of all four schedulers there.
+        Claim(
+            "fig09_scheduler_heatmaps.ecf_best",
+            f"ECF's {over} is within 0.02 of the best other scheduler's",
+            paper, {"ecf": mean["ecf"], "best other": max(mean[n] for n in SCHEDULERS if n != "ecf")},
+            chain=("ecf", "best other"), op=">=", margin=-0.02,
+        ),
+        # DAPS does not beat ECF.
+        Claim(
+            "fig09_scheduler_heatmaps.daps_not_above_ecf",
+            f"DAPS's {over} exceeds ECF's by at most 0.02",
+            paper, {"daps": mean["daps"], "ecf": mean["ecf"]},
+            chain=("daps", "ecf"), margin=0.02,
+        ),
+    ])

@@ -4,7 +4,8 @@ Paper shape: ECF tracks the ideal allocation more closely than BLEST
 (and than the default of Fig 7) wherever paths are heterogeneous.
 """
 
-from bench_common import GRID_MBPS, run_once, scheduler_grid, write_output
+from bench_common import GRID_MBPS, check_claims, run_once, scheduler_grid, write_output
+from repro.experiments.report import Claim
 from repro.experiments.grid import fraction_fast_matrix
 from repro.experiments.ideal import ideal_fast_fraction
 
@@ -42,4 +43,12 @@ def test_fig10_fraction_blest_ecf(benchmark):
     write_output("fig10_fraction_ecf", "\n".join(lines))
 
     # Shape: ECF under-allocates the fast subflow no more than the default.
-    assert deficits["ecf"] <= deficits["minrtt"] * 1.05 + 0.02
+    check_claims("fig10_fraction_ecf", [
+        Claim(
+            "fig10_fraction_ecf.ecf_deficit",
+            "ECF's fast-subflow under-allocation, summed over the >= 4x-asymmetric cells, is at most the default's",
+            "ECF tracks the ideal fast-subflow share closely; BLEST and the default under-allocate",
+            {"ecf": deficits["ecf"], "default": deficits["minrtt"]},
+            chain=("ecf", "default"), scale=1.05, margin=0.02,
+        ),
+    ])

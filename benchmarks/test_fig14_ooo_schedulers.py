@@ -6,7 +6,8 @@ tail, the default the heaviest; in the near-symmetric configuration all
 schedulers except DAPS are comparable and small.
 """
 
-from bench_common import hetero_run, run_once, write_output
+from bench_common import check_claims, hetero_run, run_once, write_output
+from repro.experiments.report import Claim
 from repro.metrics.stats import percentile
 
 SCHEDULERS = ("minrtt", "daps", "blest", "ecf")
@@ -36,6 +37,17 @@ def test_fig14_ooo_delay_schedulers(benchmark):
 
     # Shape: under strong heterogeneity ECF's tail is no heavier than the
     # default's; near symmetry everyone is small.
-    assert p90[(0.3, "ecf")] <= p90[(0.3, "minrtt")] * 1.05
-    assert p90[(4.2, "ecf")] < 0.3
-    assert p90[(4.2, "minrtt")] < 0.3
+    paper = "ECF has the lightest OOO tail under heterogeneity; all but DAPS small when symmetric"
+    check_claims("fig14_ooo_schedulers", [
+        Claim(
+            "fig14_ooo_schedulers.ecf_tail",
+            "ECF's OOO-delay p90 (s) at 0.3-8.6 is no heavier than the default's",
+            paper, {"ecf": p90[(0.3, "ecf")], "default": p90[(0.3, "minrtt")]},
+            chain=("ecf", "default"), scale=1.05,
+        ),
+        Claim(
+            "fig14_ooo_schedulers.symmetric_tail",
+            "ECF's and the default's OOO-delay p90 at 4.2-8.6 are below 0.3 s",
+            paper, {"ecf": p90[(4.2, "ecf")], "default": p90[(4.2, "minrtt")]}, op="<", hi=0.3,
+        ),
+    ])

@@ -5,7 +5,8 @@ Paper shape: with four subflows the default still degrades under strong
 heterogeneity while ECF mitigates it.
 """
 
-from bench_common import BENCH_VIDEO_SECONDS, run_once, write_output
+from bench_common import BENCH_VIDEO_SECONDS, check_claims, run_once, write_output
+from repro.experiments.report import Claim
 from repro.apps.dash.media import VideoManifest
 from repro.experiments.ideal import ideal_average_bitrate
 from repro.experiments.runner import StreamingRunConfig, run_streaming
@@ -39,7 +40,26 @@ def test_fig15_four_subflows(benchmark):
         lines.append(f"{lte:8.1f}  {default:13.2f}  {ecf:9.2f}")
     write_output("fig15_four_subflows", "\n".join(lines))
 
-    # Shape: ECF at least matches the default on average across the row.
-    assert sum(e for _, _, e in rows) >= sum(d for _, d, _ in rows) * 0.95
-    # And every run produced sane ratios.
-    assert all(0.0 < d <= 1.0 and 0.0 < e <= 1.0 for _, d, e in rows)
+    paper = "with 2+2 subflows the default still degrades under heterogeneity; ECF mitigates it"
+    check_claims("fig15_four_subflows", [
+        # Shape: ECF at least matches the default across the row.
+        Claim(
+            "fig15_four_subflows.ecf_over_default",
+            "Summed over LTE 0.3-8.6 at WiFi 0.3, ECF's bit-rate ratio at least matches the default's",
+            paper, {"ecf": sum(e for _, _, e in rows), "default": sum(d for _, d, _ in rows)},
+            chain=("ecf", "default"), op=">=", scale=0.95,
+        ),
+        # And every run produced sane ratios.
+        Claim(
+            "fig15_four_subflows.positive",
+            "Every run's bit-rate ratio is above 0",
+            paper, {"default": [d for _, d, _ in rows], "ecf": [e for _, _, e in rows]},
+            op="<", lo=0.0,
+        ),
+        Claim(
+            "fig15_four_subflows.fractions",
+            "Every run's bit-rate ratio is at most 1",
+            paper, {"default": [d for _, d, _ in rows], "ecf": [e for _, _, e in rows]},
+            hi=1.0,
+        ),
+    ])

@@ -6,7 +6,8 @@ schedulers', with the margin depending on how much heterogeneity the
 scenario happens to contain.
 """
 
-from bench_common import run_once, write_output
+from bench_common import check_claims, run_once, write_output
+from repro.experiments.report import Claim
 from repro.experiments.runner import StreamingRunConfig, run_streaming
 from repro.workloads.scenarios import random_bandwidth_scenarios
 
@@ -55,4 +56,12 @@ def test_fig16_random_bandwidth_scenarios(benchmark):
     write_output("fig16_random_bw", "\n".join(lines))
 
     # Shape: on average over scenarios, ECF >= default (within noise).
-    assert means["ecf"] >= means["minrtt"] * 0.95
+    check_claims("fig16_random_bw", [
+        Claim(
+            "fig16_random_bw.ecf_over_default",
+            f"ECF's steady throughput (Mbps), averaged over {SCENARIOS} random-bandwidth scenarios, at least matches the default's",
+            "ECF's per-scenario throughput >= the others'",
+            {"ecf": means["ecf"] / 1e6, "default": means["minrtt"] / 1e6},
+            chain=("ecf", "default"), op=">=", scale=0.95,
+        ),
+    ])

@@ -7,7 +7,8 @@ close, with DAPS occasionally worse and ECF shaving time off the largest
 transfers at high heterogeneity.
 """
 
-from bench_common import bench_executor, run_once, write_output
+from bench_common import bench_executor, check_claims, run_once, write_output
+from repro.experiments.report import Claim
 from repro.experiments.grid import wget_matrix
 
 SIZES = (128 * 1024, 256 * 1024, 512 * 1024, 1024 * 1024)
@@ -40,16 +41,33 @@ def test_fig18_wget_completion_times(benchmark):
             lines.append(" ".join(row))
     write_output("fig18_wget", "\n".join(lines))
 
-    # Shape 1: larger files take longer at fixed bandwidths.
-    for lte in (1, 5, 10):
-        times = [table[(size, lte, "minrtt")] for size in SIZES]
-        assert times == sorted(times)
-    # Shape 2: for 1 MB transfers, more LTE bandwidth never hurts much.
-    big = [table[(SIZES[-1], lte, "minrtt")] for lte in LTE_MBPS]
-    assert big[-1] < big[0]
-    # Shape 3: ECF does not lose to the default on the largest transfers.
-    for lte in LTE_MBPS:
-        assert (
-            table[(SIZES[-1], lte, "ecf")]
-            <= table[(SIZES[-1], lte, "minrtt")] * 1.1
-        )
+    paper = "completion time falls with LTE bandwidth; schedulers statistically close; DAPS occasionally worse"
+    sizes = tuple(f"{size // 1024} kB" for size in SIZES)
+    check_claims("fig18_wget", [
+        # Shape 1: larger files take longer at fixed bandwidths.
+        *(
+            Claim(
+                f"fig18_wget.size_order_lte{lte}",
+                f"At WiFi 1 / LTE {lte} Mbps, the default's completion time (s) grows with the object size",
+                paper, {label: table[(size, lte, "minrtt")] for label, size in zip(sizes, SIZES)},
+                chain=sizes,
+            )
+            for lte in (1, 5, 10)
+        ),
+        # Shape 2: for 1 MB transfers, more LTE bandwidth never hurts much.
+        Claim(
+            "fig18_wget.lte_helps",
+            "The default's 1 MB completion time (s) at LTE 10 Mbps is below the one at LTE 1 Mbps",
+            paper, {"lte 10": table[(SIZES[-1], 10, "minrtt")], "lte 1": table[(SIZES[-1], 1, "minrtt")]},
+            chain=("lte 10", "lte 1"), op="<",
+        ),
+        # Shape 3: ECF does not lose to the default on the largest transfers.
+        Claim(
+            "fig18_wget.ecf_not_slower",
+            "At every LTE 1-10 Mbps, ECF's 1 MB completion time (s) is no worse than the default's",
+            paper,
+            {"ecf": [table[(SIZES[-1], lte, "ecf")] for lte in LTE_MBPS],
+             "default": [table[(SIZES[-1], lte, "minrtt")] for lte in LTE_MBPS]},
+            chain=("ecf", "default"), scale=1.1,
+        ),
+    ])

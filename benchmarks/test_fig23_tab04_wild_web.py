@@ -12,7 +12,8 @@ the same emulated links, so the fast path ECF protects inside one
 connection is loaded by its five siblings (see EXPERIMENTS.md).
 """
 
-from bench_common import run_once, write_output
+from bench_common import check_claims, run_once, write_output
+from repro.experiments.report import Claim
 from repro.experiments.wild import run_wild_web
 from repro.metrics.stats import mean, percentile
 
@@ -45,8 +46,25 @@ def test_fig23_tab04_wild_web(benchmark):
 
     # Shape: ECF's reordering-delay tail is no heavier and it does not
     # lose on completion time.  (The mean OOO gain is seed-sensitive at
-    # this scale; the longer testbed web runs of Figs 20-21 show it
-    # robustly.)
-    assert stats["ecf"]["ooo_p99"] <= stats["minrtt"]["ooo_p99"] * 1.05
-    assert stats["ecf"]["ooo_mean"] <= stats["minrtt"]["ooo_mean"] * 1.10
-    assert stats["ecf"]["ct_mean"] <= stats["minrtt"]["ct_mean"] * 1.05
+    # this scale.)
+    def ecf_vs_default(key, text, paper, scale):
+        return Claim(
+            f"fig23_tab04_wild_web.{key}", text, paper,
+            {"ecf": stats["ecf"][key], "default": stats["minrtt"][key]},
+            chain=("ecf", "default"), scale=scale,
+        )
+
+    check_claims("fig23_tab04_wild_web", [
+        ecf_vs_default(
+            "ooo_p99", "ECF's OOO-delay p99 (s) is no heavier than the default's",
+            "OOO delay 71% smaller with ECF", 1.05,
+        ),
+        ecf_vs_default(
+            "ooo_mean", "ECF's mean OOO delay (s) is within 10% of the default's or below",
+            "mean OOO delay 0.297 s (default) vs 0.087 s (ECF)", 1.10,
+        ),
+        ecf_vs_default(
+            "ct_mean", "ECF's mean object completion time (s) is no worse than the default's",
+            "mean completion 0.882 s (default) vs 0.650 s (ECF), 26% shorter", 1.05,
+        ),
+    ])

@@ -13,7 +13,8 @@ monotonically with bandwidth, and the low-bandwidth regulations show
 second-scale bufferbloat.
 """
 
-from bench_common import run_once, write_output
+from bench_common import check_claims, run_once, write_output
+from repro.experiments.report import Claim
 from repro.core.spec import SchedulerSpec, build
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.profiles import lte_config, make_path, wifi_config
@@ -55,12 +56,34 @@ def test_tab02_rtt_vs_bandwidth(benchmark):
             )
     write_output("tab02_rtt", "\n".join(lines))
 
-    for iface in ("wifi", "lte"):
-        series = [measured[iface][bw] for bw in BANDWIDTHS]
+    paper = "avg RTT falls from ~970 ms (0.3 Mbps) to 40-105 ms (8.6 Mbps); LTE's floor above WiFi's"
+    check_claims("tab02_rtt", [
         # RTT decreases with bandwidth...
-        assert series == sorted(series, reverse=True)
-    # ...with second-scale bufferbloat at 0.3 Mbps and modest RTT at 8.6.
-    assert measured["wifi"][0.3] > 0.5
-    assert measured["wifi"][8.6] < 0.2
-    # LTE keeps a higher floor than WiFi at high bandwidth (as in Table 2).
-    assert measured["lte"][8.6] > measured["wifi"][8.6]
+        *(
+            Claim(
+                f"tab02_rtt.{iface}_falls",
+                f"{iface.upper()} mean RTT (s) falls as the regulated bandwidth rises",
+                paper, {f"{bw:g}": measured[iface][bw] for bw in BANDWIDTHS},
+                chain=tuple(f"{bw:g}" for bw in BANDWIDTHS), op=">=",
+            )
+            for iface in ("wifi", "lte")
+        ),
+        # ...with second-scale bufferbloat at 0.3 Mbps and modest RTT at 8.6.
+        Claim(
+            "tab02_rtt.bufferbloat",
+            "WiFi mean RTT at 0.3 Mbps is above 0.5 s",
+            paper, {"wifi 0.3": measured["wifi"][0.3]}, op="<", lo=0.5,
+        ),
+        Claim(
+            "tab02_rtt.fast_floor",
+            "WiFi mean RTT at 8.6 Mbps is below 0.2 s",
+            paper, {"wifi 8.6": measured["wifi"][8.6]}, op="<", hi=0.2,
+        ),
+        # LTE keeps a higher floor than WiFi at high bandwidth.
+        Claim(
+            "tab02_rtt.lte_floor",
+            "At 8.6 Mbps, LTE's mean RTT (s) is above WiFi's",
+            paper, {"lte": measured["lte"][8.6], "wifi": measured["wifi"][8.6]},
+            chain=("lte", "wifi"), op=">",
+        ),
+    ])

@@ -330,11 +330,9 @@ def cmd_wild(args) -> int:
 
 
 def cmd_report(args) -> int:
-    from repro.experiments.report import collate_report, default_output_dir
+    from repro.experiments.report import default_output_dir, render
 
-    text = collate_report(default_output_dir())
-    # On stdout a blank line closes the report; a file holds the report alone.
-    return _emit(text + "\n" if args.output == "-" else text, args.output)
+    return _emit(render(default_output_dir()), args.output)
 
 
 # -- analysis commands ----------------------------------------------------------
@@ -912,7 +910,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="require at least one 'ecf wait' duration event")
 
     p = command(sub, "report", cmd_report,
-                "collate benchmarks/output/*.txt into one markdown report")
+                "print the verdict table of benchmarks/output/*.claims.json")
     p.add_argument("--output", default="-", help="file to write ('-' = stdout)")
     return parser
 

@@ -423,8 +423,8 @@ def _accepted(path: PathLike) -> Optional[Tuple[str, List[List[Any]], bytes]]:
     if not newline:
         return None  # truncated inside the header, or header-less
     try:
-        header = json.loads(head)
-    except ValueError:
+        header = json.loads(head.decode())
+    except ValueError:  # a UnicodeDecodeError too
         return None
     if (
         not isinstance(header, dict)
@@ -462,7 +462,7 @@ def read_entry(path: PathLike) -> Optional[Dict[str, Any]]:
     if found is None:
         return None
     _kind, packed, body = found
-    payload = json.loads(body)
+    payload = json.loads(body.decode())  # canonical JSON: ASCII
     for where in packed:
         node = payload
         for step in where[:-1]:

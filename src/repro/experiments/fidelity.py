@@ -8,7 +8,8 @@ one call::
     report = validate_transport()
     assert report.passed, report.summary()
 
-Each check is cheap (a few seconds in total) and returns measured values
+Each check is cheap (a few seconds in total) and returns a band or
+ordering :class:`~repro.experiments.report.Claim` over its measured values,
 so drift can be inspected rather than just detected.
 """
 
@@ -18,6 +19,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Tuple
 
 from repro.core.spec import SchedulerSpec, build
+from repro.experiments.report import Claim
 from repro.mptcp.connection import ConnectionConfig, MptcpConnection
 from repro.net.packet import HEADER_SIZE, MSS
 from repro.net.profiles import lte_config, make_path, wifi_config
@@ -25,34 +27,20 @@ from repro.sim.engine import Simulator
 
 
 @dataclass
-class CheckResult:
-    """Outcome of one fidelity check."""
-
-    name: str
-    passed: bool
-    measured: float
-    expectation: str
-
-
-@dataclass
 class FidelityReport:
-    """All check outcomes plus convenience accessors."""
+    """Every check's :class:`~repro.experiments.report.Claim`, and their verdicts."""
 
-    checks: List[CheckResult] = field(default_factory=list)
+    checks: List[Claim] = field(default_factory=list)
 
     @property
     def passed(self) -> bool:
-        return all(c.passed for c in self.checks)
+        return all(check.evaluate() == "holds" for check in self.checks)
 
     def summary(self) -> str:
-        lines = []
-        for check in self.checks:
-            status = "ok  " if check.passed else "FAIL"
-            lines.append(
-                f"[{status}] {check.name}: measured {check.measured:.4g} "
-                f"(expected {check.expectation})"
-            )
-        return "\n".join(lines)
+        return "\n".join(
+            f"[{'ok  ' if check.evaluate() == 'holds' else 'FAIL'}] {check.id}: {check.measured()} ({check.text})"
+            for check in self.checks
+        )
 
 
 def _timed_transfer(scheduler: str, configs, nbytes: int, cc: str = "coupled") -> Tuple[float, MptcpConnection]:
@@ -69,84 +57,60 @@ def _timed_transfer(scheduler: str, configs, nbytes: int, cc: str = "coupled") -
     return max(conn.receiver.last_arrival_by_subflow.values()), conn
 
 
-def check_single_path_goodput() -> CheckResult:
+def check_single_path_goodput() -> Claim:
     """A saturating transfer achieves 90-100% of the wire ceiling: the
     link rate times a full segment's payload share, MSS / (MSS + HEADER_SIZE)."""
     ceiling = 8.6 * MSS / (MSS + HEADER_SIZE)
     elapsed, _ = _timed_transfer("minrtt", [lte_config(8.6)], 10_000_000)
-    goodput = 10_000_000 * 8 / elapsed / 1e6
-    return CheckResult(
-        name="single_path_goodput",
-        passed=0.9 * ceiling <= goodput <= ceiling,
-        measured=goodput,
-        expectation=f"{0.9 * ceiling:.3f}..{ceiling:.3f} Mbps of payload on an 8.6 Mbps link",
+    return Claim(
+        "single_path_goodput", "Mbps of payload on an 8.6 Mbps link", "",
+        {"goodput": 10_000_000 * 8 / elapsed / 1e6}, lo=0.9 * ceiling, hi=ceiling,
     )
 
 
-def check_aggregation() -> CheckResult:
+def check_aggregation() -> Claim:
     """Two homogeneous paths beat one by a clear margin."""
     single, _ = _timed_transfer("minrtt", [wifi_config(8.6)], 10_000_000)
-    double, _ = _timed_transfer(
-        "minrtt", [wifi_config(8.6), lte_config(8.6)], 10_000_000
-    )
-    speedup = single / double if double > 0 else 0.0
-    return CheckResult(
-        name="two_path_aggregation",
-        passed=speedup > 1.4,
-        measured=speedup,
-        expectation="speedup > 1.4x with a second equal path",
+    double, _ = _timed_transfer("minrtt", [wifi_config(8.6), lte_config(8.6)], 10_000_000)
+    return Claim(
+        "two_path_aggregation", "speedup of a second equal path", "",
+        {"speedup": single / double if double > 0 else 0.0}, op="<", lo=1.4,
     )
 
 
-def check_delivery_exactness() -> CheckResult:
+def check_delivery_exactness() -> Claim:
     """The in-order stream is exact under heterogeneity."""
-    _, conn = _timed_transfer(
-        "ecf", [wifi_config(0.3), lte_config(8.6)], 2_000_000
-    )
-    exact = (
-        conn.receiver.expected_dsn == 2_000_000
-        and conn.receiver.buffered_bytes == 0
-    )
-    return CheckResult(
-        name="delivery_exactness",
-        passed=exact,
-        measured=float(conn.receiver.expected_dsn),
-        expectation="2000000 bytes delivered gaplessly",
+    _, conn = _timed_transfer("ecf", [wifi_config(0.3), lte_config(8.6)], 2_000_000)
+    return Claim(
+        "delivery_exactness", "bytes delivered in order, and with those still buffered", "",
+        {"in order": conn.receiver.expected_dsn,
+         "in order + buffered": conn.receiver.expected_dsn + conn.receiver.buffered_bytes},
+        lo=2_000_000, hi=2_000_000,
     )
 
 
-def check_bufferbloat_rtt() -> CheckResult:
+def check_bufferbloat_rtt() -> Claim:
     """Saturating a 0.3 Mbps regulation inflates RTT to the second scale."""
     _, conn = _timed_transfer("minrtt", [wifi_config(0.3)], 300_000)
-    rtt = conn.subflows[0].rtt.mean_rtt
-    return CheckResult(
-        name="bufferbloat_rtt",
-        passed=rtt > 0.5,
-        measured=rtt,
-        expectation="> 0.5 s mean RTT at 0.3 Mbps (Table 2 regime)",
+    return Claim(
+        "bufferbloat_rtt", "mean RTT (s) at 0.3 Mbps, the Table 2 regime", "",
+        {"rtt": conn.subflows[0].rtt.mean_rtt}, op="<", lo=0.5,
     )
 
 
-def check_ecf_no_regression() -> CheckResult:
+def check_ecf_no_regression() -> Claim:
     """ECF completes a heterogeneous bulk transfer at least as fast as the
     default scheduler (within 10%)."""
-    default, _ = _timed_transfer(
-        "minrtt", [wifi_config(1.0), lte_config(8.6)], 2_000_000
-    )
-    ecf, _ = _timed_transfer(
-        "ecf", [wifi_config(1.0), lte_config(8.6)], 2_000_000
-    )
-    ratio = ecf / default if default > 0 else float("inf")
-    return CheckResult(
-        name="ecf_no_regression",
-        passed=ratio <= 1.10,
-        measured=ratio,
-        expectation="ECF/default completion ratio <= 1.10",
+    default, _ = _timed_transfer("minrtt", [wifi_config(1.0), lte_config(8.6)], 2_000_000)
+    ecf, _ = _timed_transfer("ecf", [wifi_config(1.0), lte_config(8.6)], 2_000_000)
+    return Claim(
+        "ecf_no_regression", "ECF / default completion time", "",
+        {"ratio": ecf / default if default > 0 else float("inf")}, hi=1.10,
     )
 
 
 #: The full battery, in execution order.
-ALL_CHECKS: Tuple[Callable[[], CheckResult], ...] = (
+ALL_CHECKS: Tuple[Callable[[], Claim], ...] = (
     check_single_path_goodput,
     check_aggregation,
     check_delivery_exactness,
@@ -157,7 +121,4 @@ ALL_CHECKS: Tuple[Callable[[], CheckResult], ...] = (
 
 def validate_transport() -> FidelityReport:
     """Run every fidelity check and collect the report."""
-    report = FidelityReport()
-    for check in ALL_CHECKS:
-        report.checks.append(check())
-    return report
+    return FidelityReport([check() for check in ALL_CHECKS])

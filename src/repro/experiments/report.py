@@ -1,20 +1,20 @@
-"""Collate per-figure benchmark outputs into one reproduction report.
+"""The paper's claims as checked records, and the verdict table they render.
 
-Each benchmark harness under ``benchmarks/`` writes its paper-shaped table
-to ``benchmarks/output/<figure>.txt``.  :func:`collate_report` stitches
-those files into a single markdown document, in the paper's figure order,
-so the whole reproduction can be reviewed in one place::
-
-    pytest benchmarks/ --benchmark-only     # produce the outputs
-    python -m repro.cli report              # collate them
+Each benchmark harness writes its table to ``benchmarks/output/<figure>.txt``
+and its claims about it to ``<figure>.claims.json`` beside it, one
+:class:`Claim` each, and asserts on their verdicts; ``python -m repro.cli
+report`` prints EXPERIMENTS.md's verdict table from the committed records.
 """
 
 from __future__ import annotations
 
+import json
+import operator
+from dataclasses import dataclass
 from pathlib import Path
-from typing import List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
-#: Paper order and titles for the collated report.
+#: Paper order and titles of the verdict table.
 FIGURE_INDEX: Tuple[Tuple[str, str], ...] = (
     ("fig01_onoff", "Figure 1: ON-OFF download behaviour"),
     ("fig02_default_heatmap", "Figure 2: bit-rate ratio, default scheduler"),
@@ -44,38 +44,78 @@ FIGURE_INDEX: Tuple[Tuple[str, str], ...] = (
     ("ablation_congestion_control", "Ablation: congestion controller"),
 )
 
+Values = Dict[str, Union[float, List[float]]]
+OPS = {"<": operator.lt, "<=": operator.le, ">=": operator.ge, ">": operator.gt}
 
-def collate_report(
-    output_dir: Path,
-    index: Sequence[Tuple[str, str]] = FIGURE_INDEX,
-) -> str:
-    """Build the markdown report from whatever outputs exist.
 
-    Missing figures are listed as not-yet-generated rather than failing,
-    so a partial benchmark run still collates.
+@dataclass(frozen=True)
+class Claim:
+    """One claim of the paper about a figure, and the measured values it reads.
+
+    With a ``chain`` it is an ordering: each named value stands in ``op``
+    to the next one times ``scale`` plus ``margin``, element by element
+    where the values are series.  Without, it is a band: every value
+    within ``lo op x op hi`` (``op`` is ``<=`` or ``<``; ``None`` is open).
+    ``pending`` names the ROADMAP item that a claim failing today awaits.
     """
-    sections: List[str] = [
-        "# ECF reproduction report",
-        "",
-        "Generated from `benchmarks/output/*.txt` "
-        "(run `pytest benchmarks/ --benchmark-only` to refresh).",
-    ]
-    missing: List[str] = []
-    for name, title in index:
-        path = output_dir / f"{name}.txt"
-        sections.append(f"\n## {title}\n")
-        if path.exists():
-            sections.append("```")
-            sections.append(path.read_text().rstrip())
-            sections.append("```")
-        else:
-            sections.append("*(not yet generated)*")
-            missing.append(name)
-    if missing:
-        sections.append(
-            "\n---\nMissing outputs: " + ", ".join(missing)
-        )
-    return "\n".join(sections) + "\n"
+
+    id: str
+    text: str
+    paper: str
+    values: Values
+    chain: Tuple[str, ...] = ()
+    op: str = "<="
+    scale: float = 1.0
+    margin: float = 0.0
+    lo: Optional[float] = None
+    hi: Optional[float] = None
+    pending: str = ""
+    verdict: str = ""
+
+    def evaluate(self, values: Optional[Values] = None) -> str:
+        """``holds`` or ``fails``, from ``values`` (by default the record's own)."""
+        v = {k: x if isinstance(x, list) else [x] for k, x in (values or self.values).items()}
+        pairs = [
+            (a, b * self.scale + self.margin)
+            for low, high in zip(self.chain, self.chain[1:]) for a, b in zip(v[low], v[high])
+        ] if self.chain else [
+            (a, b) for xs in v.values() for x in xs
+            for a, b in ((self.lo, x), (x, self.hi)) if a is not None and b is not None
+        ]
+        return "holds" if all(OPS[self.op](a, b) for a, b in pairs) else "fails"
+
+    def measured(self) -> str:
+        """The relation with the measured values in place, for the table."""
+        def show(name: str) -> str:
+            v = self.values[name]
+            return f"{name} {min(v):.3g}..{max(v):.3g} (n={len(v)})" if isinstance(v, list) else f"{name} {v:.3g}"
+
+        op = f" {self.op} ".replace("<=", "≤").replace(">=", "≥")
+        if not self.chain:
+            lo = "" if self.lo is None else f"{self.lo:g}{op}"
+            return lo + ", ".join(map(show, self.values)) + ("" if self.hi is None else f"{op}{self.hi:g}")
+        scale = "" if self.scale == 1 else f"{self.scale:g} × "
+        return f"{op}{scale}".join(map(show, self.chain)) + (f" {self.margin:+g}" if self.margin else "")
+
+
+def load_claims(output_dir: Path) -> Dict[str, List[Claim]]:
+    """The committed records under ``output_dir``, per figure, in paper order."""
+    return {
+        name: [Claim(**dict(c, chain=tuple(c["chain"]))) for c in json.loads(path.read_text())]
+        for name, _ in FIGURE_INDEX
+        for path in [output_dir / f"{name}.claims.json"] if path.exists()
+    }
+
+
+def render(output_dir: Path) -> str:
+    """EXPERIMENTS.md's verdict table, one row per committed claim."""
+    label = {name: title.split(":")[0] for name, title in FIGURE_INDEX}
+    rows = ["| Figure | Claim | Paper | Measured | Verdict |", "|---|---|---|---|---|"]
+    for name, claims in load_claims(output_dir).items():
+        for c in claims:
+            verdict = f"{c.verdict} (awaits {c.pending})" if c.pending else c.verdict
+            rows.append(f"| {label[name]} | {c.text} | {c.paper} | {c.measured()} | {verdict} |")
+    return "\n".join(rows) + "\n"
 
 
 def default_output_dir(start: Optional[Path] = None) -> Path:

@@ -264,6 +264,7 @@ class TestCacheBehavior:
             "packed floats",
             "edited packed path",
             "edited header kind",
+            "non-UTF-8 header",
         ],
     )
     def test_verify_accepts_exactly_what_get_returns(self, tmp_path, fixture):
@@ -283,6 +284,8 @@ class TestCacheBehavior:
                 path.write_text(path.read_text().replace('"samples"]', '"sample"]', 1))
         elif fixture == "edited header kind":
             path.write_text(path.read_text().replace('"bulk_download"', '"streaming"', 1))
+        elif fixture == "non-UTF-8 header":
+            path.write_bytes(b"\xff" + path.read_bytes())
         elif fixture == "truncated body":
             path.write_text(path.read_text()[:-20])
         elif fixture == "flipped digit":

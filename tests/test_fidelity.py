@@ -3,12 +3,8 @@
 import pytest
 
 from repro.experiments import fidelity
-from repro.experiments.fidelity import (
-    ALL_CHECKS,
-    CheckResult,
-    FidelityReport,
-    validate_transport,
-)
+from repro.experiments.fidelity import ALL_CHECKS, FidelityReport, validate_transport
+from repro.experiments.report import Claim
 
 
 class TestSinglePathGoodput:
@@ -22,9 +18,9 @@ class TestSinglePathGoodput:
         elapsed = 10_000_000 * 8 / (goodput_mbps * 1e6)
         monkeypatch.setattr(fidelity, "_timed_transfer", lambda *args: (elapsed, None))
         check = fidelity.check_single_path_goodput()
-        assert check.measured == pytest.approx(goodput_mbps)
-        assert check.passed is passed
-        assert check.expectation.startswith("7.432..8.258 Mbps")
+        assert check.values["goodput"] == pytest.approx(goodput_mbps)
+        assert (check.evaluate() == "holds") is passed
+        assert check.measured().startswith("7.43204 ≤ goodput") and check.measured().endswith("≤ 8.25782")
 
 
 class TestBattery:
@@ -36,21 +32,21 @@ class TestBattery:
         report = validate_transport()
         assert len(report.checks) == len(ALL_CHECKS)
         for check in report.checks:
-            assert check.measured == check.measured  # not NaN
-            assert check.expectation
+            assert all(v == v for v in check.values.values())  # not NaN
+            assert check.text
 
     def test_summary_renders_all_checks(self):
         report = validate_transport()
         text = report.summary()
         for check in report.checks:
-            assert check.name in text
+            assert check.id in text
 
 
 class TestReportMechanics:
     def test_failed_check_fails_report(self):
         report = FidelityReport(checks=[
-            CheckResult("good", True, 1.0, "x"),
-            CheckResult("bad", False, 0.0, "y"),
+            Claim("good", "x", "", {"x": 1.0}, lo=0.5),
+            Claim("bad", "y", "", {"y": 0.0}, lo=0.5),
         ])
         assert not report.passed
         assert "FAIL" in report.summary()
