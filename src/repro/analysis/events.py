@@ -183,9 +183,6 @@ class EcfDecision(Event):
     waiting_after: bool
     n_rounds: float
     threshold: float
-    #: True when a twin-run fork overrode Algorithm 1's outcome for this
-    #: decision (the logged ``decision`` is the forced one).
-    forced: bool = False
 
 
 @dataclass(frozen=True)
@@ -380,7 +377,7 @@ class _Tap(_probe.Probe):
 
     def ecf_decision(
         self, scheduler: Any, conn: Any, fastest: Any, second: Any,
-        inputs: Any, wait: bool, waiting_before: bool, forced: bool,
+        inputs: Any, wait: bool, waiting_before: bool,
     ) -> None:
         self.emit(EcfDecision(
             t=conn.sim.now,
@@ -402,7 +399,6 @@ class _Tap(_probe.Probe):
             waiting_after=scheduler.waiting,
             n_rounds=inputs.n_rounds,
             threshold=inputs.threshold,
-            forced=forced,
         ))
 
     def decision(self, scheduler: Any, conn: Any, choice: Any) -> None:

@@ -17,9 +17,9 @@ The shell is thin and says each thing once:
 
 * **one spec builder per spec type** (``_bulk_spec``, ``_streaming_spec``,
   ``_web_spec``, ``_wild_spec``): every command that runs a workload --
-  ``download``, ``streaming``, ``web``, ``grid``, ``wild``, ``twin``, each
-  ``check`` scenario, each ``campaign submit --sweep`` kind -- turns its
-  flags into a spec there and hands it to the library;
+  ``download``, ``streaming``, ``web``, ``grid``, ``wild``, each ``check``
+  scenario, each ``campaign submit --sweep`` kind -- turns its flags into
+  a spec there and hands it to the library;
 * **one tool-switch table** (``_tool_switches``): ``--sanitize``,
   ``--check``, ``--perf``, ``--obs`` and ``--obs-dir`` are rows of
   ``(flag, env var, metavar, help)`` that the parser and ``main`` both
@@ -237,65 +237,6 @@ def cmd_web(args) -> int:
             f"{percentile(cts, 95):>8.2f}s{result.page_load_time:>10.2f}s"
         )
     return 0
-
-
-def cmd_twin(args) -> int:
-    from repro.experiments import twin
-    from repro.obs.timeline import twin_timeline_document
-
-    cells = [(w, l) for w in args.wifi for l in args.lte]
-    reports = []
-    failures = 0
-    print(
-        f"{'wifi':>6}{'lte':>6}{'decisions':>11}{'replayed':>10}"
-        f"{'mean regret':>13}{'worst regret':>14}"
-    )
-    for wifi, lte in cells:
-        cell = argparse.Namespace(**{**vars(args), "wifi": wifi, "lte": lte})
-        spec = replace(_bulk_spec(cell, "ecf"), timeout=args.timeout)
-        if args.verify:
-            check = twin.verify_fork_equivalence(
-                spec, checkpoint_every=args.checkpoint_every
-            )
-            if not check["ok"]:
-                failures += 1
-                print(
-                    f"FORK-EQUIVALENCE FAILED wifi={wifi} lte={lte}: "
-                    f"{check['baseline_digest']} != {check['replay_digest']}",
-                    file=sys.stderr,
-                )
-            reports.append(check)
-            print(
-                f"{wifi:>6.1f}{lte:>6.1f}{check['decisions_total']:>11d}"
-                f"{'':>10}{'verify ' + ('ok' if check['ok'] else 'FAIL'):>27}"
-            )
-            continue
-        report = twin.twin_report(
-            spec,
-            checkpoint_every=args.checkpoint_every,
-            max_decisions=args.max_decisions,
-        )
-        reports.append(report)
-        deltas = [r["completion_delta"] for r in report["regret"]]
-        mean = sum(deltas) / len(deltas) if deltas else 0.0
-        # Regret of the counterfactual: negative means flipping that
-        # decision would have *finished sooner* than what ECF chose.
-        worst = min(deltas, default=0.0)
-        print(
-            f"{wifi:>6.1f}{lte:>6.1f}{report['decisions_total']:>11d}"
-            f"{report['decisions_replayed']:>10d}{mean:>+12.4f}s{worst:>+13.4f}s"
-        )
-        if args.trace_out:
-            trace_path = Path(args.trace_out)
-            if len(cells) > 1:
-                trace_path = trace_path.with_name(
-                    f"{trace_path.stem}-w{wifi:g}-l{lte:g}{trace_path.suffix}"
-                )
-            _emit(json.dumps(twin_timeline_document(report)), str(trace_path))
-    if args.output:
-        document = {"kind": "twin_grid", "cells": reports}
-        _emit(json.dumps(document, indent=2, sort_keys=True) + "\n", args.output)
-    return 1 if failures else 0
 
 
 def cmd_grid(args) -> int:
@@ -742,29 +683,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     _add_executor_flags(p)
     _add_tool_switches(p, "--sanitize", "--check", "--obs", "--obs-dir")
-
-    p = command(
-        sub, "twin", cmd_twin,
-        "counterfactual twin runs: per-decision ECF-vs-minRTT regret "
-        "via checkpoint/fork (see repro.experiments.twin)",
-    )
-    p.add_argument("--wifi", type=float, nargs="+", default=[1.0, 4.2],
-                   help="WiFi rates (Mbps); crossed with --lte into a grid")
-    p.add_argument("--lte", type=float, nargs="+", default=[8.6],
-                   help="LTE rates (Mbps); crossed with --wifi into a grid")
-    p.add_argument("--size", type=parse_size, default=parse_size("256k"))
-    p.add_argument("--seed", type=int, default=3)
-    p.add_argument("--timeout", type=float, default=300.0)
-    p.add_argument("--max-decisions", type=int, default=None,
-                   help="replay at most this many decisions per cell (default: all)")
-    p.add_argument("--checkpoint-every", type=int, default=2000,
-                   help="events per checkpoint in the recording pass")
-    p.add_argument("-o", "--output", default=None, help="write JSON report here")
-    p.add_argument("--trace-out", default=None,
-                   help="write Perfetto counterfactual-span trace(s) here")
-    p.add_argument("--verify", action="store_true",
-                   help="fork-equivalence check only: force the recorded choice and "
-                   "require a byte-identical result (CI gate)")
 
     p = command(sub, "wild", cmd_wild, "in-the-wild emulation")
     p.add_argument("--runs", type=int, default=5)

@@ -26,7 +26,7 @@ hot window.
 from __future__ import annotations
 
 import math
-from typing import TYPE_CHECKING, Dict, NamedTuple, Optional
+from typing import TYPE_CHECKING, NamedTuple, Optional
 
 from repro.core.base import Scheduler
 from repro.sim import probe as _probe
@@ -86,7 +86,6 @@ class EcfScheduler(Scheduler):
         "use_second_inequality",
         "waiting",
         "ecf_decisions",
-        "forced_decisions",
     )
 
     #: The snapshot contract: the fields this class gives birth to
@@ -96,7 +95,6 @@ class EcfScheduler(Scheduler):
         "use_second_inequality",
         "waiting",
         "ecf_decisions",
-        "forced_decisions",
     )
 
     def __init__(self, beta: float = DEFAULT_BETA, use_second_inequality: bool = True) -> None:
@@ -108,20 +106,10 @@ class EcfScheduler(Scheduler):
         self.beta = beta
         self.use_second_inequality = use_second_inequality
         self.waiting = False
-        #: Monotone count of Algorithm 1 evaluations -- the index the
-        #: twin-run driver keys its forced-choice overrides on.
+        #: Monotone count of Algorithm 1 evaluations, on the bound path
+        #: and the exact path alike: the tests hold the two paths to the
+        #: same count.
         self.ecf_decisions = 0
-        #: Decision index -> "wait" | "slow".  A forked world forces the
-        #: counterfactual choice here; the hysteresis update still runs
-        #: on the final (forced) value, so forcing the choice the
-        #: scheduler would have made anyway replays byte-identically.
-        self.forced_decisions: Dict[int, str] = {}
-
-    def force_decision(self, index: int, choice: str) -> None:
-        """Override Algorithm 1's outcome for the ``index``-th decision."""
-        if choice not in ("wait", "slow"):
-            raise ValueError(f"choice must be 'wait' or 'slow', got {choice!r}")
-        self.forced_decisions[index] = choice
 
     def __init_subclass__(cls, **kwargs: object) -> None:
         super().__init_subclass__(**kwargs)
@@ -141,10 +129,10 @@ class EcfScheduler(Scheduler):
         :mod:`repro.analysis.fixtures`) stay fully observable to the
         differential oracle.
 
-        With no probe armed, no forced decision and the stock Algorithm 1,
-        the decision is first tried on ``delta`` in ``[0, delta_hi]``,
-        ``delta_hi = SIGMA_BOUND * max`` over both sample windows (neither
-        window's sigma exceeds it).  Float ``+`` and ``*`` round
+        With no probe armed and the stock Algorithm 1, the decision is
+        first tried on ``delta`` in ``[0, delta_hi]``, ``delta_hi =
+        SIGMA_BOUND * max`` over both sample windows (neither window's
+        sigma exceeds it).  Float ``+`` and ``*`` round
         monotonically on non-negative operands, so a verdict that holds
         at both ends of that range is the exact verdict, with the same
         hysteresis update; only the close calls go on to the exact path
@@ -156,7 +144,7 @@ class EcfScheduler(Scheduler):
         if second is fastest:
             return fastest
         # Fastest is full; ``second`` is the default scheduler's pick.
-        if self._stock_algorithm and _probe.ACTIVE is None and not self.forced_decisions:
+        if self._stock_algorithm and _probe.ACTIVE is None:
             # ``_decision_inputs`` on locals, less delta.
             k_segments = conn.unassigned_bytes / conn.config.mss
             fast_rtt = fastest.rtt
@@ -199,13 +187,9 @@ class EcfScheduler(Scheduler):
                     self.ecf_decisions += 1
                     return second
         waiting_before = self.waiting
-        index = self.ecf_decisions
-        self.ecf_decisions = index + 1
+        self.ecf_decisions += 1
         inputs = self._decision_inputs(conn, fastest, second)
         wait = self._evaluate(inputs)
-        forced = self.forced_decisions.get(index) if self.forced_decisions else None
-        if forced is not None:
-            wait = forced == "wait"
         if wait:
             self.waiting = True
         elif not (inputs.n_rounds * inputs.rtt_f < inputs.threshold):
@@ -214,9 +198,7 @@ class EcfScheduler(Scheduler):
             self.waiting = False
         probe = _probe.ACTIVE
         if probe is not None:
-            probe.ecf_decision(
-                self, conn, fastest, second, inputs, wait, waiting_before, forced is not None
-            )
+            probe.ecf_decision(self, conn, fastest, second, inputs, wait, waiting_before)
         return None if wait else second
 
     # ------------------------------------------------------------------

@@ -66,20 +66,6 @@ def ccdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
     return [(x, 1.0 - p) for x, p in cdf(samples)]
 
 
-def fraction_at_most(samples: Sequence[float], threshold: float) -> float:
-    """P[X <= threshold] over the sample set (0.0 if empty)."""
-    if not samples:
-        return 0.0
-    return sum(1 for x in samples if x <= threshold) / len(samples)
-
-
-def fraction_at_least(samples: Sequence[float], threshold: float) -> float:
-    """P[X >= threshold] over the sample set (0.0 if empty)."""
-    if not samples:
-        return 0.0
-    return sum(1 for x in samples if x >= threshold) / len(samples)
-
-
 @dataclass(frozen=True)
 class Summary:
     """Five-number-style summary of a sample set."""

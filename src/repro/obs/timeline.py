@@ -295,82 +295,6 @@ def timeline_document(
 
 
 # ----------------------------------------------------------------------
-# Counterfactual twin spans
-# ----------------------------------------------------------------------
-
-
-def counterfactual_spans(
-    report: Mapping[str, Any], tid: int = 1
-) -> List[Dict[str, Any]]:
-    """Twin-report regret records -> Perfetto ``X``/``C`` events.
-
-    Each per-decision record from :func:`repro.experiments.twin.twin_report`
-    becomes a duration span starting at the decision instant whose length
-    is the completion-time regret of the *forced* (counterfactual) choice
-    -- scrubbing the track shows exactly which wait/send decisions
-    mattered -- plus a ``completion_delta`` counter track charting the
-    regret magnitude over the run.
-    """
-    out: List[Dict[str, Any]] = []
-    for record in report.get("regret", ()):
-        delta = record["completion_delta"]
-        # A 0-regret decision still gets a visible 1us sliver.
-        duration = max(_us(abs(delta)), 1)
-        out.append(
-            {
-                "ph": "X",
-                "name": (
-                    f"forced {record['forced']}: {delta:+.4f}s"
-                ),
-                "cat": "counterfactual",
-                "ts": _us(record["t"]),
-                "dur": duration,
-                "pid": _PID,
-                "tid": tid,
-                "args": {key: _finite(value) for key, value in record.items()},
-            }
-        )
-        out.append(
-            {
-                "ph": "C",
-                "name": "completion_delta",
-                "ts": _us(record["t"]),
-                "pid": _PID,
-                "tid": 0,
-                "args": {"value": _finite(delta)},
-            }
-        )
-    return out
-
-
-def twin_timeline_document(report: Mapping[str, Any]) -> Dict[str, Any]:
-    """Standalone Perfetto document for one twin report.
-
-    The result loads in https://ui.perfetto.dev as-is: one
-    ``counterfactual regret`` track of per-decision spans plus the
-    regret counter, labelled with the baseline run's scheduler.
-    """
-    scheduler = report.get("spec", {}).get("scheduler", "?")
-    tracks = _Tracks()
-    tid = tracks.tid("counterfactual", scheduler, "counterfactual regret")
-    process_meta = {
-        "ph": "M",
-        "name": "process_name",
-        "pid": _PID,
-        "tid": 0,
-        "args": {"name": f"twin run ({scheduler})"},
-    }
-    return {
-        "displayTimeUnit": "ms",
-        "traceEvents": [
-            process_meta,
-            *tracks.metadata,
-            *counterfactual_spans(report, tid),
-        ],
-    }
-
-
-# ----------------------------------------------------------------------
 # Validation
 # ----------------------------------------------------------------------
 _KNOWN_PHASES = frozenset({"i", "X", "C", "M", "B", "E", "b", "e", "n"})

@@ -8,8 +8,8 @@ This package provides the substrate every other subsystem runs on:
   streams so experiments are reproducible event-order-independently.
 * :class:`~repro.sim.trace.TraceRecorder` -- lightweight named time-series
   collection used for CWND traces, send-buffer occupancy, etc.
-* :mod:`repro.sim.snapshot` -- checkpoint/fork of a live simulation
-  (:func:`~repro.sim.snapshot.capture` / ``restore`` / ``fork``).
+* :mod:`repro.sim.snapshot` -- checkpoint/restore of a live simulation
+  (:func:`~repro.sim.snapshot.capture` / ``restore``).
 * :mod:`repro.sim.codec` -- the one wire codec every spec, result,
   kind-spec and event record serializes through.
 

@@ -121,7 +121,7 @@ class Probe:
 
     def ecf_decision(
         self, scheduler: Any, conn: Any, fastest: Any, second: Any,
-        inputs: Any, wait: bool, waiting_before: bool, forced: bool,
+        inputs: Any, wait: bool, waiting_before: bool,
     ) -> None:
         """Algorithm 1 was evaluated in full; hysteresis already updated."""
 

@@ -1,9 +1,8 @@
-"""Runtime checkpoint/fork of a live simulation.
+"""Runtime checkpoint/restore of a live simulation.
 
-The substrate of the counterfactual twin
-(:mod:`repro.experiments.twin`), and the one enforcer of the snapshot
-contract: a class's ``STATE_FIELDS`` tuple is its complete mutable
-state, and :func:`capture` refuses, per instance, anything outside it.
+The one enforcer of the snapshot contract: a class's ``STATE_FIELDS``
+tuple is its complete mutable state, and :func:`capture` refuses, per
+instance, anything outside it.
 :func:`capture` walks the object graph from the
 :class:`~repro.sim.engine.Simulator` and any extra roots, deep-copying
 exactly the ``STATE_FIELDS`` every class declares:
@@ -34,12 +33,9 @@ congestion controller is captured, restored and replayed in
 when a class declaring ``STATE_FIELDS`` appears in no fixture world.
 
 :func:`restore` rebuilds the world two-phase -- blank instances first,
-then field fills with references resolved through the registry -- and
-:func:`fork` layers a caller override (e.g. forcing the opposite ECF
-decision) on a restored world.  Since the simulator is deterministic,
-``capture`` at an event boundary followed by ``restore`` replays the
-original future byte-identically; the twin driver in
-:mod:`repro.experiments.twin` builds on exactly that property.
+then field fills with references resolved through the registry.  Since
+the simulator is deterministic, ``capture`` at an event boundary
+followed by ``restore`` replays the original future byte-identically.
 
 Checkpoints are event-boundary only: :func:`capture` refuses while
 ``Simulator.run()`` is on the stack, because the Python frames of a
@@ -56,11 +52,11 @@ import random
 import types
 from array import array
 from collections import deque
-from typing import Any, Callable, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 from repro.sim.engine import Simulator
 
-__all__ = ["Snapshot", "SnapshotError", "capture", "restore", "fork"]
+__all__ = ["Snapshot", "SnapshotError", "capture", "restore"]
 
 _PRIMITIVES = (type(None), bool, int, float, str, bytes)
 #: The same types for an exact ``type(value) in`` test; their subclasses
@@ -298,7 +294,7 @@ def capture(sim: Simulator, roots: Optional[Mapping[str, Any]] = None) -> Snapsh
 
 
 # ----------------------------------------------------------------------
-# Restore / fork
+# Restore
 # ----------------------------------------------------------------------
 
 
@@ -398,18 +394,3 @@ def restore(snapshot: Snapshot) -> Dict[str, Any]:
     return {name: restorer.decode(encoded)
             for name, encoded in snapshot.roots.items()}
 
-
-def fork(
-    snapshot: Snapshot, override: Optional[Callable[[Dict[str, Any]], None]] = None
-) -> Dict[str, Any]:
-    """Restore a world and apply a counterfactual ``override`` to it.
-
-    ``override`` receives the restored roots dict and mutates state in
-    place -- e.g. forcing the opposite choice on an
-    :class:`~repro.core.ecf.EcfScheduler` -- before the caller runs the
-    forked future to completion.
-    """
-    world = restore(snapshot)
-    if override is not None:
-        override(world)
-    return world

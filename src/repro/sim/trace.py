@@ -104,11 +104,6 @@ class TraceRecorder:
         """Samples with ``start <= time <= end``."""
         return [(t, v) for t, v in self.series(name) if start <= t <= end]
 
-    def merge(self, other: "TraceRecorder", prefix: str = "") -> None:
-        """Copy all series from ``other`` into this recorder."""
-        for name in other.names():
-            self._bucket(prefix + name).extend(other.series(name))
-
     def extend(self, series: str, samples: Iterable[Sample]) -> None:
         """Bulk-append pre-timestamped samples (bypasses ``enabled``)."""
         self._bucket(series).extend(samples)

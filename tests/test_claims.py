@@ -2,13 +2,16 @@
 
 Each benchmark harness writes its claims to
 ``benchmarks/output/<figure>.claims.json`` (see
-``repro.experiments.report``).  These tests run no simulation: they hold
-EXPERIMENTS.md's verdict table to the rendering of the committed records,
-every record to the verdict its values give, and every ordering claim to
-a verdict that flips when its series are swapped -- a claim that cannot
-fail carries no evidence.
+``repro.experiments.report``).  These tests hold EXPERIMENTS.md's
+verdict table to the rendering of the committed records, every record to
+the verdict its values give, and every ordering claim to a verdict that
+flips when its series are swapped -- a claim that cannot fail carries no
+evidence.  Nothing else re-runs a harness when the simulator changes, so
+a small canary (``TestCommittedValuesAreCurrent``, under a second)
+re-measures a few committed values and requires them bit for bit.
 """
 
+import importlib.util
 from pathlib import Path
 
 import pytest
@@ -167,3 +170,37 @@ class TestSwappedSeriesFlip:
     def test_every_exception_is_a_live_ordering_claim(self):
         assert set(CANNOT_FLIP) <= {claim.id for claim in ORDERINGS}
         assert all("ROADMAP item" in reason for reason in CANNOT_FLIP.values())
+
+
+def harness(name, monkeypatch):
+    """Load ``benchmarks/<name>.py`` as a module (its ``bench_common``
+    import resolves from ``benchmarks/``)."""
+    monkeypatch.syspath_prepend(str(ROOT / "benchmarks"))
+    spec = importlib.util.spec_from_file_location(f"harness_{name}", ROOT / "benchmarks" / f"{name}.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def committed(claim_id):
+    return next(claim for claim in CLAIMS if claim.id == claim_id).values
+
+
+class TestCommittedValuesAreCurrent:
+    """A simulator change that moves a committed measurement fails here
+    until the harnesses are re-run and their outputs committed."""
+
+    @pytest.mark.parametrize("iface", ["wifi", "lte"])
+    @pytest.mark.parametrize("bw", [0.3, 0.7, 1.1, 1.7, 4.2, 8.6])
+    def test_table_2_cell(self, iface, bw, monkeypatch):
+        tab02 = harness("test_tab02_rtt", monkeypatch)
+        assert bw in tab02.BANDWIDTHS
+        config = {"wifi": tab02.wifi_config, "lte": tab02.lte_config}[iface]
+        measured = tab02.measure_rtt(config, bw)
+        assert measured == committed(f"tab02_rtt.{iface}_falls")[f"{bw:g}"]
+
+    def test_ecf_web_cell_at_1_10(self, monkeypatch):
+        web = harness("test_fig20_21_web", monkeypatch)
+        result = web.run_web(web.WebBrowsingSpec(scheduler="ecf", path_configs=web.CONFIGS["1.0-10.0"], seed=4))
+        assert result.mean_completion_time == committed("fig20_21_web.hetero_completion")["ecf"]
+        assert web.percentile(result.ooo_delays, 99) == committed("fig20_21_web.hetero_ooo_p99")["ecf"]

@@ -57,8 +57,8 @@ FIXTURES = SCHEDULERS + ("ecf-nowait", "ecf-noineq2", "ecf-invbeta")
 #: A flag that appears, moves, or changes its default is a diff here.
 PARSER_SURFACE = [
     ("", (), "command", None,
-     ("download", "streaming", "web", "grid", "twin", "wild", "campaign", "check", "lint",
-      "trace", "report"), "A...", True, None),
+     ("download", "streaming", "web", "grid", "wild", "campaign", "check", "lint", "trace",
+      "report"), "A...", True, None),
     ("download", ("--scheduler",), "scheduler", ["minrtt", "ecf"], SCHEDULERS, "+", False, None),
     ("download", ("--wifi",), "wifi", 1.0, None, None, False, "float"),
     ("download", ("--lte",), "lte", 8.6, None, None, False, "float"),
@@ -93,16 +93,6 @@ PARSER_SURFACE = [
     ("grid", ("--check",), "check", False, None, 0, False, None),
     ("grid", ("--obs",), "obs", False, None, 0, False, None),
     ("grid", ("--obs-dir",), "obs_dir", None, None, None, False, None),
-    ("twin", ("--wifi",), "wifi", [1.0, 4.2], None, "+", False, "float"),
-    ("twin", ("--lte",), "lte", [8.6], None, "+", False, "float"),
-    ("twin", ("--size",), "size", 262144, None, None, False, "parse_size"),
-    ("twin", ("--seed",), "seed", 3, None, None, False, "int"),
-    ("twin", ("--timeout",), "timeout", 300.0, None, None, False, "float"),
-    ("twin", ("--max-decisions",), "max_decisions", None, None, None, False, "int"),
-    ("twin", ("--checkpoint-every",), "checkpoint_every", 2000, None, None, False, "int"),
-    ("twin", ("-o", "--output"), "output", None, None, None, False, None),
-    ("twin", ("--trace-out",), "trace_out", None, None, None, False, None),
-    ("twin", ("--verify",), "verify", False, None, 0, False, None),
     ("wild", ("--runs",), "runs", 5, None, None, False, "int"),
     ("wild", ("--video",), "video", 60.0, None, None, False, "float"),
     ("wild", ("--jobs",), "jobs", 1, None, None, False, "_positive_int"),

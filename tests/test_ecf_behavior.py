@@ -291,19 +291,3 @@ class TestBoundPath:
         assert type(nowait) is NoWaitEcfScheduler
         assert stock_counts["waits"] > 0
         assert nowait.ecf_decisions > 0 and nowait_counts["waits"] == 0
-
-    def test_forced_decision_overrides_a_clear_cut_verdict(self, sim):
-        """A forced decision goes through the exact path, probe or not."""
-        conn = warmed_conn(sim)
-        fast, slow = conn.subflows
-        fast.cwnd = slow.cwnd = 10.0
-        fast._in_flight = 10
-        conn.unassigned_bytes = 2000 * conn.mss  # inequality 1 fails: send
-        scheduler = conn.scheduler
-        scheduler.force_decision(0, "wait")
-        assert scheduler.select(conn) is None
-        assert scheduler.waiting and scheduler.ecf_decisions == 1
-        conn.unassigned_bytes = conn.mss  # Algorithm 1 says: wait
-        scheduler.force_decision(1, "slow")
-        assert scheduler.select(conn) is slow
-        assert scheduler.ecf_decisions == 2

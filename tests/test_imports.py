@@ -16,6 +16,7 @@ a docstring only, and each tool is imported where its switch is read, so
   and no tool;
 * the bench's imports compile no executor, tool or DASH run-time: a
   first drain loads the executor, a first streaming session the player;
+  and every name the bench imports from ``repro`` still resolves;
 * importing the campaign runner does not run the daemon, the checker or
   the perf collector;
 * every root name resolves to its home module's object, and
@@ -59,9 +60,10 @@ ROOTS = ("repro", "repro.service", "repro.experiments", "repro.obs")
 
 PACKAGE_DIR = Path(repro.__file__).parent
 
-#: The benchmark's workload module: its ``repro`` imports are what every
-#: bench child compiles before it times anything.
-BENCH_WORKLOADS = PACKAGE_DIR.parent.parent / "bench" / "workloads.py"
+#: The benchmark's directory; its workload module's ``repro`` imports are
+#: what every bench child compiles before it times anything.
+BENCH_DIR = PACKAGE_DIR.parent.parent / "bench"
+BENCH_WORKLOADS = BENCH_DIR / "workloads.py"
 
 #: Upper layers the transport's closure must not reach.
 UPPER = ("repro.service", "repro.experiments", "repro.obs", "repro.perf")
@@ -106,6 +108,45 @@ def bench_imports():
         for node in body
         if isinstance(node, ast.ImportFrom) and node.module.split(".")[0] == "repro"
     )
+
+
+def bench_names():
+    """Every ``(module, name)`` of a ``from repro... import name`` in the
+    bench and its tests, at module or function scope."""
+    sources = sorted(BENCH_DIR.glob("*.py")) + sorted(BENCH_DIR.glob("tests/*.py"))
+    return sorted({
+        (node.module, alias.name)
+        for path in sources
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level == 0
+        and node.module.split(".")[0] == "repro"
+        for alias in node.names
+    })
+
+
+def test_every_name_the_bench_imports_resolves():
+    """The bench is not edited with the package: a name it imports that
+    the package drops breaks every bench child, so each must still be an
+    attribute of its module."""
+    names = bench_names()
+    assert ("repro.experiments.twin", "build_world") in names
+    assert ("repro.sim.snapshot", "restore") in names
+    # As ``from module import name`` resolves it: an attribute, or else
+    # a submodule, which importing binds as one.
+    unresolved = child(
+        "import importlib\n"
+        "def resolves(module, name):\n"
+        "    if not hasattr(importlib.import_module(module), name):\n"
+        "        try:\n"
+        "            importlib.import_module(f'{module}.{name}')\n"
+        "        except ModuleNotFoundError:\n"
+        "            pass\n"
+        "    return hasattr(sys.modules[module], name)\n"
+        f"names = {names!r}\n"
+        "print(json.dumps([f'{m}.{n}' for m, n in names if not resolves(m, n)]))",
+        REPRO_SANITIZE="",
+    )
+    assert unresolved == []
 
 
 @pytest.mark.parametrize("module", TRANSPORT)

@@ -6,8 +6,6 @@ from repro.metrics.collectors import PeriodicSampler
 from repro.metrics.stats import (
     ccdf,
     cdf,
-    fraction_at_least,
-    fraction_at_most,
     mean,
     percentile,
     stdev,
@@ -60,13 +58,6 @@ class TestStats:
         for (x1, p), (x2, q) in zip(cdf(data), ccdf(data)):
             assert x1 == x2
             assert p + q == pytest.approx(1.0)
-
-    def test_fraction_at_most(self):
-        assert fraction_at_most([1, 2, 3, 4], 2) == 0.5
-        assert fraction_at_most([], 1) == 0.0
-
-    def test_fraction_at_least(self):
-        assert fraction_at_least([1, 2, 3, 4], 3) == 0.5
 
     def test_summary_fields(self):
         s = summarize([1.0, 2.0, 3.0, 4.0, 100.0])

@@ -90,12 +90,6 @@ class TestTraceRecorder:
             trace.record("x", float(t), float(t))
         assert trace.window("x", 1.0, 3.0) == [(1.0, 1.0), (2.0, 2.0), (3.0, 3.0)]
 
-    def test_merge_with_prefix(self):
-        a, b = TraceRecorder(), TraceRecorder()
-        b.record("x", 1.0, 2.0)
-        a.merge(b, prefix="run1.")
-        assert a.series("run1.x") == [(1.0, 2.0)]
-
     def test_extend_bypasses_enabled(self):
         trace = TraceRecorder(enabled=False)
         trace.extend("x", [(0.0, 1.0)])
@@ -149,14 +143,6 @@ class TestTraceRecorderSampleCap:
         trace = TraceRecorder(max_samples_per_series=2)
         trace.extend("x", [(0.0, 0.0), (1.0, 1.0), (2.0, 2.0)])
         assert trace.series("x") == [(1.0, 1.0), (2.0, 2.0)]
-
-    def test_merge_into_capped_recorder(self):
-        src = TraceRecorder()
-        for t in range(4):
-            src.record("x", float(t), float(t))
-        dst = TraceRecorder(max_samples_per_series=2)
-        dst.merge(src)
-        assert dst.series("x") == [(2.0, 2.0), (3.0, 3.0)]
 
     def test_uncapped_series_unbounded(self):
         trace = TraceRecorder()

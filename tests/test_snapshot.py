@@ -1,4 +1,4 @@
-"""Checkpoint/fork round-trips for :mod:`repro.sim.snapshot`.
+"""Checkpoint/restore round-trips for :mod:`repro.sim.snapshot`.
 
 The coverage suite is auto-generated from the classes that declare
 ``STATE_FIELDS`` (``tests.conftest.declaring_classes`` finds them by
@@ -11,10 +11,13 @@ parametrized case by name.
 import dataclasses
 import enum
 import functools
+import hashlib
+import json
 import random
 import types
 from array import array
 from collections import deque
+from pathlib import Path
 from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
 
 import pytest
@@ -22,7 +25,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.analysis import sanitize
-from repro.apps.bulk import BulkDownloadSpec, build_world, finish
+from repro.apps.bulk import BulkDownloadSpec, build_world, finish, run_bulk
 from repro.apps.http import HttpSession
 from repro.core.ecf import EcfScheduler
 from repro.core.minrtt import MinRttScheduler
@@ -33,7 +36,7 @@ from repro.net.profiles import lte_config, wifi_config
 from repro.net.topology import LinkSpec, chain_path
 from repro.sim import snapshot as snapmod
 from repro.sim.engine import Simulator
-from repro.sim.snapshot import Snapshot, SnapshotError, capture, fork, restore
+from repro.sim.snapshot import Snapshot, SnapshotError, capture, restore
 from repro.sim.trace import TraceRecorder
 from tests.conftest import STATE_PACKAGES, call_counts, declaring_classes
 
@@ -404,25 +407,97 @@ class TestRefusals:
         assert world.recorder.result is None  # the captured owner never heard of it
 
 
-class TestFork:
-    def test_fork_override_sees_the_roots(self):
-        world = _midrun_world("ecf")
-        snap = capture(world.sim, world.roots())
-        seen = {}
+#: The two golden workloads a ``build_world`` world reproduces
+#: byte-for-byte (the exact specs of tests/test_perf.py's golden suite).
+GOLDEN_SPECS = {
+    "bulk_ecf": BulkDownloadSpec(
+        scheduler="ecf", path_configs=(wifi_config(1.0), lte_config(8.6)),
+        size=256_000, seed=3),
+    "bulk_minrtt": BulkDownloadSpec(
+        scheduler="minrtt", path_configs=(wifi_config(1.0), lte_config(8.6)),
+        size=256_000, seed=3),
+}
 
-        def override(roots):
-            seen.update(roots)
-            roots["conn"].scheduler.force_decision(0, "wait")
 
-        forked = fork(snap, override)
-        assert seen["sim"] is forked["sim"]
-        assert forked["conn"].scheduler.forced_decisions == {0: "wait"}
+def _golden(name: str) -> str:
+    path = Path(__file__).parent / "data" / "golden_perf_digests.json"
+    return json.loads(path.read_text())[name]
 
-    def test_fork_without_override_is_plain_restore(self):
-        sim = Simulator()
-        world = fork(capture(sim))
-        assert isinstance(world["sim"], Simulator)
-        assert world["sim"] is not sim
+
+def _digest(result) -> str:
+    """The golden-digest fingerprint (same scheme as the perf suite)."""
+    return hashlib.sha256(canonical_json(result.to_dict()).encode()).hexdigest()
+
+
+def _checkpointed_run(spec, every):
+    """Run ``spec`` out, capturing every ``every`` events.
+
+    Returns the straight run's digest, its scheduler and the
+    ``(ecf_decisions so far, snapshot)`` pairs, the t=0 world first.
+    """
+    world = build_world(spec)
+    scheduler = world.conn.scheduler
+    checkpoints = [(0, capture(world.sim, world.roots()))]
+    while True:
+        executed = world.sim.run(until=spec.timeout, max_events=every)
+        count = getattr(scheduler, "ecf_decisions", 0)
+        checkpoints.append((count, capture(world.sim, world.roots())))
+        if executed < every:
+            break
+    return _digest(finish(spec, world.conn, world.recorder)), scheduler, checkpoints
+
+
+def _run_out(spec, snapshot) -> str:
+    world = restore(snapshot)
+    world["sim"].run(until=spec.timeout)
+    return _digest(finish(spec, world["conn"], world["recorder"]))
+
+
+class TestWorldBuilder:
+    """The closure-free ``build_world`` world must be indistinguishable
+    from ``run_bulk``."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_straight_run_matches_golden_digest(self, name):
+        result = build_world(GOLDEN_SPECS[name]).run_to_completion()
+        assert _digest(result) == _golden(name)
+
+    def test_matches_run_bulk_exactly(self):
+        spec = _spec()
+        assert build_world(spec).run_to_completion().to_dict() == run_bulk(spec).to_dict()
+
+    def test_incomplete_download_raises(self):
+        spec = dataclasses.replace(_spec(size=50_000_000), timeout=1.0)
+        world = build_world(spec)
+        with pytest.raises(RuntimeError, match="did not complete"):
+            world.run_to_completion()
+
+
+class TestForkEquivalence:
+    """A restored checkpoint must run out byte-identical to the straight
+    run.  ``bulk_ecf`` restores the last world before Algorithm 1's first
+    decision, ``bulk_minrtt`` (which takes none) the t=0 world."""
+
+    @pytest.mark.parametrize("name", sorted(GOLDEN_SPECS))
+    def test_golden_workload_fork_is_byte_identical(self, name):
+        spec = GOLDEN_SPECS[name]
+        digest, scheduler, checkpoints = _checkpointed_run(spec, every=500)
+        assert digest == _golden(name)
+        if name == "bulk_ecf":
+            assert scheduler.ecf_decisions > 0
+            snapshot = [snap for count, snap in checkpoints if count == 0][-1]
+        else:
+            assert getattr(scheduler, "ecf_decisions", 0) == 0
+            snapshot = checkpoints[0][1]
+        assert _run_out(spec, snapshot) == digest, f"restore of {name} diverged"
+
+    def test_every_checkpoint_restores_to_the_same_future(self):
+        spec = _spec()
+        digest, _, checkpoints = _checkpointed_run(spec, every=300)
+        assert len(checkpoints) >= 2
+        for count, snapshot in checkpoints:
+            assert _run_out(spec, snapshot) == digest, (
+                f"checkpoint at decision count {count} diverged")
 
 
 class TestSlotsSatellite:
