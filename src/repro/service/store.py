@@ -50,12 +50,12 @@ from __future__ import annotations
 
 import json
 import os
-import sqlite3
 import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 from typing import (
+    TYPE_CHECKING,
     Any,
     Dict,
     FrozenSet,
@@ -68,6 +68,9 @@ from typing import (
 )
 
 from repro.experiments.spec import canonical_json, encode_spec
+
+if TYPE_CHECKING:
+    import sqlite3
 
 PathLike = Union[str, "os.PathLike[str]"]
 
@@ -221,6 +224,10 @@ class CampaignStore:
         self.path = Path(path)
         if self.path.parent != Path(""):
             self.path.parent.mkdir(parents=True, exist_ok=True)
+        # Imported here: a process that runs simulations and opens no
+        # store loads no SQLite (about 1 MB of peak RSS).
+        import sqlite3
+
         self._conn = sqlite3.connect(str(self.path))
         self._conn.row_factory = sqlite3.Row
         # Concurrent drainers hit brief write locks; wait them out

@@ -14,8 +14,8 @@ inheriting :class:`Record`, :class:`Tagged` or :class:`Result`, whose
   are copied, never shared);
 * a field annotated ``array`` (an ``array("d")`` float series, such as a
   result's ``ooo_delays``) encodes as :func:`float_list` and decodes to
-  an ``array("d")``; an array it is handed (a cache entry's packed list)
-  is kept as it is, a list is converted;
+  an ``array("d")``; an ``array("d")`` it is handed (a cache entry's
+  packed list) is kept as it is, a list or another array is converted;
 * a kind-spec (:class:`KindSpec`) becomes ``{"kind", "params": {...}}``
   and decodes through ``of``; a kind-spec field holding an object that
   is not such a spec (a live bandwidth process, say) is a
@@ -81,12 +81,15 @@ _SIGN_BYTE = 7 if sys.byteorder == "little" else 0
 
 
 def float_list(values: array) -> List[float]:
-    """The values of an ``array("d")`` as a JSON-ready list, exact for
-    every float.  Every ``+0.0`` in it is one shared float object, so a
-    delay series (mostly in-order ``0.0`` samples) costs about 8 B per
-    sample here instead of 32; a series holding a ``-0.0`` (or any tiny
-    negative: the check reads sign bytes only) takes the exact
-    ``tolist``, because ``-0.0 or zero`` is ``+0.0``."""
+    """The values of an array as a JSON-ready list of floats, exact for
+    every float; an array of another typecode than ``"d"`` is read as
+    doubles first, so it writes as the list of its values would.  Every
+    ``+0.0`` in it is one shared float object, so a delay series (mostly
+    in-order ``0.0`` samples) costs about 8 B per sample here instead of
+    32; a series holding a ``-0.0`` (or any tiny negative: the check
+    reads sign bytes only) takes the exact ``tolist``, because ``-0.0 or
+    zero`` is ``+0.0``."""
+    values = float_array(values)
     if b"\x80" in memoryview(values).cast("B")[_SIGN_BYTE::8].tobytes():
         return values.tolist()
     zero = 0.0
@@ -94,8 +97,11 @@ def float_list(values: array) -> List[float]:
 
 
 def float_array(values: Any) -> array:
-    """``values`` as an ``array("d")``: an array is kept as it is."""
-    return values if isinstance(values, array) else array("d", values)
+    """``values`` as an ``array("d")``: an ``array("d")`` (a cache entry's
+    packed list, say) is kept as it is, anything else is converted."""
+    if isinstance(values, array) and values.typecode == "d":
+        return values
+    return array("d", values)
 
 
 def json_default(value: Any) -> Any:
@@ -111,9 +117,48 @@ def json_default(value: Any) -> Any:
 _CANONICAL = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=json_default)
 
 
+#: Items of a long top-level list that :func:`canonical_json` encodes
+#: in one call.
+_PIECE = 4096
+
+
 def canonical_json(data: Any) -> str:
-    """Deterministic JSON used for hashing and byte-comparable storage."""
+    """Deterministic JSON used for hashing and byte-comparable storage.
+
+    The C encoder of CPython < 3.12 holds one ``str`` per list item until
+    the end of a list (about 8x the text on a result's delay series), so
+    a dict with ``str`` keys and a top-level list longer than
+    :data:`_PIECE` items is written piecewise: each value on its own and
+    such a list :data:`_PIECE` items at a time, all by the same encoder,
+    joined once.  The text is the one-shot text byte for byte.
+    """
+    if type(data) is dict:
+        for value in data.values():
+            if type(value) is list and len(value) > _PIECE:
+                if all(type(key) is str for key in data):
+                    return _piecewise(data)
+                break
     return _CANONICAL.encode(data)
+
+
+def _piecewise(data: Dict[str, Any]) -> str:
+    """:func:`canonical_json` of a dict with ``str`` keys, its long lists
+    :data:`_PIECE` items at a time, each piece's brackets stripped."""
+    encode = _CANONICAL.encode
+    parts: List[str] = []
+    for key in sorted(data):
+        value = data[key]
+        parts += (",", encode(key), ":")
+        if type(value) is list and len(value) > _PIECE:
+            parts.append("[")
+            for start in range(0, len(value), _PIECE):
+                parts += (encode(value[start : start + _PIECE])[1:-1], ",")
+            parts[-1] = "]"
+        else:
+            parts.append(encode(value))
+    parts[0] = "{"
+    parts.append("}")
+    return "".join(parts)
 
 
 def wrong_schema_version(kind: str, data: Mapping[str, Any]) -> ValueError:

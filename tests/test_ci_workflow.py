@@ -1,16 +1,20 @@
-"""The CI workflow's ``-k`` filters name tests that exist.
+"""The CI workflow names tests and workloads that exist.
 
 A ``pytest -k`` expression that matches fewer tests than it names still
 exits 0, so a renamed or deleted test would silently drop out of the CI
 job that selects it by name.  Here each name of each ``-k`` expression
 in the ``campaign`` and ``obs`` jobs must match a ``def test_...`` in
-the test files the same step hands to pytest.
+the test files the same step hands to pytest.  Likewise each
+``--workload`` of the ``bench`` job's smoke run must be a workload
+``BENCHMARK.json`` declares, so dropping one from the benchmark cannot
+leave CI naming it.
 
 The workflow is read as text (no YAML parser among the test
 dependencies): a step's ``run:`` is the line itself or, for a folded
 ``run: >`` block, the more-indented lines under it joined by spaces.
 """
 
+import json
 import re
 import shlex
 from pathlib import Path
@@ -19,6 +23,7 @@ import pytest
 
 REPO = Path(__file__).resolve().parent.parent
 WORKFLOW = REPO / ".github" / "workflows" / "ci.yml"
+BENCHMARK = REPO / "BENCHMARK.json"
 
 JOB = re.compile(r"^  ([\w-]+):\s*$")
 RUN = re.compile(r"^(\s*)(?:- )?run:\s*(.*)$")
@@ -74,3 +79,16 @@ def test_every_k_name_in_the_ci_workflow_names_a_test(job):
             assert any(defined.search(source) for source in sources), (
                 f"CI job {job!r} selects {name!r}, which no file of {files} defines"
             )
+
+
+def test_every_bench_workload_in_the_ci_workflow_is_declared():
+    declared = {workload["name"] for workload in json.loads(BENCHMARK.read_text())["workloads"]}
+    named = [
+        argv[at + 1]
+        for argv in map(shlex.split, run_commands("bench"))
+        if "bench/run.py" in argv
+        for at, arg in enumerate(argv)
+        if arg == "--workload"
+    ]
+    assert named, "no bench/run.py --workload step found in CI job 'bench'"
+    assert [name for name in named if name not in declared] == []

@@ -3,13 +3,16 @@ result, kind-spec and event record.
 
 The spec families' round trips and pinned hashes live in
 ``tests/test_executor.py``; this module covers what the codec itself
-owns: result and kind-spec round trips, the result header, and the
-rules a hand-written serializer used to restate.
+owns: result and kind-spec round trips, the result header, the rules a
+hand-written serializer used to restate, float series, and the
+canonical text.
 """
 
 import ast
 import json
+import math
 import pathlib
+from array import array
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
@@ -203,6 +206,92 @@ class TestRules:
         for family in (SchedulerSpec, CcSpec, BandwidthSpec):
             assert family.__mro__[1] is KindSpec
             assert "to_dict" not in vars(family) and "of" not in vars(family)
+
+
+class TestFloatSeries:
+    """A series is one text whatever container it arrives in: an array of
+    any typecode writes as the list of its values does."""
+
+    @pytest.mark.parametrize("values", [
+        array("f", [-0.0, 0.1, 2.5]),
+        array("i", [1, 2]),
+        array("d", [-0.0, 0.1, 2.5]),
+    ], ids=lambda values: values.typecode)
+    def test_an_array_writes_as_the_list_of_its_values(self, values):
+        as_array = WebBrowsingResult(scheduler="ecf", ooo_delays=values)
+        as_list = WebBrowsingResult(scheduler="ecf", ooo_delays=values.tolist())
+        assert as_array.ooo_delays.typecode == "d"
+        text = codec.canonical_json(as_array.to_dict())
+        assert text == codec.canonical_json(as_list.to_dict())
+
+    def test_a_json_writer_reads_any_array_as_doubles(self):
+        text = codec.canonical_json({"s": [array("f", [-0.0]), array("i", [1, 2])]})
+        assert text == '{"s":[[-0.0],[1.0,2.0]]}'
+
+
+#: What the piecewise writer must carry byte for byte: both zeros, the
+#: smallest subnormal, a float past 2**53, NaN and both infinities; ints,
+#: bools and None; strings with quotes, backslashes and non-ASCII text.
+canonical_atoms = (
+    st.sampled_from([-0.0, 0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf])
+    | st.floats()
+    | st.integers()
+    | st.booleans()
+    | st.none()
+    | st.text(alphabet=st.sampled_from('a"\\\u00e9\u2603\U0001f600\n/'), max_size=6)
+)
+canonical_items = st.recursive(
+    canonical_atoms,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=3)
+    | st.lists(st.floats(), max_size=3).map(lambda values: array("d", values)),
+    max_leaves=6,
+)
+#: A top-level list past the piece size (4,096 items), built by cycling a
+#: drawn pool so a 20,000-item list costs one small draw.
+long_lists = st.builds(
+    lambda pool, length: [pool[i % len(pool)] for i in range(length)],
+    st.lists(canonical_items, min_size=1, max_size=20),
+    st.integers(min_value=4097, max_value=20_000) | st.sampled_from([4096, 4097, 8192, 8193]),
+)
+ONE_SHOT = json.JSONEncoder(sort_keys=True, separators=(",", ":"), default=codec.json_default)
+
+
+def difference(payload):
+    """Where ``canonical_json(payload)`` first leaves the one-shot text
+    (``None`` if nowhere), with some context: pytest's diff of two long
+    texts would take minutes per shrinking step."""
+    text, reference = codec.canonical_json(payload), ONE_SHOT.encode(payload)
+    if text == reference:
+        return None
+    pairs = enumerate(zip(text + "\0", reference + "\1"))
+    at = next(i for i, (mine, theirs) in pairs if mine != theirs)
+    return at, text[max(0, at - 30) : at + 30], reference[max(0, at - 30) : at + 30]
+
+
+class TestCanonicalJson:
+    """A payload with a long top-level list is written piecewise; the text
+    is the one-shot encoder's, byte for byte."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        lists=st.dictionaries(st.text(max_size=6), long_lists, min_size=1, max_size=2),
+        others=st.dictionaries(st.text(max_size=6), canonical_items, max_size=4),
+    )
+    def test_the_text_is_the_one_shot_text(self, lists, others):
+        assert difference({**others, **lists}) is None
+
+    @settings(max_examples=20, deadline=None)
+    @given(
+        keys=st.dictionaries(
+            st.integers() | st.floats(allow_nan=False) | st.booleans(), canonical_items, max_size=3
+        ),
+        values=long_lists,
+    )
+    def test_a_payload_with_other_keys_is_written_in_one_shot(self, keys, values):
+        """The encoder sorts such keys as they are (10 after 7) and then
+        writes them as strings ("10" before "7" as text)."""
+        assert difference({**keys, 7: values}) is None
 
 
 SRC = pathlib.Path(repro.__file__).parent

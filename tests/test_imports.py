@@ -14,9 +14,10 @@ a docstring only, and each tool is imported where its switch is read, so
   topology or bandwidth model;
 * importing the CLI, or building its parser, runs no command's library
   and no tool;
-* the bench's imports compile no executor, tool or DASH run-time: a
-  first drain loads the executor, a first streaming session the player;
-  and every name the bench imports from ``repro`` still resolves;
+* the bench's imports compile no executor, tool, DASH run-time or
+  SQLite: a first drain loads the executor, its store SQLite, a first
+  streaming session the player; and every name the bench imports from
+  ``repro`` still resolves;
 * importing the campaign runner does not run the daemon, the checker or
   the perf collector;
 * every root name resolves to its home module's object, and
@@ -192,10 +193,14 @@ def test_the_parser_loads_no_tool():
 def test_the_bench_import_set_loads_no_executor_tool_or_dash_runtime():
     loaded = closure(bench_imports(), REPRO_SANITIZE="")
     assert "repro.experiments.runner" in loaded
+    assert "repro.service.store" in loaded
     assert [m for m in EXECUTOR + STREAMING if m in loaded] == []
     assert "repro.experiments.ideal" not in loaded
     assert under(loaded, "repro.obs") == []
     assert under(loaded, "repro.analysis") == []
+    # A store imports SQLite when it opens: no bench child that runs a
+    # simulation pays for it.
+    assert [m for m in HEAVY if m in loaded] == []
 
 
 def test_a_first_drain_loads_the_executor_and_a_first_session_the_player(tmp_path):
@@ -216,6 +221,7 @@ def test_a_first_drain_loads_the_executor_and_a_first_session_the_player(tmp_pat
         REPRO_SANITIZE="",
     )
     assert [m for m in EXECUTOR if m not in after_drain] == []
+    assert "sqlite3" in after_drain
     assert [m for m in STREAMING if m in after_drain] == []
     assert [m for m in STREAMING if m not in after_session] == []
 

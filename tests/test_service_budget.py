@@ -42,6 +42,7 @@ job). The tree that probed the cache with ``if self.cache`` (a
 
 import functools
 import gc
+import json
 import math
 import os
 import pathlib
@@ -110,9 +111,11 @@ def test_cached_job_cost_does_not_grow_with_the_campaign(tmp_path):
         return call_counts(pipeline).python
 
     # A codec plan is built once per class per process (the backend
-    # config's on the first submit): build it before counting, so neither
-    # reading bills one-time work to its jobs.
+    # config's on the first submit), and the first store to open imports
+    # SQLite: do both before counting, so neither reading bills one-time
+    # work to its jobs.
     InlineBackendConfig().to_dict()
+    CampaignStore(":memory:").close()
     half, full = warm_campaign(specs[:50]), warm_campaign(specs)
     assert half / 50 <= CALLS_PER_CACHED_JOB, f"{half / 50:.0f} calls per cached job"
     assert full / 100 <= CALLS_PER_CACHED_JOB, f"{full / 100:.0f} calls per cached job"
@@ -331,6 +334,32 @@ def test_a_fetched_delay_series_holds_eight_bytes_a_sample(tmp_path):
         tracemalloc.stop()
     assert samples > 500
     assert held / samples <= BYTES_PER_DELAY_SAMPLE, held / samples
+
+
+#: Bytes in flight per byte of text while :func:`canonical_json` writes a
+#: result with a long series: the text, its pieces and one piece's
+#: encoder work.  Read with ``tracemalloc`` at 30,000 samples: 2.02 /
+#: 2.01 / 2.01 on 3.10 / 3.11 / 3.12; the one-shot encoder read 6.56 on
+#: 3.10 and 3.11 (8.4 on the headline cell's result), whose C encoder
+#: keeps one ``str`` per item until the end of a list, and 1.05 on 3.12.
+TEXT_BYTES_IN_FLIGHT = 2.5
+
+
+def test_a_canonical_text_holds_few_copies_of_itself_in_flight():
+    """The identity of a 30,000-sample result (the streaming run's
+    series, cycled) costs about two texts to write, not eight."""
+    payload = streaming_payload()[1]
+    delays = payload["ooo_delays"]
+    payload = {**payload, "ooo_delays": [delays[i % len(delays)] for i in range(30_000)]}
+    gc.collect()
+    tracemalloc.start()
+    try:
+        text = canonical_json(payload)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert text == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    assert peak / len(text) <= TEXT_BYTES_IN_FLIGHT, peak / len(text)
 
 
 #: Delay samples packing and the zero-sharing ``to_dict`` must carry bit

@@ -28,7 +28,7 @@ class TestPageModel:
         # Golden bumped when cnn_like_page moved from ad-hoc
         # random.Random(seed) to an RngRegistry stream: the default
         # draw's total is ~11.6 MB, a high-but-legitimate sample of the
-        # mix (p5-p95 across seeds is roughly 4-10 MB).
+        # mix (p5-p95 over seeds 0-999 is 4.2-10.6 MB).
         page = cnn_like_page()
         sizes = sorted(page.object_sizes)
         assert sizes[0] < 10_000
