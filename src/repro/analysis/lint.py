@@ -30,8 +30,9 @@ name is resolved through the module's imports, at any scope, so
 ``from time import perf_counter`` or ``import random as r`` hide
 nothing.  RPR701 also holds the package layering (:data:`FENCES`) on
 each module's direct imports, at any scope.  The snapshot contract
-(``STATE_FIELDS``) is not linted: :func:`repro.sim.snapshot.capture`
-refuses, per instance, anything outside it.
+(a class's ``__slots__``) is not linted: Python refuses an undeclared
+attribute at assignment, and :func:`repro.sim.snapshot.capture` refuses
+a class whose instances carry a ``__dict__``.
 
 Each violation carries a fix-it hint.  A rule can be suppressed on one
 line with ``# repro: noqa[RPR101]`` (or all rules with

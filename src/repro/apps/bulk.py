@@ -70,12 +70,10 @@ class BulkDownloadResult(Result):
 
 
 class _CompletionRecorder:
-    """Holds the finished GET.  A bound method of a ``STATE_FIELDS``
-    object, not a closure, so :mod:`repro.sim.snapshot` can rebind it."""
+    """Holds the finished GET.  A bound method of a slotted object, not
+    a closure, so :mod:`repro.sim.snapshot` can rebind it."""
 
     __slots__ = ("result",)
-
-    STATE_FIELDS = ("result",)
 
     def __init__(self) -> None:
         self.result: Optional[GetResult] = None

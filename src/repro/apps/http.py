@@ -58,9 +58,6 @@ class GetResult:
 class _PendingGet:
     __slots__ = ("index", "size", "issued_at", "first_byte_at", "remaining", "callback")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("index", "size", "issued_at", "first_byte_at", "remaining", "callback")
-
     def __init__(self, index: int, size: int, issued_at: float, callback) -> None:
         self.index = index
         self.size = size
@@ -82,17 +79,6 @@ class HttpSession:
     """
 
     __slots__ = (
-        "sim",
-        "conn",
-        "request_size",
-        "results",
-        "observers",
-        "_pending",
-        "_next_index",
-    )
-
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
         "sim",
         "conn",
         "request_size",

@@ -41,9 +41,6 @@ class Scheduler:
 
     __slots__ = ("conn", "uid", "decisions", "waits")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("conn", "uid", "decisions", "waits")
-
     def __init__(self) -> None:
         self.conn: Optional["MptcpConnection"] = None
         self.uid = _probe.next_uid()

@@ -47,9 +47,6 @@ class BlestScheduler(Scheduler):
 
     __slots__ = ("lambda_", "_last_limited_seen")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("lambda_", "_last_limited_seen")
-
     def __init__(self) -> None:
         super().__init__()
         self.lambda_ = 1.0

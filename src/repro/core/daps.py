@@ -37,9 +37,6 @@ class DapsScheduler(Scheduler):
 
     __slots__ = ("_schedule",)
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("_schedule",)
-
     def __init__(self) -> None:
         super().__init__()
         self._schedule: Deque[int] = deque()

@@ -88,15 +88,6 @@ class EcfScheduler(Scheduler):
         "ecf_decisions",
     )
 
-    #: The snapshot contract: the fields this class gives birth to
-    #: (checkpoint/fork copies exactly these; snapshot.capture refuses the rest).
-    STATE_FIELDS = (
-        "beta",
-        "use_second_inequality",
-        "waiting",
-        "ecf_decisions",
-    )
-
     def __init__(self, beta: float = DEFAULT_BETA, use_second_inequality: bool = True) -> None:
         super().__init__()
         # NaN compares false against everything, so a plain `beta < 0`

@@ -29,9 +29,6 @@ class MpDashScheduler(Scheduler):
 
     __slots__ = ("cellular_active",)
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("cellular_active",)
-
     def __init__(self) -> None:
         super().__init__()
         self.cellular_active = True  # safe default before any requirement

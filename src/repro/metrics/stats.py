@@ -8,7 +8,6 @@ with no third-party dependencies.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
 
@@ -17,15 +16,6 @@ def mean(samples: Sequence[float]) -> float:
     if not samples:
         raise ValueError("mean() of empty sequence")
     return sum(samples) / len(samples)
-
-
-def stdev(samples: Sequence[float]) -> float:
-    """Sample standard deviation (n-1); 0.0 for fewer than two samples."""
-    n = len(samples)
-    if n < 2:
-        return 0.0
-    m = mean(samples)
-    return math.sqrt(sum((x - m) ** 2 for x in samples) / (n - 1))
 
 
 def percentile(samples: Sequence[float], q: float) -> float:
@@ -65,39 +55,3 @@ def ccdf(samples: Sequence[float]) -> List[Tuple[float, float]]:
     """Complementary CDF points ``(x, P[X > x])``."""
     return [(x, 1.0 - p) for x, p in cdf(samples)]
 
-
-@dataclass(frozen=True)
-class Summary:
-    """Five-number-style summary of a sample set."""
-
-    count: int
-    mean: float
-    stdev: float
-    minimum: float
-    median: float
-    p95: float
-    p99: float
-    maximum: float
-
-    def __str__(self) -> str:
-        return (
-            f"n={self.count} mean={self.mean:.4f} sd={self.stdev:.4f} "
-            f"min={self.minimum:.4f} med={self.median:.4f} "
-            f"p95={self.p95:.4f} p99={self.p99:.4f} max={self.maximum:.4f}"
-        )
-
-
-def summarize(samples: Sequence[float]) -> Summary:
-    """Build a :class:`Summary`; raises ValueError on an empty sequence."""
-    if not samples:
-        raise ValueError("summarize() of empty sequence")
-    return Summary(
-        count=len(samples),
-        mean=mean(samples),
-        stdev=stdev(samples),
-        minimum=min(samples),
-        median=percentile(samples, 50.0),
-        p95=percentile(samples, 95.0),
-        p99=percentile(samples, 99.0),
-        maximum=max(samples),
-    )

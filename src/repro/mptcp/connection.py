@@ -88,8 +88,7 @@ class MptcpConnection:
     name: label for traces and debugging.
     """
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
+    __slots__ = (
         "sim",
         "_rank",
         "config",

@@ -35,8 +35,7 @@ class MptcpReceiver:
         (disable in huge sweeps to save memory).
     """
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
+    __slots__ = (
         "sim",
         "uid",
         "recv_buffer_bytes",
@@ -51,6 +50,7 @@ class MptcpReceiver:
         "last_arrival_by_subflow",
         "_buffered",
         "_buffered_bytes",
+        "__weakref__",  # the sanitizer keys a WeakKeyDictionary by receiver
     )
 
     def __init__(

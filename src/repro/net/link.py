@@ -60,17 +60,6 @@ class LinkStats:
         "busy_time",
     )
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
-        "packets_in",
-        "packets_delivered",
-        "packets_dropped_queue",
-        "packets_dropped_random",
-        "packets_dropped_outage",
-        "bytes_delivered",
-        "busy_time",
-    )
-
     def __init__(self) -> None:
         self.packets_in = 0
         self.packets_delivered = 0
@@ -132,8 +121,7 @@ class Link:
         Label used in traces and error messages.
     """
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
+    __slots__ = (
         "sim",
         "_rank",
         "rate_bps",

@@ -60,21 +60,6 @@ class Packet:
         "recv_window",
     )
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
-        "size",
-        "payload",
-        "subflow_id",
-        "seq",
-        "dsn",
-        "is_ack",
-        "ack_seq",
-        "data_ack",
-        "sent_time",
-        "retransmitted",
-        "recv_window",
-    )
-
     def __init__(
         self,
         size: int,

@@ -31,9 +31,6 @@ class Path:
 
     __slots__ = ("name", "forward", "reverse")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("name", "forward", "reverse")
-
     def __init__(self, name: str, forward: Link, reverse: Link) -> None:
         self.name = name
         self.forward = forward

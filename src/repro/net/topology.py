@@ -61,13 +61,10 @@ class CompositeForward:
     each delivered packet into the next hop.
     """
 
+    #: The per-hop delivery lambdas ``_send_hop`` creates mid-flight are
+    #: not snapshot-safe: checkpoint composite-path worlds only at
+    #: quiescent points, or use single-hop paths.
     __slots__ = ("hops",)
-
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the
-    #: rest).  Note the per-hop delivery lambdas created mid-flight by
-    #: ``_send_hop`` are *not* snapshot-safe: checkpoint composite-path
-    #: worlds only at quiescent points, or use single-hop paths.
-    STATE_FIELDS = ("hops",)
 
     def __init__(self, hops: Sequence[Link]) -> None:
         if not hops:

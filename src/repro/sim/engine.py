@@ -87,12 +87,6 @@ class Timer:
 
     __slots__ = ("time", "seq", "callback", "args", "cancelled", "rank", "_sim")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the
-    #: rest).  ``callback`` is a bound method of another snapshotted
-    #: object: the snapshot encodes it as (owner, name) and rebinds it on
-    #: restore, never copies it raw.
-    STATE_FIELDS = ("time", "seq", "callback", "args", "cancelled", "rank", "_sim")
-
     def __init__(
         self,
         time: float,
@@ -153,9 +147,7 @@ class Simulator:
     (1.5, ['hello'])
     """
 
-    #: Snapshot contract for checkpoint/fork: every attribute a clean state
-    #: capture must copy, and nothing else (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
+    __slots__ = (
         "tie_break",
         "tie_break_seed",
         "_tie_rng",

@@ -28,10 +28,6 @@ class RngRegistry:
 
     __slots__ = ("seed", "_streams")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the
-    #: rest): the streams dict is captured via ``Random.getstate``/``setstate``.
-    STATE_FIELDS = ("seed", "_streams")
-
     def __init__(self, seed: int = 0) -> None:
         self.seed = int(seed)
         self._streams: Dict[str, random.Random] = {}

@@ -1,11 +1,11 @@
 """Runtime checkpoint/restore of a live simulation.
 
-The one enforcer of the snapshot contract: a class's ``STATE_FIELDS``
-tuple is its complete mutable state, and :func:`capture` refuses, per
-instance, anything outside it.
+The snapshot contract is a class's ``__slots__``: the base-first union
+of ``__slots__`` over its MRO is its complete mutable state, and Python
+itself refuses an undeclared attribute at assignment.
 :func:`capture` walks the object graph from the
 :class:`~repro.sim.engine.Simulator` and any extra roots, deep-copying
-exactly the ``STATE_FIELDS`` every class declares:
+exactly the slots every class declares:
 
 * the engine heap, including live :class:`~repro.sim.engine.Timer`\\ s --
   their callbacks (bound methods of other snapshotted objects) are
@@ -17,20 +17,18 @@ exactly the ``STATE_FIELDS`` every class declares:
   subflow retransmission state, congestion controllers, RTT estimators
   (deque ``maxlen`` preserved), schedulers.
 
-The walk is *refusing* by construction, in both directions:
+The walk is *refusing* by construction:
 
-* an object whose class declares no ``STATE_FIELDS`` (and is not a
-  dataclass) cannot be captured;
-* an instance attribute (or filled slot) outside the declared contract
-  is an error, on a subclass as on the class that declared it;
+* an object whose instances carry a ``__dict__`` (a class on its MRO
+  declares no ``__slots__``) and that is not a dataclass cannot be
+  captured;
 * opaque callables (lambdas, closures) are rejected with a pointer at
   the offending field, because no registry can rebind them -- as is
   anything else no contract covers (an open file, a live generator).
 
-Nothing checks the declarations statically.  Every scheduler and
-congestion controller is captured, restored and replayed in
-``tests/test_snapshot.py``, whose ``TestModelCoverage`` fails by name
-when a class declaring ``STATE_FIELDS`` appears in no fixture world.
+Every scheduler and congestion controller is captured, restored and
+replayed in ``tests/test_snapshot.py``, whose ``TestModelCoverage``
+fails by name when a slotted state class appears in no fixture world.
 
 :func:`restore` rebuilds the world two-phase -- blank instances first,
 then field fills with references resolved through the registry.  Since
@@ -52,7 +50,7 @@ import random
 import types
 from array import array
 from collections import deque
-from typing import Any, Dict, List, Mapping, Optional, Set, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 from repro.sim.engine import Simulator
 
@@ -62,6 +60,8 @@ _PRIMITIVES = (type(None), bool, int, float, str, bytes)
 #: The same types for an exact ``type(value) in`` test; their subclasses
 #: (``IntEnum``, a ``str`` subclass) take the ``isinstance`` chain.
 _ATOMS = frozenset(_PRIMITIVES)
+#: What ``getattr`` answers for a slot never filled.
+_UNSET = object()
 
 
 class SnapshotError(RuntimeError):
@@ -102,44 +102,33 @@ def _qualname(cls: type) -> str:
     return f"{cls.__module__}.{cls.__qualname__}"
 
 
-def _declared_fields(cls: type) -> Optional[Tuple[str, ...]]:
-    """Effective STATE_FIELDS: base-first union over the MRO, or None."""
+def _slot_fields(cls: type) -> Optional[Tuple[str, ...]]:
+    """Base-first union of ``__slots__`` over the MRO (``__weakref__``
+    skipped), or None when a class on it declares none: its instances
+    carry a ``__dict__``."""
     names: List[str] = []
-    seen: Set[str] = set()
-    declared = False
-    for klass in reversed(cls.__mro__):
-        own = klass.__dict__.get("STATE_FIELDS")
+    for klass in reversed(cls.__mro__[:-1]):
+        own = klass.__dict__.get("__slots__")
         if own is None:
-            continue
-        declared = True
+            return None
         for name in own:
-            if name not in seen:
-                seen.add(name)
+            if name != "__weakref__" and name not in names:
                 names.append(name)
-    return tuple(names) if declared else None
+    return tuple(names)
 
 
 class _Plan:
     """What the walk asks of a class, derived once per class object.
 
     Keyed on the class itself (two local classes may share a qualified
-    name) and scoped to one capture.  Whether an *instance* honours the
-    contract is not a class fact: that is checked per object.
+    name) and scoped to one capture.
     """
 
-    __slots__ = ("qual", "fields", "declared", "slots", "undeclared_slots")
+    __slots__ = ("qual", "fields")
 
     def __init__(self, cls: type, fields: Tuple[str, ...]) -> None:
         self.qual = _qualname(cls)
         self.fields = fields
-        self.declared = frozenset(fields)
-        self.slots = frozenset(
-            slot
-            for klass in cls.__mro__
-            for slot in klass.__dict__.get("__slots__", ())
-            if slot not in ("__dict__", "__weakref__")
-        )
-        self.undeclared_slots = tuple(self.slots - self.declared)
 
 
 # ----------------------------------------------------------------------
@@ -214,12 +203,13 @@ class _Capture:
         fields = (
             tuple(f.name for f in dataclasses.fields(cls))
             if dataclasses.is_dataclass(cls)
-            else _declared_fields(cls)
+            else _slot_fields(cls)
         )
         if fields is None:
             raise SnapshotError(
-                f"{where}: cannot snapshot {_qualname(cls)} -- the class "
-                "declares no STATE_FIELDS and is not a dataclass"
+                f"{where}: cannot snapshot {_qualname(cls)} -- its instances "
+                "carry a __dict__ (a class on its MRO declares no __slots__) "
+                "and it is not a dataclass"
             )
         plan = self.plans[cls] = _Plan(cls, fields)
         return self._encode_object(value, plan)
@@ -229,26 +219,15 @@ class _Capture:
         self.memo[id(obj)] = index
         fields: Dict[str, Any] = {}
         self.nodes.append({"cls": plan.qual, "fields": fields})
-        attrs = getattr(obj, "__dict__", ())
-        if plan.undeclared_slots or not plan.declared.issuperset(attrs):
-            filled = {s for s in plan.undeclared_slots if hasattr(obj, s)}
-            extra = filled.union(attrs) - plan.declared
-            if extra:
-                raise SnapshotError(
-                    f"{plan.qual} carries attribute(s) outside its snapshot "
-                    f"contract: {', '.join(sorted(extra))} (declare them in "
-                    "STATE_FIELDS)"
-                )
-        qual, slots = plan.qual, plan.slots
+        qual = plan.qual
         for name in plan.fields:
-            # Present on the instance, or declared and currently unset
-            # (a slot never filled): the latter is skipped.
-            if name in attrs or (name in slots and hasattr(obj, name)):
-                value = getattr(obj, name)
-                fields[name] = (
-                    value if type(value) in _ATOMS
-                    else self.encode(value, f"{qual}.{name}")
-                )
+            value = getattr(obj, name, _UNSET)
+            if value is _UNSET:
+                continue  # a slot never filled
+            fields[name] = (
+                value if type(value) in _ATOMS
+                else self.encode(value, f"{qual}.{name}")
+            )
         return {"__snap__": "ref", "id": index}
 
     def _encode_method(self, method: types.MethodType, where: str) -> Any:

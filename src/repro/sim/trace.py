@@ -33,9 +33,6 @@ class TraceRecorder:
 
     __slots__ = ("enabled", "max_samples_per_series", "_series")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("enabled", "max_samples_per_series", "_series")
-
     def __init__(
         self, enabled: bool = True, max_samples_per_series: Optional[int] = None
     ) -> None:

@@ -29,9 +29,6 @@ class CongestionController:
 
     __slots__ = ("_subflows",)
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("_subflows",)
-
     def __init__(self) -> None:
         self._subflows: List["Subflow"] = []
 

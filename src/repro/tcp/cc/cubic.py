@@ -35,9 +35,6 @@ BETA_CUBIC = 0.7
 class _CubicState:
     __slots__ = ("w_max", "epoch_start", "k", "reno_cwnd")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("w_max", "epoch_start", "k", "reno_cwnd")
-
     def __init__(self) -> None:
         self.w_max = 0.0
         self.epoch_start = -1.0
@@ -51,9 +48,6 @@ class CubicController(CongestionController):
     name = "cubic"
 
     __slots__ = ("_state",)
-
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("_state",)
 
     def __init__(self) -> None:
         super().__init__()

@@ -69,19 +69,6 @@ class RttEstimator:
         "_sigma",
     )
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
-        "min_rto_var",
-        "max_rto",
-        "srtt",
-        "rttvar",
-        "samples",
-        "_sum",
-        "_window",
-        "rto",
-        "_sigma",
-    )
-
     def __init__(
         self,
         initial_rtt: Optional[float] = None,

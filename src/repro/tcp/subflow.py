@@ -54,9 +54,6 @@ class Segment:
 
     __slots__ = ("seq", "dsn", "payload", "sent_time", "retransmitted", "acked", "lost", "in_flight")
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = ("seq", "dsn", "payload", "sent_time", "retransmitted", "acked", "lost", "in_flight")
-
     def __init__(self, seq: int, dsn: int, payload: int, sent_time: float) -> None:
         self.seq = seq
         self.dsn = dsn
@@ -78,22 +75,6 @@ class SubflowStats:
     """Lifetime counters for one subflow."""
 
     __slots__ = (
-        "segments_sent",
-        "segments_retransmitted",
-        "bytes_sent",
-        "bytes_acked",
-        "payload_bytes_sent",
-        "idle_resets",
-        "rto_events",
-        "fast_retransmits",
-        "bytes_since_loss",
-        "penalizations",
-        "last_data_sent_at",
-        "last_data_acked_at",
-    )
-
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
         "segments_sent",
         "segments_retransmitted",
         "bytes_sent",
@@ -146,8 +127,7 @@ class Subflow:
     max_cwnd: cap on cwnd growth, segments.
     """
 
-    #: Snapshot contract for checkpoint/fork (snapshot.capture refuses the rest).
-    STATE_FIELDS = (
+    __slots__ = (
         "sim",
         "_rank",
         "path",

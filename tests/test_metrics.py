@@ -8,8 +8,6 @@ from repro.metrics.stats import (
     cdf,
     mean,
     percentile,
-    stdev,
-    summarize,
 )
 from repro.sim.trace import TraceRecorder
 
@@ -21,12 +19,6 @@ class TestStats:
     def test_mean_empty_raises(self):
         with pytest.raises(ValueError):
             mean([])
-
-    def test_stdev_two_points(self):
-        assert stdev([1.0, 3.0]) == pytest.approx(2.0 ** 0.5)
-
-    def test_stdev_single_sample_zero(self):
-        assert stdev([5.0]) == 0.0
 
     def test_percentile_bounds(self):
         data = [1.0, 2.0, 3.0, 4.0]
@@ -58,21 +50,6 @@ class TestStats:
         for (x1, p), (x2, q) in zip(cdf(data), ccdf(data)):
             assert x1 == x2
             assert p + q == pytest.approx(1.0)
-
-    def test_summary_fields(self):
-        s = summarize([1.0, 2.0, 3.0, 4.0, 100.0])
-        assert s.count == 5
-        assert s.minimum == 1.0
-        assert s.maximum == 100.0
-        assert s.median == 3.0
-        assert s.mean == pytest.approx(22.0)
-
-    def test_summary_empty_raises(self):
-        with pytest.raises(ValueError):
-            summarize([])
-
-    def test_summary_str(self):
-        assert "n=3" in str(summarize([1.0, 2.0, 3.0]))
 
 
 class TestPeriodicSampler:

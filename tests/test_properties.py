@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from repro.core.base import Scheduler
 from repro.core.ecf import EcfInputs, EcfScheduler
 from repro.core.minrtt import MinRttScheduler
-from repro.metrics.stats import ccdf, cdf, mean, percentile, stdev
+from repro.metrics.stats import ccdf, cdf, mean, percentile
 from repro.mptcp.connection import MptcpConnection
 from repro.mptcp.receiver import MptcpReceiver
 from repro.net.link import Link
@@ -55,10 +55,6 @@ class TestStatsProperties:
     @given(st.lists(finite_floats, min_size=1, max_size=200))
     def test_mean_between_extremes(self, samples):
         assert min(samples) - 1e-9 <= mean(samples) <= max(samples) + 1e-9
-
-    @given(st.lists(finite_floats, min_size=2, max_size=200))
-    def test_stdev_nonnegative(self, samples):
-        assert stdev(samples) >= 0.0
 
 
 class TestRttEstimatorProperties:
@@ -553,7 +549,7 @@ class TestComparisonProperties:
             each.w_max, each.epoch_start, each.reno_cwnd = w_max, epoch, reno_cwnd
         got = outcome(cubic.ca_increase, subflow)
         assert same(got, outcome(reference_cubic, expected_state, now, rtt, cwnd))
-        for field in _CubicState.STATE_FIELDS:
+        for field in _CubicState.__slots__:
             assert same(getattr(state, field), getattr(expected_state, field)), field
 
 

@@ -1,7 +1,7 @@
 """Checkpoint/restore round-trips for :mod:`repro.sim.snapshot`.
 
 The coverage suite is auto-generated from the classes that declare
-``STATE_FIELDS`` (``tests.conftest.declaring_classes`` finds them by
+``__slots__`` (``tests.conftest.declaring_classes`` finds them by
 importing the simulation packages): each must show up (itself or via a
 subclass) in at least one of the fixture worlds' captures, so adding
 snapshot state to a class without a round-trip fixture here fails a
@@ -40,14 +40,14 @@ from repro.sim.snapshot import Snapshot, SnapshotError, capture, restore
 from repro.sim.trace import TraceRecorder
 from tests.conftest import STATE_PACKAGES, call_counts, declaring_classes
 
-#: Every class in the simulation packages with its own STATE_FIELDS.
+#: Every state class in the simulation packages with its own ``__slots__``.
 DECLARING = list(declaring_classes())
 
 
 class Ticker:
     """Module-level so restore can resolve it by qualified name."""
 
-    STATE_FIELDS = ("hits",)
+    __slots__ = ("hits",)
 
     def __init__(self):
         self.hits = 0
@@ -137,7 +137,7 @@ def captured_classes(world_snapshots):
 
 
 class TestModelCoverage:
-    """Auto-generated: one case per STATE_FIELDS-declaring class."""
+    """Auto-generated: one case per slotted state class."""
 
     @pytest.mark.parametrize("qualname", DECLARING)
     def test_declared_class_appears_in_a_fixture_world(
@@ -146,7 +146,7 @@ class TestModelCoverage:
         declared = snapmod._resolve_class(qualname)
         assert any(
             issubclass(cls, declared) for cls in captured_classes
-        ), f"{qualname} declares STATE_FIELDS but no fixture world captures it"
+        ), f"{qualname} declares __slots__ but no fixture world captures it"
 
     def test_discovery_reaches_every_state_package(self):
         # An import walk that silently found nothing would leave the
@@ -290,20 +290,20 @@ class TestRefusals:
             pass
 
         sim = Simulator()
-        with pytest.raises(SnapshotError, match="declares no STATE_FIELDS"):
+        with pytest.raises(SnapshotError, match="Opaque -- its instances carry a __dict__"):
             capture(sim, {"thing": Opaque()})
 
     def test_attr_outside_contract_is_refused(self):
         class Partial:
-            STATE_FIELDS = ("a",)
+            __slots__ = ("a",)
 
             def __init__(self):
                 self.a = 1
                 self.b = 2  # never declared
 
-        sim = Simulator()
-        with pytest.raises(SnapshotError, match="outside its snapshot contract"):
-            capture(sim, {"thing": Partial()})
+        # Refused where it is written, before any capture could see it.
+        with pytest.raises(AttributeError, match="'b'"):
+            Partial()
 
     def test_sanitizer_keeps_its_state_off_the_captured_world(self):
         """With the sanitizer armed (as under REPRO_SANITIZE=1) its DSN
@@ -327,7 +327,7 @@ class TestRefusals:
 
     def test_lambda_in_state_is_refused(self):
         class Holder:
-            STATE_FIELDS = ("cb",)
+            __slots__ = ("cb",)
 
             def __init__(self):
                 self.cb = lambda: None
@@ -344,7 +344,7 @@ class TestRefusals:
             return closure
 
         class Holder:
-            STATE_FIELDS = ("cb",)
+            __slots__ = ("cb",)
 
             def __init__(self):
                 self.cb = make(3)
@@ -378,18 +378,30 @@ class TestRefusals:
 
     def test_subclass_field_outside_the_inherited_contract_is_refused(self):
         class Gated(MinRttScheduler):
-            """Declares nothing itself: held to the contract it inherits."""
+            """Declares no slot itself: held to the contract it inherits."""
+
+            __slots__ = ()
 
             def __init__(self):
                 super().__init__()
                 self.open = True
 
+        with pytest.raises(AttributeError, match="'open'"):
+            Gated()
+
+    def test_subclass_without_slots_is_refused(self):
+        class Unslotted(MinRttScheduler):
+            """No ``__slots__``: its instances carry a ``__dict__``."""
+
         world = _midrun_world("minrtt")
-        world.conn.scheduler = gated = Gated()
-        gated.attach(world.conn)
+        world.conn.scheduler = unslotted = Unslotted()
+        unslotted.attach(world.conn)
         with pytest.raises(
             SnapshotError,
-            match=r"Gated carries attribute\(s\) outside its snapshot contract: open ",
+            match=r"^repro\.mptcp\.connection\.MptcpConnection\.scheduler: cannot "
+            r"snapshot tests\.test_snapshot\.TestRefusals\."
+            r"test_subclass_without_slots_is_refused\.<locals>\.Unslotted -- "
+            r"its instances carry a __dict__",
         ):
             capture(world.sim, world.roots())
 
@@ -501,21 +513,20 @@ class TestForkEquivalence:
 
 
 class TestSlotsSatellite:
-    """Small state classes carry no per-instance ``__dict__``: the
-    hot-path ones are allocated per packet, segment and timer."""
-
-    #: Classes with more effective fields than this are config-heavy
-    #: aggregates (one per connection or link) where slots buy little.
-    HOT_PATH_MAX_FIELDS = 10
+    """Every state class is slotted on its whole MRO, so ``__slots__`` is
+    the one declaration of its state and an undeclared attribute is
+    refused where it is assigned.  That includes the per-connection
+    aggregates (``Simulator``, ``Link``, ``Subflow``, ``MptcpConnection``,
+    ``MptcpReceiver``), where slots were once thought to buy little:
+    with them capture reads no instance dict per node (≈ 13 % faster on
+    the ``fork_sweep`` world) and no bench workload's wall time went up
+    (docs/performance.md has the readings)."""
 
     def test_hot_classes_have_no_instance_dict(self):
-        hot = {
-            name: cls
-            for name, cls in declaring_classes().items()
-            if len(_declared_fields(cls)) <= self.HOT_PATH_MAX_FIELDS
-        }
-        assert "repro.sim.engine.Timer" in hot
-        for name, cls in hot.items():
+        classes = declaring_classes()
+        assert "repro.sim.engine.Timer" in classes
+        assert "repro.tcp.subflow.Subflow" in classes
+        for name, cls in classes.items():
             # Slot-restriction only holds if every class on the MRO is
             # slotted; one dictful base re-grows the per-instance dict.
             dictful = [
@@ -524,6 +535,13 @@ class TestSlotsSatellite:
                 if base is not object and "__dict__" in vars(base)
             ]
             assert not dictful, f"{name} has an instance __dict__ via {dictful}"
+
+    @pytest.mark.parametrize("qualname", DECLARING)
+    def test_stray_attribute_is_refused_at_assignment(self, qualname):
+        cls = declaring_classes()[qualname]
+        instance = cls.__new__(cls)
+        with pytest.raises(AttributeError, match="stray_attribute"):
+            instance.stray_attribute = 1
 
     def test_scheduler_still_constructs_and_counts(self):
         scheduler = EcfScheduler()
@@ -534,10 +552,11 @@ class TestSlotsSatellite:
 
 # ----------------------------------------------------------------------
 # The oracle: the walker as it was before the per-class plan, verbatim
-# but for one branch, an ``array`` as its typecode and bytes (the
-# receiver's delay series is one).  One class-fact derivation per
-# *reference*, no fast path -- slow and plainly correct, which is what a
-# reference is for.
+# but for two things: an ``array`` is its typecode and bytes (the
+# receiver's delay series is one), and a class's fields are its
+# ``__slots__`` (an instance ``__dict__`` refused) rather than a second
+# declared tuple.  One class-fact derivation per *reference*, no fast
+# path -- slow and plainly correct, which is what a reference is for.
 # ----------------------------------------------------------------------
 
 _PRIMITIVES = (type(None), bool, int, float, str, bytes)
@@ -548,20 +567,21 @@ def _qualname(cls: type) -> str:
 
 
 def _declared_fields(cls: type) -> Optional[Tuple[str, ...]]:
-    """Effective STATE_FIELDS: base-first union over the MRO, or None."""
+    """Base-first union of ``__slots__`` over the MRO, or None when a
+    class on it (``object`` aside) declares none."""
     names: List[str] = []
-    seen: Set[str] = set()
-    declared = False
+    seen: Set[str] = {"__weakref__"}
     for klass in reversed(cls.__mro__):
-        own = klass.__dict__.get("STATE_FIELDS")
-        if own is None:
+        if klass is object:
             continue
-        declared = True
+        own = klass.__dict__.get("__slots__")
+        if own is None:
+            return None
         for name in own:
             if name not in seen:
                 seen.add(name)
                 names.append(name)
-    return tuple(names) if declared else None
+    return tuple(names)
 
 
 def _instance_attrs(obj: Any) -> Set[str]:
@@ -638,8 +658,9 @@ class _ReferenceCapture:
         if declared is not None:
             return self._encode_object(value, list(declared), where)
         raise SnapshotError(
-            f"{where}: cannot snapshot {_qualname(type(value))} -- the class "
-            "declares no STATE_FIELDS and is not a dataclass"
+            f"{where}: cannot snapshot {_qualname(type(value))} -- its instances "
+            "carry a __dict__ (a class on its MRO declares no __slots__) and it "
+            "is not a dataclass"
         )
 
     def _encode_object(self, obj: Any, fields: List[str], where: str) -> Any:
@@ -652,14 +673,7 @@ class _ReferenceCapture:
         qual = _qualname(type(obj))
         node: Dict[str, Any] = {"cls": qual, "fields": {}}
         self.nodes.append(node)
-        declared = set(fields)
         present = _instance_attrs(obj)
-        extra = sorted(name for name in present if name not in declared)
-        if extra:
-            raise SnapshotError(
-                f"{qual} carries attribute(s) outside its snapshot contract: "
-                f"{', '.join(extra)} (declare them in STATE_FIELDS)"
-            )
         for name in fields:
             if name not in present:
                 continue  # declared, currently unset (slot never filled)
@@ -722,7 +736,6 @@ class Cell:
     """Slotted; ``spare`` is declared and only sometimes filled."""
 
     __slots__ = ("value", "link", "spare")
-    STATE_FIELDS = ("value", "link", "spare")
 
     def __init__(self, value, link=None):
         self.value = value
@@ -739,12 +752,14 @@ class Pair:
 
 
 class Bag:
-    """Dict-based; holds one of everything the walk special-cases."""
+    """Holds one of everything the walk special-cases; ``later`` is only
+    sometimes filled."""
 
-    STATE_FIELDS = ("items", "rng", "window", "hook", "shade", "label", "pair", "later")
+    __slots__ = ("items", "rng", "window", "hook", "shade", "label", "pair", "later")
 
     def __init__(self, **state):
-        self.__dict__.update(state)
+        for name, value in state.items():
+            setattr(self, name, value)
 
 
 _atoms = st.one_of(
@@ -835,32 +850,11 @@ class TestPlanCaching:
     def test_attr_added_after_a_sibling_was_captured_is_refused(self):
         clean, grown = Ticker(), Ticker()
         sim = Simulator()
-        capture(sim, {"a": clean, "b": grown})
-        grown.sneaked = 1
+        first = capture(sim, {"a": clean, "b": grown})
+        with pytest.raises(AttributeError, match="'sneaked'"):
+            grown.sneaked = 1
         # Same walk: ``clean`` builds Ticker's plan, ``grown`` reuses it.
-        with pytest.raises(SnapshotError) as refusal:
-            capture(sim, {"a": clean, "b": grown})
-        assert str(refusal.value) == (
-            "tests.test_snapshot.Ticker carries attribute(s) outside its "
-            "snapshot contract: sneaked (declare them in STATE_FIELDS)"
-        )
-
-    def test_filled_undeclared_slot_is_refused_per_instance(self):
-        class Slotted:
-            __slots__ = ("a", "scratch")
-            STATE_FIELDS = ("a",)
-
-            def __init__(self):
-                self.a = 1
-
-        clean, dirty = Slotted(), Slotted()
-        sim = Simulator()
-        assert capture(sim, {"a": clean, "b": dirty}) == _reference_capture(
-            sim, {"a": clean, "b": dirty}
-        )
-        dirty.scratch = 2
-        with pytest.raises(SnapshotError, match="contract: scratch \\(declare"):
-            capture(sim, {"a": clean, "b": dirty})
+        assert capture(sim, {"a": clean, "b": grown}) == first
 
     def test_declared_but_unset_slot_is_skipped(self):
         filled, unset = Cell(1), Cell(2)
@@ -872,7 +866,7 @@ class TestPlanCaching:
 
     def test_subclass_fields_are_the_base_first_union(self):
         class Loud(Ticker):
-            STATE_FIELDS = ("volume", "hits")
+            __slots__ = ("volume", "hits")  # "hits" again: counted once
 
             def __init__(self):
                 super().__init__()
@@ -886,7 +880,7 @@ class TestPlanCaching:
     def test_same_named_local_classes_get_a_plan_each(self):
         def make(fields):
             class Local:
-                STATE_FIELDS = fields
+                __slots__ = fields
 
                 def __init__(self):
                     for name in fields:
@@ -910,17 +904,16 @@ class TestCaptureBudget:
     fails here on a box whose clock cannot show it.
 
     The world is ``fork_sweep``'s (1.6 MB, ECF, WiFi 4.2 / LTE 8.6) after
-    1,100 events -- the instant 2,200 events reached while a link had a
-    serialisation-end event per packet: 761 nodes, mostly
-    ``Segment``/``Packet``.  Measured on 3.11: 9.1 calls per node (8.9 on
-    the 833-node world of 2,200 events, which held a ``Timer`` per
-    packet in flight; 28.8 with ``_declared_fields`` per reference and
-    ``_instance_attrs`` per node).  ``restore`` reads 34.3 on the same
-    snapshot -- recorded, not gated: that half waits for ``fork_sweep``
-    to be re-sized (see docs/performance.md).
+    1,100 events: 761 nodes, mostly ``Segment``/``Packet``.  Measured:
+    7.8 calls per node on 3.11 and 3.10, 7.3 on 3.12 (7.9 on 3.11 while
+    the walk still checked each instance against a declared tuple; 28.8
+    with ``_declared_fields`` per reference and ``_instance_attrs`` per
+    node).  ``restore`` reads 34.0 on the same snapshot -- recorded, not
+    gated: that half waits for ``fork_sweep`` to be re-sized (see
+    docs/performance.md).
     """
 
-    BUDGET = 12.0
+    BUDGET = 9.0
 
     def test_calls_per_captured_node_within_budget(self):
         spec = BulkDownloadSpec(

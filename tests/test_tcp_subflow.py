@@ -140,31 +140,22 @@ class TestLossRecovery:
 class TestRto:
     def test_rto_fires_when_all_acks_lost(self, sim):
         conn, sf = single_path_conn(sim)
-        # Kill the forward link before writing: the first flight vanishes.
-        original_send = sf.path.forward.send
-        sf.path.forward.send = lambda pkt, cb: False
+        # Take the forward link down before writing: the first flight vanishes.
+        sf.path.forward.set_down(True)
         conn.write(5 * 1448)
         sim.run(until=0.5)
-        sf.path.forward.send = original_send
+        sf.path.forward.set_down(False)
         drain(sim)
         assert sf.stats.rto_events >= 1
         assert conn.delivered_bytes == 5 * 1448
 
     def test_rto_backoff_grows_on_repeat(self, sim):
         conn, sf = single_path_conn(sim)
-        blocked = {"on": True}
-        original_send = sf.path.forward.send
-
-        def flaky(pkt, cb):
-            if blocked["on"]:
-                return False
-            return original_send(pkt, cb)
-
-        sf.path.forward.send = flaky
+        sf.path.forward.set_down(True)
         conn.write(1448)
         sim.run(until=8.0)
         assert sf.stats.rto_events >= 2
-        blocked["on"] = False
+        sf.path.forward.set_down(False)
         drain(sim)
         assert conn.delivered_bytes == 1448
 
